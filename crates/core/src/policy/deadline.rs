@@ -12,10 +12,16 @@
 //!   its own execution time).
 //! * SJF — `ddl_M = C_oM`: not deadline-aware; included as the paper's
 //!   comparison point.
+//!
+//! LLF and EDF also stamp the job's latency tier `⌊log2 L_µs⌋` on the
+//! priority: once some operator is past its start deadline the
+//! scheduler ranks by `(tier, ddl)`, so strict jobs overtake an overdue
+//! lax backlog ([`Priority::rank`]). SJF's key is not an instant, so
+//! it stays in the flat tier.
 
 use super::{stamp_fields, ConverterState, HopInfo, MessageStamp, Policy};
 use crate::context::PriorityContext;
-use crate::priority::{deadline_to_priority, Priority};
+use crate::priority::{deadline_to_priority, latency_tier, Priority};
 use crate::profile::EdgeReport;
 use crate::time::Micros;
 
@@ -53,7 +59,8 @@ macro_rules! deadline_policy {
                 let global: u64 = $global;
                 stamp_fields(&mut base, stamp, pmf, tmf);
                 base.priority =
-                    Priority::new(deadline_to_priority(pmf.0), deadline_to_priority(global));
+                    Priority::new(deadline_to_priority(pmf.0), deadline_to_priority(global))
+                        .with_tier(latency_tier($l));
                 base
             }
         }
@@ -158,6 +165,20 @@ mod tests {
             &mut st,
         );
         assert_eq!(pc.priority.global, 60);
+    }
+
+    #[test]
+    fn deadline_policies_stamp_the_latency_tier() {
+        let hop = HopInfo::regular(0);
+        for (l, tier) in [(10_000, 13), (200_000, 17), (400_000, 18)] {
+            let mut st = state();
+            let src = LlfPolicy.build_at_source(JobId(1), stamp(5, 5), Micros(l), &hop, &mut st);
+            assert_eq!(src.priority.tier(), tier);
+            let down = EdfPolicy.build_at_operator(&src, stamp(5, 9), &hop, &mut st);
+            assert_eq!(down.priority.tier(), tier, "inherited with L");
+            let sjf = SjfPolicy.build_at_operator(&src, stamp(5, 9), &hop, &mut st);
+            assert_eq!(sjf.priority.tier(), Priority::FLAT_TIER);
+        }
     }
 
     #[test]

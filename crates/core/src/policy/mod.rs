@@ -10,13 +10,20 @@
 //!
 //! Built-in policies:
 //!
-//! | policy | `PRI_global` | `PRI_local` |
-//! |---|---|---|
-//! | [`LlfPolicy`] (default) | start deadline `t_MF + L − C_oM − C_path` | `p_MF` |
-//! | [`EdfPolicy`] | `t_MF + L − C_path` (cost term omitted, §4.2.2) | `p_MF` |
-//! | [`SjfPolicy`] | `C_oM` | `p_MF` |
-//! | [`FifoPolicy`] | arrival sequence | arrival sequence |
-//! | [`TokenFairPolicy`] | token stamp (§5.4) | token interval |
+//! | policy | `PRI_global` | `PRI_local` | tier |
+//! |---|---|---|---|
+//! | [`LlfPolicy`] (default) | start deadline `t_MF + L − C_oM − C_path` | `p_MF` | `⌊log2 L_µs⌋` |
+//! | [`EdfPolicy`] | `t_MF + L − C_path` (cost term omitted, §4.2.2) | `p_MF` | `⌊log2 L_µs⌋` |
+//! | [`SjfPolicy`] | `C_oM` | `p_MF` | flat |
+//! | [`FifoPolicy`] | arrival sequence | arrival sequence | flat |
+//! | [`TokenFairPolicy`] | token stamp (§5.4) | token interval | flat |
+//!
+//! The tier only ranks operators while one of them is past its start
+//! deadline ([`Priority::rank`](crate::priority::Priority::rank)): the
+//! deadline policies' keys are instants that can pass, and once they
+//! have, a strict job must still overtake an overdue lax backlog. A
+//! flat tier ([`Priority::FLAT_TIER`](crate::priority::Priority::FLAT_TIER))
+//! leaves a policy's order exactly what its `PRI_global` says.
 
 mod deadline;
 mod fifo;

@@ -6,7 +6,16 @@
 //! messages within one operator's queue. Smaller values are more urgent
 //! (a start deadline of 60 beats one of 90), matching the paper's
 //! "lower value implies higher priority".
+//!
+//! A third component, the *latency tier*, only matters under overload:
+//! once some runnable operator is past its start deadline the scheduler
+//! ranks operators by `(tier, global)` instead of `global` alone, so a
+//! strict tenant overtakes an overdue lax backlog (see
+//! [`Priority::rank`]). The deadline policies derive the tier from the
+//! job's latency constraint; everything else leaves it at
+//! [`Priority::FLAT_TIER`], where the two orders coincide.
 
+use crate::time::{Micros, PhysicalTime};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -18,6 +27,9 @@ pub struct Priority {
     pub local: i64,
     /// Orders operators against each other (lower runs first).
     pub global: i64,
+    /// Latency tier, at most [`Priority::MAX_TIER`]; see
+    /// [`with_tier`](Self::with_tier).
+    tier: u8,
 }
 
 impl Priority {
@@ -25,6 +37,7 @@ impl Priority {
     pub const URGENT: Priority = Priority {
         local: i64::MIN,
         global: i64::MIN,
+        tier: Self::FLAT_TIER,
     };
 
     /// The least urgent possible priority — used by the token policy for
@@ -34,34 +47,72 @@ impl Priority {
     pub const IDLE: Priority = Priority {
         local: i64::MAX,
         global: i64::MAX,
+        tier: Self::FLAT_TIER,
     };
+
+    /// The tier of every priority not built by a deadline policy. With
+    /// all tiers equal, ranking under overload is ranking by `global`.
+    pub const FLAT_TIER: u8 = 0;
+
+    /// The laxest tier: `⌊log2 u64::MAX⌋`.
+    pub const MAX_TIER: u8 = 63;
 
     /// A priority from its two components.
     #[inline]
     pub fn new(local: i64, global: i64) -> Self {
-        Priority { local, global }
+        Priority {
+            local,
+            global,
+            tier: Self::FLAT_TIER,
+        }
     }
 
     /// Both components set from a single urgency value.
     #[inline]
     pub fn uniform(v: i64) -> Self {
+        Priority::new(v, v)
+    }
+
+    /// The same priority in latency tier `tier` (clamped to
+    /// [`MAX_TIER`](Self::MAX_TIER)). Lower tiers are stricter.
+    #[inline]
+    pub fn with_tier(self, tier: u8) -> Self {
         Priority {
-            local: v,
-            global: v,
+            tier: tier.min(Self::MAX_TIER),
+            ..self
         }
     }
 
-    /// True if `self` should run before `other` at the operator level.
+    /// The latency tier.
     #[inline]
-    pub fn more_urgent_globally(&self, other: &Priority) -> bool {
-        self.global < other.global
+    pub fn tier(&self) -> u8 {
+        self.tier
+    }
+
+    /// True when the start deadline this priority encodes (`global`) has
+    /// passed at `now`: the message can no longer start in time.
+    #[inline]
+    pub fn overdue(&self, now: PhysicalTime) -> bool {
+        self.global < deadline_to_priority(now.0)
+    }
+
+    /// The key operators are ranked by, lower first. While no runnable
+    /// operator is past its start deadline that is `global` alone —
+    /// least laxity first, which meets every deadline that can be met.
+    /// Under overload no order meets them all, and deadline order lets
+    /// every overdue message outrank every fresh one whatever its
+    /// target; ranking by tier first keeps the misses in the lax tiers.
+    #[inline]
+    pub fn rank(&self, overloaded: bool) -> (u8, i64) {
+        (if overloaded { self.tier } else { 0 }, self.global)
     }
 }
 
-/// Orders by global priority first (scheduler heap order), then local.
+/// Orders by global priority first (scheduler heap order), then local;
+/// the tier only separates otherwise equal priorities.
 impl Ord for Priority {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.global, self.local).cmp(&(other.global, other.local))
+        (self.global, self.local, self.tier).cmp(&(other.global, other.local, other.tier))
     }
 }
 
@@ -73,8 +124,20 @@ impl PartialOrd for Priority {
 
 impl fmt::Debug for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pri(l={}, g={})", self.local, self.global)
+        write!(f, "pri(l={}, g={}", self.local, self.global)?;
+        if self.tier != Self::FLAT_TIER {
+            write!(f, ", t={}", self.tier)?;
+        }
+        write!(f, ")")
     }
+}
+
+/// The latency tier of a job with latency constraint `l`:
+/// `⌊log2 L_µs⌋`, so targets within 2× of each other are peers and
+/// there are at most 64 tiers.
+#[inline]
+pub fn latency_tier(l: Micros) -> u8 {
+    l.0.checked_ilog2().unwrap_or(0) as u8
 }
 
 /// Converts a physical deadline (microseconds) into a global priority.
@@ -94,8 +157,8 @@ mod tests {
         let a = Priority::new(0, 10);
         let b = Priority::new(0, 20);
         assert!(a < b);
-        assert!(a.more_urgent_globally(&b));
-        assert!(!b.more_urgent_globally(&a));
+        assert!(a.rank(false) < b.rank(false));
+        assert!(a.rank(true) < b.rank(true), "flat tiers: same order");
     }
 
     #[test]
@@ -110,6 +173,24 @@ mod tests {
         let mid = Priority::uniform(0);
         assert!(Priority::URGENT < mid);
         assert!(mid < Priority::IDLE);
+    }
+
+    #[test]
+    fn tiers_are_log2_buckets_and_rank_only_under_overload() {
+        assert_eq!(latency_tier(Micros(0)), 0);
+        assert_eq!(latency_tier(Micros(10_000)), 13);
+        assert_eq!(latency_tier(Micros(16_383)), 13);
+        assert_eq!(latency_tier(Micros(200_000)), 17);
+        assert_eq!(latency_tier(Micros(u64::MAX)), Priority::MAX_TIER);
+        let strict = Priority::new(0, 900).with_tier(13);
+        let lax = Priority::new(0, 100).with_tier(17);
+        assert!(lax.rank(false) < strict.rank(false), "deadline order");
+        assert!(strict.rank(true) < lax.rank(true), "tier order");
+        assert_eq!(
+            Priority::new(0, 5).with_tier(200).tier(),
+            Priority::MAX_TIER
+        );
+        assert_eq!(Priority::uniform(3).tier(), Priority::FLAT_TIER);
     }
 
     #[test]

@@ -7,26 +7,32 @@
 //! to exactly one worker at a time (per-event synchronization, §1).
 //! While leased, the operator is invisible to other workers; newly
 //! arriving messages accumulate in its message queue and the operator
-//! re-enters the heap when the lease is returned.
+//! re-enters the run index when the lease is returned.
 //!
-//! The operator heap uses lazy invalidation: when an operator's head
-//! priority improves (a more urgent message arrived), a fresh heap entry
-//! is pushed and stale entries are skipped on pop. Every push adds at
-//! most one heap entry, so the heap stays linear in the number of
-//! pushes between pops.
+//! Runnable operators live in a run index with *exactly one entry
+//! each*: when an operator's head priority changes, its entry is
+//! removed and re-inserted, so the index never holds more entries than
+//! there are runnable operators, however long the queue runs. The index
+//! is one binary heap per latency tier under a bitmask of the occupied
+//! tiers; every operator owns a slot that records where its entry sits,
+//! which is what makes removal exact and `O(log n)` without a search.
+//! Bucketing by tier gives the two orders the scheduler needs from one
+//! structure (see [`Priority::rank`]):
 //!
-//! Invalidation is lazy but the heap *top* is kept eagerly valid: the
-//! only two operations that can leave a stale entry on top — a push
-//! that demotes the top operator's head, and popping the top — clean
-//! the head before returning. Every other public method can only stack
-//! valid entries on top of a valid top. That invariant is what makes
-//! [`TwoLevelQueue::peek_best`] an O(1) `&self` read, and what lets
-//! [`TwoLevelQueue::push`] report the post-push queue-best (the hint
-//! the sharded scheduler advertises) as a [`PushOutcome`] without a
-//! separate heap peek.
+//! * **deadline order** — the most urgent head over all tiers. This is
+//!   the order while every runnable head can still start in time.
+//! * **tier order** — the most urgent head of the strictest occupied
+//!   tier. This is the order once some head is past its start deadline
+//!   (`global < now`): no order meets every deadline any more, and
+//!   deadline order would let an overdue lax backlog outrank every
+//!   fresh strict message.
+//!
+//! With all tiers equal (FIFO, SJF, token-fair, hand-built priorities)
+//! there is one bucket and the two orders are the same order.
 
 use crate::ids::{JobId, OperatorKey};
 use crate::priority::Priority;
+use crate::time::PhysicalTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -75,20 +81,20 @@ struct OpState<M> {
     msgs: BinaryHeap<Reverse<MsgEntry<M>>>,
     /// Checked out by a worker.
     leased: bool,
-    /// Version guard for lazy heap invalidation.
-    version: u64,
-    /// Priority of the entry currently representing this operator in
-    /// the heap (if any).
+    /// Head priority of this operator's entry in the run index, if it
+    /// has one (it is runnable).
     posted: Option<Priority>,
+    /// This operator's slot in the run index.
+    slot: u32,
 }
 
 impl<M> OpState<M> {
-    fn new() -> Self {
+    fn new(slot: u32) -> Self {
         OpState {
             msgs: BinaryHeap::new(),
             leased: false,
-            version: 0,
             posted: None,
+            slot,
         }
     }
 
@@ -97,24 +103,145 @@ impl<M> OpState<M> {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct HeapEntry {
+/// An operator's run-index entry.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Head priority: global priority orders operators.
     pri: Priority,
+    /// Posting sequence number: breaks ties FIFO. Unique per entry, so
+    /// `(pri, seq)` is a total order.
     seq: u64,
     key: OperatorKey,
-    version: u64,
+    slot: u32,
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Entry {
+    fn rank(&self) -> (Priority, u64) {
+        (self.pri, self.seq)
     }
 }
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Global priority orders operators; arrival sequence breaks ties
-        // (FIFO among equals), key is a final total-order tiebreak.
-        (self.pri, self.seq, self.key).cmp(&(other.pri, other.seq, other.key))
+
+/// The runnable (unleased, non-empty) operators, one entry each: a
+/// binary min-heap per latency tier under a bitmask of the occupied
+/// tiers. `pos[slot]` is where the entry of the operator owning `slot`
+/// sits in its tier's heap, kept current by every move, so an entry is
+/// removed in place instead of being invalidated and skipped later.
+#[derive(Debug)]
+struct RunIndex {
+    tiers: Vec<Vec<Entry>>,
+    occupied: u64,
+    pos: Vec<u32>,
+    free_slots: Vec<u32>,
+}
+
+impl RunIndex {
+    fn new() -> Self {
+        RunIndex {
+            tiers: (0..=Priority::MAX_TIER).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            pos: Vec::new(),
+            free_slots: Vec::new(),
+        }
+    }
+
+    /// A slot for a new operator.
+    fn alloc_slot(&mut self) -> u32 {
+        self.free_slots.pop().unwrap_or_else(|| {
+            self.pos.push(0);
+            (self.pos.len() - 1) as u32
+        })
+    }
+
+    /// Give back the slot of a removed operator (which has no entry).
+    fn free_slot(&mut self, slot: u32) {
+        self.free_slots.push(slot);
+    }
+
+    fn insert(&mut self, entry: Entry) {
+        let tier = entry.pri.tier() as usize;
+        self.tiers[tier].push(entry);
+        self.occupied |= 1 << tier;
+        self.sift_up(tier, self.tiers[tier].len() - 1);
+    }
+
+    /// Remove the entry of the operator owning `slot`, posted in the
+    /// tier of `pri`.
+    fn remove(&mut self, slot: u32, pri: Priority) {
+        let tier = pri.tier() as usize;
+        let at = self.pos[slot as usize] as usize;
+        let heap = &mut self.tiers[tier];
+        debug_assert_eq!(heap[at].slot, slot, "slot position out of date");
+        heap.swap_remove(at);
+        if heap.is_empty() {
+            self.occupied &= !(1 << tier);
+        }
+        if at < self.tiers[tier].len() {
+            // The former last entry now sits at `at`: it may belong
+            // further down or further up.
+            self.sift_down(tier, at);
+            self.sift_up(tier, at);
+        }
+    }
+
+    /// Move the entry at `at` up to its place, recording every move.
+    fn sift_up(&mut self, tier: usize, mut at: usize) {
+        let heap = &mut self.tiers[tier];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if heap[parent].rank() <= heap[at].rank() {
+                break;
+            }
+            heap.swap(parent, at);
+            self.pos[heap[at].slot as usize] = at as u32;
+            at = parent;
+        }
+        self.pos[heap[at].slot as usize] = at as u32;
+    }
+
+    /// Move the entry at `at` down to its place, recording every move.
+    fn sift_down(&mut self, tier: usize, mut at: usize) {
+        let heap = &mut self.tiers[tier];
+        loop {
+            let left = 2 * at + 1;
+            let Some(first) = (left..heap.len().min(left + 2)).min_by_key(|&c| heap[c].rank())
+            else {
+                break;
+            };
+            if heap[at].rank() <= heap[first].rank() {
+                break;
+            }
+            heap.swap(first, at);
+            self.pos[heap[at].slot as usize] = at as u32;
+            at = first;
+        }
+        self.pos[heap[at].slot as usize] = at as u32;
+    }
+
+    /// The most urgent entry of every occupied tier, strictest first.
+    fn heads(&self) -> impl Iterator<Item = &Entry> {
+        let mut left = self.occupied;
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let tier = left.trailing_zeros();
+            left &= left - 1;
+            self.tiers[tier as usize].first()
+        })
+    }
+
+    /// First in deadline order.
+    fn by_deadline(&self) -> Option<&Entry> {
+        self.heads().min_by_key(|e| e.rank())
+    }
+
+    /// First in tier order.
+    fn by_tier(&self) -> Option<&Entry> {
+        self.heads().next()
+    }
+
+    fn len(&self) -> usize {
+        self.tiers.iter().map(Vec::len).sum()
     }
 }
 
@@ -126,23 +253,30 @@ pub struct OperatorLease {
     pub key: OperatorKey,
 }
 
-/// What a [`TwoLevelQueue::push`] learned about the queue, in O(1),
-/// from the work the push already did. Callers that maintain a
-/// best-priority hint (the sharded scheduler) read the new hint straight
-/// from here instead of re-peeking the operator heap per message.
+/// The operator a time-aware peek or pop chose, and under which order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pick {
+    /// The chosen operator.
+    pub key: OperatorKey,
+    /// Its head priority.
+    pub pri: Priority,
+    /// Some runnable head was past its start deadline, so operators
+    /// were ranked in tier order.
+    pub overloaded: bool,
+    /// Tier order chose a different operator than deadline order would
+    /// have. Never set without `overloaded`.
+    pub overtook: bool,
+}
+
+/// What a [`TwoLevelQueue::push`] learned from the work it already did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushOutcome {
     /// The target operator became newly runnable (it was idle and
     /// unleased) — runtimes use this to wake a parked worker.
     pub newly_runnable: bool,
-    /// Exact priority of the most urgent *available* (unleased,
-    /// non-empty) operator after this push. `None` when every pending
-    /// operator is leased out.
-    pub queue_best: Option<Priority>,
-    /// `queue_best` came from the O(1) fast path: the push either
-    /// improved the top of the heap or left it untouched. `false` on
-    /// the rare demotion path (the pushed operator *was* the heap top
-    /// and its head got lazier), which pays a lazy-invalidation cleanup.
+    /// The push improved the queue's best or left it untouched. `false`
+    /// on the rare demotion path: the pushed operator *was* the most
+    /// urgent one and its new head is lazier, so the best moved back.
     pub fast_hint: bool,
 }
 
@@ -151,7 +285,7 @@ pub struct PushOutcome {
 /// single-threaded.
 #[derive(Debug)]
 pub struct TwoLevelQueue<M> {
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    index: RunIndex,
     ops: HashMap<OperatorKey, OpState<M>>,
     msg_count: usize,
     seq: u64,
@@ -167,7 +301,7 @@ impl<M> TwoLevelQueue<M> {
     /// An empty queue.
     pub fn new() -> Self {
         TwoLevelQueue {
-            heap: BinaryHeap::new(),
+            index: RunIndex::new(),
             ops: HashMap::new(),
             msg_count: 0,
             seq: 0,
@@ -189,13 +323,22 @@ impl<M> TwoLevelQueue<M> {
         self.ops.values().filter(|o| !o.msgs.is_empty()).count()
     }
 
+    /// Entries in the run index: exactly the number of runnable
+    /// (unleased, non-empty) operators.
+    pub fn runnable_operators(&self) -> usize {
+        self.index.len()
+    }
+
     /// Enqueue a message for `key` with priority `pri`. The returned
-    /// [`PushOutcome`] carries the "newly runnable" wake signal plus the
-    /// exact post-push queue-best, learned in O(1) in the common case.
+    /// [`PushOutcome`] carries the "newly runnable" wake signal.
     pub fn push(&mut self, key: OperatorKey, msg: M, pri: Priority) -> PushOutcome {
         self.seq += 1;
         let seq = self.seq;
-        let op = self.ops.entry(key).or_insert_with(OpState::new);
+        let index = &mut self.index;
+        let op = self
+            .ops
+            .entry(key)
+            .or_insert_with(|| OpState::new(index.alloc_slot()));
         let was_idle = op.msgs.is_empty() && !op.leased;
         op.msgs.push(Reverse(MsgEntry { pri, seq, msg }));
         self.msg_count += 1;
@@ -205,95 +348,95 @@ impl<M> TwoLevelQueue<M> {
             // Re-post whenever the head message's priority *changed* in
             // either direction: a new message with a better local but
             // worse global priority becomes the operator's "next"
-            // message and must demote the operator in the heap (Fig 5b:
-            // operators rank by the global priority of their next
-            // message, where next is chosen by local priority).
+            // message and must demote the operator (Fig 5b: operators
+            // rank by the global priority of their next message, where
+            // next is chosen by local priority).
             if op.posted != Some(head) {
-                // The repost invalidates this operator's live heap
-                // entry. If that entry is the (valid, by invariant)
-                // heap top and the new head is *lazier*, the top goes
-                // stale and must be cleaned; a more urgent head simply
-                // stacks the fresh entry above it.
-                let demotes_top = match (op.posted, self.heap.peek()) {
-                    (Some(old), Some(Reverse(top))) => top.key == key && head > old,
-                    _ => false,
-                };
-                op.version += 1;
+                if let Some(old) = op.posted {
+                    let was_best = index.by_deadline().is_some_and(|e| e.slot == op.slot);
+                    fast_hint = !(was_best && head > old);
+                    index.remove(op.slot, old);
+                }
                 op.posted = Some(head);
-                self.heap.push(Reverse(HeapEntry {
+                index.insert(Entry {
                     pri: head,
                     seq,
                     key,
-                    version: op.version,
-                }));
-                if demotes_top {
-                    self.clean_head();
-                    fast_hint = false;
-                }
+                    slot: op.slot,
+                });
             }
         }
         PushOutcome {
             newly_runnable: was_idle,
-            queue_best: self.peek_best().map(|(_, p)| p),
             fast_hint,
         }
     }
 
-    /// Drop heap entries that no longer describe a poppable operator,
-    /// leaving a valid head (or an empty heap).
-    fn clean_head(&mut self) {
-        while let Some(Reverse(head)) = self.heap.peek() {
-            let valid = self
-                .ops
-                .get(&head.key)
-                .map(|op| !op.leased && op.version == head.version && !op.msgs.is_empty())
-                .unwrap_or(false);
-            if valid {
-                return;
-            }
-            self.heap.pop();
-        }
+    /// The operator [`pop_with`](Self::pop_with) would check out.
+    /// `overloaded` is asked about the most urgent runnable head:
+    /// `false` picks in deadline order, `true` in tier order.
+    pub(crate) fn peek_with(&self, overloaded: impl FnOnce(Priority) -> bool) -> Option<Pick> {
+        let by_deadline = self.index.by_deadline()?;
+        let overloaded = overloaded(by_deadline.pri);
+        let chosen = if overloaded {
+            self.index.by_tier()?
+        } else {
+            by_deadline
+        };
+        Some(Pick {
+            key: chosen.key,
+            pri: chosen.pri,
+            overloaded,
+            overtook: chosen.slot != by_deadline.slot,
+        })
     }
 
-    /// True when the heap's top entry describes a poppable operator.
-    /// Public methods maintain this as an invariant (or an empty heap),
-    /// which is what makes [`peek_best`](Self::peek_best) a `&self`
-    /// O(1) read.
-    fn head_is_valid(&self) -> bool {
-        match self.heap.peek() {
-            None => true,
-            Some(Reverse(head)) => self
-                .ops
-                .get(&head.key)
-                .map(|op| !op.leased && op.version == head.version && !op.msgs.is_empty())
-                .unwrap_or(false),
-        }
+    /// Check out the first operator in the order `overloaded` selects
+    /// (see [`peek_with`](Self::peek_with)).
+    pub(crate) fn pop_with(
+        &mut self,
+        overloaded: impl FnOnce(Priority) -> bool,
+    ) -> Option<(OperatorLease, Pick)> {
+        let pick = self.peek_with(overloaded)?;
+        let op = self
+            .ops
+            .get_mut(&pick.key)
+            .expect("indexed operators exist");
+        let posted = op.posted.take().expect("indexed operators are posted");
+        self.index.remove(op.slot, posted);
+        op.leased = true;
+        Some((OperatorLease { key: pick.key }, pick))
     }
 
     /// Priority of the most urgent *available* (unleased, non-empty)
-    /// operator. Used by workers for quantum-boundary swap decisions and
-    /// by the sharded scheduler's hint refresh. O(1): the heap top is
-    /// kept eagerly valid by `push`/`pop_operator`.
+    /// operator in deadline order — the order of a queue that is never
+    /// overloaded. The sharded scheduler's hint refresh reads this.
     pub fn peek_best(&self) -> Option<(OperatorKey, Priority)> {
-        debug_assert!(self.head_is_valid(), "stale heap top escaped a mutation");
-        self.heap.peek().map(|Reverse(e)| (e.key, e.pri))
+        self.index.by_deadline().map(|e| (e.key, e.pri))
     }
 
-    /// Check out the most urgent operator. The lease must be returned
-    /// via [`check_in`](Self::check_in).
+    /// Head priority of the first available operator in tier order.
+    pub(crate) fn peek_best_by_tier(&self) -> Option<Priority> {
+        self.index.by_tier().map(|e| e.pri)
+    }
+
+    /// The operator [`pop_operator_at`](Self::pop_operator_at) would
+    /// check out at `now`.
+    pub fn peek_best_at(&self, now: PhysicalTime) -> Option<Pick> {
+        self.peek_with(|head| head.overdue(now))
+    }
+
+    /// Check out the most urgent operator in deadline order. The lease
+    /// must be returned via [`check_in`](Self::check_in).
     pub fn pop_operator(&mut self) -> Option<OperatorLease> {
-        debug_assert!(self.head_is_valid(), "stale heap top escaped a mutation");
-        let Reverse(entry) = self.heap.pop()?;
-        let op = self
-            .ops
-            .get_mut(&entry.key)
-            .expect("head validity is a maintained invariant");
-        op.leased = true;
-        op.posted = None;
-        // Removing the top may expose stale entries; restore the
-        // valid-top invariant before returning.
-        self.clean_head();
-        Some(OperatorLease { key: entry.key })
+        self.pop_with(|_| false).map(|(lease, _)| lease)
+    }
+
+    /// Check out the first operator at time `now`: in deadline order
+    /// while every runnable head can still start in time, in tier order
+    /// once the most urgent one is [overdue](Priority::overdue).
+    pub fn pop_operator_at(&mut self, now: PhysicalTime) -> Option<(OperatorLease, Pick)> {
+        self.pop_with(|head| head.overdue(now))
     }
 
     /// Take the most urgent pending message of a leased operator.
@@ -314,10 +457,9 @@ impl<M> TwoLevelQueue<M> {
     /// operators, and remove the operators from the queue. Returns the
     /// number of messages dropped.
     ///
-    /// Unleased operators are removed outright; their heap entries go
-    /// stale and are cleaned lazily (the eager-valid top invariant is
-    /// restored before returning). A *leased* operator keeps its entry
-    /// until the holder checks the lease back in — its message queue is
+    /// Unleased operators are removed outright, index entry included. A
+    /// *leased* operator keeps its entry in the operator table until
+    /// the holder checks the lease back in — its message queue is
     /// emptied here, so the holder's next `next_message` returns `None`
     /// and the eventual [`check_in`](Self::check_in) finds nothing to
     /// re-post. This is what makes job retirement safe to run while
@@ -325,21 +467,22 @@ impl<M> TwoLevelQueue<M> {
     /// worker's feet, it just runs dry.
     pub fn purge_job(&mut self, job: JobId) -> usize {
         let mut purged = 0usize;
+        let index = &mut self.index;
         self.ops.retain(|key, op| {
             if key.job != job {
                 return true;
             }
             purged += op.msgs.len();
             op.msgs.clear();
-            // Invalidate any live heap entry for this operator: the
-            // version guard makes posted entries stale whether the
-            // OpState survives (leased) or not (removed).
-            op.version += 1;
-            op.posted = None;
+            if let Some(posted) = op.posted.take() {
+                index.remove(op.slot, posted);
+            }
+            if !op.leased {
+                index.free_slot(op.slot);
+            }
             op.leased
         });
         self.msg_count -= purged;
-        self.clean_head();
         purged
     }
 
@@ -355,20 +498,21 @@ impl<M> TwoLevelQueue<M> {
     /// controller extracts an operator here and resubmits the messages
     /// to its new home shard, so nothing is lost and lease exclusivity
     /// is never violated (an operator is only ever extracted while no
-    /// worker holds it). Stale heap entries are cleaned lazily, exactly
-    /// as in [`purge_job`](Self::purge_job).
+    /// worker holds it).
     pub fn extract_operator(&mut self, key: OperatorKey) -> Option<Vec<(M, Priority)>> {
         let op = self.ops.get(&key)?;
         if op.leased || op.msgs.is_empty() {
             return None;
         }
         let mut op = self.ops.remove(&key).expect("checked above");
+        let posted = op.posted.expect("runnable operators are posted");
+        self.index.remove(op.slot, posted);
+        self.index.free_slot(op.slot);
         let mut out = Vec::with_capacity(op.msgs.len());
         while let Some(Reverse(e)) = op.msgs.pop() {
             out.push((e.msg, e.pri));
         }
         self.msg_count -= out.len();
-        self.clean_head();
         Some(out)
     }
 
@@ -385,7 +529,7 @@ impl<M> TwoLevelQueue<M> {
     }
 
     /// Return a lease. If the operator still has pending messages it
-    /// re-enters the heap at its current head priority.
+    /// re-enters the run index at its current head priority.
     pub fn check_in(&mut self, lease: OperatorLease) {
         self.seq += 1;
         let seq = self.seq;
@@ -393,17 +537,18 @@ impl<M> TwoLevelQueue<M> {
             return;
         };
         op.leased = false;
+        // A lease is `Copy`; a second check-in must not post twice.
+        if let Some(posted) = op.posted.take() {
+            self.index.remove(op.slot, posted);
+        }
         if let Some(head) = op.head_priority() {
-            op.version += 1;
             op.posted = Some(head);
-            self.heap.push(Reverse(HeapEntry {
+            self.index.insert(Entry {
                 pri: head,
                 seq,
                 key: lease.key,
-                version: op.version,
-            }));
-        } else {
-            op.posted = None;
+                slot: op.slot,
+            });
         }
     }
 }
@@ -454,39 +599,38 @@ mod tests {
     }
 
     #[test]
-    fn push_outcome_reports_queue_best() {
+    fn push_keeps_peek_best_exact() {
         let mut q = TwoLevelQueue::new();
-        let out = q.push(key(1), 1, pri(50));
-        assert_eq!(out.queue_best, Some(pri(50)));
-        assert!(out.fast_hint);
+        assert!(q.push(key(1), 1, pri(50)).fast_hint);
+        assert_eq!(q.peek_best(), Some((key(1), pri(50))));
         // A more urgent operator: best improves, still the fast path.
-        let out = q.push(key(2), 2, pri(10));
-        assert_eq!(out.queue_best, Some(pri(10)));
-        assert!(out.fast_hint);
+        assert!(q.push(key(2), 2, pri(10)).fast_hint);
+        assert_eq!(q.peek_best(), Some((key(2), pri(10))));
         // A lazier operator: best unchanged, fast path.
-        let out = q.push(key(3), 3, pri(99));
-        assert_eq!(out.queue_best, Some(pri(10)));
-        assert!(out.fast_hint);
+        assert!(q.push(key(3), 3, pri(99)).fast_hint);
+        assert_eq!(q.peek_best(), Some((key(2), pri(10))));
         // Pushing to a leased operator leaves the best untouched.
         let lease = q.pop_operator().unwrap();
         assert_eq!(lease.key, key(2));
-        let out = q.push(key(2), 4, pri(1));
-        assert_eq!(out.queue_best, Some(pri(50)), "leased op is invisible");
-        assert!(out.fast_hint);
+        assert!(q.push(key(2), 4, pri(1)).fast_hint);
+        assert_eq!(
+            q.peek_best(),
+            Some((key(1), pri(50))),
+            "leased op is invisible"
+        );
         q.check_in(lease);
     }
 
     #[test]
-    fn push_outcome_demotion_repeeks() {
+    fn push_outcome_flags_demotion_of_the_best() {
         // A new message with better local but worse global priority
-        // demotes the heap-top operator: the outcome must report the
-        // *new* queue-best and flag the slow path.
+        // demotes the most urgent operator: the best moves back and the
+        // outcome flags the slow path.
         let mut q = TwoLevelQueue::new();
         q.push(key(4), "old-head", Priority::new(0, -1));
         q.push(key(0), "other", Priority::new(0, 0));
         let out = q.push(key(4), "new-head", Priority::new(-1, 1));
-        assert!(!out.fast_hint, "demoting the top pays the cleanup");
-        assert_eq!(out.queue_best, Some(Priority::new(0, 0)));
+        assert!(!out.fast_hint);
         assert_eq!(q.peek_best(), Some((key(0), Priority::new(0, 0))));
     }
 
@@ -684,6 +828,99 @@ mod tests {
         assert_eq!(lease.key, key(3)); // most urgent, not busiest
         assert_eq!(q.busiest_operator(), Some((key(2), 4)));
         q.check_in(lease);
+    }
+
+    #[test]
+    fn overdue_head_switches_to_tier_order() {
+        let mut q = TwoLevelQueue::new();
+        let strict = Priority::new(0, 900).with_tier(13);
+        let lax = Priority::new(0, 100).with_tier(17);
+        q.push(key(1), "strict", strict);
+        q.push(key(2), "lax", lax);
+        // Nobody overdue: deadline order, and the time-blind entry
+        // points always mean this.
+        let on_time = q.peek_best_at(PhysicalTime(100)).unwrap();
+        assert_eq!((on_time.key, on_time.overloaded), (key(2), false));
+        assert_eq!(q.peek_best(), Some((key(2), lax)));
+        // The lax head's start deadline has passed: the strict tier
+        // overtakes it, and the pick says so.
+        let (lease, pick) = q.pop_operator_at(PhysicalTime(101)).unwrap();
+        assert_eq!(
+            pick,
+            Pick {
+                key: key(1),
+                pri: strict,
+                overloaded: true,
+                overtook: true
+            }
+        );
+        q.check_in(lease);
+        assert_eq!(q.pop_operator().unwrap().key, key(2), "never overloaded");
+    }
+
+    #[test]
+    fn double_check_in_posts_once() {
+        let mut q = TwoLevelQueue::new();
+        q.push(key(1), 1, pri(5));
+        q.push(key(1), 2, pri(6));
+        let lease = q.pop_operator().unwrap();
+        q.check_in(lease);
+        q.check_in(lease);
+        assert_eq!(q.runnable_operators(), 1);
+    }
+
+    /// The run index holds one entry per runnable operator, never more:
+    /// a million messages through eight operators while never overdue,
+    /// then a million while permanently overdue, with heads moving in
+    /// both directions, partial drains and tiers of every kind, leave
+    /// nothing behind. (A second lazily-invalidated heap beside the
+    /// first used to leak stale entries on whichever one was not being
+    /// popped.)
+    #[test]
+    fn run_index_is_bounded_by_runnable_operators() {
+        const OPS: u32 = 8;
+        const MSGS: u64 = 1_000_000;
+        let mut q = TwoLevelQueue::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (phase, now) in [(0u64, PhysicalTime::ZERO), (1, PhysicalTime(u64::MAX))] {
+            let mut taken = 0u64;
+            for i in 0..MSGS {
+                let r = next();
+                let op = (r % OPS as u64) as u32;
+                let global = 1 + (r >> 8) as i64 % 1_000;
+                let local = (r >> 24) as i64 % 50;
+                q.push(
+                    key(op),
+                    i,
+                    Priority::new(local, global).with_tier(10 + (op % 3) as u8 * 4),
+                );
+                if r % 4 == 0 {
+                    let (lease, pick) = q.pop_operator_at(now).unwrap();
+                    assert_eq!(pick.overloaded, phase == 1);
+                    for _ in 0..(r >> 40) % 7 {
+                        taken += u64::from(q.next_message(&lease).is_some());
+                    }
+                    q.check_in(lease);
+                    assert!(q.runnable_operators() <= OPS as usize);
+                }
+            }
+            while let Some((lease, _)) = q.pop_operator_at(now) {
+                while q.next_message(&lease).is_some() {
+                    taken += 1;
+                }
+                q.check_in(lease);
+            }
+            assert_eq!(taken, MSGS, "every message comes out once");
+            assert!(q.is_empty());
+            assert_eq!(q.runnable_operators(), 0, "phase {phase} left entries");
+            assert!(q.index.occupied == 0 && q.index.pos.len() <= OPS as usize);
+        }
     }
 
     #[test]

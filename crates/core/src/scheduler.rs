@@ -38,10 +38,10 @@ pub struct SchedulerStats {
     /// Quantum swaps triggered by a more urgent operator on *another*
     /// shard (the current shard's own decide said Continue).
     pub cross_shard_swaps: u64,
-    /// Submissions whose best-priority hint came straight from the
-    /// [push outcome](crate::queue::PushOutcome) in O(1) — no heap
-    /// cleanup was needed. The complement (demotion repeeks) should be
-    /// rare; this counter makes that claim measurable.
+    /// Submissions that improved the queue's best or left it untouched
+    /// ([`PushOutcome::fast_hint`](crate::queue::PushOutcome)). The
+    /// complement — a push that demotes the most urgent operator —
+    /// should be rare; this counter makes that claim measurable.
     pub hint_fast_path: u64,
     /// Messages moved from a shard's lock-free submission mailbox into
     /// its two-level queue by a draining worker. Only nonzero under the
@@ -115,6 +115,16 @@ pub struct SchedulerStats {
     /// controller's re-placement
     /// ([`ShardedScheduler::migrate_operator`](crate::shard::ShardedScheduler::migrate_operator)).
     pub operators_migrated: u64,
+    /// Operator leases granted while some runnable operator's start
+    /// deadline had already passed — the scheduler was overloaded and
+    /// ranked operators by `(tier, global)`
+    /// ([`Priority::rank`](crate::priority::Priority::rank)). Zero on a
+    /// run that never falls behind.
+    pub overload_acquisitions: u64,
+    /// Of `overload_acquisitions`, the leases where tier order chose a
+    /// different operator than deadline order would have: a stricter
+    /// tenant overtook an overdue laxer one.
+    pub tier_overtakes: u64,
 }
 
 impl SchedulerStats {
@@ -140,6 +150,8 @@ impl SchedulerStats {
         self.deadline_misses += other.deadline_misses;
         self.segments_reclaimed += other.segments_reclaimed;
         self.operators_migrated += other.operators_migrated;
+        self.overload_acquisitions += other.overload_acquisitions;
+        self.tier_overtakes += other.tier_overtakes;
     }
 }
 
@@ -160,6 +172,9 @@ pub enum Decision {
 pub struct Execution {
     lease: OperatorLease,
     acquired_at: PhysicalTime,
+    /// The lease went to a different operator than deadline order would
+    /// have chosen (already counted in `tier_overtakes`).
+    overtook: bool,
 }
 
 impl Execution {
@@ -171,6 +186,10 @@ impl Execution {
     /// When the lease was checked out (quantum accounting starts here).
     pub fn acquired_at(&self) -> PhysicalTime {
         self.acquired_at
+    }
+
+    pub(crate) fn overtook(&self) -> bool {
+        self.overtook
     }
 }
 
@@ -223,9 +242,7 @@ impl<M> CameoScheduler<M> {
 
     /// Submit a message for `key`. The returned
     /// [`PushOutcome`] reports whether the target operator just became
-    /// runnable (used by runtimes to wake workers) and the exact
-    /// post-push queue-best (used by the sharded scheduler to refresh
-    /// its per-shard hint without a separate heap peek).
+    /// runnable (used by runtimes to wake workers).
     ///
     /// With a starvation limit configured (§6.3's starvation
     /// prevention), the global priority is clamped to
@@ -247,14 +264,34 @@ impl<M> CameoScheduler<M> {
         out
     }
 
-    /// Check out the most urgent operator, if any.
+    /// Check out the most urgent operator, if any: in deadline order
+    /// while every runnable head can still start at `now`, in tier
+    /// order once one cannot (see
+    /// [`Priority::rank`](crate::priority::Priority::rank)).
     pub fn acquire(&mut self, now: PhysicalTime) -> Option<Execution> {
+        self.acquire_in(now, false)
+    }
+
+    /// [`acquire`](Self::acquire) for one shard of a pool:
+    /// `pool_overdue` says a sibling shard already holds an overdue
+    /// head, which puts this shard in tier order too — the workers are
+    /// shared, so the overload is.
+    pub(crate) fn acquire_in(
+        &mut self,
+        now: PhysicalTime,
+        pool_overdue: bool,
+    ) -> Option<Execution> {
         self.last_now = self.last_now.max(now);
-        let lease = self.queue.pop_operator()?;
+        let (lease, pick) = self
+            .queue
+            .pop_with(|head| pool_overdue || head.overdue(now))?;
         self.stats.operator_acquisitions += 1;
+        self.stats.overload_acquisitions += u64::from(pick.overloaded);
+        self.stats.tier_overtakes += u64::from(pick.overtook);
         Some(Execution {
             lease,
             acquired_at: now,
+            overtook: pick.overtook,
         })
     }
 
@@ -271,8 +308,22 @@ impl<M> CameoScheduler<M> {
     /// time `now` (§5.2: "while processing a message, Cameo peeks at the
     /// priority of the next operator in the queue; if the next operator
     /// has higher priority, we swap with the current operator after a
-    /// fixed time quantum").
+    /// fixed time quantum"). "Higher priority" is the same rank
+    /// `acquire` orders by, taken over the in-hand operator and the
+    /// runnable ones together: if any of their heads is overdue at
+    /// `now`, a stricter tier beats a laxer one whatever the deadlines.
     pub fn decide(&mut self, exec: &Execution, now: PhysicalTime) -> Decision {
+        self.decide_in(exec, now, false)
+    }
+
+    /// [`decide`](Self::decide) for one shard of a pool; `pool_overdue`
+    /// as in [`acquire_in`](Self::acquire_in).
+    pub(crate) fn decide_in(
+        &mut self,
+        exec: &Execution,
+        now: PhysicalTime,
+        pool_overdue: bool,
+    ) -> Decision {
         self.last_now = self.last_now.max(now);
         let Some(mine) = self.queue.peek_message(&exec.lease) else {
             return Decision::Idle;
@@ -281,8 +332,12 @@ impl<M> CameoScheduler<M> {
         if !quantum_expired {
             return Decision::Continue;
         }
-        match self.queue.peek_best() {
-            Some((_, theirs)) if theirs.more_urgent_globally(&mine) => {
+        let already_overloaded = pool_overdue || mine.overdue(now);
+        match self
+            .queue
+            .peek_with(|head| already_overloaded || head.overdue(now))
+        {
+            Some(theirs) if theirs.pri.rank(theirs.overloaded) < mine.rank(theirs.overloaded) => {
                 self.stats.quantum_swaps += 1;
                 Decision::Swap
             }
@@ -325,12 +380,15 @@ impl<M> CameoScheduler<M> {
         self.queue.busiest_operator()
     }
 
-    /// Peek the priority of the most urgent available operator. O(1)
-    /// and `&self`: the two-level queue keeps its heap top eagerly
-    /// valid, so no lazy-invalidation cleanup (and no mutable borrow)
-    /// is needed.
+    /// Peek the most urgent available operator in deadline order.
     pub fn peek_best(&self) -> Option<(OperatorKey, Priority)> {
         self.queue.peek_best()
+    }
+
+    /// Head priority of the first available operator in tier order —
+    /// what `acquire` would hand out under overload.
+    pub(crate) fn peek_best_by_tier(&self) -> Option<Priority> {
+        self.queue.peek_best_by_tier()
     }
 
     /// Priority of the acquired operator's next pending message, if any.
@@ -434,6 +492,73 @@ mod tests {
         let _ = s.take_message(&exec);
         assert_eq!(s.decide(&exec, PhysicalTime(5_000)), Decision::Continue);
         s.release(exec);
+    }
+
+    const STRICT: u8 = 13;
+    const LAX: u8 = 17;
+
+    /// Two messages each for an on-time strict operator (start deadline
+    /// 1 500) and an overdue lax one (100, at `now` = 1 000).
+    fn strict_on_time_and_lax_overdue() -> CameoScheduler<&'static str> {
+        let mut s = sched(50);
+        for m in ["s1", "s2"] {
+            s.submit(key(1), m, Priority::uniform(1_500).with_tier(STRICT));
+        }
+        for m in ["l1", "l2"] {
+            s.submit(key(2), m, Priority::uniform(100).with_tier(LAX));
+        }
+        s
+    }
+
+    #[test]
+    fn on_time_strict_in_hand_keeps_going_past_an_overdue_lax_backlog() {
+        let mut s = strict_on_time_and_lax_overdue();
+        // Nothing is overdue yet: deadline order hands out the lax
+        // operator. Put it back and let its deadline pass.
+        let exec = s.acquire(PhysicalTime(50)).unwrap();
+        assert_eq!(exec.key(), key(2));
+        s.release(exec);
+        assert_eq!(s.stats().overload_acquisitions, 0);
+        let exec = s.acquire(PhysicalTime(1_000)).unwrap();
+        assert_eq!(exec.key(), key(1), "overloaded: the strict tier first");
+        assert_eq!(s.take_message(&exec).unwrap().0, "s1");
+        // At the parent commit the in-hand strict operator yielded to
+        // the overdue lax one here.
+        assert_eq!(s.decide(&exec, PhysicalTime(1_100)), Decision::Continue);
+        s.release(exec);
+        let st = s.stats();
+        assert_eq!((st.overload_acquisitions, st.tier_overtakes), (1, 1));
+        assert_eq!(st.quantum_swaps, 0);
+    }
+
+    #[test]
+    fn overdue_lax_in_hand_swaps_to_pending_strict_at_the_quantum() {
+        let mut s = strict_on_time_and_lax_overdue();
+        let exec = s.acquire(PhysicalTime(50)).unwrap();
+        assert_eq!(exec.key(), key(2), "deadline order while nobody is late");
+        assert_eq!(s.take_message(&exec).unwrap().0, "l1");
+        assert_eq!(s.decide(&exec, PhysicalTime(99)), Decision::Continue);
+        // Past the quantum. The queue alone is on time (only the strict
+        // operator is runnable); the in-hand head is what is overdue,
+        // and at the parent commit its earlier deadline kept the lease.
+        assert_eq!(s.decide(&exec, PhysicalTime(1_000)), Decision::Swap);
+        s.release(exec);
+        let next = s.acquire(PhysicalTime(1_000)).unwrap();
+        assert_eq!(next.key(), key(1));
+        s.release(next);
+        assert_eq!(s.stats().quantum_swaps, 1);
+    }
+
+    #[test]
+    fn equal_tiers_share_overload_in_deadline_order() {
+        let mut s = sched(0);
+        s.submit(key(1), "later", Priority::uniform(300).with_tier(LAX));
+        s.submit(key(2), "sooner", Priority::uniform(200).with_tier(LAX));
+        let exec = s.acquire(PhysicalTime(1_000)).unwrap();
+        assert_eq!(exec.key(), key(2));
+        s.release(exec);
+        let st = s.stats();
+        assert_eq!((st.overload_acquisitions, st.tier_overtakes), (1, 0));
     }
 
     #[test]

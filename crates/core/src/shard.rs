@@ -21,14 +21,12 @@
 //!   which is what lets fine-grained scheduling stay off the critical
 //!   path. (`SchedulerConfig::mailbox = false` restores the locked
 //!   ingress path for A/B benchmarks and equivalence tests.)
-//! * **O(1) hint maintenance.** Refreshing a shard's hint used to
-//!   re-peek the operator heap per message. The two-level queue now
-//!   reports the post-push queue-best in its
-//!   [push outcome](crate::queue::PushOutcome) and keeps its heap top
-//!   eagerly valid, so both the per-message refresh during a drain and
-//!   the peek-based refresh after acquire/release are O(1);
-//!   [`SchedulerStats::hint_fast_path`] counts how often the O(1) path
-//!   sufficed.
+//! * **Cheap hint maintenance.** The two-level queue keeps exactly one
+//!   run-index entry per runnable operator (exact removal, nothing
+//!   stale to skip), so both the per-message refresh during a drain
+//!   and the peek-based refresh after acquire/release read the queue's
+//!   best directly; [`SchedulerStats::hint_fast_path`] counts the
+//!   submissions that did not move the best backwards.
 //! * **Placement.** Every operator hashes to a home shard, but the
 //!   hash is only a default: a placement override table lets the
 //!   elastic controller re-place hot operators at runtime
@@ -52,6 +50,18 @@
 //!   [`ShardedScheduler::decide`] also compares the in-hand operator's
 //!   next message against other shards' hints, so a worker parked on a
 //!   cold shard cannot monopolize itself while a hot shard backs up.
+//! * **One rank everywhere.** Operators are ranked by
+//!   [`Priority::rank`]: by start deadline while every runnable head in
+//!   the pool can still start in time, by `(tier, deadline)` once one
+//!   cannot. Each shard therefore advertises *two* hints — `best`, the
+//!   earliest start deadline (it says whether the pool is overloaded,
+//!   and orders shards while it is not), and `best_by_tier`, the packed
+//!   `(tier, deadline)` of the operator the shard would hand out under
+//!   overload (it orders shards while it is). The steal pick, the
+//!   cross-shard quantum swap and each shard's own queue all apply the
+//!   same rule to the same pool-wide overload verdict, so a worker
+//!   draining an overdue lax backlog on one shard still yields to an
+//!   on-time strict operator on another.
 //! * **Starvation clamp.** The §6.3 starvation guard is enforced by
 //!   each shard's own `CameoScheduler` using that shard's latest
 //!   observed time. Mailbox messages are clamped when they are
@@ -90,7 +100,7 @@ use crate::arena::ReclaimedSegments;
 use crate::config::SchedulerConfig;
 use crate::ids::{JobId, OperatorKey};
 use crate::mailbox::{Mail, MailChain, Mailbox};
-use crate::priority::Priority;
+use crate::priority::{deadline_to_priority, Priority};
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::{Micros, PhysicalTime};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -116,6 +126,55 @@ fn hint_of(pri: Priority) -> i64 {
     pri.global.min(LEAST_URGENT_HINT)
 }
 
+/// `best_by_tier` value meaning "no available operator on this shard".
+const EMPTY_RANK: u64 = u64::MAX;
+
+/// Bits of a packed rank hint that hold the (biased) start deadline;
+/// the six above them hold the tier.
+const RANK_DEADLINE_BITS: u32 = 58;
+
+/// Half the deadline range of a packed rank hint: ±2^57 µs is ±4 500
+/// years around the clock's origin, beyond any start deadline; only
+/// synthetic extremes (`URGENT`, `IDLE`) saturate, as `IDLE` already
+/// does in [`hint_of`].
+const RANK_DEADLINE_HALF: i64 = 1 << (RANK_DEADLINE_BITS - 1);
+
+/// Pack a priority's overload rank `(tier, global)` into one word whose
+/// integer order is rank order, so submitters can lower a shard's hint
+/// with a single CAS. The deadline saturates one short of the top so
+/// that no real rank equals [`EMPTY_RANK`].
+#[inline]
+fn pack_rank(pri: Priority) -> u64 {
+    let g = pri
+        .global
+        .clamp(-RANK_DEADLINE_HALF, RANK_DEADLINE_HALF - 2);
+    ((pri.tier() as u64) << RANK_DEADLINE_BITS) | (g + RANK_DEADLINE_HALF) as u64
+}
+
+/// Inverse of [`pack_rank`]; [`EMPTY_RANK`] unpacks to [`NO_RANK`].
+#[inline]
+fn unpack_rank(packed: u64) -> (u8, i64) {
+    if packed == EMPTY_RANK {
+        return NO_RANK;
+    }
+    let biased = packed & ((1 << RANK_DEADLINE_BITS) - 1);
+    (
+        (packed >> RANK_DEADLINE_BITS) as u8,
+        biased as i64 - RANK_DEADLINE_HALF,
+    )
+}
+
+/// The rank of an empty shard: nothing real ranks behind it.
+const NO_RANK: (u8, i64) = (u8::MAX, EMPTY_HINT);
+
+/// `theirs` outranks `mine` by more than the steal `slack`. The slack
+/// is in deadline units, so it only ever separates peers: a stricter
+/// tier wins outright.
+#[inline]
+fn outranks(theirs: (u8, i64), mine: (u8, i64), slack: i64) -> bool {
+    theirs.0 < mine.0 || (theirs.0 == mine.0 && theirs.1.saturating_add(slack) < mine.1)
+}
+
 /// Everything guarded by a shard's mutex: the scheduler itself plus the
 /// overflow buffer for batch-capped mailbox drains.
 struct ShardCore<M> {
@@ -129,6 +188,28 @@ struct ShardCore<M> {
     /// May be stale-low after pops — hints are advisory, and a too-low
     /// hint only costs an extra acquire attempt that drains the batch.
     pending_min: i64,
+    /// The same bound in packed `(tier, global)` space
+    /// ([`EMPTY_RANK`] when `pending` is empty).
+    pending_rank_min: u64,
+}
+
+impl<M> ShardCore<M> {
+    /// Park detached mail in `pending`, folding it into both bounds.
+    fn hold(&mut self, mail: Mail<M>) {
+        self.pending_min = self.pending_min.min(hint_of(mail.pri));
+        self.pending_rank_min = self.pending_rank_min.min(pack_rank(mail.pri));
+        self.pending.push_back(mail);
+    }
+
+    /// Recompute both `pending` bounds after removals from the middle.
+    fn rescan_pending(&mut self) {
+        self.pending_min = EMPTY_HINT;
+        self.pending_rank_min = EMPTY_RANK;
+        for mail in &self.pending {
+            self.pending_min = self.pending_min.min(hint_of(mail.pri));
+            self.pending_rank_min = self.pending_rank_min.min(pack_rank(mail.pri));
+        }
+    }
 }
 
 /// Cache-line aligned so neighboring shards' hot fields (the lock word,
@@ -158,8 +239,14 @@ struct Shard<M> {
     /// drain; concurrent readers may see a stale value and must
     /// re-validate after locking.
     best: AtomicI64,
-    /// Pending message count across mailbox + pending + queue
-    /// (approximate between lock regions).
+    /// Packed `(tier, global)` of the operator this shard would hand
+    /// out under overload ([`EMPTY_RANK`] when none); maintained exactly
+    /// like `best`.
+    best_by_tier: AtomicU64,
+    /// Pending message count across mailbox + pending + queue. Every
+    /// submit path counts a message *before* publishing it, so the
+    /// gauge never reads below what a drain can take out (no wrap, no
+    /// "empty" with mail in flight); it may transiently read high.
     msgs: AtomicUsize,
 }
 
@@ -199,6 +286,18 @@ impl ShardExecution {
     }
 }
 
+/// Where [`ShardedScheduler::acquire`] looks first, and under which
+/// order it chose.
+#[derive(Clone, Copy)]
+struct ShardPick {
+    shard: usize,
+    /// Some shard advertised an overdue head: shards were ranked in
+    /// tier order, and the chosen shard ranks its operators that way.
+    overloaded: bool,
+    /// Tier order chose a different shard than deadline order would.
+    overtook: bool,
+}
+
 /// N independent Cameo schedulers with lock-free submission mailboxes
 /// and urgency-aware work stealing.
 ///
@@ -220,6 +319,10 @@ pub struct ShardedScheduler<M> {
     drain_batch: usize,
     steals: AtomicU64,
     cross_swaps: AtomicU64,
+    /// Leases where tier order sent the worker to a different *shard*
+    /// than deadline order would have (and the shard's own pick did not
+    /// already count an overtake); folded into `tier_overtakes`.
+    shard_overtakes: AtomicU64,
     mailbox_drained: AtomicU64,
     /// Chain publications by `submit_batch` (one per shard per batch);
     /// audits the one-CAS-per-shard amortization. Counted only on the
@@ -296,12 +399,14 @@ impl<M> ShardedScheduler<M> {
                         q: CameoScheduler::new(config),
                         pending: VecDeque::new(),
                         pending_min: EMPTY_HINT,
+                        pending_rank_min: EMPTY_RANK,
                     }),
                     mailbox: Mailbox::new(),
                     cv: Condvar::new(),
                     park: Mutex::new(()),
                     parked: AtomicUsize::new(0),
                     best: AtomicI64::new(EMPTY_HINT),
+                    best_by_tier: AtomicU64::new(EMPTY_RANK),
                     msgs: AtomicUsize::new(0),
                 })
                 .collect(),
@@ -311,6 +416,7 @@ impl<M> ShardedScheduler<M> {
             drain_batch: config.mailbox_drain_batch,
             steals: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
+            shard_overtakes: AtomicU64::new(0),
             mailbox_drained: AtomicU64::new(0),
             batch_pubs: AtomicU64::new(0),
             retired: Mutex::new(HashSet::new()),
@@ -411,15 +517,10 @@ impl<M> ShardedScheduler<M> {
         let mut retired_dropped = 0usize;
         let sh = &self.shards[s];
         if !sh.mailbox.is_empty() {
-            let pending = &mut core.pending;
-            let pending_min = &mut core.pending_min;
             let fp = self.retired_fp.load(Ordering::SeqCst);
             let pfp = self.placement_fp.load(Ordering::SeqCst);
             if fp == 0 && pfp == 0 {
-                sh.mailbox.drain(|mail| {
-                    *pending_min = (*pending_min).min(hint_of(mail.pri));
-                    pending.push_back(mail);
-                });
+                sh.mailbox.drain(|mail| core.hold(mail));
             } else {
                 // Straggler mail for retired jobs (a producer's CAS that
                 // raced the retirement mark) is discarded here, so a
@@ -457,9 +558,9 @@ impl<M> ShardedScheduler<M> {
                     if pfp != 0 && pfp & placement_bit(mail.key) != 0 {
                         let dest = self.shard_of(mail.key);
                         if dest != s {
-                            self.shards[dest].mailbox.push(mail.key, mail.msg, mail.pri);
                             self.shards[dest].msgs.fetch_add(1, Ordering::Relaxed);
-                            self.lower_hint(dest, hint_of(mail.pri));
+                            self.shards[dest].mailbox.push(mail.key, mail.msg, mail.pri);
+                            self.lower_hint(dest, hint_of(mail.pri), pack_rank(mail.pri));
                             if !woken.contains(&dest) {
                                 woken.push(dest);
                             }
@@ -467,8 +568,7 @@ impl<M> ShardedScheduler<M> {
                             return;
                         }
                     }
-                    *pending_min = (*pending_min).min(hint_of(mail.pri));
-                    pending.push_back(mail);
+                    core.hold(mail);
                 });
                 drop(retired);
                 if dropped > 0 {
@@ -506,6 +606,7 @@ impl<M> ShardedScheduler<M> {
         }
         if core.pending.is_empty() {
             core.pending_min = EMPTY_HINT;
+            core.pending_rank_min = EMPTY_RANK;
         }
         if admitted > 0 {
             self.mailbox_drained.fetch_add(admitted, Ordering::Relaxed);
@@ -513,11 +614,11 @@ impl<M> ShardedScheduler<M> {
         retired_dropped
     }
 
-    /// Recompute a shard's best-priority hint exactly (O(1): the
-    /// two-level queue keeps its heap top valid, and the pending-batch
-    /// bound is tracked incrementally). Must be called with the shard
-    /// lock held. The store is skipped when nothing changed to keep the
-    /// line clean for the steal scans of other workers.
+    /// Recompute a shard's two hints exactly (the run index answers
+    /// both orders directly, and the pending-batch bounds are tracked
+    /// incrementally). Must be called with the shard lock held. Stores
+    /// are skipped when nothing changed to keep the line clean for the
+    /// steal scans of other workers.
     fn refresh_hint(&self, s: usize, core: &ShardCore<M>) {
         let hint = core
             .q
@@ -529,11 +630,31 @@ impl<M> ShardedScheduler<M> {
         if best.load(Ordering::Relaxed) != hint {
             best.store(hint, Ordering::SeqCst);
         }
+        // Nobody reads a lone shard's tier hint: its queue ranks its
+        // own operators, and there is no other shard to rank it against.
+        if self.shards.len() == 1 {
+            return;
+        }
+        let rank = core
+            .q
+            .peek_best_by_tier()
+            .map(pack_rank)
+            .unwrap_or(EMPTY_RANK)
+            .min(core.pending_rank_min);
+        let best_by_tier = &self.shards[s].best_by_tier;
+        if best_by_tier.load(Ordering::Relaxed) != rank {
+            best_by_tier.store(rank, Ordering::SeqCst);
+        }
     }
 
-    /// Lower a shard's hint to `hint` if it improves on the current
-    /// value (lock-free; used by `submit`). Returns whether it did.
-    fn lower_hint(&self, s: usize, hint: i64) -> bool {
+    /// Lower a shard's hints to `hint` / `rank` where they improve on
+    /// the current values (lock-free; used by `submit`). Returns
+    /// whether the deadline hint improved.
+    fn lower_hint(&self, s: usize, hint: i64, rank: u64) -> bool {
+        let best_by_tier = &self.shards[s].best_by_tier;
+        if self.shards.len() > 1 && rank < best_by_tier.load(Ordering::Relaxed) {
+            best_by_tier.fetch_min(rank, Ordering::SeqCst);
+        }
         let best = &self.shards[s].best;
         let mut cur = best.load(Ordering::Relaxed);
         while hint < cur {
@@ -567,9 +688,12 @@ impl<M> ShardedScheduler<M> {
             return self.submit_locked(s, key, msg, pri);
         }
         let sh = &self.shards[s];
-        sh.mailbox.push(key, msg, pri);
+        // Count, then publish: a drain that takes this message out
+        // subtracts strictly after the add, so `msgs` never wraps and
+        // never reads zero while the mail is in flight.
         sh.msgs.fetch_add(1, Ordering::Relaxed);
-        let hint_improved = self.lower_hint(s, hint_of(pri));
+        sh.mailbox.push(key, msg, pri);
+        let hint_improved = self.lower_hint(s, hint_of(pri), pack_rank(pri));
         // The mailbox push was a SeqCst RMW, so it is ordered before
         // this parked read in the SC total order — the handshake the
         // module docs describe.
@@ -675,39 +799,45 @@ impl<M> ShardedScheduler<M> {
             // Track the raw minimum and clamp once: `hint_of` is a
             // monotone clamp, so min-then-clamp == clamp-then-min.
             let mut min_pri = EMPTY_HINT;
+            let mut min_rank = EMPTY_RANK;
             for (key, msg, pri) in items {
                 min_pri = min_pri.min(pri.global);
+                min_rank = min_rank.min(pack_rank(pri));
                 chain.add(key, msg, pri);
             }
-            let n = chain.publish();
+            let n = chain.len();
             if n > 0 {
                 sh.msgs.fetch_add(n, Ordering::Relaxed);
+                chain.publish();
                 self.batch_pubs.fetch_add(1, Ordering::Relaxed);
-                self.lower_hint(0, min_pri.min(LEAST_URGENT_HINT));
+                self.lower_hint(0, min_pri.min(LEAST_URGENT_HINT), min_rank);
                 self.wake_one(0);
             }
             return n;
         }
-        // Per-shard chain plus the batch's best (lowest) hint.
-        let mut chains: Vec<Option<(MailChain<'_, M>, i64)>> =
+        // Per-shard chain plus the batch's best (lowest) hints.
+        let mut chains: Vec<Option<(MailChain<'_, M>, i64, u64)>> =
             (0..self.shards.len()).map(|_| None).collect();
         let mut total = 0usize;
         for (key, msg, pri) in items {
             let s = self.shard_of(key);
-            let (chain, min_hint) =
-                chains[s].get_or_insert_with(|| (self.shards[s].mailbox.chain(), EMPTY_HINT));
+            let (chain, min_hint, min_rank) = chains[s]
+                .get_or_insert_with(|| (self.shards[s].mailbox.chain(), EMPTY_HINT, EMPTY_RANK));
             chain.add(key, msg, pri);
             *min_hint = (*min_hint).min(hint_of(pri));
+            *min_rank = (*min_rank).min(pack_rank(pri));
             total += 1;
         }
         for (s, entry) in chains.into_iter().enumerate() {
-            let Some((chain, min_hint)) = entry else {
+            let Some((chain, min_hint, min_rank)) = entry else {
                 continue;
             };
-            let n = chain.publish();
-            self.shards[s].msgs.fetch_add(n, Ordering::Relaxed);
+            self.shards[s]
+                .msgs
+                .fetch_add(chain.len(), Ordering::Relaxed);
+            chain.publish();
             self.batch_pubs.fetch_add(1, Ordering::Relaxed);
-            self.lower_hint(s, min_hint);
+            self.lower_hint(s, min_hint, min_rank);
             // The publish CAS was SeqCst, ordering it before wake_one's
             // parked read — same handshake as the single-submit path.
             self.wake_one(s);
@@ -752,11 +882,16 @@ impl<M> ShardedScheduler<M> {
         }
     }
 
-    fn try_acquire_at(&self, s: usize, now: PhysicalTime) -> Option<ShardExecution> {
+    fn try_acquire_at(
+        &self,
+        s: usize,
+        now: PhysicalTime,
+        pool_overdue: bool,
+    ) -> Option<ShardExecution> {
         let mut core = self.lock(s);
         self.drain_locked(s, &mut core, None);
         let exec = loop {
-            let Some(exec) = core.q.acquire(now) else {
+            let Some(exec) = core.q.acquire_in(now, pool_overdue) else {
                 break None;
             };
             // Refuse leases on retired jobs' operators: purge whatever
@@ -783,31 +918,43 @@ impl<M> ShardedScheduler<M> {
 
     /// Check out the most urgent operator for a worker homed on shard
     /// `home`: the home shard unless another shard's best available
-    /// operator is more urgent by more than the steal threshold (or the
-    /// home shard is idle), in which case the worker steals from the
-    /// most urgent shard. Hints may be stale, so a failed first choice
-    /// falls back to sweeping every shard from `home` (draining each
-    /// shard's mailbox along the way).
+    /// operator outranks home's by more than the steal threshold (or
+    /// the home shard is idle), in which case the worker steals from
+    /// the best-ranked shard. "Ranks" is [`Priority::rank`] over the
+    /// whole pool: by start deadline while no shard advertises one that
+    /// has passed at `now`, by `(tier, deadline)` once one does — and
+    /// the shard that is picked then orders its own operators the same
+    /// way. Hints may be stale, so a failed first choice falls back to
+    /// sweeping every shard from `home` (draining each shard's mailbox
+    /// along the way).
     pub fn acquire(&self, home: usize, now: PhysicalTime) -> Option<ShardExecution> {
         let n = self.shards.len();
         let home = home % n;
-        let first = if n == 1 { home } else { self.pick_stable(home) };
-        if let Some(e) = self.try_acquire_at(first, now) {
-            if first != home {
-                self.steals.fetch_add(1, Ordering::Relaxed);
+        let pick = if n == 1 {
+            // One shard: its queue sees every operator and decides for
+            // itself whether it is overloaded.
+            ShardPick {
+                shard: home,
+                overloaded: false,
+                overtook: false,
             }
-            return Some(e);
+        } else {
+            self.pick_stable(home, now)
+        };
+        let exec = self
+            .try_acquire_at(pick.shard, now, pick.overloaded)
+            .or_else(|| {
+                (1..n).find_map(|off| {
+                    self.try_acquire_at((pick.shard + off) % n, now, pick.overloaded)
+                })
+            })?;
+        if exec.shard != home {
+            self.steals.fetch_add(1, Ordering::Relaxed);
         }
-        for off in 1..n {
-            let s = (first + off) % n;
-            if let Some(e) = self.try_acquire_at(s, now) {
-                if s != home {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(e);
-            }
+        if pick.overtook && exec.shard == pick.shard && !exec.exec.overtook() {
+            self.shard_overtakes.fetch_add(1, Ordering::Relaxed);
         }
-        None
+        Some(exec)
     }
 
     /// Pick a steal target whose hint is *exact*, not merely a bound.
@@ -827,49 +974,83 @@ impl<M> ShardedScheduler<M> {
     /// converges within one pass; the cap keeps adversarial concurrent
     /// submit storms from livelocking the picker (hints are advisory
     /// there anyway — `try_acquire_at` re-validates under the lock).
-    fn pick_stable(&self, home: usize) -> usize {
-        let mut pick = self.pick_shard(home);
+    fn pick_stable(&self, home: usize, now: PhysicalTime) -> ShardPick {
+        let mut pick = self.pick_shard(home, now);
         for _ in 0..self.shards.len() {
-            if self.shards[pick].mailbox.is_empty() {
+            if self.shards[pick.shard].mailbox.is_empty() {
                 return pick;
             }
             {
-                let mut core = self.lock(pick);
-                self.drain_locked(pick, &mut core, None);
-                self.refresh_hint(pick, &core);
+                let mut core = self.lock(pick.shard);
+                self.drain_locked(pick.shard, &mut core, None);
+                self.refresh_hint(pick.shard, &core);
             }
-            let repick = self.pick_shard(home);
-            if repick == pick {
-                return pick;
+            let repick = self.pick_shard(home, now);
+            if repick.shard == pick.shard {
+                return repick;
             }
             pick = repick;
         }
         pick
     }
 
-    /// The steal rule: home, unless some other shard beats home's best
-    /// by more than the threshold. Ties always favor home (and, among
-    /// other shards, the lowest index), keeping the choice deterministic
-    /// for the drain-order property tests.
-    fn pick_shard(&self, home: usize) -> usize {
-        let home_best = self.shards[home].best.load(Ordering::Acquire);
-        let mut victim = home;
-        let mut victim_best = EMPTY_HINT;
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i == home {
-                continue;
-            }
-            let b = sh.best.load(Ordering::Acquire);
-            if b < victim_best {
-                victim_best = b;
-                victim = i;
+    /// The rank shard `s` advertises: its earliest start deadline, or
+    /// under overload the `(tier, deadline)` of its strictest operator.
+    fn advertised(&self, s: usize, overloaded: bool) -> (u8, i64) {
+        let sh = &self.shards[s];
+        if overloaded {
+            unpack_rank(sh.best_by_tier.load(Ordering::Acquire))
+        } else {
+            (0, sh.best.load(Ordering::Acquire))
+        }
+    }
+
+    /// The best-ranked shard other than `skip` (lowest index on ties,
+    /// `skip` itself when every other shard is empty) and its rank.
+    fn best_other(&self, skip: usize, overloaded: bool) -> (usize, (u8, i64)) {
+        let mut best = (skip, NO_RANK);
+        for s in (0..self.shards.len()).filter(|&s| s != skip) {
+            let rank = self.advertised(s, overloaded);
+            if rank.1 != EMPTY_HINT && rank < best.1 {
+                best = (s, rank);
             }
         }
+        best
+    }
+
+    /// The steal rule: home, unless some other shard outranks home's
+    /// best by more than the threshold. Ties always favor home (and,
+    /// among other shards, the lowest index), keeping the choice
+    /// deterministic for the drain-order property tests. Applied under
+    /// the pool's current order; reports whether tier order sent the
+    /// worker somewhere deadline order would not have.
+    fn pick_shard(&self, home: usize, now: PhysicalTime) -> ShardPick {
         let slack = self.steal_threshold.load(Ordering::Relaxed);
-        if victim != home && victim_best.saturating_add(slack) < home_best {
-            victim
-        } else {
-            home
+        let target = |overloaded: bool| {
+            let mine = self.advertised(home, overloaded);
+            let (victim, theirs) = self.best_other(home, overloaded);
+            let target = if outranks(theirs, mine, slack) {
+                victim
+            } else {
+                home
+            };
+            (target, theirs.min(mine))
+        };
+        // In deadline order a rank is a bare deadline, so the best one
+        // seen is the pool's earliest: is anyone overdue?
+        let (by_deadline, earliest) = target(false);
+        if earliest.1 >= deadline_to_priority(now.0) {
+            return ShardPick {
+                shard: by_deadline,
+                overloaded: false,
+                overtook: false,
+            };
+        }
+        let (shard, _) = target(true);
+        ShardPick {
+            shard,
+            overloaded: true,
+            overtook: shard != by_deadline,
         }
     }
 
@@ -890,31 +1071,45 @@ impl<M> ShardedScheduler<M> {
     /// Decide what to do after finishing a message: the shard's own
     /// quantum logic first; if it says Continue past the quantum, other
     /// shards' hints get a vote too, so in-hand work yields to a
-    /// strictly more urgent operator anywhere in the system.
+    /// strictly better-ranked operator anywhere in the system — by the
+    /// same [`Priority::rank`] and the same pool-wide overload verdict
+    /// as [`acquire`](Self::acquire).
     pub fn decide(&self, exec: &ShardExecution, now: PhysicalTime) -> Decision {
+        // Other shards only matter past the quantum, on both levels.
+        let sharded = self.shards.len() > 1 && now.since(exec.acquired_at()) >= self.quantum;
+        // Their earliest deadline, and whether it or this shard's own
+        // has passed: the pool is overloaded.
+        let others = if sharded {
+            self.best_other(exec.shard, false).1
+        } else {
+            NO_RANK
+        };
+        let own = self.shards[exec.shard].best.load(Ordering::Acquire);
+        let pool_overdue = sharded && others.1.min(own) < deadline_to_priority(now.0);
         let mine = {
             let mut core = self.lock(exec.shard);
             self.drain_locked(exec.shard, &mut core, None);
-            match core.q.decide(&exec.exec, now) {
+            match core.q.decide_in(&exec.exec, now, pool_overdue) {
                 Decision::Continue => core.q.peek_next(&exec.exec),
                 other => return other,
             }
         };
-        if self.shards.len() > 1 && now.since(exec.acquired_at()) >= self.quantum {
+        if sharded {
             if let Some(mine) = mine {
-                let best_other = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != exec.shard)
-                    .map(|(_, sh)| sh.best.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(EMPTY_HINT);
+                let overloaded = pool_overdue || mine.overdue(now);
                 // Compare in clamped hint space: in-hand IDLE work must
                 // not register as less urgent than another shard's
                 // (equally IDLE) clamped hint.
+                let (mine, theirs) = if overloaded {
+                    (
+                        unpack_rank(pack_rank(mine)),
+                        self.best_other(exec.shard, true).1,
+                    )
+                } else {
+                    ((0, hint_of(mine)), others)
+                };
                 let slack = self.steal_threshold.load(Ordering::Relaxed);
-                if best_other.saturating_add(slack) < hint_of(mine) {
+                if outranks(theirs, mine, slack) {
                     self.cross_swaps.fetch_add(1, Ordering::Relaxed);
                     return Decision::Swap;
                 }
@@ -980,12 +1175,7 @@ impl<M> ShardedScheduler<M> {
             let before = core.pending.len();
             core.pending.retain(|mail| mail.key.job != job);
             let from_pending = before - core.pending.len();
-            core.pending_min = core
-                .pending
-                .iter()
-                .map(|m| hint_of(m.pri))
-                .min()
-                .unwrap_or(EMPTY_HINT);
+            core.rescan_pending();
             let from_queue = core.q.retire(job);
             let n = from_pending + from_queue;
             if n > 0 {
@@ -1115,12 +1305,7 @@ impl<M> ShardedScheduler<M> {
                     }
                 }
                 core.pending = kept;
-                core.pending_min = core
-                    .pending
-                    .iter()
-                    .map(|m| hint_of(m.pri))
-                    .min()
-                    .unwrap_or(EMPTY_HINT);
+                core.rescan_pending();
             }
             {
                 let mut table = self.placement.lock().unwrap_or_else(|p| p.into_inner());
@@ -1208,6 +1393,7 @@ impl<M> ShardedScheduler<M> {
         }
         total.steals = self.steals.load(Ordering::Relaxed);
         total.cross_shard_swaps = self.cross_swaps.load(Ordering::Relaxed);
+        total.tier_overtakes += self.shard_overtakes.load(Ordering::Relaxed);
         total.mailbox_drained = self.mailbox_drained.load(Ordering::Relaxed);
         total.batch_publications = self.batch_pubs.load(Ordering::Relaxed);
         total.jobs_retired = self.jobs_retired.load(Ordering::Relaxed);
@@ -1552,6 +1738,86 @@ mod tests {
         assert_eq!(sh.take_message(&exec).unwrap().0, 9);
         sh.release(exec);
         drain(&sh, home);
+    }
+
+    /// Keys homed on shard 0 and shard 1 of a two-shard scheduler.
+    fn one_key_per_shard(sh: &ShardedScheduler<u64>) -> [OperatorKey; 2] {
+        let on = |s| (0..64).map(key).find(|&k| sh.shard_of(k) == s).unwrap();
+        [on(0), on(1)]
+    }
+
+    #[test]
+    fn on_time_strict_shard_outranks_an_overdue_lax_backlog_elsewhere() {
+        const NOW: PhysicalTime = PhysicalTime(1_000);
+        let strict = Priority::uniform(1_500).with_tier(13);
+        let lax = Priority::uniform(100).with_tier(17);
+        for home in 0..2 {
+            let sh = sharded(2, 50);
+            let [tight, backlog] = one_key_per_shard(&sh);
+            sh.submit(tight, 7, strict);
+            for m in 0..3 {
+                sh.submit(backlog, m, lax);
+            }
+            // Deadline order would drain the overdue backlog first; the
+            // pool is overloaded, so the strict tier goes first —
+            // whichever shard the worker calls home.
+            let exec = sh.acquire(home, NOW).unwrap();
+            assert_eq!(exec.key(), tight, "home {home}");
+            assert_eq!(sh.take_message(&exec).unwrap().0, 7);
+            assert_eq!(sh.decide(&exec, NOW), Decision::Idle);
+            sh.release(exec);
+            let st = sh.stats();
+            assert_eq!((st.overload_acquisitions, st.tier_overtakes), (1, 1));
+            assert_eq!(drain(&sh, home), vec![0, 1, 2]);
+            assert_eq!(sh.stats().tier_overtakes, 1, "nobody left to overtake");
+        }
+    }
+
+    #[test]
+    fn worker_draining_an_overdue_backlog_swaps_to_a_strict_shard_at_the_quantum() {
+        let sh = sharded(2, 50);
+        let [tight, backlog] = one_key_per_shard(&sh);
+        for m in 0..3 {
+            sh.submit(backlog, m, Priority::uniform(100).with_tier(17));
+        }
+        let exec = sh.acquire(1, PhysicalTime(1_000)).unwrap();
+        assert_eq!(exec.key(), backlog);
+        assert_eq!(sh.take_message(&exec).unwrap().0, 0);
+        // An on-time strict message lands on the other shard. Its start
+        // deadline is later than the in-hand one, which is all the
+        // parent commit compared.
+        sh.submit(tight, 7, Priority::uniform(1_500).with_tier(13));
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_020)), Decision::Continue);
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_050)), Decision::Swap);
+        sh.release(exec);
+        assert_eq!(sh.stats().cross_shard_swaps, 1);
+        let exec = sh.acquire(1, PhysicalTime(1_050)).unwrap();
+        assert_eq!(exec.key(), tight);
+        // And the other way round the strict lease is kept.
+        assert_eq!(sh.take_message(&exec).unwrap().0, 7);
+        sh.submit(tight, 8, Priority::uniform(1_600).with_tier(13));
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_100)), Decision::Continue);
+        sh.release(exec);
+        // `drain` runs at time zero, where nothing is overdue yet.
+        assert_eq!(drain(&sh, 1), vec![1, 2, 8]);
+    }
+
+    #[test]
+    fn packed_rank_orders_by_tier_then_deadline() {
+        let p = |g: i64, t: u8| Priority::uniform(g).with_tier(t);
+        let ranks = [
+            p(i64::MIN, 0),
+            p(-5, 0),
+            p(900, 13),
+            p(1 << 60, 13),
+            p(100, 17),
+            p(i64::MAX, 63),
+        ]
+        .map(pack_rank);
+        assert!(ranks.windows(2).all(|w| w[0] < w[1]), "{ranks:?}");
+        assert!(ranks[5] < EMPTY_RANK, "no real rank reads as empty");
+        assert_eq!(unpack_rank(pack_rank(p(-5, 17))), (17, -5));
+        assert_eq!(unpack_rank(EMPTY_RANK), NO_RANK);
     }
 
     #[test]

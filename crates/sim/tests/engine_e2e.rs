@@ -32,6 +32,10 @@ fn ipq1_produces_outputs_under_cameo() {
         "unloaded pipeline latency should be small, got {p99}"
     );
     assert!(job.success_rate() > 0.9, "unloaded run must meet deadlines");
+    // No message was ever past its start deadline at dequeue, so the
+    // scheduler never left deadline order.
+    let st = report.metrics.sched;
+    assert_eq!((st.overload_acquisitions, st.tier_overtakes), (0, 0));
 }
 
 #[test]
@@ -334,4 +338,80 @@ fn overload_degrades_latency_but_cameo_beats_fifo_for_ls_job() {
         cameo <= fifo,
         "Cameo p99 ({cameo}) should not exceed FIFO p99 ({fifo}) under contention"
     );
+}
+
+/// The benchmark's `overload_step` in the simulator: one worker, two
+/// strict jobs (100 µs per message, 10 ms target, 5 % of capacity
+/// together) beside two lax ones (300 µs, 200 ms target) whose rate
+/// steps from 45 % of capacity to 1.53× for one second. While the lax
+/// backlog is past its start deadlines, deadline order ranks every
+/// overdue lax message before every fresh strict one; tier order must
+/// not, must not split the two equal-target lax jobs into a served and
+/// a starved one either, and must stay deterministic.
+#[test]
+fn strict_jobs_ride_out_a_lax_overload_pulse() {
+    use cameo_core::progress::TimeDomain;
+    use cameo_dataflow::graph::{JobBuilder, Routing};
+    use cameo_dataflow::operator::OperatorKind;
+    use cameo_dataflow::ops::Passthrough;
+
+    let spin = |name: &str, burn_us: u64, target: Micros| {
+        let mut b = JobBuilder::new(name, target, TimeDomain::IngestionTime);
+        let src = b.ingest("src", 1);
+        let sink = b.stage("burn", 1, OperatorKind::Regular, Micros(burn_us), |_| {
+            Box::new(Passthrough)
+        });
+        b.connect(src, sink, Routing::Forward);
+        b.build().expect("two-stage graph")
+    };
+    let run = || {
+        let mut sc = Scenario::new(
+            ClusterSpec::single_node(1),
+            SchedulerKind::Cameo(PolicyKind::Llf),
+        )
+        .with_seed(7);
+        for name in ["strict-0", "strict-1"] {
+            sc.add_job(
+                spin(name, 100, Micros::from_millis(10)),
+                WorkloadSpec::constant(1, 250.0, 1, Micros::from_secs(6)),
+            );
+        }
+        for name in ["lax-0", "lax-1"] {
+            let mut wl = WorkloadSpec::constant(1, 750.0, 1, Micros::from_secs(6));
+            wl.sources = vec![RatePattern::PerSecond(vec![
+                750.0, 750.0, 2_550.0, 750.0, 750.0, 750.0,
+            ])];
+            sc.add_job(spin(name, 300, Micros::from_millis(200)), wl);
+        }
+        sc.run()
+    };
+    let r = run();
+    let strict_miss = 1.0 - r.group_success(&[0, 1]);
+    assert!(
+        strict_miss < 0.02,
+        "strict jobs missed {strict_miss:.3} of their deadlines behind the lax backlog"
+    );
+    assert!(
+        r.group_success(&[2, 3]) < 0.9,
+        "the pulse must overload the worker, or this test shows nothing"
+    );
+    let st = r.metrics.sched;
+    assert!(
+        st.overload_acquisitions > 0 && st.tier_overtakes > 0,
+        "{st:?}"
+    );
+    assert!(st.tier_overtakes <= st.overload_acquisitions);
+    let (a, b) = (
+        r.job(2).percentile(95.0).0 as f64,
+        r.job(3).percentile(95.0).0 as f64,
+    );
+    assert!(
+        (a - b).abs() <= 0.1 * a.max(b),
+        "equal-target lax jobs must share the overload: p95 {a} vs {b}"
+    );
+    let again = run();
+    for j in 0..4 {
+        assert_eq!(r.job(j).samples, again.job(j).samples, "job {j} diverged");
+    }
+    assert_eq!(r.metrics.executions, again.metrics.executions);
 }

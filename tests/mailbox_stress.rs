@@ -520,3 +520,82 @@ fn bursty_submits_never_strand_parked_pool() {
     }
     assert!(sched.is_empty());
 }
+
+/// `ShardedScheduler::len()` is a gauge readers act on (`Runtime::drain`
+/// returns when it reads zero), so while submitters race a draining
+/// worker it must never read above the messages still inside — a
+/// decrement landing before its increment wraps it to ~`usize::MAX` —
+/// and must read exactly zero once everything submitted was taken.
+/// Every submit path counts a message before it publishes it; at the
+/// parent commit they published first. More submitters than cores, so
+/// that some are preempted between the two steps.
+#[test]
+fn len_never_wraps_while_submitters_race_a_draining_worker() {
+    const SUBMITTERS: u64 = 8;
+    const ROUNDS: u64 = 4_000;
+    const BATCH: u64 = 5;
+    // One single message and one batch per round.
+    const TOTAL: usize = (SUBMITTERS * ROUNDS * (1 + BATCH)) as usize;
+    for shards in [1usize, 2] {
+        let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
+            SchedulerConfig::default()
+                .with_shards(shards)
+                .with_quantum(Micros(0)),
+        ));
+        // Bumped by a submitter *before* its submit call, by the worker
+        // *after* its take returned: `started - taken`, read in that
+        // order around a `len()`, bounds what can be inside.
+        let started = Arc::new(AtomicUsize::new(0));
+        let taken = Arc::new(AtomicUsize::new(0));
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let (sched, started) = (sched.clone(), started.clone());
+                std::thread::spawn(move || {
+                    for i in 0..ROUNDS {
+                        let op = |n: u64| key(0, ((t + i + n) % 7) as u32);
+                        started.fetch_add(1, Ordering::SeqCst);
+                        sched.submit(op(0), i, Priority::uniform(i as i64));
+                        started.fetch_add(BATCH as usize, Ordering::SeqCst);
+                        sched.submit_batch((0..BATCH).map(|b| (op(b), i, Priority::uniform(0))));
+                    }
+                })
+            })
+            .collect();
+        let check = |sched: &ShardedScheduler<u64>, out: usize| {
+            let len = sched.len();
+            let inside = started.load(Ordering::SeqCst) - out;
+            assert!(
+                len <= inside,
+                "{shards} shard(s): len() read {len} with at most {inside} messages inside"
+            );
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut out = 0;
+                while out < TOTAL {
+                    let Some(exec) = sched.acquire(0, PhysicalTime::ZERO) else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    while sched.take_message(&exec).is_some() {
+                        // Right after a take is when a late increment
+                        // shows: this message's decrement has landed.
+                        check(&sched, out);
+                        out += 1;
+                        taken.store(out, Ordering::SeqCst);
+                    }
+                    sched.release(exec);
+                }
+            });
+            while taken.load(Ordering::SeqCst) < TOTAL {
+                check(&sched, taken.load(Ordering::SeqCst));
+                std::thread::yield_now();
+            }
+        });
+        for h in submitters {
+            h.join().unwrap();
+        }
+        assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
+        assert!(sched.is_empty());
+    }
+}

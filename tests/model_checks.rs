@@ -12,49 +12,113 @@ enum QueueOp {
     Push {
         op: u32,
         local: i8,
-        global: i8,
+        global: u8,
+        tier: u8,
     },
-    /// Pop the best operator and drain up to `take` messages.
-    PopDrain {
-        take: u8,
-    },
+    /// Pop the best operator at time `now` and drain up to `take`
+    /// messages.
+    PopDrain { take: u8, now: u16 },
 }
 
-fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+/// `tiers` is how many distinct latency tiers pushes draw from.
+fn queue_ops(tiers: u8) -> impl Strategy<Value = Vec<QueueOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u32..6, any::<i8>(), any::<i8>()).prop_map(|(op, local, global)| QueueOp::Push {
-                op,
-                local,
-                global
+            (0u32..6, any::<i8>(), any::<u8>(), 0..tiers).prop_map(|(op, local, global, tier)| {
+                QueueOp::Push {
+                    op,
+                    local,
+                    global,
+                    // Spread over the 64 buckets, strictest first.
+                    tier: tier * 7,
+                }
             }),
-            (0u8..4).prop_map(|take| QueueOp::PopDrain { take }),
+            // `now` ranges past every start deadline (globals are
+            // 0..=255) and half the time sits at 0, where nothing is
+            // overdue.
+            (0u8..4, 0u16..600).prop_map(|(take, now)| QueueOp::PopDrain {
+                take,
+                now: now.saturating_sub(300)
+            }),
         ],
         1..120,
     )
 }
 
+/// The parent commit's operator order, without its heap: every runnable
+/// operator is posted at `(head priority, seq)`, re-posted with a fresh
+/// `seq` when a push changes its head and when its lease comes back,
+/// and the pop takes the minimum `(global, local, seq, key)`.
+#[derive(Default)]
+struct ParentOrder {
+    seq: u64,
+    /// op → pending `(local, push seq, global, id)`.
+    msgs: BTreeMap<u32, Vec<(i64, u64, i64, u64)>>,
+    /// op → `(global, local, seq)` of its posting.
+    posted: BTreeMap<u32, (i64, i64, u64)>,
+}
+
+impl ParentOrder {
+    fn head(&self, op: u32) -> Option<(i64, i64)> {
+        let (local, _, global, _) = self.msgs.get(&op)?.iter().min()?;
+        Some((*global, *local))
+    }
+
+    fn push(&mut self, op: u32, pri: Priority, id: u64) {
+        self.seq += 1;
+        self.msgs
+            .entry(op)
+            .or_default()
+            .push((pri.local, self.seq, pri.global, id));
+        let head = self.head(op).expect("just pushed");
+        if self.posted.get(&op).map(|&(g, l, _)| (g, l)) != Some(head) {
+            self.posted.insert(op, (head.0, head.1, self.seq));
+        }
+    }
+
+    fn pop(&mut self) -> Option<u32> {
+        let (&op, _) = self.posted.iter().min_by_key(|(&op, &post)| (post, op))?;
+        self.posted.remove(&op);
+        Some(op)
+    }
+
+    fn next_message(&mut self, op: u32) -> Option<u64> {
+        let msgs = self.msgs.get_mut(&op)?;
+        let at = (0..msgs.len()).min_by_key(|&i| msgs[i])?;
+        Some(msgs.swap_remove(at).3)
+    }
+
+    fn check_in(&mut self, op: u32) {
+        self.seq += 1;
+        if let Some(head) = self.head(op) {
+            self.posted.insert(op, (head.0, head.1, self.seq));
+        }
+    }
+}
+
 proptest! {
     /// Under any interleaving of pushes and partial drains, the queue
     /// (a) never loses or duplicates messages, and (b) whenever it pops
-    /// an operator, that operator holds a message whose global priority
-    /// is minimal among all *available* messages.
+    /// an operator at some `now`, that operator's next message ranks
+    /// first: by global priority while no operator's next message is
+    /// overdue at `now`, by `(tier, global)` once one is.
     #[test]
-    fn two_level_queue_matches_model(ops in queue_ops()) {
+    fn two_level_queue_matches_model(ops in queue_ops(4)) {
         let mut q: TwoLevelQueue<u64> = TwoLevelQueue::new();
         // model: id -> (operator, priority)
         let mut model: BTreeMap<u64, (u32, Priority)> = BTreeMap::new();
         let mut next_id = 0u64;
         for step in ops {
             match step {
-                QueueOp::Push { op, local, global } => {
-                    let pri = Priority::new(local as i64, global as i64);
+                QueueOp::Push { op, local, global, tier } => {
+                    let pri = Priority::new(local as i64, global as i64).with_tier(tier);
                     q.push(OperatorKey::new(JobId(0), op), next_id, pri);
                     model.insert(next_id, (op, pri));
                     next_id += 1;
                 }
-                QueueOp::PopDrain { take } => {
-                    let Some(lease) = q.pop_operator() else {
+                QueueOp::PopDrain { take, now } => {
+                    let now = PhysicalTime(now as u64);
+                    let Some((lease, pick)) = q.pop_operator_at(now) else {
                         prop_assert!(model.is_empty(), "queue idle but model has messages");
                         continue;
                     };
@@ -62,29 +126,42 @@ proptest! {
                     // global priority of its *next* message, where "next"
                     // is chosen by local priority — FIFO (push id) among
                     // equal locals, preserving channel-wise in-order
-                    // processing (§4.3). The popped operator's
-                    // next-message global must be minimal among all
-                    // operators' next-message globals.
-                    let next_global_of = |target: u32| {
+                    // processing (§4.3). The queue is overloaded when
+                    // the most urgent next message is overdue, and the
+                    // popped operator's next message must rank first
+                    // among all operators' next messages.
+                    let next_of = |target: u32| {
                         model
                             .iter()
                             .filter(|(_, (op, _))| *op == target)
-                            .map(|(&id, (_, p))| (p.local, id, p.global))
+                            .map(|(&id, (_, p))| (p.local, id, *p))
                             .min()
-                            .map(|(_, _, g)| g)
+                            .map(|(_, _, p)| p)
                     };
-                    let ops_present: std::collections::BTreeSet<u32> =
-                        model.values().map(|(op, _)| *op).collect();
-                    let popped_next = next_global_of(lease.key.op)
+                    let nexts: Vec<Priority> = model
+                        .values()
+                        .map(|(op, _)| *op)
+                        .collect::<std::collections::BTreeSet<u32>>()
+                        .into_iter()
+                        .filter_map(next_of)
+                        .collect();
+                    let overloaded = nexts.iter().any(|p| p.overdue(now));
+                    prop_assert_eq!(pick.overloaded, overloaded);
+                    let popped_next = next_of(lease.key.op)
                         .expect("popped operator must have pending messages");
-                    let best_next = ops_present
-                        .iter()
-                        .filter_map(|&op| next_global_of(op))
-                        .min()
-                        .unwrap();
-                    prop_assert_eq!(popped_next, best_next,
-                        "popped operator (next-global {}) is not best ({})",
-                        popped_next, best_next);
+                    prop_assert_eq!(pick.pri, popped_next);
+                    let best = nexts.iter().map(|p| p.rank(overloaded)).min().unwrap();
+                    prop_assert_eq!(popped_next.rank(overloaded), best,
+                        "popped operator {:?} does not rank first at {:?}",
+                        popped_next, now);
+                    // `overtook` means deadline order would have chosen
+                    // someone else; without it the pick is also the
+                    // earliest deadline.
+                    prop_assert!(overloaded || !pick.overtook);
+                    if !pick.overtook {
+                        let earliest = nexts.iter().map(|p| p.global).min().unwrap();
+                        prop_assert_eq!(popped_next.global, earliest);
+                    }
                     for _ in 0..take {
                         let Some((id, pri)) = q.next_message(&lease) else { break };
                         let (mop, mpri) = model.remove(&id).expect("message exists once");
@@ -104,6 +181,38 @@ proptest! {
         }
         prop_assert!(model.is_empty(), "lost messages: {:?}", model);
         prop_assert!(q.is_empty());
+    }
+
+    /// With every priority in one tier — FIFO, SJF, token-fair and
+    /// hand-built priorities — popping at any `now` checks operators
+    /// out in exactly the parent commit's order, ties included.
+    #[test]
+    fn equal_tiers_pop_in_the_parent_order_at_any_now(ops in queue_ops(1), tier in 0u8..64) {
+        let mut q: TwoLevelQueue<u64> = TwoLevelQueue::new();
+        let mut parent = ParentOrder::default();
+        let mut next_id = 0u64;
+        for step in ops {
+            match step {
+                QueueOp::Push { op, local, global, .. } => {
+                    let pri = Priority::new(local as i64, global as i64).with_tier(tier);
+                    q.push(OperatorKey::new(JobId(0), op), next_id, pri);
+                    parent.push(op, pri, next_id);
+                    next_id += 1;
+                }
+                QueueOp::PopDrain { take, now } => {
+                    let popped = q.pop_operator_at(PhysicalTime(now as u64));
+                    prop_assert_eq!(popped.map(|(l, _)| l.key.op), parent.pop());
+                    let Some((lease, pick)) = popped else { continue };
+                    prop_assert!(!pick.overtook, "one tier: nobody to overtake");
+                    for _ in 0..take {
+                        let got = q.next_message(&lease).map(|(id, _)| id);
+                        prop_assert_eq!(got, parent.next_message(lease.key.op));
+                    }
+                    q.check_in(lease);
+                    parent.check_in(lease.key.op);
+                }
+            }
+        }
     }
 
     /// WindowAggregate against a naive reference: arbitrary in-order
