@@ -6,7 +6,7 @@
 //! bench_sharded_scheduler`).
 
 use cameo_core::prelude::*;
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::VecDeque;
 
 fn bench_fifo_queue(c: &mut Criterion) {
@@ -74,25 +74,40 @@ fn bench_full_cameo(c: &mut Criterion) {
 }
 
 fn bench_quantum_decision(c: &mut Criterion) {
-    c.bench_function("scheduler_decide", |b| {
-        b.iter_batched(
-            || {
-                let mut sched: CameoScheduler<u64> = CameoScheduler::default();
-                let key = OperatorKey::new(JobId(0), 0);
-                sched.submit(key, 1, Priority::uniform(10));
-                sched.submit(key, 2, Priority::uniform(20));
-                sched.submit(OperatorKey::new(JobId(1), 0), 3, Priority::uniform(5));
-                let exec = sched.acquire(PhysicalTime::ZERO).unwrap();
-                let _ = sched.take_message(&exec);
-                (sched, exec)
-            },
-            |(mut sched, exec)| {
-                let d = sched.decide(&exec, PhysicalTime(2_000));
-                std::hint::black_box(d)
-            },
-            BatchSize::SmallInput,
+    // One `decide` with a lax operator in hand (10 ms to its start
+    // deadline) and one operator pending, per case: where on the lease
+    // the decision falls, what tier the pending operator is in, and the
+    // outcome. Before the quantum a pending peer costs one test of the
+    // occupied-tier mask; only a stricter tier pays the heap peek the
+    // past-the-quantum path always pays.
+    const LAX: u8 = 18;
+    const STRICT: u8 = 13;
+    for (name, now, pending_tier) in [
+        ("scheduler_decide", 2_000, LAX),
+        ("scheduler_decide_before_quantum_peer_pending", 500, LAX),
+        (
+            "scheduler_decide_before_quantum_stricter_tier_swaps",
+            500,
+            STRICT,
+        ),
+    ] {
+        // `decide` changes nothing but counters, so one scheduler
+        // serves every iteration and only the call is timed.
+        let mut sched: CameoScheduler<u64> = CameoScheduler::default();
+        let key = OperatorKey::new(JobId(0), 0);
+        sched.submit(key, 1, Priority::uniform(10_000).with_tier(LAX));
+        sched.submit(key, 2, Priority::uniform(10_400).with_tier(LAX));
+        let exec = sched.acquire(PhysicalTime::ZERO).unwrap();
+        let _ = sched.take_message(&exec);
+        sched.submit(
+            OperatorKey::new(JobId(1), 0),
+            3,
+            Priority::uniform(9_000).with_tier(pending_tier),
         );
-    });
+        c.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(sched.decide(&exec, PhysicalTime(now))));
+        });
+    }
 }
 
 fn bench_sharded_scheduling(c: &mut Criterion) {

@@ -5,13 +5,19 @@
 //!
 //! Paper: group-1 latency unaffected up to 20K-tuple batches, degrading
 //! at 40K.
+//!
+//! Every tuple is materialised, so the default dimensions simulate
+//! ~6 G tuples (minutes, gigabytes). `--quick` keeps the tuple rate per
+//! source, the per-worker utilisation and the message lengths, on a
+//! quarter of the cluster for a sixth of the time: seconds, well under
+//! 1 GB.
 
 use cameo_bench::{header, ms, BenchArgs, MixScale, BASELINES};
 use cameo_sim::prelude::*;
 
 fn main() {
     let args = BenchArgs::parse();
-    let scale = MixScale::of(&args);
+    let mut scale = MixScale::of(&args);
     header(
         "Figure 13",
         "group-1 latency vs group-2 batch size at constant tuple rate",
@@ -27,6 +33,15 @@ fn main() {
     let mut batches: Vec<u32> = vec![1_000, 5_000, 20_000, 40_000, 80_000];
     if args.full {
         batches.push(160_000);
+    }
+    if args.quick {
+        // One node of four workers with two of the eight bulk jobs is
+        // the same load per worker; the batch list keeps both ends and
+        // the paper's knee.
+        scale.nodes = 1;
+        scale.ba_jobs = 2;
+        scale.duration = cameo_core::time::Micros::from_secs(5);
+        batches = vec![1_000, 20_000, 80_000];
     }
     let (ls, _) = scale.groups(scale.ba_jobs);
     let mut rows = Vec::new();

@@ -6,9 +6,14 @@ use crate::time::Micros;
 /// Tunables of the Cameo scheduler.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
-    /// Minimum re-scheduling grain (§5.2): while a worker is draining an
-    /// operator, it only considers swapping to a more urgent operator
-    /// once this much time has elapsed since the operator was acquired.
+    /// Minimum re-scheduling grain (§5.2) among operators of the same
+    /// latency tier: while a worker is draining an operator, it only
+    /// considers swapping to a more urgent *peer* (or a laxer-tier
+    /// operator) once this much time has elapsed since the operator was
+    /// acquired. An operator in a stricter tier that outranks the one
+    /// in hand does not wait for it — it takes the worker at the next
+    /// message boundary — so strict latency does not depend on this
+    /// value (see [`CameoScheduler::decide`](crate::scheduler::CameoScheduler::decide)).
     /// The paper's default is 1 ms; `Micros::ZERO` gives the "finest"
     /// granularity of Fig 14 (swap whenever anything more urgent is
     /// pending).
@@ -83,7 +88,11 @@ impl Default for SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// Set the scheduling quantum (0 = swap check at every message).
+    /// Set the scheduling quantum: how long a lease is protected against
+    /// operators of its own or a laxer latency tier. `0` runs the full
+    /// swap check at every message; at any other value a stricter tier
+    /// that outranks the lease is still checked at every message, so
+    /// this only trades amortisation against fairness among peers.
     pub fn with_quantum(mut self, quantum: Micros) -> Self {
         self.quantum = quantum;
         self

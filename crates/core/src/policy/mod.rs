@@ -18,12 +18,17 @@
 //! | [`FifoPolicy`] | arrival sequence | arrival sequence | flat |
 //! | [`TokenFairPolicy`] | token stamp (§5.4) | token interval | flat |
 //!
-//! The tier only ranks operators while one of them is past its start
-//! deadline ([`Priority::rank`](crate::priority::Priority::rank)): the
-//! deadline policies' keys are instants that can pass, and once they
-//! have, a strict job must still overtake an overdue lax backlog. A
-//! flat tier ([`Priority::FLAT_TIER`](crate::priority::Priority::FLAT_TIER))
-//! leaves a policy's order exactly what its `PRI_global` says.
+//! The tier does two things, both for the deadline policies only. It
+//! ranks operators while one of them is past its start deadline
+//! ([`Priority::rank`](crate::priority::Priority::rank)): their keys
+//! are instants that can pass, and once they have, a strict job must
+//! still overtake an overdue lax backlog. And it says whom the
+//! scheduling quantum protects a lease against: peers and laxer tiers
+//! wait for it, an operator a tier up that outranks the lease does not
+//! ([`CameoScheduler::decide`](crate::scheduler::CameoScheduler::decide)).
+//! A flat tier ([`Priority::FLAT_TIER`](crate::priority::Priority::FLAT_TIER))
+//! leaves a policy's order exactly what its `PRI_global` says, and its
+//! swaps exactly where the quantum puts them.
 
 mod deadline;
 mod fifo;

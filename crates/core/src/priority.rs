@@ -7,13 +7,18 @@
 //! (a start deadline of 60 beats one of 90), matching the paper's
 //! "lower value implies higher priority".
 //!
-//! A third component, the *latency tier*, only matters under overload:
-//! once some runnable operator is past its start deadline the scheduler
-//! ranks operators by `(tier, global)` instead of `global` alone, so a
-//! strict tenant overtakes an overdue lax backlog (see
-//! [`Priority::rank`]). The deadline policies derive the tier from the
-//! job's latency constraint; everything else leaves it at
-//! [`Priority::FLAT_TIER`], where the two orders coincide.
+//! A third component, the *latency tier*, groups operators into peers.
+//! Under overload — once some runnable operator is past its start
+//! deadline — the scheduler ranks operators by `(tier, global)` instead
+//! of `global` alone, so a strict tenant overtakes an overdue lax
+//! backlog (see [`Priority::rank`]). And at every message boundary the
+//! scheduling quantum protects the in-hand operator against its own and
+//! laxer tiers only: one that ranks first *and* is a tier up takes the
+//! worker at once (see
+//! [`CameoScheduler::decide`](crate::scheduler::CameoScheduler::decide)).
+//! The deadline policies derive the tier from the job's latency
+//! constraint; everything else leaves it at [`Priority::FLAT_TIER`],
+//! where the two orders coincide and every swap waits for the quantum.
 
 use crate::time::{Micros, PhysicalTime};
 use std::cmp::Ordering;

@@ -240,6 +240,11 @@ impl RunIndex {
         self.heads().next()
     }
 
+    /// Some entry sits in a tier stricter than `tier`: one mask test.
+    fn occupied_below(&self, tier: u8) -> bool {
+        self.occupied & ((1u64 << tier) - 1) != 0
+    }
+
     fn len(&self) -> usize {
         self.tiers.iter().map(Vec::len).sum()
     }
@@ -418,6 +423,13 @@ impl<M> TwoLevelQueue<M> {
     /// Head priority of the first available operator in tier order.
     pub(crate) fn peek_best_by_tier(&self) -> Option<Priority> {
         self.index.by_tier().map(|e| e.pri)
+    }
+
+    /// True when some runnable operator's head is in a latency tier
+    /// stricter than `tier`. Constant time (the run index's occupied-tier
+    /// bitmask), so the scheduler can ask at every message boundary.
+    pub(crate) fn stricter_tier_runnable(&self, tier: u8) -> bool {
+        self.index.occupied_below(tier)
     }
 
     /// The operator [`pop_operator_at`](Self::pop_operator_at) would

@@ -33,6 +33,11 @@ pub struct SchedulerStats {
     /// `decide` calls that swapped away from the in-hand operator at a
     /// quantum boundary (an intra-shard, more-urgent-operator swap).
     pub quantum_swaps: u64,
+    /// `decide` calls that swapped away *before* the quantum, to an
+    /// operator in a stricter latency tier that outranked the one in
+    /// hand (on the same shard or another). At most one per lease, and
+    /// zero whenever every priority is in one tier.
+    pub tier_preemptions: u64,
     /// Operators acquired from a non-home shard.
     pub steals: u64,
     /// Quantum swaps triggered by a more urgent operator on *another*
@@ -133,6 +138,7 @@ impl SchedulerStats {
         self.messages_scheduled += other.messages_scheduled;
         self.operator_acquisitions += other.operator_acquisitions;
         self.quantum_swaps += other.quantum_swaps;
+        self.tier_preemptions += other.tier_preemptions;
         self.steals += other.steals;
         self.cross_shard_swaps += other.cross_shard_swaps;
         self.hint_fast_path += other.hint_fast_path;
@@ -312,6 +318,17 @@ impl<M> CameoScheduler<M> {
     /// `acquire` orders by, taken over the in-hand operator and the
     /// runnable ones together: if any of their heads is overdue at
     /// `now`, a stricter tier beats a laxer one whatever the deadlines.
+    ///
+    /// The quantum protects the in-hand operator against its peers
+    /// only. An operator that outranks it *and* sits in a stricter
+    /// latency tier takes the worker at this message boundary, so what
+    /// a strict message waits behind a lax backlog is one message, not
+    /// the rest of a quantum sized for amortisation. Both conditions
+    /// are needed: the rank makes the operator swapped to the one
+    /// `acquire` hands out next (a lax head that has aged past a fresh
+    /// strict deadline still ranks first on time and keeps going), the
+    /// tier makes every early swap go strictly up, so there are at most
+    /// as many as stricter-tier messages submitted.
     pub fn decide(&mut self, exec: &Execution, now: PhysicalTime) -> Decision {
         self.decide_in(exec, now, false)
     }
@@ -329,7 +346,10 @@ impl<M> CameoScheduler<M> {
             return Decision::Idle;
         };
         let quantum_expired = now.since(exec.acquired_at) >= self.config.quantum;
-        if !quantum_expired {
+        // Before the quantum only a stricter tier can take the worker:
+        // when none is runnable (always, with flat tiers) that is one
+        // mask test and no heap peek.
+        if !quantum_expired && !self.queue.stricter_tier_runnable(mine.tier()) {
             return Decision::Continue;
         }
         let already_overloaded = pool_overdue || mine.overdue(now);
@@ -337,8 +357,15 @@ impl<M> CameoScheduler<M> {
             .queue
             .peek_with(|head| already_overloaded || head.overdue(now))
         {
-            Some(theirs) if theirs.pri.rank(theirs.overloaded) < mine.rank(theirs.overloaded) => {
-                self.stats.quantum_swaps += 1;
+            Some(theirs)
+                if theirs.pri.rank(theirs.overloaded) < mine.rank(theirs.overloaded)
+                    && (quantum_expired || theirs.pri.tier() < mine.tier()) =>
+            {
+                if quantum_expired {
+                    self.stats.quantum_swaps += 1;
+                } else {
+                    self.stats.tier_preemptions += 1;
+                }
                 Decision::Swap
             }
             _ => Decision::Continue,
@@ -531,22 +558,83 @@ mod tests {
         assert_eq!(st.quantum_swaps, 0);
     }
 
-    #[test]
-    fn overdue_lax_in_hand_swaps_to_pending_strict_at_the_quantum() {
-        let mut s = strict_on_time_and_lax_overdue();
+    /// A lax operator in hand (two messages, start deadlines `lax`)
+    /// under a 1 ms quantum, and an operator of tier `other_tier` with
+    /// start deadline `other` that becomes runnable behind it.
+    fn lax_in_hand_with_pending(
+        lax: i64,
+        other: i64,
+        other_tier: u8,
+    ) -> (CameoScheduler<&'static str>, Execution) {
+        let mut s = sched(1_000);
+        for m in ["l1", "l2"] {
+            s.submit(key(2), m, Priority::uniform(lax).with_tier(LAX));
+        }
         let exec = s.acquire(PhysicalTime(50)).unwrap();
-        assert_eq!(exec.key(), key(2), "deadline order while nobody is late");
         assert_eq!(s.take_message(&exec).unwrap().0, "l1");
-        assert_eq!(s.decide(&exec, PhysicalTime(99)), Decision::Continue);
-        // Past the quantum. The queue alone is on time (only the strict
-        // operator is runnable); the in-hand head is what is overdue,
-        // and at the parent commit its earlier deadline kept the lease.
-        assert_eq!(s.decide(&exec, PhysicalTime(1_000)), Decision::Swap);
+        s.submit(key(1), "o1", Priority::uniform(other).with_tier(other_tier));
+        (s, exec)
+    }
+
+    #[test]
+    fn on_time_strict_preempts_a_lax_lease_at_the_message_boundary() {
+        let (mut s, exec) = lax_in_hand_with_pending(5_000, 1_500, STRICT);
+        // 50 µs into a 1 ms quantum, nobody late: the strict operator
+        // ranks first and is a tier up. At the parent commit it waited
+        // out the quantum.
+        assert_eq!(s.decide(&exec, PhysicalTime(100)), Decision::Swap);
         s.release(exec);
-        let next = s.acquire(PhysicalTime(1_000)).unwrap();
+        let next = s.acquire(PhysicalTime(100)).unwrap();
+        assert_eq!(
+            next.key(),
+            key(1),
+            "the swap goes to the operator that caused it"
+        );
+        assert_eq!(s.take_message(&next).unwrap().0, "o1");
+        assert_eq!(s.decide(&next, PhysicalTime(200)), Decision::Idle);
+        s.release(next);
+        let st = s.stats();
+        assert_eq!((st.tier_preemptions, st.quantum_swaps), (1, 0));
+    }
+
+    #[test]
+    fn aged_lax_that_outranks_a_fresh_strict_keeps_going() {
+        let (mut s, exec) = lax_in_hand_with_pending(400, 1_500, STRICT);
+        // On time the lax head's earlier deadline ranks first, so
+        // `acquire` would hand the same operator back: no swap on the
+        // tier alone.
+        assert_eq!(s.decide(&exec, PhysicalTime(399)), Decision::Continue);
+        assert_eq!(s.stats().tier_preemptions, 0);
+        // Once it is overdue the rank is tier order, the strict
+        // operator outranks it, and the boundary rule applies — still
+        // inside the quantum.
+        assert_eq!(s.decide(&exec, PhysicalTime(500)), Decision::Swap);
+        s.release(exec);
+        let next = s.acquire(PhysicalTime(500)).unwrap();
         assert_eq!(next.key(), key(1));
         s.release(next);
-        assert_eq!(s.stats().quantum_swaps, 1);
+        let st = s.stats();
+        assert_eq!((st.tier_preemptions, st.quantum_swaps), (1, 0));
+    }
+
+    #[test]
+    fn equal_tier_waits_for_the_quantum() {
+        let (mut s, exec) = lax_in_hand_with_pending(5_000, 1_500, LAX);
+        // A peer that outranks the in-hand operator: the quantum is for
+        // exactly this, on time and overdue alike.
+        assert_eq!(s.decide(&exec, PhysicalTime(100)), Decision::Continue);
+        assert_eq!(s.decide(&exec, PhysicalTime(1_049)), Decision::Continue);
+        assert_eq!(s.decide(&exec, PhysicalTime(1_050)), Decision::Swap);
+        s.release(exec);
+        let next = s.acquire(PhysicalTime(1_050)).unwrap();
+        assert_eq!(next.key(), key(1));
+        s.release(next);
+        let st = s.stats();
+        assert_eq!((st.tier_preemptions, st.quantum_swaps), (0, 1));
+        // A *laxer* tier never preempts either, whatever its deadline.
+        let (mut s, exec) = lax_in_hand_with_pending(5_000, 60, LAX + 1);
+        assert_eq!(s.decide(&exec, PhysicalTime(100)), Decision::Continue);
+        assert_eq!(s.stats().tier_preemptions, 0);
     }
 
     #[test]

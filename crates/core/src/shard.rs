@@ -46,10 +46,13 @@
 //!   zero, a single-threaded drain visits operators in exactly the
 //!   single-queue urgency order, up to ties between equal global
 //!   priorities on different shards (see `tests/scheduler_comparison.rs`).
-//! * **Quantum swaps across shards.** At quantum boundaries
-//!   [`ShardedScheduler::decide`] also compares the in-hand operator's
-//!   next message against other shards' hints, so a worker parked on a
-//!   cold shard cannot monopolize itself while a hot shard backs up.
+//! * **Swaps across shards.** [`ShardedScheduler::decide`] also
+//!   compares the in-hand operator's next message against other shards'
+//!   hints, so a worker parked on a cold shard cannot monopolize itself
+//!   while a hot shard backs up. The quantum means what it means inside
+//!   a shard: past it any better-ranked operator elsewhere takes the
+//!   worker, before it only one in a stricter latency tier (read off
+//!   the tier hint below) — the quantum amortises a lease over peers.
 //! * **One rank everywhere.** Operators are ranked by
 //!   [`Priority::rank`]: by start deadline while every runnable head in
 //!   the pool can still start in time, by `(tier, deadline)` once one
@@ -58,7 +61,7 @@
 //!   and orders shards while it is not), and `best_by_tier`, the packed
 //!   `(tier, deadline)` of the operator the shard would hand out under
 //!   overload (it orders shards while it is). The steal pick, the
-//!   cross-shard quantum swap and each shard's own queue all apply the
+//!   cross-shard swap and each shard's own queue all apply the
 //!   same rule to the same pool-wide overload verdict, so a worker
 //!   draining an overdue lax backlog on one shard still yields to an
 //!   on-time strict operator on another.
@@ -319,6 +322,9 @@ pub struct ShardedScheduler<M> {
     drain_batch: usize,
     steals: AtomicU64,
     cross_swaps: AtomicU64,
+    /// Swaps before the quantum to a stricter-tier operator on another
+    /// shard; folded into `tier_preemptions`.
+    cross_preemptions: AtomicU64,
     /// Leases where tier order sent the worker to a different *shard*
     /// than deadline order would have (and the shard's own pick did not
     /// already count an overtake); folded into `tier_overtakes`.
@@ -416,6 +422,7 @@ impl<M> ShardedScheduler<M> {
             drain_batch: config.mailbox_drain_batch,
             steals: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
+            cross_preemptions: AtomicU64::new(0),
             shard_overtakes: AtomicU64::new(0),
             mailbox_drained: AtomicU64::new(0),
             batch_pubs: AtomicU64::new(0),
@@ -1069,23 +1076,25 @@ impl<M> ShardedScheduler<M> {
     }
 
     /// Decide what to do after finishing a message: the shard's own
-    /// quantum logic first; if it says Continue past the quantum, other
-    /// shards' hints get a vote too, so in-hand work yields to a
-    /// strictly better-ranked operator anywhere in the system — by the
-    /// same [`Priority::rank`] and the same pool-wide overload verdict
-    /// as [`acquire`](Self::acquire).
+    /// logic first; if it says Continue, other shards' hints get a vote
+    /// too, so in-hand work yields to a strictly better-ranked operator
+    /// anywhere in the system — by the same [`Priority::rank`], the
+    /// same pool-wide overload verdict as [`acquire`](Self::acquire),
+    /// and the same quantum rule as
+    /// [`CameoScheduler::decide`]: past the quantum to any operator
+    /// that outranks the one in hand, before it only to one that is
+    /// also in a stricter tier.
     pub fn decide(&self, exec: &ShardExecution, now: PhysicalTime) -> Decision {
-        // Other shards only matter past the quantum, on both levels.
-        let sharded = self.shards.len() > 1 && now.since(exec.acquired_at()) >= self.quantum;
-        // Their earliest deadline, and whether it or this shard's own
-        // has passed: the pool is overloaded.
-        let others = if sharded {
-            self.best_other(exec.shard, false).1
+        let sharded = self.shards.len() > 1;
+        // The other shards' earliest deadline, and whether it or this
+        // shard's own has passed: the pool is overloaded.
+        let (mut victim, mut theirs) = if sharded {
+            self.best_other(exec.shard, false)
         } else {
-            NO_RANK
+            (exec.shard, NO_RANK)
         };
         let own = self.shards[exec.shard].best.load(Ordering::Acquire);
-        let pool_overdue = sharded && others.1.min(own) < deadline_to_priority(now.0);
+        let pool_overdue = sharded && theirs.1.min(own) < deadline_to_priority(now.0);
         let mine = {
             let mut core = self.lock(exec.shard);
             self.drain_locked(exec.shard, &mut core, None);
@@ -1094,26 +1103,36 @@ impl<M> ShardedScheduler<M> {
                 other => return other,
             }
         };
-        if sharded {
-            if let Some(mine) = mine {
-                let overloaded = pool_overdue || mine.overdue(now);
-                // Compare in clamped hint space: in-hand IDLE work must
-                // not register as less urgent than another shard's
-                // (equally IDLE) clamped hint.
-                let (mine, theirs) = if overloaded {
-                    (
-                        unpack_rank(pack_rank(mine)),
-                        self.best_other(exec.shard, true).1,
-                    )
-                } else {
-                    ((0, hint_of(mine)), others)
-                };
-                let slack = self.steal_threshold.load(Ordering::Relaxed);
-                if outranks(theirs, mine, slack) {
-                    self.cross_swaps.fetch_add(1, Ordering::Relaxed);
-                    return Decision::Swap;
-                }
-            }
+        let (Some(mine), true) = (mine, sharded) else {
+            return Decision::Continue;
+        };
+        // Compare in clamped hint space: in-hand IDLE work must not
+        // register as less urgent than another shard's (equally IDLE)
+        // clamped hint.
+        let mine_rank = if pool_overdue || mine.overdue(now) {
+            (victim, theirs) = self.best_other(exec.shard, true);
+            unpack_rank(pack_rank(mine))
+        } else {
+            (0, hint_of(mine))
+        };
+        let slack = self.steal_threshold.load(Ordering::Relaxed);
+        if !outranks(theirs, mine_rank, slack) {
+            return Decision::Continue;
+        }
+        if now.since(exec.acquired_at()) >= self.quantum {
+            self.cross_swaps.fetch_add(1, Ordering::Relaxed);
+            return Decision::Swap;
+        }
+        // Before the quantum the operator that outranks must also be a
+        // tier up. A deadline hint carries no tier, but the shard's
+        // tier hint names its strictest head: when that is the head
+        // that outranked, its tier is known; when it is not, a laxer
+        // operator is due first on that shard and would be handed out.
+        let (tier, deadline) =
+            unpack_rank(self.shards[victim].best_by_tier.load(Ordering::Acquire));
+        if deadline == theirs.1 && tier < mine.tier() {
+            self.cross_preemptions.fetch_add(1, Ordering::Relaxed);
+            return Decision::Swap;
         }
         Decision::Continue
     }
@@ -1393,6 +1412,7 @@ impl<M> ShardedScheduler<M> {
         }
         total.steals = self.steals.load(Ordering::Relaxed);
         total.cross_shard_swaps = self.cross_swaps.load(Ordering::Relaxed);
+        total.tier_preemptions += self.cross_preemptions.load(Ordering::Relaxed);
         total.tier_overtakes += self.shard_overtakes.load(Ordering::Relaxed);
         total.mailbox_drained = self.mailbox_drained.load(Ordering::Relaxed);
         total.batch_publications = self.batch_pubs.load(Ordering::Relaxed);
@@ -1774,7 +1794,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_draining_an_overdue_backlog_swaps_to_a_strict_shard_at_the_quantum() {
+    fn worker_draining_an_overdue_backlog_swaps_to_a_strict_shard_at_the_boundary() {
         let sh = sharded(2, 50);
         let [tight, backlog] = one_key_per_shard(&sh);
         for m in 0..3 {
@@ -1784,22 +1804,79 @@ mod tests {
         assert_eq!(exec.key(), backlog);
         assert_eq!(sh.take_message(&exec).unwrap().0, 0);
         // An on-time strict message lands on the other shard. Its start
-        // deadline is later than the in-hand one, which is all the
-        // parent commit compared.
+        // deadline is later than the in-hand one, but the pool is
+        // overloaded, so it outranks by tier — and a tier up does not
+        // wait for the quantum.
         sh.submit(tight, 7, Priority::uniform(1_500).with_tier(13));
-        assert_eq!(sh.decide(&exec, PhysicalTime(1_020)), Decision::Continue);
-        assert_eq!(sh.decide(&exec, PhysicalTime(1_050)), Decision::Swap);
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_020)), Decision::Swap);
         sh.release(exec);
-        assert_eq!(sh.stats().cross_shard_swaps, 1);
-        let exec = sh.acquire(1, PhysicalTime(1_050)).unwrap();
+        let st = sh.stats();
+        assert_eq!((st.tier_preemptions, st.cross_shard_swaps), (1, 0));
+        let exec = sh.acquire(1, PhysicalTime(1_020)).unwrap();
         assert_eq!(exec.key(), tight);
-        // And the other way round the strict lease is kept.
+        // And the other way round the strict lease is kept, before the
+        // quantum and past it.
         assert_eq!(sh.take_message(&exec).unwrap().0, 7);
         sh.submit(tight, 8, Priority::uniform(1_600).with_tier(13));
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_040)), Decision::Continue);
         assert_eq!(sh.decide(&exec, PhysicalTime(1_100)), Decision::Continue);
         sh.release(exec);
+        assert_eq!(sh.stats().tier_preemptions, 1);
         // `drain` runs at time zero, where nothing is overdue yet.
         assert_eq!(drain(&sh, 1), vec![1, 2, 8]);
+    }
+
+    #[test]
+    fn lax_lease_yields_before_the_quantum_to_an_on_time_strict_shard() {
+        let lax = |g| Priority::uniform(g).with_tier(17);
+        let strict = |g| Priority::uniform(g).with_tier(13);
+        for home in 0..2 {
+            // Nobody is late at any point: this is deadline order.
+            let sh = sharded(2, 1_000);
+            let [backlog, tight] = one_key_per_shard(&sh);
+            for m in 0..3 {
+                sh.submit(backlog, m, lax(50_000));
+            }
+            let exec = sh.acquire(home, PhysicalTime(100)).unwrap();
+            assert_eq!(exec.key(), backlog, "home {home}");
+            assert_eq!(sh.take_message(&exec).unwrap().0, 0);
+            assert_eq!(sh.decide(&exec, PhysicalTime(200)), Decision::Continue);
+            // A strict message due before the lax one: at the parent
+            // commit the worker kept the lease for the other 800 µs.
+            sh.submit(tight, 7, strict(9_000));
+            assert_eq!(sh.decide(&exec, PhysicalTime(300)), Decision::Swap);
+            sh.release(exec);
+            let exec = sh.acquire(home, PhysicalTime(300)).unwrap();
+            assert_eq!(exec.key(), tight, "home {home}");
+            assert_eq!(sh.take_message(&exec).unwrap().0, 7);
+            assert_eq!(sh.decide(&exec, PhysicalTime(400)), Decision::Idle);
+            sh.release(exec);
+            let st = sh.stats();
+            assert_eq!(
+                (st.tier_preemptions, st.cross_shard_swaps, st.quantum_swaps),
+                (1, 0, 0)
+            );
+            assert_eq!(st.overload_acquisitions, 0);
+
+            // A strict message due *after* the lax head does not
+            // outrank it on time, so `acquire` would hand the lax
+            // operator straight back: no swap before the quantum, nor
+            // past it.
+            let exec = sh.acquire(home, PhysicalTime(400)).unwrap();
+            assert_eq!(exec.key(), backlog);
+            assert_eq!(sh.take_message(&exec).unwrap().0, 1);
+            sh.submit(tight, 8, strict(60_000));
+            assert_eq!(sh.decide(&exec, PhysicalTime(500)), Decision::Continue);
+            assert_eq!(sh.decide(&exec, PhysicalTime(1_400)), Decision::Continue);
+            // A *peer* on the other shard that does outrank it waits
+            // for the quantum, as at the parent commit.
+            sh.submit(tight, 9, lax(20_000));
+            assert_eq!(sh.decide(&exec, PhysicalTime(1_399)), Decision::Continue);
+            assert_eq!(sh.decide(&exec, PhysicalTime(1_400)), Decision::Swap);
+            sh.release(exec);
+            let st = sh.stats();
+            assert_eq!((st.tier_preemptions, st.cross_shard_swaps), (1, 1));
+        }
     }
 
     #[test]

@@ -296,7 +296,12 @@ pub struct IngestOutcome {
 pub struct RuntimeConfig {
     /// Worker threads draining the scheduler (0 = queue-only runtime).
     pub workers: usize,
-    /// Scheduling quantum (§5.2; default 1 ms).
+    /// Scheduling quantum (§5.2; default 1 ms): how long a worker keeps
+    /// an operator before it yields to a more urgent one of the same or
+    /// a laxer latency tier. A stricter-tier operator that outranks the
+    /// one in hand takes the worker at the next message boundary
+    /// whatever this is set to (see
+    /// [`SchedulerConfig::quantum`](cameo_core::config::SchedulerConfig::quantum)).
     pub quantum: Micros,
     /// The priority policy building and interpreting contexts.
     pub policy: Arc<dyn Policy>,
@@ -2145,6 +2150,8 @@ mod tests {
         // One tuple against a 500 ms target: nothing is ever past its
         // start deadline, so no lease is granted in tier order.
         assert_eq!((stats.overload_acquisitions, stats.tier_overtakes), (0, 0));
+        // And one job is one tier: no lease is cut short for a stricter one.
+        assert_eq!(stats.tier_preemptions, 0);
         rt.shutdown();
     }
 

@@ -96,6 +96,54 @@ impl ParentOrder {
     }
 }
 
+/// The quantum settings the decide properties sweep: none, the default,
+/// and one that never expires inside a test.
+fn quanta() -> impl Strategy<Value = u64> {
+    (0usize..3).prop_map(|i| [0u64, 1_000, 100_000][i])
+}
+
+/// A start deadline relative to the instant `decide` runs at: mostly
+/// ahead of it (everybody on time, deadline order), now and then just
+/// passed (overload, tier order).
+fn start_offset() -> impl Strategy<Value = i64> {
+    prop_oneof![0i64..20_000, 0i64..20_000, -3_000i64..20_000]
+}
+
+/// The boundary rule, from its statement: `theirs` is the operator
+/// `acquire` would hand out at `now` (first in the order in force,
+/// earlier submission on ties); swap iff it outranks the in-hand
+/// operator's next message and either the quantum has run out or it is
+/// a tier up.
+fn reference_decide(
+    mine: Priority,
+    runnable: &[Priority],
+    now: PhysicalTime,
+    quantum_expired: bool,
+) -> Decision {
+    let overloaded = mine.overdue(now) || runnable.iter().any(|p| p.overdue(now));
+    let first = runnable
+        .iter()
+        .enumerate()
+        .min_by_key(|(i, p)| (p.rank(overloaded), **p, *i));
+    match first {
+        Some((_, theirs))
+            if theirs.rank(overloaded) < mine.rank(overloaded)
+                && (quantum_expired || theirs.tier() < mine.tier()) =>
+        {
+            Decision::Swap
+        }
+        _ => Decision::Continue,
+    }
+}
+
+/// Steps of a flat-tier scheduling run: submissions, and worker turns
+/// that each take `dt` µs.
+#[derive(Clone, Debug)]
+enum FlatStep {
+    Push { op: u32, local: i8, global: u16 },
+    Work { dt: u16 },
+}
+
 proptest! {
     /// Under any interleaving of pushes and partial drains, the queue
     /// (a) never loses or duplicates messages, and (b) whenever it pops
@@ -347,6 +395,179 @@ proptest! {
             dec.decode_available(&mut decoded).expect("well-formed stream");
         }
         prop_assert_eq!(decoded, frames);
+    }
+
+    /// `decide` is the boundary rule: for random tiers, deadlines, clock
+    /// and lease age, at no quantum, the default and one that never
+    /// expires. A swap is counted on exactly one side of the quantum and
+    /// goes to the operator `acquire` then hands out — before the
+    /// quantum always a tier up.
+    #[test]
+    fn decide_matches_the_boundary_rule(
+        mine in (0u8..4, start_offset()),
+        others in prop::collection::vec((0u8..4, start_offset()), 0..6),
+        t0 in 3_000u64..4_000,
+        elapsed in prop_oneof![0u64..3_000, 0u64..250_000],
+        quantum in quanta(),
+    ) {
+        let now = PhysicalTime(t0 + elapsed);
+        let pri = |(tier, offset): (u8, i64)| {
+            Priority::uniform(now.0 as i64 + offset).with_tier(tier * 7)
+        };
+        let key = |op: usize| OperatorKey::new(JobId(0), op as u32);
+        let mut s: CameoScheduler<usize> = CameoScheduler::new(
+            SchedulerConfig::default().with_quantum(Micros(quantum)),
+        );
+        let mine = pri(mine);
+        s.submit(key(0), 0, mine);
+        s.submit(key(0), 1, mine);
+        let exec = s.acquire(PhysicalTime(t0)).expect("one operator");
+        prop_assert!(s.take_message(&exec).is_some());
+        let runnable: Vec<Priority> = others.into_iter().map(pri).collect();
+        for (i, &p) in runnable.iter().enumerate() {
+            s.submit(key(i + 1), 0, p);
+        }
+        let expired = elapsed >= quantum;
+        let got = s.decide(&exec, now);
+        prop_assert_eq!(got, reference_decide(mine, &runnable, now, expired));
+        let st = s.stats();
+        let swapped = u64::from(got == Decision::Swap);
+        prop_assert_eq!(
+            (st.quantum_swaps, st.tier_preemptions),
+            if expired { (swapped, 0) } else { (0, swapped) }
+        );
+        if got == Decision::Swap {
+            s.release(exec);
+            let next = s.acquire(now).expect("someone outranked");
+            prop_assert!(next.key() != key(0), "swapped and got the same lease back");
+            let theirs = runnable[next.key().op as usize - 1];
+            prop_assert!(expired || theirs.tier() < mine.tier());
+        }
+    }
+
+    /// With every priority in one tier — FIFO, SJF, token-fair and
+    /// hand-built priorities — every `decide` of a run is the parent
+    /// commit's: Continue before the quantum, past it swap iff the
+    /// earliest runnable deadline beats the in-hand one.
+    #[test]
+    fn flat_tier_sequences_decide_like_the_parent_at_any_quantum(
+        steps in prop::collection::vec(
+            prop_oneof![
+                (0u32..5, any::<i8>(), any::<u16>())
+                    .prop_map(|(op, local, global)| FlatStep::Push { op, local, global }),
+                prop_oneof![0u16..400, 0u16..40_000].prop_map(|dt| FlatStep::Work { dt }),
+            ],
+            1..160,
+        ),
+        tier in 0u8..64,
+        quantum in quanta(),
+    ) {
+        let mut s: CameoScheduler<u64> = CameoScheduler::new(
+            SchedulerConfig::default().with_quantum(Micros(quantum)),
+        );
+        let mut now = PhysicalTime(0);
+        let mut lease: Option<Execution> = None;
+        let mut parent_swaps = 0u64;
+        for (id, step) in steps.into_iter().enumerate() {
+            match step {
+                FlatStep::Push { op, local, global } => {
+                    let pri = Priority::new(local as i64, global as i64).with_tier(tier);
+                    s.submit(OperatorKey::new(JobId(0), op), id as u64, pri);
+                }
+                FlatStep::Work { dt } => {
+                    let Some(exec) = lease.take().or_else(|| s.acquire(now)) else { continue };
+                    if s.take_message(&exec).is_none() {
+                        s.release(exec);
+                        continue;
+                    }
+                    now += Micros(dt as u64);
+                    let parent = match (s.peek_next(&exec), s.peek_best()) {
+                        (None, _) => Decision::Idle,
+                        (Some(mine), Some((_, theirs)))
+                            if now.since(exec.acquired_at()) >= Micros(quantum)
+                                && theirs.global < mine.global => Decision::Swap,
+                        _ => Decision::Continue,
+                    };
+                    parent_swaps += u64::from(parent == Decision::Swap);
+                    let got = s.decide(&exec, now);
+                    prop_assert_eq!(got, parent, "at {:?}", now);
+                    match got {
+                        Decision::Continue => lease = Some(exec),
+                        Decision::Swap | Decision::Idle => s.release(exec),
+                    }
+                }
+            }
+        }
+        let st = s.stats();
+        prop_assert_eq!((st.quantum_swaps, st.tier_preemptions), (parent_swaps, 0));
+    }
+
+    /// No thrash: a worker draining lax backlogs under a stream of
+    /// strict messages swaps early at most once per strict message,
+    /// on one shard and across two, and loses nothing doing it.
+    #[test]
+    fn tier_preemptions_are_bounded_by_stricter_tier_messages(
+        arrivals in prop::collection::vec(
+            (1u64..400, 0u32..3, (0u8..8).prop_map(|k| k == 0)), 1..160),
+        shards in 1usize..3,
+        quantum in quanta(),
+    ) {
+        // One tier apart, seven lax messages to a strict one, and more
+        // work than time: the lax backlog ages past fresh strict
+        // deadlines (where the tier alone would swap at every message
+        // and get the same lease back) and then past its own.
+        const STRICT_L: u64 = 10_000;
+        const LAX_L: u64 = 20_000;
+        let sh: ShardedScheduler<u64> = ShardedScheduler::new(
+            SchedulerConfig::default().with_quantum(Micros(quantum)).with_shards(shards),
+        );
+        // Arrival times are cumulative gaps; strict jobs use operators
+        // 0..3, lax ones 3..6, each with its start deadline L after
+        // arrival and its tier from L, as the deadline policies do.
+        let mut at = 0u64;
+        let mut pending: std::collections::VecDeque<(u64, OperatorKey, Priority, u64)> = arrivals
+            .iter()
+            .map(|&(gap, op, strict)| {
+                at += gap;
+                let (l, op) = if strict { (STRICT_L, op) } else { (LAX_L, op + 3) };
+                let pri = Priority::uniform((at + l) as i64)
+                    .with_tier(cameo::core::priority::latency_tier(Micros(l)));
+                (at, OperatorKey::new(JobId(0), op), pri, if strict { 100 } else { 400 })
+            })
+            .collect();
+        let total = pending.len();
+        let strict_msgs = arrivals.iter().filter(|a| a.2).count() as u64;
+        let (mut now, mut done) = (0u64, 0usize);
+        let mut lease: Option<ShardExecution> = None;
+        let admit = |pending: &mut std::collections::VecDeque<_>, now: u64| {
+            while pending.front().is_some_and(|p: &(u64, _, _, _)| p.0 <= now) {
+                let (_, key, pri, cost) = pending.pop_front().expect("checked");
+                sh.submit(key, cost, pri);
+            }
+        };
+        while done < total {
+            admit(&mut pending, now);
+            let Some(exec) = lease.take().or_else(|| sh.acquire(0, PhysicalTime(now))) else {
+                now = pending.front().expect("idle with nothing left to arrive").0;
+                continue;
+            };
+            let Some((cost, _)) = sh.take_message(&exec) else {
+                sh.release(exec);
+                continue;
+            };
+            now += cost;
+            done += 1;
+            // Submissions land while the message runs, before `decide`.
+            admit(&mut pending, now);
+            match sh.decide(&exec, PhysicalTime(now)) {
+                Decision::Continue => lease = Some(exec),
+                Decision::Swap | Decision::Idle => { sh.release(exec); }
+            }
+        }
+        prop_assert!(sh.is_empty());
+        let st = sh.stats();
+        prop_assert!(st.tier_preemptions <= strict_msgs,
+            "{} early swaps for {} strict messages", st.tier_preemptions, strict_msgs);
     }
 
     /// The Cameo scheduler processes any message set exactly once under
