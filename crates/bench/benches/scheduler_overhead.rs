@@ -6,7 +6,7 @@
 //! bench_sharded_scheduler`).
 
 use cameo_core::prelude::*;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::collections::VecDeque;
 
 fn bench_fifo_queue(c: &mut Criterion) {
@@ -74,25 +74,48 @@ fn bench_full_cameo(c: &mut Criterion) {
 }
 
 fn bench_quantum_decision(c: &mut Criterion) {
-    // One `decide` with a lax operator in hand (10 ms to its start
-    // deadline) and one operator pending, per case: where on the lease
-    // the decision falls, what tier the pending operator is in, and the
-    // outcome. Before the quantum a pending peer costs one test of the
-    // occupied-tier mask; only a stricter tier pays the heap peek the
-    // past-the-quantum path always pays.
+    c.bench_function("scheduler_decide", |b| {
+        b.iter_batched(
+            || {
+                let mut sched: CameoScheduler<u64> = CameoScheduler::default();
+                let key = OperatorKey::new(JobId(0), 0);
+                sched.submit(key, 1, Priority::uniform(10));
+                sched.submit(key, 2, Priority::uniform(20));
+                sched.submit(OperatorKey::new(JobId(1), 0), 3, Priority::uniform(5));
+                let exec = sched.acquire(PhysicalTime::ZERO).unwrap();
+                let _ = sched.take_message(&exec);
+                (sched, exec)
+            },
+            |(mut sched, exec)| {
+                let d = sched.decide(&exec, PhysicalTime(2_000));
+                std::hint::black_box(d)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    // The cost of the path before the quantum, beside the one past it.
+    // A lax operator in hand (10 ms to its start deadline) and one
+    // operator pending that is due earlier, per case: where on the
+    // lease the decision falls, the pending operator's tier, and the
+    // outcome. `decide` changes nothing but counters, so one scheduler
+    // serves every iteration and only the call is timed — unlike
+    // `scheduler_decide` above, which also times the scheduler it
+    // consumes and is kept as it was for its record.
     const LAX: u8 = 18;
     const STRICT: u8 = 13;
     for (name, now, pending_tier) in [
-        ("scheduler_decide", 2_000, LAX),
-        ("scheduler_decide_before_quantum_peer_pending", 500, LAX),
+        ("scheduler_decide_call_past_quantum_swaps", 2_000, LAX),
         (
-            "scheduler_decide_before_quantum_stricter_tier_swaps",
+            "scheduler_decide_call_before_quantum_peer_pending",
+            500,
+            LAX,
+        ),
+        (
+            "scheduler_decide_call_before_quantum_stricter_tier_swaps",
             500,
             STRICT,
         ),
     ] {
-        // `decide` changes nothing but counters, so one scheduler
-        // serves every iteration and only the call is timed.
         let mut sched: CameoScheduler<u64> = CameoScheduler::default();
         let key = OperatorKey::new(JobId(0), 0);
         sched.submit(key, 1, Priority::uniform(10_000).with_tier(LAX));
@@ -108,6 +131,59 @@ fn bench_quantum_decision(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(sched.decide(&exec, PhysicalTime(now))));
         });
     }
+}
+
+/// One `ShardedScheduler::decide` that ends in Continue, per message of
+/// a lease, with other shards to look at: what a worker pays at every
+/// message boundary in a pool of `shards` shards. Before the quantum a
+/// flat-tier pool (and a lease in the pool's strictest tier) reads one
+/// word; a lax lease in a pool that has seen a stricter tier scans the
+/// other shards' hints, as every lease does past the quantum.
+fn bench_sharded_decision(c: &mut Criterion) {
+    const LAX: u8 = 18;
+    const STRICT: u8 = 13;
+    let mut g = c.benchmark_group("sharded_decide_continue");
+    for shards in [2usize, 4, 8] {
+        for (name, now, in_hand_tier, other_tier) in [
+            ("before_quantum_flat_tiers", 500, 0, 0),
+            (
+                "before_quantum_lax_lease_strict_elsewhere",
+                500,
+                LAX,
+                STRICT,
+            ),
+            ("past_quantum", 2_000, LAX, STRICT),
+        ] {
+            let sched: ShardedScheduler<u64> =
+                ShardedScheduler::new(SchedulerConfig::default().with_shards(shards));
+            let key_on = |s: usize| {
+                let mut keys = (0..4096).map(|op| OperatorKey::new(JobId(0), op));
+                keys.find(|&k| sched.shard_of(k) == s).unwrap()
+            };
+            // In hand on shard 0, due at 10 ms; every other shard holds
+            // one operator due later, so nothing outranks the lease.
+            for m in 0..2 {
+                sched.submit(
+                    key_on(0),
+                    m,
+                    Priority::uniform(10_000).with_tier(in_hand_tier),
+                );
+            }
+            let exec = sched.acquire(0, PhysicalTime::ZERO).unwrap();
+            let _ = sched.take_message(&exec);
+            for s in 1..shards {
+                sched.submit(
+                    key_on(s),
+                    9,
+                    Priority::uniform(20_000 + s as i64).with_tier(other_tier),
+                );
+            }
+            g.bench_with_input(BenchmarkId::new(name, shards), &shards, |b, _| {
+                b.iter(|| std::hint::black_box(sched.decide(&exec, PhysicalTime(now))));
+            });
+        }
+    }
+    g.finish();
 }
 
 fn bench_sharded_scheduling(c: &mut Criterion) {
@@ -141,6 +217,7 @@ criterion_group!(
     bench_priority_scheduling,
     bench_full_cameo,
     bench_quantum_decision,
+    bench_sharded_decision,
     bench_sharded_scheduling
 );
 criterion_main!(benches);

@@ -13,7 +13,12 @@ pub struct SchedulerConfig {
     /// acquired. An operator in a stricter tier that outranks the one
     /// in hand does not wait for it — it takes the worker at the next
     /// message boundary — so strict latency does not depend on this
-    /// value (see [`CameoScheduler::decide`](crate::scheduler::CameoScheduler::decide)).
+    /// value while the strict operator is the one `acquire` would hand
+    /// out. It is not when a peer of the lease is due before it: that
+    /// peer is first in line, it is no tier up, and both wait for the
+    /// quantum (or for the peer's deadline to pass, which puts the
+    /// order by tier). See
+    /// [`CameoScheduler::decide`](crate::scheduler::CameoScheduler::decide).
     /// The paper's default is 1 ms; `Micros::ZERO` gives the "finest"
     /// granularity of Fig 14 (swap whenever anything more urgent is
     /// pending).
@@ -92,7 +97,10 @@ impl SchedulerConfig {
     /// operators of its own or a laxer latency tier. `0` runs the full
     /// swap check at every message; at any other value a stricter tier
     /// that outranks the lease is still checked at every message, so
-    /// this only trades amortisation against fairness among peers.
+    /// this trades amortisation against fairness among peers — and
+    /// against the strict tier only where a peer due earlier than the
+    /// strict operator stands in front of it (see
+    /// [`quantum`](Self::quantum)).
     pub fn with_quantum(mut self, quantum: Micros) -> Self {
         self.quantum = quantum;
         self

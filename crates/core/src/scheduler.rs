@@ -178,6 +178,8 @@ pub enum Decision {
 pub struct Execution {
     lease: OperatorLease,
     acquired_at: PhysicalTime,
+    /// Latency tier of the message the operator was checked out for.
+    tier: u8,
     /// The lease went to a different operator than deadline order would
     /// have chosen (already counted in `tier_overtakes`).
     overtook: bool,
@@ -192,6 +194,10 @@ impl Execution {
     /// When the lease was checked out (quantum accounting starts here).
     pub fn acquired_at(&self) -> PhysicalTime {
         self.acquired_at
+    }
+
+    pub(crate) fn tier(&self) -> u8 {
+        self.tier
     }
 
     pub(crate) fn overtook(&self) -> bool {
@@ -297,6 +303,7 @@ impl<M> CameoScheduler<M> {
         Some(Execution {
             lease,
             acquired_at: now,
+            tier: pick.pri.tier(),
             overtook: pick.overtook,
         })
     }
@@ -329,6 +336,13 @@ impl<M> CameoScheduler<M> {
     /// strict deadline still ranks first on time and keeps going), the
     /// tier makes every early swap go strictly up, so there are at most
     /// as many as stricter-tier messages submitted.
+    ///
+    /// Only that one operator is tested. A strict operator that
+    /// outranks the lease while a *peer* of the lease is due even
+    /// earlier is not the one `acquire` hands out, so it waits with the
+    /// peer: until the quantum, or until the peer's deadline passes and
+    /// the order goes by tier. Strict latency is independent of the
+    /// quantum up to that case.
     pub fn decide(&mut self, exec: &Execution, now: PhysicalTime) -> Decision {
         self.decide_in(exec, now, false)
     }
@@ -635,6 +649,26 @@ mod tests {
         let (mut s, exec) = lax_in_hand_with_pending(5_000, 60, LAX + 1);
         assert_eq!(s.decide(&exec, PhysicalTime(100)), Decision::Continue);
         assert_eq!(s.stats().tier_preemptions, 0);
+    }
+
+    #[test]
+    fn a_peer_due_first_keeps_a_strict_operator_behind_the_quantum() {
+        // Lax in hand 5 000, strict pending 1 500 — and a lax peer due
+        // at 1 000. On time `acquire` would hand out the peer, which is
+        // no tier up, so nothing happens before the quantum although
+        // the strict operator outranks the lease too: the early swap
+        // only ever goes to the one operator `acquire` returns next.
+        let (mut s, exec) = lax_in_hand_with_pending(5_000, 1_500, STRICT);
+        s.submit(key(3), "p1", Priority::uniform(1_000).with_tier(LAX));
+        assert_eq!(s.decide(&exec, PhysicalTime(100)), Decision::Continue);
+        assert_eq!(s.stats().tier_preemptions, 0);
+        // Once the peer's deadline passes the order is by tier, and the
+        // strict operator is the one handed out: it takes the worker.
+        assert_eq!(s.decide(&exec, PhysicalTime(1_001)), Decision::Swap);
+        s.release(exec);
+        assert_eq!(s.acquire(PhysicalTime(1_001)).unwrap().key(), key(1));
+        let st = s.stats();
+        assert_eq!((st.tier_preemptions, st.quantum_swaps), (1, 0));
     }
 
     #[test]

@@ -52,7 +52,10 @@
 //!   while a hot shard backs up. The quantum means what it means inside
 //!   a shard: past it any better-ranked operator elsewhere takes the
 //!   worker, before it only one in a stricter latency tier (read off
-//!   the tier hint below) — the quantum amortises a lease over peers.
+//!   the tier hint below) that the steal rule would send this worker
+//!   to next — the quantum amortises a lease over peers. Before the
+//!   quantum the hints are read only while the pool has ever advertised
+//!   a tier stricter than the lease's: a flat-tier pool pays one load.
 //! * **One rank everywhere.** Operators are ranked by
 //!   [`Priority::rank`]: by start deadline while every runnable head in
 //!   the pool can still start in time, by `(tier, deadline)` once one
@@ -107,7 +110,7 @@ use crate::priority::{deadline_to_priority, Priority};
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::{Micros, PhysicalTime};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -269,6 +272,9 @@ pub struct Submission {
 #[derive(Debug)]
 pub struct ShardExecution {
     shard: usize,
+    /// The shard the worker holding the lease is homed on: where its
+    /// next `acquire` starts from.
+    home: usize,
     exec: Execution,
 }
 
@@ -325,6 +331,12 @@ pub struct ShardedScheduler<M> {
     /// Swaps before the quantum to a stricter-tier operator on another
     /// shard; folded into `tier_preemptions`.
     cross_preemptions: AtomicU64,
+    /// The strictest latency tier any shard has ever advertised in its
+    /// `best_by_tier` hint (never raised; `u8::MAX` until the first
+    /// one). A lease at or below it cannot be preempted across tiers,
+    /// so [`decide`](Self::decide) reads this one word before the
+    /// quantum instead of scanning hints — always, in a flat-tier pool.
+    strictest_tier: AtomicU8,
     /// Leases where tier order sent the worker to a different *shard*
     /// than deadline order would have (and the shard's own pick did not
     /// already count an overtake); folded into `tier_overtakes`.
@@ -423,6 +435,7 @@ impl<M> ShardedScheduler<M> {
             steals: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
             cross_preemptions: AtomicU64::new(0),
+            strictest_tier: AtomicU8::new(u8::MAX),
             shard_overtakes: AtomicU64::new(0),
             mailbox_drained: AtomicU64::new(0),
             batch_pubs: AtomicU64::new(0),
@@ -651,6 +664,18 @@ impl<M> ShardedScheduler<M> {
         let best_by_tier = &self.shards[s].best_by_tier;
         if best_by_tier.load(Ordering::Relaxed) != rank {
             best_by_tier.store(rank, Ordering::SeqCst);
+            self.note_tier(rank);
+        }
+    }
+
+    /// Fold a newly advertised tier hint into
+    /// [`strictest_tier`](Self::strictest_tier). Every value a shard's
+    /// `best_by_tier` takes passes through here, and almost none lowers
+    /// the pool's: the common case is one load of a read-mostly word.
+    fn note_tier(&self, rank: u64) {
+        let tier = (rank >> RANK_DEADLINE_BITS) as u8;
+        if tier < self.strictest_tier.load(Ordering::Relaxed) {
+            self.strictest_tier.fetch_min(tier, Ordering::Relaxed);
         }
     }
 
@@ -661,6 +686,7 @@ impl<M> ShardedScheduler<M> {
         let best_by_tier = &self.shards[s].best_by_tier;
         if self.shards.len() > 1 && rank < best_by_tier.load(Ordering::Relaxed) {
             best_by_tier.fetch_min(rank, Ordering::SeqCst);
+            self.note_tier(rank);
         }
         let best = &self.shards[s].best;
         let mut cur = best.load(Ordering::Relaxed);
@@ -892,6 +918,7 @@ impl<M> ShardedScheduler<M> {
     fn try_acquire_at(
         &self,
         s: usize,
+        home: usize,
         now: PhysicalTime,
         pool_overdue: bool,
     ) -> Option<ShardExecution> {
@@ -920,7 +947,11 @@ impl<M> ShardedScheduler<M> {
         // Refresh even on failure: a failed sweep must settle every
         // hint to EMPTY so park's fast path stops spinning.
         self.refresh_hint(s, &core);
-        exec.map(|exec| ShardExecution { shard: s, exec })
+        exec.map(|exec| ShardExecution {
+            shard: s,
+            home,
+            exec,
+        })
     }
 
     /// Check out the most urgent operator for a worker homed on shard
@@ -949,10 +980,10 @@ impl<M> ShardedScheduler<M> {
             self.pick_stable(home, now)
         };
         let exec = self
-            .try_acquire_at(pick.shard, now, pick.overloaded)
+            .try_acquire_at(pick.shard, home, now, pick.overloaded)
             .or_else(|| {
                 (1..n).find_map(|off| {
-                    self.try_acquire_at((pick.shard + off) % n, now, pick.overloaded)
+                    self.try_acquire_at((pick.shard + off) % n, home, now, pick.overloaded)
                 })
             })?;
         if exec.shard != home {
@@ -1083,9 +1114,20 @@ impl<M> ShardedScheduler<M> {
     /// and the same quantum rule as
     /// [`CameoScheduler::decide`]: past the quantum to any operator
     /// that outranks the one in hand, before it only to one that is
-    /// also in a stricter tier.
+    /// also in a stricter tier and that `acquire` hands this worker
+    /// next.
+    ///
+    /// Before the quantum the other shards are consulted only while
+    /// the pool has ever advertised a tier stricter than the one the
+    /// lease was checked out in (policies stamp one tier per job, so
+    /// that is the tier of its next message too; where a hand-built
+    /// operator mixes tiers, a stale answer only defers the swap to the
+    /// quantum). A flat-tier pool, or a lease in the pool's strictest
+    /// tier, therefore pays one load and no hint scan per message.
     pub fn decide(&self, exec: &ShardExecution, now: PhysicalTime) -> Decision {
-        let sharded = self.shards.len() > 1;
+        let past_quantum = now.since(exec.acquired_at()) >= self.quantum;
+        let sharded = self.shards.len() > 1
+            && (past_quantum || self.strictest_tier.load(Ordering::Relaxed) < exec.exec.tier());
         // The other shards' earliest deadline, and whether it or this
         // shard's own has passed: the pool is overloaded.
         let (mut victim, mut theirs) = if sharded {
@@ -1109,7 +1151,8 @@ impl<M> ShardedScheduler<M> {
         // Compare in clamped hint space: in-hand IDLE work must not
         // register as less urgent than another shard's (equally IDLE)
         // clamped hint.
-        let mine_rank = if pool_overdue || mine.overdue(now) {
+        let overloaded = pool_overdue || mine.overdue(now);
+        let mine_rank = if overloaded {
             (victim, theirs) = self.best_other(exec.shard, true);
             unpack_rank(pack_rank(mine))
         } else {
@@ -1119,7 +1162,7 @@ impl<M> ShardedScheduler<M> {
         if !outranks(theirs, mine_rank, slack) {
             return Decision::Continue;
         }
-        if now.since(exec.acquired_at()) >= self.quantum {
+        if past_quantum {
             self.cross_swaps.fetch_add(1, Ordering::Relaxed);
             return Decision::Swap;
         }
@@ -1130,11 +1173,20 @@ impl<M> ShardedScheduler<M> {
         // operator is due first on that shard and would be handed out.
         let (tier, deadline) =
             unpack_rank(self.shards[victim].best_by_tier.load(Ordering::Acquire));
-        if deadline == theirs.1 && tier < mine.tier() {
-            self.cross_preemptions.fetch_add(1, Ordering::Relaxed);
-            return Decision::Swap;
+        if deadline != theirs.1 || tier >= mine.tier() {
+            return Decision::Continue;
         }
-        Decision::Continue
+        // And `acquire` must take this worker there: on time it is the
+        // steal rule, so a peer on the lease's own shard or on the
+        // worker's home that the strict head does not outrank (by the
+        // slack) would be handed out instead. Under overload the tier
+        // decides, and neither shard holds a stricter one than `theirs`.
+        let kept = |s: usize| s != victim && !outranks(theirs, self.advertised(s, false), slack);
+        if !overloaded && (kept(exec.shard) || kept(exec.home)) {
+            return Decision::Continue;
+        }
+        self.cross_preemptions.fetch_add(1, Ordering::Relaxed);
+        Decision::Swap
     }
 
     /// Return a lease. Reports whether the shard still has available
@@ -1877,6 +1929,89 @@ mod tests {
             let st = sh.stats();
             assert_eq!((st.tier_preemptions, st.cross_shard_swaps), (1, 1));
         }
+    }
+
+    #[test]
+    fn no_early_swap_when_acquire_would_hand_out_a_peer() {
+        let lax = |g| Priority::uniform(g).with_tier(17);
+        let strict = |g| Priority::uniform(g).with_tier(13);
+        let on = |sh: &ShardedScheduler<u64>, s, nth| {
+            let mut keys = (0..256).map(key).filter(|&k| sh.shard_of(k) == s);
+            keys.nth(nth).unwrap()
+        };
+
+        // A peer due first on the lease's own shard: `acquire` would
+        // hand it out, not the strict operator next door, so the lease
+        // is kept until the quantum — and then goes to the peer.
+        let sh = sharded(2, 1_000);
+        let (backlog, peer, tight) = (on(&sh, 0, 0), on(&sh, 0, 1), on(&sh, 1, 0));
+        sh.submit(backlog, 0, lax(50_000));
+        sh.submit(backlog, 1, lax(50_000));
+        let exec = sh.acquire(0, PhysicalTime(0)).unwrap();
+        assert_eq!(sh.take_message(&exec).unwrap().0, 0);
+        sh.submit(peer, 5, lax(5_000));
+        sh.submit(tight, 7, strict(9_000));
+        assert_eq!(sh.decide(&exec, PhysicalTime(300)), Decision::Continue);
+        assert_eq!(sh.stats().tier_preemptions, 0);
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_000)), Decision::Swap);
+        sh.release(exec);
+        let exec = sh.acquire(0, PhysicalTime(1_000)).unwrap();
+        assert_eq!(exec.key(), peer);
+        // With the peer in hand the strict operator is what `acquire`
+        // returns next, and it takes the worker at once.
+        assert_eq!(sh.take_message(&exec).unwrap().0, 5);
+        sh.submit(peer, 6, lax(50_000));
+        assert_eq!(sh.decide(&exec, PhysicalTime(1_100)), Decision::Swap);
+        sh.release(exec);
+        assert_eq!(sh.acquire(0, PhysicalTime(1_100)).unwrap().key(), tight);
+        let st = sh.stats();
+        assert_eq!((st.tier_preemptions, st.quantum_swaps), (1, 1));
+
+        // A worker homed on a third shard that holds a stolen lease:
+        // its `acquire` starts from home, and a peer there that the
+        // strict head does not outrank (ties favour home) keeps it.
+        let sh = sharded(3, 1_000);
+        let (backlog, tight, at_home) = (on(&sh, 0, 0), on(&sh, 1, 0), on(&sh, 2, 0));
+        sh.submit(backlog, 0, lax(50_000));
+        sh.submit(backlog, 1, lax(50_000));
+        let exec = sh.acquire(2, PhysicalTime(0)).unwrap();
+        assert_eq!((exec.key(), exec.shard()), (backlog, 0));
+        assert_eq!(sh.take_message(&exec).unwrap().0, 0);
+        sh.submit(tight, 7, strict(9_000));
+        sh.submit(at_home, 5, lax(9_000));
+        assert_eq!(sh.decide(&exec, PhysicalTime(300)), Decision::Continue);
+        assert_eq!(sh.stats().tier_preemptions, 0);
+        sh.release(exec);
+        assert_eq!(sh.acquire(2, PhysicalTime(300)).unwrap().key(), at_home);
+    }
+
+    #[test]
+    fn strictest_tier_is_the_pools_running_minimum() {
+        // What gates the hint scan before the quantum: with flat tiers
+        // no lease is ever above it; a strict tier opens the gate for
+        // laxer leases only, and for good.
+        let sh = sharded(2, 1_000);
+        let [a, b] = one_key_per_shard(&sh);
+        sh.submit(a, 0, Priority::uniform(50_000));
+        sh.submit(b, 1, Priority::uniform(9_000));
+        assert_eq!(
+            sh.strictest_tier.load(Ordering::Relaxed),
+            Priority::FLAT_TIER
+        );
+        let sh = sharded(2, 1_000);
+        sh.submit(a, 0, Priority::uniform(50_000).with_tier(17));
+        assert_eq!(sh.strictest_tier.load(Ordering::Relaxed), 17);
+        sh.submit(b, 1, Priority::uniform(9_000).with_tier(13));
+        assert_eq!(sh.strictest_tier.load(Ordering::Relaxed), 13);
+        while let Some(exec) = sh.acquire(0, PhysicalTime(0)) {
+            while sh.take_message(&exec).is_some() {}
+            sh.release(exec);
+        }
+        assert_eq!(
+            sh.strictest_tier.load(Ordering::Relaxed),
+            13,
+            "never raised"
+        );
     }
 
     #[test]

@@ -421,42 +421,46 @@ fn strict_jobs_ride_out_a_lax_overload_pulse() {
     assert_eq!(r.metrics.executions, again.metrics.executions);
 }
 
-/// The benchmark's `tenant_mix` in the simulator: one worker, four
+/// The benchmark's `tenant_mix` in the simulator, per worker: four
 /// strict jobs (100 µs per message, 10 ms target, 5 % of capacity
 /// together) beside two lax ones (400 µs, 400 ms target) whose bursts
 /// run the worker at 1.25× for a second — a backlog that stays on
-/// time, so this is deadline order throughout. A strict message that
-/// arrives inside the backlog used to wait out the lax lease's quantum;
-/// it now waits out one lax message, whatever the quantum, and the lax
-/// jobs pay only the strict work that goes first.
-#[test]
-fn strict_latency_does_not_depend_on_the_quantum_across_tiers() {
-    // Lax p95 of this scenario at the parent commit (1 ms quantum),
-    // where strict p95 was 1 379 µs, and 88 372 µs at 100 ms.
-    const PARENT_LAX_P95_US: f64 = 254_899.0;
-    let run = |sched: SchedulerKind, quantum_ms: u64| {
-        let mut sc = Scenario::new(ClusterSpec::single_node(1), sched)
-            .with_seed(7)
-            .with_quantum(Micros::from_millis(quantum_ms));
-        for i in 0..4 {
-            sc.add_job(
-                spin(&format!("strict-{i}"), 100, Micros::from_millis(10)),
-                WorkloadSpec::constant(1, 125.0, 1, Micros::from_secs(6)),
-            );
-        }
-        for i in 0..2 {
-            let mut wl = WorkloadSpec::constant(1, 750.0, 1, Micros::from_secs(6));
-            wl.sources = vec![RatePattern::PerSecond(vec![
-                1_500.0, 375.0, 375.0, 1_500.0, 375.0, 375.0,
-            ])];
-            sc.add_job(spin(&format!("lax-{i}"), 400, Micros::from_millis(400)), wl);
-        }
-        sc.run()
-    };
+/// time, so this is deadline order throughout. One shard per worker.
+fn tenant_mix(sched: SchedulerKind, quantum_ms: u64, workers: u16) -> SimReport {
+    let mut sc = Scenario::new(ClusterSpec::single_node(workers), sched)
+        .with_seed(7)
+        .with_shards(workers as usize)
+        .with_quantum(Micros::from_millis(quantum_ms));
+    for i in 0..4 * workers {
+        sc.add_job(
+            spin(&format!("strict-{i}"), 100, Micros::from_millis(10)),
+            WorkloadSpec::constant(1, 125.0, 1, Micros::from_secs(6)),
+        );
+    }
+    for i in 0..2 * workers {
+        let mut wl = WorkloadSpec::constant(1, 750.0, 1, Micros::from_secs(6));
+        wl.sources = vec![RatePattern::PerSecond(vec![
+            1_500.0, 375.0, 375.0, 1_500.0, 375.0, 375.0,
+        ])];
+        sc.add_job(spin(&format!("lax-{i}"), 400, Micros::from_millis(400)), wl);
+    }
+    sc.run()
+}
+
+/// A strict message that arrives inside a lax backlog used to wait out
+/// the lax lease's quantum; it now waits out one lax message, whatever
+/// the quantum, and the lax jobs pay only the strict work that goes
+/// first. `parent_lax_p95_us` is the lax p95 of the scenario at the
+/// parent commit (1 ms quantum).
+fn strict_latency_ignores_the_quantum(workers: u16, parent_lax_p95_us: f64) {
+    let run = |sched: SchedulerKind, quantum_ms: u64| tenant_mix(sched, quantum_ms, workers);
+    let n = workers as usize;
+    let (strict, lax): (Vec<usize>, Vec<usize>) = ((0..4 * n).collect(), (4 * n..6 * n).collect());
+    let all: Vec<usize> = (0..6 * n).collect();
     let cameo = SchedulerKind::Cameo(PolicyKind::Llf);
     let p95 = |r: &SimReport, jobs: &[usize]| r.group_percentiles(jobs, &[95.0])[0] as f64;
     let (fine, coarse) = (run(cameo, 1), run(cameo, 100));
-    let (strict_fine, strict_coarse) = (p95(&fine, &[0, 1, 2, 3]), p95(&coarse, &[0, 1, 2, 3]));
+    let (strict_fine, strict_coarse) = (p95(&fine, &strict), p95(&coarse, &strict));
     assert!(
         (strict_coarse - strict_fine).abs() <= 0.1 * strict_fine,
         "strict p95 follows the quantum: {strict_fine} µs at 1 ms, {strict_coarse} µs at 100 ms"
@@ -464,24 +468,20 @@ fn strict_latency_does_not_depend_on_the_quantum_across_tiers() {
     // One lax message (400 µs) and the strict one itself (100 µs).
     assert!(strict_fine < 700.0, "strict p95 {strict_fine} µs");
     for r in [&fine, &coarse] {
-        assert_eq!(
-            r.group_success(&[0, 1, 2, 3, 4, 5]),
-            1.0,
-            "nobody is ever late"
-        );
+        assert_eq!(r.group_success(&all), 1.0, "nobody is ever late");
         let st = r.metrics.sched;
         assert!(st.tier_preemptions > 0, "{st:?}");
         assert_eq!(st.overload_acquisitions, 0, "{st:?}");
-        let strict_msgs: u64 = (0..4).map(|j| r.job(j).outputs).sum();
+        let strict_msgs: u64 = strict.iter().map(|&j| r.job(j).outputs).sum();
         assert!(
             st.tier_preemptions <= strict_msgs,
             "{st:?} for {strict_msgs} strict messages"
         );
     }
-    let lax = p95(&fine, &[4, 5]);
+    let lax = p95(&fine, &lax);
     assert!(
-        (lax - PARENT_LAX_P95_US).abs() <= 0.05 * PARENT_LAX_P95_US,
-        "lax p95 {lax} µs, {PARENT_LAX_P95_US} µs at the parent commit"
+        (lax - parent_lax_p95_us).abs() <= 0.05 * parent_lax_p95_us,
+        "lax p95 {lax} µs, {parent_lax_p95_us} µs at the parent commit"
     );
     // FIFO priorities are one tier: nothing is ever cut short.
     assert_eq!(
@@ -489,7 +489,7 @@ fn strict_latency_does_not_depend_on_the_quantum_across_tiers() {
         0
     );
     let again = run(cameo, 100);
-    for j in 0..6 {
+    for j in all {
         assert_eq!(
             coarse.job(j).samples,
             again.job(j).samples,
@@ -497,4 +497,21 @@ fn strict_latency_does_not_depend_on_the_quantum_across_tiers() {
         );
     }
     assert_eq!(coarse.metrics.executions, again.metrics.executions);
+}
+
+/// One worker, one shard: strict p95 was 1 379 µs at the parent commit
+/// at a 1 ms quantum, and 88 372 µs at 100 ms.
+#[test]
+fn strict_latency_does_not_depend_on_the_quantum_across_tiers() {
+    strict_latency_ignores_the_quantum(1, 254_899.0);
+}
+
+/// Two workers on two shards and twice the jobs, so a strict operator
+/// is as often on the other shard as on the lease's own (1 119 of the
+/// 2 522 early swaps at 1 ms are cross-shard). Parent commit: strict
+/// p95 1 317 µs at 1 ms; 88 190 µs at 100 ms, with a tenth of all
+/// outputs late.
+#[test]
+fn strict_latency_does_not_depend_on_the_quantum_across_shards() {
+    strict_latency_ignores_the_quantum(2, 254_997.0);
 }
