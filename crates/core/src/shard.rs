@@ -19,8 +19,7 @@
 //!   blocks the worker draining that shard — ingress and compute are
 //!   decoupled the way Muppet decouples update hashing from workers,
 //!   which is what lets fine-grained scheduling stay off the critical
-//!   path. (`SchedulerConfig::mailbox = false` restores the locked
-//!   ingress path for A/B benchmarks and equivalence tests.)
+//!   path. The mailbox is the only way in: there is no locked submit.
 //! * **Cheap hint maintenance.** The two-level queue keeps exactly one
 //!   run-index entry per runnable operator (exact removal, nothing
 //!   stale to skip), so both the per-message refresh during a drain
@@ -109,7 +108,7 @@ use crate::mailbox::{Mail, MailChain, Mailbox};
 use crate::priority::{deadline_to_priority, Priority};
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::{Micros, PhysicalTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -181,50 +180,15 @@ fn outranks(theirs: (u8, i64), mine: (u8, i64), slack: i64) -> bool {
     theirs.0 < mine.0 || (theirs.0 == mine.0 && theirs.1.saturating_add(slack) < mine.1)
 }
 
-/// Everything guarded by a shard's mutex: the scheduler itself plus the
-/// overflow buffer for batch-capped mailbox drains.
-struct ShardCore<M> {
-    q: CameoScheduler<M>,
-    /// Mailbox messages detached but not yet admitted into `q` (only
-    /// ever non-empty when `mailbox_drain_batch > 0`). FIFO, so
-    /// submission order survives the cap.
-    pending: VecDeque<Mail<M>>,
-    /// Conservative lower bound (clamped global priority) over
-    /// `pending`; reset to [`EMPTY_HINT`] whenever `pending` empties.
-    /// May be stale-low after pops — hints are advisory, and a too-low
-    /// hint only costs an extra acquire attempt that drains the batch.
-    pending_min: i64,
-    /// The same bound in packed `(tier, global)` space
-    /// ([`EMPTY_RANK`] when `pending` is empty).
-    pending_rank_min: u64,
-}
-
-impl<M> ShardCore<M> {
-    /// Park detached mail in `pending`, folding it into both bounds.
-    fn hold(&mut self, mail: Mail<M>) {
-        self.pending_min = self.pending_min.min(hint_of(mail.pri));
-        self.pending_rank_min = self.pending_rank_min.min(pack_rank(mail.pri));
-        self.pending.push_back(mail);
-    }
-
-    /// Recompute both `pending` bounds after removals from the middle.
-    fn rescan_pending(&mut self) {
-        self.pending_min = EMPTY_HINT;
-        self.pending_rank_min = EMPTY_RANK;
-        for mail in &self.pending {
-            self.pending_min = self.pending_min.min(hint_of(mail.pri));
-            self.pending_rank_min = self.pending_rank_min.min(pack_rank(mail.pri));
-        }
-    }
-}
-
 /// Cache-line aligned so neighboring shards' hot fields (the lock word,
 /// the mailbox head and the hint atomics, written on every operation)
 /// never share a line — cross-shard traffic should be limited to the
 /// intentional hint reads of the steal scan.
 #[repr(align(128))]
 struct Shard<M> {
-    core: Mutex<ShardCore<M>>,
+    /// The shard's scheduler; holding this lock is what "under the
+    /// shard lock" means throughout.
+    core: Mutex<CameoScheduler<M>>,
     /// Lock-free ingress: `submit` pushes here, workers drain under the
     /// core lock at acquire/take/decide/release boundaries.
     mailbox: Mailbox<M>,
@@ -249,8 +213,8 @@ struct Shard<M> {
     /// out under overload ([`EMPTY_RANK`] when none); maintained exactly
     /// like `best`.
     best_by_tier: AtomicU64,
-    /// Pending message count across mailbox + pending + queue. Every
-    /// submit path counts a message *before* publishing it, so the
+    /// Pending message count across mailbox + queue. Every submit
+    /// path counts a message *before* publishing it, so the
     /// gauge never reads below what a drain can take out (no wrap, no
     /// "empty" with mail in flight); it may transiently read high.
     msgs: AtomicUsize,
@@ -262,9 +226,8 @@ pub struct Submission {
     /// Shard the message landed on.
     pub shard: usize,
     /// The submitted priority improved the shard's advertised
-    /// best-priority hint (on the mailbox path) or made the target
-    /// operator newly runnable (on the locked path). Parked workers are
-    /// woken by `submit` itself either way; this is informational.
+    /// best-priority hint. Parked workers are woken by `submit` itself
+    /// either way; this is informational.
     pub hint_improved: bool,
 }
 
@@ -322,10 +285,6 @@ pub struct ShardedScheduler<M> {
     /// everywhere because the threshold only shapes the urgency
     /// approximation, never correctness.
     steal_threshold: AtomicI64,
-    /// Lock-free mailbox ingress (default) vs locked ingress.
-    use_mailbox: bool,
-    /// Max mailbox messages admitted per lock acquisition (0 = all).
-    drain_batch: usize,
     steals: AtomicU64,
     cross_swaps: AtomicU64,
     /// Swaps before the quantum to a stricter-tier operator on another
@@ -369,8 +328,7 @@ pub struct ShardedScheduler<M> {
     /// Installs and removals happen under the *source* shard's core
     /// lock (core → placement lock order, like core → retired, never
     /// the reverse), which is what makes the under-lock placement
-    /// re-checks in `submit_locked` and `migrate_operator`
-    /// authoritative.
+    /// re-check in `migrate_operator` authoritative.
     placement: Mutex<HashMap<OperatorKey, usize>>,
     /// 64-bit membership fingerprint over `placement` (bit from the
     /// key's Fibonacci mix). [`shard_of`](Self::shard_of) tests one
@@ -413,12 +371,7 @@ impl<M> ShardedScheduler<M> {
         ShardedScheduler {
             shards: (0..n)
                 .map(|_| Shard {
-                    core: Mutex::new(ShardCore {
-                        q: CameoScheduler::new(config),
-                        pending: VecDeque::new(),
-                        pending_min: EMPTY_HINT,
-                        pending_rank_min: EMPTY_RANK,
-                    }),
+                    core: Mutex::new(CameoScheduler::new(config)),
                     mailbox: Mailbox::new(),
                     cv: Condvar::new(),
                     park: Mutex::new(()),
@@ -430,8 +383,6 @@ impl<M> ShardedScheduler<M> {
                 .collect(),
             quantum: config.quantum,
             steal_threshold: AtomicI64::new(config.steal_threshold.0.min(i64::MAX as u64) as i64),
-            use_mailbox: config.mailbox,
-            drain_batch: config.mailbox_drain_batch,
             steals: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
             cross_preemptions: AtomicU64::new(0),
@@ -512,7 +463,7 @@ impl<M> ShardedScheduler<M> {
         self.home_shard(key)
     }
 
-    fn lock(&self, s: usize) -> MutexGuard<'_, ShardCore<M>> {
+    fn lock(&self, s: usize) -> MutexGuard<'_, CameoScheduler<M>> {
         // A worker panicking inside scheduler code must not wedge the
         // other workers: recover the guard, matching parking_lot
         // semantics.
@@ -523,9 +474,8 @@ impl<M> ShardedScheduler<M> {
     }
 
     /// Move everything the mailbox holds into the shard's two-level
-    /// queue (capped by `mailbox_drain_batch`), in submission order.
-    /// Must be called with the shard lock held (the `core` borrow
-    /// proves it).
+    /// queue, in submission order. Must be called with the shard lock
+    /// held (the `core` borrow proves it).
     ///
     /// Retired jobs' mail is dropped instead of admitted (zero happens
     /// outside churn windows). The return value counts those drops —
@@ -533,119 +483,99 @@ impl<M> ShardedScheduler<M> {
     /// when `Some` (so `retire_job` can attribute its purge total to
     /// the job actually being retired, not to other concurrently
     /// retiring jobs' stragglers swept up in the same drain).
-    fn drain_locked(&self, s: usize, core: &mut ShardCore<M>, count_job: Option<JobId>) -> usize {
-        let mut retired_dropped = 0usize;
+    fn drain_locked(
+        &self,
+        s: usize,
+        core: &mut CameoScheduler<M>,
+        count_job: Option<JobId>,
+    ) -> usize {
         let sh = &self.shards[s];
-        if !sh.mailbox.is_empty() {
-            let fp = self.retired_fp.load(Ordering::SeqCst);
-            let pfp = self.placement_fp.load(Ordering::SeqCst);
-            if fp == 0 && pfp == 0 {
-                sh.mailbox.drain(|mail| core.hold(mail));
-            } else {
-                // Straggler mail for retired jobs (a producer's CAS that
-                // raced the retirement mark) is discarded here, so a
-                // retired job's messages can never re-enter a queue.
-                // Per-mail fingerprint test first; the set mutex is
-                // taken lazily on the first bit hit, so live jobs' mail
-                // drains lock-free even while other slots sit retired.
-                //
-                // Likewise, mail for a *migrated* operator (a producer
-                // whose placement read raced the override install) is
-                // forwarded to the operator's current shard instead of
-                // being admitted here — admission at a stale shard
-                // would split the operator across two queues and break
-                // lease exclusivity. The forward is the lock-free
-                // submit path (dest mailbox CAS + hint CAS + deferred
-                // wake), so no other shard's core lock is taken.
-                let mut retired: Option<MutexGuard<'_, HashSet<JobId>>> = None;
-                let mut dropped = 0usize;
-                let mut counted = 0usize;
-                let mut rerouted = 0usize;
-                let mut woken: Vec<usize> = Vec::new();
-                sh.mailbox.drain(|mail| {
-                    if fp != 0 && fp & fp_bit(mail.key.job) != 0 {
-                        let set = retired.get_or_insert_with(|| {
-                            self.retired.lock().unwrap_or_else(|p| p.into_inner())
-                        });
-                        if set.contains(&mail.key.job) {
-                            dropped += 1;
-                            if count_job.is_none_or(|j| j == mail.key.job) {
-                                counted += 1;
-                            }
-                            return;
-                        }
+        if sh.mailbox.is_empty() {
+            return 0;
+        }
+        let fp = self.retired_fp.load(Ordering::SeqCst);
+        let pfp = self.placement_fp.load(Ordering::SeqCst);
+        if fp == 0 && pfp == 0 {
+            let admitted = sh.mailbox.drain(|mail| {
+                core.submit(mail.key, mail.msg, mail.pri);
+            });
+            self.mailbox_drained
+                .fetch_add(admitted as u64, Ordering::Relaxed);
+            return 0;
+        }
+        // Straggler mail for retired jobs (a producer's CAS that raced
+        // the retirement mark) is discarded here, so a retired job's
+        // messages can never re-enter a queue. Per-mail fingerprint
+        // test first; the set mutex is taken lazily on the first bit
+        // hit, so live jobs' mail drains lock-free even while other
+        // slots sit retired.
+        //
+        // Likewise, mail for a *migrated* operator (a producer whose
+        // placement read raced the override install) is forwarded to
+        // the operator's current shard instead of being admitted here —
+        // admission at a stale shard would split the operator across
+        // two queues and break lease exclusivity. The forward is the
+        // lock-free submit path (dest mailbox CAS + hint CAS + deferred
+        // wake), so no other shard's core lock is taken.
+        let mut retired: Option<MutexGuard<'_, HashSet<JobId>>> = None;
+        let mut dropped = 0usize;
+        let mut counted = 0usize;
+        let mut rerouted = 0usize;
+        let mut woken: Vec<usize> = Vec::new();
+        let drained = sh.mailbox.drain(|mail| {
+            if fp != 0 && fp & fp_bit(mail.key.job) != 0 {
+                let set = retired
+                    .get_or_insert_with(|| self.retired.lock().unwrap_or_else(|p| p.into_inner()));
+                if set.contains(&mail.key.job) {
+                    dropped += 1;
+                    if count_job.is_none_or(|j| j == mail.key.job) {
+                        counted += 1;
                     }
-                    if pfp != 0 && pfp & placement_bit(mail.key) != 0 {
-                        let dest = self.shard_of(mail.key);
-                        if dest != s {
-                            self.shards[dest].msgs.fetch_add(1, Ordering::Relaxed);
-                            self.shards[dest].mailbox.push(mail.key, mail.msg, mail.pri);
-                            self.lower_hint(dest, hint_of(mail.pri), pack_rank(mail.pri));
-                            if !woken.contains(&dest) {
-                                woken.push(dest);
-                            }
-                            rerouted += 1;
-                            return;
-                        }
-                    }
-                    core.hold(mail);
-                });
-                drop(retired);
-                if dropped > 0 {
-                    sh.msgs.fetch_sub(dropped, Ordering::Relaxed);
-                    self.retired_drops
-                        .fetch_add(dropped as u64, Ordering::Relaxed);
-                    retired_dropped = counted;
-                }
-                if rerouted > 0 {
-                    sh.msgs.fetch_sub(rerouted, Ordering::Relaxed);
-                }
-                for dest in woken {
-                    // The forwarding pushes were SeqCst RMWs, ordered
-                    // before wake_one's parked read — the usual
-                    // handshake.
-                    self.wake_one(dest);
+                    return;
                 }
             }
+            if pfp != 0 && pfp & placement_bit(mail.key) != 0 {
+                let dest = self.shard_of(mail.key);
+                if dest != s {
+                    self.shards[dest].msgs.fetch_add(1, Ordering::Relaxed);
+                    self.shards[dest].mailbox.push(mail.key, mail.msg, mail.pri);
+                    self.lower_hint(dest, hint_of(mail.pri), pack_rank(mail.pri));
+                    if !woken.contains(&dest) {
+                        woken.push(dest);
+                    }
+                    rerouted += 1;
+                    return;
+                }
+            }
+            core.submit(mail.key, mail.msg, mail.pri);
+        });
+        drop(retired);
+        if dropped > 0 {
+            self.retired_drops
+                .fetch_add(dropped as u64, Ordering::Relaxed);
         }
-        if core.pending.is_empty() {
-            return retired_dropped;
+        if dropped + rerouted > 0 {
+            sh.msgs.fetch_sub(dropped + rerouted, Ordering::Relaxed);
         }
-        let cap = if self.drain_batch == 0 {
-            usize::MAX
-        } else {
-            self.drain_batch
-        };
-        let mut admitted = 0u64;
-        while (admitted as usize) < cap {
-            let Some(mail) = core.pending.pop_front() else {
-                break;
-            };
-            core.q.submit(mail.key, mail.msg, mail.pri);
-            admitted += 1;
+        for dest in woken {
+            // The forwarding pushes were SeqCst RMWs, ordered before
+            // wake_one's parked read — the usual handshake.
+            self.wake_one(dest);
         }
-        if core.pending.is_empty() {
-            core.pending_min = EMPTY_HINT;
-            core.pending_rank_min = EMPTY_RANK;
-        }
-        if admitted > 0 {
-            self.mailbox_drained.fetch_add(admitted, Ordering::Relaxed);
-        }
-        retired_dropped
+        self.mailbox_drained
+            .fetch_add((drained - dropped - rerouted) as u64, Ordering::Relaxed);
+        counted
     }
 
     /// Recompute a shard's two hints exactly (the run index answers
-    /// both orders directly, and the pending-batch bounds are tracked
-    /// incrementally). Must be called with the shard lock held. Stores
-    /// are skipped when nothing changed to keep the line clean for the
-    /// steal scans of other workers.
-    fn refresh_hint(&self, s: usize, core: &ShardCore<M>) {
+    /// both orders directly). Must be called with the shard lock held.
+    /// Stores are skipped when nothing changed to keep the line clean
+    /// for the steal scans of other workers.
+    fn refresh_hint(&self, s: usize, core: &CameoScheduler<M>) {
         let hint = core
-            .q
             .peek_best()
             .map(|(_, p)| hint_of(p))
-            .unwrap_or(EMPTY_HINT)
-            .min(core.pending_min);
+            .unwrap_or(EMPTY_HINT);
         let best = &self.shards[s].best;
         if best.load(Ordering::Relaxed) != hint {
             best.store(hint, Ordering::SeqCst);
@@ -656,11 +586,9 @@ impl<M> ShardedScheduler<M> {
             return;
         }
         let rank = core
-            .q
             .peek_best_by_tier()
             .map(pack_rank)
-            .unwrap_or(EMPTY_RANK)
-            .min(core.pending_rank_min);
+            .unwrap_or(EMPTY_RANK);
         let best_by_tier = &self.shards[s].best_by_tier;
         if best_by_tier.load(Ordering::Relaxed) != rank {
             best_by_tier.store(rank, Ordering::SeqCst);
@@ -704,10 +632,10 @@ impl<M> ShardedScheduler<M> {
     /// woken internally — callers no longer need to pair `submit` with
     /// [`notify_shard`](Self::notify_shard).
     ///
-    /// On the default mailbox path this is lock-free: a mailbox CAS, a
-    /// downward hint CAS when the message improves the shard's best,
-    /// and a wake check. The shard mutex is never touched, so a bursty
-    /// submitter cannot block the worker draining the same shard.
+    /// This is lock-free: a mailbox CAS, a downward hint CAS when the
+    /// message improves the shard's best, and a wake check. The shard
+    /// mutex is never touched, so a bursty submitter cannot block the
+    /// worker draining the same shard.
     pub fn submit(&self, key: OperatorKey, msg: M, pri: Priority) -> Submission {
         let s = self.shard_of(key);
         if self.maybe_retired(key.job) && self.is_retired(key.job) {
@@ -716,9 +644,6 @@ impl<M> ShardedScheduler<M> {
                 shard: s,
                 hint_improved: false,
             };
-        }
-        if !self.use_mailbox {
-            return self.submit_locked(s, key, msg, pri);
         }
         let sh = &self.shards[s];
         // Count, then publish: a drain that takes this message out
@@ -745,10 +670,8 @@ impl<M> ShardedScheduler<M> {
     /// allocates nothing beyond the small per-call chain table.
     ///
     /// Per-operator FIFO is preserved exactly as with per-message
-    /// [`submit`](Self::submit): a chain drains in add order. On the
-    /// locked ingress path (`SchedulerConfig::mailbox = false`) this
-    /// degrades to per-message locked submission. Returns the number of
-    /// messages submitted.
+    /// [`submit`](Self::submit): a chain drains in add order. Returns
+    /// the number of messages submitted.
     pub fn submit_batch<I>(&self, items: I) -> usize
     where
         I: IntoIterator<Item = (OperatorKey, M, Priority)>,
@@ -766,9 +689,7 @@ impl<M> ShardedScheduler<M> {
         // takes the set mutex *briefly and on its own* (`is_retired`):
         // the filter runs lazily inside the submission loop, so holding
         // a cached guard across it would self-deadlock against
-        // `submit`'s own retirement check on the small-batch path and
-        // invert the core→retired lock order on the locked-ingress
-        // path.
+        // `submit`'s own retirement check on the small-batch path.
         let mut verdicts: Vec<(JobId, bool)> = Vec::new();
         let mut dropped = 0usize;
         let n = self.submit_batch_inner(items.into_iter().filter(|(key, _, _)| {
@@ -799,14 +720,6 @@ impl<M> ShardedScheduler<M> {
     where
         I: Iterator<Item = (OperatorKey, M, Priority)>,
     {
-        if !self.use_mailbox {
-            let mut total = 0usize;
-            for (key, msg, pri) in items {
-                self.submit_locked(self.shard_of(key), key, msg, pri);
-                total += 1;
-            }
-            return total;
-        }
         // Tiny batches (typical operator fan-out: one or two outbound
         // messages) aren't worth a chain table or a whole-pool claim —
         // per-message submits are cheaper there, allocation-free, and
@@ -878,43 +791,6 @@ impl<M> ShardedScheduler<M> {
         total
     }
 
-    /// The pre-mailbox ingress path (`SchedulerConfig::mailbox =
-    /// false`): submit under the shard lock, refreshing the hint from
-    /// the push outcome.
-    fn submit_locked(&self, mut s: usize, key: OperatorKey, msg: M, pri: Priority) -> Submission {
-        let newly_runnable = loop {
-            let mut core = self.lock(s);
-            // A migration may have moved `key` between the caller's
-            // placement read and this lock. Unlike the mailbox path
-            // (where a stale push is forwarded at the next drain),
-            // admission here is final, so re-check under the lock:
-            // overrides are installed under the source shard's core
-            // lock, so a read that still names the locked shard is
-            // authoritative. Skipped entirely while no override
-            // exists.
-            if self.placement_fp.load(Ordering::SeqCst) != 0 {
-                let cur = self.shard_of(key);
-                if cur != s {
-                    drop(core);
-                    s = cur;
-                    continue;
-                }
-            }
-            let out = core.q.submit(key, msg, pri);
-            self.shards[s].msgs.fetch_add(1, Ordering::Relaxed);
-            self.refresh_hint(s, &core);
-            break out.newly_runnable;
-        };
-        if newly_runnable {
-            fence(Ordering::SeqCst);
-            self.wake_one(s);
-        }
-        Submission {
-            shard: s,
-            hint_improved: newly_runnable,
-        }
-    }
-
     fn try_acquire_at(
         &self,
         s: usize,
@@ -925,7 +801,7 @@ impl<M> ShardedScheduler<M> {
         let mut core = self.lock(s);
         self.drain_locked(s, &mut core, None);
         let exec = loop {
-            let Some(exec) = core.q.acquire_in(now, pool_overdue) else {
+            let Some(exec) = core.acquire_in(now, pool_overdue) else {
                 break None;
             };
             // Refuse leases on retired jobs' operators: purge whatever
@@ -935,11 +811,11 @@ impl<M> ShardedScheduler<M> {
             // not also as `retired_drops` — keeping the two counters
             // disjoint.
             if self.maybe_retired(exec.key().job) && self.is_retired(exec.key().job) {
-                let purged = core.q.retire(exec.key().job);
+                let purged = core.retire(exec.key().job);
                 if purged > 0 {
                     self.shards[s].msgs.fetch_sub(purged, Ordering::Relaxed);
                 }
-                core.q.release(exec);
+                core.release(exec);
                 continue;
             }
             break Some(exec);
@@ -1004,10 +880,7 @@ impl<M> ShardedScheduler<M> {
     /// really is. Steal decisions based on such a bound would break the
     /// zero-threshold drain-order property. So: whenever the picked
     /// shard still has undrained mail, drain it (which makes its hint
-    /// exact under the default unlimited drain batch; with
-    /// `mailbox_drain_batch > 0` a leftover `pending_min` can keep the
-    /// hint a bound, so the drain-order property only holds for the
-    /// default), re-pick, and repeat until the pick is stable. Each
+    /// exact), re-pick, and repeat until the pick is stable. Each
     /// iteration empties one shard's mailbox, so single-threaded this
     /// converges within one pass; the cap keeps adversarial concurrent
     /// submit storms from livelocking the picker (hints are advisory
@@ -1094,11 +967,11 @@ impl<M> ShardedScheduler<M> {
 
     /// Take the next message of the acquired operator. Drains the
     /// shard's mailbox first, so messages submitted while the operator
-    /// is held become visible exactly as they did on the locked path.
+    /// is held are visible to the holder.
     pub fn take_message(&self, exec: &ShardExecution) -> Option<(M, Priority)> {
         let mut core = self.lock(exec.shard);
         self.drain_locked(exec.shard, &mut core, None);
-        let out = core.q.take_message(&exec.exec);
+        let out = core.take_message(&exec.exec);
         if out.is_some() {
             self.shards[exec.shard].msgs.fetch_sub(1, Ordering::Relaxed);
         }
@@ -1140,8 +1013,8 @@ impl<M> ShardedScheduler<M> {
         let mine = {
             let mut core = self.lock(exec.shard);
             self.drain_locked(exec.shard, &mut core, None);
-            match core.q.decide_in(&exec.exec, now, pool_overdue) {
-                Decision::Continue => core.q.peek_next(&exec.exec),
+            match core.decide_in(&exec.exec, now, pool_overdue) {
+                Decision::Continue => core.peek_next(&exec.exec),
                 other => return other,
             }
         };
@@ -1196,16 +1069,15 @@ impl<M> ShardedScheduler<M> {
         let s = exec.shard;
         let mut core = self.lock(s);
         self.drain_locked(s, &mut core, None);
-        core.q.release(exec.exec);
+        core.release(exec.exec);
         self.refresh_hint(s, &core);
         self.shards[s].best.load(Ordering::Acquire) != EMPTY_HINT
     }
 
     /// Retire `job`: a first-class scheduler operation backing the
     /// runtime's `undeploy`. Marks the job retired, then sweeps every
-    /// shard, purging the job's messages from the mailbox, the pending
-    /// overflow buffer and the two-level queue. Returns the total
-    /// number of messages purged.
+    /// shard, purging the job's messages from the mailbox and the
+    /// two-level queue. Returns the total number of messages purged.
     ///
     /// The mark is placed *before* the sweep, so from the sweep's point
     /// of view the job's message population can only shrink: new
@@ -1243,22 +1115,10 @@ impl<M> ShardedScheduler<M> {
             // other concurrently-retiring jobs' stragglers out of this
             // job's purge total.
             purged += self.drain_locked(s, &mut core, Some(job));
-            let before = core.pending.len();
-            core.pending.retain(|mail| mail.key.job != job);
-            let from_pending = before - core.pending.len();
-            core.rescan_pending();
-            let from_queue = core.q.retire(job);
-            let n = from_pending + from_queue;
-            if n > 0 {
-                purged += n;
-                self.shards[s].msgs.fetch_sub(n, Ordering::Relaxed);
-            }
-            // Overflow-buffer removals are detached-but-unadmitted mail,
-            // like mailbox stragglers — count them as retired drops so
-            // `messages_purged + retired_drops` covers the whole purge.
-            if from_pending > 0 {
-                self.retired_drops
-                    .fetch_add(from_pending as u64, Ordering::Relaxed);
+            let from_queue = core.retire(job);
+            if from_queue > 0 {
+                purged += from_queue;
+                self.shards[s].msgs.fetch_sub(from_queue, Ordering::Relaxed);
             }
             self.refresh_hint(s, &core);
         }
@@ -1301,12 +1161,11 @@ impl<M> ShardedScheduler<M> {
         let s = shard % self.shards.len();
         let mut core = self.lock(s);
         self.drain_locked(s, &mut core, None);
-        core.q.busiest_operator()
+        core.busiest_operator()
     }
 
-    /// Per-shard pending message counts (mailbox + pending overflow +
-    /// queue; approximate between lock regions) — the controller's
-    /// imbalance sensor.
+    /// Per-shard pending message counts (mailbox + queue; approximate
+    /// between lock regions) — the controller's imbalance sensor.
     pub fn shard_backlogs(&self) -> Vec<usize> {
         self.shards
             .iter()
@@ -1320,14 +1179,12 @@ impl<M> ShardedScheduler<M> {
     ///
     /// Protocol: under the *source* shard's core lock, drain the
     /// mailbox, extract the operator's queued messages from the
-    /// two-level queue, pull its stragglers out of the pending
-    /// overflow buffer, and install the placement override — still
+    /// two-level queue, and install the placement override — still
     /// under the lock, so nothing can be admitted at the source in
     /// between. Once the lock drops, the extracted messages are
     /// re-submitted and route to `to` via the new placement; mail
     /// still in flight toward the source's mailbox is forwarded at its
-    /// next drain (`drain_locked`'s re-route), and the locked ingress
-    /// path re-checks placement under the lock. Messages present
+    /// next drain (`drain_locked`'s re-route). Messages present
     /// strictly before the call keep their relative urgency order; a
     /// submission racing the migration may interleave with the moved
     /// batch by priority rather than strict submission order (the same
@@ -1350,8 +1207,10 @@ impl<M> ShardedScheduler<M> {
                 return false;
             }
             let mut core = self.lock(from);
-            // Same re-check as `submit_locked`: a concurrent migration
-            // may have moved the key before we took the lock.
+            // A concurrent migration may have moved the key before we
+            // took the lock. Overrides are installed under the source
+            // shard's core lock, so a read that still names the locked
+            // shard is authoritative.
             let cur = self.shard_of(key);
             if cur != from {
                 drop(core);
@@ -1359,25 +1218,11 @@ impl<M> ShardedScheduler<M> {
                 continue;
             }
             self.drain_locked(from, &mut core, None);
-            let Some(msgs) = core.q.extract_operator(key) else {
+            let Some(msgs) = core.extract_operator(key) else {
                 return false;
             };
-            let mut moved: Vec<(OperatorKey, M, Priority)> =
+            let moved: Vec<(OperatorKey, M, Priority)> =
                 msgs.into_iter().map(|(m, p)| (key, m, p)).collect();
-            // Stragglers capped out of the last drain ride along too
-            // (only ever present with `mailbox_drain_batch > 0`).
-            if core.pending.iter().any(|mail| mail.key == key) {
-                let mut kept = VecDeque::with_capacity(core.pending.len());
-                for mail in core.pending.drain(..) {
-                    if mail.key == key {
-                        moved.push((mail.key, mail.msg, mail.pri));
-                    } else {
-                        kept.push_back(mail);
-                    }
-                }
-                core.pending = kept;
-                core.rescan_pending();
-            }
             {
                 let mut table = self.placement.lock().unwrap_or_else(|p| p.into_inner());
                 if to == self.home_shard(key) {
@@ -1460,7 +1305,7 @@ impl<M> ShardedScheduler<M> {
     pub fn stats(&self) -> SchedulerStats {
         let mut total = SchedulerStats::default();
         for s in 0..self.shards.len() {
-            total.merge(self.lock(s).q.stats());
+            total.merge(self.lock(s).stats());
         }
         total.steals = self.steals.load(Ordering::Relaxed);
         total.cross_shard_swaps = self.cross_swaps.load(Ordering::Relaxed);
@@ -1580,9 +1425,11 @@ mod tests {
         let sh = sharded(1, 0);
         let mut plain: CameoScheduler<u64> =
             CameoScheduler::new(SchedulerConfig::default().with_quantum(Micros(0)));
-        for (i, g) in [30i64, 10, 20, 10, 5].iter().enumerate() {
-            sh.submit(key(i as u32), i as u64, Priority::uniform(*g));
-            plain.submit(key(i as u32), i as u64, Priority::uniform(*g));
+        // Seven messages over three operators, so operators hold more
+        // than one message and local order matters too.
+        for (i, g) in [7i64, 3, 9, 3, 1, 8, 2].iter().enumerate() {
+            sh.submit(key(i as u32 % 3), i as u64, Priority::uniform(*g));
+            plain.submit(key(i as u32 % 3), i as u64, Priority::uniform(*g));
         }
         let mut plain_order = Vec::new();
         while let Some(exec) = plain.acquire(PhysicalTime::ZERO) {
@@ -1592,42 +1439,11 @@ mod tests {
             plain.release(exec);
         }
         assert_eq!(drain(&sh, 0), plain_order);
-    }
-
-    #[test]
-    fn mailbox_and_locked_ingress_drain_identically() {
-        let mk = |mailbox: bool| {
-            ShardedScheduler::<u64>::new(
-                SchedulerConfig::default()
-                    .with_quantum(Micros(0))
-                    .with_mailbox(mailbox),
-            )
-        };
-        let a = mk(true);
-        let b = mk(false);
-        for (i, g) in [7i64, 3, 9, 3, 1, 8, 2].iter().enumerate() {
-            a.submit(key(i as u32 % 3), i as u64, Priority::uniform(*g));
-            b.submit(key(i as u32 % 3), i as u64, Priority::uniform(*g));
-        }
-        assert_eq!(drain(&a, 0), drain(&b, 0));
-        assert!(a.stats().mailbox_drained > 0);
-        assert_eq!(b.stats().mailbox_drained, 0);
-    }
-
-    #[test]
-    fn drain_batch_cap_preserves_order_and_loses_nothing() {
-        let sh = ShardedScheduler::<u64>::new(
-            SchedulerConfig::default()
-                .with_quantum(Micros(0))
-                .with_mailbox_drain_batch(3),
+        assert_eq!(
+            sh.stats().mailbox_drained,
+            7,
+            "every message came in by mail"
         );
-        for i in 0..20u64 {
-            sh.submit(key(0), i, Priority::uniform(0));
-        }
-        // Equal priorities: FIFO order must survive the capped drains.
-        assert_eq!(drain(&sh, 0), (0..20).collect::<Vec<_>>());
-        assert!(sh.is_empty());
-        assert_eq!(sh.stats().mailbox_drained, 20);
     }
 
     #[test]
@@ -1661,19 +1477,6 @@ mod tests {
             0,
             "per-message path uncounted"
         );
-    }
-
-    #[test]
-    fn submit_batch_locked_fallback() {
-        let sh = ShardedScheduler::<u64>::new(
-            SchedulerConfig::default()
-                .with_quantum(Micros(0))
-                .with_mailbox(false),
-        );
-        let n = sh.submit_batch((0..10u64).map(|i| (key(0), i, Priority::uniform(0))));
-        assert_eq!(n, 10);
-        assert_eq!(drain(&sh, 0), (0..10).collect::<Vec<_>>());
-        assert_eq!(sh.stats().mailbox_drained, 0, "locked path skips mailboxes");
     }
 
     #[test]
@@ -2163,35 +1966,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_counts_pending_overflow_purges() {
-        // With a capped drain batch, retirement finds messages in three
-        // places — mailbox, pending overflow, and the queue — and every
-        // one of them must land in `messages_purged + retired_drops`.
-        let sh = ShardedScheduler::<u64>::new(
-            SchedulerConfig::default()
-                .with_quantum(Micros(0))
-                .with_mailbox_drain_batch(2),
-        );
-        for i in 0..10u64 {
-            sh.submit(key(0), i, Priority::uniform(0));
-        }
-        // One acquire drains the mailbox into `pending` (admitting 2);
-        // consume one message, leaving work in both pending and queue.
-        let exec = sh.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(sh.take_message(&exec).unwrap().0, 0);
-        sh.release(exec);
-        let purged = sh.retire_job(JobId(0));
-        assert_eq!(purged, 9, "everything but the consumed message");
-        assert!(sh.is_empty());
-        let st = sh.stats();
-        assert_eq!(
-            st.messages_purged + st.retired_drops,
-            9,
-            "pending-overflow purges must be counted: {st:?}"
-        );
-    }
-
-    #[test]
     fn fingerprint_collisions_do_not_misroute_live_jobs() {
         // JobId 64 shares JobId 0's fingerprint bit (64 % 64 == 0): a
         // retired job 0 must not cause job 64's (false-positive path)
@@ -2311,7 +2085,7 @@ mod tests {
             let mut core = sh.lock(from);
             sh.drain_locked(from, &mut core, None);
             assert!(
-                core.q.peek_best().is_none() && core.pending.is_empty(),
+                core.peek_best().is_none(),
                 "straggler must not be admitted at the stale shard"
             );
         }
@@ -2348,47 +2122,18 @@ mod tests {
     }
 
     #[test]
-    fn locked_ingress_follows_migrated_placement() {
-        let sh = ShardedScheduler::<u64>::new(
-            SchedulerConfig::default()
-                .with_shards(4)
-                .with_quantum(Micros(0))
-                .with_mailbox(false),
-        );
+    fn submit_after_migration_follows_placement() {
+        let sh = sharded(4, 0);
         let k = key(2);
         let to = (sh.shard_of(k) + 2) % 4;
         sh.submit(k, 1, Priority::uniform(1));
         assert!(sh.migrate_operator(k, to));
-        // Post-migration locked submits must land on the new shard —
-        // the under-lock placement re-check, since admission on the
-        // locked path is final.
-        sh.submit(k, 2, Priority::uniform(2));
-        assert_eq!(sh.shards[to].msgs.load(Ordering::Relaxed), 2);
-        assert_eq!(drain(&sh, 0), vec![1, 2]);
-    }
-
-    #[test]
-    fn migrate_operator_moves_capped_pending_overflow() {
-        let sh = ShardedScheduler::<u64>::new(
-            SchedulerConfig::default()
-                .with_shards(2)
-                .with_quantum(Micros(0))
-                .with_mailbox_drain_batch(2),
-        );
-        let k = key(0);
-        let from = sh.shard_of(k);
-        for i in 0..10u64 {
-            sh.submit(k, i, Priority::uniform(0));
-        }
-        // One acquire drains the mailbox but admits only 2 messages;
-        // the rest sit in the pending overflow buffer.
-        let exec = sh.acquire(from, PhysicalTime::ZERO).unwrap();
-        assert_eq!(sh.take_message(&exec).unwrap().0, 0);
-        sh.release(exec);
-        assert!(sh.migrate_operator(k, 1 - from));
-        // Every message — queue and overflow alike — survived the move
-        // in submission order (equal priorities).
-        assert_eq!(drain(&sh, 0), (1..10).collect::<Vec<_>>());
+        // Post-migration submits, single and batched, land on the new
+        // shard directly: nothing is left for a drain to forward.
+        assert_eq!(sh.submit(k, 2, Priority::uniform(2)).shard, to);
+        sh.submit_batch((3..6u64).map(|i| (k, i, Priority::uniform(i as i64))));
+        assert_eq!(sh.shards[to].msgs.load(Ordering::Relaxed), 5);
+        assert_eq!(drain(&sh, 0), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

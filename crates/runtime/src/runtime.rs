@@ -296,34 +296,20 @@ pub struct IngestOutcome {
 pub struct RuntimeConfig {
     /// Worker threads draining the scheduler (0 = queue-only runtime).
     pub workers: usize,
-    /// Scheduling quantum (§5.2; default 1 ms): how long a worker keeps
-    /// an operator before it yields to a more urgent one of the same or
-    /// a laxer latency tier. A stricter-tier operator that outranks the
-    /// one in hand takes the worker at the next message boundary
-    /// whatever this is set to (see
-    /// [`SchedulerConfig::quantum`](cameo_core::config::SchedulerConfig::quantum)).
-    pub quantum: Micros,
     /// The priority policy building and interpreting contexts.
     pub policy: Arc<dyn Policy>,
-    /// Scheduler shards. `0` (default) auto-sizes to
-    /// `min(workers, 8)`; the count is always clamped to `workers` so
-    /// every shard has at least one affine worker.
-    pub shards: usize,
-    /// Steal slack passed through to [`SchedulerConfig`].
-    pub steal_threshold: Micros,
-    /// Lock-free mailbox ingress (default). `false` restores the
-    /// locked submit path; passed through to [`SchedulerConfig`].
-    pub mailbox: bool,
-    /// Mailbox messages admitted per lock acquisition (0 = all);
-    /// passed through to [`SchedulerConfig`].
-    pub mailbox_drain_batch: usize,
+    /// The scheduler's own settings (quantum, starvation limit, shard
+    /// count, steal slack), handed to the [`ShardedScheduler`] as they
+    /// are — except `shards`: `0` (the default) auto-sizes to
+    /// `min(workers, 8)`, and the count is always clamped to `workers`
+    /// so every shard has at least one affine worker.
+    pub scheduler: SchedulerConfig,
     /// Pin workers to cores via `sched_setaffinity`, so each home
     /// shard's mailbox arena is touched by one core (default off;
     /// Linux only, graceful no-op elsewhere). The runtime reads its
     /// *allowed* core set (`sched_getaffinity`) once at startup and
     /// round-robins workers within it, so co-located runtimes confined
-    /// to disjoint cpusets no longer pile onto core 0. Passed through
-    /// to [`SchedulerConfig`]; honored at worker spawn.
+    /// to disjoint cpusets no longer pile onto core 0.
     pub pin_workers: bool,
     /// Cost-profiling EWMA smoothing factor applied to every deployed
     /// operator's converter (`None` keeps
@@ -351,12 +337,8 @@ impl Default for RuntimeConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            quantum: Micros::from_millis(1),
             policy: Arc::new(LlfPolicy),
-            shards: 0,
-            steal_threshold: Micros::ZERO,
-            mailbox: true,
-            mailbox_drain_batch: 0,
+            scheduler: SchedulerConfig::default(),
             pin_workers: false,
             profile_alpha: None,
             elastic: None,
@@ -374,39 +356,16 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the scheduling quantum.
-    pub fn with_quantum(mut self, q: Micros) -> Self {
-        self.quantum = q;
-        self
-    }
-
     /// Set the scheduling policy.
     pub fn with_policy(mut self, p: Arc<dyn Policy>) -> Self {
         self.policy = p;
         self
     }
 
-    /// Set the scheduler shard count (0 = auto-size).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Set the work-stealing urgency slack.
-    pub fn with_steal_threshold(mut self, slack: Micros) -> Self {
-        self.steal_threshold = slack;
-        self
-    }
-
-    /// Toggle lock-free mailbox ingress (on by default).
-    pub fn with_mailbox(mut self, on: bool) -> Self {
-        self.mailbox = on;
-        self
-    }
-
-    /// Cap mailbox messages admitted per lock acquisition (0 = all).
-    pub fn with_mailbox_drain_batch(mut self, batch: usize) -> Self {
-        self.mailbox_drain_batch = batch;
+    /// Set the scheduler's settings: quantum, starvation limit, shard
+    /// count (0 = auto-size) and steal slack.
+    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
+        self.scheduler = scheduler;
         self
     }
 
@@ -444,10 +403,10 @@ impl RuntimeConfig {
     }
 
     fn effective_shards(&self) -> usize {
-        let requested = if self.shards == 0 {
+        let requested = if self.scheduler.shards == 0 {
             self.workers.min(8)
         } else {
-            self.shards
+            self.scheduler.shards
         };
         // `workers == 0` (a queue-only runtime that never drains) is
         // still a valid configuration; it gets one shard to submit into.
@@ -761,21 +720,8 @@ impl Runtime {
     /// scheduler per `config`. Jobs are deployed afterwards via
     /// [`deploy`](Self::deploy).
     pub fn start(config: RuntimeConfig) -> Self {
-        let shards = config.effective_shards();
-        let mut sched_config = SchedulerConfig::default()
-            .with_quantum(config.quantum)
-            .with_shards(shards)
-            .with_steal_threshold(config.steal_threshold)
-            .with_mailbox(config.mailbox)
-            .with_mailbox_drain_batch(config.mailbox_drain_batch)
-            .with_pinning(config.pin_workers);
-        if let Some(alpha) = config.profile_alpha {
-            sched_config = sched_config.with_profile_alpha(alpha);
-        }
-        // The composed SchedulerConfig is the operative record: worker
-        // spawn reads the pinning flag back from it, so a scheduler
-        // config inspected later tells the truth about this runtime.
-        let pin = sched_config.pin_workers;
+        let sched_config = config.scheduler.with_shards(config.effective_shards());
+        let pin = config.pin_workers;
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -801,9 +747,7 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             stale_exec_drops: AtomicU64::new(0),
             pinned: AtomicUsize::new(0),
-            // As with pinning: when set, the value deploys read comes
-            // back out of the composed SchedulerConfig.
-            profile_alpha: config.profile_alpha.map(|_| sched_config.profile_alpha),
+            profile_alpha: config.profile_alpha,
             net_batches: AtomicU64::new(0),
             frames_coalesced: AtomicU64::new(0),
             gen_rejected: AtomicU64::new(0),
@@ -2055,6 +1999,9 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cameo_core::context::PriorityContext;
+    use cameo_core::ids::{MessageId, OperatorKey};
+    use cameo_core::priority::Priority;
     use cameo_core::time::LogicalTime;
     use cameo_dataflow::queries::AggQueryParams;
 
@@ -2175,22 +2122,82 @@ mod tests {
 
     #[test]
     fn explicit_shard_count_is_clamped_to_workers() {
-        let rt = Runtime::start(RuntimeConfig::default().with_workers(2).with_shards(16));
-        assert_eq!(rt.shard_count(), 2, "shards clamp to worker count");
-        rt.shutdown();
+        for (workers, shards, expect) in [(2, 16, 2), (4, 3, 3)] {
+            let rt = Runtime::start(
+                RuntimeConfig::default()
+                    .with_workers(workers)
+                    .with_scheduler(SchedulerConfig::default().with_shards(shards)),
+            );
+            assert_eq!(rt.shard_count(), expect, "shards clamp to worker count");
+            rt.shutdown();
+        }
+    }
 
-        let rt = Runtime::start(RuntimeConfig::default().with_workers(4).with_shards(3));
-        assert_eq!(rt.shard_count(), 3);
-        rt.shutdown();
+    #[test]
+    fn default_shard_count_follows_the_worker_count() {
+        // Nobody chose a shard count: one per worker, at most eight.
+        for (workers, expect) in [(4, 4), (12, 8)] {
+            let rt = Runtime::start(RuntimeConfig::default().with_workers(workers));
+            assert_eq!(rt.shard_count(), expect, "{workers} workers");
+            rt.shutdown();
+        }
+    }
+
+    #[test]
+    fn starvation_limit_reaches_the_shards() {
+        // The boost scenario of the scheduler's own
+        // `starvation_limit_clamps_priorities`, on the scheduler a
+        // runtime built: nothing drains a zero-worker runtime, so the
+        // test is the only one acquiring.
+        let order_under = |scheduler: SchedulerConfig| {
+            let rt = Runtime::start(RuntimeConfig {
+                workers: 0,
+                ..RuntimeConfig::default().with_scheduler(scheduler)
+            });
+            let sched = &rt.shared.sched;
+            assert!(sched.acquire(0, PhysicalTime::ZERO).is_none());
+            let pris = [
+                Priority::uniform(500),
+                Priority::IDLE,
+                Priority::uniform(2_000),
+            ];
+            for (op, pri) in pris.into_iter().enumerate() {
+                let msg = RtMsg {
+                    channel: op as u32,
+                    batch: Batch::new(Vec::new(), PhysicalTime::ZERO),
+                    pc: PriorityContext::initialize(MessageId(op as u64), JobId(0), Micros(1)),
+                    sender: None,
+                    gen: 0,
+                };
+                sched.submit(OperatorKey::new(JobId(0), op as u32), msg, pri);
+            }
+            let mut order = Vec::new();
+            while let Some(exec) = sched.acquire(0, PhysicalTime::ZERO) {
+                while let Some((m, _)) = sched.take_message(&exec) {
+                    order.push(m.channel);
+                }
+                sched.release(exec);
+            }
+            rt.shutdown();
+            order
+        };
+        let quantum = SchedulerConfig::default().with_quantum(Micros::ZERO);
+        assert_eq!(order_under(quantum), vec![0, 2, 1], "no guard: by priority");
+        assert_eq!(
+            order_under(quantum.with_starvation_limit(Micros(1_000))),
+            vec![0, 1, 2],
+            "both waiters clamp to the limit and run in arrival order"
+        );
     }
 
     #[test]
     fn sharded_runtime_processes_everything() {
         let rt = Runtime::start(
-            RuntimeConfig::default()
-                .with_workers(4)
-                .with_shards(4)
-                .with_quantum(Micros(100)),
+            RuntimeConfig::default().with_workers(4).with_scheduler(
+                SchedulerConfig::default()
+                    .with_shards(4)
+                    .with_quantum(Micros(100)),
+            ),
         );
         let job = rt
             .deploy(&tiny_query("sh", 5_000), &ExpandOptions::default())
@@ -2215,29 +2222,6 @@ mod tests {
         assert!(
             rt.job_stats(job).unwrap().outputs >= 1,
             "windows fired across shards"
-        );
-        rt.shutdown();
-    }
-
-    #[test]
-    fn locked_ingress_runtime_still_processes() {
-        // The pre-mailbox ingress path stays available behind the knob
-        // and must drain end to end just like the default.
-        let rt = Runtime::start(RuntimeConfig::default().with_workers(2).with_mailbox(false));
-        let job = rt
-            .deploy(&tiny_query("lk", 5_000), &ExpandOptions::default())
-            .unwrap();
-        for source in [0u32, 1] {
-            rt.ingest(job, source, vec![Tuple::new(1, 1, LogicalTime(1_000))])
-                .unwrap();
-            rt.ingest(job, source, vec![Tuple::new(1, 1, LogicalTime(9_000))])
-                .unwrap();
-        }
-        assert!(rt.drain(std::time::Duration::from_secs(5)));
-        assert_eq!(
-            rt.scheduler_stats().mailbox_drained,
-            0,
-            "locked ingress must not touch the mailbox"
         );
         rt.shutdown();
     }
@@ -2330,39 +2314,11 @@ mod tests {
     }
 
     #[test]
-    fn drain_batch_cap_runtime_processes_everything() {
-        let rt = Runtime::start(
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_mailbox_drain_batch(2),
-        );
-        let job = rt
-            .deploy(&tiny_query("db", 5_000), &ExpandOptions::default())
-            .unwrap();
-        for round in 0..10u64 {
-            for source in [0u32, 1] {
-                let tuples = (0..10)
-                    .map(|i| Tuple::new(i, 1, LogicalTime(round * 1_000 + i)))
-                    .collect();
-                rt.ingest(job, source, tuples).unwrap();
-            }
-        }
-        assert!(rt.drain(std::time::Duration::from_secs(10)));
-        let stats = rt.scheduler_stats();
-        assert!(stats.mailbox_drained > 0, "ingress went through mailboxes");
-        assert_eq!(
-            stats.mailbox_drained, stats.messages_scheduled,
-            "every scheduled message travelled through a mailbox"
-        );
-        rt.shutdown();
-    }
-
-    #[test]
     fn pinned_runtime_processes_everything() {
         let rt = Runtime::start(
             RuntimeConfig::default()
                 .with_workers(2)
-                .with_shards(2)
+                .with_scheduler(SchedulerConfig::default().with_shards(2))
                 .with_pinning(true),
         );
         // Probe whether this host can pin the cores the two workers
@@ -2426,7 +2382,7 @@ mod tests {
             let rt = Runtime::start(
                 RuntimeConfig::default()
                     .with_workers(2)
-                    .with_shards(2)
+                    .with_scheduler(SchedulerConfig::default().with_shards(2))
                     .with_pinning(true),
             );
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
@@ -2577,6 +2533,12 @@ mod tests {
             );
         }
         rt.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "profile_alpha")]
+    fn zero_profile_alpha_rejected() {
+        let _ = RuntimeConfig::default().with_profile_alpha(0.0);
     }
 
     #[test]

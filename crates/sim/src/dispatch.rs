@@ -82,13 +82,13 @@ pub trait Dispatcher: Send {
 /// The paper's scheduler: wraps the [`ShardedScheduler`] (per-shard
 /// two-level priority queues + quantum logic + urgency-aware stealing,
 /// fed through lock-free submission mailboxes).
-/// With `config.shards == 1` — the default — this is exactly the
-/// single two-level queue of §5.2, and the simulator's event loop stays
-/// bit-for-bit deterministic: `submit` parks messages in the shard
-/// mailbox, and the scheduler folds the mailbox into the two-level
-/// queue *in submission order* before every simulated
-/// acquire/take/decide/release it performs, so the queue state at every
-/// observation point is identical to the old locked ingress path.
+/// With one shard — the default — this is exactly the single two-level
+/// queue of §5.2, and the simulator's event loop stays bit-for-bit
+/// deterministic: `submit` parks messages in the shard mailbox, and the
+/// scheduler folds the mailbox into the two-level queue *in submission
+/// order* before every simulated acquire/take/decide/release it
+/// performs, so the queue state at every observation point is that of a
+/// bare `CameoScheduler` submitted to directly.
 /// Multi-shard configurations model the production runtime's sharded
 /// hot path: workers map to home shards (`worker % shards`) and steal
 /// per the configured threshold, still deterministically — the

@@ -119,7 +119,9 @@ fn concurrent_churn_does_not_disturb_surviving_jobs() {
     // can. The survivor must lose nothing: every batch it ingested is
     // eventually processed, its windows fire, and nothing panics.
     let rt = Arc::new(Runtime::start(
-        RuntimeConfig::default().with_workers(4).with_shards(4),
+        RuntimeConfig::default()
+            .with_workers(4)
+            .with_scheduler(SchedulerConfig::default().with_shards(4)),
     ));
     let survivor = rt
         .deploy(&small_query("survivor", 50_000), &ExpandOptions::default())

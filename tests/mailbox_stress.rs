@@ -269,8 +269,7 @@ proptest! {
         let sched: ShardedScheduler<Tracked> = ShardedScheduler::new(
             SchedulerConfig::default()
                 .with_shards(1)
-                .with_quantum(Micros(0))
-                .with_mailbox_drain_batch(64),
+                .with_quantum(Micros(0)),
         );
         // Warm up one push/drain/reclaim cycle first: segments install
         // lazily (pre-use count is 0) and the mailbox's resident stub

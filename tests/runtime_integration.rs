@@ -138,7 +138,7 @@ fn quantum_zero_and_large_both_work() {
         let rt = Runtime::start(
             RuntimeConfig::default()
                 .with_workers(2)
-                .with_quantum(quantum),
+                .with_scheduler(SchedulerConfig::default().with_quantum(quantum)),
         );
         let job = rt
             .deploy(&small_query("q", 100_000), &ExpandOptions::default())

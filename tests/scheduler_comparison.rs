@@ -256,35 +256,37 @@ proptest! {
         prop_assert_eq!(msgs_a, msgs_b, "message sets diverged");
     }
 
-    /// At one shard (and the default unlimited drain batch, under which
-    /// a drain makes *every* mailboxed message visible before the
-    /// operation proceeds), the lock-free mailbox ingress path must be
-    /// an *exact* behavioral match for the locked path — same drain
-    /// order message for message, not merely the same rank sequence —
-    /// for any interleaving of submit bursts and drain steps. This is
-    /// the property the deterministic simulator relies on.
+    /// At one shard — where a drain makes *every* mailboxed message
+    /// visible before the operation proceeds — the lock-free mailbox
+    /// ingress must be an *exact* behavioral match for a bare
+    /// `CameoScheduler` submitted to directly: same drain order message
+    /// for message, not merely the same rank sequence, for any
+    /// interleaving of submit bursts and drain steps. This is the
+    /// property the deterministic simulator relies on.
     #[test]
-    fn mailbox_ingress_matches_locked_ingress_at_one_shard(
+    fn mailbox_ingress_matches_bare_scheduler_at_one_shard(
         msgs in prop::collection::vec((0u32..16, -50i64..50, -50i64..50), 1..200),
         // Drain a few operators between submission bursts at this cadence.
         burst in 1usize..8,
     ) {
-        let mk = |mailbox: bool| {
-            ShardedScheduler::<u64>::new(
-                SchedulerConfig::default()
-                    .with_quantum(Micros::ZERO)
-                    .with_mailbox(mailbox),
-            )
-        };
-        let a = mk(true);
-        let b = mk(false);
-        let step = |s: &ShardedScheduler<u64>, out: &mut Vec<u64>| {
-            // One acquire-drain-release step, interleaved mid-stream.
-            if let Some(exec) = s.acquire(0, PhysicalTime::ZERO) {
-                while let Some((m, _)) = s.take_message(&exec) {
+        let config = SchedulerConfig::default().with_quantum(Micros::ZERO);
+        let a = ShardedScheduler::<u64>::new(config);
+        let mut b = CameoScheduler::<u64>::new(config);
+        // One acquire-drain-release step, interleaved mid-stream.
+        let step_a = |out: &mut Vec<u64>| {
+            if let Some(exec) = a.acquire(0, PhysicalTime::ZERO) {
+                while let Some((m, _)) = a.take_message(&exec) {
                     out.push(m);
                 }
-                s.release(exec);
+                a.release(exec);
+            }
+        };
+        let step_b = |b: &mut CameoScheduler<u64>, out: &mut Vec<u64>| {
+            if let Some(exec) = b.acquire(PhysicalTime::ZERO) {
+                while let Some((m, _)) = b.take_message(&exec) {
+                    out.push(m);
+                }
+                b.release(exec);
             }
         };
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
@@ -294,21 +296,22 @@ proptest! {
             a.submit(key, i as u64, pri);
             b.submit(key, i as u64, pri);
             if i % burst == burst - 1 {
-                step(&a, &mut out_a);
-                step(&b, &mut out_b);
+                step_a(&mut out_a);
+                step_b(&mut b, &mut out_b);
             }
         }
         loop {
             let before = (out_a.len(), out_b.len());
-            step(&a, &mut out_a);
-            step(&b, &mut out_b);
+            step_a(&mut out_a);
+            step_b(&mut b, &mut out_b);
             if (out_a.len(), out_b.len()) == before {
                 break;
             }
         }
-        prop_assert_eq!(&out_a, &out_b, "mailbox vs locked drain order diverged");
+        prop_assert_eq!(&out_a, &out_b, "mailbox vs direct drain order diverged");
         prop_assert_eq!(out_a.len(), msgs.len(), "message lost or duplicated");
         prop_assert!(a.is_empty() && b.is_empty());
+        prop_assert_eq!(a.stats().mailbox_drained, msgs.len() as u64);
     }
 }
 
