@@ -6,7 +6,11 @@
 //! [`CameoScheduler::decide`] — whether to keep going or swap to a more
 //! urgent operator once the scheduling quantum has elapsed. Execution is
 //! non-preemptive at message granularity: a message that has started
-//! always runs to completion.
+//! runs to completion. An operator that calls a cooperative yield point
+//! inside a long message lets a stricter tier run first, nested on the
+//! same worker
+//! ([`ShardedScheduler::acquire_preempting`](crate::shard::ShardedScheduler::acquire_preempting)),
+//! and then resumes.
 //!
 //! The scheduler holds *no per-job state*; everything it reads arrives
 //! inside the message's priority (derived from the Priority Context by
@@ -17,7 +21,7 @@
 use crate::config::SchedulerConfig;
 use crate::ids::OperatorKey;
 use crate::priority::Priority;
-use crate::queue::{OperatorLease, PushOutcome, TwoLevelQueue};
+use crate::queue::{OperatorLease, Pick, PushOutcome, TwoLevelQueue};
 use crate::time::{Micros, PhysicalTime};
 
 /// Counters exposed for experiments (operator swaps drive the Fig 14
@@ -38,6 +42,14 @@ pub struct SchedulerStats {
     /// hand (on the same shard or another). At most one per lease, and
     /// zero whenever every priority is in one tier.
     pub tier_preemptions: u64,
+    /// Leases checked out *inside* a message, at a cooperative yield
+    /// point
+    /// ([`ShardedScheduler::acquire_preempting`](crate::shard::ShardedScheduler::acquire_preempting)):
+    /// an operator in a stricter latency tier outranked the message in
+    /// flight and ran on the worker's stack before it resumed. Counted
+    /// apart from `tier_preemptions`, which stay boundary swaps; zero
+    /// with flat tiers and for operators that never yield.
+    pub yield_preemptions: u64,
     /// Operators acquired from a non-home shard.
     pub steals: u64,
     /// Quantum swaps triggered by a more urgent operator on *another*
@@ -139,6 +151,7 @@ impl SchedulerStats {
         self.operator_acquisitions += other.operator_acquisitions;
         self.quantum_swaps += other.quantum_swaps;
         self.tier_preemptions += other.tier_preemptions;
+        self.yield_preemptions += other.yield_preemptions;
         self.steals += other.steals;
         self.cross_shard_swaps += other.cross_shard_swaps;
         self.hint_fast_path += other.hint_fast_path;
@@ -360,30 +373,49 @@ impl<M> CameoScheduler<M> {
             return Decision::Idle;
         };
         let quantum_expired = now.since(exec.acquired_at) >= self.config.quantum;
+        if self
+            .outranking(mine, now, pool_overdue, quantum_expired)
+            .is_none()
+        {
+            return Decision::Continue;
+        }
+        if quantum_expired {
+            self.stats.quantum_swaps += 1;
+        } else {
+            self.stats.tier_preemptions += 1;
+        }
+        Decision::Swap
+    }
+
+    /// The boundary rule of [`decide`](Self::decide), for a message of
+    /// priority `mine` that is not in the run index (the next message of
+    /// a leased operator, or one already executing): the operator
+    /// `acquire` would hand out at `now`, if it outranks `mine` and
+    /// either `quantum_expired` or it sits in a stricter tier. An
+    /// overdue `mine` puts the order by tier, as `pool_overdue` does.
+    /// [`ShardedScheduler::acquire_preempting`](crate::shard::ShardedScheduler::acquire_preempting)
+    /// asks the same question of an in-flight message before the
+    /// quantum, so the two share this one rule.
+    pub(crate) fn outranking(
+        &self,
+        mine: Priority,
+        now: PhysicalTime,
+        pool_overdue: bool,
+        quantum_expired: bool,
+    ) -> Option<Pick> {
         // Before the quantum only a stricter tier can take the worker:
         // when none is runnable (always, with flat tiers) that is one
         // mask test and no heap peek.
         if !quantum_expired && !self.queue.stricter_tier_runnable(mine.tier()) {
-            return Decision::Continue;
+            return None;
         }
         let already_overloaded = pool_overdue || mine.overdue(now);
-        match self
-            .queue
+        self.queue
             .peek_with(|head| already_overloaded || head.overdue(now))
-        {
-            Some(theirs)
-                if theirs.pri.rank(theirs.overloaded) < mine.rank(theirs.overloaded)
-                    && (quantum_expired || theirs.pri.tier() < mine.tier()) =>
-            {
-                if quantum_expired {
-                    self.stats.quantum_swaps += 1;
-                } else {
-                    self.stats.tier_preemptions += 1;
-                }
-                Decision::Swap
-            }
-            _ => Decision::Continue,
-        }
+            .filter(|theirs| {
+                theirs.pri.rank(theirs.overloaded) < mine.rank(theirs.overloaded)
+                    && (quantum_expired || theirs.pri.tier() < mine.tier())
+            })
     }
 
     /// Return a lease (after `Decision::Swap`/`Decision::Idle`, or on

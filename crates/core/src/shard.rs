@@ -55,6 +55,12 @@
 //!   to next — the quantum amortises a lease over peers. Before the
 //!   quantum the hints are read only while the pool has ever advertised
 //!   a tier stricter than the lease's: a flat-tier pool pays one load.
+//! * **Preemption inside a message.** An operator that calls a yield
+//!   point lets the worker ask the same question of the message it is
+//!   executing ([`ShardedScheduler::acquire_preempting`]): a stricter
+//!   tier that outranks it runs nested, on the worker's stack. The tier
+//!   hints answer "nothing stricter is waiting" without the lock, so
+//!   every shard keeps them, a lone one included.
 //! * **One rank everywhere.** Operators are ranked by
 //!   [`Priority::rank`]: by start deadline while every runnable head in
 //!   the pool can still start in time, by `(tier, deadline)` once one
@@ -217,6 +223,9 @@ struct Shard<M> {
     /// path counts a message *before* publishing it, so the
     /// gauge never reads below what a drain can take out (no wrap, no
     /// "empty" with mail in flight); it may transiently read high.
+    /// Readers still sum the shards as signed and clamp at zero
+    /// ([`len`](ShardedScheduler::len)): a gauge must not be able to
+    /// read as `usize::MAX`, whatever the interleaving.
     msgs: AtomicUsize,
 }
 
@@ -290,6 +299,8 @@ pub struct ShardedScheduler<M> {
     /// Swaps before the quantum to a stricter-tier operator on another
     /// shard; folded into `tier_preemptions`.
     cross_preemptions: AtomicU64,
+    /// Leases handed out by [`acquire_preempting`](Self::acquire_preempting).
+    yield_preemptions: AtomicU64,
     /// The strictest latency tier any shard has ever advertised in its
     /// `best_by_tier` hint (never raised; `u8::MAX` until the first
     /// one). A lease at or below it cannot be preempted across tiers,
@@ -386,6 +397,7 @@ impl<M> ShardedScheduler<M> {
             steals: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
             cross_preemptions: AtomicU64::new(0),
+            yield_preemptions: AtomicU64::new(0),
             strictest_tier: AtomicU8::new(u8::MAX),
             shard_overtakes: AtomicU64::new(0),
             mailbox_drained: AtomicU64::new(0),
@@ -537,6 +549,9 @@ impl<M> ShardedScheduler<M> {
             if pfp != 0 && pfp & placement_bit(mail.key) != 0 {
                 let dest = self.shard_of(mail.key);
                 if dest != s {
+                    // Uncount here before counting there, so the move
+                    // never counts the message twice.
+                    sh.msgs.fetch_sub(1, Ordering::Relaxed);
                     self.shards[dest].msgs.fetch_add(1, Ordering::Relaxed);
                     self.shards[dest].mailbox.push(mail.key, mail.msg, mail.pri);
                     self.lower_hint(dest, hint_of(mail.pri), pack_rank(mail.pri));
@@ -554,8 +569,8 @@ impl<M> ShardedScheduler<M> {
             self.retired_drops
                 .fetch_add(dropped as u64, Ordering::Relaxed);
         }
-        if dropped + rerouted > 0 {
-            sh.msgs.fetch_sub(dropped + rerouted, Ordering::Relaxed);
+        if dropped > 0 {
+            sh.msgs.fetch_sub(dropped, Ordering::Relaxed);
         }
         for dest in woken {
             // The forwarding pushes were SeqCst RMWs, ordered before
@@ -580,11 +595,8 @@ impl<M> ShardedScheduler<M> {
         if best.load(Ordering::Relaxed) != hint {
             best.store(hint, Ordering::SeqCst);
         }
-        // Nobody reads a lone shard's tier hint: its queue ranks its
-        // own operators, and there is no other shard to rank it against.
-        if self.shards.len() == 1 {
-            return;
-        }
+        // Kept on a lone shard too: a yield point reads it to learn,
+        // without the lock, whether a stricter tier is waiting.
         let rank = core
             .peek_best_by_tier()
             .map(pack_rank)
@@ -612,7 +624,7 @@ impl<M> ShardedScheduler<M> {
     /// whether the deadline hint improved.
     fn lower_hint(&self, s: usize, hint: i64, rank: u64) -> bool {
         let best_by_tier = &self.shards[s].best_by_tier;
-        if self.shards.len() > 1 && rank < best_by_tier.load(Ordering::Relaxed) {
+        if rank < best_by_tier.load(Ordering::Relaxed) {
             best_by_tier.fetch_min(rank, Ordering::SeqCst);
             self.note_tier(rank);
         }
@@ -1062,6 +1074,113 @@ impl<M> ShardedScheduler<M> {
         Decision::Swap
     }
 
+    /// Lock-free pre-check for
+    /// [`acquire_preempting`](Self::acquire_preempting): does some shard
+    /// advertise a runnable operator in a tier stricter than `tier`?
+    /// "No" is what a yield point hears almost always, and it costs one
+    /// load (the pool's strictest tier ever advertised) in a flat-tier
+    /// pool or for a message in the pool's strictest tier, and one more
+    /// load per shard otherwise. A "yes" is only a hint; the lease is
+    /// decided under the shard lock.
+    pub fn stricter_tier_waiting(&self, tier: u8) -> bool {
+        self.stricter_shard(tier).is_some()
+    }
+
+    /// The shard whose tier hint ranks first, when that hint is in a tier
+    /// stricter than `tier`.
+    fn stricter_shard(&self, tier: u8) -> Option<usize> {
+        if self.strictest_tier.load(Ordering::Relaxed) >= tier {
+            return None;
+        }
+        let (s, rank) = self
+            .shards
+            .iter()
+            .map(|sh| sh.best_by_tier.load(Ordering::Acquire))
+            .enumerate()
+            .min_by_key(|&(_, rank)| rank)?;
+        (unpack_rank(rank).0 < tier).then_some(s)
+    }
+
+    /// Preemption inside a message: check out the operator that takes
+    /// the worker from the message it is *executing*, for a worker homed
+    /// on `home` whose in-flight message has priority `mine` and belongs
+    /// to `job`. The caller runs the lease on its own stack, then resumes
+    /// the message.
+    ///
+    /// The question is the one [`decide`](Self::decide) asks before the
+    /// quantum, asked of the in-flight message instead of the next one,
+    /// and answered by the same rule: the operator `acquire` would hand
+    /// out at `now` must outrank `mine` *and* sit in a stricter tier.
+    /// `mine` counts as a runnable head for the overload verdict, which
+    /// is pool-wide as in `acquire`, so an overdue in-flight message puts
+    /// the choice in tier order. The shard asked is the one whose tier
+    /// hint ranks first; the lease is re-validated there under the shard
+    /// lock, after a mailbox drain, and on time it is refused while
+    /// another shard advertises a head due earlier.
+    ///
+    /// `None` — the worker finishes its message — when nothing qualifies,
+    /// and also when the operator that would qualify belongs to `job`:
+    /// the caller holds one of that job's operator instances, and
+    /// running another of them nested could need it (a reply to its
+    /// upstream instance). A retired job's operator is refused and its
+    /// messages purged, as `acquire` does, and the next one is tried.
+    /// Each lease handed out counts in
+    /// [`SchedulerStats::yield_preemptions`].
+    pub fn acquire_preempting(
+        &self,
+        home: usize,
+        mine: Priority,
+        job: JobId,
+        now: PhysicalTime,
+    ) -> Option<ShardExecution> {
+        let s = self.stricter_shard(mine.tier())?;
+        let pool_overdue = self.shards.len() > 1
+            && self
+                .shards
+                .iter()
+                .any(|sh| sh.best.load(Ordering::Acquire) < deadline_to_priority(now.0));
+        let mut core = self.lock(s);
+        self.drain_locked(s, &mut core, None);
+        let exec = loop {
+            let Some(pick) = core.outranking(mine, now, pool_overdue, false) else {
+                break None;
+            };
+            if self.maybe_retired(pick.key.job) && self.is_retired(pick.key.job) {
+                let purged = core.retire(pick.key.job);
+                self.shards[s].msgs.fetch_sub(purged, Ordering::Relaxed);
+                continue;
+            }
+            // On time the pool's order is by deadline, so a head due
+            // earlier on another shard is what `acquire` would hand out
+            // next: the worker keeps its message, as `decide` keeps it.
+            let due_first_elsewhere =
+                !pick.overloaded
+                    && self.shards.iter().enumerate().any(|(t, sh)| {
+                        t != s && sh.best.load(Ordering::Acquire) < hint_of(pick.pri)
+                    });
+            if pick.key.job == job || due_first_elsewhere {
+                break None;
+            }
+            // The same order `outranking` peeked in: the pick itself.
+            let exec = core.acquire_in(now, pool_overdue || mine.overdue(now));
+            debug_assert_eq!(exec.as_ref().map(Execution::key), Some(pick.key));
+            break exec;
+        };
+        self.refresh_hint(s, &core);
+        drop(core);
+        let exec = exec?;
+        self.yield_preemptions.fetch_add(1, Ordering::Relaxed);
+        let home = home % self.shards.len();
+        if s != home {
+            self.steals.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(ShardExecution {
+            shard: s,
+            home,
+            exec,
+        })
+    }
+
     /// Return a lease. Reports whether the shard still has available
     /// work (runtimes wake a sibling worker in that case, mirroring the
     /// single-queue runtime's behavior after a swap).
@@ -1169,7 +1288,7 @@ impl<M> ShardedScheduler<M> {
     pub fn shard_backlogs(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|sh| sh.msgs.load(Ordering::Relaxed))
+            .map(|sh| (sh.msgs.load(Ordering::Relaxed) as isize).max(0) as usize)
             .collect()
     }
 
@@ -1284,12 +1403,17 @@ impl<M> ShardedScheduler<M> {
             .sum()
     }
 
-    /// Total pending messages across shards (mailboxes included).
+    /// Total pending messages across shards (mailboxes included). A
+    /// gauge read shard by shard, so a message moving between shards
+    /// while it is read (a migration, a forwarded straggler) may be
+    /// missed or counted twice. It never wraps: the counters are summed
+    /// as signed and the total is clamped at zero, so a shard observed
+    /// mid-update cannot turn the sum into a huge value.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.msgs.load(Ordering::Relaxed))
-            .sum()
+        let sum = self.shards.iter().fold(0usize, |sum, s| {
+            sum.wrapping_add(s.msgs.load(Ordering::Relaxed))
+        });
+        (sum as isize).max(0) as usize
     }
 
     /// True when no message is pending on any shard.
@@ -1310,6 +1434,7 @@ impl<M> ShardedScheduler<M> {
         total.steals = self.steals.load(Ordering::Relaxed);
         total.cross_shard_swaps = self.cross_swaps.load(Ordering::Relaxed);
         total.tier_preemptions += self.cross_preemptions.load(Ordering::Relaxed);
+        total.yield_preemptions = self.yield_preemptions.load(Ordering::Relaxed);
         total.tier_overtakes += self.shard_overtakes.load(Ordering::Relaxed);
         total.mailbox_drained = self.mailbox_drained.load(Ordering::Relaxed);
         total.batch_publications = self.batch_pubs.load(Ordering::Relaxed);
@@ -2224,5 +2349,115 @@ mod tests {
             waited < Duration::from_secs(5),
             "parker slept through a submit wake ({waited:?})"
         );
+    }
+
+    /// A pool of `shards` shards whose worker (home 0) is executing a
+    /// message of priority `mine` on job 0's operator 0, with `pending`
+    /// submitted behind it.
+    fn executing(
+        shards: usize,
+        mine: Priority,
+        pending: &[(OperatorKey, Priority)],
+    ) -> (ShardedScheduler<u64>, ShardExecution) {
+        let sh = sharded(shards, 1_000_000);
+        sh.submit(key(0), 0, mine);
+        let exec = sh.acquire(0, PhysicalTime::ZERO).unwrap();
+        assert_eq!(sh.take_message(&exec).unwrap().1, mine);
+        for (m, &(k, p)) in pending.iter().enumerate() {
+            sh.submit(k, m as u64 + 1, p);
+        }
+        (sh, exec)
+    }
+
+    #[test]
+    fn acquire_preempting_asks_decides_question_of_the_message_in_flight() {
+        let op = |job, op| OperatorKey::new(JobId(job), op);
+        let lax = |g| Priority::uniform(g).with_tier(17);
+        let strict = |g| Priority::uniform(g).with_tier(13);
+        let flat = Priority::uniform;
+        /// Name, in-flight priority, pending, `now`, the lease expected.
+        type Case = (
+            &'static str,
+            Priority,
+            Vec<(OperatorKey, Priority)>,
+            u64,
+            Option<OperatorKey>,
+        );
+        #[rustfmt::skip]
+        let cases: [Case; 8] = [
+            ("flat tiers", flat(5_000), vec![(op(1, 0), flat(100))], 100, None),
+            // A lax message aged to within a strict target of its
+            // deadline still ranks first on time.
+            ("stricter but does not outrank", lax(400), vec![(op(1, 0), strict(1_500))], 100, None),
+            ("stricter and outranks", lax(5_000), vec![(op(1, 0), strict(1_500))], 100, Some(op(1, 0))),
+            // `acquire` would hand out the peer, which is no tier up.
+            ("a peer due first", lax(5_000), vec![(op(1, 0), strict(1_500)), (op(2, 0), lax(1_000))], 100, None),
+            // Overdue in flight: tier order, the peer no longer counts.
+            ("overdue in flight", lax(400), vec![(op(1, 0), strict(1_500)), (op(2, 0), lax(450))], 500, Some(op(1, 0))),
+            ("own job", lax(5_000), vec![(op(0, 1), strict(1_500))], 100, None),
+            ("own job first", lax(5_000), vec![(op(0, 1), strict(1_000)), (op(1, 0), strict(1_500))], 100, None),
+            ("own job second", lax(5_000), vec![(op(1, 0), strict(1_000)), (op(0, 1), strict(1_500))], 100, Some(op(1, 0))),
+        ];
+        for shards in [1, 2] {
+            for (name, mine, pending, now, want) in &cases {
+                let (sh, _exec) = executing(shards, *mine, pending);
+                let now = PhysicalTime(*now);
+                let got = sh.acquire_preempting(0, *mine, JobId(0), now);
+                assert_eq!(
+                    got.as_ref().map(|e| e.key()),
+                    *want,
+                    "{name}, {shards} shard(s)"
+                );
+                let st = sh.stats();
+                assert_eq!(st.yield_preemptions, u64::from(want.is_some()), "{name}");
+                assert_eq!((st.tier_preemptions, st.quantum_swaps), (0, 0), "{name}");
+                assert_eq!(
+                    st.overload_acquisitions,
+                    u64::from(want.is_some() && mine.overdue(now)),
+                    "{name}"
+                );
+                if let Some(nested) = got {
+                    let (_, pri) = sh.take_message(&nested).unwrap();
+                    assert!(pri.tier() < mine.tier(), "{name}");
+                    sh.release(nested);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn acquire_preempting_refuses_and_purges_a_retired_job() {
+        let lax = Priority::uniform(5_000).with_tier(17);
+        let strict = |g| Priority::uniform(g).with_tier(13);
+        let (gone, live) = (OperatorKey::new(JobId(1), 0), OperatorKey::new(JobId(2), 0));
+        let (sh, _exec) = executing(1, lax, &[(gone, strict(1_000)), (live, strict(1_500))]);
+        // Admitted, then marked retired before any sweep reaches it:
+        // the window `retire_job` leaves between its mark and its sweep.
+        {
+            let mut core = sh.lock(0);
+            sh.drain_locked(0, &mut core, None);
+        }
+        sh.retired.lock().unwrap().insert(JobId(1));
+        sh.retired_fp.fetch_or(fp_bit(JobId(1)), Ordering::SeqCst);
+        let nested = sh
+            .acquire_preempting(0, lax, JobId(0), PhysicalTime(100))
+            .expect("the live strict operator");
+        assert_eq!(nested.key(), live);
+        let st = sh.stats();
+        assert_eq!((st.messages_purged, st.yield_preemptions), (1, 1));
+        assert_eq!(sh.len(), 1, "only the live strict message is left");
+    }
+
+    #[test]
+    fn a_lone_shard_keeps_its_tier_hint_for_yield_points() {
+        let sh = sharded(1, 1_000);
+        assert!(!sh.stricter_tier_waiting(17), "empty pool");
+        sh.submit(key(0), 0, Priority::uniform(5_000).with_tier(17));
+        assert!(!sh.stricter_tier_waiting(17), "same tier");
+        sh.submit(key(1), 1, Priority::uniform(9_000).with_tier(13));
+        assert!(sh.stricter_tier_waiting(17), "lowered at submit, lock-free");
+        assert!(!sh.stricter_tier_waiting(13));
+        drain(&sh, 0);
+        assert!(!sh.stricter_tier_waiting(17), "refreshed at drain");
     }
 }

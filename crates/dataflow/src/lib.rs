@@ -20,6 +20,7 @@ pub mod expand;
 pub mod graph;
 pub mod operator;
 pub mod ops;
+pub mod preempt;
 pub mod queries;
 pub mod window;
 

@@ -3,6 +3,7 @@
 
 use crate::event::{Batch, Tuple};
 use crate::operator::{Operator, StateSnapshot};
+use crate::preempt::yield_point;
 use cameo_core::time::{Micros, PhysicalTime};
 
 /// Applies a function to every tuple.
@@ -109,10 +110,19 @@ impl Operator for Passthrough {
     }
 }
 
+/// Spin iterations between two yield points. Each iteration reads the
+/// clock (~25 ns), so a stricter tier waits about a microsecond for the
+/// worker, and an idle yield point costs well under 1 % of the spin.
+const SPINS_PER_YIELD: u32 = 32;
+
 /// A pass-through that burns real CPU for a configured duration —
 /// emulates an expensive UDF under the real-time runtime. (Under the
 /// simulator, costs come from the cost model instead; do not use this
 /// there.)
+///
+/// The spin calls [`yield_point`] every few dozen iterations and
+/// extends its deadline by whatever time the yield point spent running
+/// stricter work, so every message still burns exactly its `spin`.
 pub struct SpinMap {
     spin: Micros,
 }
@@ -130,14 +140,19 @@ impl StateSnapshot for SpinMap {}
 impl Operator for SpinMap {
     fn on_batch(&mut self, _channel: u32, batch: &Batch, _now: PhysicalTime, out: &mut Vec<Batch>) {
         let start = std::time::Instant::now();
-        let budget = std::time::Duration::from_micros(self.spin.0);
+        let mut budget = std::time::Duration::from_micros(self.spin.0);
         let mut x = 0u64;
+        let mut spins = 0u32;
         while start.elapsed() < budget {
             // Dependency chain the optimizer can't remove.
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             std::hint::black_box(x);
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(SPINS_PER_YIELD) {
+                budget += yield_point();
+            }
         }
         out.push(batch.clone());
     }

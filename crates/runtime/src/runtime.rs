@@ -37,11 +37,27 @@
 //! promptly even when wakeups race, and the park/wake handshake itself
 //! is lost-wakeup-free (see `cameo_core::shard`).
 //!
-//! Lock ordering: a worker holds at most one instance lock at a time;
-//! reply application locks the *sender* instance only after the
-//! executing instance's guard is dropped. No shard lock is ever held
-//! while an instance lock is held (the sharded scheduler acquires and
-//! releases its internal locks within each call).
+//! Lock ordering: outside a yield point a worker holds at most one
+//! instance lock at a time; reply application locks the *sender*
+//! instance only after the executing instance's guard is dropped. No
+//! shard lock is ever held while an instance lock is held (the sharded
+//! scheduler acquires and releases its internal locks within each call).
+//!
+//! ## Preemption points
+//!
+//! A worker installs a `cameo_dataflow::preempt` hook. When an operator
+//! calls `yield_point()` inside `on_batch`, the hook asks
+//! [`ShardedScheduler::acquire_preempting`] whether an operator in a
+//! stricter latency tier outranks the message in flight; if so the
+//! worker runs that lease — and any further one that still qualifies —
+//! on its own stack, then returns to the interrupted message. The
+//! nested lease holds a second instance lock, of another job (the
+//! scheduler never nests an operator of the in-flight job) and in a
+//! strictly stricter tier: policies stamp one tier per job, so every
+//! worker takes nested instance locks in tier order and no two workers
+//! can wait on each other's outer instance. Nesting is one level deep,
+//! and the time spent nested is left out of the interrupted operator's
+//! profiled cost.
 //!
 //! ## Elasticity
 //!
@@ -93,16 +109,20 @@ use cameo_core::elastic::{
 use cameo_core::ids::JobId;
 use cameo_core::mailbox::Mail;
 use cameo_core::policy::{LlfPolicy, MessageStamp, Policy};
+use cameo_core::priority::Priority;
 use cameo_core::scheduler::{Decision, SchedulerStats};
-use cameo_core::shard::ShardedScheduler;
+use cameo_core::shard::{ShardExecution, ShardedScheduler};
 use cameo_core::time::{Clock, Micros, PhysicalTime, SystemClock};
 use cameo_dataflow::event::{Batch, Tuple};
 use cameo_dataflow::expand::{
     route_batch, route_batch_owned, ExpandOptions, ExpandedJob, OperatorInstance,
 };
 use cameo_dataflow::graph::{GraphError, JobSpec};
+use cameo_dataflow::preempt;
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
@@ -1204,6 +1224,19 @@ impl Runtime {
         Ok(self.lookup(job)?.stats.snapshot())
     }
 
+    /// The profiled own cost (`C_oM`, the smoothed measured execution
+    /// time deadlines are derived from) of the job's operator instance
+    /// `op`, indexed as in [`ExpandedJob::instances`]; `None` past the
+    /// last instance. Time a yield point spent running other operators
+    /// is not part of it. Waits while the instance is executing.
+    pub fn operator_cost(&self, job: JobHandle, op: usize) -> Result<Option<Micros>, JobError> {
+        let jrt = self.lookup(job)?;
+        Ok(jrt
+            .instances
+            .get(op)
+            .map(|inst| relock(inst).converter.profile.own_cost()))
+    }
+
     /// Scheduler counters, aggregated across shards, plus the
     /// runtime-level network-coalescing counters (`net_batches`,
     /// `frames_coalesced`, `gen_rejected_frames`), the runtime's own
@@ -1591,6 +1624,13 @@ fn worker_loop(sh: Arc<Shared>, id: usize) {
         }
     }
     let _live = LiveWorker(sh.clone());
+    // The message this worker is executing, for the yield points inside
+    // it: the hook asks the scheduler whether a stricter tier outranks it.
+    let in_flight: Rc<Cell<Option<InFlight>>> = Rc::default();
+    let _hook = preempt::install({
+        let (sh, in_flight) = (sh.clone(), in_flight.clone());
+        move || preempt_in_flight(&sh, home, &in_flight)
+    });
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
             return;
@@ -1609,28 +1649,63 @@ fn worker_loop(sh: Arc<Shared>, id: usize) {
             sh.sched.park(home, PARK_TIMEOUT);
             continue;
         };
-        // Drain the operator until the scheduler says stop.
-        loop {
-            let Some((msg, _pri)) = sh.sched.take_message(&exec) else {
-                sh.sched.release(exec);
-                break;
-            };
-            process_message(&sh, exec.key(), msg);
-            match sh.sched.decide(&exec, sh.now()) {
-                Decision::Continue => continue,
-                Decision::Swap | Decision::Idle => {
-                    let shard = exec.shard();
-                    // The released operator may still be runnable (swap
-                    // leaves messages behind); wake a parked sibling on
-                    // that shard.
-                    if sh.sched.release(exec) {
-                        sh.sched.notify_shard(shard);
-                    }
-                    break;
+        run_lease(&sh, exec, &in_flight);
+    }
+}
+
+/// The priority and job of the message a worker is executing.
+type InFlight = (Priority, JobId);
+
+/// Drain one leased operator until the scheduler says stop, recording
+/// each message in `in_flight` while it executes.
+fn run_lease(sh: &Arc<Shared>, exec: ShardExecution, in_flight: &Cell<Option<InFlight>>) {
+    loop {
+        let Some((msg, pri)) = sh.sched.take_message(&exec) else {
+            sh.sched.release(exec);
+            return;
+        };
+        in_flight.set(Some((pri, exec.key().job)));
+        process_message(sh, exec.key(), msg);
+        match sh.sched.decide(&exec, sh.now()) {
+            Decision::Continue => continue,
+            Decision::Swap | Decision::Idle => {
+                let shard = exec.shard();
+                // The released operator may still be runnable (swap
+                // leaves messages behind); wake a parked sibling on
+                // that shard.
+                if sh.sched.release(exec) {
+                    sh.sched.notify_shard(shard);
                 }
+                return;
             }
         }
     }
+}
+
+/// A worker's yield-point hook: while an operator in a stricter tier
+/// outranks the message in flight, run its lease here — through the
+/// same take → execute → decide → release loop as any lease — then let
+/// the interrupted message resume. Returns the wall time it spent. The
+/// nested leases' own yield points find no hook (it is out while this
+/// runs), so nesting stops at one level.
+fn preempt_in_flight(
+    sh: &Arc<Shared>,
+    home: usize,
+    in_flight: &Cell<Option<InFlight>>,
+) -> Duration {
+    let Some((pri, job)) = in_flight.get() else {
+        return Duration::ZERO;
+    };
+    // Nothing stricter waiting (the common case): two loads, no clock.
+    if !sh.sched.stricter_tier_waiting(pri.tier()) {
+        return Duration::ZERO;
+    }
+    let started = Instant::now();
+    while let Some(exec) = sh.sched.acquire_preempting(home, pri, job, sh.now()) {
+        run_lease(sh, exec, in_flight);
+    }
+    in_flight.set(Some((pri, job)));
+    started.elapsed()
 }
 
 /// One elastic controller observation: fold every deployed job's sink
@@ -1871,12 +1946,16 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
         let inst = &mut *guard;
         is_sink = inst.is_sink;
         let started = sh.now();
+        let nested_before = preempt::nested_time();
         inst.op
             .as_mut()
             .expect("scheduled instance has an operator")
             .on_batch(msg.channel, &msg.batch, started, &mut outputs);
         inst.propagate_watermark(msg.channel, msg.batch.progress.0, &mut outputs);
-        let cost = sh.now() - started;
+        // Leases a yield point ran on this stack are other operators'
+        // cost, not this one's.
+        let nested = preempt::nested_time() - nested_before;
+        let cost = (sh.now() - started).saturating_sub(Micros(nested.as_micros() as u64));
         inst.converter.profile.record_own_cost(cost);
         if let Some(sender) = msg.sender {
             reply = Some((

@@ -423,10 +423,12 @@ fn strict_jobs_ride_out_a_lax_overload_pulse() {
 
 /// The benchmark's `tenant_mix` in the simulator, per worker: four
 /// strict jobs (100 µs per message, 10 ms target, 5 % of capacity
-/// together) beside two lax ones (400 µs, 400 ms target) whose bursts
-/// run the worker at 1.25× for a second — a backlog that stays on
-/// time, so this is deadline order throughout. One shard per worker.
-fn tenant_mix(sched: SchedulerKind, quantum_ms: u64, workers: u16) -> SimReport {
+/// together) beside two lax ones (`lax_us` per message, 400 µs in the
+/// benchmark, 400 ms target) whose bursts run the worker at 1.25× for a
+/// second — a backlog that stays on time, so this is deadline order
+/// throughout. The lax rate scales with the grain, so the utilisation
+/// does not. One shard per worker.
+fn tenant_mix(sched: SchedulerKind, quantum_ms: u64, workers: u16, lax_us: u64) -> SimReport {
     let mut sc = Scenario::new(ClusterSpec::single_node(workers), sched)
         .with_seed(7)
         .with_shards(workers as usize)
@@ -437,12 +439,18 @@ fn tenant_mix(sched: SchedulerKind, quantum_ms: u64, workers: u16) -> SimReport 
             WorkloadSpec::constant(1, 125.0, 1, Micros::from_secs(6)),
         );
     }
+    let per_400_us = 400.0 / lax_us as f64;
     for i in 0..2 * workers {
-        let mut wl = WorkloadSpec::constant(1, 750.0, 1, Micros::from_secs(6));
-        wl.sources = vec![RatePattern::PerSecond(vec![
-            1_500.0, 375.0, 375.0, 1_500.0, 375.0, 375.0,
-        ])];
-        sc.add_job(spin(&format!("lax-{i}"), 400, Micros::from_millis(400)), wl);
+        let mut wl = WorkloadSpec::constant(1, 750.0 * per_400_us, 1, Micros::from_secs(6));
+        wl.sources = vec![RatePattern::PerSecond(
+            [1_500.0, 375.0, 375.0, 1_500.0, 375.0, 375.0]
+                .map(|hz| hz * per_400_us)
+                .to_vec(),
+        )];
+        sc.add_job(
+            spin(&format!("lax-{i}"), lax_us, Micros::from_millis(400)),
+            wl,
+        );
     }
     sc.run()
 }
@@ -453,7 +461,7 @@ fn tenant_mix(sched: SchedulerKind, quantum_ms: u64, workers: u16) -> SimReport 
 /// first. `parent_lax_p95_us` is the lax p95 of the scenario at the
 /// parent commit (1 ms quantum).
 fn strict_latency_ignores_the_quantum(workers: u16, parent_lax_p95_us: f64) {
-    let run = |sched: SchedulerKind, quantum_ms: u64| tenant_mix(sched, quantum_ms, workers);
+    let run = |sched: SchedulerKind, quantum_ms: u64| tenant_mix(sched, quantum_ms, workers, 400);
     let n = workers as usize;
     let (strict, lax): (Vec<usize>, Vec<usize>) = ((0..4 * n).collect(), (4 * n..6 * n).collect());
     let all: Vec<usize> = (0..6 * n).collect();
@@ -514,4 +522,42 @@ fn strict_latency_does_not_depend_on_the_quantum_across_tiers() {
 #[test]
 fn strict_latency_does_not_depend_on_the_quantum_across_shards() {
     strict_latency_ignores_the_quantum(2, 254_997.0);
+}
+
+/// What a strict message still waits behind is the rest of one lax
+/// message, so the lax message grain sets strict latency: cut it from
+/// 400 to 100 and 50 µs at equal utilisation and strict p95 falls with
+/// it while lax p95, set by the burst backlog, stays put. Yield points
+/// cut the grain the runtime sees the same way (a lax `SpinMap` yields
+/// every microsecond or so); this is their deterministic stand-in until
+/// the sim models them itself (ROADMAP item 3).
+#[test]
+fn a_finer_lax_grain_bounds_strict_latency() {
+    let cameo = SchedulerKind::Cameo(PolicyKind::Llf);
+    let p95 = |r: &SimReport, jobs: &[usize]| r.group_percentiles(jobs, &[95.0])[0] as f64;
+    let (strict, lax) = ([0, 1, 2, 3], [4, 5]);
+    let runs = [400, 100, 50].map(|lax_us| tenant_mix(cameo, 1, 1, lax_us));
+    let strict_p95 = runs.each_ref().map(|r| p95(r, &strict));
+    let lax_p95 = runs.each_ref().map(|r| p95(r, &lax));
+    assert!(
+        strict_p95.windows(2).all(|w| w[1] < w[0]),
+        "strict p95 at 400 / 100 / 50 µs grains: {strict_p95:?}"
+    );
+    assert!(strict_p95[2] < 400.0, "strict p95 {strict_p95:?}");
+    for (grain, lax) in [100, 50].iter().zip(&lax_p95[1..]) {
+        assert!(
+            (lax - lax_p95[0]).abs() <= 0.1 * lax_p95[0],
+            "lax p95 {lax} µs at a {grain} µs grain, {} at 400",
+            lax_p95[0]
+        );
+    }
+    let again = tenant_mix(cameo, 1, 1, 50);
+    for j in 0..6 {
+        assert_eq!(
+            runs[2].job(j).samples,
+            again.job(j).samples,
+            "job {j} diverged"
+        );
+    }
+    assert_eq!(runs[2].metrics.executions, again.metrics.executions);
 }

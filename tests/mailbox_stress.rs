@@ -598,3 +598,84 @@ fn len_never_wraps_while_submitters_race_a_draining_worker() {
         assert!(sched.is_empty());
     }
 }
+
+/// `Runtime::queue_len()` is this gauge: read while submitters, a
+/// draining worker and an operator migrator all move messages around
+/// (the migrator re-places operators between four shards, so messages
+/// leave one shard's count and enter another's, and mail in flight to
+/// the old shard is forwarded at its next drain), it never reads above
+/// the number of messages submitted — a wrapped per-shard counter would
+/// read as ~`usize::MAX` — and it reads zero once everything is taken.
+#[test]
+fn len_stays_bounded_while_operators_migrate() {
+    const SHARDS: usize = 4;
+    const SUBMITTERS: u64 = 4;
+    const ROUNDS: u64 = 10_000;
+    const BATCH: u64 = 4;
+    const OPS: u64 = 6;
+    const TOTAL: usize = (SUBMITTERS * ROUNDS * (1 + BATCH)) as usize;
+    let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
+        SchedulerConfig::default()
+            .with_shards(SHARDS)
+            .with_quantum(Micros(0)),
+    ));
+    // Bumped *before* each submit call, so it bounds what can be inside.
+    let submitted = Arc::new(AtomicUsize::new(0));
+    let taken = Arc::new(AtomicUsize::new(0));
+    let submitters: Vec<_> = (0..SUBMITTERS)
+        .map(|t| {
+            let (sched, submitted) = (sched.clone(), submitted.clone());
+            std::thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    let op = |n: u64| key(0, ((t + i + n) % OPS) as u32);
+                    submitted.fetch_add(1, Ordering::SeqCst);
+                    sched.submit(op(0), i, Priority::uniform(i as i64));
+                    submitted.fetch_add(BATCH as usize, Ordering::SeqCst);
+                    sched.submit_batch((0..BATCH).map(|b| (op(b), i, Priority::uniform(0))));
+                }
+            })
+        })
+        .collect();
+    let check = |sched: &ShardedScheduler<u64>| {
+        let len = sched.len();
+        let submitted = submitted.load(Ordering::SeqCst);
+        assert!(
+            len <= submitted,
+            "len() read {len} with {submitted} messages submitted"
+        );
+    };
+    let mut migrations = 0u64;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut out = 0;
+            while out < TOTAL {
+                let Some(exec) = sched.acquire(out % SHARDS, PhysicalTime::ZERO) else {
+                    std::thread::yield_now();
+                    continue;
+                };
+                while sched.take_message(&exec).is_some() {
+                    check(&sched);
+                    out += 1;
+                }
+                sched.release(exec);
+                taken.store(out, Ordering::SeqCst);
+            }
+        });
+        let mut turn = 0usize;
+        while taken.load(Ordering::SeqCst) < TOTAL {
+            let k = key(0, (turn % OPS as usize) as u32);
+            if sched.migrate_operator(k, (sched.shard_of(k) + 1 + turn) % SHARDS) {
+                migrations += 1;
+            }
+            check(&sched);
+            turn += 1;
+            std::thread::yield_now();
+        }
+    });
+    for h in submitters {
+        h.join().unwrap();
+    }
+    assert!(migrations > 0, "the migrator never moved a backlog");
+    assert_eq!(sched.stats().operators_migrated, migrations);
+    assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
+}

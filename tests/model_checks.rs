@@ -120,20 +120,27 @@ fn reference_decide(
     now: PhysicalTime,
     quantum_expired: bool,
 ) -> Decision {
+    match reference_swap(mine, runnable, now, quantum_expired) {
+        Some(_) => Decision::Swap,
+        None => Decision::Continue,
+    }
+}
+
+/// The index of the operator the boundary rule swaps to, if it swaps.
+fn reference_swap(
+    mine: Priority,
+    runnable: &[Priority],
+    now: PhysicalTime,
+    quantum_expired: bool,
+) -> Option<usize> {
     let overloaded = mine.overdue(now) || runnable.iter().any(|p| p.overdue(now));
-    let first = runnable
+    let (first, theirs) = runnable
         .iter()
         .enumerate()
-        .min_by_key(|(i, p)| (p.rank(overloaded), **p, *i));
-    match first {
-        Some((_, theirs))
-            if theirs.rank(overloaded) < mine.rank(overloaded)
-                && (quantum_expired || theirs.tier() < mine.tier()) =>
-        {
-            Decision::Swap
-        }
-        _ => Decision::Continue,
-    }
+        .min_by_key(|(i, p)| (p.rank(overloaded), **p, *i))?;
+    (theirs.rank(overloaded) < mine.rank(overloaded)
+        && (quantum_expired || theirs.tier() < mine.tier()))
+    .then_some(first)
 }
 
 /// Steps of a flat-tier scheduling run: submissions, and worker turns
@@ -568,6 +575,71 @@ proptest! {
         let st = sh.stats();
         prop_assert!(st.tier_preemptions <= strict_msgs,
             "{} early swaps for {} strict messages", st.tier_preemptions, strict_msgs);
+    }
+
+    /// A yield point asks `decide`'s question of the message in flight:
+    /// whenever `acquire_preempting` hands out a lease, it is the
+    /// operator the boundary rule swaps to by tier, never one of the
+    /// in-flight job's. On one shard it is exactly what `decide`, asked
+    /// at that instant with the in-flight message still queued, does —
+    /// including its `Continue`s, unless the in-flight job's own
+    /// operator is the one that would win. Across shards it may only be
+    /// more cautious.
+    #[test]
+    fn acquire_preempting_is_decides_swap_by_tier(
+        // Never in the strictest tier: something may be stricter.
+        mine in (1u8..4, start_offset()),
+        others in prop::collection::vec((0u8..4, start_offset(), 0u32..3), 1..6),
+        t0 in 3_000u64..4_000,
+        elapsed in 0u64..3_000,
+        shards in 1usize..4,
+    ) {
+        let now = PhysicalTime(t0 + elapsed);
+        // Distinct deadlines: no tie-breaking rule to agree on.
+        let pri = |i: usize, tier: u8, offset: i64| {
+            Priority::uniform(now.0 as i64 + offset * 8 + i as i64).with_tier(tier * 7)
+        };
+        let mine = pri(0, mine.0, mine.1);
+        let keys: Vec<OperatorKey> = others
+            .iter()
+            .enumerate()
+            .map(|(i, o)| OperatorKey::new(JobId(o.2), i as u32 + 1))
+            .collect();
+        let runnable: Vec<Priority> =
+            others.iter().enumerate().map(|(i, o)| pri(i + 1, o.0, o.1)).collect();
+        // The in-flight message is job 0's operator 0; `take` says
+        // whether it has left the queue (executing) or not (next).
+        let pool = |take: bool| {
+            let sh: ShardedScheduler<usize> = ShardedScheduler::new(
+                SchedulerConfig::default()
+                    .with_quantum(Micros::from_secs(1))
+                    .with_shards(shards),
+            );
+            sh.submit(OperatorKey::new(JobId(0), 0), 0, mine);
+            let exec = sh.acquire(0, PhysicalTime(t0)).expect("one operator");
+            if take {
+                assert!(sh.take_message(&exec).is_some());
+            }
+            for (i, (&k, &p)) in keys.iter().zip(&runnable).enumerate() {
+                sh.submit(k, i + 1, p);
+            }
+            (sh, exec)
+        };
+        let (executing, _lease) = pool(true);
+        let got = executing.acquire_preempting(0, mine, JobId(0), now);
+        let want = reference_swap(mine, &runnable, now, false);
+        if let Some(nested) = &got {
+            prop_assert_eq!(Some(nested.key()), want.map(|i| keys[i]));
+            prop_assert!(nested.key().job != JobId(0));
+        }
+        if shards == 1 {
+            let (queued, lease) = pool(false);
+            let decided = queued.decide(&lease, now);
+            prop_assert_eq!(decided == Decision::Swap, want.is_some());
+            prop_assert_eq!(queued.stats().tier_preemptions, u64::from(want.is_some()));
+            let own_wins = want.is_some_and(|i| keys[i].job == JobId(0));
+            prop_assert_eq!(got.is_some(), want.is_some() && !own_wins);
+        }
     }
 
     /// The Cameo scheduler processes any message set exactly once under
