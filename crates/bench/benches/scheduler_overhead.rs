@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks for Fig 12 (left): per-message cost of
 //! FIFO queueing vs two-level priority scheduling vs full Cameo
 //! (scheduling + priority generation), plus the per-message cost of the
-//! sharded scheduler (single-threaded: what sharding *itself* costs; the
-//! contended multi-worker picture is `cargo run --release --bin
-//! bench_sharded_scheduler`).
+//! sharded scheduler — single-threaded (what sharding *itself* costs)
+//! and contended by 1, 2 and 4 threads against one mutex-guarded
+//! scheduler (`contended_cycle`).
 
 use cameo_core::prelude::*;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::collections::VecDeque;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 fn bench_fifo_queue(c: &mut Criterion) {
     c.bench_function("fifo_queue_push_pop", |b| {
@@ -279,6 +281,133 @@ fn bench_sharded_scheduling(c: &mut Criterion) {
     g.finish();
 }
 
+/// Operators each contending thread owns; enough that leases rotate.
+const OPS_PER_THREAD: u32 = 32;
+/// Messages a contending thread submits before it drains.
+const BURST: u64 = 4;
+
+/// One scoped thread per `keys` entry, sharing `msgs` messages at a
+/// runtime worker's cadence: thread `t` submits a burst of [`BURST`]
+/// over `keys[t]`, then runs `lease(t, now)` — one acquire, take every
+/// message, release; `None` if nothing could be acquired — until its
+/// own burst is taken or nothing is left to acquire. A peer may take
+/// some of it; what is left when every thread has finished is leased
+/// after the join, inside the timing. Returns the wall time.
+fn closed_loop(
+    msgs: u64,
+    keys: &[Vec<OperatorKey>],
+    submit: impl Fn(OperatorKey, u64) + Sync,
+    lease: impl Fn(usize, u64) -> Option<u64> + Sync,
+) -> Duration {
+    let workers = keys.len() as u64;
+    let started = Instant::now();
+    std::thread::scope(|s| {
+        for (t, keys) in keys.iter().enumerate() {
+            let (submit, lease) = (&submit, &lease);
+            let share = msgs / workers + u64::from((t as u64) < msgs % workers);
+            s.spawn(move || {
+                let mut sent = 0;
+                while sent < share {
+                    let mut backlog = BURST.min(share - sent);
+                    for _ in 0..backlog {
+                        sent += 1;
+                        submit(keys[(sent % keys.len() as u64) as usize], sent);
+                    }
+                    while backlog > 0 {
+                        let Some(taken) = lease(t, sent) else { break };
+                        backlog = backlog.saturating_sub(taken);
+                    }
+                }
+            });
+        }
+    });
+    for t in 0..keys.len() {
+        while lease(t, msgs).is_some() {}
+    }
+    started.elapsed()
+}
+
+/// The contention table: W threads in a closed submit → acquire → take
+/// → release loop, either all locking one `Mutex<CameoScheduler>` for
+/// every call, or each on its own shard of a `ShardedScheduler` with
+/// its operators homed there. One iteration is one message, so ns/iter
+/// is wall time per message across all W threads. On a host with fewer
+/// cores than W, the threads time-slice: the cell then measures what
+/// contention costs, not how far the scheduler scales.
+fn bench_contended_cycle(c: &mut Criterion) {
+    let mut g = c.benchmark_group("contended_cycle");
+    for workers in [1usize, 2, 4] {
+        g.bench_with_input(BenchmarkId::new("mutex", workers), &workers, |b, &w| {
+            let keys: Vec<Vec<OperatorKey>> = (0..w)
+                .map(|t| {
+                    (0..OPS_PER_THREAD)
+                        .map(|op| OperatorKey::new(JobId(t as u32), op))
+                        .collect()
+                })
+                .collect();
+            b.iter_custom(|iters| {
+                let sched = Mutex::new(CameoScheduler::<u64>::default());
+                let elapsed = closed_loop(
+                    iters,
+                    &keys,
+                    |key, i| {
+                        sched
+                            .lock()
+                            .unwrap()
+                            .submit(key, i, Priority::new(0, i as i64));
+                    },
+                    |_, now| {
+                        let exec = sched.lock().unwrap().acquire(PhysicalTime(now))?;
+                        let mut taken = 0;
+                        while sched.lock().unwrap().take_message(&exec).is_some() {
+                            taken += 1;
+                        }
+                        sched.lock().unwrap().release(exec);
+                        Some(taken)
+                    },
+                );
+                assert!(sched.lock().unwrap().is_empty(), "every message taken");
+                elapsed
+            });
+        });
+        g.bench_with_input(BenchmarkId::new("sharded", workers), &workers, |b, &w| {
+            let config = SchedulerConfig::default().with_shards(w);
+            let probe: ShardedScheduler<u64> = ShardedScheduler::new(config);
+            let keys: Vec<Vec<OperatorKey>> = (0..w)
+                .map(|t| {
+                    (0..)
+                        .map(|op| OperatorKey::new(JobId(t as u32), op))
+                        .filter(|&k| probe.shard_of(k) == t)
+                        .take(OPS_PER_THREAD as usize)
+                        .collect()
+                })
+                .collect();
+            b.iter_custom(|iters| {
+                let sched: ShardedScheduler<u64> = ShardedScheduler::new(config);
+                let elapsed = closed_loop(
+                    iters,
+                    &keys,
+                    |key, i| {
+                        sched.submit(key, i, Priority::new(0, i as i64));
+                    },
+                    |t, now| {
+                        let exec = sched.acquire(t, PhysicalTime(now))?;
+                        let mut taken = 0;
+                        while sched.take_message(&exec).is_some() {
+                            taken += 1;
+                        }
+                        sched.release(exec);
+                        Some(taken)
+                    },
+                );
+                assert!(sched.is_empty(), "every message taken");
+                elapsed
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_fifo_queue,
@@ -287,6 +416,7 @@ criterion_group!(
     bench_quantum_decision,
     bench_sharded_decision,
     bench_yield_point,
-    bench_sharded_scheduling
+    bench_sharded_scheduling,
+    bench_contended_cycle
 );
 criterion_main!(benches);

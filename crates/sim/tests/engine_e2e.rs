@@ -530,7 +530,7 @@ fn strict_latency_does_not_depend_on_the_quantum_across_shards() {
 /// it while lax p95, set by the burst backlog, stays put. Yield points
 /// cut the grain the runtime sees the same way (a lax `SpinMap` yields
 /// every microsecond or so); this is their deterministic stand-in until
-/// the sim models them itself (ROADMAP item 3).
+/// the sim models them itself (ROADMAP item 12).
 #[test]
 fn a_finer_lax_grain_bounds_strict_latency() {
     let cameo = SchedulerKind::Cameo(PolicyKind::Llf);

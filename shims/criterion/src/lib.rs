@@ -3,11 +3,12 @@
 //! A tiny wall-clock timing harness exposing the criterion API surface
 //! this workspace's benches use: `Criterion::bench_function`,
 //! `benchmark_group` + `bench_with_input`, `Bencher::iter` /
-//! `iter_batched`, `BenchmarkId`, and the `criterion_group!` /
-//! `criterion_main!` macros. No statistics, plots, or outlier analysis —
-//! each benchmark is calibrated briefly and reported as ns/iter on
-//! stdout. Good enough to compare orders of magnitude and track gross
-//! regressions without network access to crates.io.
+//! `iter_batched` / `iter_custom`, `BenchmarkId`, and the
+//! `criterion_group!` / `criterion_main!` macros. No statistics, plots,
+//! or outlier analysis — each benchmark is calibrated briefly and
+//! reported as ns/iter on stdout. Good enough to compare orders of
+//! magnitude and track gross regressions without network access to
+//! crates.io.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -48,14 +49,23 @@ pub struct Bencher {
 
 impl Bencher {
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
+        self.iter_custom(|iters| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            t0.elapsed()
+        });
+    }
+
+    /// The routine runs `iters` iterations itself and returns the time
+    /// they took, for work the closure cannot time one call at a time
+    /// (several threads sharing the iterations, say).
+    pub fn iter_custom(&mut self, mut routine: impl FnMut(u64) -> Duration) {
         // Calibrate: grow the batch until it runs long enough to time.
         let mut batch: u64 = 1;
         loop {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(f());
-            }
-            let dt = t0.elapsed();
+            let dt = routine(batch);
             if dt >= TARGET || batch >= 1 << 24 {
                 self.iters = batch;
                 self.elapsed = dt;
@@ -184,6 +194,14 @@ mod tests {
         let mut b = Bencher::default();
         b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput);
         assert!(b.iters >= 1);
+    }
+
+    #[test]
+    fn iter_custom_grows_the_batch_to_the_target() {
+        let mut b = Bencher::default();
+        b.iter_custom(Duration::from_micros);
+        assert!(b.elapsed >= TARGET);
+        assert_eq!(b.elapsed, Duration::from_micros(b.iters));
     }
 
     #[test]
