@@ -16,20 +16,15 @@
 //!    own schedule inflates rather than hides queueing delay. Messages
 //!    purged by mid-run undeploy count as misses.
 //!
-//! Each load grid runs twice: once against the **static** pool (the
-//! spec's worker count, the configuration saturation is calibrated on)
-//! and once against the **elastic** runtime (pool 1..=workers under
-//! the miss-rate controller), so the artifact captures what elasticity
-//! costs below saturation and buys during overload.
+//! Every point runs the spec's fixed worker pool, the configuration
+//! saturation is calibrated on.
 //!
 //! Output: a table on stdout and `BENCH_slo_sweep.json` (schema in
 //! docs/BENCH.md) with per-tenant and aggregate deadline-miss rate and
-//! p50/p99/p999 vs offered load, static and elastic curves side by
-//! side. In-binary asserts (CI runs `--quick`): the artifact
-//! re-parses, every miss rate is finite and in [0, 1], percentiles are
-//! ordered, past saturation the static aggregate miss rate is
-//! monotonically non-decreasing in offered load, and every elastic
-//! point carries controller telemetry with the pool inside its bounds.
+//! p50/p99/p999 vs offered load. In-binary asserts (CI runs `--quick`):
+//! the artifact re-parses, every miss rate is finite and in [0, 1],
+//! percentiles are ordered, and past saturation the aggregate miss
+//! rate is monotonically non-decreasing in offered load.
 //!
 //! On a 1-CPU host all workers, the ingress loop, the sender and the
 //! recorders share one core: absolute saturation is low and tails are
@@ -59,13 +54,6 @@ struct ScenarioCurve {
     spec_mean_hz: f64,
     cap_us: Option<u64>,
     points: Vec<Point>,
-    /// The same load grid driven against the elastic runtime (pool
-    /// 1..=workers under the miss-rate controller) instead of the
-    /// static pool. Kept separate from `points`: saturation — and so
-    /// the load axis — is calibrated on the static pool, and the lint's
-    /// past-saturation monotonicity chain only applies within a
-    /// configuration.
-    elastic_points: Vec<Point>,
 }
 
 fn corpus_path(name: &str) -> PathBuf {
@@ -93,52 +81,32 @@ fn run_scenario(
         horizon / 1_000
     );
     let mut points = Vec::with_capacity(loads.len());
-    let mut elastic_points = Vec::with_capacity(loads.len());
-    for &elastic in &[false, true] {
-        for &load in loads {
-            let scale = load * saturation_hz / spec_mean_hz;
-            let outcome = run_open_loop(
-                &spec,
-                &DriveConfig {
-                    seed,
-                    scale,
-                    cap_us,
-                    elastic,
-                },
-            );
-            let pool = match &outcome.elastic {
-                Some(e) => format!(
-                    " pool peak {} end {} (+{}/-{})",
-                    e.telemetry.peak_workers.max(1),
-                    e.final_workers,
-                    e.telemetry.grows,
-                    e.telemetry.shrinks
-                ),
-                None => String::new(),
-            };
-            println!(
-                "  {} load {load:4.2}x sat: offered {:7.0} msg/s, sends {:6}, miss {:6.3}, \
-                 p50 {:6} µs, p99 {:7} µs, p999 {:7} µs, lag {:5} µs{pool}",
-                if elastic { "elastic" } else { "static " },
-                outcome.offered_hz,
-                outcome.sends,
-                outcome.aggregate.miss_rate,
-                outcome.aggregate.p50_us,
-                outcome.aggregate.p99_us,
-                outcome.aggregate.p999_us,
-                outcome.send_lag_max_us,
-            );
-            let point = Point {
-                load,
+    for &load in loads {
+        let scale = load * saturation_hz / spec_mean_hz;
+        let outcome = run_open_loop(
+            &spec,
+            &DriveConfig {
+                seed,
                 scale,
-                outcome,
-            };
-            if elastic {
-                elastic_points.push(point);
-            } else {
-                points.push(point);
-            }
-        }
+                cap_us,
+            },
+        );
+        println!(
+            "  load {load:4.2}x sat: offered {:7.0} msg/s, sends {:6}, miss {:6.3}, \
+             p50 {:6} µs, p99 {:7} µs, p999 {:7} µs, lag {:5} µs",
+            outcome.offered_hz,
+            outcome.sends,
+            outcome.aggregate.miss_rate,
+            outcome.aggregate.p50_us,
+            outcome.aggregate.p99_us,
+            outcome.aggregate.p999_us,
+            outcome.send_lag_max_us,
+        );
+        points.push(Point {
+            load,
+            scale,
+            outcome,
+        });
     }
     ScenarioCurve {
         spec,
@@ -146,13 +114,10 @@ fn run_scenario(
         spec_mean_hz,
         cap_us,
         points,
-        elastic_points,
     }
 }
 
-/// Serialize one array of measured points (shared by `points` and
-/// `elastic_points`; the latter additionally carry an `"elastic"`
-/// telemetry object).
+/// Serialize one scenario's array of measured points.
 fn write_points(s: &mut String, points: &[Point]) {
     for (pi, p) in points.iter().enumerate() {
         let a = &p.outcome.aggregate;
@@ -180,21 +145,6 @@ fn write_points(s: &mut String, points: &[Point]) {
             p.outcome.frames_dropped,
             p.outcome.gen_rejected,
         );
-        if let Some(e) = &p.outcome.elastic {
-            let _ = write!(
-                s,
-                "\"elastic\": {{\"peak_workers\": {}, \"final_workers\": {}, \
-                 \"grows\": {}, \"shrinks\": {}, \"migrations\": {}, \
-                 \"reclaims\": {}, \"ticks\": {}}}, ",
-                e.telemetry.peak_workers,
-                e.final_workers,
-                e.telemetry.grows,
-                e.telemetry.shrinks,
-                e.telemetry.migrations,
-                e.telemetry.reclaims,
-                e.telemetry.ticks,
-            );
-        }
         let _ = write!(s, "\"tenants\": [");
         for (ti, t) in p.outcome.tenants.iter().enumerate() {
             let ts = &t.summary;
@@ -248,8 +198,6 @@ fn render_artifact(mode: &str, seed: u64, cpus: usize, curves: &[ScenarioCurve])
             horizon
         );
         write_points(&mut s, &c.points);
-        let _ = write!(s, "\n    ], \"elastic_points\": [");
-        write_points(&mut s, &c.elastic_points);
         let _ = write!(s, "\n    ]}}");
     }
     let _ = write!(s, "\n  ]\n}}\n");
@@ -281,14 +229,22 @@ fn lint_artifact(artifact: &str) {
         assert!(!points.is_empty(), "{name}: at least one point");
         let mut prev: Option<(f64, f64)> = None;
         for pt in points {
-            let (load, miss) = lint_point(name, pt);
+            let load = pt.get("load").and_then(Value::as_num).expect("load");
+            let miss = pt
+                .get("miss_rate")
+                .and_then(Value::as_num)
+                .expect("miss_rate");
             assert!(
-                pt.get("elastic").is_none(),
-                "{name}: static point at load {load} carries elastic telemetry"
+                miss.is_finite() && (0.0..=1.0).contains(&miss),
+                "{name}: miss rate {miss} at load {load} not a finite probability"
             );
-            // The monotonicity chain only runs over the static points:
-            // the load axis is calibrated against the static pool, and
-            // consecutive elastic points react to load independently.
+            let p50 = pt.get("p50_us").and_then(Value::as_num).expect("p50");
+            let p99 = pt.get("p99_us").and_then(Value::as_num).expect("p99");
+            let p999 = pt.get("p999_us").and_then(Value::as_num).expect("p999");
+            assert!(
+                p50 <= p99 && p99 <= p999,
+                "{name}: percentiles out of order at load {load}: {p50}/{p99}/{p999}"
+            );
             if let Some((prev_load, prev_miss)) = prev {
                 if prev_load >= 0.99 && load >= 0.99 {
                     assert!(
@@ -300,57 +256,7 @@ fn lint_artifact(artifact: &str) {
             }
             prev = Some((load, miss));
         }
-        let elastic_points = sc
-            .get("elastic_points")
-            .and_then(Value::as_arr)
-            .expect("elastic_points array");
-        assert_eq!(
-            elastic_points.len(),
-            points.len(),
-            "{name}: elastic grid must mirror the static load grid"
-        );
-        for pt in elastic_points {
-            let (load, _) = lint_point(name, pt);
-            let e = pt
-                .get("elastic")
-                .unwrap_or_else(|| panic!("{name}: elastic point at load {load} lacks telemetry"));
-            let ticks = e.get("ticks").and_then(Value::as_num).expect("ticks");
-            assert!(
-                ticks > 0.0,
-                "{name}: elastic controller never ticked at load {load}"
-            );
-            let finw = e
-                .get("final_workers")
-                .and_then(Value::as_num)
-                .expect("final_workers");
-            assert!(
-                finw >= 1.0,
-                "{name}: elastic pool ended below one worker at load {load}"
-            );
-        }
     }
-}
-
-/// Shared per-point invariants: finite miss rate in [0, 1] and ordered
-/// percentiles. Returns `(load, miss_rate)` for the caller's chains.
-fn lint_point(name: &str, pt: &Value) -> (f64, f64) {
-    let load = pt.get("load").and_then(Value::as_num).expect("load");
-    let miss = pt
-        .get("miss_rate")
-        .and_then(Value::as_num)
-        .expect("miss_rate");
-    assert!(
-        miss.is_finite() && (0.0..=1.0).contains(&miss),
-        "{name}: miss rate {miss} at load {load} not a finite probability"
-    );
-    let p50 = pt.get("p50_us").and_then(Value::as_num).expect("p50");
-    let p99 = pt.get("p99_us").and_then(Value::as_num).expect("p99");
-    let p999 = pt.get("p999_us").and_then(Value::as_num).expect("p999");
-    assert!(
-        p50 <= p99 && p99 <= p999,
-        "{name}: percentiles out of order at load {load}: {p50}/{p99}/{p999}"
-    );
-    (load, miss)
 }
 
 fn main() {

@@ -16,7 +16,6 @@
 use super::capture::{summarize, Record, Summary};
 use super::schedule::{compile, EventKind};
 use super::spec::{SloSpec, TenantSpec};
-use cameo_core::elastic::{ElasticConfig, ElasticTelemetry};
 use cameo_core::progress::TimeDomain;
 use cameo_core::stats::exact_percentile;
 use cameo_core::time::{LogicalTime, Micros};
@@ -39,21 +38,15 @@ pub struct DriveConfig {
     pub scale: f64,
     /// Optional horizon cap in microseconds (quick mode).
     pub cap_us: Option<u64>,
-    /// Drive the elastic runtime instead of a fixed worker pool: the
-    /// runtime starts at one worker and the controller may scale up to
-    /// the spec's worker count under load. Defaults to `false` (fixed
-    /// pool), the configuration the saturation probe calibrates.
-    pub elastic: bool,
 }
 
 impl DriveConfig {
-    /// A fixed-pool point at the given seed and scale.
+    /// A point at the given seed and scale over the whole horizon.
     pub fn new(seed: u64, scale: f64) -> Self {
         DriveConfig {
             seed,
             scale,
             cap_us: None,
-            elastic: false,
         }
     }
 }
@@ -78,16 +71,6 @@ pub struct TenantOutcome {
     pub rt_p999_us: u64,
 }
 
-/// What the elastic controller did during one elastic drive.
-#[derive(Clone, Copy, Debug)]
-pub struct ElasticDriveStats {
-    /// Controller counters at the end of the run.
-    pub telemetry: ElasticTelemetry,
-    /// Worker-pool size when the run ended (after any quiescent
-    /// shrink-back).
-    pub final_workers: usize,
-}
-
 /// Everything one open-loop run produced.
 #[derive(Clone, Debug)]
 pub struct DriveOutcome {
@@ -106,9 +89,6 @@ pub struct DriveOutcome {
     pub frames_dropped: u64,
     /// Frames refused by the generation check.
     pub gen_rejected: u64,
-    /// Elastic-controller activity — `Some` iff the point was driven
-    /// with [`DriveConfig::elastic`].
-    pub elastic: Option<ElasticDriveStats>,
 }
 
 /// The job every SLO tenant runs under the real runtime: ingest →
@@ -190,19 +170,10 @@ pub fn measure_saturation(spec: &SloSpec, frames_budget: u64) -> f64 {
 /// declared rates and measure deadline misses CO-safely.
 pub fn run_open_loop(spec: &SloSpec, cfg: &DriveConfig) -> DriveOutcome {
     let schedule = compile(spec, cfg.seed, cfg.scale, cfg.cap_us);
-    // Elastic points start at one worker and let the miss-rate
-    // controller scale up to the spec's pool; a 20 ms tick reacts
-    // within a fraction of the tightest tenant deadline. Static points
-    // pin the full pool — the configuration saturation is calibrated
-    // against.
-    let rt_cfg = if cfg.elastic {
-        RuntimeConfig::default()
-            .with_workers(1)
-            .with_elastic(ElasticConfig::new(1, spec.workers).with_tick(Micros(20_000)))
-    } else {
-        RuntimeConfig::default().with_workers(spec.workers)
-    };
-    let rt = Arc::new(Runtime::start(rt_cfg));
+    // The spec's pool: the configuration saturation is calibrated on.
+    let rt = Arc::new(Runtime::start(
+        RuntimeConfig::default().with_workers(spec.workers),
+    ));
     let server = IngestServer::start(rt.clone(), "127.0.0.1:0").expect("bind loopback");
     let mut client = IngestClient::connect(server.local_addr()).expect("connect loopback");
 
@@ -379,10 +350,6 @@ pub fn run_open_loop(spec: &SloSpec, cfg: &DriveConfig) -> DriveOutcome {
 
     let frames_dropped = server.frames_dropped();
     let gen_rejected = server.gen_rejected_frames();
-    let elastic = cfg.elastic.then(|| ElasticDriveStats {
-        telemetry: rt.elastic_telemetry(),
-        final_workers: rt.worker_count(),
-    });
     server.stop();
     Arc::try_unwrap(rt)
         .ok()
@@ -450,6 +417,5 @@ pub fn run_open_loop(spec: &SloSpec, cfg: &DriveConfig) -> DriveOutcome {
         tenants,
         frames_dropped,
         gen_rejected,
-        elastic,
     }
 }

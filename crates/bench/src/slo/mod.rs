@@ -21,8 +21,6 @@ pub mod simbridge;
 pub mod spec;
 
 pub use capture::{summarize, Record, Summary};
-pub use driver::{
-    measure_saturation, run_open_loop, DriveConfig, DriveOutcome, ElasticDriveStats, TenantOutcome,
-};
+pub use driver::{measure_saturation, run_open_loop, DriveConfig, DriveOutcome, TenantOutcome};
 pub use schedule::{compile, Event, EventKind, Schedule};
 pub use spec::{Arrival, SloSpec, SpecError, TenantSpec};

@@ -1,35 +1,32 @@
 //! The elastic control loop: a deterministic controller that turns
-//! observed deadline-miss rate and queue shape into structural
-//! actuation — worker-pool sizing, steal-threshold tuning, hot-operator
-//! re-placement, and arena segment reclamation.
+//! observed deadline-miss rate and queue shape into three actuations —
+//! steal-threshold tuning, arena segment reclamation, and durability
+//! snapshot scheduling.
 //!
 //! Cameo's scheduler carries the *sensor* half of a feedback loop (the
 //! per-operator cost profiles feeding priorities, per-job latency
-//! targets checked at sinks) but the original system never acts on it
-//! structurally: the worker pool, the `shard_of` placement and the
-//! steal threshold are all fixed at startup, and per-shard arenas hold
-//! their high-water mark forever. This module closes the loop.
+//! targets checked at sinks) but the original system never acts on it:
+//! the steal threshold is fixed at startup, per-shard arenas hold their
+//! high-water mark forever, and nothing picks a cheap moment for a
+//! snapshot. This module closes the loop for those three. The worker
+//! pool itself is fixed: Cameo meets deadlines inside a static pool by
+//! ordering work, and a parked worker costs next to nothing.
 //!
 //! The controller itself is a **pure state machine**: no clock, no
 //! randomness, no I/O. Each [`tick`](ElasticController::tick) consumes
 //! one [`ElasticObservation`] (cumulative counters plus instantaneous
-//! queue shape) and returns a list of [`ElasticAction`]s. That purity
-//! is what lets the deterministic simulator run the *identical*
-//! controller at virtual-time ticks and prove the loop stable
-//! (bit-identical reruns) before the threaded runtime trusts it with
-//! real threads.
+//! backlog) and returns a list of [`ElasticAction`]s. That purity is
+//! what lets the deterministic simulator run the *identical* controller
+//! at virtual-time ticks (bit-identical reruns) before the threaded
+//! runtime trusts it.
 //!
 //! Control policy, in one paragraph: the controller differentiates the
 //! cumulative sink counters into a per-tick windowed deadline-miss
-//! rate. While the system is *active* (outputs flowing or backlog
-//! pending), a miss rate above the high-water mark grows the worker
-//! pool one [`grow_step`](ElasticConfig::grow_step) at a time toward
-//! the ceiling and — when one shard's backlog dominates the mean — asks
-//! for the hottest operator to be migrated off the overloaded shard.
-//! Sustained quiescence (no outputs, no backlog, for
+//! rate. Sustained quiescence (no outputs, no backlog, for
 //! [`quiescent_ticks`](ElasticConfig::quiescent_ticks) consecutive
-//! ticks) walks the pool back down one worker per tick and requests
-//! arena segment reclamation. The steal threshold is tuned from the
+//! ticks) requests arena segment reclamation and, when the journal has
+//! grown past [`snapshot_dirty_bytes`](ElasticConfig::snapshot_dirty_bytes),
+//! a durability snapshot. The steal threshold is tuned from the
 //! observed steal ratio (steals per acquisition): overload drives it to
 //! zero (steal eagerly), healthy-but-churning stealing backs it off
 //! geometrically, and calm periods decay it back toward the configured
@@ -43,32 +40,19 @@ use crate::time::Micros;
 /// actions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ElasticConfig {
-    /// Floor of the worker pool: quiescent shrink never goes below.
-    pub min_workers: usize,
-    /// Ceiling of the worker pool: overload growth never exceeds.
-    pub max_workers: usize,
-    /// Windowed deadline-miss rate above which the pool grows.
+    /// Windowed deadline-miss rate above which the system counts as
+    /// overloaded: steal damping drops to zero.
     pub high_water: f64,
     /// Windowed deadline-miss rate below which the system counts as
-    /// healthy for steal-threshold decay. Must be ≤ `high_water`.
+    /// healthy for steal-threshold backoff. Must be ≤ `high_water`.
     pub low_water: f64,
-    /// Workers added per overloaded tick.
-    pub grow_step: usize,
     /// Consecutive quiescent ticks (no outputs, empty queues) before
-    /// the pool shrinks and arenas are reclaimed.
+    /// arenas are reclaimed.
     pub quiescent_ticks: u32,
     /// Controller sampling interval. The runtime's controller thread
     /// sleeps this long between ticks; the simulator schedules a
     /// controller event every `tick` of virtual time.
     pub tick: Micros,
-    /// A shard is "overloaded" for migration purposes when its backlog
-    /// exceeds this multiple of the mean shard backlog (and the
-    /// absolute floor `migrate_min_backlog`).
-    pub migrate_backlog_ratio: f64,
-    /// Minimum absolute backlog (messages) on a shard before migration
-    /// is considered — keeps the controller from shuffling operators
-    /// over noise.
-    pub migrate_min_backlog: usize,
     /// Base steal threshold the auto-tuner decays back to when the
     /// system is healthy and stealing is not churning.
     pub steal_base: Micros,
@@ -78,27 +62,24 @@ pub struct ElasticConfig {
     pub snapshot_dirty_bytes: u64,
 }
 
-impl ElasticConfig {
-    /// A controller bounded to `[min_workers, max_workers]` with the
-    /// default thresholds: grow above 10% missed deadlines, shrink and
-    /// reclaim after 3 quiescent ticks of 10 ms each.
-    pub fn new(min_workers: usize, max_workers: usize) -> Self {
+impl Default for ElasticConfig {
+    /// The default thresholds: overloaded above 10% missed deadlines,
+    /// healthy below 1%, reclaim after 3 quiescent ticks of 10 ms each,
+    /// no snapshot scheduling.
+    fn default() -> Self {
         ElasticConfig {
-            min_workers: min_workers.max(1),
-            max_workers: max_workers.max(min_workers.max(1)),
             high_water: 0.10,
             low_water: 0.01,
-            grow_step: 1,
             quiescent_ticks: 3,
             tick: Micros::from_millis(10),
-            migrate_backlog_ratio: 2.0,
-            migrate_min_backlog: 16,
             steal_base: Micros::ZERO,
             snapshot_dirty_bytes: 0,
         }
     }
+}
 
-    /// Builder: grow/shrink miss-rate watermarks.
+impl ElasticConfig {
+    /// Builder: overload / healthy miss-rate watermarks.
     pub fn with_watermarks(mut self, high: f64, low: f64) -> Self {
         assert!(low <= high, "low_water must be <= high_water");
         self.high_water = high;
@@ -112,13 +93,7 @@ impl ElasticConfig {
         self
     }
 
-    /// Builder: workers added per overloaded tick.
-    pub fn with_grow_step(mut self, step: usize) -> Self {
-        self.grow_step = step.max(1);
-        self
-    }
-
-    /// Builder: quiescent ticks before shrink/reclaim.
+    /// Builder: quiescent ticks before reclaim.
     pub fn with_quiescent_ticks(mut self, ticks: u32) -> Self {
         self.quiescent_ticks = ticks.max(1);
         self
@@ -139,7 +114,7 @@ impl ElasticConfig {
 }
 
 /// One controller sample: cumulative counters (the controller
-/// differentiates them itself) plus instantaneous queue shape.
+/// differentiates them itself) plus the instantaneous backlog.
 #[derive(Clone, Debug, Default)]
 pub struct ElasticObservation {
     /// Cumulative sink outputs (deadline hits + misses) since start.
@@ -148,34 +123,20 @@ pub struct ElasticObservation {
     pub deadline_misses: u64,
     /// Messages currently pending across all shards.
     pub backlog: usize,
-    /// Current worker-pool target.
-    pub workers: usize,
     /// Cumulative operators acquired from a non-home shard.
     pub steals: u64,
     /// Cumulative operator acquisitions.
     pub acquisitions: u64,
-    /// Instantaneous per-shard pending-message counts (may be empty
-    /// when the caller runs a single queue).
-    pub shard_backlogs: Vec<usize>,
     /// Journal bytes appended since the last durability snapshot (0
     /// when durability is disabled).
     pub journal_dirty_bytes: u64,
 }
 
-/// A structural adaptation the controller asks its host to perform.
+/// An adaptation the controller asks its host to perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ElasticAction {
-    /// Resize the worker pool to exactly this many workers.
-    SetWorkers(usize),
     /// Retune the sharded scheduler's steal threshold.
     SetStealThreshold(Micros),
-    /// Move the hottest operator off shard `from` onto shard `to`.
-    MigrateHottest {
-        /// Overloaded source shard.
-        from: usize,
-        /// Least-loaded destination shard.
-        to: usize,
-    },
     /// Return fully-free arena segments to the allocator (the host
     /// should hold the reclaimed memory for one grace tick — see
     /// [`crate::arena::SegmentArena::reclaim_segments`]).
@@ -193,18 +154,13 @@ pub enum ElasticAction {
 pub struct ElasticTelemetry {
     /// Ticks evaluated.
     pub ticks: u64,
-    /// Pool-grow actions emitted.
-    pub grows: u64,
-    /// Pool-shrink actions emitted.
-    pub shrinks: u64,
-    /// Migration requests emitted.
-    pub migrations: u64,
     /// Arena reclamation requests emitted.
     pub reclaims: u64,
     /// Durability-snapshot requests emitted.
     pub snapshots: u64,
-    /// Highest worker target ever requested (0 until the first resize).
-    pub peak_workers: usize,
+    /// Requested snapshots the host failed to take (reported back
+    /// through [`ElasticController::snapshot_failed`]).
+    pub snapshot_failures: u64,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -266,6 +222,13 @@ impl ElasticController {
         self.last_miss_rate
     }
 
+    /// The host could not carry out a requested
+    /// [`ElasticAction::Snapshot`]; counted in
+    /// [`ElasticTelemetry::snapshot_failures`].
+    pub fn snapshot_failed(&mut self) {
+        self.telemetry.snapshot_failures += 1;
+    }
+
     /// Evaluate one controller tick. The first tick only establishes
     /// the counter baseline and never acts; every later tick
     /// differentiates the cumulative counters against the previous one.
@@ -290,30 +253,13 @@ impl ElasticController {
             0.0
         };
         self.last_miss_rate = miss_rate;
-        let active = d_out > 0 || obs.backlog > 0;
 
         let mut actions = Vec::new();
-        if active {
+        if d_out > 0 || obs.backlog > 0 {
             self.quiet_streak = 0;
-            if miss_rate > self.cfg.high_water {
-                if obs.workers < self.cfg.max_workers {
-                    let target = (obs.workers + self.cfg.grow_step).min(self.cfg.max_workers);
-                    self.telemetry.grows += 1;
-                    self.telemetry.peak_workers = self.telemetry.peak_workers.max(target);
-                    actions.push(ElasticAction::SetWorkers(target));
-                }
-                if let Some((from, to)) = self.imbalanced_pair(&obs.shard_backlogs) {
-                    self.telemetry.migrations += 1;
-                    actions.push(ElasticAction::MigrateHottest { from, to });
-                }
-            }
         } else {
             self.quiet_streak = self.quiet_streak.saturating_add(1);
             if self.quiet_streak >= self.cfg.quiescent_ticks {
-                if obs.workers > self.cfg.min_workers {
-                    self.telemetry.shrinks += 1;
-                    actions.push(ElasticAction::SetWorkers(obs.workers - 1));
-                }
                 self.telemetry.reclaims += 1;
                 actions.push(ElasticAction::ReclaimArenas);
                 if self.cfg.snapshot_dirty_bytes > 0
@@ -349,149 +295,74 @@ impl ElasticController {
         }
         actions
     }
-
-    /// `(hottest, coolest)` shard pair when the hottest shard's backlog
-    /// dominates the mean by the configured ratio.
-    fn imbalanced_pair(&self, backlogs: &[usize]) -> Option<(usize, usize)> {
-        if backlogs.len() < 2 {
-            return None;
-        }
-        let total: usize = backlogs.iter().sum();
-        let mean = total as f64 / backlogs.len() as f64;
-        let (hot, &hot_len) = backlogs
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &len)| (len, std::cmp::Reverse(i)))?;
-        let (cold, _) = backlogs
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &len)| (len, i))?;
-        if hot == cold
-            || hot_len < self.cfg.migrate_min_backlog
-            || (hot_len as f64) <= mean * self.cfg.migrate_backlog_ratio
-        {
-            return None;
-        }
-        Some((hot, cold))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn obs(outputs: u64, misses: u64, backlog: usize, workers: usize) -> ElasticObservation {
+    fn obs(outputs: u64, misses: u64, backlog: usize) -> ElasticObservation {
         ElasticObservation {
             outputs,
             deadline_misses: misses,
             backlog,
-            workers,
             ..Default::default()
         }
     }
 
     #[test]
     fn first_tick_is_baseline_only() {
-        let mut c = ElasticController::new(ElasticConfig::new(1, 4));
-        assert!(c.tick(&obs(100, 50, 10, 1)).is_empty());
+        let mut c = ElasticController::new(ElasticConfig::default());
+        assert!(c.tick(&obs(100, 50, 10)).is_empty());
     }
 
     #[test]
-    fn grows_on_high_miss_rate_up_to_ceiling() {
-        let mut c = ElasticController::new(ElasticConfig::new(1, 3));
-        c.tick(&obs(0, 0, 0, 1));
-        let a = c.tick(&obs(100, 50, 10, 1));
-        assert!(a.contains(&ElasticAction::SetWorkers(2)), "{a:?}");
-        let a = c.tick(&obs(200, 100, 10, 2));
-        assert!(a.contains(&ElasticAction::SetWorkers(3)));
-        // At the ceiling: no further resize even while missing.
-        let a = c.tick(&obs(300, 150, 10, 3));
-        assert!(!a.iter().any(|x| matches!(x, ElasticAction::SetWorkers(_))));
-        assert_eq!(c.telemetry().grows, 2);
-        assert_eq!(c.telemetry().peak_workers, 3);
-    }
-
-    #[test]
-    fn shrinks_and_reclaims_after_sustained_quiescence() {
-        let cfg = ElasticConfig::new(1, 4).with_quiescent_ticks(2);
+    fn reclaims_after_sustained_quiescence() {
+        let cfg = ElasticConfig::default().with_quiescent_ticks(2);
         let mut c = ElasticController::new(cfg);
-        c.tick(&obs(0, 0, 0, 3));
+        c.tick(&obs(0, 0, 0));
         // One quiet tick: not yet.
-        let a = c.tick(&obs(0, 0, 0, 3));
+        let a = c.tick(&obs(0, 0, 0));
         assert!(!a.contains(&ElasticAction::ReclaimArenas));
-        // Second quiet tick: shrink by one and reclaim.
-        let a = c.tick(&obs(0, 0, 0, 3));
-        assert!(a.contains(&ElasticAction::SetWorkers(2)));
-        assert!(a.contains(&ElasticAction::ReclaimArenas));
-        // Keeps walking down to the floor, never below.
-        let a = c.tick(&obs(0, 0, 0, 2));
-        assert!(a.contains(&ElasticAction::SetWorkers(1)));
-        let a = c.tick(&obs(0, 0, 0, 1));
-        assert!(!a.iter().any(|x| matches!(x, ElasticAction::SetWorkers(_))));
-        assert!(a.contains(&ElasticAction::ReclaimArenas));
+        // Second quiet tick: reclaim, and on every quiet tick after.
+        for _ in 0..3 {
+            let a = c.tick(&obs(0, 0, 0));
+            assert!(a.contains(&ElasticAction::ReclaimArenas), "{a:?}");
+        }
+        assert_eq!(c.telemetry().reclaims, 3);
+        // Pending backlog is not quiescence, even with no outputs.
+        let a = c.tick(&obs(0, 0, 5));
+        assert!(!a.contains(&ElasticAction::ReclaimArenas));
     }
 
     #[test]
     fn activity_resets_the_quiet_streak() {
-        let cfg = ElasticConfig::new(1, 4).with_quiescent_ticks(2);
+        let cfg = ElasticConfig::default().with_quiescent_ticks(2);
         let mut c = ElasticController::new(cfg);
-        c.tick(&obs(0, 0, 0, 2));
-        c.tick(&obs(0, 0, 0, 2)); // quiet 1
-        let a = c.tick(&obs(10, 0, 0, 2)); // activity
+        c.tick(&obs(0, 0, 0));
+        c.tick(&obs(0, 0, 0)); // quiet 1
+        let a = c.tick(&obs(10, 0, 0)); // activity
         assert!(!a.contains(&ElasticAction::ReclaimArenas));
-        let a = c.tick(&obs(10, 0, 0, 2)); // quiet 1 again
+        let a = c.tick(&obs(10, 0, 0)); // quiet 1 again
         assert!(!a.contains(&ElasticAction::ReclaimArenas));
-        let a = c.tick(&obs(10, 0, 0, 2)); // quiet 2
+        let a = c.tick(&obs(10, 0, 0)); // quiet 2
         assert!(a.contains(&ElasticAction::ReclaimArenas));
-    }
-
-    #[test]
-    fn migrates_off_a_dominating_shard() {
-        let mut c = ElasticController::new(ElasticConfig::new(1, 4));
-        let mut o = obs(0, 0, 0, 4);
-        c.tick(&o);
-        o = obs(100, 50, 120, 4);
-        o.shard_backlogs = vec![100, 5, 10, 5];
-        let a = c.tick(&o);
-        assert!(a.contains(&ElasticAction::MigrateHottest { from: 0, to: 1 }));
-        // Balanced backlogs: no migration even while missing deadlines.
-        let mut o2 = obs(200, 100, 120, 4);
-        o2.shard_backlogs = vec![30, 30, 30, 30];
-        let a = c.tick(&o2);
-        assert!(!a
-            .iter()
-            .any(|x| matches!(x, ElasticAction::MigrateHottest { .. })));
-    }
-
-    #[test]
-    fn small_backlogs_never_migrate() {
-        let mut c = ElasticController::new(ElasticConfig::new(1, 4));
-        let mut o = obs(0, 0, 0, 4);
-        c.tick(&o);
-        o = obs(100, 50, 12, 4);
-        o.shard_backlogs = vec![10, 1, 1, 0];
-        let a = c.tick(&o);
-        assert!(!a
-            .iter()
-            .any(|x| matches!(x, ElasticAction::MigrateHottest { .. })));
     }
 
     #[test]
     fn steal_threshold_backs_off_on_churn_and_zeroes_on_overload() {
         let base = Micros(100);
-        let cfg = ElasticConfig::new(1, 4).with_steal_base(base);
+        let cfg = ElasticConfig::default().with_steal_base(base);
         let mut c = ElasticController::new(cfg);
-        let mut o = obs(0, 0, 0, 1);
+        let mut o = obs(0, 0, 0);
         c.tick(&o);
         // Healthy (0 misses) but half of acquisitions are steals.
         o = ElasticObservation {
             outputs: 100,
             deadline_misses: 0,
             backlog: 1,
-            workers: 1,
             steals: 50,
             acquisitions: 100,
-            shard_backlogs: vec![],
             journal_dirty_bytes: 0,
         };
         let a = c.tick(&o);
@@ -509,17 +380,17 @@ mod tests {
 
     #[test]
     fn snapshot_requested_only_when_quiescent_and_dirty() {
-        let cfg = ElasticConfig::new(1, 4)
+        let cfg = ElasticConfig::default()
             .with_quiescent_ticks(2)
             .with_snapshot_dirty_bytes(1024);
         let mut c = ElasticController::new(cfg);
-        c.tick(&obs(0, 0, 0, 2));
+        c.tick(&obs(0, 0, 0));
         // Active with a dirty journal: no snapshot (cut not cheap).
-        let mut o = obs(100, 0, 5, 2);
+        let mut o = obs(100, 0, 5);
         o.journal_dirty_bytes = 4096;
         assert!(!c.tick(&o).contains(&ElasticAction::Snapshot));
         // Quiescent but journal below threshold: no snapshot.
-        let mut q = obs(100, 0, 0, 2);
+        let mut q = obs(100, 0, 0);
         q.journal_dirty_bytes = 100;
         c.tick(&q);
         assert!(!c.tick(&q).contains(&ElasticAction::Snapshot));
@@ -529,8 +400,12 @@ mod tests {
         assert!(a.contains(&ElasticAction::Snapshot), "{a:?}");
         assert!(a.contains(&ElasticAction::ReclaimArenas));
         assert_eq!(c.telemetry().snapshots, 1);
+        // A failure the host reports back is counted, nothing else.
+        c.snapshot_failed();
+        assert_eq!(c.telemetry().snapshot_failures, 1);
+        assert_eq!(c.telemetry().snapshots, 1);
         // Disabled (0 threshold) never snapshots.
-        let mut d = ElasticController::new(ElasticConfig::new(1, 4).with_quiescent_ticks(1));
+        let mut d = ElasticController::new(ElasticConfig::default().with_quiescent_ticks(1));
         d.tick(&q);
         let mut q2 = q.clone();
         q2.journal_dirty_bytes = u64::MAX;
@@ -539,11 +414,10 @@ mod tests {
 
     #[test]
     fn identical_observation_streams_take_identical_actions() {
-        let cfg = ElasticConfig::new(1, 4).with_quiescent_ticks(2);
+        let cfg = ElasticConfig::default().with_quiescent_ticks(2);
         let stream: Vec<ElasticObservation> = (0..20)
             .map(|i| {
-                let mut o = obs(i * 37, i * 11, (i as usize % 5) * 8, 2);
-                o.shard_backlogs = vec![i as usize * 3, 4, 2, 1];
+                let mut o = obs(i * 37, i * 11, (i as usize % 5) * 8);
                 o.steals = i * 2;
                 o.acquisitions = i * 9;
                 o

@@ -498,48 +498,6 @@ impl<M> TwoLevelQueue<M> {
         purged
     }
 
-    /// Remove one operator and all of its pending messages, returning
-    /// them most-urgent-first (the order
-    /// [`next_message`](Self::next_message) would have yielded).
-    /// Refuses — `None` —
-    /// when the operator is leased (a checked-out operator cannot be
-    /// moved without invalidating a worker's lease) or has nothing
-    /// pending.
-    ///
-    /// This is the drain half of hot-operator re-placement: the elastic
-    /// controller extracts an operator here and resubmits the messages
-    /// to its new home shard, so nothing is lost and lease exclusivity
-    /// is never violated (an operator is only ever extracted while no
-    /// worker holds it).
-    pub fn extract_operator(&mut self, key: OperatorKey) -> Option<Vec<(M, Priority)>> {
-        let op = self.ops.get(&key)?;
-        if op.leased || op.msgs.is_empty() {
-            return None;
-        }
-        let mut op = self.ops.remove(&key).expect("checked above");
-        let posted = op.posted.expect("runnable operators are posted");
-        self.index.remove(op.slot, posted);
-        self.index.free_slot(op.slot);
-        let mut out = Vec::with_capacity(op.msgs.len());
-        while let Some(Reverse(e)) = op.msgs.pop() {
-            out.push((e.msg, e.pri));
-        }
-        self.msg_count -= out.len();
-        Some(out)
-    }
-
-    /// The unleased operator with the largest pending backlog (ties
-    /// broken toward the smaller key for determinism). The controller
-    /// uses this to pick a migration victim; leased operators are
-    /// skipped because they cannot be extracted anyway.
-    pub fn busiest_operator(&self) -> Option<(OperatorKey, usize)> {
-        self.ops
-            .iter()
-            .filter(|(_, o)| !o.leased && !o.msgs.is_empty())
-            .max_by_key(|(k, o)| (o.msgs.len(), std::cmp::Reverse(**k)))
-            .map(|(k, o)| (*k, o.msgs.len()))
-    }
-
     /// Return a lease. If the operator still has pending messages it
     /// re-enters the run index at its current head priority.
     pub fn check_in(&mut self, lease: OperatorLease) {
@@ -787,59 +745,6 @@ mod tests {
         q.push(other, 2, pri(50));
         assert_eq!(q.purge_job(JobId(0)), 1);
         assert_eq!(q.peek_best(), Some((other, pri(50))));
-    }
-
-    #[test]
-    fn extract_operator_moves_all_messages_most_urgent_first() {
-        let mut q = TwoLevelQueue::new();
-        q.push(key(1), "late", Priority::uniform(30));
-        q.push(key(1), "soon", Priority::uniform(10));
-        q.push(key(2), "other", pri(5));
-        let got = q.extract_operator(key(1)).unwrap();
-        assert_eq!(
-            got.iter().map(|(m, _)| *m).collect::<Vec<_>>(),
-            vec!["soon", "late"]
-        );
-        assert_eq!(q.len(), 1);
-        // The heap top stays valid and the other operator pops cleanly.
-        assert_eq!(q.peek_best(), Some((key(2), pri(5))));
-        let lease = q.pop_operator().unwrap();
-        assert_eq!(lease.key, key(2));
-        q.check_in(lease);
-        // The extracted key is reusable (the migrated operator's new
-        // home pushes it again).
-        q.push(key(1), "back", pri(1));
-        assert_eq!(q.pop_operator().unwrap().key, key(1));
-    }
-
-    #[test]
-    fn extract_operator_refuses_leased_and_empty() {
-        let mut q = TwoLevelQueue::new();
-        q.push(key(1), 1, pri(10));
-        let lease = q.pop_operator().unwrap();
-        assert!(q.extract_operator(key(1)).is_none(), "leased: refused");
-        q.check_in(lease);
-        assert!(q.extract_operator(key(9)).is_none(), "unknown: refused");
-        assert!(q.extract_operator(key(1)).is_some());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn busiest_operator_skips_leased() {
-        let mut q = TwoLevelQueue::new();
-        q.push(key(1), 1, pri(1));
-        q.push(key(2), 2, pri(2));
-        q.push(key(2), 3, pri(3));
-        q.push(key(2), 4, pri(4));
-        q.push(key(3), 5, pri(0));
-        q.push(key(3), 6, pri(0));
-        assert_eq!(q.busiest_operator(), Some((key(2), 3)));
-        // Lease the busiest away: the runner-up surfaces.
-        q.push(key(2), 7, pri(0));
-        let lease = q.pop_operator().unwrap();
-        assert_eq!(lease.key, key(3)); // most urgent, not busiest
-        assert_eq!(q.busiest_operator(), Some((key(2), 4)));
-        q.check_in(lease);
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub struct SchedulerStats {
     /// Sink outputs that missed their job's latency constraint. The
     /// controller differentiates this against `deadline_hits +
     /// deadline_misses` per tick to get the windowed miss rate that
-    /// drives worker scaling (see [`crate::elastic`]).
+    /// tunes the steal threshold (see [`crate::elastic`]).
     pub deadline_misses: u64,
     /// Arena segments returned to the allocator by quiescent
     /// reclamation
@@ -128,10 +128,6 @@ pub struct SchedulerStats {
     /// Cumulative; the per-arena `segments` gauge shrinking back to its
     /// pre-spike baseline is the observable memory-elasticity claim.
     pub segments_reclaimed: u64,
-    /// Hot operators moved to a different shard by the elastic
-    /// controller's re-placement
-    /// ([`ShardedScheduler::migrate_operator`](crate::shard::ShardedScheduler::migrate_operator)).
-    pub operators_migrated: u64,
     /// Operator leases granted while some runnable operator's start
     /// deadline had already passed — the scheduler was overloaded and
     /// ranked operators by `(tier, global)`
@@ -168,7 +164,6 @@ impl SchedulerStats {
         self.deadline_hits += other.deadline_hits;
         self.deadline_misses += other.deadline_misses;
         self.segments_reclaimed += other.segments_reclaimed;
-        self.operators_migrated += other.operators_migrated;
         self.overload_acquisitions += other.overload_acquisitions;
         self.tier_overtakes += other.tier_overtakes;
     }
@@ -433,24 +428,6 @@ impl<M> CameoScheduler<M> {
         let purged = self.queue.purge_job(job);
         self.stats.messages_purged += purged as u64;
         purged
-    }
-
-    /// Extract one unleased operator's pending messages for migration
-    /// to another scheduler instance (shard). `None` when the operator
-    /// is leased, unknown or empty — see
-    /// [`TwoLevelQueue::extract_operator`]. The messages are neither
-    /// "purged" nor "scheduled" in the counters: they are in transit,
-    /// and will be re-submitted (and then counted normally) at their
-    /// new home.
-    pub fn extract_operator(&mut self, key: OperatorKey) -> Option<Vec<(M, Priority)>> {
-        self.queue.extract_operator(key)
-    }
-
-    /// The unleased operator with the largest pending backlog, the
-    /// controller's migration victim of choice. See
-    /// [`TwoLevelQueue::busiest_operator`].
-    pub fn busiest_operator(&self) -> Option<(OperatorKey, usize)> {
-        self.queue.busiest_operator()
     }
 
     /// Peek the most urgent available operator in deadline order.

@@ -26,16 +26,12 @@
 //!   and the peek-based refresh after acquire/release read the queue's
 //!   best directly; [`SchedulerStats::hint_fast_path`] counts the
 //!   submissions that did not move the best backwards.
-//! * **Placement.** Every operator hashes to a home shard, but the
-//!   hash is only a default: a placement override table lets the
-//!   elastic controller re-place hot operators at runtime
-//!   ([`ShardedScheduler::migrate_operator`]), and
-//!   [`ShardedScheduler::shard_of`] consults it through a 64-bit
-//!   fingerprint so the empty-table fast path stays one atomic load.
-//!   Either way all messages of one operator live in one two-level
-//!   queue, so lease exclusivity and per-operator FIFO/priority order
-//!   are exactly the single-queue semantics — sharding only relaxes
-//!   ordering *between* operators on different shards.
+//! * **Placement.** Every operator hashes to one shard for its whole
+//!   life ([`ShardedScheduler::shard_of`]), so all messages of one
+//!   operator live in one two-level queue: lease exclusivity and
+//!   per-operator FIFO/priority order are exactly the single-queue
+//!   semantics — sharding only relaxes ordering *between* operators on
+//!   different shards.
 //! * **Affinity + stealing.** Each worker has a *home* shard it drains
 //!   by default. On acquire, a worker compares its home shard's best
 //!   available priority against every other shard's (a lock-free scan
@@ -114,7 +110,7 @@ use crate::mailbox::{Mail, MailChain, Mailbox};
 use crate::priority::{deadline_to_priority, Priority};
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::{Micros, PhysicalTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -333,21 +329,6 @@ pub struct ShardedScheduler<M> {
     retired_fp: AtomicU64,
     jobs_retired: AtomicU64,
     retired_drops: AtomicU64,
-    /// Placement overrides installed by
-    /// [`migrate_operator`](Self::migrate_operator): operators listed
-    /// here live on the named shard instead of their hash home.
-    /// Installs and removals happen under the *source* shard's core
-    /// lock (core → placement lock order, like core → retired, never
-    /// the reverse), which is what makes the under-lock placement
-    /// re-check in `migrate_operator` authoritative.
-    placement: Mutex<HashMap<OperatorKey, usize>>,
-    /// 64-bit membership fingerprint over `placement` (bit from the
-    /// key's Fibonacci mix). [`shard_of`](Self::shard_of) tests one
-    /// bit before touching the table mutex, so placement for the
-    /// overwhelming majority of operators — and *all* of them while no
-    /// migration is active — stays a pure hash with zero extra cost.
-    placement_fp: AtomicU64,
-    operators_migrated: AtomicU64,
 }
 
 /// The fingerprint bit for a job slot.
@@ -357,20 +338,11 @@ fn fp_bit(job: JobId) -> u64 {
 }
 
 /// Fibonacci mix of a packed operator key. The high bits carry the
-/// most mixing; both the hash half of placement and the placement
-/// fingerprint bit derive from it.
+/// most mixing; placement derives from them.
 #[inline]
 fn mix(key: OperatorKey) -> u64 {
     let packed = ((key.job.0 as u64) << 32) | key.op as u64;
     packed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The placement-override fingerprint bit for an operator key (top six
-/// bits of the mix, independent of the bits `home_shard` consumes for
-/// small shard counts).
-#[inline]
-fn placement_bit(key: OperatorKey) -> u64 {
-    1u64 << (mix(key) >> 58)
 }
 
 impl<M> ShardedScheduler<M> {
@@ -406,9 +378,6 @@ impl<M> ShardedScheduler<M> {
             retired_fp: AtomicU64::new(0),
             jobs_retired: AtomicU64::new(0),
             retired_drops: AtomicU64::new(0),
-            placement: Mutex::new(HashMap::new()),
-            placement_fp: AtomicU64::new(0),
-            operators_migrated: AtomicU64::new(0),
         }
     }
 
@@ -442,37 +411,16 @@ impl<M> ShardedScheduler<M> {
         self.quantum
     }
 
-    /// The hash half of placement: where `key` lives absent any
-    /// migration override. Deterministic (Fibonacci hashing of the
-    /// packed key; *not* `RandomState`), so default placement is
-    /// stable across runs and processes.
+    /// Operator→shard placement. Deterministic (Fibonacci hashing of
+    /// the packed key; *not* `RandomState`), so placement is stable
+    /// across runs and processes.
     #[inline]
-    fn home_shard(&self, key: OperatorKey) -> usize {
+    pub fn shard_of(&self, key: OperatorKey) -> usize {
         // Range reduction is a multiply-shift (Lemire) rather than `%`:
         // an integer divide costs tens of cycles and sits on every
         // submit. With one shard this is always 0, so single-shard
         // placement is unchanged.
         (((mix(key) >> 32) * self.shards.len() as u64) >> 32) as usize
-    }
-
-    /// Operator→shard placement: the hash home unless a migration
-    /// installed an override. The no-override fast path — all
-    /// operators while the table is empty, and every operator whose
-    /// fingerprint bit is clear while it is not — costs one atomic
-    /// load and a branch on top of the hash; only a bit hit consults
-    /// the table mutex (a false positive merely pays the lock).
-    pub fn shard_of(&self, key: OperatorKey) -> usize {
-        if self.placement_fp.load(Ordering::SeqCst) & placement_bit(key) != 0 {
-            if let Some(&s) = self
-                .placement
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .get(&key)
-            {
-                return s;
-            }
-        }
-        self.home_shard(key)
     }
 
     fn lock(&self, s: usize) -> MutexGuard<'_, CameoScheduler<M>> {
@@ -506,8 +454,7 @@ impl<M> ShardedScheduler<M> {
             return 0;
         }
         let fp = self.retired_fp.load(Ordering::SeqCst);
-        let pfp = self.placement_fp.load(Ordering::SeqCst);
-        if fp == 0 && pfp == 0 {
+        if fp == 0 {
             let admitted = sh.mailbox.drain(|mail| {
                 core.submit(mail.key, mail.msg, mail.pri);
             });
@@ -521,21 +468,11 @@ impl<M> ShardedScheduler<M> {
         // test first; the set mutex is taken lazily on the first bit
         // hit, so live jobs' mail drains lock-free even while other
         // slots sit retired.
-        //
-        // Likewise, mail for a *migrated* operator (a producer whose
-        // placement read raced the override install) is forwarded to
-        // the operator's current shard instead of being admitted here —
-        // admission at a stale shard would split the operator across
-        // two queues and break lease exclusivity. The forward is the
-        // lock-free submit path (dest mailbox CAS + hint CAS + deferred
-        // wake), so no other shard's core lock is taken.
         let mut retired: Option<MutexGuard<'_, HashSet<JobId>>> = None;
         let mut dropped = 0usize;
         let mut counted = 0usize;
-        let mut rerouted = 0usize;
-        let mut woken: Vec<usize> = Vec::new();
         let drained = sh.mailbox.drain(|mail| {
-            if fp != 0 && fp & fp_bit(mail.key.job) != 0 {
+            if fp & fp_bit(mail.key.job) != 0 {
                 let set = retired
                     .get_or_insert_with(|| self.retired.lock().unwrap_or_else(|p| p.into_inner()));
                 if set.contains(&mail.key.job) {
@@ -546,39 +483,16 @@ impl<M> ShardedScheduler<M> {
                     return;
                 }
             }
-            if pfp != 0 && pfp & placement_bit(mail.key) != 0 {
-                let dest = self.shard_of(mail.key);
-                if dest != s {
-                    // Uncount here before counting there, so the move
-                    // never counts the message twice.
-                    sh.msgs.fetch_sub(1, Ordering::Relaxed);
-                    self.shards[dest].msgs.fetch_add(1, Ordering::Relaxed);
-                    self.shards[dest].mailbox.push(mail.key, mail.msg, mail.pri);
-                    self.lower_hint(dest, hint_of(mail.pri), pack_rank(mail.pri));
-                    if !woken.contains(&dest) {
-                        woken.push(dest);
-                    }
-                    rerouted += 1;
-                    return;
-                }
-            }
             core.submit(mail.key, mail.msg, mail.pri);
         });
         drop(retired);
         if dropped > 0 {
             self.retired_drops
                 .fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        if dropped > 0 {
             sh.msgs.fetch_sub(dropped, Ordering::Relaxed);
         }
-        for dest in woken {
-            // The forwarding pushes were SeqCst RMWs, ordered before
-            // wake_one's parked read — the usual handshake.
-            self.wake_one(dest);
-        }
         self.mailbox_drained
-            .fetch_add((drained - dropped - rerouted) as u64, Ordering::Relaxed);
+            .fetch_add((drained - dropped) as u64, Ordering::Relaxed);
         counted
     }
 
@@ -1271,101 +1185,6 @@ impl<M> ShardedScheduler<M> {
             .store(slack.0.min(i64::MAX as u64) as i64, Ordering::Relaxed);
     }
 
-    /// The operator with the largest queued backlog on `shard`
-    /// (currently-leased operators excluded — they could not be
-    /// migrated anyway). Drains the shard's mailbox first so the
-    /// census sees recent ingress. This is the controller's choice
-    /// function for [`migrate_operator`](Self::migrate_operator).
-    pub fn busiest_operator(&self, shard: usize) -> Option<(OperatorKey, usize)> {
-        let s = shard % self.shards.len();
-        let mut core = self.lock(s);
-        self.drain_locked(s, &mut core, None);
-        core.busiest_operator()
-    }
-
-    /// Per-shard pending message counts (mailbox + queue; approximate
-    /// between lock regions) — the controller's imbalance sensor.
-    pub fn shard_backlogs(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|sh| (sh.msgs.load(Ordering::Relaxed) as isize).max(0) as usize)
-            .collect()
-    }
-
-    /// Re-place `key` onto shard `to`, draining and moving its queued
-    /// messages without losing any — the hot-operator actuator of the
-    /// elastic controller.
-    ///
-    /// Protocol: under the *source* shard's core lock, drain the
-    /// mailbox, extract the operator's queued messages from the
-    /// two-level queue, and install the placement override — still
-    /// under the lock, so nothing can be admitted at the source in
-    /// between. Once the lock drops, the extracted messages are
-    /// re-submitted and route to `to` via the new placement; mail
-    /// still in flight toward the source's mailbox is forwarded at its
-    /// next drain (`drain_locked`'s re-route). Messages present
-    /// strictly before the call keep their relative urgency order; a
-    /// submission racing the migration may interleave with the moved
-    /// batch by priority rather than strict submission order (the same
-    /// relaxation any concurrent submit already has). Moved messages
-    /// are admitted twice over their lifetime, so they count twice in
-    /// `messages_scheduled`/`mailbox_drained` — once per shard they
-    /// entered.
-    ///
-    /// Returns false — and changes nothing — when the operator is
-    /// already placed on `to`, is currently leased (a worker is
-    /// running it), or has no queued messages; callers retry on a
-    /// later tick. Migrating an operator back to its hash home removes
-    /// the override, so the table never grows beyond the set of
-    /// operators currently displaced.
-    pub fn migrate_operator(&self, key: OperatorKey, to: usize) -> bool {
-        let to = to % self.shards.len();
-        let mut from = self.shard_of(key);
-        loop {
-            if from == to {
-                return false;
-            }
-            let mut core = self.lock(from);
-            // A concurrent migration may have moved the key before we
-            // took the lock. Overrides are installed under the source
-            // shard's core lock, so a read that still names the locked
-            // shard is authoritative.
-            let cur = self.shard_of(key);
-            if cur != from {
-                drop(core);
-                from = cur;
-                continue;
-            }
-            self.drain_locked(from, &mut core, None);
-            let Some(msgs) = core.extract_operator(key) else {
-                return false;
-            };
-            let moved: Vec<(OperatorKey, M, Priority)> =
-                msgs.into_iter().map(|(m, p)| (key, m, p)).collect();
-            {
-                let mut table = self.placement.lock().unwrap_or_else(|p| p.into_inner());
-                if to == self.home_shard(key) {
-                    table.remove(&key);
-                    // Rebuild from survivors: the bit may be shared.
-                    let fp = table.keys().fold(0u64, |f, &k| f | placement_bit(k));
-                    self.placement_fp.store(fp, Ordering::SeqCst);
-                } else {
-                    table.insert(key, to);
-                    self.placement_fp
-                        .fetch_or(placement_bit(key), Ordering::SeqCst);
-                }
-            }
-            self.shards[from]
-                .msgs
-                .fetch_sub(moved.len(), Ordering::Relaxed);
-            self.refresh_hint(from, &core);
-            drop(core);
-            self.operators_migrated.fetch_add(1, Ordering::Relaxed);
-            self.submit_batch(moved);
-            return true;
-        }
-    }
-
     /// Release fully-free arena segments on every shard whose backlog
     /// has drained — the memory actuator of the elastic controller,
     /// so a load spike no longer pins its high-water arena footprint
@@ -1404,11 +1223,10 @@ impl<M> ShardedScheduler<M> {
     }
 
     /// Total pending messages across shards (mailboxes included). A
-    /// gauge read shard by shard, so a message moving between shards
-    /// while it is read (a migration, a forwarded straggler) may be
-    /// missed or counted twice. It never wraps: the counters are summed
-    /// as signed and the total is clamped at zero, so a shard observed
-    /// mid-update cannot turn the sum into a huge value.
+    /// gauge read shard by shard while submitters and drains move it.
+    /// It never wraps: the counters are summed as signed and the total
+    /// is clamped at zero, so a shard observed mid-update cannot turn
+    /// the sum into a huge value.
     pub fn len(&self) -> usize {
         let sum = self.shards.iter().fold(0usize, |sum, s| {
             sum.wrapping_add(s.msgs.load(Ordering::Relaxed))
@@ -1440,7 +1258,6 @@ impl<M> ShardedScheduler<M> {
         total.batch_publications = self.batch_pubs.load(Ordering::Relaxed);
         total.jobs_retired = self.jobs_retired.load(Ordering::Relaxed);
         total.retired_drops += self.retired_drops.load(Ordering::Relaxed);
-        total.operators_migrated = self.operators_migrated.load(Ordering::Relaxed);
         for sh in &self.shards {
             let a = sh.mailbox.arena_stats();
             total.node_reuse_hits += a.reuse_hits;
@@ -2186,82 +2003,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_operator_moves_backlog_and_reroutes_stragglers() {
-        let sh = sharded(4, 0);
-        let k = key(5);
-        let from = sh.shard_of(k);
-        let to = (from + 1) % 4;
-        for i in 0..6u64 {
-            sh.submit(k, i, Priority::uniform(i as i64));
-        }
-        assert!(sh.migrate_operator(k, to));
-        assert_eq!(sh.shard_of(k), to, "placement override installed");
-        assert_eq!(
-            sh.shards[from].msgs.load(Ordering::Relaxed),
-            0,
-            "backlog left the source shard"
-        );
-        // A straggler lands on the old shard's mailbox (simulating a
-        // producer whose placement read raced the override install).
-        sh.shards[from].mailbox.push(k, 6u64, Priority::uniform(6));
-        sh.shards[from].msgs.fetch_add(1, Ordering::Relaxed);
-        // Draining the old shard must forward it, not admit it there.
-        {
-            let mut core = sh.lock(from);
-            sh.drain_locked(from, &mut core, None);
-            assert!(
-                core.peek_best().is_none(),
-                "straggler must not be admitted at the stale shard"
-            );
-        }
-        assert_eq!(sh.shards[to].msgs.load(Ordering::Relaxed), 7);
-        assert_eq!(drain(&sh, to), vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(sh.stats().operators_migrated, 1);
-    }
-
-    #[test]
-    fn migrate_operator_refuses_leased_and_restores_home() {
-        let sh = sharded(4, 0);
-        let k = key(1);
-        let home = sh.shard_of(k);
-        let to = (home + 1) % 4;
-        sh.submit(k, 1, Priority::uniform(1));
-        let exec = sh.acquire(home, PhysicalTime::ZERO).unwrap();
-        assert!(!sh.migrate_operator(k, to), "leased operator must not move");
-        assert_eq!(sh.take_message(&exec).unwrap().0, 1);
-        sh.submit(k, 2, Priority::uniform(2));
-        sh.release(exec);
-        assert!(sh.migrate_operator(k, to));
-        assert_eq!(sh.shard_of(k), to);
-        // Moving back to the hash home removes the override entirely.
-        assert!(sh.migrate_operator(k, home));
-        assert_eq!(sh.shard_of(k), home);
-        assert_eq!(
-            sh.placement_fp.load(Ordering::SeqCst),
-            0,
-            "override table empty again: fast path restored"
-        );
-        assert_eq!(drain(&sh, 0), vec![2]);
-        // Migrating an empty operator is refused (nothing to move).
-        assert!(!sh.migrate_operator(k, to));
-    }
-
-    #[test]
-    fn submit_after_migration_follows_placement() {
-        let sh = sharded(4, 0);
-        let k = key(2);
-        let to = (sh.shard_of(k) + 2) % 4;
-        sh.submit(k, 1, Priority::uniform(1));
-        assert!(sh.migrate_operator(k, to));
-        // Post-migration submits, single and batched, land on the new
-        // shard directly: nothing is left for a drain to forward.
-        assert_eq!(sh.submit(k, 2, Priority::uniform(2)).shard, to);
-        sh.submit_batch((3..6u64).map(|i| (k, i, Priority::uniform(i as i64))));
-        assert_eq!(sh.shards[to].msgs.load(Ordering::Relaxed), 5);
-        assert_eq!(drain(&sh, 0), vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn steal_threshold_retunes_at_runtime() {
         let sh = sharded(4, 0);
         assert_eq!(sh.steal_threshold(), Micros(0));
@@ -2284,16 +2025,6 @@ mod tests {
         assert_eq!(exec.shard(), home, "within retuned slack: stay home");
         sh.release(exec);
         drain(&sh, home);
-    }
-
-    #[test]
-    fn shard_backlogs_reports_per_shard_counts() {
-        let sh = sharded(4, 0);
-        sh.submit(key(0), 1, Priority::uniform(1));
-        let b = sh.shard_backlogs();
-        assert_eq!(b.len(), 4);
-        assert_eq!(b.iter().sum::<usize>(), 1);
-        assert_eq!(b[sh.shard_of(key(0))], 1);
     }
 
     #[test]

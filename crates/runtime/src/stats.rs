@@ -30,12 +30,6 @@ pub struct JobStatsSnapshot {
     pub max: Micros,
     /// Mean output latency.
     pub mean: Micros,
-    /// Exponentially-weighted moving average of output latency
-    /// (smoothing 0.2) — the cheap target-vs-actual sensor the elastic
-    /// controller tick samples. Unlike the percentiles it weights
-    /// recent outputs, so it tracks a load step within a handful of
-    /// windows instead of being diluted by the whole history.
-    pub ewma: Micros,
 }
 
 impl JobStatsSnapshot {
@@ -64,14 +58,7 @@ struct Inner {
     outputs: u64,
     output_tuples: u64,
     on_time: u64,
-    /// Latency EWMA in microseconds (see [`JobStatsSnapshot::ewma`]).
-    /// Updated under the mutex the sink path already takes, so the
-    /// sensor adds no producer-side atomics whatsoever.
-    ewma_us: f64,
 }
-
-/// EWMA smoothing factor for the latency sensor.
-const EWMA_ALPHA: f64 = 0.2;
 
 impl JobStats {
     /// Empty statistics for a job with latency target `constraint`.
@@ -84,7 +71,6 @@ impl JobStats {
                 outputs: 0,
                 output_tuples: 0,
                 on_time: 0,
-                ewma_us: 0.0,
             }),
         }
     }
@@ -95,11 +81,6 @@ impl JobStats {
         let latency = produced_at - input_time;
         let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         g.latency.record(latency);
-        if g.outputs == 0 {
-            g.ewma_us = latency.0 as f64;
-        } else {
-            g.ewma_us += EWMA_ALPHA * (latency.0 as f64 - g.ewma_us);
-        }
         g.outputs += 1;
         g.output_tuples += tuples as u64;
         if latency <= self.constraint {
@@ -127,7 +108,6 @@ impl JobStats {
             p999: g.latency.percentile(99.9),
             max: g.latency.max(),
             mean: g.latency.mean(),
-            ewma: Micros(g.ewma_us as u64),
         }
     }
 }
@@ -153,26 +133,6 @@ mod tests {
         assert!(snap.p99 >= snap.p50);
         assert!(snap.p999 >= snap.p99, "p999 must sit at or above p99");
         assert!(snap.max >= snap.p999);
-        // EWMA seeded at 500, then 500 + 0.2 * (8000 - 500) = 2000.
-        assert_eq!(snap.ewma, Micros(2_000));
-    }
-
-    #[test]
-    fn ewma_tracks_recent_latency_faster_than_the_mean() {
-        let s = JobStats::new(Micros(1_000));
-        for _ in 0..100 {
-            s.record(PhysicalTime(1_100), PhysicalTime(1_000), 1); // 100us
-        }
-        for _ in 0..10 {
-            s.record(PhysicalTime(11_000), PhysicalTime(1_000), 1); // 10ms step
-        }
-        let snap = s.snapshot();
-        assert!(
-            snap.ewma > snap.mean,
-            "after a load step the EWMA ({:?}) must lead the all-time mean ({:?})",
-            snap.ewma,
-            snap.mean
-        );
     }
 
     #[test]

@@ -61,19 +61,10 @@ pub trait Dispatcher: Send {
     /// Retune the steal threshold (elastic controller actuator). The
     /// baselines have no notion of steal slack and ignore it.
     fn set_steal_threshold(&mut self, _slack: Micros) {}
-    /// Move the busiest operator of shard `from` to shard `to` (elastic
-    /// controller actuator). No-op on single-queue baselines.
-    fn migrate_hottest(&mut self, _from: usize, _to: usize) -> bool {
-        false
-    }
     /// Return fully-free arena segments; reports how many were
     /// reclaimed. Only meaningful for the arena-backed dispatcher.
     fn reclaim_quiescent(&mut self) -> usize {
         0
-    }
-    /// Instantaneous per-shard backlog, when the dispatcher shards.
-    fn shard_backlogs(&self) -> Vec<usize> {
-        Vec::new()
     }
 }
 
@@ -154,22 +145,11 @@ impl Dispatcher for CameoDispatcher {
         self.inner.set_steal_threshold(slack);
     }
 
-    fn migrate_hottest(&mut self, from: usize, to: usize) -> bool {
-        match self.inner.busiest_operator(from) {
-            Some((key, _backlog)) => self.inner.migrate_operator(key, to),
-            None => false,
-        }
-    }
-
     fn reclaim_quiescent(&mut self) -> usize {
         // The simulator is single-threaded, so no producer can hold a
         // stale segment pointer: the grace token may be dropped (and
         // the segments freed) immediately.
         self.inner.reclaim_quiescent().segments()
-    }
-
-    fn shard_backlogs(&self) -> Vec<usize> {
-        self.inner.shard_backlogs()
     }
 }
 

@@ -299,10 +299,6 @@ pub struct Engine {
     cfg: EngineConfig,
     /// The elastic controller, when configured.
     elastic: Option<ElasticController>,
-    /// Workers allowed to pick up new leases on every node (the elastic
-    /// target). Workers at index ≥ this finish their current message
-    /// and then sit idle — the virtual-time analogue of retiring.
-    worker_target: usize,
     /// Latest scheduled delivery per (job, op, channel): keeps jittered
     /// deliveries FIFO per channel.
     channel_clock: std::collections::HashMap<(u16, u32, u32), u64>,
@@ -397,12 +393,6 @@ impl Engine {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xC0FF_EE00),
             metrics,
             elastic: cfg.elastic.map(ElasticController::new),
-            worker_target: match &cfg.elastic {
-                Some(e) => {
-                    (cfg.cluster.workers_per_node as usize).clamp(e.min_workers, e.max_workers)
-                }
-                None => cfg.cluster.workers_per_node as usize,
-            },
             ingested_total: 0,
             ingested_per_job: vec![0; njobs],
             arrival_journal: Vec::new(),
@@ -557,56 +547,19 @@ impl Engine {
             misses += j.outputs - j.on_time;
         }
         let stats = self.sched_stats();
-        // Element-wise per-shard backlog across nodes: every node runs
-        // the same shard layout, so a migration decision applies to the
-        // same (from, to) pair cluster-wide.
-        let mut shard_backlogs: Vec<usize> = Vec::new();
-        for n in &self.nodes {
-            for (i, len) in n.disp.shard_backlogs().into_iter().enumerate() {
-                if i == shard_backlogs.len() {
-                    shard_backlogs.push(len);
-                } else {
-                    shard_backlogs[i] += len;
-                }
-            }
-        }
         let obs = ElasticObservation {
             outputs,
             deadline_misses: misses,
             backlog: self.nodes.iter().map(|n| n.disp.pending()).sum(),
-            workers: self.worker_target,
             steals: stats.steals,
             acquisitions: stats.operator_acquisitions,
-            shard_backlogs,
             journal_dirty_bytes: 0,
         };
         for action in ctl.tick(&obs) {
             match action {
-                ElasticAction::SetWorkers(n) => {
-                    self.worker_target = n;
-                    for node in self.nodes.iter_mut() {
-                        while node.workers.len() < n {
-                            node.workers.push(Worker {
-                                running: None,
-                                last_op: None,
-                                completing: false,
-                            });
-                        }
-                    }
-                    // Grown workers pick up backlog immediately; a
-                    // shrink takes effect at each worker's next lease.
-                    for node in 0..self.nodes.len() {
-                        self.wake_node(node as u16);
-                    }
-                }
                 ElasticAction::SetStealThreshold(slack) => {
                     for node in self.nodes.iter_mut() {
                         node.disp.set_steal_threshold(slack);
-                    }
-                }
-                ElasticAction::MigrateHottest { from, to } => {
-                    for node in self.nodes.iter_mut() {
-                        node.disp.migrate_hottest(from, to);
                     }
                 }
                 ElasticAction::ReclaimArenas => {
@@ -767,12 +720,7 @@ impl Engine {
         // Every idle worker gets an acquire attempt: with pinned (slot)
         // dispatch only one specific worker may be able to take the new
         // work, so an early break on first failure would strand it.
-        // Workers beyond the elastic target are retired and skipped.
-        let live = self.nodes[node as usize]
-            .workers
-            .len()
-            .min(self.worker_target);
-        for w in 0..live {
+        for w in 0..self.nodes[node as usize].workers.len() {
             let worker = &self.nodes[node as usize].workers[w];
             if worker.running.is_some() || worker.completing {
                 continue;
@@ -782,12 +730,8 @@ impl Engine {
     }
 
     /// Attempt to start an idle worker. Returns false when no work was
-    /// available (or the worker sits beyond the elastic target and has
-    /// retired).
+    /// available.
     fn try_start(&mut self, node: u16, worker: u16) -> bool {
-        if worker as usize >= self.worker_target {
-            return false;
-        }
         let n = &mut self.nodes[node as usize];
         let Some(lease) = n.disp.acquire(worker, self.now) else {
             return false;

@@ -364,3 +364,42 @@ fn recovery_requires_durability_config() {
         .expect("must fail");
     assert!(matches!(err, RecoverError::NotConfigured));
 }
+
+#[test]
+fn a_failed_controller_snapshot_is_counted() {
+    let dir = tmp_dir("snapfail");
+    let rt = Runtime::start(
+        durable_cfg(&dir).with_elastic(
+            ElasticConfig::default()
+                .with_tick(Micros(2_000))
+                .with_quiescent_ticks(1)
+                .with_snapshot_dirty_bytes(1),
+        ),
+    );
+    let job = rt
+        .deploy(&query("sf"), &ExpandOptions::default())
+        .expect("deploy");
+    feed_window0(&rt, job);
+    assert!(rt.drain(Duration::from_secs(5)));
+    // The snapshot writer recreates a missing directory, so removing it
+    // is not enough: a plain file at its path makes every snapshot fail,
+    // even for root. The journal keeps appending to its open segment.
+    std::fs::remove_dir_all(&dir).expect("remove the durability directory");
+    std::fs::write(&dir, b"").expect("put a file in its place");
+    // New journal bytes, then quiescence: the controller asks for a
+    // snapshot, which cannot be written.
+    close_window0(&rt, job);
+    assert!(rt.drain(Duration::from_secs(5)));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while rt.elastic_telemetry().snapshot_failures == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no snapshot failure counted: {:?}",
+            rt.elastic_telemetry()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(rt.elastic_telemetry().snapshots >= 1);
+    rt.shutdown();
+    let _ = std::fs::remove_file(&dir);
+}

@@ -527,7 +527,9 @@ fn bursty_submits_never_strand_parked_pool() {
 /// and must read exactly zero once everything submitted was taken.
 /// Every submit path counts a message before it publishes it; at the
 /// parent commit they published first. More submitters than cores, so
-/// that some are preempted between the two steps.
+/// that some are preempted between the two steps. With more than one
+/// shard the worker rotates its home and steals from the others, so
+/// messages leave through every shard's count.
 #[test]
 fn len_never_wraps_while_submitters_race_a_draining_worker() {
     const SUBMITTERS: u64 = 8;
@@ -535,7 +537,7 @@ fn len_never_wraps_while_submitters_race_a_draining_worker() {
     const BATCH: u64 = 5;
     // One single message and one batch per round.
     const TOTAL: usize = (SUBMITTERS * ROUNDS * (1 + BATCH)) as usize;
-    for shards in [1usize, 2] {
+    for shards in [1usize, 2, 4] {
         let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
             SchedulerConfig::default()
                 .with_shards(shards)
@@ -572,7 +574,7 @@ fn len_never_wraps_while_submitters_race_a_draining_worker() {
             scope.spawn(|| {
                 let mut out = 0;
                 while out < TOTAL {
-                    let Some(exec) = sched.acquire(0, PhysicalTime::ZERO) else {
+                    let Some(exec) = sched.acquire(out % shards, PhysicalTime::ZERO) else {
                         std::thread::yield_now();
                         continue;
                     };
@@ -599,16 +601,17 @@ fn len_never_wraps_while_submitters_race_a_draining_worker() {
     }
 }
 
-/// `Runtime::queue_len()` is this gauge: read while submitters, a
-/// draining worker and an operator migrator all move messages around
-/// (the migrator re-places operators between four shards, so messages
-/// leave one shard's count and enter another's, and mail in flight to
-/// the old shard is forwarded at its next drain), it never reads above
-/// the number of messages submitted — a wrapped per-shard counter would
-/// read as ~`usize::MAX` — and it reads zero once everything is taken.
+/// `Runtime::queue_len()` is this gauge: read while submitters and two
+/// draining workers move messages around (each worker rotates its home
+/// over four shards and steals from the others, so an operator's
+/// leases migrate between workers and its messages leave its shard's
+/// count from both threads), it never reads above the number of
+/// messages submitted — a wrapped per-shard counter would read as
+/// ~`usize::MAX` — and it reads zero once everything is taken.
 #[test]
 fn len_stays_bounded_while_operators_migrate() {
     const SHARDS: usize = 4;
+    const WORKERS: usize = 2;
     const SUBMITTERS: u64 = 4;
     const ROUNDS: u64 = 10_000;
     const BATCH: u64 = 4;
@@ -644,38 +647,34 @@ fn len_stays_bounded_while_operators_migrate() {
             "len() read {len} with {submitted} messages submitted"
         );
     };
-    let mut migrations = 0u64;
     std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut out = 0;
-            while out < TOTAL {
-                let Some(exec) = sched.acquire(out % SHARDS, PhysicalTime::ZERO) else {
-                    std::thread::yield_now();
-                    continue;
-                };
-                while sched.take_message(&exec).is_some() {
-                    check(&sched);
-                    out += 1;
+        for w in 0..WORKERS {
+            let (sched, taken, check) = (&sched, &taken, &check);
+            scope.spawn(move || {
+                let mut turn = w;
+                while taken.load(Ordering::SeqCst) < TOTAL {
+                    turn += 1;
+                    let Some(exec) = sched.acquire(turn % SHARDS, PhysicalTime::ZERO) else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    while sched.take_message(&exec).is_some() {
+                        check(sched);
+                        taken.fetch_add(1, Ordering::SeqCst);
+                    }
+                    sched.release(exec);
                 }
-                sched.release(exec);
-                taken.store(out, Ordering::SeqCst);
-            }
-        });
-        let mut turn = 0usize;
+            });
+        }
         while taken.load(Ordering::SeqCst) < TOTAL {
-            let k = key(0, (turn % OPS as usize) as u32);
-            if sched.migrate_operator(k, (sched.shard_of(k) + 1 + turn) % SHARDS) {
-                migrations += 1;
-            }
             check(&sched);
-            turn += 1;
             std::thread::yield_now();
         }
     });
     for h in submitters {
         h.join().unwrap();
     }
-    assert!(migrations > 0, "the migrator never moved a backlog");
-    assert_eq!(sched.stats().operators_migrated, migrations);
+    assert_eq!(taken.load(Ordering::SeqCst), TOTAL);
+    assert!(sched.stats().steals > 0, "no worker ever stole a lease");
     assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
 }
