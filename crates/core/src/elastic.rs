@@ -184,8 +184,6 @@ pub struct ElasticController {
     steal_damp: u64,
     /// Last threshold emitted, to suppress no-op actions.
     last_threshold: Option<Micros>,
-    /// Miss rate observed over the most recent tick window.
-    last_miss_rate: f64,
     telemetry: ElasticTelemetry,
 }
 
@@ -201,25 +199,13 @@ impl ElasticController {
             quiet_streak: 0,
             steal_damp: 0,
             last_threshold: None,
-            last_miss_rate: 0.0,
             telemetry: ElasticTelemetry::default(),
         }
-    }
-
-    /// The configuration this controller runs under.
-    pub fn config(&self) -> &ElasticConfig {
-        &self.cfg
     }
 
     /// What the controller has done so far.
     pub fn telemetry(&self) -> ElasticTelemetry {
         self.telemetry
-    }
-
-    /// Deadline-miss rate over the most recent tick window (0.0 before
-    /// the second tick).
-    pub fn last_miss_rate(&self) -> f64 {
-        self.last_miss_rate
     }
 
     /// The host could not carry out a requested
@@ -252,7 +238,6 @@ impl ElasticController {
         } else {
             0.0
         };
-        self.last_miss_rate = miss_rate;
 
         let mut actions = Vec::new();
         if d_out > 0 || obs.backlog > 0 {

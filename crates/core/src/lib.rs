@@ -41,7 +41,9 @@
 //!   (the scalable, lock-per-shard form of the same scheduler), fed
 //!   through lock-free per-shard submission mailboxes.
 //! * [`affinity`] — worker→core pinning (`sched_setaffinity`), so a
-//!   shard's arena stays hot in its worker's cache.
+//!   shard's arena stays hot in its worker's cache. Linux only.
+//! * [`epoll`] — the readiness wrapper under the runtime's single
+//!   ingest serve loop. Linux only.
 //! * [`stats`] — histograms and percentile helpers.
 //!
 //! ## Quick example
@@ -72,11 +74,13 @@
 // `RUSTDOCFLAGS="-D warnings"` so the guarantee cannot rot.
 #![deny(missing_docs)]
 
+#[cfg(target_os = "linux")]
 pub mod affinity;
 pub mod arena;
 pub mod config;
 pub mod context;
 pub mod elastic;
+#[cfg(target_os = "linux")]
 pub mod epoll;
 pub mod ids;
 pub mod mailbox;

@@ -7,6 +7,9 @@
 //! `cameo-core` context machinery the simulator uses, and events can be
 //! ingested in-process or over TCP with length-prefixed framing.
 //!
+//! The runtime builds on Linux only: ingest is served from one `epoll`
+//! loop and workers pin with `sched_setaffinity`.
+//!
 //! ```no_run
 //! use cameo_runtime::prelude::*;
 //! use cameo_dataflow::prelude::*;
@@ -24,6 +27,9 @@
 
 #![deny(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("cameo-runtime builds on Linux only (epoll ingest, sched_setaffinity pinning)");
+
 pub mod durability;
 pub mod msg;
 pub mod net;
@@ -38,7 +44,7 @@ pub mod prelude {
     pub use crate::msg::{FrameDecoder, RtMsg};
     pub use crate::net::{
         decode_payload, encode_frame, read_frame, IngestClient, IngestFrame, IngestServer,
-        IngestServerConfig, LoopStats, NackFrame,
+        NackFrame,
     };
     pub use crate::runtime::{
         DeployError, IngestOutcome, JobError, JobHandle, OutputEvent, OutputSubscription,

@@ -2,11 +2,9 @@
 //! `SimMsg`) plus the TCP wire format: frame encoding, one-shot payload
 //! decoding, and the streaming [`FrameDecoder`] that the coalescing
 //! ingest path ([`crate::net`]) runs over a reusable per-connection
-//! buffer. Decoders are owned by whichever serve loop owns the
-//! connection — under a sharded ingress plane
-//! ([`IngestServerConfig::with_loops`](crate::net::IngestServerConfig::with_loops))
-//! each loop decodes its own connections with no cross-loop sharing,
-//! so nothing here needs synchronization.
+//! buffer. Every decoder is owned by the one serve loop
+//! ([`IngestServer`](crate::net::IngestServer)) that reads its
+//! connection, so nothing here needs synchronization.
 //!
 //! Framing follows the networking-guide conventions: a 4-byte
 //! big-endian length prefix, then the payload — explicit bounds, no

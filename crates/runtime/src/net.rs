@@ -4,70 +4,62 @@
 //!
 //! The paper's testbed drives servers from 16 separate client machines;
 //! the ROADMAP's north star is millions of users. This module serves
-//! both from a **fixed handful of threads**: one accept loop plus N
-//! epoll-driven serve loops ([`IngestServerConfig::with_loops`],
-//! threads `cameo-net-0..n`), each owning a disjoint share of the
-//! connections, so server thread count and idle-connection cost are
-//! O(1) in the connection count — the C100K shape — instead of one OS
-//! thread (≈8 MiB of stack address space and a scheduler entry) per
-//! client, while decode throughput scales with loops instead of
-//! capping at one core.
+//! both from **one thread** (`cameo-net`): a single epoll loop whose
+//! set holds the listener and every connection, so server thread count
+//! and idle-connection cost are O(1) in the connection count — the
+//! C100K shape — instead of one OS thread (≈8 MiB of stack address
+//! space and a scheduler entry) per client.
 //!
-//! ## Accept → assign → per-loop decode
+//! ## Accept and serve in one loop
 //!
-//! The accept thread owns the listener. Each accepted connection is
-//! assigned to the **least-loaded** serve loop (fewest open
-//! connections), parked in that loop's handoff queue, and announced by
-//! ringing the loop's [`cameo_core::epoll::WakePipe`] — a non-blocking
-//! pipe whose read end sits in the loop's own epoll set, so the
-//! sleeping loop wakes immediately, drains the doorbell, and registers
-//! the new descriptors. From then on the connection belongs to that
-//! loop alone: its reads, its decoded frames, its NACKs, and its
-//! close all happen on the owning loop, with no cross-loop locking on
-//! the data path.
+//! The listener sits in the loop's epoll set under a reserved token.
+//! When it reports ready, the loop accepts every pending connection
+//! inline, makes each non-blocking with Nagle off, and registers it in
+//! the same epoll set under its connection-table index. A wake-up on
+//! which only the listener was ready reads no frames and is not
+//! counted as a readiness burst.
 //!
-//! ## Coalesced ingress, per readiness burst, per loop
+//! Indices freed by a close are reused only after the burst that freed
+//! them: connections accepted mid-burst draw from the free list as it
+//! stood when the burst began, so a not-yet-handled event or a pending
+//! NACK for a closed connection can never reach a connection accepted
+//! in the same burst.
 //!
-//! Each serve loop keeps PR 4's invariant locally and strengthens it:
-//! **all frames that arrive in one of its readiness bursts enter the
-//! scheduler as one batch.** Each `epoll_wait` return delivers the set
-//! of currently readable connections owned by that loop; the loop
-//! issues one `read` per ready connection into that connection's own
-//! [`FrameDecoder`] (an adaptive buffer that carries partial frames
-//! across reads and across bursts), then hands the frames of *all*
-//! ready connections to [`Runtime::ingest_frames`] as a single call —
-//! one mailbox CAS, one hint update and one worker wake per shard for
-//! the entire burst, however many connections contributed. Where the
-//! thread-per-connection loop coalesced within one socket, an event
-//! loop coalesces *across* its sockets, so batching gets stronger as
-//! connection count grows. Readiness is level-triggered: a connection
-//! with more buffered data than one read pulled simply reports ready
-//! again on the loop's next wait, which keeps every loop
-//! starvation-free without read-until-`EAGAIN` inner loops.
+//! ## Coalesced ingress, per readiness burst
+//!
+//! **All frames that arrive in one readiness burst enter the scheduler
+//! as one batch.** Each `epoll_wait` return delivers the set of
+//! currently readable connections; the loop issues one `read` per ready
+//! connection into that connection's own [`FrameDecoder`] (an adaptive
+//! buffer that carries partial frames across reads and across bursts),
+//! then hands the frames of *all* ready connections to
+//! [`Runtime::ingest_frames`] in chunks of up to `SUBMIT_CHUNK` frames
+//! — one mailbox CAS, one hint update and one worker wake per shard per
+//! chunk, however many connections contributed. An event loop coalesces
+//! *across* its sockets, so batching gets stronger as connection count
+//! grows. Readiness is level-triggered: a connection with more buffered
+//! data than one read pulled simply reports ready again on the next
+//! wait, which keeps the loop starvation-free without
+//! read-until-`EAGAIN` inner loops.
 //!
 //! `SchedulerStats::frames_coalesced` / `net_batches` record the
 //! achieved frames-per-batch ratio; [`IngestServer::readiness_bursts`]
-//! and [`IngestServer::conns_peak`] describe the loops in aggregate,
-//! and [`IngestServer::loop_stats`] exposes the same counters per loop
-//! so skew across loops is observable.
+//! and [`IngestServer::conns_peak`] describe the loop.
 //!
 //! ## Overload behavior
 //!
 //! When the process runs out of file descriptors (`EMFILE`/`ENFILE`),
-//! the accept path sheds the pending connection gracefully — accept it
-//! using a reserved descriptor, close it, count it
+//! the loop sheds the pending connection gracefully — accept it using a
+//! reserved descriptor, close it, count it
 //! ([`IngestServer::accepts_shed`]) — instead of tearing down the
 //! server or spinning on a backlog that level-triggered readiness would
 //! re-report forever.
-//!
-//! On non-Linux targets (no epoll) the server transparently falls back
-//! to a thread-per-connection loop (connections are still attributed
-//! to the configured loops least-loaded, so per-loop counters behave
-//! the same); the wire format and totals are identical.
 
 use crate::runtime::Runtime;
+use cameo_core::epoll::Epoll;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -103,8 +95,8 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<IngestFrame>> {
     decode_payload(&payload).map(Some)
 }
 
-/// Counters kept **per serve loop** and summed by the server handle's
-/// accessors; [`IngestServer::loop_stats`] exposes them unsummed.
+/// The serve loop's counters, written by the loop and read by the
+/// [`IngestServer`] accessors.
 #[derive(Default)]
 struct Counters {
     frames: AtomicU64,
@@ -136,108 +128,6 @@ impl Counters {
     fn conn_closed(&self) {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
-
-    fn snapshot(&self) -> LoopStats {
-        LoopStats {
-            frames: self.frames.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            gen_rejected: self.gen_rejected.load(Ordering::Relaxed),
-            readiness_bursts: self.readiness_bursts.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            conns_peak: self.conns_peak.load(Ordering::Relaxed),
-            accepts_shed: self.accepts_shed.load(Ordering::Relaxed),
-            nacks_sent: self.nacks_sent.load(Ordering::Relaxed),
-            nacks_dropped: self.nacks_dropped.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One serve loop's counters, as returned by
-/// [`IngestServer::loop_stats`]. Every field sums across loops to the
-/// matching [`IngestServer`] accessor — the handle totals *are* these
-/// sums — so skew between loops (connection imbalance, one loop
-/// carrying all the bursts) is directly observable, for the bench
-/// artifact today and elastic loop scaling later.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LoopStats {
-    /// Frames this loop's connections ingested successfully.
-    pub frames: u64,
-    /// Frames dropped at routing (vacant/draining slot).
-    pub dropped: u64,
-    /// Frames refused by the wire-v2 generation check.
-    pub gen_rejected: u64,
-    /// Readiness bursts this loop served that reported at least one
-    /// ready *connection* (doorbell-only wakeups are not bursts).
-    pub readiness_bursts: u64,
-    /// Connections currently owned by this loop (handed-off
-    /// connections count from assignment, before registration).
-    pub conns_open: u64,
-    /// High-water mark of `conns_open`.
-    pub conns_peak: u64,
-    /// Connections shed at accept (fd exhaustion) that the assignment
-    /// policy would have routed to this loop.
-    pub accepts_shed: u64,
-    /// NACK control frames written back on this loop's connections.
-    pub nacks_sent: u64,
-    /// NACKs abandoned best-effort on this loop's connections.
-    pub nacks_dropped: u64,
-}
-
-/// Configuration for [`IngestServer::start_with`]: how many epoll serve
-/// loops share the connection load.
-///
-/// Each loop is one thread (`cameo-net-{i}`) owning its own epoll set,
-/// connection slab and decode state; the accept thread assigns every
-/// new connection to the least-loaded loop. One loop (the default, and
-/// what [`IngestServer::start`] uses) is the PR 6 single-loop shape;
-/// more loops lift the single-core decode ceiling on multicore hosts.
-/// On non-Linux targets the count only partitions the counters — the
-/// fallback is thread-per-connection either way.
-#[derive(Clone, Copy, Debug)]
-pub struct IngestServerConfig {
-    loops: usize,
-}
-
-impl Default for IngestServerConfig {
-    fn default() -> Self {
-        IngestServerConfig { loops: 1 }
-    }
-}
-
-impl IngestServerConfig {
-    /// The default configuration: one serve loop.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Serve connections from `n` epoll event loops (clamped to at
-    /// least 1). Thread cost is exactly `1 + n` regardless of
-    /// connection count.
-    pub fn with_loops(mut self, n: usize) -> Self {
-        self.loops = n.max(1);
-        self
-    }
-
-    /// The configured serve-loop count.
-    pub fn loops(&self) -> usize {
-        self.loops
-    }
-}
-
-/// Per-loop shared state: the loop's counters plus (on Linux) the
-/// accept→loop fd-handoff channel — a queue of freshly accepted
-/// streams and the doorbell that tells the loop to drain it.
-struct LoopState {
-    counters: Counters,
-    /// Streams accepted and assigned to this loop but not yet
-    /// registered in its epoll set. Only the accept thread pushes;
-    /// only the owning loop drains (on doorbell readiness).
-    #[cfg(target_os = "linux")]
-    pending: std::sync::Mutex<Vec<TcpStream>>,
-    /// Rung by the accept thread after every push to `pending`; its
-    /// read end lives in the owning loop's epoll set.
-    #[cfg(target_os = "linux")]
-    wake: cameo_core::epoll::WakePipe,
 }
 
 /// Write one NACK control frame back to the producer whose frame
@@ -280,89 +170,43 @@ fn send_nack(stream: &mut TcpStream, rej: &crate::runtime::RejectedFrame, c: &Co
     c.nacks_dropped.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A TCP ingestion server feeding a [`Runtime`]. A fixed thread set —
-/// one accept loop plus N epoll serve loops (see the module docs and
-/// [`IngestServerConfig`]) — serves *every* connection; thread count
-/// does not grow with client count.
+/// A TCP ingestion server feeding a [`Runtime`]. One thread — the
+/// epoll serve loop described in the module docs — accepts and serves
+/// *every* connection; thread count does not grow with client count.
 pub struct IngestServer {
     addr: std::net::SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    loops: Vec<Arc<LoopState>>,
+    counters: Arc<Counters>,
 }
 
 impl IngestServer {
-    /// Bind and start serving with one serve loop (the
-    /// [`IngestServerConfig`] default). Frames addressed to jobs this
-    /// runtime has not deployed are dropped (counted via
-    /// [`frames_dropped`](Self::frames_dropped), not fatal), and frames
-    /// carrying a stale slot generation are rejected (counted via
-    /// [`gen_rejected_frames`](Self::gen_rejected_frames)): clients may
-    /// race deployment and undeployment.
+    /// Bind and start the serve loop (thread `cameo-net`). Frames
+    /// addressed to jobs this runtime has not deployed are dropped
+    /// (counted via [`frames_dropped`](Self::frames_dropped), not
+    /// fatal), and frames carrying a stale slot generation are rejected
+    /// (counted via [`gen_rejected_frames`](Self::gen_rejected_frames)):
+    /// clients may race deployment and undeployment.
     pub fn start(runtime: Arc<Runtime>, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::start_with(runtime, addr, IngestServerConfig::default())
-    }
-
-    /// Bind and start serving with an explicit configuration —
-    /// [`IngestServerConfig::with_loops`] shards the connections across
-    /// that many epoll serve loops (threads `cameo-net-0..n`), fed by
-    /// one accept thread (`cameo-net-accept`).
-    pub fn start_with(
-        runtime: Arc<Runtime>,
-        addr: impl ToSocketAddrs,
-        config: IngestServerConfig,
-    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let ep = Epoll::new()?;
+        ep.add(listener.as_raw_fd(), LISTENER_TOKEN)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let mut loops = Vec::with_capacity(config.loops());
-        for _ in 0..config.loops() {
-            loops.push(Arc::new(LoopState {
-                counters: Counters::default(),
-                #[cfg(target_os = "linux")]
-                pending: std::sync::Mutex::new(Vec::new()),
-                #[cfg(target_os = "linux")]
-                wake: cameo_core::epoll::WakePipe::new()?,
-            }));
-        }
-        let mut threads = Vec::with_capacity(config.loops() + 1);
-        #[cfg(target_os = "linux")]
-        for (i, ls) in loops.iter().enumerate() {
-            let rt = runtime.clone();
-            let ls = ls.clone();
+        let counters = Arc::new(Counters::default());
+        let thread = {
             let stop = stop.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("cameo-net-{i}"))
-                    .spawn(move || serve_loop(rt, ls, stop))
-                    .expect("spawn ingest serve loop"),
-            );
-        }
-        {
-            let loops = loops.clone();
-            let stop = stop.clone();
-            #[cfg(not(target_os = "linux"))]
-            let runtime = runtime.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("cameo-net-accept".into())
-                    .spawn(move || {
-                        #[cfg(target_os = "linux")]
-                        accept_loop(listener, loops, stop);
-                        #[cfg(not(target_os = "linux"))]
-                        serve_fallback(runtime, listener, stop, loops);
-                    })
-                    .expect("spawn ingest accept thread"),
-            );
-        }
-        #[cfg(not(target_os = "linux"))]
-        let _ = runtime;
+            let counters = counters.clone();
+            std::thread::Builder::new()
+                .name("cameo-net".into())
+                .spawn(move || serve_loop(&runtime, &listener, ep, &stop, &counters))?
+        };
         Ok(IngestServer {
             addr: local,
-            threads,
+            thread: Some(thread),
             stop,
-            loops,
+            counters,
         })
     }
 
@@ -371,24 +215,17 @@ impl IngestServer {
         self.addr
     }
 
-    fn sum(&self, f: impl Fn(&Counters) -> &AtomicU64) -> u64 {
-        self.loops
-            .iter()
-            .map(|l| f(&l.counters).load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Frames successfully ingested so far (dropped and gen-rejected
-    /// frames excluded), summed across loops.
+    /// frames excluded).
     pub fn frames_received(&self) -> u64 {
-        self.sum(|c| &c.frames)
+        self.counters.frames.load(Ordering::Relaxed)
     }
 
     /// Well-formed frames dropped because their jobs-table slot was
     /// vacant (job never deployed, or already retired) or its occupant
     /// was draining mid-`undeploy`.
     pub fn frames_dropped(&self) -> u64 {
-        self.sum(|c| &c.dropped)
+        self.counters.dropped.load(Ordering::Relaxed)
     }
 
     /// Frames rejected at the wire-format-v2 generation check: the
@@ -396,74 +233,61 @@ impl IngestServer {
     /// possibly reused) while the frame was in flight. Never delivered
     /// to the slot's new occupant.
     pub fn gen_rejected_frames(&self) -> u64 {
-        self.sum(|c| &c.gen_rejected)
+        self.counters.gen_rejected.load(Ordering::Relaxed)
     }
 
-    /// Readiness bursts served across all loops: `epoll_wait` returns
-    /// that delivered at least one ready *connection* (pure doorbell
-    /// wakeups excluded). All frames one loop reads in one burst enter
-    /// the scheduler as one batch, so `frames_received /
-    /// readiness_bursts` is the cross-connection coalescing ratio.
-    /// Zero on the non-epoll fallback path.
+    /// Readiness bursts served: `epoll_wait` returns that delivered at
+    /// least one ready *connection* (listener-only wake-ups excluded).
+    /// All frames read in one burst enter the scheduler as one batch,
+    /// so `frames_received / readiness_bursts` is the cross-connection
+    /// coalescing ratio.
     pub fn readiness_bursts(&self) -> u64 {
-        self.sum(|c| &c.readiness_bursts)
+        self.counters.readiness_bursts.load(Ordering::Relaxed)
     }
 
-    /// Connections currently open, summed across loops.
+    /// Connections currently open.
     pub fn conns_open(&self) -> u64 {
-        self.sum(|c| &c.conns_open)
+        self.counters.conns_open.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of concurrently open connections: the sum of
-    /// the per-loop high-water marks (an exact concurrent peak when
-    /// assignment is stable, an upper bound under churn).
+    /// High-water mark of concurrently open connections.
     pub fn conns_peak(&self) -> u64 {
-        self.sum(|c| &c.conns_peak)
+        self.counters.conns_peak.load(Ordering::Relaxed)
     }
 
     /// NACK control frames ([`NackFrame`]) written back to producers in
-    /// response to generation-rejected frames — each on the loop that
-    /// owns the producer's connection. Under normal operation
-    /// `nacks_sent + nacks_dropped == gen_rejected_frames`.
+    /// response to generation-rejected frames, each on the connection
+    /// that sent the frame. Under normal operation `nacks_sent +
+    /// nacks_dropped == gen_rejected_frames`.
     pub fn nacks_sent(&self) -> u64 {
-        self.sum(|c| &c.nacks_sent)
+        self.counters.nacks_sent.load(Ordering::Relaxed)
     }
 
     /// NACKs abandoned best-effort: the producer's socket had no room
     /// (it is not reading), its connection closed before the NACK could
     /// be written, or the write failed outright.
     pub fn nacks_dropped(&self) -> u64 {
-        self.sum(|c| &c.nacks_dropped)
+        self.counters.nacks_dropped.load(Ordering::Relaxed)
     }
 
     /// Connections shed at accept because the process was out of file
     /// descriptors (`EMFILE`/`ENFILE`): accepted via the reserve
     /// descriptor, closed immediately, server intact.
     pub fn accepts_shed(&self) -> u64 {
-        self.sum(|c| &c.accepts_shed)
+        self.counters.accepts_shed.load(Ordering::Relaxed)
     }
 
-    /// Per-loop counter snapshots, one entry per configured serve loop
-    /// in thread order (`cameo-net-0` first). Each handle-level total
-    /// above is exactly the sum of the matching field here.
-    pub fn loop_stats(&self) -> Vec<LoopStats> {
-        self.loops.iter().map(|l| l.counters.snapshot()).collect()
-    }
-
-    /// Stop serving and join the accept and serve-loop threads; every
-    /// open connection is closed.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
+    /// Stop serving and join the serve loop; the listener and every
+    /// open connection are closed.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for IngestServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        for h in self.threads.drain(..) {
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }
@@ -472,24 +296,18 @@ impl Drop for IngestServer {
 /// How long one `epoll_wait` may sleep before re-checking the stop
 /// flag. Long enough to keep the idle loop cold, short enough that
 /// `stop()` returns promptly.
-#[cfg(target_os = "linux")]
 const WAIT_MS: i32 = 25;
 
-/// Epoll token reserved for the listening socket in the accept loop's
-/// epoll set (connection tokens are table indices, which stay far
-/// below this).
-#[cfg(target_os = "linux")]
+/// Most events one `epoll_wait` returns; more ready descriptors simply
+/// report again on the next wait.
+const MAX_EVENTS: usize = 1024;
+
+/// Epoll token reserved for the listening socket (connection tokens are
+/// table indices, which stay far below this).
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// Epoll token reserved for a serve loop's handoff doorbell (its
-/// [`cameo_core::epoll::WakePipe`] read end).
-#[cfg(target_os = "linux")]
-const WAKE_TOKEN: u64 = u64::MAX - 1;
-
 /// `errno` values for descriptor exhaustion (Linux).
-#[cfg(target_os = "linux")]
 const ENFILE: i32 = 23;
-#[cfg(target_os = "linux")]
 const EMFILE: i32 = 24;
 
 /// Submit the burst batch once it holds this many frames rather than
@@ -499,77 +317,41 @@ const EMFILE: i32 = 24;
 /// routed resident in cache and bounds the first-frame latency of a
 /// burst, while sparse bursts (many connections, a frame or two each)
 /// still coalesce across connections up to this size.
-#[cfg(target_os = "linux")]
 const SUBMIT_CHUNK: usize = 512;
 
 /// One registered connection: its socket and the streaming decoder
 /// carrying partial frames across reads. The decoder starts small
 /// ([`crate::msg::ADAPTIVE_BUF_INIT`]) and grows only under load, so
 /// ten thousand mostly-idle connections stay cheap.
-#[cfg(target_os = "linux")]
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
 }
 
-/// The accept loop: owns the listener (in its own small epoll set) and
-/// assigns every accepted connection to the least-loaded serve loop.
-/// This thread never reads a data byte — fan-in stays on the serve
-/// loops, and a connect storm can never stall decode.
-#[cfg(target_os = "linux")]
-fn accept_loop(listener: TcpListener, loops: Vec<Arc<LoopState>>, stop: Arc<AtomicBool>) {
-    use cameo_core::epoll::Epoll;
-    use std::os::unix::io::AsRawFd;
-
-    let ep = Epoll::new().expect("epoll_create1");
-    ep.add(listener.as_raw_fd(), LISTENER_TOKEN)
-        .expect("register listener");
+/// The serve loop: one epoll set holding the listener and every
+/// connection. Accepts inline and keeps the coalescing invariant — all
+/// frames of one readiness burst enter the scheduler as one batch (in
+/// `SUBMIT_CHUNK` chunks). See the module docs.
+fn serve_loop(
+    rt: &Runtime,
+    listener: &TcpListener,
+    mut ep: Epoll,
+    stop: &AtomicBool,
+    c: &Counters,
+) {
     // The reserve descriptor backing graceful EMFILE shedding: held
     // open so that, at exhaustion, dropping it frees exactly one fd to
     // accept-then-close the pending connection with.
     let mut reserve = std::fs::File::open("/dev/null").ok();
-    let mut events = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        let n = match ep.wait(&mut events, 16, WAIT_MS) {
-            Ok(n) => n,
-            Err(_) => break,
-        };
-        if n == 0 {
-            continue;
-        }
-        accept_burst(&listener, &loops, &mut reserve);
-    }
-}
-
-/// Pick the serve loop with the fewest open connections. `conns_open`
-/// is bumped at *assignment* (not registration), so a connect storm
-/// arriving faster than loops drain their handoff queues still spreads
-/// evenly instead of piling onto one loop.
-#[cfg(target_os = "linux")]
-fn least_loaded(loops: &[Arc<LoopState>]) -> &Arc<LoopState> {
-    loops
-        .iter()
-        .min_by_key(|l| l.counters.conns_open.load(Ordering::Relaxed))
-        .expect("at least one serve loop")
-}
-
-/// One epoll serve loop: owns a disjoint subset of the connections,
-/// receives new ones over the handoff queue + doorbell, and keeps the
-/// coalescing invariant locally — all frames of one readiness burst
-/// enter the scheduler as one batch. See the module docs.
-#[cfg(target_os = "linux")]
-fn serve_loop(rt: Arc<Runtime>, ls: Arc<LoopState>, stop: Arc<AtomicBool>) {
-    use cameo_core::epoll::Epoll;
-    use std::os::unix::io::AsRawFd;
-
-    let ep = Epoll::new().expect("epoll_create1");
-    ep.add(ls.wake.read_fd(), WAKE_TOKEN)
-        .expect("register handoff doorbell");
-    let c = &ls.counters;
     // Slab-style connection table: the epoll token of a connection is
     // its index here, freed indices are reused LIFO.
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
+    // Indices freed during the current burst: reuse is deferred until
+    // the burst's events are all handled, so a not-yet-processed event
+    // for a closed connection can never alias a connection accepted
+    // later in the same burst.
+    let mut freed: Vec<usize> = Vec::new();
     let mut events = Vec::new();
     // Frames decoded across all connections of the current burst; one
     // `ingest_frames` call drains it. Reused, so steady state allocates
@@ -581,52 +363,23 @@ fn serve_loop(rt: Arc<Runtime>, ls: Arc<LoopState>, stop: Arc<AtomicBool>) {
     // that must be NACKed. Drained in lockstep with `batch`.
     let mut origins: Vec<usize> = Vec::new();
     while !stop.load(Ordering::Acquire) {
-        let n = match ep.wait(&mut events, 1024, WAIT_MS) {
-            Ok(n) => n,
-            Err(_) => break,
-        };
-        if n == 0 {
-            continue;
+        if ep.wait(&mut events, MAX_EVENTS, WAIT_MS).is_err() {
+            break;
         }
-        // A burst is only a burst if a *connection* was ready; a pure
-        // doorbell wakeup reads no frames and must not dilute the
+        // A burst is only a burst if a *connection* was ready; a
+        // listener-only wake-up reads no frames and must not dilute the
         // frames-per-burst coalescing ratio.
-        if events.iter().take(n).any(|ev| ev.token != WAKE_TOKEN) {
+        if events.iter().any(|ev| ev.token != LISTENER_TOKEN) {
             c.readiness_bursts.fetch_add(1, Ordering::Relaxed);
         }
-        // Indices freed during this burst: reuse is deferred until the
-        // burst's events are all handled, so a not-yet-processed event
-        // for a closed connection can never alias a connection
-        // registered later in the same burst.
-        let mut freed: Vec<usize> = Vec::new();
-        for ev in events.iter().take(n).copied() {
-            if ev.token == WAKE_TOKEN {
-                // Drain the doorbell before taking the queue: a push
-                // that lands after the take re-rings, so its wake byte
-                // survives into the next wait and nothing is lost.
-                ls.wake.drain();
-                let incoming =
-                    std::mem::take(&mut *ls.pending.lock().unwrap_or_else(|p| p.into_inner()));
-                for stream in incoming {
-                    let idx = free.pop().unwrap_or_else(|| {
-                        conns.push(None);
-                        conns.len() - 1
-                    });
-                    if ep.add(stream.as_raw_fd(), idx as u64).is_err() {
-                        free.push(idx);
-                        c.conn_closed(); // assigned at accept, never served
-                        continue;
-                    }
-                    conns[idx] = Some(Conn {
-                        stream,
-                        decoder: FrameDecoder::adaptive(),
-                    });
-                }
+        for ev in &events {
+            if ev.token == LISTENER_TOKEN {
+                accept_burst(listener, &ep, &mut conns, &mut free, &mut reserve, c);
                 continue;
             }
             let idx = ev.token as usize;
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                continue; // freed earlier in this burst
+                continue; // closed earlier in this burst
             };
             // One read per ready connection per burst (level-triggered
             // epoll re-reports leftovers), then decode everything it
@@ -656,13 +409,13 @@ fn serve_loop(rt: Arc<Runtime>, ls: Arc<LoopState>, stop: Arc<AtomicBool>) {
                 c.conn_closed();
             }
             if batch.len() >= SUBMIT_CHUNK {
-                submit_burst(&rt, &mut conns, &mut batch, &mut origins, c);
+                submit_burst(rt, &mut conns, &mut batch, &mut origins, c);
             }
         }
         if !batch.is_empty() {
             // Whatever the burst's tail produced — still one scheduler
             // batch for every remaining frame of every connection.
-            submit_burst(&rt, &mut conns, &mut batch, &mut origins, c);
+            submit_burst(rt, &mut conns, &mut batch, &mut origins, c);
         }
         free.append(&mut freed);
     }
@@ -673,7 +426,6 @@ fn serve_loop(rt: Arc<Runtime>, ls: Arc<LoopState>, stop: Arc<AtomicBool>) {
 /// rejection's frame ordinal through `origins`. A rejection whose
 /// connection closed earlier in the same burst is counted as a dropped
 /// NACK.
-#[cfg(target_os = "linux")]
 fn submit_burst(
     rt: &Runtime,
     conns: &mut [Option<Conn>],
@@ -700,16 +452,17 @@ fn submit_burst(
 
 /// Accept every pending connection (the listener is level-triggered
 /// too, but draining it here saves wait round-trips under connect
-/// storms), assigning each to the least-loaded serve loop: bump the
-/// loop's connection count, park the stream in its handoff queue, ring
-/// its doorbell. Descriptor exhaustion sheds gracefully via the
-/// reserve fd, attributed to the loop the connection would have
-/// joined.
-#[cfg(target_os = "linux")]
+/// storms) and register each in the loop's epoll set under a slab index
+/// from `free` — the free list as it stood before this burst, never an
+/// index freed within it. Descriptor exhaustion sheds gracefully via
+/// the reserve fd.
 fn accept_burst(
     listener: &TcpListener,
-    loops: &[Arc<LoopState>],
+    ep: &Epoll,
+    conns: &mut Vec<Option<Conn>>,
+    free: &mut Vec<usize>,
     reserve: &mut Option<std::fs::File>,
+    c: &Counters,
 ) {
     loop {
         match listener.accept() {
@@ -718,18 +471,19 @@ fn accept_burst(
                     continue; // drop: an unusable socket
                 }
                 stream.set_nodelay(true).ok();
-                let target = least_loaded(loops);
-                target.counters.conn_opened();
-                target
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(stream);
-                // Ring after the push: the loop drains the doorbell
-                // before taking the queue, so this ordering guarantees
-                // the stream is visible by the wakeup it caused (or an
-                // earlier one — equally fine).
-                target.wake.wake().ok();
+                let idx = free.pop().unwrap_or_else(|| {
+                    conns.push(None);
+                    conns.len() - 1
+                });
+                if ep.add(stream.as_raw_fd(), idx as u64).is_err() {
+                    free.push(idx);
+                    continue; // drop: never served
+                }
+                conns[idx] = Some(Conn {
+                    stream,
+                    decoder: FrameDecoder::adaptive(),
+                });
+                c.conn_opened();
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if matches!(e.raw_os_error(), Some(EMFILE) | Some(ENFILE)) => {
@@ -742,103 +496,12 @@ fn accept_burst(
                 drop(reserve.take());
                 if let Ok((doomed, _)) = listener.accept() {
                     drop(doomed);
-                    least_loaded(loops)
-                        .counters
-                        .accepts_shed
-                        .fetch_add(1, Ordering::Relaxed);
+                    c.accepts_shed.fetch_add(1, Ordering::Relaxed);
                 }
                 *reserve = std::fs::File::open("/dev/null").ok();
                 return;
             }
             Err(_) => return,
-        }
-    }
-}
-
-/// Thread-per-connection fallback for targets without epoll. Each
-/// connection is still attributed to the least-loaded configured loop,
-/// so per-loop counters (and their handle-level sums) behave
-/// identically except `readiness_bursts`, which stays zero.
-#[cfg(not(target_os = "linux"))]
-fn serve_fallback(
-    rt: Arc<Runtime>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    loops: Vec<Arc<LoopState>>,
-) {
-    let mut threads: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false).ok();
-                let ls = loops
-                    .iter()
-                    .min_by_key(|l| l.counters.conns_open.load(Ordering::Relaxed))
-                    .expect("at least one serve loop")
-                    .clone();
-                ls.counters.conn_opened();
-                let rt = rt.clone();
-                let stop = stop.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("cameo-net-conn".into())
-                        .spawn(move || {
-                            serve_conn_blocking(rt, stream, stop, &ls.counters);
-                            ls.counters.conn_closed();
-                        })
-                        .expect("spawn conn thread"),
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    for t in threads {
-        let _ = t.join();
-    }
-}
-
-/// Blocking per-connection serve loop (non-epoll fallback): one `read`
-/// per iteration, every frame the read completed submitted as one
-/// batch.
-#[cfg(not(target_os = "linux"))]
-fn serve_conn_blocking(
-    rt: Arc<Runtime>,
-    mut stream: TcpStream,
-    stop: Arc<AtomicBool>,
-    c: &Counters,
-) {
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(200)))
-        .ok();
-    let mut decoder = FrameDecoder::new();
-    let mut batch: Vec<IngestFrame> = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let outcome = decoder.read_frames(&mut stream, &mut batch);
-        // Whatever decoded before an error still counts — ingest it
-        // before deciding the connection's fate. Every frame came from
-        // this one connection, so rejections NACK straight back here.
-        if !batch.is_empty() {
-            let out = rt.ingest_frames(batch.drain(..));
-            for rej in &out.rejected {
-                send_nack(&mut stream, rej, c);
-            }
-            c.record(&out);
-        }
-        match outcome {
-            Ok(Some(_)) => {}
-            Ok(None) => return, // clean EOF
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // poll the stop flag
-            }
-            Err(_) => return, // protocol violation or reset
         }
     }
 }
@@ -986,13 +649,6 @@ mod tests {
                 .map(|i| Tuple::new(i, i as i64 * 2, LogicalTime(1_000 + i)))
                 .collect(),
         }
-    }
-
-    #[test]
-    fn config_clamps_to_at_least_one_loop() {
-        assert_eq!(IngestServerConfig::default().loops(), 1);
-        assert_eq!(IngestServerConfig::new().with_loops(0).loops(), 1);
-        assert_eq!(IngestServerConfig::new().with_loops(4).loops(), 4);
     }
 
     #[test]

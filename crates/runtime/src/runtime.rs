@@ -322,9 +322,9 @@ pub struct RuntimeConfig {
     /// so every shard has at least one affine worker.
     pub scheduler: SchedulerConfig,
     /// Pin workers to cores via `sched_setaffinity`, so each home
-    /// shard's mailbox arena is touched by one core (default off;
-    /// Linux only, graceful no-op elsewhere). The runtime reads its
-    /// *allowed* core set (`sched_getaffinity`) once at startup and
+    /// shard's mailbox arena is touched by one core (default off; a
+    /// core the kernel refuses is a graceful no-op). The runtime reads
+    /// its *allowed* core set (`sched_getaffinity`) once at startup and
     /// round-robins workers within it, so co-located runtimes confined
     /// to disjoint cpusets no longer pile onto core 0.
     pub pin_workers: bool,
@@ -2319,8 +2319,7 @@ mod tests {
         // `allowed_cores` (cores inside the mask are pinnable by
         // definition, but probe anyway in a scratch thread).
         let allowed = cameo_core::affinity::allowed_cores();
-        let pinnable = cameo_core::affinity::pinning_supported()
-            && !allowed.is_empty()
+        let pinnable = !allowed.is_empty()
             && (0..2usize).all(|i| {
                 let core = allowed[i % allowed.len()];
                 std::thread::spawn(move || cameo_core::affinity::pin_to_core(core))
@@ -2349,7 +2348,6 @@ mod tests {
         rt.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn pinning_respects_narrowed_affinity_mask() {
         // A runtime started inside a cpuset narrowed to one core must

@@ -6,6 +6,7 @@
 //! `batch_publications`).
 
 use cameo::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -264,10 +265,14 @@ fn stale_generation_frames_are_nacked_to_the_producer() {
         .deploy(&query("nack-old"), &ExpandOptions::default())
         .expect("deploy old");
     let server = IngestServer::start(rt.clone(), "127.0.0.1:0").unwrap();
+    // A second producer on the same serve loop that sends nothing stale:
+    // no NACK may reach it.
+    let mut bystander = IngestClient::connect(server.local_addr()).unwrap();
     let mut client = IngestClient::connect(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
+    assert!(wait_for(Duration::from_secs(5), || server.conns_open() == 2));
 
     rt.undeploy(old).expect("undeploy");
     let new = rt
@@ -303,13 +308,260 @@ fn stale_generation_frames_are_nacked_to_the_producer() {
     assert!(wait_for(Duration::from_secs(5), || server
         .frames_received()
         == 1));
+    // Both NACKs were written before `nacks_sent` reached 2, so any
+    // misrouted one would already sit in the bystander's socket.
+    assert_no_nack(&mut bystander);
 
-    // The data direction is unaffected by the control traffic.
+    // The data direction is unaffected by the control traffic, on both
+    // connections.
     client.send(&frame(new, 1, 300, 2)).unwrap();
+    bystander.send(&frame(new, 0, 400, 2)).unwrap();
     assert!(wait_for(Duration::from_secs(5), || server
         .frames_received()
-        == 2));
+        == 3));
     drop(client);
+    drop(bystander);
+    server.stop();
+    Arc::try_unwrap(rt).ok().expect("sole owner").shutdown();
+}
+
+/// Assert that nothing — in particular no NACK — is waiting on
+/// `client`'s connection. Callers first wait until every NACK is
+/// settled; a loopback write lands in the peer's receive queue before
+/// it returns, so a short read timeout suffices.
+fn assert_no_nack(client: &mut IngestClient) {
+    client
+        .set_read_timeout(Some(Duration::from_millis(5)))
+        .unwrap();
+    let err = client
+        .recv_nack()
+        .expect_err("no NACK may reach a connection that sent nothing stale");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "expected a read timeout, got {err:?}"
+    );
+}
+
+/// Frames from several connections, all served by the one loop, each
+/// reach the scheduler exactly once — no loss, no duplication.
+#[test]
+fn frames_from_many_connections_arrive_exactly_once() {
+    const CLIENTS: usize = 8;
+    const FRAMES_EACH: u64 = 8;
+    let rt = Arc::new(Runtime::start(cameo::runtime::runtime::RuntimeConfig {
+        workers: 0,
+        ..Default::default()
+    }));
+    let job = rt
+        .deploy(&query("multi"), &ExpandOptions::default())
+        .expect("deploy");
+    let server = IngestServer::start(rt.clone(), "127.0.0.1:0").unwrap();
+    let mut clients: Vec<IngestClient> = (0..CLIENTS)
+        .map(|_| IngestClient::connect(server.local_addr()).unwrap())
+        .collect();
+    assert!(
+        wait_for(Duration::from_secs(5), || server.conns_open()
+            == CLIENTS as u64),
+        "all clients accepted"
+    );
+    for (ci, client) in clients.iter_mut().enumerate() {
+        let frames: Vec<IngestFrame> = (0..FRAMES_EACH)
+            .map(|f| frame(job, (f % 2) as u32, (ci as u64 * FRAMES_EACH + f) * 100, 4))
+            .collect();
+        client.send_many(&frames).unwrap();
+    }
+
+    let total = CLIENTS as u64 * FRAMES_EACH;
+    assert!(
+        wait_for(Duration::from_secs(5), || server.frames_received() >= total),
+        "whole barrage ingested, got {}",
+        server.frames_received()
+    );
+    // Exactly once: received counts match sends with nothing dropped,
+    // rejected, or double-counted — on the wire counters and in the
+    // scheduler's own coalescing counters.
+    assert_eq!(server.frames_received(), total);
+    assert_eq!(server.frames_dropped(), 0);
+    assert_eq!(server.gen_rejected_frames(), 0);
+    let stats = rt.scheduler_stats();
+    assert_eq!(stats.frames_coalesced, total);
+    assert_eq!(stats.gen_rejected_frames, 0);
+    // Every tuple routed exactly once: 4 tuples per frame, hashed over
+    // <= 2 parallel instances per frame.
+    let queued = rt.queue_len() as u64;
+    assert!(
+        (total..=2 * total).contains(&queued),
+        "{total} frames route to {total}..={} messages, got {queued}",
+        2 * total
+    );
+    assert_eq!(server.conns_peak(), CLIENTS as u64);
+
+    drop(clients);
+    server.stop();
+    Arc::try_unwrap(rt).ok().expect("sole owner").shutdown();
+}
+
+/// Drop mid-burst: a client writes a burst and disconnects immediately
+/// — the loop may well observe the close in the same readiness burst
+/// as the data. The loop must ingest what arrived, release the
+/// connection, and keep serving the other connections without a
+/// hiccup.
+#[test]
+fn client_disconnect_mid_burst_does_not_stall_the_loop() {
+    const DOOMED: usize = 2;
+    const BURST: u64 = 16;
+    let rt = Arc::new(Runtime::start(cameo::runtime::runtime::RuntimeConfig {
+        workers: 0,
+        ..Default::default()
+    }));
+    let job = rt
+        .deploy(&query("dropmid"), &ExpandOptions::default())
+        .expect("deploy");
+    let server = IngestServer::start(rt.clone(), "127.0.0.1:0").unwrap();
+    let mut survivors: Vec<IngestClient> = (0..2)
+        .map(|_| IngestClient::connect(server.local_addr()).unwrap())
+        .collect();
+    let mut doomed: Vec<IngestClient> = (0..DOOMED)
+        .map(|_| IngestClient::connect(server.local_addr()).unwrap())
+        .collect();
+    assert!(wait_for(Duration::from_secs(5), || server.conns_open() == 4));
+
+    // Burst-then-hangup: the write and the close race the serve loop's
+    // readiness burst. TCP delivers the buffered bytes either way, so
+    // every frame must still land exactly once.
+    for client in doomed.iter_mut() {
+        let frames: Vec<IngestFrame> = (0..BURST)
+            .map(|f| frame(job, (f % 2) as u32, f * 100, 4))
+            .collect();
+        client.send_many(&frames).unwrap();
+    }
+    drop(doomed);
+
+    let doomed_total = DOOMED as u64 * BURST;
+    assert!(
+        wait_for(Duration::from_secs(5), || server.frames_received()
+            >= doomed_total),
+        "buffered frames of a closed connection still ingest, got {}",
+        server.frames_received()
+    );
+    assert_eq!(server.frames_received(), doomed_total);
+    assert_eq!(server.frames_dropped(), 0);
+    assert!(
+        wait_for(Duration::from_secs(5), || server.conns_open() == 2),
+        "closed connections released, got {}",
+        server.conns_open()
+    );
+
+    // The surviving connections are still served: later sends land.
+    for (i, client) in survivors.iter_mut().enumerate() {
+        client
+            .send(&frame(job, i as u32, 10_000 + i as u64, 3))
+            .unwrap();
+    }
+    assert!(
+        wait_for(Duration::from_secs(5), || server.frames_received()
+            == doomed_total + 2),
+        "survivors still served after mid-burst disconnects"
+    );
+    drop(survivors);
+    server.stop();
+    Arc::try_unwrap(rt).ok().expect("sole owner").shutdown();
+}
+
+/// Accept runs inside the serve loop, so a connection can close and a
+/// new one be accepted in the same readiness burst. Each round, a
+/// doomed producer sends a fresh frame, a stale frame and a corrupt
+/// length prefix in one write: the server decodes both frames, closes
+/// the connection on the corrupt prefix, and owes the stale frame a
+/// NACK when the burst is submitted. A newcomer connects right behind
+/// it. The newcomer must not inherit the closed connection's table
+/// slot within that burst: the NACK is dropped, never written to the
+/// newcomer, and the newcomer's own frames are served as its own. A
+/// firehose connection keeps the loop busy, so the close and the
+/// accept of a round pile up into one wait.
+#[test]
+fn closed_and_accepted_in_one_burst_never_share_a_token() {
+    use std::io::Write;
+    const ROUNDS: u64 = 40;
+    const HOSE_FRAMES: u64 = 64;
+    let rt = Arc::new(Runtime::start(cameo::runtime::runtime::RuntimeConfig {
+        workers: 0,
+        ..Default::default()
+    }));
+    let old = rt
+        .deploy(&query("alias-old"), &ExpandOptions::default())
+        .expect("deploy old");
+    let server = IngestServer::start(rt.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    rt.undeploy(old).expect("undeploy");
+    let new = rt
+        .deploy(&query("alias-new"), &ExpandOptions::default())
+        .expect("redeploy");
+
+    // The firehose writes bursts from its own thread until the rounds
+    // are done, and reports how many frames it sent.
+    let mut hose = IngestClient::connect(addr).unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let firehose = {
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut sent = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                let frames: Vec<IngestFrame> = (0..HOSE_FRAMES)
+                    .map(|f| frame(new, (f % 2) as u32, (sent + f) * 10, 16))
+                    .collect();
+                hose.send_many(&frames).unwrap();
+                sent += HOSE_FRAMES;
+            }
+            (hose, sent)
+        })
+    };
+
+    let mut newcomers = Vec::new();
+    for round in 0..ROUNDS {
+        let mut doomed = std::net::TcpStream::connect(addr).unwrap();
+        // The firehose, the earlier newcomers and `doomed`.
+        let open = 2 + round;
+        assert!(wait_for(Duration::from_secs(5), || server.conns_open() == open));
+        let mut bytes = encode_frame(&frame(new, 0, round * 100, 2));
+        bytes.extend_from_slice(&encode_frame(&frame(old, 1, round * 100, 2)));
+        bytes.extend_from_slice(&(cameo::runtime::net::MAX_FRAME + 1).to_be_bytes());
+        doomed.write_all(&bytes).unwrap();
+        newcomers.push(IngestClient::connect(addr).unwrap());
+        assert!(wait_for(Duration::from_secs(5), || server
+            .gen_rejected_frames()
+            == round + 1));
+    }
+    done.store(true, Ordering::Relaxed);
+    let (hose, hose_sent) = firehose.join().unwrap();
+
+    // The doomed connection was gone before its burst was submitted, so
+    // every NACK is dropped, and none reached a newcomer.
+    assert_eq!(server.nacks_dropped(), ROUNDS);
+    assert_eq!(server.nacks_sent(), 0);
+    for newcomer in &mut newcomers {
+        assert_no_nack(newcomer);
+    }
+    // Each newcomer is still served as itself.
+    for (i, newcomer) in newcomers.iter_mut().enumerate() {
+        newcomer
+            .send(&frame(new, 0, 1_000_000 + i as u64, 1))
+            .unwrap();
+    }
+    let total = hose_sent + 2 * ROUNDS;
+    assert!(
+        wait_for(Duration::from_secs(10), || server.frames_received()
+            == total),
+        "every fresh frame received once: {} of {total}",
+        server.frames_received()
+    );
+    assert_eq!(server.gen_rejected_frames(), ROUNDS);
+    assert_eq!(server.conns_open(), 1 + ROUNDS);
+    drop(hose);
+    drop(newcomers);
     server.stop();
     Arc::try_unwrap(rt).ok().expect("sole owner").shutdown();
 }

@@ -1,10 +1,8 @@
 //! The network plane at scale: thousands of live connections cost the
-//! process no threads beyond one accept thread plus one per serve loop,
-//! and every accounting invariant of the sharded ingress still holds
-//! at that size — each frame received exactly once, a stale-generation
-//! frame rejected and counted but never received, the per-loop
-//! counters summing to the handle totals, and least-loaded assignment
-//! giving every loop a connection.
+//! process exactly one thread — the ingest server's serve loop — and
+//! every accounting invariant still holds at that size: each frame
+//! received exactly once, a stale-generation frame rejected and counted
+//! but never received, and the open / peak connection counts exact.
 //!
 //! One `#[test]` in its own binary, so `/proc/self/task` counts only
 //! this test's threads. The clients are plain in-process `TcpStream`s;
@@ -17,18 +15,25 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// `(connections, serve loops)` per cell.
-const CELLS: [(usize, usize); 4] = [(16, 1), (1_000, 1), (1_000, 2), (4_000, 4)];
+/// Connections per cell.
+const CELLS: [usize; 3] = [16, 1_000, 4_000];
 /// Frames across all connections of a cell (at least two each).
 const FRAME_BUDGET: usize = 8_000;
 const TUPLES: u64 = 8;
-/// Connections opened before waiting for the server to assign them;
+/// Connections opened before waiting for the server to accept them;
 /// under the listen backlog of 128.
 const CONNECT_STEP: usize = 64;
 
-/// OS threads in this process; `None` where procfs is unavailable.
-fn threads_now() -> Option<usize> {
-    std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
+/// The names of this process's OS threads; `None` where procfs is
+/// unavailable.
+fn thread_names() -> Option<Vec<String>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_owned())
+            .collect(),
+    )
 }
 
 /// The soft open-file limit; `None` where procfs is unavailable.
@@ -57,7 +62,7 @@ fn frame(slot: u32, gen: u32, base: u64) -> IngestFrame {
     }
 }
 
-fn sweep_cell(conns: usize, loops: usize) {
+fn sweep_cell(conns: usize) {
     let rt = Arc::new(Runtime::start(RuntimeConfig {
         workers: 0,
         ..Default::default()
@@ -73,22 +78,17 @@ fn sweep_cell(conns: usize, loops: usize) {
             &ExpandOptions::default(),
         )
         .expect("deploy");
-    let before = threads_now();
-    let server = IngestServer::start_with(
-        rt.clone(),
-        "127.0.0.1:0",
-        IngestServerConfig::new().with_loops(loops),
-    )
-    .expect("bind loopback");
+    let before = thread_names();
+    let server = IngestServer::start(rt.clone(), "127.0.0.1:0").expect("bind loopback");
 
-    // Connect in steps the accept thread keeps up with: a full listen
+    // Connect in steps the serve loop keeps up with: a full listen
     // backlog drops the SYN, and the kernel retries it a second later.
     let mut clients: Vec<TcpStream> = Vec::with_capacity(conns);
     while clients.len() < conns {
         let step = CONNECT_STEP.min(conns - clients.len());
         clients
             .extend((0..step).map(|_| TcpStream::connect(server.local_addr()).expect("connect")));
-        wait_for("every connection assigned", || {
+        wait_for("every connection accepted", || {
             server.conns_open() == clients.len() as u64
         });
     }
@@ -128,41 +128,26 @@ fn sweep_cell(conns: usize, loops: usize) {
     );
 
     // Every connection and the probe are live: the ingress plane costs
-    // one accept thread plus `loops` serve loops, whatever `conns` is.
-    if let (Some(before), Some(now)) = (before, threads_now()) {
+    // one serve loop, whatever `conns` is, and counts every connection
+    // it holds.
+    if let (Some(before), Some(now)) = (before, thread_names()) {
         assert_eq!(
-            now,
-            before + 1 + loops,
-            "{conns} conns on {loops} loops: 1 accept thread + {loops} serve loops"
+            now.len(),
+            before.len() + 1,
+            "{conns} conns: one serve-loop thread"
+        );
+        let net = now.iter().filter(|n| n.starts_with("cameo-net")).count();
+        assert_eq!(
+            net, 1,
+            "{conns} conns: the one new thread is cameo-net: {now:?}"
         );
     }
-
-    // The probe stays open across these reads: its close is one more
-    // readiness burst, and landing between two reads it would show as
-    // a mismatch.
-    let per_loop = server.loop_stats();
-    assert_eq!(per_loop.len(), loops, "one stats row per serve loop");
     assert_eq!(
-        per_loop.iter().map(|l| l.frames).sum::<u64>(),
-        server.frames_received(),
-        "per-loop frames sum to the total"
+        server.conns_open(),
+        conns as u64 + 1,
+        "clients + probe open"
     );
-    assert_eq!(
-        per_loop.iter().map(|l| l.readiness_bursts).sum::<u64>(),
-        server.readiness_bursts(),
-        "per-loop bursts sum to the total"
-    );
-    assert_eq!(
-        per_loop.iter().map(|l| l.gen_rejected).sum::<u64>(),
-        server.gen_rejected_frames(),
-        "per-loop rejections sum to the total"
-    );
-    for (i, l) in per_loop.iter().enumerate() {
-        assert!(
-            l.conns_peak >= 1,
-            "loop {i} never owned a connection at {conns} conns"
-        );
-    }
+    assert_eq!(server.conns_peak(), conns as u64 + 1, "nothing closed yet");
 
     drop(probe);
     drop(clients);
@@ -172,11 +157,11 @@ fn sweep_cell(conns: usize, loops: usize) {
 
 #[test]
 fn thread_count_and_accounting_hold_from_16_to_4000_connections() {
-    for (conns, loops) in CELLS {
+    for conns in CELLS {
         if open_file_limit().is_some_and(|limit| limit < 2 * conns + 64) {
             eprintln!("skipping {conns} conns: the open-file limit is too low");
             continue;
         }
-        sweep_cell(conns, loops);
+        sweep_cell(conns);
     }
 }
