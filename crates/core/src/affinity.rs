@@ -1,12 +1,11 @@
 //! Worker→core pinning for home-shard memory locality.
 //!
-//! The sharded runtime gives every worker a home shard, and the arena
-//! ([`crate::arena`]) keeps that shard's mailbox nodes in segments the
-//! draining worker touches on every cycle. Pinning the worker to one
-//! core keeps those segments in that core's cache (and, on NUMA hosts,
-//! faults them onto that core's node via first-touch), so steals are
-//! the only remaining cross-core traffic — exactly the locality the
-//! ROADMAP's "NUMA-aware shard pinning" item asked for.
+//! The sharded runtime gives every worker a home shard, whose queue
+//! and mailbox buffers the worker touches on every cycle. Pinning the
+//! worker to one core keeps that data in that core's cache (and, on
+//! NUMA hosts, faults it onto that core's node via first-touch), so
+//! steals and submissions from other threads are the only remaining
+//! cross-core traffic.
 //!
 //! Implemented with direct `extern "C"` declarations of Linux's
 //! `sched_setaffinity` / `sched_getaffinity` (no libc crate — this

@@ -1,16 +1,15 @@
 //! The elastic control loop: a deterministic controller that turns
-//! observed deadline-miss rate and queue shape into three actuations —
-//! steal-threshold tuning, arena segment reclamation, and durability
-//! snapshot scheduling.
+//! observed deadline-miss rate and queue shape into two actuations —
+//! steal-threshold tuning and durability snapshot scheduling.
 //!
 //! Cameo's scheduler carries the *sensor* half of a feedback loop (the
 //! per-operator cost profiles feeding priorities, per-job latency
 //! targets checked at sinks) but the original system never acts on it:
-//! the steal threshold is fixed at startup, per-shard arenas hold their
-//! high-water mark forever, and nothing picks a cheap moment for a
-//! snapshot. This module closes the loop for those three. The worker
-//! pool itself is fixed: Cameo meets deadlines inside a static pool by
-//! ordering work, and a parked worker costs next to nothing.
+//! the steal threshold is fixed at startup, and nothing picks a cheap
+//! moment for a snapshot. This module closes the loop for those two.
+//! The worker pool itself is fixed: Cameo meets deadlines inside a
+//! static pool by ordering work, and a parked worker costs next to
+//! nothing.
 //!
 //! The controller itself is a **pure state machine**: no clock, no
 //! randomness, no I/O. Each [`tick`](ElasticController::tick) consumes
@@ -24,13 +23,12 @@
 //! cumulative sink counters into a per-tick windowed deadline-miss
 //! rate. Sustained quiescence (no outputs, no backlog, for
 //! [`quiescent_ticks`](ElasticConfig::quiescent_ticks) consecutive
-//! ticks) requests arena segment reclamation and, when the journal has
-//! grown past [`snapshot_dirty_bytes`](ElasticConfig::snapshot_dirty_bytes),
-//! a durability snapshot. The steal threshold is tuned from the
-//! observed steal ratio (steals per acquisition): overload drives it to
-//! zero (steal eagerly), healthy-but-churning stealing backs it off
-//! geometrically, and calm periods decay it back toward the configured
-//! base.
+//! ticks) requests a durability snapshot when the journal has grown
+//! past [`snapshot_dirty_bytes`](ElasticConfig::snapshot_dirty_bytes).
+//! The steal threshold is tuned from the observed steal ratio (steals
+//! per acquisition): overload drives it to zero (steal eagerly),
+//! healthy-but-churning stealing backs it off geometrically, and calm
+//! periods decay it back toward the configured base.
 
 use crate::time::Micros;
 
@@ -46,8 +44,8 @@ pub struct ElasticConfig {
     /// Windowed deadline-miss rate below which the system counts as
     /// healthy for steal-threshold backoff. Must be ≤ `high_water`.
     pub low_water: f64,
-    /// Consecutive quiescent ticks (no outputs, empty queues) before
-    /// arenas are reclaimed.
+    /// Consecutive quiescent ticks (no outputs, empty queues) before a
+    /// snapshot may be requested.
     pub quiescent_ticks: u32,
     /// Controller sampling interval. The runtime's controller thread
     /// sleeps this long between ticks; the simulator schedules a
@@ -64,7 +62,7 @@ pub struct ElasticConfig {
 
 impl Default for ElasticConfig {
     /// The default thresholds: overloaded above 10% missed deadlines,
-    /// healthy below 1%, reclaim after 3 quiescent ticks of 10 ms each,
+    /// healthy below 1%, quiescent after 3 quiet ticks of 10 ms each,
     /// no snapshot scheduling.
     fn default() -> Self {
         ElasticConfig {
@@ -93,7 +91,7 @@ impl ElasticConfig {
         self
     }
 
-    /// Builder: quiescent ticks before reclaim.
+    /// Builder: quiescent ticks before a snapshot may be requested.
     pub fn with_quiescent_ticks(mut self, ticks: u32) -> Self {
         self.quiescent_ticks = ticks.max(1);
         self
@@ -137,10 +135,6 @@ pub struct ElasticObservation {
 pub enum ElasticAction {
     /// Retune the sharded scheduler's steal threshold.
     SetStealThreshold(Micros),
-    /// Return fully-free arena segments to the allocator (the host
-    /// should hold the reclaimed memory for one grace tick — see
-    /// [`crate::arena::SegmentArena::reclaim_segments`]).
-    ReclaimArenas,
     /// Take a durability snapshot now: the system is quiescent and the
     /// journal suffix since the last snapshot has grown past
     /// [`ElasticConfig::snapshot_dirty_bytes`]. Quiescence is exactly
@@ -154,8 +148,6 @@ pub enum ElasticAction {
 pub struct ElasticTelemetry {
     /// Ticks evaluated.
     pub ticks: u64,
-    /// Arena reclamation requests emitted.
-    pub reclaims: u64,
     /// Durability-snapshot requests emitted.
     pub snapshots: u64,
     /// Requested snapshots the host failed to take (reported back
@@ -244,15 +236,12 @@ impl ElasticController {
             self.quiet_streak = 0;
         } else {
             self.quiet_streak = self.quiet_streak.saturating_add(1);
-            if self.quiet_streak >= self.cfg.quiescent_ticks {
-                self.telemetry.reclaims += 1;
-                actions.push(ElasticAction::ReclaimArenas);
-                if self.cfg.snapshot_dirty_bytes > 0
-                    && obs.journal_dirty_bytes >= self.cfg.snapshot_dirty_bytes
-                {
-                    self.telemetry.snapshots += 1;
-                    actions.push(ElasticAction::Snapshot);
-                }
+            if self.quiet_streak >= self.cfg.quiescent_ticks
+                && self.cfg.snapshot_dirty_bytes > 0
+                && obs.journal_dirty_bytes >= self.cfg.snapshot_dirty_bytes
+            {
+                self.telemetry.snapshots += 1;
+                actions.push(ElasticAction::Snapshot);
             }
         }
 
@@ -295,6 +284,20 @@ mod tests {
         }
     }
 
+    /// `obs` with a journal dirty enough for `dirty_cfg` to snapshot.
+    fn dirty(outputs: u64, backlog: usize) -> ElasticObservation {
+        ElasticObservation {
+            journal_dirty_bytes: 4096,
+            ..obs(outputs, 0, backlog)
+        }
+    }
+
+    fn dirty_cfg() -> ElasticConfig {
+        ElasticConfig::default()
+            .with_quiescent_ticks(2)
+            .with_snapshot_dirty_bytes(1024)
+    }
+
     #[test]
     fn first_tick_is_baseline_only() {
         let mut c = ElasticController::new(ElasticConfig::default());
@@ -303,35 +306,34 @@ mod tests {
 
     #[test]
     fn reclaims_after_sustained_quiescence() {
-        let cfg = ElasticConfig::default().with_quiescent_ticks(2);
-        let mut c = ElasticController::new(cfg);
-        c.tick(&obs(0, 0, 0));
+        let mut c = ElasticController::new(dirty_cfg());
+        c.tick(&dirty(0, 0));
         // One quiet tick: not yet.
-        let a = c.tick(&obs(0, 0, 0));
-        assert!(!a.contains(&ElasticAction::ReclaimArenas));
-        // Second quiet tick: reclaim, and on every quiet tick after.
+        let a = c.tick(&dirty(0, 0));
+        assert!(!a.contains(&ElasticAction::Snapshot));
+        // Second quiet tick: snapshot, and on every quiet tick after
+        // while the journal stays dirty.
         for _ in 0..3 {
-            let a = c.tick(&obs(0, 0, 0));
-            assert!(a.contains(&ElasticAction::ReclaimArenas), "{a:?}");
+            let a = c.tick(&dirty(0, 0));
+            assert!(a.contains(&ElasticAction::Snapshot), "{a:?}");
         }
-        assert_eq!(c.telemetry().reclaims, 3);
+        assert_eq!(c.telemetry().snapshots, 3);
         // Pending backlog is not quiescence, even with no outputs.
-        let a = c.tick(&obs(0, 0, 5));
-        assert!(!a.contains(&ElasticAction::ReclaimArenas));
+        let a = c.tick(&dirty(0, 5));
+        assert!(!a.contains(&ElasticAction::Snapshot));
     }
 
     #[test]
     fn activity_resets_the_quiet_streak() {
-        let cfg = ElasticConfig::default().with_quiescent_ticks(2);
-        let mut c = ElasticController::new(cfg);
-        c.tick(&obs(0, 0, 0));
-        c.tick(&obs(0, 0, 0)); // quiet 1
-        let a = c.tick(&obs(10, 0, 0)); // activity
-        assert!(!a.contains(&ElasticAction::ReclaimArenas));
-        let a = c.tick(&obs(10, 0, 0)); // quiet 1 again
-        assert!(!a.contains(&ElasticAction::ReclaimArenas));
-        let a = c.tick(&obs(10, 0, 0)); // quiet 2
-        assert!(a.contains(&ElasticAction::ReclaimArenas));
+        let mut c = ElasticController::new(dirty_cfg());
+        c.tick(&dirty(0, 0));
+        c.tick(&dirty(0, 0)); // quiet 1
+        let a = c.tick(&dirty(10, 0)); // activity
+        assert!(!a.contains(&ElasticAction::Snapshot));
+        let a = c.tick(&dirty(10, 0)); // quiet 1 again
+        assert!(!a.contains(&ElasticAction::Snapshot));
+        let a = c.tick(&dirty(10, 0)); // quiet 2
+        assert!(a.contains(&ElasticAction::Snapshot));
     }
 
     #[test]
@@ -379,11 +381,10 @@ mod tests {
         q.journal_dirty_bytes = 100;
         c.tick(&q);
         assert!(!c.tick(&q).contains(&ElasticAction::Snapshot));
-        // Quiescent and dirty: snapshot rides along with the reclaim.
+        // Quiescent and dirty: snapshot.
         q.journal_dirty_bytes = 2048;
         let a = c.tick(&q);
         assert!(a.contains(&ElasticAction::Snapshot), "{a:?}");
-        assert!(a.contains(&ElasticAction::ReclaimArenas));
         assert_eq!(c.telemetry().snapshots, 1);
         // A failure the host reports back is counted, nothing else.
         c.snapshot_failed();

@@ -29,19 +29,17 @@
 //!   LLF / EDF / SJF / FIFO / token-fair policies (§4.2, §5.4).
 //! * [`queue`] — the two-level priority structure (Fig 5b).
 //! * [`scheduler`] — the stateless scheduler with quantum logic (§5.2).
-//! * [`arena`] — per-shard segment arenas: recycled mailbox-node
-//!   storage, so the steady-state submit path allocates nothing, with
-//!   whole-segment reclamation once a backlog spike drains.
 //! * [`elastic`] — the deterministic miss-rate-driven controller that
-//!   scales workers, re-places hot operators and reclaims arenas
+//!   tunes the steal threshold and triggers snapshots on quiescence
 //!   (shared verbatim by the runtime and the simulator).
-//! * [`mailbox`] — the lock-free per-shard submission mailbox
-//!   (arena-backed, with single-CAS batch publication).
+//! * [`mailbox`] — the per-shard submission mailbox: a locked inbox
+//!   the draining worker swaps for a spare buffer, with one-publication
+//!   batches.
 //! * [`shard`] — N scheduler shards with urgency-aware work stealing
 //!   (the scalable, lock-per-shard form of the same scheduler), fed
-//!   through lock-free per-shard submission mailboxes.
+//!   through per-shard submission mailboxes kept off the shard locks.
 //! * [`affinity`] — worker→core pinning (`sched_setaffinity`), so a
-//!   shard's arena stays hot in its worker's cache. Linux only.
+//!   worker and its home shard's data stay on one core. Linux only.
 //! * [`epoll`] — the readiness wrapper under the runtime's single
 //!   ingest serve loop. Linux only.
 //! * [`stats`] — histograms and percentile helpers.
@@ -76,7 +74,6 @@
 
 #[cfg(target_os = "linux")]
 pub mod affinity;
-pub mod arena;
 pub mod config;
 pub mod context;
 pub mod elastic;
@@ -97,7 +94,6 @@ pub mod transform;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
-    pub use crate::arena::{ArenaStats, ReclaimedSegments, SegmentArena};
     pub use crate::config::SchedulerConfig;
     pub use crate::context::{DataflowField, PriorityContext, ReplyContext, TokenTag};
     pub use crate::elastic::{

@@ -60,28 +60,24 @@ pub struct SchedulerStats {
     /// complement — a push that demotes the most urgent operator —
     /// should be rare; this counter makes that claim measurable.
     pub hint_fast_path: u64,
-    /// Messages moved from a shard's lock-free submission mailbox into
+    /// Messages moved from a shard's submission mailbox into
     /// its two-level queue by a draining worker. Only nonzero under the
     /// [sharded scheduler](crate::shard::ShardedScheduler)'s mailbox
     /// ingress path.
     pub mailbox_drained: u64,
-    /// Mailbox nodes recycled into a shard arena's free list for reuse
-    /// (counted on the consumer side as drains return them — the
-    /// producer hot path carries no counter). Every later push is
-    /// served from these without allocating; in steady state this
-    /// tracks `mailbox_drained` while the arena's carve count plateaus
-    /// ([`SegmentArena`](crate::arena::SegmentArena)).
-    pub node_reuse_hits: u64,
-    /// Mailbox pushes that fell back to a heap `Box` because the
-    /// arena's indexed capacity was exhausted. Flat-at-zero here is the
-    /// auditable "no allocation on the steady-state push path" claim.
+    /// Mailbox buffer growths on the push path: pushes and batch
+    /// appends that found a shard's inbox buffer full and had to
+    /// reallocate it ([`Mailbox::growths`](crate::mailbox::Mailbox::growths)).
+    /// The inbox and its spare keep their capacity across drains, so
+    /// under single pushes this stops rising once both have grown to
+    /// the burst size.
     pub node_alloc_fallback: u64,
     /// Mailbox chain publications performed by `submit_batch`: one per
-    /// shard touched per batch (the whole chain lands with a single
-    /// CAS). Together with `mailbox_drained` this audits the
+    /// shard touched per batch (the whole chain lands under one inbox
+    /// lock). Together with `mailbox_drained` this audits the
     /// amortization claim — a batch of N messages over S shards shows
     /// at most S publications here, not N. Per-message `submit` calls
-    /// (and the small-batch fallback) are not counted.
+    /// are not counted.
     pub batch_publications: u64,
     /// Decoded network frames submitted through the runtime's
     /// multi-frame ingest (`Runtime::ingest_frames`). Filled by the
@@ -122,12 +118,6 @@ pub struct SchedulerStats {
     /// deadline_misses` per tick to get the windowed miss rate that
     /// tunes the steal threshold (see [`crate::elastic`]).
     pub deadline_misses: u64,
-    /// Arena segments returned to the allocator by quiescent
-    /// reclamation
-    /// ([`ShardedScheduler::reclaim_quiescent`](crate::shard::ShardedScheduler::reclaim_quiescent)).
-    /// Cumulative; the per-arena `segments` gauge shrinking back to its
-    /// pre-spike baseline is the observable memory-elasticity claim.
-    pub segments_reclaimed: u64,
     /// Operator leases granted while some runnable operator's start
     /// deadline had already passed — the scheduler was overloaded and
     /// ranked operators by `(tier, global)`
@@ -152,7 +142,6 @@ impl SchedulerStats {
         self.cross_shard_swaps += other.cross_shard_swaps;
         self.hint_fast_path += other.hint_fast_path;
         self.mailbox_drained += other.mailbox_drained;
-        self.node_reuse_hits += other.node_reuse_hits;
         self.node_alloc_fallback += other.node_alloc_fallback;
         self.batch_publications += other.batch_publications;
         self.frames_coalesced += other.frames_coalesced;
@@ -163,7 +152,6 @@ impl SchedulerStats {
         self.retired_drops += other.retired_drops;
         self.deadline_hits += other.deadline_hits;
         self.deadline_misses += other.deadline_misses;
-        self.segments_reclaimed += other.segments_reclaimed;
         self.overload_acquisitions += other.overload_acquisitions;
         self.tier_overtakes += other.tier_overtakes;
     }

@@ -21,18 +21,20 @@
 //! most urgent operator from other shards whenever its home shard is
 //! idle or strictly less urgent.
 //!
-//! Ingress is *lock-free*: `submit` pushes into the target shard's
-//! mailbox with a CAS, lowers the shard's best-priority hint, and wakes
-//! a parked worker — it never takes the shard mutex, so ingest threads
-//! (TCP sources, operator fan-out) cannot block the worker draining
-//! that shard. Ingress is also *batched end to end*: source batches
+//! Ingress stays *off the shard lock*: `submit` pushes into the target
+//! shard's mailbox under the mailbox's own inbox lock, lowers the
+//! shard's best-priority hint, and wakes a parked worker — it never
+//! takes the shard mutex, so ingest threads (TCP sources, operator
+//! fan-out) cannot block the worker dispatching from that shard.
+//! Ingress is also *batched end to end*: source batches
 //! ([`Runtime::ingest_batch`]), whole socket reads
 //! ([`Runtime::ingest_frames`] — every frame one TCP read completed,
 //! see `crate::net`) and operator fan-out all travel through
-//! `ShardedScheduler::submit_batch`, paying one mailbox CAS, one hint
-//! update and one wake per *shard* per call instead of per message. Workers fold the mailbox into the shard's two-level
-//! queue under the lock they already hold at acquire/take/decide/
-//! release boundaries. Per-shard condvars replace the single condvar;
+//! `ShardedScheduler::submit_batch`, paying one mailbox publication,
+//! one hint update and one wake per *shard* per call instead of per
+//! message. Workers fold the mailbox into the shard's two-level queue
+//! under the lock they already hold at acquire/take/decide/release
+//! boundaries. Per-shard condvars replace the single condvar;
 //! parks are bounded (`PARK_TIMEOUT`) so cross-shard work is picked up
 //! promptly even when wakeups race, and the park/wake handshake itself
 //! is lost-wakeup-free (see `cameo_core::shard`).
@@ -67,11 +69,8 @@
 //! already takes — the sensor adds **no** producer-side atomics) every
 //! [`ElasticConfig::tick`] and applying the
 //! [`ElasticController`]'s actions: retune the steal threshold from
-//! observed steal/acquisition ratios, release fully-drained arena
-//! segments on sustained quiescence
-//! ([`ShardedScheduler::reclaim_quiescent`], with the returned token
-//! held for one further tick as a grace period), and take a durability
-//! snapshot when the journal has grown while the system is quiescent.
+//! observed steal/acquisition ratios, and take a durability snapshot
+//! when the journal has grown while the system is quiescent.
 //! The controller is the *same* pure state machine the simulator ticks
 //! deterministically — only the clock and the actuator wiring differ.
 //! Without `with_elastic` no controller thread exists. Either way the
@@ -98,13 +97,11 @@ use crate::durability::{
 };
 use crate::msg::{IngestFrame, RtMsg, SenderRef};
 use crate::stats::{JobStats, JobStatsSnapshot};
-use cameo_core::arena::ReclaimedSegments;
 use cameo_core::config::SchedulerConfig;
 use cameo_core::elastic::{
     ElasticAction, ElasticConfig, ElasticController, ElasticObservation, ElasticTelemetry,
 };
 use cameo_core::ids::JobId;
-use cameo_core::mailbox::Mail;
 use cameo_core::policy::{LlfPolicy, MessageStamp, Policy};
 use cameo_core::priority::Priority;
 use cameo_core::scheduler::{Decision, SchedulerStats};
@@ -322,7 +319,7 @@ pub struct RuntimeConfig {
     /// so every shard has at least one affine worker.
     pub scheduler: SchedulerConfig,
     /// Pin workers to cores via `sched_setaffinity`, so each home
-    /// shard's mailbox arena is touched by one core (default off; a
+    /// shard's queue and mailbox buffers stay on one core (default off; a
     /// core the kernel refuses is a graceful no-op). The runtime reads
     /// its *allowed* core set (`sched_getaffinity`) once at startup and
     /// round-robins workers within it, so co-located runtimes confined
@@ -336,8 +333,8 @@ pub struct RuntimeConfig {
     /// Elastic controller knobs (`None` — the default — spawns no
     /// controller thread; every scheduler path then behaves
     /// bit-identically to a runtime without one). The controller tunes
-    /// the steal threshold, reclaims arena segments and schedules
-    /// snapshots; it never changes `workers`.
+    /// the steal threshold and schedules snapshots; it never changes
+    /// `workers`.
     pub elastic: Option<ElasticConfig>,
     /// Crash durability (`None` — the default — journals nothing and
     /// adds no ingest-path work beyond one branch). With a config, every
@@ -386,14 +383,14 @@ impl RuntimeConfig {
         self
     }
 
-    /// Pin workers (and their home shards' arenas) to cores.
+    /// Pin workers (and with them their home shards' data) to cores.
     pub fn with_pinning(mut self, on: bool) -> Self {
         self.pin_workers = on;
         self
     }
 
-    /// Enable the elastic controller (steal-threshold tuning, arena
-    /// reclamation and snapshot scheduling on quiescence).
+    /// Enable the elastic controller (steal-threshold tuning and
+    /// snapshot scheduling on quiescence).
     pub fn with_elastic(mut self, cfg: ElasticConfig) -> Self {
         self.elastic = Some(cfg);
         self
@@ -629,10 +626,9 @@ impl Shared {
         }
     }
 
-    /// Batched submit: every shard touched pays one mailbox CAS, one
-    /// hint update and one wake (the scheduler wakes parked workers on
-    /// those shards internally), and nodes come from the shards'
-    /// arenas — the fan-out path stays off the allocator entirely.
+    /// Batched submit: every shard touched pays one mailbox
+    /// publication, one hint update and one wake (the scheduler wakes
+    /// parked workers on those shards internally).
     fn submit_batch<I: IntoIterator<Item = (cameo_core::ids::OperatorKey, RtMsg)>>(
         &self,
         items: I,
@@ -1246,11 +1242,11 @@ impl Runtime {
         self.shared.live_workers.load(Ordering::SeqCst)
     }
 
-    /// Arena segments currently held across all shards (live gauge; the
-    /// elastic controller's quiescent reclamation lowers it back toward
-    /// the baseline after a backlog spike drains).
+    /// Mailbox buffer capacity across all shards, in 512-message units
+    /// (a live gauge, rounded up). The name predates the locked
+    /// mailbox, whose inbox buffers replaced 512-slot arena segments.
     pub fn arena_segments(&self) -> usize {
-        self.shared.sched.arena_segments()
+        self.shared.sched.mailbox_capacity().div_ceil(512)
     }
 
     /// Snapshot of the elastic controller's telemetry. All-zero when
@@ -1568,9 +1564,9 @@ fn spawn_worker(shared: &Arc<Shared>, id: usize, core: Option<usize>) -> JoinHan
     std::thread::Builder::new()
         .name(format!("cameo-worker-{id}"))
         .spawn(move || {
-            // Pin before the first drain so the home shard's arena
-            // segments are first-touched (and kept) by this core.
-            // Failure is benign: the worker just keeps the default
+            // Pin before the first drain so the home shard's buffers
+            // are first-touched (and kept) by this core. Failure is
+            // benign: the worker just keeps the default
             // affinity.
             if core.is_some_and(cameo_core::affinity::pin_to_core) {
                 sh.pinned.fetch_add(1, Ordering::Relaxed);
@@ -1703,17 +1699,12 @@ fn observe(sh: &Arc<Shared>) -> ElasticObservation {
 /// observation and applies the returned actions:
 ///
 /// * `SetStealThreshold` — retune the sharded scheduler's steal slack.
-/// * `ReclaimArenas` — take the reclaimed-segment grace token and hold
-///   it for one full tick before dropping (freeing), so any in-flight
-///   `Mailbox::push` that read a segment base before reclamation
-///   completes its write into still-live memory first.
 /// * `Snapshot` — take a durability snapshot if the runtime is still
 ///   quiescent; a failure is counted in
 ///   [`ElasticTelemetry::snapshot_failures`].
 fn controller_loop(sh: Arc<Shared>, cfg: ElasticConfig) {
     let tick = Duration::from_micros(cfg.tick.0);
     let mut ctl = ElasticController::new(cfg);
-    let mut grace: Option<ReclaimedSegments<Mail<RtMsg>>> = None;
     loop {
         {
             let held = relock(&sh.ctl_lock);
@@ -1728,21 +1719,11 @@ fn controller_loop(sh: Arc<Shared>, cfg: ElasticConfig) {
         if sh.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // The previous tick's reclaimed segments have now been out of
-        // the arena for a full tick: every push that could have held a
-        // stale base pointer has finished. Free them.
-        drop(grace.take());
         let obs = observe(&sh);
         for action in ctl.tick(&obs) {
             match action {
                 ElasticAction::SetStealThreshold(slack) => {
                     sh.sched.set_steal_threshold(slack);
-                }
-                ElasticAction::ReclaimArenas => {
-                    let token = sh.sched.reclaim_quiescent();
-                    if !token.is_empty() {
-                        grace = Some(token);
-                    }
                 }
                 ElasticAction::Snapshot => {
                     // Best-effort: the controller saw quiescence one
@@ -1994,12 +1975,11 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
                 .process_reply(&mut inst.converter, sender.edge, &rc);
         }
     }
-    // Operator fan-out goes out as one batch per shard (single CAS +
-    // hint + wake), with nodes from the target shards' arenas. The
-    // fan-out is counted in-flight *before* this message's own
-    // decrement (the `InflightMsg` guard, dropped at scope end), so the
-    // job's inflight count cannot dip to zero while a causal chain is
-    // still alive.
+    // Operator fan-out goes out as one batch per shard (one
+    // publication + hint + wake). The fan-out is counted in-flight
+    // *before* this message's own decrement (the `InflightMsg` guard,
+    // dropped at scope end), so the job's inflight count cannot dip to
+    // zero while a causal chain is still alive.
     jrt.inflight
         .fetch_add(outbound.len() as u64, Ordering::AcqRel);
     sh.submit_batch(
@@ -2255,57 +2235,6 @@ mod tests {
     }
 
     #[test]
-    fn elastic_controller_reclaims_arenas_on_quiescence() {
-        let rt = Runtime::start(
-            RuntimeConfig::default().with_workers(1).with_elastic(
-                ElasticConfig::default()
-                    .with_tick(Micros(2_000))
-                    .with_quiescent_ticks(2),
-            ),
-        );
-        let spec = cameo_dataflow::queries::agg_query(
-            &AggQueryParams::new("el", 1_000, Micros(1_000_000))
-                .with_sources(2)
-                .with_parallelism(2)
-                .with_domain(cameo_core::progress::TimeDomain::IngestionTime),
-        );
-        let job = rt.deploy(&spec, &ExpandOptions::default()).unwrap();
-        let before = rt.arena_segments();
-        // One ingest call publishes one chain per shard: 1 200 messages
-        // claim their nodes at once, more than one 512-slot segment.
-        let frames: Vec<IngestFrame> = (0..1_200u64)
-            .map(|i| {
-                IngestFrame::addressed(job, (i % 2) as u32, vec![Tuple::new(i, 1, LogicalTime(i))])
-            })
-            .collect();
-        assert_eq!(rt.ingest_frames(frames).frames, 1_200);
-        let peak = rt.arena_segments();
-        assert!(
-            peak > before.max(1),
-            "the spike grew the arena: {before} -> {peak}"
-        );
-        // Quiescence: the backlog drains, and after two quiet ticks the
-        // controller reclaims the spike's segments.
-        assert!(rt.drain(std::time::Duration::from_secs(10)));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let tel = rt.elastic_telemetry();
-            if tel.reclaims >= 1 && rt.arena_segments() < peak {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "controller never reclaimed: {tel:?}, {} segments",
-                rt.arena_segments()
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(rt.scheduler_stats().segments_reclaimed >= 1);
-        assert_eq!(rt.worker_count(), 1, "the pool never resizes");
-        rt.shutdown();
-    }
-
-    #[test]
     fn pinned_runtime_processes_everything() {
         let rt = Runtime::start(
             RuntimeConfig::default()
@@ -2532,25 +2461,36 @@ mod tests {
     }
 
     #[test]
-    fn ingress_recycles_mailbox_nodes() {
-        // Steady-state ingest must be served by the arenas, not the
-        // heap: reuse counters grow, the fallback counter stays zero.
-        let rt = Runtime::start(RuntimeConfig::default().with_workers(2));
-        let job = rt
-            .deploy(&tiny_query("ar", 5_000), &ExpandOptions::default())
-            .unwrap();
-        for round in 0..20u64 {
-            for source in [0u32, 1] {
-                let tuples = (0..10)
-                    .map(|i| Tuple::new(i, 1, LogicalTime(round * 1_000 + i)))
-                    .collect();
-                rt.ingest(job, source, tuples).unwrap();
-            }
-        }
-        assert!(rt.drain(std::time::Duration::from_secs(10)));
+    fn arena_segments_gauges_mailbox_capacity() {
+        // No workers, so nothing drains: the gauge reads the inbox that
+        // one ingest call's batch landed in.
+        let rt = Runtime::start(RuntimeConfig {
+            workers: 0,
+            ..Default::default()
+        });
+        let spec = cameo_dataflow::queries::agg_query(
+            &AggQueryParams::new("el", 1_000, Micros(1_000_000))
+                .with_sources(2)
+                .with_domain(cameo_core::progress::TimeDomain::IngestionTime),
+        );
+        let job = rt.deploy(&spec, &ExpandOptions::default()).unwrap();
+        assert_eq!(rt.arena_segments(), 0, "no buffer before the first mail");
+        // One ingest call publishes one chain per shard: at least 1 200
+        // messages, more than two 512-message units.
+        let frames: Vec<IngestFrame> = (0..1_200u64)
+            .map(|i| {
+                IngestFrame::addressed(job, (i % 2) as u32, vec![Tuple::new(i, 1, LogicalTime(i))])
+            })
+            .collect();
+        assert_eq!(rt.ingest_frames(frames).frames, 1_200);
+        assert!(rt.queue_len() >= 1_200);
+        assert!(rt.arena_segments() >= 3, "{}", rt.arena_segments());
         let stats = rt.scheduler_stats();
-        assert!(stats.node_reuse_hits > 0, "recycled nodes fed submits");
-        assert_eq!(stats.node_alloc_fallback, 0, "no heap fallback");
+        assert_eq!(stats.batch_publications, 1);
+        assert_eq!(
+            stats.node_alloc_fallback, 0,
+            "an empty inbox takes the batch's buffer without growing"
+        );
         rt.shutdown();
     }
 

@@ -61,11 +61,6 @@ pub trait Dispatcher: Send {
     /// Retune the steal threshold (elastic controller actuator). The
     /// baselines have no notion of steal slack and ignore it.
     fn set_steal_threshold(&mut self, _slack: Micros) {}
-    /// Return fully-free arena segments; reports how many were
-    /// reclaimed. Only meaningful for the arena-backed dispatcher.
-    fn reclaim_quiescent(&mut self) -> usize {
-        0
-    }
 }
 
 // ---------------------------------------------------------------- Cameo
@@ -143,13 +138,6 @@ impl Dispatcher for CameoDispatcher {
 
     fn set_steal_threshold(&mut self, slack: Micros) {
         self.inner.set_steal_threshold(slack);
-    }
-
-    fn reclaim_quiescent(&mut self) -> usize {
-        // The simulator is single-threaded, so no producer can hold a
-        // stale segment pointer: the grace token may be dropped (and
-        // the segments freed) immediately.
-        self.inner.reclaim_quiescent().segments()
     }
 }
 

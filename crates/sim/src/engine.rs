@@ -562,11 +562,6 @@ impl Engine {
                         node.disp.set_steal_threshold(slack);
                     }
                 }
-                ElasticAction::ReclaimArenas => {
-                    for node in self.nodes.iter_mut() {
-                        node.disp.reclaim_quiescent();
-                    }
-                }
                 // The simulator's crash/recovery model journals at the
                 // scenario layer (see `Scenario::with_crash_at`), not
                 // through the real durability subsystem.

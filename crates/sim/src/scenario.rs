@@ -156,9 +156,9 @@ impl Scenario {
         self
     }
 
-    /// Run the elastic controller (steal-threshold tuning, arena
-    /// reclamation) as deterministic virtual-time ticks — the identical
-    /// state machine the runtime ticks on a timer thread.
+    /// Run the elastic controller (steal-threshold tuning) as
+    /// deterministic virtual-time ticks — the identical state machine
+    /// the runtime ticks on a timer thread.
     pub fn with_elastic(mut self, cfg: cameo_core::elastic::ElasticConfig) -> Self {
         self.elastic = Some(cfg);
         self

@@ -128,8 +128,8 @@ fn elastic_controller_runs_are_bit_identical() {
     let run = || {
         // A 1us constraint every output misses, so every window close
         // is an overloaded tick for the steal tuner; between the 500 ms
-        // window closes the pool sits quiescent and arenas are
-        // reclaimed. Two shards give the steal threshold work to do.
+        // window closes the pool sits quiescent. Two shards give the
+        // steal threshold work to do.
         let params = AggQueryParams::new("elastic", 500_000, Micros(1))
             .with_sources(4)
             .with_parallelism(2);
@@ -168,7 +168,6 @@ fn elastic_controller_runs_are_bit_identical() {
     assert_eq!(a.3, b.3, "controller decisions must be bit-identical");
     let tel = a.3;
     assert!(tel.ticks > 0, "controller must have ticked: {tel:?}");
-    assert!(tel.reclaims >= 1, "quiet ticks must reclaim: {tel:?}");
     assert_eq!(tel.snapshots, 0, "the sim journals no bytes: {tel:?}");
 }
 

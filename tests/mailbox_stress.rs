@@ -1,12 +1,10 @@
-//! Stress tests for the lock-free shard ingress path: N submitters ×
-//! M workers hammering the per-shard submission mailboxes, plus a
-//! regression test aimed squarely at the park/wake race window, and —
-//! since the mailboxes went arena-backed — property/stress coverage for
-//! node recycling: FIFO must survive nodes being reused out from under
-//! concurrent producers, and a populated arena must free everything on
-//! drop.
+//! Stress tests for the shard ingress path: N submitters × M workers
+//! hammering the per-shard submission mailboxes, regression tests aimed
+//! squarely at the park/wake race window (including a publish that
+//! races a drain's buffer swap), and property/stress coverage for the
+//! mailbox itself: FIFO must survive pushes and chain publications
+//! racing drains, and a populated mailbox must free everything on drop.
 
-use cameo::core::arena::SEGMENT_SLOTS;
 use cameo::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -121,14 +119,12 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
     );
 }
 
-/// FIFO-under-recycling property: N concurrent producers (mixing
-/// single pushes and `push_chain` batches) against a drain loop that
-/// recycles every node back under them. Per-producer submission order
-/// must survive arbitrary node reuse, nothing may be lost or
-/// duplicated, and the steady state must actually run on recycled
-/// nodes (not the heap).
+/// FIFO under concurrency: N producers (mixing single pushes and
+/// `push_chain` batches) against a drain loop that swaps the inbox out
+/// under them. Per-producer submission order must survive, and nothing
+/// may be lost or duplicated.
 #[test]
-fn recycled_nodes_preserve_per_producer_fifo() {
+fn concurrent_pushes_and_chains_preserve_per_producer_fifo() {
     const PRODUCERS: u64 = 6;
     const PER: u64 = 8_000;
     const CHAIN: u64 = 16;
@@ -140,7 +136,7 @@ fn recycled_nodes_preserve_per_producer_fifo() {
                 let mut i = 0u64;
                 while i < PER {
                     if i % (2 * CHAIN) < CHAIN {
-                        // A batch: one publish CAS for CHAIN messages.
+                        // A batch: one publication for CHAIN messages.
                         let base = i;
                         mb.push_chain((0..CHAIN).map(|k| {
                             (
@@ -162,8 +158,7 @@ fn recycled_nodes_preserve_per_producer_fifo() {
             })
         })
         .collect();
-    // Drain concurrently: every drained node immediately re-enters the
-    // free list the producers are allocating from.
+    // Drain concurrently with the producers.
     let mut got: Vec<u64> = Vec::new();
     while got.len() < (PRODUCERS * PER) as usize {
         mb.drain(|m| got.push(m.msg));
@@ -178,21 +173,14 @@ fn recycled_nodes_preserve_per_producer_fifo() {
         assert_eq!(sub.len(), PER as usize, "producer {t} count off");
         assert!(
             sub.windows(2).all(|w| w[0] < w[1]),
-            "producer {t}: recycling scrambled submission order"
+            "producer {t}: a racing drain scrambled submission order"
         );
     }
-    let st = mb.arena_stats();
-    assert!(
-        st.reuse_hits > PRODUCERS * PER / 2,
-        "most nodes must have been recycled at least once: {st:?}"
-    );
-    assert_eq!(st.alloc_fallback, 0, "no heap fallback under this load");
 }
 
 /// Single-threaded interleaving property: any mix of pushes, chain
 /// publishes and partial drains preserves global FIFO order exactly
-/// (one thread ⇒ total submission order is well defined), while nodes
-/// cycle through the arena.
+/// (one thread ⇒ total submission order is well defined).
 #[derive(Clone, Debug)]
 enum MbOp {
     Push,
@@ -243,110 +231,14 @@ proptest! {
         }
         mb.drain(|m| got.push(m.msg));
         prop_assert_eq!(got, expect.into_iter().collect::<Vec<_>>());
-        prop_assert_eq!(mb.arena_stats().alloc_fallback, 0);
     }
 }
 
-// Spike-then-drain reclamation property (the elastic controller's
-// memory actuator): a backlog spike grows the mailbox arena past its
-// baseline segment count; after the backlog drains,
-// `reclaim_quiescent` must return the footprint exactly to baseline.
-// Meanwhile no reclaim — mid-spike, mid-drain, or post-drain — may
-// ever free an in-flight node: every payload must be delivered and
-// dropped exactly once, which the drop counter proves.
-proptest! {
-    #[test]
-    fn arena_segments_return_to_baseline_after_spike_drains(
-        spikes in prop::collection::vec(SEGMENT_SLOTS + 1..SEGMENT_SLOTS * 3, 1..4),
-    ) {
-        struct Tracked(Arc<AtomicUsize>);
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let sched: ShardedScheduler<Tracked> = ShardedScheduler::new(
-            SchedulerConfig::default()
-                .with_shards(1)
-                .with_quantum(Micros(0)),
-        );
-        // Warm up one push/drain/reclaim cycle first: segments install
-        // lazily (pre-use count is 0) and the mailbox's resident stub
-        // node pins one segment for the scheduler's lifetime, so the
-        // reachable floor — the baseline a drained spike must return
-        // to — is the post-warmup count, not the pre-use count.
-        let _ = sched.submit(key(0, 0), Tracked(drops.clone()), Priority::uniform(0));
-        {
-            let exec = sched.acquire(0, PhysicalTime::ZERO);
-            prop_assert!(exec.is_some());
-            let exec = exec.unwrap();
-            while let Some((msg, _)) = sched.take_message(&exec) {
-                drop(msg);
-            }
-            sched.release(exec);
-        }
-        drop(sched.reclaim_quiescent());
-        drops.store(0, Ordering::Relaxed);
-        let baseline = sched.arena_segments();
-        let mut target = 0usize;
-        for &n in &spikes {
-            for i in 0..n {
-                let _ = sched.submit(
-                    key(0, (i % 7) as u32),
-                    Tracked(drops.clone()),
-                    Priority::uniform(i as i64),
-                );
-            }
-            target += n;
-            prop_assert!(
-                sched.arena_segments() > baseline,
-                "a {n}-message spike must grow the arena past {baseline} segments"
-            );
-            // Mid-spike reclaim: the mailbox holds in-flight nodes, so
-            // no segment is eligible and no payload may be freed.
-            // (Single-threaded: no racing producer, so dropping the
-            // grace token immediately is safe.)
-            let before = drops.load(Ordering::Relaxed);
-            drop(sched.reclaim_quiescent());
-            prop_assert_eq!(
-                drops.load(Ordering::Relaxed), before,
-                "mid-spike reclaim freed an in-flight node"
-            );
-            // Drain the spike completely, reclaiming (gated to a no-op
-            // while backlog remains) between leases.
-            while drops.load(Ordering::Relaxed) < target {
-                let exec = sched.acquire(0, PhysicalTime::ZERO);
-                prop_assert!(exec.is_some(), "backlog pending but nothing acquirable");
-                let exec = exec.unwrap();
-                while let Some((msg, _)) = sched.take_message(&exec) {
-                    drop(msg);
-                }
-                sched.release(exec);
-                drop(sched.reclaim_quiescent());
-            }
-        }
-        prop_assert_eq!(
-            drops.load(Ordering::Relaxed), target,
-            "every payload delivered and dropped exactly once"
-        );
-        drop(sched.reclaim_quiescent());
-        prop_assert_eq!(
-            sched.arena_segments(), baseline,
-            "post-drain reclaim must return the arena to its baseline"
-        );
-        prop_assert!(sched.stats().segments_reclaimed > 0);
-    }
-}
-
-/// Drop/leak check: a mailbox whose arena grew to multiple segments —
-/// with live (undrained) payloads still queued, including heap-fallback
-/// nodes if any — must drop every payload exactly once and release all
-/// segments (the latter is exercised by running under the test
-/// allocator: a leak would show in ASAN/Miri runs and the payload
-/// counter catches double-frees here).
+/// Drop/leak check: a mailbox dropped with mail still queued — after
+/// its buffer has grown and been swapped out once — must drop every
+/// payload exactly once (the counter catches leaks and double drops).
 #[test]
-fn populated_multi_segment_arena_frees_everything_on_drop() {
+fn populated_mailbox_frees_everything_on_drop() {
     struct Tracked(Arc<AtomicUsize>);
     impl Drop for Tracked {
         fn drop(&mut self) {
@@ -354,10 +246,12 @@ fn populated_multi_segment_arena_frees_everything_on_drop() {
         }
     }
     let drops = Arc::new(AtomicUsize::new(0));
-    const LIVE: usize = 3 * SEGMENT_SLOTS / 2; // forces a second segment
+    const LIVE: usize = 768;
     {
         let mb: Mailbox<Tracked> = Mailbox::new();
-        // Churn first so recycled nodes and fresh carves interleave.
+        let mut spare = Vec::new();
+        // Churn first, so the inbox that is dropped is the swapped-in
+        // spare of an earlier drain.
         for _ in 0..200 {
             mb.push(
                 OperatorKey::new(JobId(0), 0),
@@ -365,9 +259,11 @@ fn populated_multi_segment_arena_frees_everything_on_drop() {
                 Priority::uniform(0),
             );
         }
-        mb.drain(|_| {});
+        mb.swap(&mut spare);
+        spare.clear();
         let drained = drops.swap(0, Ordering::Relaxed);
-        assert_eq!(drained, 200, "drain consumed the churn payloads");
+        assert_eq!(drained, 200, "the drain consumed the churn payloads");
+        mb.swap(&mut spare);
         for _ in 0..LIVE {
             mb.push(
                 OperatorKey::new(JobId(0), 0),
@@ -375,16 +271,19 @@ fn populated_multi_segment_arena_frees_everything_on_drop() {
                 Priority::uniform(0),
             );
         }
-        let st = mb.arena_stats();
-        assert!(
-            st.segments >= 2,
-            "load must have grown a second segment: {st:?}"
-        );
-        // Dropped here with LIVE payloads still queued.
+        mb.push_chain((0..LIVE).map(|_| {
+            (
+                OperatorKey::new(JobId(0), 0),
+                Tracked(drops.clone()),
+                Priority::uniform(0),
+            )
+        }));
+        assert!(mb.capacity() >= 2 * LIVE);
+        // Dropped here with 2 × LIVE payloads still queued.
     }
     assert_eq!(
         drops.load(Ordering::Relaxed),
-        LIVE,
+        2 * LIVE,
         "drop must free every queued payload exactly once"
     );
 }
@@ -677,4 +576,67 @@ fn len_stays_bounded_while_operators_migrate() {
     assert_eq!(taken.load(Ordering::SeqCst), TOTAL);
     assert!(sched.stats().steals > 0, "no worker ever stole a lease");
     assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
+}
+
+/// A publish that races a drain never leaves `is_empty()` reading true
+/// over queued mail. `ShardedScheduler::park` and the shard's drain
+/// fast path both trust that flag, so a lapse here is a worker parked
+/// on mail no wakeup will announce. The flag is written under the inbox
+/// lock by every publish and by the drain's swap. Producers contend on
+/// that lock, so the drainer's unlock often has to wake a blocked
+/// producer; a flag cleared after the unlock would lose a push made in
+/// that gap. The drainer, the only consumer, checks at every instant
+/// it sees no push in flight: "empty" must then mean every finished
+/// push was drained.
+#[test]
+fn publish_racing_a_drain_never_hides_mail_from_a_parker() {
+    const PRODUCERS: u64 = 8;
+    const BURSTS: u64 = 5_000;
+    const BURST: u64 = 4;
+    const TOTAL: usize = (PRODUCERS * BURSTS * BURST) as usize;
+    let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new());
+    // Bumped before a push starts and after it returns.
+    let started = Arc::new(AtomicUsize::new(0));
+    let finished = Arc::new(AtomicUsize::new(0));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|t| {
+            let (mb, started, finished) = (mb.clone(), started.clone(), finished.clone());
+            std::thread::spawn(move || {
+                for b in 0..BURSTS {
+                    for i in 0..BURST {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        mb.push(key(0, t as u32), b * BURST + i, Priority::uniform(0));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        })
+        .collect();
+    let mut drained = 0usize;
+    let mut checks = 0usize;
+    while drained < TOTAL {
+        let before = started.load(Ordering::SeqCst);
+        let done = finished.load(Ordering::SeqCst);
+        let empty = mb.is_empty();
+        if empty && before == done && started.load(Ordering::SeqCst) == before {
+            // No push was in flight across the flag read: all `done`
+            // pushes had published, so "empty" means all were drained.
+            checks += 1;
+            assert_eq!(
+                drained,
+                done,
+                "is_empty() read true with {} finished pushes undrained",
+                done - drained
+            );
+        }
+        if !empty {
+            drained += mb.drain(|_| {});
+        }
+    }
+    for h in producers {
+        h.join().unwrap();
+    }
+    assert!(checks > 0, "the drainer never saw a quiescent instant");
+    assert!(mb.is_empty());
 }
