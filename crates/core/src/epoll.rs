@@ -13,26 +13,19 @@
 
 use std::io;
 
-/// What one ready file descriptor reported.
+/// One ready file descriptor. Readable, peer-closed and errored
+/// descriptors all report alike: the caller reads, and the read says
+/// which it was.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// The caller-chosen token registered with [`Epoll::add`]
     /// (connection-table index, listener sentinel, …).
     pub token: u64,
-    /// Data can be read without blocking (`EPOLLIN`).
-    pub readable: bool,
-    /// The peer closed or the descriptor errored (`EPOLLHUP` /
-    /// `EPOLLRDHUP` / `EPOLLERR`). Callers should still attempt a read
-    /// first — a closed socket may carry final buffered bytes.
-    pub closed: bool,
 }
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
 const EPOLLIN: u32 = 0x001;
-const EPOLLERR: u32 = 0x008;
-const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
 /// `struct epoll_event` as the kernel ABI lays it out: packed (12
@@ -48,7 +41,7 @@ struct EpollEvent {
 extern "C" {
     /// glibc wrapper; returns the epoll fd or -1.
     fn epoll_create1(flags: i32) -> i32;
-    /// glibc wrapper; `event` may be null for `EPOLL_CTL_DEL`.
+    /// glibc wrapper; reads `event`.
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     /// glibc wrapper; blocks up to `timeout` milliseconds.
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -60,10 +53,11 @@ extern "C" {
 /// level-triggered read readiness plus peer-close/error conditions.
 ///
 /// The wrapper exposes only what the ingest event loop needs: `add` a
-/// raw descriptor under a caller-chosen token, `delete` it, and `wait`
-/// for the next readiness burst. Tokens come back verbatim in
-/// [`Event::token`] — the caller owns their meaning (the runtime uses
-/// connection-table indices plus a listener sentinel).
+/// raw descriptor under a caller-chosen token and `wait` for the next
+/// readiness burst (closing a descriptor deregisters it). Tokens come
+/// back verbatim in [`Event::token`] — the caller owns their meaning
+/// (the runtime uses connection-table indices plus a listener
+/// sentinel).
 pub struct Epoll {
     fd: i32,
     /// The kernel-facing event array `wait` fills, kept across calls so
@@ -86,8 +80,8 @@ impl Epoll {
     }
 
     /// Register `fd` for level-triggered read readiness under `token`.
-    /// The caller keeps ownership of the descriptor and must
-    /// [`delete`](Self::delete) (or close) it before reusing the token.
+    /// The caller keeps ownership of the descriptor and must close it
+    /// before reusing the token.
     pub fn add(&self, fd: i32, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent {
             // Level-triggered read interest: leftover socket bytes
@@ -98,19 +92,6 @@ impl Epoll {
         };
         // Safety: `ev` is a live POD local; the call reads it.
         let rc = unsafe { epoll_ctl(self.fd, EPOLL_CTL_ADD, fd, &mut ev) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Deregister `fd`. Closing a descriptor deregisters it implicitly;
-    /// explicit removal exists for keeping a connection open while
-    /// ignoring it.
-    pub fn delete(&self, fd: i32) -> io::Result<()> {
-        // Safety: DEL ignores the event argument (null is allowed on any
-        // kernel ≥ 2.6.9).
-        let rc = unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
         if rc != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -140,15 +121,11 @@ impl Epoll {
             }
             return Err(e);
         }
-        out.extend(self.raw[..n as usize].iter().map(|ev| {
-            // Copy out of the (possibly packed) struct before use.
-            let events = ev.events;
-            Event {
-                token: ev.data,
-                readable: events & EPOLLIN != 0,
-                closed: events & (EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0,
-            }
-        }));
+        out.extend(
+            self.raw[..n as usize]
+                .iter()
+                .map(|ev| Event { token: ev.data }),
+        );
         Ok(n as usize)
     }
 }
@@ -184,23 +161,24 @@ mod tests {
         tx.write_all(b"ping").unwrap();
         assert_eq!(ep.wait(&mut events, 16, 1_000).unwrap(), 1);
         assert_eq!(events[0].token, 42);
-        assert!(events[0].readable);
-        assert!(!events[0].closed);
 
-        // Peer close reports as closed (level-triggered: the unread
-        // "ping" keeps it readable too).
+        // Peer close still reports (level-triggered: the unread "ping"
+        // keeps it ready too).
         drop(tx);
         assert_eq!(ep.wait(&mut events, 16, 1_000).unwrap(), 1);
-        assert!(events[0].closed);
+        assert_eq!(events[0].token, 42);
 
-        ep.delete(rx.as_raw_fd()).unwrap();
-        assert_eq!(ep.wait(&mut events, 16, 0).unwrap(), 0, "deregistered");
+        drop(rx);
+        assert_eq!(
+            ep.wait(&mut events, 16, 0).unwrap(),
+            0,
+            "closing deregisters"
+        );
     }
 
     #[test]
     fn add_rejects_a_bad_descriptor() {
         let ep = Epoll::new().unwrap();
         assert!(ep.add(-1, 0).is_err());
-        assert!(ep.delete(-1).is_err());
     }
 }

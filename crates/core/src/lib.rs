@@ -29,9 +29,6 @@
 //!   LLF / EDF / SJF / FIFO / token-fair policies (§4.2, §5.4).
 //! * [`queue`] — the two-level priority structure (Fig 5b).
 //! * [`scheduler`] — the stateless scheduler with quantum logic (§5.2).
-//! * [`elastic`] — the deterministic miss-rate-driven controller that
-//!   tunes the steal threshold and triggers snapshots on quiescence
-//!   (shared verbatim by the runtime and the simulator).
 //! * [`mailbox`] — the per-shard submission mailbox: a locked inbox
 //!   the draining worker swaps for a spare buffer, with one-publication
 //!   batches.
@@ -76,7 +73,6 @@
 pub mod affinity;
 pub mod config;
 pub mod context;
-pub mod elastic;
 #[cfg(target_os = "linux")]
 pub mod epoll;
 pub mod ids;
@@ -96,9 +92,6 @@ pub mod transform;
 pub mod prelude {
     pub use crate::config::SchedulerConfig;
     pub use crate::context::{DataflowField, PriorityContext, ReplyContext, TokenTag};
-    pub use crate::elastic::{
-        ElasticAction, ElasticConfig, ElasticController, ElasticObservation, ElasticTelemetry,
-    };
     pub use crate::ids::{JobId, MessageId, OperatorKey};
     pub use crate::mailbox::{Mail, MailChain, Mailbox};
     pub use crate::policy::{

@@ -110,13 +110,10 @@ pub struct SchedulerStats {
     pub retired_drops: u64,
     /// Sink outputs that met their job's latency constraint. Filled by
     /// the runtime/sim layers (the core scheduler never sees
-    /// completions); together with `deadline_misses` this is the
-    /// elastic controller's primary sensor.
+    /// completions); `deadline_misses / (deadline_hits +
+    /// deadline_misses)` is the run's deadline-miss rate.
     pub deadline_hits: u64,
-    /// Sink outputs that missed their job's latency constraint. The
-    /// controller differentiates this against `deadline_hits +
-    /// deadline_misses` per tick to get the windowed miss rate that
-    /// tunes the steal threshold (see [`crate::elastic`]).
+    /// Sink outputs that missed their job's latency constraint.
     pub deadline_misses: u64,
     /// Operator leases granted while some runnable operator's start
     /// deadline had already passed — the scheduler was overloaded and

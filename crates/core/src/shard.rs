@@ -308,12 +308,9 @@ struct ShardPick {
 pub struct ShardedScheduler<M> {
     shards: Vec<Shard<M>>,
     quantum: Micros,
-    /// Steal slack in priority units (see `SchedulerConfig`). Atomic
-    /// so the elastic controller can retune it at runtime
-    /// ([`set_steal_threshold`](Self::set_steal_threshold)); Relaxed
-    /// everywhere because the threshold only shapes the urgency
-    /// approximation, never correctness.
-    steal_threshold: AtomicI64,
+    /// Steal slack in priority units, fixed at construction from
+    /// [`SchedulerConfig::steal_threshold`].
+    steal_threshold: i64,
     steals: AtomicU64,
     cross_swaps: AtomicU64,
     /// Swaps before the quantum to a stricter-tier operator on another
@@ -393,7 +390,7 @@ impl<M> ShardedScheduler<M> {
                 })
                 .collect(),
             quantum: config.quantum,
-            steal_threshold: AtomicI64::new(config.steal_threshold.0.min(i64::MAX as u64) as i64),
+            steal_threshold: config.steal_threshold.0.min(i64::MAX as u64) as i64,
             steals: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
             cross_preemptions: AtomicU64::new(0),
@@ -882,11 +879,10 @@ impl<M> ShardedScheduler<M> {
     /// the pool's current order; reports whether tier order sent the
     /// worker somewhere deadline order would not have.
     fn pick_shard(&self, home: usize, now: PhysicalTime) -> ShardPick {
-        let slack = self.steal_threshold.load(Ordering::Relaxed);
         let target = |overloaded: bool| {
             let mine = self.advertised(home, overloaded);
             let (victim, theirs) = self.best_other(home, overloaded);
-            let target = if outranks(theirs, mine, slack) {
+            let target = if outranks(theirs, mine, self.steal_threshold) {
                 victim
             } else {
                 home
@@ -977,8 +973,7 @@ impl<M> ShardedScheduler<M> {
         } else {
             (0, hint_of(mine))
         };
-        let slack = self.steal_threshold.load(Ordering::Relaxed);
-        if !outranks(theirs, mine_rank, slack) {
+        if !outranks(theirs, mine_rank, self.steal_threshold) {
             return Decision::Continue;
         }
         if past_quantum {
@@ -1000,7 +995,9 @@ impl<M> ShardedScheduler<M> {
         // worker's home that the strict head does not outrank (by the
         // slack) would be handed out instead. Under overload the tier
         // decides, and neither shard holds a stricter one than `theirs`.
-        let kept = |s: usize| s != victim && !outranks(theirs, self.advertised(s, false), slack);
+        let kept = |s: usize| {
+            s != victim && !outranks(theirs, self.advertised(s, false), self.steal_threshold)
+        };
         if !overloaded && (kept(exec.shard) || kept(exec.home)) {
             return Decision::Continue;
         }
@@ -1188,21 +1185,6 @@ impl<M> ShardedScheduler<M> {
             let fp = set.iter().fold(0u64, |fp, &j| fp | fp_bit(j));
             self.retired_fp.store(fp, Ordering::SeqCst);
         }
-    }
-
-    /// Current steal slack (see `SchedulerConfig::steal_threshold`).
-    pub fn steal_threshold(&self) -> Micros {
-        Micros(self.steal_threshold.load(Ordering::Relaxed).max(0) as u64)
-    }
-
-    /// Retune the steal slack at runtime — the elastic controller's
-    /// steal-damping actuator. Takes effect on the next
-    /// acquire/decide; no synchronization with in-flight steal
-    /// decisions is needed, because the threshold only shapes the
-    /// urgency approximation, never correctness.
-    pub fn set_steal_threshold(&self, slack: Micros) {
-        self.steal_threshold
-            .store(slack.0.min(i64::MAX as u64) as i64, Ordering::Relaxed);
     }
 
     /// Messages the shards' mailbox buffers — each inbox and the spare
@@ -1993,31 +1975,6 @@ mod tests {
         sh.notify_all();
         h.join().unwrap();
         assert_eq!(sh.len(), 1);
-    }
-
-    #[test]
-    fn steal_threshold_retunes_at_runtime() {
-        let sh = sharded(4, 0);
-        assert_eq!(sh.steal_threshold(), Micros(0));
-        let mut by_shard: Vec<Option<u32>> = vec![None; 4];
-        for op in 0..64 {
-            let s = sh.shard_of(key(op));
-            if by_shard[s].is_none() {
-                by_shard[s] = Some(op);
-            }
-        }
-        let keys: Vec<u32> = by_shard.into_iter().map(|k| k.unwrap()).collect();
-        let home = sh.shard_of(key(keys[0]));
-        sh.submit(key(keys[0]), 0, Priority::uniform(500));
-        sh.submit(key(keys[1]), 1, Priority::uniform(100));
-        // With zero slack the 100 steals; after a live retune to 1000
-        // the same scenario keeps home work first.
-        sh.set_steal_threshold(Micros(1_000));
-        assert_eq!(sh.steal_threshold(), Micros(1_000));
-        let exec = sh.acquire(home, PhysicalTime::ZERO).unwrap();
-        assert_eq!(exec.shard(), home, "within retuned slack: stay home");
-        sh.release(exec);
-        drain(&sh, home);
     }
 
     #[test]

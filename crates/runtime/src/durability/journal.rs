@@ -26,7 +26,6 @@ use super::record::{JournalRecord, MAX_RECORD, RECORD_HEADER};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -71,9 +70,6 @@ pub struct Journal {
     policy: FsyncPolicy,
     segment_bytes: u64,
     inner: Mutex<JournalInner>,
-    /// Mirror of `inner.offset` readable without the lock (the elastic
-    /// observer samples dirty bytes every tick).
-    offset_mirror: AtomicU64,
 }
 
 /// Exclusive access to the journal for one append (or a truncation).
@@ -170,7 +166,6 @@ impl Journal {
                 last_sync: Instant::now(),
                 dirty: false,
             }),
-            offset_mirror: AtomicU64::new(offset),
         };
         Ok((journal, torn))
     }
@@ -182,11 +177,6 @@ impl Journal {
             journal: self,
             inner: self.inner.lock().unwrap_or_else(|p| p.into_inner()),
         }
-    }
-
-    /// Logical offset one past the last appended byte (lock-free).
-    pub fn offset(&self) -> u64 {
-        self.offset_mirror.load(Ordering::Acquire)
     }
 
     /// The directory this journal lives in.
@@ -238,9 +228,6 @@ impl JournalGuard<'_> {
                 }
             }
         }
-        self.journal
-            .offset_mirror
-            .store(inner.offset, Ordering::Release);
         Ok(inner.offset)
     }
 
@@ -374,7 +361,7 @@ mod tests {
         // End offsets are strictly increasing and the last matches the
         // journal's own offset.
         assert!(read.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(read.last().unwrap().0, j.offset());
+        assert_eq!(read.last().unwrap().0, j.begin().offset());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -383,7 +370,7 @@ mod tests {
         let dir = tmp_dir("torn");
         let (j, _) = Journal::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
         j.begin().append(&deploy(1, 2)).unwrap();
-        let full = j.offset();
+        let full = j.begin().offset();
         j.begin().append(&deploy(3, 4)).unwrap();
         drop(j);
         // Tear the second record: chop 3 bytes off the segment.
@@ -397,7 +384,11 @@ mod tests {
             .unwrap();
         let (j, torn) = Journal::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
         assert!(torn > 0);
-        assert_eq!(j.offset(), full, "reopen resumes at the valid prefix");
+        assert_eq!(
+            j.begin().offset(),
+            full,
+            "reopen resumes at the valid prefix"
+        );
         let (read, stats) = read_records(&dir, 0).unwrap();
         assert_eq!(read.len(), 1);
         assert_eq!(read[0].1, deploy(1, 2));
@@ -414,7 +405,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let (j, _) = Journal::open(&dir, FsyncPolicy::Never, 1 << 20).unwrap();
         j.begin().append(&deploy(1, 0)).unwrap();
-        let first_end = j.offset();
+        let first_end = j.begin().offset();
         j.begin().append(&deploy(2, 0)).unwrap();
         j.begin().append(&deploy(3, 0)).unwrap();
         drop(j);

@@ -238,9 +238,6 @@ impl SpecRegistry {
 /// bookkeeping. Lives inside the runtime's `Shared`.
 pub(crate) struct DurState {
     pub(crate) journal: Journal,
-    /// Journal offset covered by the newest snapshot (dirty-bytes
-    /// sensor baseline).
-    pub(crate) last_snapshot_offset: AtomicU64,
     /// Last snapshot sequence number issued.
     pub(crate) snapshot_seq: AtomicU64,
     /// False while recovery replays the journal, so replayed work is
@@ -257,19 +254,10 @@ impl DurState {
         let (journal, _torn) = Journal::open(&cfg.dir, cfg.fsync, cfg.segment_bytes)?;
         Ok(DurState {
             journal,
-            last_snapshot_offset: AtomicU64::new(0),
             snapshot_seq: AtomicU64::new(0),
             active: AtomicBool::new(true),
             retained: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Journal bytes appended since the newest snapshot — the elastic
-    /// controller's snapshot-scheduling sensor.
-    pub(crate) fn dirty_bytes(&self) -> u64 {
-        self.journal
-            .offset()
-            .saturating_sub(self.last_snapshot_offset.load(Ordering::Acquire))
     }
 
     /// True when appends should be journaled (false during replay).

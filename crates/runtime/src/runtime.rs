@@ -61,21 +61,12 @@
 //! and the time spent nested is left out of the interrupted operator's
 //! profiled cost.
 //!
-//! ## Elasticity
+//! ## Fixed pool
 //!
-//! With [`RuntimeConfig::with_elastic`] the runtime runs a controller
-//! thread sampling the deadline-miss-rate sensor (each job's sink-side
-//! on-time counters, updated under the stats mutex the sink path
-//! already takes — the sensor adds **no** producer-side atomics) every
-//! [`ElasticConfig::tick`] and applying the
-//! [`ElasticController`]'s actions: retune the steal threshold from
-//! observed steal/acquisition ratios, and take a durability snapshot
-//! when the journal has grown while the system is quiescent.
-//! The controller is the *same* pure state machine the simulator ticks
-//! deterministically — only the clock and the actuator wiring differ.
-//! Without `with_elastic` no controller thread exists. Either way the
-//! worker pool is the configured fixed size: `Runtime::start` spawns
-//! `workers` threads and they run until shutdown.
+//! Every setting is fixed at start. `Runtime::start` spawns `workers`
+//! threads and they run until shutdown; the steal slack is
+//! [`SchedulerConfig::steal_threshold`], and a durability snapshot is
+//! taken only when the caller asks for one ([`Runtime::snapshot`]).
 //!
 //! ## Job lifecycle
 //!
@@ -98,9 +89,6 @@ use crate::durability::{
 use crate::msg::{IngestFrame, RtMsg, SenderRef};
 use crate::stats::{JobStats, JobStatsSnapshot};
 use cameo_core::config::SchedulerConfig;
-use cameo_core::elastic::{
-    ElasticAction, ElasticConfig, ElasticController, ElasticObservation, ElasticTelemetry,
-};
 use cameo_core::ids::JobId;
 use cameo_core::policy::{LlfPolicy, MessageStamp, Policy};
 use cameo_core::priority::Priority;
@@ -330,12 +318,6 @@ pub struct RuntimeConfig {
     /// [`cameo_core::profile::DEFAULT_ALPHA`], or whatever the job's
     /// [`ExpandOptions`] chose).
     pub profile_alpha: Option<f64>,
-    /// Elastic controller knobs (`None` — the default — spawns no
-    /// controller thread; every scheduler path then behaves
-    /// bit-identically to a runtime without one). The controller tunes
-    /// the steal threshold and schedules snapshots; it never changes
-    /// `workers`.
-    pub elastic: Option<ElasticConfig>,
     /// Crash durability (`None` — the default — journals nothing and
     /// adds no ingest-path work beyond one branch). With a config, every
     /// accepted ingress call is group-committed to the journal *before*
@@ -355,7 +337,6 @@ impl Default for RuntimeConfig {
             scheduler: SchedulerConfig::default(),
             pin_workers: false,
             profile_alpha: None,
-            elastic: None,
             durability: None,
         }
     }
@@ -386,13 +367,6 @@ impl RuntimeConfig {
     /// Pin workers (and with them their home shards' data) to cores.
     pub fn with_pinning(mut self, on: bool) -> Self {
         self.pin_workers = on;
-        self
-    }
-
-    /// Enable the elastic controller (steal-threshold tuning and
-    /// snapshot scheduling on quiescence).
-    pub fn with_elastic(mut self, cfg: ElasticConfig) -> Self {
-        self.elastic = Some(cfg);
         self
     }
 
@@ -561,12 +535,6 @@ struct Shared {
     /// every thread has started, less any worker an operator panic
     /// unwound through.
     live_workers: AtomicUsize,
-    /// Latest controller telemetry, written once per controller tick.
-    elastic_telemetry: Mutex<ElasticTelemetry>,
-    /// The controller thread sleeps on this between ticks; `shutdown`
-    /// notifies it so teardown never waits out a tick.
-    ctl_lock: Mutex<()>,
-    ctl_cv: Condvar,
     /// Durability state (journal + snapshot bookkeeping), when
     /// configured.
     dur: Option<DurState>,
@@ -708,8 +676,6 @@ pub struct Runtime {
     shared: Arc<Shared>,
     /// Worker join handles, one per configured worker.
     workers: Vec<JoinHandle<()>>,
-    /// The elastic controller thread, when configured.
-    controller: Option<JoinHandle<()>>,
 }
 
 impl Runtime {
@@ -743,9 +709,6 @@ impl Runtime {
             frames_coalesced: AtomicU64::new(0),
             gen_rejected: AtomicU64::new(0),
             live_workers: AtomicUsize::new(0),
-            elastic_telemetry: Mutex::new(ElasticTelemetry::default()),
-            ctl_lock: Mutex::new(()),
-            ctl_cv: Condvar::new(),
             // A journal that cannot open is a startup invariant
             // violation (bad path, permissions): fail loudly here
             // rather than run non-durably against the caller's intent.
@@ -765,18 +728,7 @@ impl Runtime {
                 spawn_worker(&shared, id, core)
             })
             .collect();
-        let controller = config.elastic.map(|cfg| {
-            let sh = shared.clone();
-            std::thread::Builder::new()
-                .name("cameo-elastic".into())
-                .spawn(move || controller_loop(sh, cfg))
-                .expect("spawn elastic controller thread")
-        });
-        Runtime {
-            shared,
-            workers,
-            controller,
-        }
+        Runtime { shared, workers }
     }
 
     /// Number of workers the kernel accepted a core pin for (zero when
@@ -1216,7 +1168,7 @@ impl Runtime {
     /// `frames_coalesced`, `gen_rejected_frames`), the runtime's own
     /// stale-execution drops (folded into `retired_drops`), and the
     /// deadline hit/miss totals folded from every deployed job's sink
-    /// statistics — the same numbers the elastic controller samples.
+    /// statistics.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let mut stats = self.shared.sched.stats();
         stats.net_batches += self.shared.net_batches.load(Ordering::Relaxed);
@@ -1247,12 +1199,6 @@ impl Runtime {
     /// mailbox, whose inbox buffers replaced 512-slot arena segments.
     pub fn arena_segments(&self) -> usize {
         self.shared.sched.mailbox_capacity().div_ceil(512)
-    }
-
-    /// Snapshot of the elastic controller's telemetry. All-zero when
-    /// the runtime was started without [`RuntimeConfig::with_elastic`].
-    pub fn elastic_telemetry(&self) -> ElasticTelemetry {
-        *relock(&self.shared.elastic_telemetry)
     }
 
     /// Number of scheduler shards in use.
@@ -1295,10 +1241,8 @@ impl Runtime {
     /// the journal is truncated below the older one (a torn newest
     /// snapshot then still recovers from the previous one).
     ///
-    /// With the elastic controller configured
-    /// ([`ElasticConfig::with_snapshot_dirty_bytes`]), snapshots are
-    /// also taken automatically on quiescent ticks once enough journal
-    /// bytes accumulate — this method is the manual/synchronous twin.
+    /// This and [`snapshot`](Self::snapshot) are the only snapshot
+    /// triggers: the runtime never snapshots on its own.
     pub fn snapshot_within(&self, wait: Duration) -> Result<u64, SnapshotError> {
         try_snapshot(&self.shared, wait)
     }
@@ -1357,8 +1301,6 @@ impl Runtime {
         }
         if let Some(snap) = &latest {
             dur.snapshot_seq.store(snap.seq, Ordering::Release);
-            dur.last_snapshot_offset
-                .store(snap.journal_offset, Ordering::Release);
             report.snapshot_seq = Some(snap.seq);
             for (idx, slot) in snap.slots.iter().enumerate() {
                 match &slot.job {
@@ -1536,15 +1478,7 @@ impl Runtime {
 
     fn stop_workers(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the controller out of its tick sleep. Taking the lock
-        // before notifying closes the race against a controller that
-        // checked `shutdown` but has not yet started waiting.
-        drop(relock(&self.shared.ctl_lock));
-        self.shared.ctl_cv.notify_all();
         self.shared.sched.notify_all();
-        if let Some(ctl) = self.controller.take() {
-            let _ = ctl.join();
-        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -1665,82 +1599,6 @@ fn preempt_in_flight(
     started.elapsed()
 }
 
-/// One elastic controller observation: fold every deployed job's sink
-/// statistics and the scheduler's counters into the cumulative totals
-/// [`ElasticController::tick`] differentiates.
-fn observe(sh: &Arc<Shared>) -> ElasticObservation {
-    let (mut outputs, mut misses) = (0u64, 0u64);
-    {
-        let jobs = sh.jobs.read().unwrap_or_else(|p| p.into_inner());
-        for slot in &jobs.slots {
-            if let Some(jrt) = &slot.job {
-                let snap = jrt.stats.snapshot();
-                outputs += snap.outputs;
-                misses += snap.outputs - snap.on_time;
-            }
-        }
-    }
-    let stats = sh.sched.stats();
-    ElasticObservation {
-        outputs,
-        deadline_misses: misses,
-        backlog: sh.sched.len(),
-        steals: stats.steals,
-        acquisitions: stats.operator_acquisitions,
-        journal_dirty_bytes: sh.dur.as_ref().map_or(0, |d| d.dirty_bytes()),
-    }
-}
-
-/// The elastic controller thread: sample → decide → actuate, once per
-/// configured tick, until shutdown.
-///
-/// The *decisions* live in [`ElasticController`] (pure, deterministic,
-/// shared verbatim with the simulator); this loop only gathers the
-/// observation and applies the returned actions:
-///
-/// * `SetStealThreshold` — retune the sharded scheduler's steal slack.
-/// * `Snapshot` — take a durability snapshot if the runtime is still
-///   quiescent; a failure is counted in
-///   [`ElasticTelemetry::snapshot_failures`].
-fn controller_loop(sh: Arc<Shared>, cfg: ElasticConfig) {
-    let tick = Duration::from_micros(cfg.tick.0);
-    let mut ctl = ElasticController::new(cfg);
-    loop {
-        {
-            let held = relock(&sh.ctl_lock);
-            if sh.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let _ = sh
-                .ctl_cv
-                .wait_timeout(held, tick)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-        if sh.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let obs = observe(&sh);
-        for action in ctl.tick(&obs) {
-            match action {
-                ElasticAction::SetStealThreshold(slack) => {
-                    sh.sched.set_steal_threshold(slack);
-                }
-                ElasticAction::Snapshot => {
-                    // Best-effort: the controller saw quiescence one
-                    // observation ago; if traffic resumed since, skip
-                    // and let a later quiescent tick retry.
-                    if let Err(e) = try_snapshot(&sh, Duration::ZERO) {
-                        if !matches!(e, SnapshotError::Busy) {
-                            ctl.snapshot_failed();
-                        }
-                    }
-                }
-            }
-        }
-        *relock(&sh.elastic_telemetry) = ctl.telemetry();
-    }
-}
-
 /// Attempt a snapshot, polling for a quiescent point for up to `wait`.
 ///
 /// The consistent-cut protocol: take the jobs read lock, then the
@@ -1803,7 +1661,6 @@ fn try_snapshot(sh: &Arc<Shared>, wait: Duration) -> Result<u64, SnapshotError> 
                 };
                 durability::snapshot::prune(dur.journal.dir(), &keep)?;
                 dur.journal.begin().truncate_before(trunc_below)?;
-                dur.last_snapshot_offset.store(offset, Ordering::Release);
                 return Ok(seq);
             }
             drop(guard);
@@ -2227,10 +2084,12 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(rt.worker_count(), 2);
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let tel = rt.elastic_telemetry();
-        assert_eq!(tel.ticks, 0, "no controller without with_elastic");
-        assert_eq!(rt.worker_count(), 2, "fixed pool never resizes");
+        let names: Vec<_> = rt.workers.iter().map(|h| h.thread().name()).collect();
+        assert_eq!(
+            names,
+            [Some("cameo-worker-0"), Some("cameo-worker-1")],
+            "the runtime's only threads are its workers"
+        );
         rt.shutdown();
     }
 

@@ -52,15 +52,10 @@ pub trait Dispatcher: Send {
     /// [`ShardedScheduler::retire_job`] so churn scenarios exercise the
     /// same lifecycle deterministically.
     fn retire_job(&mut self, job: cameo_core::ids::JobId) -> usize;
-    /// Total queued messages.
-    fn pending(&self) -> usize;
     /// Scheduling counters, if the dispatcher keeps them.
     fn stats(&self) -> SchedulerStats {
         SchedulerStats::default()
     }
-    /// Retune the steal threshold (elastic controller actuator). The
-    /// baselines have no notion of steal slack and ignore it.
-    fn set_steal_threshold(&mut self, _slack: Micros) {}
 }
 
 // ---------------------------------------------------------------- Cameo
@@ -128,16 +123,8 @@ impl Dispatcher for CameoDispatcher {
         self.inner.retire_job(job)
     }
 
-    fn pending(&self) -> usize {
-        self.inner.len()
-    }
-
     fn stats(&self) -> SchedulerStats {
         self.inner.stats()
-    }
-
-    fn set_steal_threshold(&mut self, slack: Micros) {
-        self.inner.set_steal_threshold(slack);
     }
 }
 
@@ -182,7 +169,6 @@ mod cameo_dispatcher_shard_tests {
         // Threshold 0: global urgency order survives sharding exactly
         // (all priorities here are distinct).
         assert_eq!(order, (0..16u64).collect::<Vec<_>>());
-        assert_eq!(d.pending(), 0);
     }
 }
 
@@ -228,7 +214,6 @@ pub struct OrleansDispatcher {
     global: VecDeque<OperatorKey>,
     ops: HashMap<OperatorKey, QueuedOp>,
     quantum: Micros,
-    pending: usize,
     stats: SchedulerStats,
 }
 
@@ -239,7 +224,6 @@ impl OrleansDispatcher {
             global: VecDeque::new(),
             ops: HashMap::new(),
             quantum,
-            pending: 0,
             stats: SchedulerStats::default(),
         }
     }
@@ -253,7 +237,6 @@ impl Dispatcher for OrleansDispatcher {
     fn submit(&mut self, key: OperatorKey, msg: SimMsg, _pri: Priority, hint: Option<u16>) {
         let op = self.ops.entry(key).or_default();
         op.msgs.push_back(msg);
-        self.pending += 1;
         if !op.queued && !op.leased {
             op.queued = true;
             match hint {
@@ -292,7 +275,6 @@ impl Dispatcher for OrleansDispatcher {
         let op = self.ops.get_mut(&lease.key)?;
         let m = op.msgs.pop_front();
         if m.is_some() {
-            self.pending -= 1;
             self.stats.messages_scheduled += 1;
         }
         m
@@ -323,16 +305,11 @@ impl Dispatcher for OrleansDispatcher {
 
     fn retire_job(&mut self, job: cameo_core::ids::JobId) -> usize {
         let purged = purge_queued_ops(&mut self.ops, job);
-        self.pending -= purged;
         self.global.retain(|k| k.job != job);
         for l in self.locals.iter_mut() {
             l.retain(|k| k.job != job);
         }
         purged
-    }
-
-    fn pending(&self) -> usize {
-        self.pending
     }
 
     fn stats(&self) -> SchedulerStats {
@@ -352,7 +329,6 @@ pub struct SlotDispatcher {
     ops: HashMap<OperatorKey, QueuedOp>,
     next_pin: u16,
     workers: u16,
-    pending: usize,
     stats: SchedulerStats,
 }
 
@@ -364,7 +340,6 @@ impl SlotDispatcher {
             ops: HashMap::new(),
             next_pin: 0,
             workers,
-            pending: 0,
             stats: SchedulerStats::default(),
         }
     }
@@ -385,7 +360,6 @@ impl Dispatcher for SlotDispatcher {
         let w = self.pin_of(key);
         let op = self.ops.entry(key).or_default();
         op.msgs.push_back(msg);
-        self.pending += 1;
         if !op.queued && !op.leased {
             op.queued = true;
             self.runnable[w as usize].push_back(key);
@@ -409,7 +383,6 @@ impl Dispatcher for SlotDispatcher {
         let op = self.ops.get_mut(&lease.key)?;
         let m = op.msgs.pop_front();
         if m.is_some() {
-            self.pending -= 1;
             self.stats.messages_scheduled += 1;
         }
         m
@@ -436,7 +409,6 @@ impl Dispatcher for SlotDispatcher {
 
     fn retire_job(&mut self, job: cameo_core::ids::JobId) -> usize {
         let purged = purge_queued_ops(&mut self.ops, job);
-        self.pending -= purged;
         for r in self.runnable.iter_mut() {
             r.retain(|k| k.job != job);
         }
@@ -446,10 +418,6 @@ impl Dispatcher for SlotDispatcher {
         let ops = &self.ops;
         self.pins.retain(|k, _| k.job != job || ops.contains_key(k));
         purged
-    }
-
-    fn pending(&self) -> usize {
-        self.pending
     }
 
     fn stats(&self) -> SchedulerStats {
@@ -491,7 +459,8 @@ mod tests {
         assert_eq!(lease.key, key(2));
         assert!(d.take(&lease).is_some());
         d.release(lease, 0);
-        assert_eq!(d.pending(), 1);
+        let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
+        assert_eq!(lease.key, key(1), "the other message is still queued");
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::metrics::{SchedEvent, SimMetrics};
 use crate::workload::WorkloadGen;
 use cameo_core::config::SchedulerConfig;
 use cameo_core::context::ReplyContext;
-use cameo_core::elastic::{ElasticAction, ElasticConfig, ElasticController, ElasticObservation};
 use cameo_core::policy::{
     EdfPolicy, FifoPolicy, LlfPolicy, MessageStamp, Policy, SjfPolicy, TokenFairPolicy,
 };
@@ -126,12 +125,6 @@ pub struct EngineConfig {
     /// as the runtime's deploy path. Deterministic: the override
     /// happens before the first event fires.
     pub profile_alpha: Option<f64>,
-    /// Run the elastic controller — the *same* deterministic state
-    /// machine the production runtime ticks on a timer thread — as a
-    /// virtual-time event every `elastic.tick`. `None` (the default)
-    /// keeps the engine bit-for-bit identical to the pre-elastic event
-    /// stream: no tick events enter the heap at all.
-    pub elastic: Option<ElasticConfig>,
     /// Crash the run (stop dead, in-flight events lost) immediately
     /// after this many arrivals have been ingested across all jobs.
     /// While set, every ingested arrival is also recorded in the
@@ -161,7 +154,6 @@ impl EngineConfig {
             placement: Placement::Spread,
             disable_replies: false,
             profile_alpha: None,
-            elastic: None,
             stop_at_arrival: None,
             arrival_floor: PhysicalTime::ZERO,
         }
@@ -222,9 +214,6 @@ enum Ev {
     /// messages are dropped at delivery/completion guards — mirroring
     /// the runtime's `undeploy`.
     Depart { job: u16 },
-    /// One elastic controller tick: sample the cluster, apply the
-    /// controller's actions, re-arm while other events remain.
-    ControllerTick,
     /// A journaled arrival re-ingested during recovery. Identical to
     /// `Arrival` except it does not pull the workload generator — the
     /// generator was fast-forwarded past journaled arrivals, and the
@@ -297,8 +286,6 @@ pub struct Engine {
     rng: ChaCha8Rng,
     pub metrics: SimMetrics,
     cfg: EngineConfig,
-    /// The elastic controller, when configured.
-    elastic: Option<ElasticController>,
     /// Latest scheduled delivery per (job, op, channel): keeps jittered
     /// deliveries FIFO per channel.
     channel_clock: std::collections::HashMap<(u16, u32, u32), u64>,
@@ -392,7 +379,6 @@ impl Engine {
             cost: CostModel::new(cfg.cost),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xC0FF_EE00),
             metrics,
-            elastic: cfg.elastic.map(ElasticController::new),
             ingested_total: 0,
             ingested_per_job: vec![0; njobs],
             arrival_journal: Vec::new(),
@@ -468,12 +454,6 @@ impl Engine {
                 self.push_event(at, Ev::Depart { job: j as u16 });
             }
         }
-        // The controller's first tick. It re-arms itself only while
-        // other events remain, so the run still terminates.
-        if let Some(cfg) = &self.cfg.elastic {
-            let t = PhysicalTime(cfg.tick.0);
-            self.push_event(t, Ev::ControllerTick);
-        }
         while let Some(Reverse(Scheduled { time, ev, .. })) = self.events.pop() {
             debug_assert!(time >= self.now, "time must not regress");
             self.now = time;
@@ -522,60 +502,10 @@ impl Engine {
                 Ev::Depart { job } => {
                     self.depart(job);
                 }
-                Ev::ControllerTick => {
-                    self.controller_tick();
-                }
             }
         }
         self.metrics.end_time = self.now;
         self.metrics.sched = self.sched_stats();
-        if let Some(ctl) = &self.elastic {
-            self.metrics.elastic = ctl.telemetry();
-        }
-    }
-
-    /// One elastic controller tick in virtual time: gather the same
-    /// observation the runtime's controller thread samples, run the
-    /// identical decision logic, and apply the actions to every node.
-    fn controller_tick(&mut self) {
-        let Some(mut ctl) = self.elastic.take() else {
-            return;
-        };
-        let (mut outputs, mut misses) = (0u64, 0u64);
-        for j in &self.metrics.jobs {
-            outputs += j.outputs;
-            misses += j.outputs - j.on_time;
-        }
-        let stats = self.sched_stats();
-        let obs = ElasticObservation {
-            outputs,
-            deadline_misses: misses,
-            backlog: self.nodes.iter().map(|n| n.disp.pending()).sum(),
-            steals: stats.steals,
-            acquisitions: stats.operator_acquisitions,
-            journal_dirty_bytes: 0,
-        };
-        for action in ctl.tick(&obs) {
-            match action {
-                ElasticAction::SetStealThreshold(slack) => {
-                    for node in self.nodes.iter_mut() {
-                        node.disp.set_steal_threshold(slack);
-                    }
-                }
-                // The simulator's crash/recovery model journals at the
-                // scenario layer (see `Scenario::with_crash_at`), not
-                // through the real durability subsystem.
-                ElasticAction::Snapshot => {}
-            }
-        }
-        self.elastic = Some(ctl);
-        // Re-arm while the run is still live. Ticks never keep the
-        // event loop alive on their own.
-        if !self.events.is_empty() {
-            let tick = self.cfg.elastic.as_ref().expect("elastic config").tick;
-            let t = self.now + tick;
-            self.push_event(t, Ev::ControllerTick);
-        }
     }
 
     /// Tear a job down mid-run: stop its workload, purge its messages

@@ -160,9 +160,6 @@ pub struct SimMetrics {
     /// In-flight messages (deliveries and on-worker executions) dropped
     /// because their job had departed.
     pub departure_drops: u64,
-    /// What the elastic controller did over the run (all zeros when the
-    /// scenario ran without one).
-    pub elastic: cameo_core::elastic::ElasticTelemetry,
 }
 
 impl SimMetrics {
@@ -187,7 +184,6 @@ impl SimMetrics {
             jobs_departed: 0,
             purged_on_departure: 0,
             departure_drops: 0,
-            elastic: cameo_core::elastic::ElasticTelemetry::default(),
         }
     }
 

@@ -46,8 +46,6 @@ pub struct Scenario {
     /// Cost-profiling smoothing override (see
     /// [`EngineConfig::profile_alpha`]).
     pub profile_alpha: Option<f64>,
-    /// Elastic controller configuration (see [`EngineConfig::elastic`]).
-    pub elastic: Option<cameo_core::elastic::ElasticConfig>,
     /// Crash/recovery drill: crash the run after this many ingested
     /// arrivals, then recover and continue (see
     /// [`with_crash_at`](Self::with_crash_at)).
@@ -74,7 +72,6 @@ impl Scenario {
             placement: Placement::default(),
             disable_replies: false,
             profile_alpha: None,
-            elastic: None,
             crash_at: None,
             crash_torn_tail: false,
             jobs: Vec::new(),
@@ -153,14 +150,6 @@ impl Scenario {
     /// Ablation: turn off the Reply Context feedback path.
     pub fn disable_replies(mut self, off: bool) -> Self {
         self.disable_replies = off;
-        self
-    }
-
-    /// Run the elastic controller (steal-threshold tuning) as
-    /// deterministic virtual-time ticks — the identical state machine
-    /// the runtime ticks on a timer thread.
-    pub fn with_elastic(mut self, cfg: cameo_core::elastic::ElasticConfig) -> Self {
-        self.elastic = Some(cfg);
         self
     }
 
@@ -307,7 +296,6 @@ impl Scenario {
         cfg.record_processing = self.record_processing;
         cfg.placement = self.placement;
         cfg.disable_replies = self.disable_replies;
-        cfg.elastic = self.elastic;
         cfg.stop_at_arrival = stop_at_arrival;
         cfg.arrival_floor = arrival_floor;
         let mut engine_jobs = Vec::with_capacity(self.jobs.len());

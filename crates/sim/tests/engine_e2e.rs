@@ -123,14 +123,12 @@ fn runs_are_deterministic() {
 }
 
 #[test]
-fn elastic_controller_runs_are_bit_identical() {
-    use cameo_core::elastic::ElasticConfig;
+fn sharded_runs_are_bit_identical() {
     let run = || {
         // A 1us constraint every output misses, so every window close
-        // is an overloaded tick for the steal tuner; between the 500 ms
-        // window closes the pool sits quiescent. Two shards give the
-        // steal threshold work to do.
-        let params = AggQueryParams::new("elastic", 500_000, Micros(1))
+        // runs the pool overloaded; two shards give the steal rule work
+        // to do.
+        let params = AggQueryParams::new("sharded", 500_000, Micros(1))
             .with_sources(4)
             .with_parallelism(2);
         let spec = cameo_dataflow::queries::agg_query(&params);
@@ -140,12 +138,7 @@ fn elastic_controller_runs_are_bit_identical() {
         )
         .with_seed(13)
         .with_shards(2)
-        .capture_outputs(true)
-        .with_elastic(
-            ElasticConfig::default()
-                .with_tick(Micros::from_millis(100))
-                .with_quiescent_ticks(2),
-        );
+        .capture_outputs(true);
         sc.add_job(
             spec,
             WorkloadSpec::constant(4, 20.0, 50, Micros::from_secs(2)),
@@ -153,11 +146,12 @@ fn elastic_controller_runs_are_bit_identical() {
         let r = sc.run();
         let mut cap = r.job(0).captured.as_ref().unwrap().clone();
         cap.sort_unstable();
+        let st = r.metrics.sched;
         (
             r.job(0).samples.clone(),
             cap,
             r.metrics.executions,
-            r.metrics.elastic,
+            (st.steals, st.operator_acquisitions, st.cross_shard_swaps),
         )
     };
     let a = run();
@@ -165,26 +159,9 @@ fn elastic_controller_runs_are_bit_identical() {
     assert_eq!(a.0, b.0, "latencies must be bit-identical");
     assert_eq!(a.1, b.1, "outputs must be bit-identical");
     assert_eq!(a.2, b.2, "execution counts must match");
-    assert_eq!(a.3, b.3, "controller decisions must be bit-identical");
-    let tel = a.3;
-    assert!(tel.ticks > 0, "controller must have ticked: {tel:?}");
-    assert_eq!(tel.snapshots, 0, "the sim journals no bytes: {tel:?}");
-}
-
-#[test]
-fn scenario_without_elastic_reports_zero_telemetry() {
-    let spec = ipq1(1_000_000, Micros::from_millis(800));
-    let mut sc = Scenario::new(
-        ClusterSpec::single_node(2),
-        SchedulerKind::Cameo(PolicyKind::Llf),
-    );
-    sc.add_job(spec, quick_agg_workload(8));
-    let r = sc.run();
-    assert_eq!(
-        r.metrics.elastic,
-        cameo_core::elastic::ElasticTelemetry::default(),
-        "no controller may run unless the scenario opts in"
-    );
+    assert_eq!(a.3, b.3, "steal decisions must be bit-identical");
+    let (steals, ..) = a.3;
+    assert!(steals > 0, "two shards must steal: {:?}", a.3);
 }
 
 #[test]

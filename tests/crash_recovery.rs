@@ -366,40 +366,48 @@ fn recovery_requires_durability_config() {
 }
 
 #[test]
-fn a_failed_controller_snapshot_is_counted() {
-    let dir = tmp_dir("snapfail");
-    let rt = Runtime::start(
-        durable_cfg(&dir).with_elastic(
-            ElasticConfig::default()
-                .with_tick(Micros(2_000))
-                .with_quiescent_ticks(1)
-                .with_snapshot_dirty_bytes(1),
-        ),
-    );
+fn manual_snapshot_errors_are_typed() {
+    // Without durability there is nothing to snapshot into.
+    let rt = Runtime::start(RuntimeConfig::default().with_workers(1));
+    assert!(matches!(rt.snapshot(), Err(SnapshotError::Inactive)));
+    rt.shutdown();
+
+    // No worker ever drains the queued frame, so the runtime is never
+    // quiescent: a zero wait gives up after one check.
+    let dir = tmp_dir("snapbusy");
+    let rt = Runtime::start(RuntimeConfig {
+        workers: 0,
+        ..durable_cfg(&dir)
+    });
     let job = rt
-        .deploy(&query("sf"), &ExpandOptions::default())
+        .deploy(&query("sb"), &ExpandOptions::default())
         .expect("deploy");
+    feed_window0(&rt, job);
+    assert!(rt.queue_len() > 0);
+    let got = rt.snapshot_within(Duration::ZERO);
+    assert!(matches!(got, Err(SnapshotError::Busy)), "got {got:?}");
+    rt.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmp_dir("snapio");
+    let rt = Runtime::start(durable_cfg(&dir));
+    let job = rt
+        .deploy(&query("sio"), &ExpandOptions::default())
+        .expect("deploy");
+    let rx = rt.subscribe(job).expect("subscribe");
     feed_window0(&rt, job);
     assert!(rt.drain(Duration::from_secs(5)));
     // The snapshot writer recreates a missing directory, so removing it
-    // is not enough: a plain file at its path makes every snapshot fail,
+    // is not enough: a plain file at its path makes the write fail,
     // even for root. The journal keeps appending to its open segment.
     std::fs::remove_dir_all(&dir).expect("remove the durability directory");
     std::fs::write(&dir, b"").expect("put a file in its place");
-    // New journal bytes, then quiescence: the controller asks for a
-    // snapshot, which cannot be written.
+    let got = rt.snapshot();
+    assert!(matches!(got, Err(SnapshotError::Io(_))), "got {got:?}");
+    // A failed snapshot leaves the runtime serving.
     close_window0(&rt, job);
     assert!(rt.drain(Duration::from_secs(5)));
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while rt.elastic_telemetry().snapshot_failures == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no snapshot failure counted: {:?}",
-            rt.elastic_telemetry()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(rt.elastic_telemetry().snapshots >= 1);
+    assert_eq!(window0_outputs(&rx), expected_counts(10));
     rt.shutdown();
     let _ = std::fs::remove_file(&dir);
 }
