@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for Fig 12 (left): per-message cost of
 //! FIFO queueing vs two-level priority scheduling vs full Cameo
 //! (scheduling + priority generation), plus the per-message cost of the
-//! sharded scheduler — single-threaded (what sharding *itself* costs)
-//! and contended by 1, 2 and 4 threads against one mutex-guarded
-//! scheduler (`contended_cycle`).
+//! scheduler the runtime's workers share — single-threaded (what the
+//! mailbox in front of the lock costs) and contended by 1, 2, 4 and 8
+//! threads against a bare mutex-guarded scheduler (`contended_cycle`).
 
 use cameo_core::prelude::*;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -135,67 +135,13 @@ fn bench_quantum_decision(c: &mut Criterion) {
     }
 }
 
-/// One `ShardedScheduler::decide` that ends in Continue, per message of
-/// a lease, with other shards to look at: what a worker pays at every
-/// message boundary in a pool of `shards` shards. Before the quantum a
-/// flat-tier pool (and a lease in the pool's strictest tier) reads one
-/// word; a lax lease in a pool that has seen a stricter tier scans the
-/// other shards' hints, as every lease does past the quantum.
-fn bench_sharded_decision(c: &mut Criterion) {
-    const LAX: u8 = 18;
-    const STRICT: u8 = 13;
-    let mut g = c.benchmark_group("sharded_decide_continue");
-    for shards in [2usize, 4, 8] {
-        for (name, now, in_hand_tier, other_tier) in [
-            ("before_quantum_flat_tiers", 500, 0, 0),
-            (
-                "before_quantum_lax_lease_strict_elsewhere",
-                500,
-                LAX,
-                STRICT,
-            ),
-            ("past_quantum", 2_000, LAX, STRICT),
-        ] {
-            let sched: ShardedScheduler<u64> =
-                ShardedScheduler::new(SchedulerConfig::default().with_shards(shards));
-            let key_on = |s: usize| {
-                let mut keys = (0..4096).map(|op| OperatorKey::new(JobId(0), op));
-                keys.find(|&k| sched.shard_of(k) == s).unwrap()
-            };
-            // In hand on shard 0, due at 10 ms; every other shard holds
-            // one operator due later, so nothing outranks the lease.
-            for m in 0..2 {
-                sched.submit(
-                    key_on(0),
-                    m,
-                    Priority::uniform(10_000).with_tier(in_hand_tier),
-                );
-            }
-            let exec = sched.acquire(0, PhysicalTime::ZERO).unwrap();
-            let _ = sched.take_message(&exec);
-            for s in 1..shards {
-                sched.submit(
-                    key_on(s),
-                    9,
-                    Priority::uniform(20_000 + s as i64).with_tier(other_tier),
-                );
-            }
-            g.bench_with_input(BenchmarkId::new(name, shards), &shards, |b, _| {
-                b.iter(|| std::hint::black_box(sched.decide(&exec, PhysicalTime(now))));
-            });
-        }
-    }
-    g.finish();
-}
-
 /// What a yield point costs when nothing stricter is waiting — the
 /// price an operator pays per call in the common case — and what
 /// calling one every 32 spins does to `SpinMap`'s 400 µs burn. The
 /// hook is the runtime worker's: the lock-free pre-check, then
 /// `acquire_preempting` only if it says yes. A lax lease is held with
 /// its message in flight and a lax peer queued; in the two-tier pool a
-/// strict operator has come and gone, so the pool's strictest tier is
-/// below the lease's and the pre-check reads the shard's tier hint too.
+/// strict operator has come and gone.
 fn bench_yield_point(c: &mut Criterion) {
     use cameo_dataflow::event::{Batch, Tuple};
     use cameo_dataflow::operator::Operator;
@@ -231,7 +177,7 @@ fn bench_yield_point(c: &mut Criterion) {
                 }
                 let started = Instant::now();
                 while let Some(nested) =
-                    sched.acquire_preempting(0, mine, JobId(0), PhysicalTime::ZERO)
+                    sched.acquire_preempting(mine, JobId(0), PhysicalTime::ZERO)
                 {
                     while sched.take_message(&nested).is_some() {}
                     sched.release(nested);
@@ -256,29 +202,22 @@ fn bench_yield_point(c: &mut Criterion) {
     g.finish();
 }
 
+/// `cameo_submit_acquire_take_release` through the mailbox and the
+/// lock the runtime's workers share, on one thread.
 fn bench_sharded_scheduling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharded_submit_acquire_take_release");
-    for shards in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(shards),
-            &shards,
-            |b, &shards| {
-                let sched: ShardedScheduler<u64> =
-                    ShardedScheduler::new(SchedulerConfig::default().with_shards(shards));
-                let mut i = 0u64;
-                b.iter(|| {
-                    i += 1;
-                    let key = OperatorKey::new(JobId((i % 300) as u32), 0);
-                    sched.submit(key, i, Priority::new(0, i as i64));
-                    let exec = sched.acquire(i as usize, PhysicalTime(i)).unwrap();
-                    let msg = sched.take_message(&exec);
-                    sched.release(exec);
-                    std::hint::black_box(msg)
-                });
-            },
-        );
-    }
-    g.finish();
+    c.bench_function("sharded_submit_acquire_take_release", |b| {
+        let sched: ShardedScheduler<u64> = ShardedScheduler::new(SchedulerConfig::default());
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let key = OperatorKey::new(JobId((i % 300) as u32), 0);
+            sched.submit(key, i, Priority::new(0, i as i64));
+            let exec = sched.acquire(0, PhysicalTime(i)).unwrap();
+            let msg = sched.take_message(&exec);
+            sched.release(exec);
+            std::hint::black_box(msg)
+        });
+    });
 }
 
 /// Operators each contending thread owns; enough that leases rotate.
@@ -328,28 +267,38 @@ fn closed_loop(
 }
 
 /// The contention table: W threads in a closed submit → acquire → take
-/// → release loop, either all locking one `Mutex<CameoScheduler>` for
-/// every call, or each on its own shard of a `ShardedScheduler` with
-/// its operators homed there. One iteration is one message, so ns/iter
-/// is wall time per message across all W threads. On a host with fewer
-/// cores than W, the threads time-slice: the cell then measures what
+/// → release loop on one scheduler, either a bare `Mutex<CameoScheduler>`
+/// locked for every call, or the `ShardedScheduler` the runtime's
+/// workers share (the same lock, with the mailbox in front of it). One
+/// iteration is one message, so ns/iter is wall time per message across
+/// all W threads. A W above the host's core count is labelled
+/// `oversubscribed`: the threads time-slice, so the cell measures what
 /// contention costs, not how far the scheduler scales.
 fn bench_contended_cycle(c: &mut Criterion) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut g = c.benchmark_group("contended_cycle");
-    for workers in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("mutex", workers), &workers, |b, &w| {
-            let keys: Vec<Vec<OperatorKey>> = (0..w)
-                .map(|t| {
-                    (0..OPS_PER_THREAD)
-                        .map(|op| OperatorKey::new(JobId(t as u32), op))
-                        .collect()
-                })
-                .collect();
+    for workers in [1usize, 2, 4, 8] {
+        let keys: Vec<Vec<OperatorKey>> = (0..workers)
+            .map(|t| {
+                (0..OPS_PER_THREAD)
+                    .map(|op| OperatorKey::new(JobId(t as u32), op))
+                    .collect()
+            })
+            .collect();
+        let keys = &keys;
+        let cell = |name: &str| {
+            if workers > cores {
+                BenchmarkId::new(name, format!("{workers}_oversubscribed"))
+            } else {
+                BenchmarkId::new(name, workers)
+            }
+        };
+        g.bench_with_input(cell("mutex"), &workers, |b, _| {
             b.iter_custom(|iters| {
                 let sched = Mutex::new(CameoScheduler::<u64>::default());
                 let elapsed = closed_loop(
                     iters,
-                    &keys,
+                    keys,
                     |key, i| {
                         sched
                             .lock()
@@ -370,23 +319,13 @@ fn bench_contended_cycle(c: &mut Criterion) {
                 elapsed
             });
         });
-        g.bench_with_input(BenchmarkId::new("sharded", workers), &workers, |b, &w| {
-            let config = SchedulerConfig::default().with_shards(w);
-            let probe: ShardedScheduler<u64> = ShardedScheduler::new(config);
-            let keys: Vec<Vec<OperatorKey>> = (0..w)
-                .map(|t| {
-                    (0..)
-                        .map(|op| OperatorKey::new(JobId(t as u32), op))
-                        .filter(|&k| probe.shard_of(k) == t)
-                        .take(OPS_PER_THREAD as usize)
-                        .collect()
-                })
-                .collect();
+        g.bench_with_input(cell("one_lock"), &workers, |b, _| {
             b.iter_custom(|iters| {
-                let sched: ShardedScheduler<u64> = ShardedScheduler::new(config);
+                let sched: ShardedScheduler<u64> =
+                    ShardedScheduler::new(SchedulerConfig::default());
                 let elapsed = closed_loop(
                     iters,
-                    &keys,
+                    keys,
                     |key, i| {
                         sched.submit(key, i, Priority::new(0, i as i64));
                     },
@@ -414,7 +353,6 @@ criterion_group!(
     bench_priority_scheduling,
     bench_full_cameo,
     bench_quantum_decision,
-    bench_sharded_decision,
     bench_yield_point,
     bench_sharded_scheduling,
     bench_contended_cycle

@@ -1,11 +1,9 @@
-//! Worker→core pinning for home-shard memory locality.
+//! Worker→core pinning.
 //!
-//! The sharded runtime gives every worker a home shard, whose queue
-//! and mailbox buffers the worker touches on every cycle. Pinning the
-//! worker to one core keeps that data in that core's cache (and, on
-//! NUMA hosts, faults it onto that core's node via first-touch), so
-//! steals and submissions from other threads are the only remaining
-//! cross-core traffic.
+//! Pinning a worker to one core keeps the kernel from migrating it, so
+//! its stack, its operators' state and the scheduler lines it touches
+//! stay in that core's cache (and, on NUMA hosts, first-touch faults
+//! its memory onto that core's node).
 //!
 //! Implemented with direct `extern "C"` declarations of Linux's
 //! `sched_setaffinity` / `sched_getaffinity` (no libc crate — this

@@ -28,22 +28,6 @@ pub struct SchedulerConfig {
     /// behaviour; deadline policies rarely starve because deadlines are
     /// absolute times, but the token policy can starve untokened work).
     pub starvation_limit: Option<Micros>,
-    /// Number of independent scheduler shards
-    /// ([`ShardedScheduler`](crate::shard::ShardedScheduler)). Operators
-    /// hash to a fixed shard; each shard has its own lock, so workers on
-    /// different shards never contend. `0` (the default) means "not
-    /// chosen": a bare scheduler and the simulator get one shard
-    /// ([`effective_shards`](Self::effective_shards)), behaviorally
-    /// identical to the unsharded scheduler and bit-stable for
-    /// deterministic drivers; a runtime sizes itself from its worker
-    /// count.
-    pub shards: usize,
-    /// Work-stealing slack: a worker leaves its home shard only for an
-    /// operator whose global priority (a deadline in microseconds under
-    /// the deadline policies) beats the home shard's best by *more* than
-    /// this. `ZERO` steals on any strictly more urgent operator,
-    /// matching the single-queue drain order up to same-priority ties.
-    pub steal_threshold: Micros,
 }
 
 impl Default for SchedulerConfig {
@@ -51,8 +35,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             quantum: Micros::from_millis(1),
             starvation_limit: None,
-            shards: 0,
-            steal_threshold: Micros::ZERO,
         }
     }
 }
@@ -77,22 +59,11 @@ impl SchedulerConfig {
         self
     }
 
-    /// Set the shard count for [`ShardedScheduler`](crate::shard::ShardedScheduler)
-    /// (0 = not chosen, see [`shards`](Self::shards)).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    /// Ignored: every worker shares one scheduler. Kept only so that
+    /// `cameo_benchmark/` builds unchanged.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
-    }
-
-    /// Set the work-stealing urgency slack (see the field docs).
-    pub fn with_steal_threshold(mut self, slack: Micros) -> Self {
-        self.steal_threshold = slack;
-        self
-    }
-
-    /// Effective shard count (`shards` with the zero case mapped to 1).
-    pub fn effective_shards(&self) -> usize {
-        self.shards.max(1)
     }
 }
 
@@ -105,33 +76,14 @@ mod tests {
         let c = SchedulerConfig::default();
         assert_eq!(c.quantum, Micros(1_000));
         assert!(c.starvation_limit.is_none());
-        assert_eq!(c.shards, 0, "shard count is not chosen by default");
-        assert_eq!(c.effective_shards(), 1);
-        assert_eq!(c.steal_threshold, Micros::ZERO);
     }
 
     #[test]
     fn builder_sets_fields() {
         let c = SchedulerConfig::default()
             .with_quantum(Micros(0))
-            .with_starvation_limit(Micros::from_secs(5))
-            .with_shards(8)
-            .with_steal_threshold(Micros(250));
+            .with_starvation_limit(Micros::from_secs(5));
         assert_eq!(c.quantum, Micros::ZERO);
         assert_eq!(c.starvation_limit, Some(Micros(5_000_000)));
-        assert_eq!(c.shards, 8);
-        assert_eq!(c.steal_threshold, Micros(250));
-    }
-
-    #[test]
-    fn zero_shards_means_one() {
-        assert_eq!(
-            SchedulerConfig::default().with_shards(0).effective_shards(),
-            1
-        );
-        assert_eq!(
-            SchedulerConfig::default().with_shards(4).effective_shards(),
-            4
-        );
     }
 }

@@ -29,14 +29,13 @@
 //!   LLF / EDF / SJF / FIFO / token-fair policies (§4.2, §5.4).
 //! * [`queue`] — the two-level priority structure (Fig 5b).
 //! * [`scheduler`] — the stateless scheduler with quantum logic (§5.2).
-//! * [`mailbox`] — the per-shard submission mailbox: a locked inbox
-//!   the draining worker swaps for a spare buffer, with one-publication
-//!   batches.
-//! * [`shard`] — N scheduler shards with urgency-aware work stealing
-//!   (the scalable, lock-per-shard form of the same scheduler), fed
-//!   through per-shard submission mailboxes kept off the shard locks.
+//! * [`mailbox`] — the submission mailbox: a locked inbox the draining
+//!   worker swaps for a spare buffer, with one-publication batches.
+//! * [`shard`] — the scheduler a worker pool shares: one scheduler
+//!   behind one lock, fed through a submission mailbox kept off that
+//!   lock.
 //! * [`affinity`] — worker→core pinning (`sched_setaffinity`), so a
-//!   worker and its home shard's data stay on one core. Linux only.
+//!   worker stays on one core. Linux only.
 //! * [`epoll`] — the readiness wrapper under the runtime's single
 //!   ingest serve loop. Linux only.
 //! * [`stats`] — histograms and percentile helpers.
@@ -103,7 +102,7 @@ pub mod prelude {
     pub use crate::progress::{FrontierEstimate, ProgressMap, TimeDomain};
     pub use crate::queue::{OperatorLease, PushOutcome, TwoLevelQueue};
     pub use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
-    pub use crate::shard::{ShardExecution, ShardedScheduler, Submission};
+    pub use crate::shard::ShardedScheduler;
     pub use crate::stats::{exact_percentile, Histogram, OnlineStats};
     pub use crate::time::{Clock, LogicalTime, ManualClock, Micros, PhysicalTime, SystemClock};
     pub use crate::transform::{transform, window_index, Slide};

@@ -1,23 +1,21 @@
-//! The multi-producer submission mailbox: one locked inbox per shard,
-//! drained by swapping buffers.
+//! The multi-producer submission mailbox: one locked inbox, drained by
+//! swapping buffers.
 //!
-//! The sharded scheduler keeps one mailbox per shard so that `submit`
-//! never touches the shard's scheduler mutex: producers take only the
+//! The shared scheduler keeps a mailbox in front of its lock so that
+//! `submit` never touches the scheduler mutex: producers take only the
 //! mailbox's own inbox lock, to push one message or to append a
-//! published batch, and whichever worker next takes the shard lock
+//! published batch, and whichever worker next takes the scheduler lock
 //! swaps the whole inbox out for a spare buffer and replays it into the
 //! two-level queue in submission order. Ingress (bursty submitters) and
-//! dispatch (the worker holding the shard lock to pick an operator)
+//! dispatch (the worker holding the scheduler lock to pick an operator)
 //! therefore never contend on the same lock — the decoupling Cameo
 //! needs for per-event scheduling to stay off the critical path
 //! (PAPER.md §5, Fig 5(b)). The paper asks for ingress kept off the
-//! dispatcher's lock, not for ingress that is lock-free: in
-//! `scheduler_overhead`'s `contended_cycle` group a plain mutex beats
-//! the sharded path at 1, 2 and 4 threads on a 2-vCPU host.
+//! dispatcher's lock, not for ingress that is lock-free.
 //!
 //! The inbox is a `Vec` in arrival order, so a drain replays it as is:
 //! there is no list reversal, no node recycling and no raw pointer. The
-//! drainer owns the spare (the shard keeps it under its lock), so after
+//! drainer owns the spare (the scheduler keeps it under its lock), so after
 //! a swap the inbox reuses the spare's capacity and the two buffers
 //! alternate. [`Mailbox::drain`] without a spare hands the inbox's
 //! buffer to the caller and leaves an empty one behind.
@@ -26,7 +24,7 @@
 //! private `Vec` (no mailbox traffic) and [`MailChain::publish`]
 //! appends it under one lock acquisition — the scheduler's
 //! `submit_batch` uses this to pay one publication + one hint update +
-//! one wake per *shard* instead of per message.
+//! one wake per batch instead of per message.
 //!
 //! Memory ordering: [`Mailbox::is_empty`] reads a `SeqCst` flag that
 //! is written under the inbox lock on every publish and every swap, so
@@ -58,8 +56,8 @@ pub struct Mail<M> {
 ///
 /// Producers call [`push`](Mailbox::push) concurrently from any thread.
 /// [`drain`](Mailbox::drain) may also be called concurrently (each call
-/// takes a disjoint batch), though the sharded scheduler only drains
-/// under the shard lock.
+/// takes a disjoint batch), though the shared scheduler only drains
+/// under its lock.
 pub struct Mailbox<M> {
     inbox: Mutex<Vec<Mail<M>>>,
     /// True while the inbox holds mail; written only under `inbox`.

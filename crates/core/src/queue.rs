@@ -415,7 +415,7 @@ impl<M> TwoLevelQueue<M> {
 
     /// Priority of the most urgent *available* (unleased, non-empty)
     /// operator in deadline order — the order of a queue that is never
-    /// overloaded. The sharded scheduler's hint refresh reads this.
+    /// overloaded. The shared scheduler's tier-hint refresh reads this.
     pub fn peek_best(&self) -> Option<(OperatorKey, Priority)> {
         self.index.by_deadline().map(|e| (e.key, e.pri))
     }

@@ -26,8 +26,6 @@ use crate::time::{Micros, PhysicalTime};
 
 /// Counters exposed for experiments (operator swaps drive the Fig 14
 /// analysis; message counts drive overhead accounting in Fig 12).
-/// `steals` and `cross_shard_swaps` are only nonzero under the
-/// [sharded scheduler](crate::shard::ShardedScheduler).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedulerStats {
     /// Messages handed to workers via `take_message`.
@@ -35,12 +33,12 @@ pub struct SchedulerStats {
     /// Operator leases checked out via `acquire`.
     pub operator_acquisitions: u64,
     /// `decide` calls that swapped away from the in-hand operator at a
-    /// quantum boundary (an intra-shard, more-urgent-operator swap).
+    /// quantum boundary, to a more urgent operator.
     pub quantum_swaps: u64,
     /// `decide` calls that swapped away *before* the quantum, to an
     /// operator in a stricter latency tier that outranked the one in
-    /// hand (on the same shard or another). At most one per lease, and
-    /// zero whenever every priority is in one tier.
+    /// hand. At most one per lease, and zero whenever every priority is
+    /// in one tier.
     pub tier_preemptions: u64,
     /// Leases checked out *inside* a message, at a cooperative yield
     /// point
@@ -50,34 +48,34 @@ pub struct SchedulerStats {
     /// apart from `tier_preemptions`, which stay boundary swaps; zero
     /// with flat tiers and for operators that never yield.
     pub yield_preemptions: u64,
-    /// Operators acquired from a non-home shard.
+    /// Always 0: there are no shards to steal from. Kept because the
+    /// benchmark in `cameo_benchmark/` reads it.
     pub steals: u64,
-    /// Quantum swaps triggered by a more urgent operator on *another*
-    /// shard (the current shard's own decide said Continue).
+    /// Always 0, like [`steals`](Self::steals), and kept for the same
+    /// reason.
     pub cross_shard_swaps: u64,
     /// Submissions that improved the queue's best or left it untouched
     /// ([`PushOutcome::fast_hint`](crate::queue::PushOutcome)). The
     /// complement — a push that demotes the most urgent operator —
     /// should be rare; this counter makes that claim measurable.
     pub hint_fast_path: u64,
-    /// Messages moved from a shard's submission mailbox into
-    /// its two-level queue by a draining worker. Only nonzero under the
-    /// [sharded scheduler](crate::shard::ShardedScheduler)'s mailbox
+    /// Messages moved from the submission mailbox into the two-level
+    /// queue by a draining worker. Only nonzero under the
+    /// [shared scheduler](crate::shard::ShardedScheduler)'s mailbox
     /// ingress path.
     pub mailbox_drained: u64,
     /// Mailbox buffer growths on the push path: pushes and batch
-    /// appends that found a shard's inbox buffer full and had to
+    /// appends that found the inbox buffer full and had to
     /// reallocate it ([`Mailbox::growths`](crate::mailbox::Mailbox::growths)).
     /// The inbox and its spare keep their capacity across drains, so
     /// under single pushes this stops rising once both have grown to
     /// the burst size.
     pub node_alloc_fallback: u64,
     /// Mailbox chain publications performed by `submit_batch`: one per
-    /// shard touched per batch (the whole chain lands under one inbox
-    /// lock). Together with `mailbox_drained` this audits the
-    /// amortization claim — a batch of N messages over S shards shows
-    /// at most S publications here, not N. Per-message `submit` calls
-    /// are not counted.
+    /// batch (the whole chain lands under one inbox lock). Together with
+    /// `mailbox_drained` this audits the amortization claim — a batch of
+    /// N messages shows one publication here, not N. Per-message
+    /// `submit` calls are not counted.
     pub batch_publications: u64,
     /// Decoded network frames submitted through the runtime's
     /// multi-frame ingest (`Runtime::ingest_frames`). Filled by the
@@ -128,7 +126,7 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Field-wise sum, used when aggregating across shards or nodes.
+    /// Field-wise sum, used when aggregating across nodes.
     pub fn merge(&mut self, other: SchedulerStats) {
         self.messages_scheduled += other.messages_scheduled;
         self.operator_acquisitions += other.operator_acquisitions;
@@ -171,11 +169,6 @@ pub enum Decision {
 pub struct Execution {
     lease: OperatorLease,
     acquired_at: PhysicalTime,
-    /// Latency tier of the message the operator was checked out for.
-    tier: u8,
-    /// The lease went to a different operator than deadline order would
-    /// have chosen (already counted in `tier_overtakes`).
-    overtook: bool,
 }
 
 impl Execution {
@@ -187,14 +180,6 @@ impl Execution {
     /// When the lease was checked out (quantum accounting starts here).
     pub fn acquired_at(&self) -> PhysicalTime {
         self.acquired_at
-    }
-
-    pub(crate) fn tier(&self) -> u8 {
-        self.tier
-    }
-
-    pub(crate) fn overtook(&self) -> bool {
-        self.overtook
     }
 }
 
@@ -277,27 +262,19 @@ impl<M> CameoScheduler<M> {
         self.acquire_in(now, false)
     }
 
-    /// [`acquire`](Self::acquire) for one shard of a pool:
-    /// `pool_overdue` says a sibling shard already holds an overdue
-    /// head, which puts this shard in tier order too — the workers are
-    /// shared, so the overload is.
-    pub(crate) fn acquire_in(
-        &mut self,
-        now: PhysicalTime,
-        pool_overdue: bool,
-    ) -> Option<Execution> {
+    /// [`acquire`](Self::acquire) beside a head that is not in the
+    /// queue: `overdue` says that head (the message a yield point
+    /// interrupted) has already missed its start deadline, which puts
+    /// the queue in tier order.
+    pub(crate) fn acquire_in(&mut self, now: PhysicalTime, overdue: bool) -> Option<Execution> {
         self.last_now = self.last_now.max(now);
-        let (lease, pick) = self
-            .queue
-            .pop_with(|head| pool_overdue || head.overdue(now))?;
+        let (lease, pick) = self.queue.pop_with(|head| overdue || head.overdue(now))?;
         self.stats.operator_acquisitions += 1;
         self.stats.overload_acquisitions += u64::from(pick.overloaded);
         self.stats.tier_overtakes += u64::from(pick.overtook);
         Some(Execution {
             lease,
             acquired_at: now,
-            tier: pick.pri.tier(),
-            overtook: pick.overtook,
         })
     }
 
@@ -337,26 +314,12 @@ impl<M> CameoScheduler<M> {
     /// the order goes by tier. Strict latency is independent of the
     /// quantum up to that case.
     pub fn decide(&mut self, exec: &Execution, now: PhysicalTime) -> Decision {
-        self.decide_in(exec, now, false)
-    }
-
-    /// [`decide`](Self::decide) for one shard of a pool; `pool_overdue`
-    /// as in [`acquire_in`](Self::acquire_in).
-    pub(crate) fn decide_in(
-        &mut self,
-        exec: &Execution,
-        now: PhysicalTime,
-        pool_overdue: bool,
-    ) -> Decision {
         self.last_now = self.last_now.max(now);
         let Some(mine) = self.queue.peek_message(&exec.lease) else {
             return Decision::Idle;
         };
         let quantum_expired = now.since(exec.acquired_at) >= self.config.quantum;
-        if self
-            .outranking(mine, now, pool_overdue, quantum_expired)
-            .is_none()
-        {
+        if self.outranking(mine, now, quantum_expired).is_none() {
             return Decision::Continue;
         }
         if quantum_expired {
@@ -372,7 +335,7 @@ impl<M> CameoScheduler<M> {
     /// a leased operator, or one already executing): the operator
     /// `acquire` would hand out at `now`, if it outranks `mine` and
     /// either `quantum_expired` or it sits in a stricter tier. An
-    /// overdue `mine` puts the order by tier, as `pool_overdue` does.
+    /// overdue `mine` puts the order by tier.
     /// [`ShardedScheduler::acquire_preempting`](crate::shard::ShardedScheduler::acquire_preempting)
     /// asks the same question of an in-flight message before the
     /// quantum, so the two share this one rule.
@@ -380,7 +343,6 @@ impl<M> CameoScheduler<M> {
         &self,
         mine: Priority,
         now: PhysicalTime,
-        pool_overdue: bool,
         quantum_expired: bool,
     ) -> Option<Pick> {
         // Before the quantum only a stricter tier can take the worker:
@@ -389,7 +351,7 @@ impl<M> CameoScheduler<M> {
         if !quantum_expired && !self.queue.stricter_tier_runnable(mine.tier()) {
             return None;
         }
-        let already_overloaded = pool_overdue || mine.overdue(now);
+        let already_overloaded = mine.overdue(now);
         self.queue
             .peek_with(|head| already_overloaded || head.overdue(now))
             .filter(|theirs| {
@@ -427,8 +389,6 @@ impl<M> CameoScheduler<M> {
     }
 
     /// Priority of the acquired operator's next pending message, if any.
-    /// Used by the sharded scheduler to compare the in-hand work against
-    /// other shards at quantum boundaries.
     pub fn peek_next(&self, exec: &Execution) -> Option<Priority> {
         self.queue.peek_message(&exec.lease)
     }

@@ -304,7 +304,7 @@ pub const ADAPTIVE_BUF_INIT: usize = 2 * 1024;
 /// The caller hands all frames decoded from one read to
 /// [`Runtime::ingest_frames`](crate::runtime::Runtime::ingest_frames)
 /// as a unit — that is what converts "N frames in one socket read"
-/// into one per-shard batch publication downstream.
+/// into one batch publication downstream.
 #[derive(Debug)]
 pub struct FrameDecoder {
     /// The connection buffer. Valid bytes live in `start..end`; the

@@ -34,7 +34,7 @@
 //! buffer that carries partial frames across reads and across bursts),
 //! then hands the frames of *all* ready connections to
 //! [`Runtime::ingest_frames`] in chunks of up to `SUBMIT_CHUNK` frames
-//! — one mailbox CAS, one hint update and one worker wake per shard per
+//! — one mailbox publication, one hint update and one worker wake per
 //! chunk, however many connections contributed. An event loop coalesces
 //! *across* its sockets, so batching gets stronger as connection count
 //! grows. Readiness is level-triggered: a connection with more buffered

@@ -1,4 +1,4 @@
-//! The real-time actor runtime: a worker pool draining the *sharded*
+//! The real-time actor runtime: a worker pool draining one shared
 //! Cameo scheduler under wall-clock time.
 //!
 //! This is the Flare/Orleans role in the paper's stack, rebuilt the way
@@ -11,39 +11,31 @@
 //!
 //! ## Scheduling path
 //!
-//! Earlier versions funneled every `submit`/`acquire`/`decide`/`release`
-//! through a single `Mutex<CameoScheduler>`, so all workers serialized
-//! on one lock per message — the opposite of the paper's "scheduler
-//! overhead stays negligible as workers scale" claim (§5.2, Fig 12).
-//! The runtime now drives a [`ShardedScheduler`]: operators hash to
-//! independent scheduler shards, each worker is *affine* to a home
-//! shard (`worker_index % shards`), and a worker steals the globally
-//! most urgent operator from other shards whenever its home shard is
-//! idle or strictly less urgent.
+//! Every worker drives one [`ShardedScheduler`]: a single
+//! `CameoScheduler` behind one lock, which every worker takes for its
+//! `acquire`/`take`/`decide`/`release` calls (`cameo_core::shard` says
+//! why one lock and not per-worker shards).
 //!
-//! Ingress stays *off the shard lock*: `submit` pushes into the target
-//! shard's mailbox under the mailbox's own inbox lock, lowers the
-//! shard's best-priority hint, and wakes a parked worker — it never
-//! takes the shard mutex, so ingest threads (TCP sources, operator
-//! fan-out) cannot block the worker dispatching from that shard.
-//! Ingress is also *batched end to end*: source batches
-//! ([`Runtime::ingest_batch`]), whole socket reads
+//! Ingress stays *off the scheduler lock*: `submit` pushes into the
+//! scheduler's mailbox under the mailbox's own inbox lock, lowers the
+//! tier hint, and wakes a parked worker — it never takes the scheduler
+//! mutex, so ingest threads (TCP sources, operator fan-out) cannot
+//! block a dispatching worker. Ingress is also *batched end to end*:
+//! source batches ([`Runtime::ingest_batch`]), whole socket reads
 //! ([`Runtime::ingest_frames`] — every frame one TCP read completed,
 //! see `crate::net`) and operator fan-out all travel through
 //! `ShardedScheduler::submit_batch`, paying one mailbox publication,
-//! one hint update and one wake per *shard* per call instead of per
-//! message. Workers fold the mailbox into the shard's two-level queue
-//! under the lock they already hold at acquire/take/decide/release
-//! boundaries. Per-shard condvars replace the single condvar;
-//! parks are bounded (`PARK_TIMEOUT`) so cross-shard work is picked up
-//! promptly even when wakeups race, and the park/wake handshake itself
-//! is lost-wakeup-free (see `cameo_core::shard`).
+//! one hint update and one wake per call instead of per message.
+//! Workers fold the mailbox into the two-level queue under the lock
+//! they already hold at acquire/take/decide/release boundaries. Idle
+//! workers park on one condvar; the park/wake handshake is
+//! lost-wakeup-free (see `cameo_core::shard`).
 //!
 //! Lock ordering: outside a yield point a worker holds at most one
 //! instance lock at a time; reply application locks the *sender*
-//! instance only after the executing instance's guard is dropped. No
-//! shard lock is ever held while an instance lock is held (the sharded
-//! scheduler acquires and releases its internal locks within each call).
+//! instance only after the executing instance's guard is dropped. The
+//! scheduler lock is never held while an instance lock is held (the
+//! scheduler takes and releases its internal locks within each call).
 //!
 //! ## Preemption points
 //!
@@ -64,8 +56,7 @@
 //! ## Fixed pool
 //!
 //! Every setting is fixed at start. `Runtime::start` spawns `workers`
-//! threads and they run until shutdown; the steal slack is
-//! [`SchedulerConfig::steal_threshold`], and a durability snapshot is
+//! threads and they run until shutdown, and a durability snapshot is
 //! taken only when the caller asks for one ([`Runtime::snapshot`]).
 //!
 //! ## Job lifecycle
@@ -92,8 +83,8 @@ use cameo_core::config::SchedulerConfig;
 use cameo_core::ids::JobId;
 use cameo_core::policy::{LlfPolicy, MessageStamp, Policy};
 use cameo_core::priority::Priority;
-use cameo_core::scheduler::{Decision, SchedulerStats};
-use cameo_core::shard::{ShardExecution, ShardedScheduler};
+use cameo_core::scheduler::{Decision, Execution, SchedulerStats};
+use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Clock, Micros, PhysicalTime, SystemClock};
 use cameo_dataflow::event::{Batch, Tuple};
 use cameo_dataflow::expand::{
@@ -111,9 +102,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Upper bound on how long an idle worker sleeps before rescanning all
-/// shards. This is the worst-case steal latency when every wakeup
-/// races; in steady state submits wake the right shard directly.
+/// Upper bound on how long an idle worker sleeps before it looks for
+/// work again. Only a backstop: every publish wakes a parked worker
+/// through the scheduler's one condvar, and the park/wake handshake
+/// does not lose wakeups.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// An output emitted by a job's sink operator.
@@ -286,7 +278,7 @@ pub struct IngestOutcome {
     /// [`JobError::Stale`].
     pub gen_rejected: usize,
     /// Scheduler messages the submitted frames expanded into (what one
-    /// `submit_batch` spliced across the shards).
+    /// `submit_batch` published).
     pub messages: usize,
     /// One entry per generation-rejected frame (so
     /// `rejected.len() == gen_rejected`), carrying the details a
@@ -300,18 +292,15 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// The priority policy building and interpreting contexts.
     pub policy: Arc<dyn Policy>,
-    /// The scheduler's own settings (quantum, starvation limit, shard
-    /// count, steal slack), handed to the [`ShardedScheduler`] as they
-    /// are — except `shards`: `0` (the default) auto-sizes to
-    /// `min(workers, 8)`, and the count is always clamped to `workers`
-    /// so every shard has at least one affine worker.
+    /// The scheduler's own settings (quantum, starvation limit), handed
+    /// to the [`ShardedScheduler`] as they are.
     pub scheduler: SchedulerConfig,
-    /// Pin workers to cores via `sched_setaffinity`, so each home
-    /// shard's queue and mailbox buffers stay on one core (default off; a
-    /// core the kernel refuses is a graceful no-op). The runtime reads
-    /// its *allowed* core set (`sched_getaffinity`) once at startup and
-    /// round-robins workers within it, so co-located runtimes confined
-    /// to disjoint cpusets no longer pile onto core 0.
+    /// Pin workers to cores via `sched_setaffinity`, so the kernel does
+    /// not migrate them (default off; a core the kernel refuses is a
+    /// graceful no-op). The runtime reads its *allowed* core set
+    /// (`sched_getaffinity`) once at startup and round-robins workers
+    /// within it, so co-located runtimes confined to disjoint cpusets
+    /// no longer pile onto core 0.
     pub pin_workers: bool,
     /// Cost-profiling EWMA smoothing factor applied to every deployed
     /// operator's converter (`None` keeps
@@ -357,14 +346,13 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the scheduler's settings: quantum, starvation limit, shard
-    /// count (0 = auto-size) and steal slack.
+    /// Set the scheduler's settings: quantum and starvation limit.
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
         self
     }
 
-    /// Pin workers (and with them their home shards' data) to cores.
+    /// Pin each worker to one core.
     pub fn with_pinning(mut self, on: bool) -> Self {
         self.pin_workers = on;
         self
@@ -386,17 +374,6 @@ impl RuntimeConfig {
         );
         self.profile_alpha = Some(alpha);
         self
-    }
-
-    fn effective_shards(&self) -> usize {
-        let requested = if self.scheduler.shards == 0 {
-            self.workers.min(8)
-        } else {
-            self.scheduler.shards
-        };
-        // `workers == 0` (a queue-only runtime that never drains) is
-        // still a valid configuration; it gets one shard to submit into.
-        requested.clamp(1, self.workers.max(1))
     }
 }
 
@@ -451,7 +428,7 @@ impl JobRt {
     /// Decrement the in-flight count; the decrement that reaches zero
     /// on a draining job wakes the waiting `undeploy`.
     ///
-    /// Ordering (mirrors the shard park/wake protocol): the `SeqCst`
+    /// Ordering (mirrors the scheduler's park/wake protocol): the `SeqCst`
     /// decrement and the `SeqCst` load of `draining` here, against
     /// `undeploy`'s `SeqCst` swap of `draining` and `SeqCst` load of
     /// `inflight`, give a single total order — either this decrement
@@ -521,8 +498,8 @@ struct Shared {
     /// Deploy-time converter smoothing override (see `RuntimeConfig`).
     profile_alpha: Option<f64>,
     /// Multi-frame ingest calls that submitted at least one frame
-    /// (each is one `submit_batch` — at most one mailbox publication
-    /// per shard for the whole socket read).
+    /// (each is one `submit_batch` — one mailbox publication for the
+    /// whole socket read).
     net_batches: AtomicU64,
     /// Frames submitted through those calls; `frames_coalesced /
     /// net_batches` is the achieved frames-per-read ratio.
@@ -574,6 +551,19 @@ impl Shared {
         self.clock.now()
     }
 
+    /// Scheduler empty *and* every live job's in-flight count at zero:
+    /// no admitted message is queued or executing. A worker takes a
+    /// message out of the scheduler before it runs it, so the first
+    /// half alone would miss the one it is executing.
+    fn quiescent(&self, jobs: &JobsTable) -> bool {
+        self.sched.is_empty()
+            && jobs.slots.iter().all(|s| {
+                s.job
+                    .as_ref()
+                    .is_none_or(|j| j.inflight.load(Ordering::SeqCst) == 0)
+            })
+    }
+
     /// True when ingress/lifecycle events should be journaled (durable
     /// runtime outside of recovery replay).
     fn dur_active(&self) -> bool {
@@ -594,9 +584,8 @@ impl Shared {
         }
     }
 
-    /// Batched submit: every shard touched pays one mailbox
-    /// publication, one hint update and one wake (the scheduler wakes
-    /// parked workers on those shards internally).
+    /// Batched submit: one mailbox publication, one hint update and one
+    /// wake for the whole batch.
     fn submit_batch<I: IntoIterator<Item = (cameo_core::ids::OperatorKey, RtMsg)>>(
         &self,
         items: I,
@@ -679,11 +668,10 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Start the runtime: spawn the worker pool and the sharded
-    /// scheduler per `config`. Jobs are deployed afterwards via
+    /// Start the runtime: spawn the worker pool and the scheduler per
+    /// `config`. Jobs are deployed afterwards via
     /// [`deploy`](Self::deploy).
     pub fn start(config: RuntimeConfig) -> Self {
-        let sched_config = config.scheduler.with_shards(config.effective_shards());
         let pin = config.pin_workers;
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -698,7 +686,7 @@ impl Runtime {
         };
         let shared = Arc::new(Shared {
             clock: SystemClock::new(),
-            sched: ShardedScheduler::new(sched_config),
+            sched: ShardedScheduler::new(config.scheduler),
             jobs: RwLock::new(JobsTable::default()),
             policy: config.policy.clone(),
             shutdown: AtomicBool::new(false),
@@ -862,7 +850,7 @@ impl Runtime {
     /// happens, not at the next poll tick (the wait is skipped when the
     /// runtime has no workers — nothing would ever drain) — then retire
     /// the job in the scheduler — [`ShardedScheduler::retire_job`] purges whatever the
-    /// drain left in every shard's mailbox and two-level queue and
+    /// drain left in the mailbox and the two-level queue and
     /// keeps refusing the job id until the slot is redeployed — and
     /// finally free the slot, bumping its generation so outstanding
     /// handles and in-flight messages of the retired job are rejected
@@ -997,18 +985,18 @@ impl Runtime {
         if let Some(rec) = dur_rec {
             self.shared.dur_append(&JournalRecord::Frames(vec![rec]));
         }
-        // One mailbox CAS + one hint update + one wake per shard for
-        // the whole batch, instead of per-message traffic.
+        // One mailbox publication + one hint update + one wake for the
+        // whole batch, instead of per-message traffic.
         self.shared.submit_batch(outbound);
         Ok(())
     }
 
     /// Ingest a whole read's worth of decoded network frames as **one**
     /// scheduler batch: every frame is routed through its job's ingest
-    /// instance, and the outbound messages of *all* frames are spliced
-    /// into the per-shard mailboxes together — one mailbox CAS, one
-    /// hint update and one wake per shard for the entire call, however
-    /// many frames (and jobs) it spans. This is the multi-frame twin of
+    /// instance, and the outbound messages of *all* frames are published
+    /// to the mailbox together — one publication, one hint update and
+    /// one wake for the entire call, however many frames (and jobs) it
+    /// spans. This is the multi-frame twin of
     /// [`ingest_batch`](Self::ingest_batch) and the entry point the TCP
     /// serve loop uses for frame coalescing.
     ///
@@ -1163,12 +1151,11 @@ impl Runtime {
             .map(|inst| relock(inst).converter.profile.own_cost()))
     }
 
-    /// Scheduler counters, aggregated across shards, plus the
-    /// runtime-level network-coalescing counters (`net_batches`,
-    /// `frames_coalesced`, `gen_rejected_frames`), the runtime's own
-    /// stale-execution drops (folded into `retired_drops`), and the
-    /// deadline hit/miss totals folded from every deployed job's sink
-    /// statistics.
+    /// Scheduler counters, plus the runtime-level network-coalescing
+    /// counters (`net_batches`, `frames_coalesced`,
+    /// `gen_rejected_frames`), the runtime's own stale-execution drops
+    /// (folded into `retired_drops`), and the deadline hit/miss totals
+    /// folded from every deployed job's sink statistics.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let mut stats = self.shared.sched.stats();
         stats.net_batches += self.shared.net_batches.load(Ordering::Relaxed);
@@ -1194,16 +1181,11 @@ impl Runtime {
         self.shared.live_workers.load(Ordering::SeqCst)
     }
 
-    /// Mailbox buffer capacity across all shards, in 512-message units
-    /// (a live gauge, rounded up). The name predates the locked
-    /// mailbox, whose inbox buffers replaced 512-slot arena segments.
+    /// Mailbox buffer capacity, in 512-message units (a live gauge,
+    /// rounded up). The name predates the locked mailbox, whose inbox
+    /// buffers replaced 512-slot arena segments.
     pub fn arena_segments(&self) -> usize {
         self.shared.sched.mailbox_capacity().div_ceil(512)
-    }
-
-    /// Number of scheduler shards in use.
-    pub fn shard_count(&self) -> usize {
-        self.shared.sched.shard_count()
     }
 
     /// Pending message count.
@@ -1211,16 +1193,23 @@ impl Runtime {
         self.shared.sched.len()
     }
 
-    /// Wait (bounded) for the queue to drain.
-    pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while std::time::Instant::now() < deadline {
-            if self.queue_len() == 0 {
+    /// Wait (bounded) until the runtime is quiescent — the scheduler
+    /// empty *and* no live job with a message in flight — so that every
+    /// message admitted before the call has finished executing and its
+    /// outputs are counted. Returns `false` if `timeout` passes first.
+    pub fn drain(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let jobs = self.shared.jobs.read().unwrap_or_else(|p| p.into_inner());
+            if self.shared.quiescent(&jobs) {
                 return true;
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            drop(jobs);
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
-        self.queue_len() == 0
     }
 
     /// Take an operator-state snapshot now, waiting up to five seconds
@@ -1498,20 +1487,17 @@ fn spawn_worker(shared: &Arc<Shared>, id: usize, core: Option<usize>) -> JoinHan
     std::thread::Builder::new()
         .name(format!("cameo-worker-{id}"))
         .spawn(move || {
-            // Pin before the first drain so the home shard's buffers
-            // are first-touched (and kept) by this core. Failure is
-            // benign: the worker just keeps the default
-            // affinity.
+            // Pin before the first acquire. Failure is benign: the
+            // worker just keeps the default affinity.
             if core.is_some_and(cameo_core::affinity::pin_to_core) {
                 sh.pinned.fetch_add(1, Ordering::Relaxed);
             }
-            worker_loop(sh, id)
+            worker_loop(sh)
         })
         .expect("spawn worker thread")
 }
 
-fn worker_loop(sh: Arc<Shared>, id: usize) {
-    let home = id % sh.sched.shard_count();
+fn worker_loop(sh: Arc<Shared>) {
     sh.live_workers.fetch_add(1, Ordering::SeqCst);
     // Decrement on *every* exit — including an operator UDF panic
     // unwinding through the worker — so `worker_count` never sticks
@@ -1528,16 +1514,15 @@ fn worker_loop(sh: Arc<Shared>, id: usize) {
     let in_flight: Rc<Cell<Option<InFlight>>> = Rc::default();
     let _hook = preempt::install({
         let (sh, in_flight) = (sh.clone(), in_flight.clone());
-        move || preempt_in_flight(&sh, home, &in_flight)
+        move || preempt_in_flight(&sh, &in_flight)
     });
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Acquire the most urgent operator (home shard first, stealing
-        // from hotter shards), parking briefly when everything is idle.
-        let Some(exec) = sh.sched.acquire(home, sh.now()) else {
-            sh.sched.park(home, PARK_TIMEOUT);
+        // Acquire the most urgent operator, parking when there is none.
+        let Some(exec) = sh.sched.acquire(0, sh.now()) else {
+            sh.sched.park(PARK_TIMEOUT);
             continue;
         };
         run_lease(&sh, exec, &in_flight);
@@ -1549,7 +1534,7 @@ type InFlight = (Priority, JobId);
 
 /// Drain one leased operator until the scheduler says stop, recording
 /// each message in `in_flight` while it executes.
-fn run_lease(sh: &Arc<Shared>, exec: ShardExecution, in_flight: &Cell<Option<InFlight>>) {
+fn run_lease(sh: &Arc<Shared>, exec: Execution, in_flight: &Cell<Option<InFlight>>) {
     loop {
         let Some((msg, pri)) = sh.sched.take_message(&exec) else {
             sh.sched.release(exec);
@@ -1560,13 +1545,9 @@ fn run_lease(sh: &Arc<Shared>, exec: ShardExecution, in_flight: &Cell<Option<InF
         match sh.sched.decide(&exec, sh.now()) {
             Decision::Continue => continue,
             Decision::Swap | Decision::Idle => {
-                let shard = exec.shard();
-                // The released operator may still be runnable (swap
-                // leaves messages behind); wake a parked sibling on
-                // that shard.
-                if sh.sched.release(exec) {
-                    sh.sched.notify_shard(shard);
-                }
+                // `release` wakes a parked sibling for what a swap
+                // leaves behind.
+                sh.sched.release(exec);
                 return;
             }
         }
@@ -1579,20 +1560,16 @@ fn run_lease(sh: &Arc<Shared>, exec: ShardExecution, in_flight: &Cell<Option<InF
 /// the interrupted message resume. Returns the wall time it spent. The
 /// nested leases' own yield points find no hook (it is out while this
 /// runs), so nesting stops at one level.
-fn preempt_in_flight(
-    sh: &Arc<Shared>,
-    home: usize,
-    in_flight: &Cell<Option<InFlight>>,
-) -> Duration {
+fn preempt_in_flight(sh: &Arc<Shared>, in_flight: &Cell<Option<InFlight>>) -> Duration {
     let Some((pri, job)) = in_flight.get() else {
         return Duration::ZERO;
     };
-    // Nothing stricter waiting (the common case): two loads, no clock.
+    // Nothing stricter waiting (the common case): one load, no clock.
     if !sh.sched.stricter_tier_waiting(pri.tier()) {
         return Duration::ZERO;
     }
     let started = Instant::now();
-    while let Some(exec) = sh.sched.acquire_preempting(home, pri, job, sh.now()) {
+    while let Some(exec) = sh.sched.acquire_preempting(pri, job, sh.now()) {
         run_lease(sh, exec, in_flight);
     }
     in_flight.set(Some((pri, job)));
@@ -1620,13 +1597,7 @@ fn try_snapshot(sh: &Arc<Shared>, wait: Duration) -> Result<u64, SnapshotError> 
         {
             let jobs = sh.jobs.read().unwrap_or_else(|p| p.into_inner());
             let guard = dur.journal.begin();
-            let quiescent = sh.sched.is_empty()
-                && jobs.slots.iter().all(|s| {
-                    s.job
-                        .as_ref()
-                        .is_none_or(|j| j.inflight.load(Ordering::SeqCst) == 0)
-                });
-            if quiescent {
+            if sh.quiescent(&jobs) {
                 let offset = guard.offset();
                 let seq = dur.snapshot_seq.fetch_add(1, Ordering::AcqRel) + 1;
                 let mut slots = Vec::with_capacity(jobs.slots.len());
@@ -1832,11 +1803,11 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
                 .process_reply(&mut inst.converter, sender.edge, &rc);
         }
     }
-    // Operator fan-out goes out as one batch per shard (one
-    // publication + hint + wake). The fan-out is counted in-flight
-    // *before* this message's own decrement (the `InflightMsg` guard,
-    // dropped at scope end), so the job's inflight count cannot dip to
-    // zero while a causal chain is still alive.
+    // Operator fan-out goes out as one batch (one publication + hint +
+    // wake). The fan-out is counted in-flight *before* this message's
+    // own decrement (the `InflightMsg` guard, dropped at scope end), so
+    // the job's inflight count cannot dip to zero while a causal chain
+    // is still alive.
     jrt.inflight
         .fetch_add(outbound.len() as u64, Ordering::AcqRel);
     sh.submit_batch(
@@ -1955,12 +1926,11 @@ mod tests {
     #[test]
     fn zero_worker_runtime_still_constructs() {
         // A queue-only runtime (submissions accumulate, nothing drains)
-        // was accepted before the sharding refactor and must stay valid.
+        // is a valid configuration.
         let rt = Runtime::start(RuntimeConfig {
             workers: 0,
             ..Default::default()
         });
-        assert_eq!(rt.shard_count(), 1);
         let job = rt
             .deploy(&tiny_query("q", 5_000), &ExpandOptions::default())
             .unwrap();
@@ -1968,29 +1938,6 @@ mod tests {
             .unwrap();
         assert!(rt.queue_len() > 0, "message queued with no one to drain it");
         rt.shutdown();
-    }
-
-    #[test]
-    fn explicit_shard_count_is_clamped_to_workers() {
-        for (workers, shards, expect) in [(2, 16, 2), (4, 3, 3)] {
-            let rt = Runtime::start(
-                RuntimeConfig::default()
-                    .with_workers(workers)
-                    .with_scheduler(SchedulerConfig::default().with_shards(shards)),
-            );
-            assert_eq!(rt.shard_count(), expect, "shards clamp to worker count");
-            rt.shutdown();
-        }
-    }
-
-    #[test]
-    fn default_shard_count_follows_the_worker_count() {
-        // Nobody chose a shard count: one per worker, at most eight.
-        for (workers, expect) in [(4, 4), (12, 8)] {
-            let rt = Runtime::start(RuntimeConfig::default().with_workers(workers));
-            assert_eq!(rt.shard_count(), expect, "{workers} workers");
-            rt.shutdown();
-        }
     }
 
     #[test]
@@ -2043,11 +1990,9 @@ mod tests {
     #[test]
     fn sharded_runtime_processes_everything() {
         let rt = Runtime::start(
-            RuntimeConfig::default().with_workers(4).with_scheduler(
-                SchedulerConfig::default()
-                    .with_shards(4)
-                    .with_quantum(Micros(100)),
-            ),
+            RuntimeConfig::default()
+                .with_workers(4)
+                .with_scheduler(SchedulerConfig::default().with_quantum(Micros(100))),
         );
         let job = rt
             .deploy(&tiny_query("sh", 5_000), &ExpandOptions::default())
@@ -2071,7 +2016,7 @@ mod tests {
         assert!(stats.messages_scheduled > 0);
         assert!(
             rt.job_stats(job).unwrap().outputs >= 1,
-            "windows fired across shards"
+            "windows fired with four workers on one scheduler"
         );
         rt.shutdown();
     }
@@ -2095,12 +2040,7 @@ mod tests {
 
     #[test]
     fn pinned_runtime_processes_everything() {
-        let rt = Runtime::start(
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_scheduler(SchedulerConfig::default().with_shards(2))
-                .with_pinning(true),
-        );
+        let rt = Runtime::start(RuntimeConfig::default().with_workers(2).with_pinning(true));
         // Probe whether this host can pin the cores the two workers
         // will target: workers now round-robin within the startup
         // affinity mask, so the targets are the first entries of
@@ -2157,12 +2097,7 @@ mod tests {
                 vec![target],
                 "pin_to_core narrows the mask to one core"
             );
-            let rt = Runtime::start(
-                RuntimeConfig::default()
-                    .with_workers(2)
-                    .with_scheduler(SchedulerConfig::default().with_shards(2))
-                    .with_pinning(true),
-            );
+            let rt = Runtime::start(RuntimeConfig::default().with_workers(2).with_pinning(true));
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
             while rt.pinned_workers() < 2 && std::time::Instant::now() < deadline {
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -2260,7 +2195,6 @@ mod tests {
                 }
             }
             assert!(rt.drain(std::time::Duration::from_secs(5)));
-            std::thread::sleep(std::time::Duration::from_millis(50));
             let outputs = rt.job_stats(job).unwrap().outputs;
             rt.shutdown();
             outputs
@@ -2334,7 +2268,7 @@ mod tests {
         );
         let job = rt.deploy(&spec, &ExpandOptions::default()).unwrap();
         assert_eq!(rt.arena_segments(), 0, "no buffer before the first mail");
-        // One ingest call publishes one chain per shard: at least 1 200
+        // One ingest call publishes one chain: at least 1 200
         // messages, more than two 512-message units.
         let frames: Vec<IngestFrame> = (0..1_200u64)
             .map(|i| {

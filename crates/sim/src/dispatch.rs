@@ -20,8 +20,8 @@ use crate::message::SimMsg;
 use cameo_core::config::SchedulerConfig;
 use cameo_core::ids::OperatorKey;
 use cameo_core::priority::Priority;
-use cameo_core::scheduler::{Decision, SchedulerStats};
-use cameo_core::shard::{ShardExecution, ShardedScheduler};
+use cameo_core::scheduler::{Decision, Execution, SchedulerStats};
+use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Micros, PhysicalTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 pub struct DispatchLease {
     pub key: OperatorKey,
     /// Backing lease for the Cameo dispatcher.
-    exec: Option<ShardExecution>,
+    exec: Option<Execution>,
     acquired_at: PhysicalTime,
 }
 
@@ -60,24 +60,15 @@ pub trait Dispatcher: Send {
 
 // ---------------------------------------------------------------- Cameo
 
-/// The paper's scheduler: wraps the [`ShardedScheduler`] (per-shard
-/// two-level priority queues + quantum logic + urgency-aware stealing,
-/// fed through lock-free submission mailboxes).
-/// With one shard — the default — this is exactly the single two-level
-/// queue of §5.2, and the simulator's event loop stays bit-for-bit
-/// deterministic: `submit` parks messages in the shard mailbox, and the
+/// The paper's scheduler: wraps the runtime's [`ShardedScheduler`] (the
+/// two-level priority queue of §5.2 with its quantum logic, fed through
+/// a submission mailbox). The simulator's event loop stays bit-for-bit
+/// deterministic: `submit` parks messages in the mailbox, and the
 /// scheduler folds the mailbox into the two-level queue *in submission
 /// order* before every simulated acquire/take/decide/release it
 /// performs, so the queue state at every observation point is that of a
-/// bare `CameoScheduler` submitted to directly.
-/// Multi-shard configurations model the production runtime's sharded
-/// hot path: workers map to home shards (`worker % shards`) and steal
-/// per the configured threshold, still deterministically — the
-/// simulator is single-threaded, so hints take the same value on every
-/// run. (Between a submit and the next drain of that shard, a hint is
-/// a lower *bound* rather than exact — acquire re-drains its pick until
-/// stable, while `decide`'s cross-shard check may act on the bound;
-/// both deterministically.)
+/// bare `CameoScheduler` submitted to directly. Every worker of a node
+/// shares it, as every worker of a runtime does.
 pub struct CameoDispatcher {
     inner: ShardedScheduler<SimMsg>,
 }
@@ -95,8 +86,8 @@ impl Dispatcher for CameoDispatcher {
         self.inner.submit(key, msg, pri);
     }
 
-    fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<DispatchLease> {
-        let exec = self.inner.acquire(worker as usize, now)?;
+    fn acquire(&mut self, _worker: u16, now: PhysicalTime) -> Option<DispatchLease> {
+        let exec = self.inner.acquire(0, now)?;
         Some(DispatchLease {
             key: exec.key(),
             acquired_at: now,
@@ -125,50 +116,6 @@ impl Dispatcher for CameoDispatcher {
 
     fn stats(&self) -> SchedulerStats {
         self.inner.stats()
-    }
-}
-
-#[cfg(test)]
-mod cameo_dispatcher_shard_tests {
-    use super::*;
-    use crate::message::SimMsg;
-    use cameo_core::context::PriorityContext;
-    use cameo_core::ids::{JobId, MessageId};
-    use cameo_dataflow::event::Batch;
-
-    fn key(op: u32) -> OperatorKey {
-        OperatorKey::new(JobId(0), op)
-    }
-
-    fn msg(tag: u64) -> SimMsg {
-        SimMsg {
-            channel: 0,
-            batch: Batch::new(vec![], PhysicalTime(tag)),
-            pc: PriorityContext::initialize(MessageId(tag), JobId(0), Micros(0)),
-            sender: None,
-        }
-    }
-
-    #[test]
-    fn multi_shard_dispatcher_drains_in_urgency_order() {
-        let mut d = CameoDispatcher::new(
-            SchedulerConfig::default()
-                .with_quantum(Micros::ZERO)
-                .with_shards(4),
-        );
-        for op in 0..16u32 {
-            d.submit(key(op), msg(op as u64), Priority::uniform(op as i64), None);
-        }
-        let mut order = Vec::new();
-        while let Some(lease) = d.acquire(0, PhysicalTime::ZERO) {
-            while let Some(m) = d.take(&lease) {
-                order.push(m.batch.time.0);
-            }
-            d.release(lease, 0);
-        }
-        // Threshold 0: global urgency order survives sharding exactly
-        // (all priorities here are distinct).
-        assert_eq!(order, (0..16u64).collect::<Vec<_>>());
     }
 }
 

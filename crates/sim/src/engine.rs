@@ -95,13 +95,6 @@ pub struct EngineConfig {
     pub sched: SchedulerKind,
     /// Re-scheduling quantum (§5.2; default 1 ms).
     pub quantum: Micros,
-    /// Scheduler shards per node for the Cameo/FIFO dispatchers. The
-    /// default of 1 reproduces the single two-level queue bit-for-bit;
-    /// larger values model the sharded hot path (still deterministic —
-    /// the event loop is single-threaded).
-    pub shards: usize,
-    /// Steal slack for multi-shard dispatch (ignored at 1 shard).
-    pub steal_threshold: Micros,
     pub cost: CostConfig,
     pub seed: u64,
     /// Capture sink output records for correctness checks.
@@ -144,8 +137,6 @@ impl EngineConfig {
             cluster,
             sched,
             quantum: Micros::from_millis(1),
-            shards: 1,
-            steal_threshold: Micros::ZERO,
             cost: CostConfig::default(),
             seed: 1,
             capture_outputs: false,
@@ -329,10 +320,7 @@ impl Engine {
         let make_dispatcher = |workers: u16| -> Box<dyn Dispatcher> {
             match cfg.sched {
                 SchedulerKind::Cameo(_) | SchedulerKind::Fifo => Box::new(CameoDispatcher::new(
-                    SchedulerConfig::default()
-                        .with_quantum(cfg.quantum)
-                        .with_shards(cfg.shards)
-                        .with_steal_threshold(cfg.steal_threshold),
+                    SchedulerConfig::default().with_quantum(cfg.quantum),
                 )),
                 SchedulerKind::OrleansLike => {
                     Box::new(OrleansDispatcher::new(workers, cfg.quantum))

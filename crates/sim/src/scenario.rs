@@ -32,10 +32,6 @@ pub struct Scenario {
     pub cluster: ClusterSpec,
     pub sched: SchedulerKind,
     pub quantum: Micros,
-    /// Scheduler shards per node (Cameo/FIFO dispatchers); 1 = the
-    /// paper's single two-level queue.
-    pub shards: usize,
-    pub steal_threshold: Micros,
     pub cost: CostConfig,
     pub seed: u64,
     pub capture_outputs: bool,
@@ -62,8 +58,6 @@ impl Scenario {
             cluster,
             sched,
             quantum: Micros::from_millis(1),
-            shards: 1,
-            steal_threshold: Micros::ZERO,
             cost: CostConfig::default(),
             seed: 1,
             capture_outputs: false,
@@ -104,16 +98,6 @@ impl Scenario {
 
     pub fn with_quantum(mut self, q: Micros) -> Self {
         self.quantum = q;
-        self
-    }
-
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    pub fn with_steal_threshold(mut self, slack: Micros) -> Self {
-        self.steal_threshold = slack;
         self
     }
 
@@ -287,8 +271,6 @@ impl Scenario {
     ) -> Engine {
         let mut cfg = EngineConfig::new(self.cluster, self.sched);
         cfg.quantum = self.quantum;
-        cfg.shards = self.shards;
-        cfg.steal_threshold = self.steal_threshold;
         cfg.cost = self.cost;
         cfg.seed = self.seed;
         cfg.capture_outputs = self.capture_outputs;

@@ -5,7 +5,7 @@
 //! Clients here send *bursts*: `IngestClient::send_many` writes several
 //! frames with one syscall, the server's streaming decoder pulls the
 //! whole burst out of one socket read, and `Runtime::ingest_frames`
-//! splices all of it into the scheduler as one per-shard batch. The
+//! splices all of it into the scheduler as one batch. The
 //! run ends by printing the coalescing counters — frames per network
 //! batch is the amortization the batched path buys.
 //!
@@ -83,7 +83,7 @@ fn main() -> std::io::Result<()> {
     };
     println!(
         "coalescing: {} frames in {} network batches ({ratio:.1} frames/read), \
-         {} per-shard chain publications",
+         {} chain publications",
         sched.frames_coalesced, sched.net_batches, sched.batch_publications,
     );
     println!(

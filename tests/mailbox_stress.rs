@@ -1,5 +1,5 @@
-//! Stress tests for the shard ingress path: N submitters × M workers
-//! hammering the per-shard submission mailboxes, regression tests aimed
+//! Stress tests for the scheduler's ingress path: N submitters × M
+//! workers hammering the submission mailbox, regression tests aimed
 //! squarely at the park/wake race window (including a publish that
 //! races a drain's buffer swap), and property/stress coverage for the
 //! mailbox itself: FIFO must survive pushes and chain publications
@@ -30,9 +30,7 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
     const TOTAL: u64 = SUBMITTERS as u64 * PER_THREAD;
 
     let sched: Arc<ShardedScheduler<(u32, u64)>> = Arc::new(ShardedScheduler::new(
-        SchedulerConfig::default()
-            .with_shards(WORKERS)
-            .with_quantum(Micros(20)),
+        SchedulerConfig::default().with_quantum(Micros(20)),
     ));
     let consumed = Arc::new(AtomicUsize::new(0));
     // op id -> delivered message ids, appended while the lease is held,
@@ -49,7 +47,7 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
                     let op = (t * OPS_PER_SUBMITTER + i % OPS_PER_SUBMITTER) as u32;
                     // Equal priorities within an operator, so delivery
                     // order == submission order is a hard requirement.
-                    let _ = sched.submit(key(0, op), (op, i), Priority::uniform(t as i64));
+                    sched.submit(key(0, op), (op, i), Priority::uniform(t as i64));
                 }
             })
         })
@@ -64,7 +62,7 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
                 let mut now = 0u64;
                 while consumed.load(Ordering::Acquire) < TOTAL as usize {
                     let Some(exec) = sched.acquire(w, PhysicalTime(now)) else {
-                        sched.park(w, Duration::from_millis(1));
+                        sched.park(Duration::from_millis(1));
                         continue;
                     };
                     while let Some(((op, id), _)) = sched.take_message(&exec) {
@@ -78,9 +76,7 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
                             Decision::Swap | Decision::Idle => break,
                         }
                     }
-                    if sched.release(exec) {
-                        sched.notify_shard(w);
-                    }
+                    sched.release(exec);
                 }
                 sched.notify_all();
             })
@@ -319,14 +315,14 @@ fn submit_during_park_race_window_always_wakes() {
                     // The dangerous moment: going to sleep right as the
                     // next round's submit flies in. Long timeout so a
                     // lost wakeup is loud, not papered over.
-                    None => sched.park(0, Duration::from_secs(10)),
+                    None => sched.park(Duration::from_secs(10)),
                 }
             }
         })
     };
 
     for r in 0..ROUNDS {
-        let _ = sched.submit(key(0, (r % 7) as u32), r as u64, Priority::uniform(1));
+        sched.submit(key(0, (r % 7) as u32), r as u64, Priority::uniform(1));
         let deadline = Instant::now() + Duration::from_secs(5);
         while consumed.load(Ordering::Acquire) < r + 1 {
             assert!(
@@ -342,7 +338,7 @@ fn submit_during_park_race_window_always_wakes() {
     assert!(sched.is_empty());
 }
 
-/// Same window, many shards and workers parking concurrently: no
+/// Same window, many workers parking concurrently on one condvar: no
 /// submission may be stranded while every worker sleeps.
 #[test]
 fn bursty_submits_never_strand_parked_pool() {
@@ -350,9 +346,7 @@ fn bursty_submits_never_strand_parked_pool() {
     const BURSTS: usize = 50;
     const BURST: u64 = 64;
     let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
-        SchedulerConfig::default()
-            .with_shards(WORKERS)
-            .with_quantum(Micros(0)),
+        SchedulerConfig::default().with_quantum(Micros(0)),
     ));
     let consumed = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicUsize::new(0));
@@ -368,11 +362,9 @@ fn bursty_submits_never_strand_parked_pool() {
                             while sched.take_message(&exec).is_some() {
                                 consumed.fetch_add(1, Ordering::AcqRel);
                             }
-                            if sched.release(exec) {
-                                sched.notify_shard(w);
-                            }
+                            sched.release(exec);
                         }
-                        None => sched.park(w, Duration::from_secs(10)),
+                        None => sched.park(Duration::from_secs(10)),
                     }
                 }
             })
@@ -382,8 +374,8 @@ fn bursty_submits_never_strand_parked_pool() {
     let mut sent = 0usize;
     for b in 0..BURSTS {
         if b % 2 == 0 {
-            // Batched bursts: one chain splice + one wake per shard —
-            // the wake handshake must hold for these too.
+            // Batched bursts: one chain splice + one wake — the wake
+            // handshake must hold for these too.
             sent += sched.submit_batch((0..BURST).map(|i| {
                 (
                     key(0, (b as u64 * BURST + i) as u32 % 61),
@@ -393,7 +385,7 @@ fn bursty_submits_never_strand_parked_pool() {
             }));
         } else {
             for i in 0..BURST {
-                let _ = sched.submit(
+                sched.submit(
                     key(0, (b as u64 * BURST + i) as u32 % 61),
                     i,
                     Priority::uniform(i as i64),
@@ -420,15 +412,13 @@ fn bursty_submits_never_strand_parked_pool() {
 }
 
 /// `ShardedScheduler::len()` is a gauge readers act on (`Runtime::drain`
-/// returns when it reads zero), so while submitters race a draining
+/// waits for it to read zero), so while submitters race a draining
 /// worker it must never read above the messages still inside — a
 /// decrement landing before its increment wraps it to ~`usize::MAX` —
 /// and must read exactly zero once everything submitted was taken.
 /// Every submit path counts a message before it publishes it; at the
 /// parent commit they published first. More submitters than cores, so
-/// that some are preempted between the two steps. With more than one
-/// shard the worker rotates its home and steals from the others, so
-/// messages leave through every shard's count.
+/// that some are preempted between the two steps.
 #[test]
 fn len_never_wraps_while_submitters_race_a_draining_worker() {
     const SUBMITTERS: u64 = 8;
@@ -436,80 +426,74 @@ fn len_never_wraps_while_submitters_race_a_draining_worker() {
     const BATCH: u64 = 5;
     // One single message and one batch per round.
     const TOTAL: usize = (SUBMITTERS * ROUNDS * (1 + BATCH)) as usize;
-    for shards in [1usize, 2, 4] {
-        let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
-            SchedulerConfig::default()
-                .with_shards(shards)
-                .with_quantum(Micros(0)),
-        ));
-        // Bumped by a submitter *before* its submit call, by the worker
-        // *after* its take returned: `started - taken`, read in that
-        // order around a `len()`, bounds what can be inside.
-        let started = Arc::new(AtomicUsize::new(0));
-        let taken = Arc::new(AtomicUsize::new(0));
-        let submitters: Vec<_> = (0..SUBMITTERS)
-            .map(|t| {
-                let (sched, started) = (sched.clone(), started.clone());
-                std::thread::spawn(move || {
-                    for i in 0..ROUNDS {
-                        let op = |n: u64| key(0, ((t + i + n) % 7) as u32);
-                        started.fetch_add(1, Ordering::SeqCst);
-                        sched.submit(op(0), i, Priority::uniform(i as i64));
-                        started.fetch_add(BATCH as usize, Ordering::SeqCst);
-                        sched.submit_batch((0..BATCH).map(|b| (op(b), i, Priority::uniform(0))));
-                    }
-                })
-            })
-            .collect();
-        let check = |sched: &ShardedScheduler<u64>, out: usize| {
-            let len = sched.len();
-            let inside = started.load(Ordering::SeqCst) - out;
-            assert!(
-                len <= inside,
-                "{shards} shard(s): len() read {len} with at most {inside} messages inside"
-            );
-        };
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut out = 0;
-                while out < TOTAL {
-                    let Some(exec) = sched.acquire(out % shards, PhysicalTime::ZERO) else {
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    while sched.take_message(&exec).is_some() {
-                        // Right after a take is when a late increment
-                        // shows: this message's decrement has landed.
-                        check(&sched, out);
-                        out += 1;
-                        taken.store(out, Ordering::SeqCst);
-                    }
-                    sched.release(exec);
+    let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
+        SchedulerConfig::default().with_quantum(Micros(0)),
+    ));
+    // Bumped by a submitter *before* its submit call, by the worker
+    // *after* its take returned: `started - taken`, read in that
+    // order around a `len()`, bounds what can be inside.
+    let started = Arc::new(AtomicUsize::new(0));
+    let taken = Arc::new(AtomicUsize::new(0));
+    let submitters: Vec<_> = (0..SUBMITTERS)
+        .map(|t| {
+            let (sched, started) = (sched.clone(), started.clone());
+            std::thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    let op = |n: u64| key(0, ((t + i + n) % 7) as u32);
+                    started.fetch_add(1, Ordering::SeqCst);
+                    sched.submit(op(0), i, Priority::uniform(i as i64));
+                    started.fetch_add(BATCH as usize, Ordering::SeqCst);
+                    sched.submit_batch((0..BATCH).map(|b| (op(b), i, Priority::uniform(0))));
                 }
-            });
-            while taken.load(Ordering::SeqCst) < TOTAL {
-                check(&sched, taken.load(Ordering::SeqCst));
-                std::thread::yield_now();
+            })
+        })
+        .collect();
+    let check = |sched: &ShardedScheduler<u64>, out: usize| {
+        let len = sched.len();
+        let inside = started.load(Ordering::SeqCst) - out;
+        assert!(
+            len <= inside,
+            "len() read {len} with at most {inside} messages inside"
+        );
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut out = 0;
+            while out < TOTAL {
+                let Some(exec) = sched.acquire(0, PhysicalTime::ZERO) else {
+                    std::thread::yield_now();
+                    continue;
+                };
+                while sched.take_message(&exec).is_some() {
+                    // Right after a take is when a late increment
+                    // shows: this message's decrement has landed.
+                    check(&sched, out);
+                    out += 1;
+                    taken.store(out, Ordering::SeqCst);
+                }
+                sched.release(exec);
             }
         });
-        for h in submitters {
-            h.join().unwrap();
+        while taken.load(Ordering::SeqCst) < TOTAL {
+            check(&sched, taken.load(Ordering::SeqCst));
+            std::thread::yield_now();
         }
-        assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
-        assert!(sched.is_empty());
+    });
+    for h in submitters {
+        h.join().unwrap();
     }
+    assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
+    assert!(sched.is_empty());
 }
 
 /// `Runtime::queue_len()` is this gauge: read while submitters and two
-/// draining workers move messages around (each worker rotates its home
-/// over four shards and steals from the others, so an operator's
-/// leases migrate between workers and its messages leave its shard's
-/// count from both threads), it never reads above the number of
-/// messages submitted — a wrapped per-shard counter would read as
-/// ~`usize::MAX` — and it reads zero once everything is taken.
+/// draining workers move messages around (an operator's leases migrate
+/// between the workers, so its messages leave the count from both
+/// threads), it never reads above the number of messages submitted — a
+/// wrapped counter would read as ~`usize::MAX` — and it reads zero once
+/// everything is taken.
 #[test]
 fn len_stays_bounded_while_operators_migrate() {
-    const SHARDS: usize = 4;
     const WORKERS: usize = 2;
     const SUBMITTERS: u64 = 4;
     const ROUNDS: u64 = 10_000;
@@ -517,9 +501,7 @@ fn len_stays_bounded_while_operators_migrate() {
     const OPS: u64 = 6;
     const TOTAL: usize = (SUBMITTERS * ROUNDS * (1 + BATCH)) as usize;
     let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
-        SchedulerConfig::default()
-            .with_shards(SHARDS)
-            .with_quantum(Micros(0)),
+        SchedulerConfig::default().with_quantum(Micros(0)),
     ));
     // Bumped *before* each submit call, so it bounds what can be inside.
     let submitted = Arc::new(AtomicUsize::new(0));
@@ -550,10 +532,8 @@ fn len_stays_bounded_while_operators_migrate() {
         for w in 0..WORKERS {
             let (sched, taken, check) = (&sched, &taken, &check);
             scope.spawn(move || {
-                let mut turn = w;
                 while taken.load(Ordering::SeqCst) < TOTAL {
-                    turn += 1;
-                    let Some(exec) = sched.acquire(turn % SHARDS, PhysicalTime::ZERO) else {
+                    let Some(exec) = sched.acquire(w, PhysicalTime::ZERO) else {
                         std::thread::yield_now();
                         continue;
                     };
@@ -574,12 +554,11 @@ fn len_stays_bounded_while_operators_migrate() {
         h.join().unwrap();
     }
     assert_eq!(taken.load(Ordering::SeqCst), TOTAL);
-    assert!(sched.stats().steals > 0, "no worker ever stole a lease");
     assert_eq!(sched.len(), 0, "everything taken: the gauge reads empty");
 }
 
 /// A publish that races a drain never leaves `is_empty()` reading true
-/// over queued mail. `ShardedScheduler::park` and the shard's drain
+/// over queued mail. `ShardedScheduler::park` and the scheduler's drain
 /// fast path both trust that flag, so a lapse here is a worker parked
 /// on mail no wakeup will announce. The flag is written under the inbox
 /// lock by every publish and by the drain's swap. Producers contend on

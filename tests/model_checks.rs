@@ -511,12 +511,11 @@ proptest! {
 
     /// No thrash: a worker draining lax backlogs under a stream of
     /// strict messages swaps early at most once per strict message,
-    /// on one shard and across two, and loses nothing doing it.
+    /// and loses nothing doing it.
     #[test]
     fn tier_preemptions_are_bounded_by_stricter_tier_messages(
         arrivals in prop::collection::vec(
             (1u64..400, 0u32..3, (0u8..8).prop_map(|k| k == 0)), 1..160),
-        shards in 1usize..3,
         quantum in quanta(),
     ) {
         // One tier apart, seven lax messages to a strict one, and more
@@ -526,7 +525,7 @@ proptest! {
         const STRICT_L: u64 = 10_000;
         const LAX_L: u64 = 20_000;
         let sh: ShardedScheduler<u64> = ShardedScheduler::new(
-            SchedulerConfig::default().with_quantum(Micros(quantum)).with_shards(shards),
+            SchedulerConfig::default().with_quantum(Micros(quantum)),
         );
         // Arrival times are cumulative gaps; strict jobs use operators
         // 0..3, lax ones 3..6, each with its start deadline L after
@@ -545,7 +544,7 @@ proptest! {
         let total = pending.len();
         let strict_msgs = arrivals.iter().filter(|a| a.2).count() as u64;
         let (mut now, mut done) = (0u64, 0usize);
-        let mut lease: Option<ShardExecution> = None;
+        let mut lease: Option<Execution> = None;
         let admit = |pending: &mut std::collections::VecDeque<_>, now: u64| {
             while pending.front().is_some_and(|p: &(u64, _, _, _)| p.0 <= now) {
                 let (_, key, pri, cost) = pending.pop_front().expect("checked");
@@ -580,11 +579,10 @@ proptest! {
     /// A yield point asks `decide`'s question of the message in flight:
     /// whenever `acquire_preempting` hands out a lease, it is the
     /// operator the boundary rule swaps to by tier, never one of the
-    /// in-flight job's. On one shard it is exactly what `decide`, asked
-    /// at that instant with the in-flight message still queued, does —
+    /// in-flight job's. It is exactly what `decide`, asked at that
+    /// instant with the in-flight message still queued, does —
     /// including its `Continue`s, unless the in-flight job's own
-    /// operator is the one that would win. Across shards it may only be
-    /// more cautious.
+    /// operator is the one that would win.
     #[test]
     fn acquire_preempting_is_decides_swap_by_tier(
         // Never in the strictest tier: something may be stricter.
@@ -592,7 +590,6 @@ proptest! {
         others in prop::collection::vec((0u8..4, start_offset(), 0u32..3), 1..6),
         t0 in 3_000u64..4_000,
         elapsed in 0u64..3_000,
-        shards in 1usize..4,
     ) {
         let now = PhysicalTime(t0 + elapsed);
         // Distinct deadlines: no tie-breaking rule to agree on.
@@ -611,9 +608,7 @@ proptest! {
         // whether it has left the queue (executing) or not (next).
         let pool = |take: bool| {
             let sh: ShardedScheduler<usize> = ShardedScheduler::new(
-                SchedulerConfig::default()
-                    .with_quantum(Micros::from_secs(1))
-                    .with_shards(shards),
+                SchedulerConfig::default().with_quantum(Micros::from_secs(1)),
             );
             sh.submit(OperatorKey::new(JobId(0), 0), 0, mine);
             let exec = sh.acquire(0, PhysicalTime(t0)).expect("one operator");
@@ -626,20 +621,18 @@ proptest! {
             (sh, exec)
         };
         let (executing, _lease) = pool(true);
-        let got = executing.acquire_preempting(0, mine, JobId(0), now);
+        let got = executing.acquire_preempting(mine, JobId(0), now);
         let want = reference_swap(mine, &runnable, now, false);
         if let Some(nested) = &got {
             prop_assert_eq!(Some(nested.key()), want.map(|i| keys[i]));
             prop_assert!(nested.key().job != JobId(0));
         }
-        if shards == 1 {
-            let (queued, lease) = pool(false);
-            let decided = queued.decide(&lease, now);
-            prop_assert_eq!(decided == Decision::Swap, want.is_some());
-            prop_assert_eq!(queued.stats().tier_preemptions, u64::from(want.is_some()));
-            let own_wins = want.is_some_and(|i| keys[i].job == JobId(0));
-            prop_assert_eq!(got.is_some(), want.is_some() && !own_wins);
-        }
+        let (queued, lease) = pool(false);
+        let decided = queued.decide(&lease, now);
+        prop_assert_eq!(decided == Decision::Swap, want.is_some());
+        prop_assert_eq!(queued.stats().tier_preemptions, u64::from(want.is_some()));
+        let own_wins = want.is_some_and(|i| keys[i].job == JobId(0));
+        prop_assert_eq!(got.is_some(), want.is_some() && !own_wins);
     }
 
     /// The Cameo scheduler processes any message set exactly once under

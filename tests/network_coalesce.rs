@@ -1,7 +1,7 @@
 //! Loopback integration tests for coalesced network ingress: frames
 //! written in one send must travel the whole pipeline — socket read →
-//! streaming decoder → `Runtime::ingest_frames` → per-shard batch
-//! chains — as **one** scheduler batch, observable via
+//! streaming decoder → `Runtime::ingest_frames` → one batch chain — as
+//! **one** scheduler batch, observable via
 //! `SchedulerStats` (`net_batches`, `frames_coalesced`,
 //! `batch_publications`).
 
@@ -41,18 +41,16 @@ fn wait_for(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
     ok()
 }
 
-/// The acceptance property: N frames written in one send produce at
-/// most shard-count mailbox publications (here: one — a 0-worker
-/// runtime has a single shard, and nothing drains, so the counters
-/// observe exactly what the socket read produced).
+/// The acceptance property: N frames written in one send produce one
+/// mailbox publication (a 0-worker runtime, so nothing drains and the
+/// counters observe exactly what the socket read produced).
 #[test]
-fn one_send_coalesces_to_at_most_shard_count_publications() {
+fn one_send_coalesces_to_one_publication() {
     const FRAMES: u64 = 8;
     let rt = Arc::new(Runtime::start(cameo::runtime::runtime::RuntimeConfig {
         workers: 0,
         ..Default::default()
     }));
-    assert_eq!(rt.shard_count(), 1);
     let job = rt
         .deploy(&query("coalesce"), &ExpandOptions::default())
         .expect("deploy");
@@ -80,9 +78,9 @@ fn one_send_coalesces_to_at_most_shard_count_publications() {
         stats.net_batches, 1,
         "8 frames in one send = one multi-frame ingest call"
     );
-    assert!(
-        stats.batch_publications <= rt.shard_count() as u64,
-        "one send coalesced into <= shard-count mailbox publications: {stats:?}"
+    assert_eq!(
+        stats.batch_publications, 1,
+        "one send coalesced into one mailbox publication: {stats:?}"
     );
     // Every frame routed: at least one message per frame, at most one
     // per parallel window instance (keys hash-partition across 2).

@@ -1,9 +1,9 @@
 //! The headline claims, as executable tests: under contention Cameo
 //! keeps latency-sensitive jobs' latency at or below every baseline,
 //! token allocations turn into throughput shares, answers never depend
-//! on the scheduler — and sharding the scheduler preserves urgency
-//! order (up to same-priority ties) while never losing or duplicating
-//! a message under concurrent submit/drain.
+//! on the scheduler — and the mailbox in front of the shared scheduler
+//! changes no drain order and never loses or duplicates a message under
+//! concurrent submit/drain.
 
 use cameo::prelude::*;
 use proptest::prelude::*;
@@ -179,90 +179,17 @@ fn answers_are_scheduler_independent_in_mix() {
     assert_eq!(a, c);
 }
 
-// ------------------------------------------------------- sharding
-
-/// Drain a scheduler completely (single-threaded), returning the
-/// acquire-time rank of every lease — the global priority of the first
-/// message taken, which is exactly what ordered the operator in the
-/// queue — plus every drained message for conservation checks.
-fn drain_single(s: &mut CameoScheduler<u64>) -> (Vec<i64>, Vec<u64>) {
-    let mut ranks = Vec::new();
-    let mut msgs = Vec::new();
-    while let Some(exec) = s.acquire(PhysicalTime::ZERO) {
-        let mut first = true;
-        while let Some((m, pri)) = s.take_message(&exec) {
-            if first {
-                ranks.push(pri.global);
-                first = false;
-            }
-            msgs.push(m);
-        }
-        s.release(exec);
-    }
-    (ranks, msgs)
-}
-
-fn drain_sharded(s: &ShardedScheduler<u64>, home: usize) -> (Vec<i64>, Vec<u64>) {
-    let mut ranks = Vec::new();
-    let mut msgs = Vec::new();
-    while let Some(exec) = s.acquire(home, PhysicalTime::ZERO) {
-        let mut first = true;
-        while let Some((m, pri)) = s.take_message(&exec) {
-            if first {
-                ranks.push(pri.global);
-                first = false;
-            }
-            msgs.push(m);
-        }
-        s.release(exec);
-    }
-    (ranks, msgs)
-}
+// ------------------------------------------------- shared scheduler
 
 proptest! {
-    /// With K shards and a steal threshold of zero, a single-threaded
-    /// drain visits operators in exactly the single-shard scheduler's
-    /// urgency order, up to ties between equal global priorities (equal-
-    /// rank operators on different shards may swap places, so the
-    /// *rank sequence* must be identical while the message-to-rank
-    /// assignment may permute within a rank). No message is lost or
-    /// duplicated.
-    #[test]
-    fn sharded_drain_matches_single_shard_order(
-        msgs in prop::collection::vec((0u32..24, -100i64..100, -100i64..100), 1..250),
-        shards in 2usize..6,
-        home in 0usize..6,
-    ) {
-        let mut single: CameoScheduler<u64> =
-            CameoScheduler::new(SchedulerConfig::default().with_quantum(Micros::ZERO));
-        let sharded: ShardedScheduler<u64> = ShardedScheduler::new(
-            SchedulerConfig::default()
-                .with_quantum(Micros::ZERO)
-                .with_shards(shards)
-                .with_steal_threshold(Micros::ZERO),
-        );
-        for (i, &(op, local, global)) in msgs.iter().enumerate() {
-            let key = OperatorKey::new(JobId(0), op);
-            let pri = Priority::new(local, global);
-            single.submit(key, i as u64, pri);
-            sharded.submit(key, i as u64, pri);
-        }
-        let (ranks_a, mut msgs_a) = drain_single(&mut single);
-        let (ranks_b, mut msgs_b) = drain_sharded(&sharded, home);
-        prop_assert_eq!(ranks_a, ranks_b, "urgency order diverged");
-        prop_assert_eq!(msgs_b.len(), msgs.len(), "message lost or duplicated");
-        msgs_a.sort_unstable();
-        msgs_b.sort_unstable();
-        prop_assert_eq!(msgs_a, msgs_b, "message sets diverged");
-    }
-
-    /// At one shard — where a drain makes *every* mailboxed message
-    /// visible before the operation proceeds — the lock-free mailbox
-    /// ingress must be an *exact* behavioral match for a bare
-    /// `CameoScheduler` submitted to directly: same drain order message
-    /// for message, not merely the same rank sequence, for any
+    /// A drain makes *every* mailboxed message visible before the
+    /// operation proceeds, so the mailbox ingress in front of the shared
+    /// scheduler — the only configuration there is — must be an *exact*
+    /// behavioral match for a bare `CameoScheduler` submitted to
+    /// directly: same drain order message for message, for any
     /// interleaving of submit bursts and drain steps. This is the
-    /// property the deterministic simulator relies on.
+    /// property the deterministic simulator relies on. (The name
+    /// predates the deletion of multi-shard configurations.)
     #[test]
     fn mailbox_ingress_matches_bare_scheduler_at_one_shard(
         msgs in prop::collection::vec((0u32..16, -50i64..50, -50i64..50), 1..200),
@@ -315,8 +242,8 @@ proptest! {
     }
 }
 
-/// Hammer `submit` from 8 threads while 4 workers drain concurrently:
-/// every message must come out exactly once, across every shard.
+/// Hammer `submit` from 8 threads while 4 workers drain concurrently
+/// from one scheduler: every message must come out exactly once.
 #[test]
 fn concurrent_submit_drain_loses_nothing() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -328,9 +255,7 @@ fn concurrent_submit_drain_loses_nothing() {
     const TOTAL: u64 = SUBMITTERS as u64 * PER_THREAD;
 
     let sched: Arc<ShardedScheduler<u64>> = Arc::new(ShardedScheduler::new(
-        SchedulerConfig::default()
-            .with_shards(WORKERS)
-            .with_quantum(Micros(50)),
+        SchedulerConfig::default().with_quantum(Micros(50)),
     ));
     let consumed = Arc::new(AtomicUsize::new(0));
     let seen = Arc::new(Mutex::new(Vec::with_capacity(TOTAL as usize)));
@@ -348,9 +273,9 @@ fn concurrent_submit_drain_loses_nothing() {
                         (id.wrapping_mul(31) % 1_000) as i64,
                         (id.wrapping_mul(17) % 1_000) as i64,
                     );
-                    // Lock-free mailbox submit; parked workers are
-                    // woken by the scheduler itself.
-                    let _ = sched.submit(key, id, pri);
+                    // Mailbox submit; parked workers are woken by the
+                    // scheduler itself.
+                    sched.submit(key, id, pri);
                 }
             })
         })
@@ -366,7 +291,7 @@ fn concurrent_submit_drain_loses_nothing() {
                 let mut now = 0u64;
                 while consumed.load(Ordering::Acquire) < TOTAL as usize {
                     let Some(exec) = sched.acquire(w, PhysicalTime(now)) else {
-                        sched.park(w, std::time::Duration::from_millis(1));
+                        sched.park(std::time::Duration::from_millis(1));
                         continue;
                     };
                     while let Some((id, _)) = sched.take_message(&exec) {
@@ -378,9 +303,7 @@ fn concurrent_submit_drain_loses_nothing() {
                             Decision::Swap | Decision::Idle => break,
                         }
                     }
-                    if sched.release(exec) {
-                        sched.notify_shard(w);
-                    }
+                    sched.release(exec);
                 }
                 sched.notify_all(); // release any parked sibling
                 seen.lock().unwrap().extend(local);
