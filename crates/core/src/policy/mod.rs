@@ -118,20 +118,6 @@ impl ConverterState {
         self
     }
 
-    /// Override the cost-profiling EWMA smoothing factor (config knob
-    /// `RuntimeConfig::profile_alpha` / sim `EngineConfig`), keeping
-    /// any seeded priors.
-    pub fn with_profile_alpha(mut self, alpha: f64) -> Self {
-        self.set_profile_alpha(alpha);
-        self
-    }
-
-    /// In-place form of [`with_profile_alpha`](Self::with_profile_alpha)
-    /// for already-deployed converters.
-    pub fn set_profile_alpha(&mut self, alpha: f64) {
-        self.profile.set_alpha(alpha);
-    }
-
     /// Attach a token bucket (token fair-sharing sources only).
     pub fn with_tokens(mut self, bucket: TokenBucket) -> Self {
         self.tokens = Some(bucket);

@@ -18,26 +18,18 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct CostEstimator {
     ewma_us: f64,
-    alpha: f64,
     samples: u64,
 }
 
-/// Default smoothing factor: responsive to workload drift while damping
+/// Smoothing factor: responsive to workload drift while damping
 /// per-message noise.
 pub const DEFAULT_ALPHA: f64 = 0.2;
 
 impl CostEstimator {
     /// An estimator with the [`DEFAULT_ALPHA`] smoothing factor.
     pub fn new() -> Self {
-        Self::with_alpha(DEFAULT_ALPHA)
-    }
-
-    /// An estimator with a caller-chosen smoothing factor in `(0, 1]`.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         CostEstimator {
             ewma_us: 0.0,
-            alpha,
             samples: 0,
         }
     }
@@ -58,7 +50,7 @@ impl CostEstimator {
         if self.samples == 0 {
             self.ewma_us = x;
         } else {
-            self.ewma_us = self.alpha * x + (1.0 - self.alpha) * self.ewma_us;
+            self.ewma_us = DEFAULT_ALPHA * x + (1.0 - DEFAULT_ALPHA) * self.ewma_us;
         }
         self.samples = self.samples.saturating_add(1);
     }
@@ -71,19 +63,6 @@ impl CostEstimator {
     /// Costs recorded so far (priors count as one).
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Change the smoothing factor in place, keeping the estimate and
-    /// sample count (used when deployment config overrides the default
-    /// after priors were seeded).
-    pub fn set_alpha(&mut self, alpha: f64) {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        self.alpha = alpha;
-    }
-
-    /// The smoothing factor in effect.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -128,17 +107,6 @@ impl ProfileState {
     /// Record one observed execution of this operator.
     pub fn record_own_cost(&mut self, cost: Micros) {
         self.own.record(cost);
-    }
-
-    /// Override the own-cost EWMA smoothing factor (keeps any seeded
-    /// prior). See [`CostEstimator::set_alpha`].
-    pub fn set_alpha(&mut self, alpha: f64) {
-        self.own.set_alpha(alpha);
-    }
-
-    /// Current own-cost smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.own.alpha()
     }
 
     /// This operator's current cost estimate (`C_m`).
@@ -230,32 +198,6 @@ mod tests {
     fn prior_seeds_estimate() {
         let e = CostEstimator::with_prior(Micros(250));
         assert_eq!(e.estimate(), Micros(250));
-    }
-
-    #[test]
-    fn set_alpha_keeps_state_and_changes_responsiveness() {
-        let mut e = CostEstimator::with_prior(Micros(100));
-        e.set_alpha(1.0);
-        assert_eq!(e.estimate(), Micros(100), "prior survives the override");
-        assert_eq!(e.alpha(), 1.0);
-        e.record(Micros(900));
-        assert_eq!(e.estimate(), Micros(900), "alpha=1 tracks instantly");
-        let mut damped = CostEstimator::with_prior(Micros(100));
-        damped.set_alpha(0.01);
-        damped.record(Micros(900));
-        assert!(damped.estimate().0 < 200, "alpha=0.01 barely moves");
-    }
-
-    #[test]
-    #[should_panic]
-    fn set_alpha_rejects_out_of_range() {
-        CostEstimator::new().set_alpha(1.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_alpha_rejected() {
-        let _ = CostEstimator::with_alpha(0.0);
     }
 
     #[test]

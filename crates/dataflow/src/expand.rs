@@ -28,11 +28,6 @@ pub struct ExpandOptions {
     /// Token allocation per ingest source under the token fair-sharing
     /// policy: (tokens per interval, interval length).
     pub token_rate: Option<(u64, Micros)>,
-    /// Cost-profiling EWMA smoothing factor for every converter of the
-    /// job (`None` keeps [`cameo_core::profile::DEFAULT_ALPHA`]).
-    /// Seeded priors survive the override — only the responsiveness of
-    /// subsequent updates changes.
-    pub profile_alpha: Option<f64>,
 }
 
 impl Default for ExpandOptions {
@@ -41,7 +36,6 @@ impl Default for ExpandOptions {
             semantics_aware: true,
             seed_profiles: true,
             token_rate: None,
-            profile_alpha: None,
         }
     }
 }
@@ -380,12 +374,6 @@ impl ExpandedJob {
                         );
                     }
                 }
-                // After seeding: `with_prior` rebuilds the profile with
-                // the default alpha, so the override must come last
-                // (it keeps the seeded estimates).
-                if let Some(alpha) = opts.profile_alpha {
-                    converter.set_profile_alpha(alpha);
-                }
                 if stage.is_ingest() {
                     if let Some((tokens, interval)) = opts.token_rate {
                         converter = converter.with_tokens(TokenBucket::new(tokens, interval));
@@ -534,26 +522,6 @@ mod tests {
         assert_eq!(report.cpath, Micros(50));
         // Sink converter: own cost prior 30.
         assert_eq!(j.instances[8].converter.profile.own_cost(), Micros(30));
-    }
-
-    #[test]
-    fn profile_alpha_option_applies_and_keeps_seeds() {
-        let opts = ExpandOptions {
-            profile_alpha: Some(0.75),
-            ..Default::default()
-        };
-        let j = ExpandedJob::expand(&spec(), JobId(0), &opts).unwrap();
-        for inst in &j.instances {
-            assert_eq!(inst.converter.profile.alpha(), 0.75);
-        }
-        // Seeded priors survive the override.
-        assert_eq!(j.instances[8].converter.profile.own_cost(), Micros(30));
-        // Default stays at the crate default.
-        let d = ExpandedJob::expand(&spec(), JobId(0), &ExpandOptions::default()).unwrap();
-        assert_eq!(
-            d.instances[0].converter.profile.alpha(),
-            cameo_core::profile::DEFAULT_ALPHA
-        );
     }
 
     #[test]

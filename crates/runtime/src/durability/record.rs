@@ -14,7 +14,7 @@
 //! plane. `Deploy` and `Undeploy` are lifecycle records: replay applies
 //! them through the normal slot-map paths so slot indices and
 //! generations come back exactly as journaled. `Frames` is a *group
-//! commit* — one record per `ingest_frames`/`ingest_batch` call,
+//! commit* — one record per admitted `ingest`/`ingest_frames` call,
 //! holding every accepted frame of that call **post-stamping**: tuple
 //! logical times and the batch progress are final at append time, so
 //! replayed batches carry their original `LogicalTime`s and windowed

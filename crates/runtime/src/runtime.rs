@@ -21,11 +21,13 @@
 //! tier hint, and wakes a parked worker — it never takes the scheduler
 //! mutex, so ingest threads (TCP sources, operator fan-out) cannot
 //! block a dispatching worker. Ingress is also *batched end to end*:
-//! source batches ([`Runtime::ingest_batch`]), whole socket reads
+//! source batches ([`Runtime::ingest`]), whole socket reads
 //! ([`Runtime::ingest_frames`] — every frame one TCP read completed,
-//! see `crate::net`) and operator fan-out all travel through
-//! `ShardedScheduler::submit_batch`, paying one mailbox publication,
-//! one hint update and one wake per call instead of per message.
+//! see `crate::net`), journal replay and operator fan-out all travel
+//! through `ShardedScheduler::submit_batch`, paying one mailbox
+//! publication, one hint update and one wake per call instead of per
+//! message. The first three share one admission routine, so a replayed
+//! record takes exactly the path its live call took.
 //! Workers fold the mailbox into the two-level queue under the lock
 //! they already hold at acquire/take/decide/release boundaries. Idle
 //! workers park on one condvar; the park/wake handshake is
@@ -302,11 +304,6 @@ pub struct RuntimeConfig {
     /// within it, so co-located runtimes confined to disjoint cpusets
     /// no longer pile onto core 0.
     pub pin_workers: bool,
-    /// Cost-profiling EWMA smoothing factor applied to every deployed
-    /// operator's converter (`None` keeps
-    /// [`cameo_core::profile::DEFAULT_ALPHA`], or whatever the job's
-    /// [`ExpandOptions`] chose).
-    pub profile_alpha: Option<f64>,
     /// Crash durability (`None` — the default — journals nothing and
     /// adds no ingest-path work beyond one branch). With a config, every
     /// accepted ingress call is group-committed to the journal *before*
@@ -325,7 +322,6 @@ impl Default for RuntimeConfig {
             policy: Arc::new(LlfPolicy),
             scheduler: SchedulerConfig::default(),
             pin_workers: false,
-            profile_alpha: None,
             durability: None,
         }
     }
@@ -362,17 +358,6 @@ impl RuntimeConfig {
     /// config's directory. See [`DurabilityConfig`].
     pub fn with_durability(mut self, cfg: DurabilityConfig) -> Self {
         self.durability = Some(cfg);
-        self
-    }
-
-    /// Override the cost-profiling smoothing factor for every job this
-    /// runtime deploys (must be in `(0, 1]`).
-    pub fn with_profile_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "profile_alpha must be in (0, 1]"
-        );
-        self.profile_alpha = Some(alpha);
         self
     }
 }
@@ -482,6 +467,17 @@ impl JobsTable {
     fn occupant(&self, slot: u32) -> Option<&Arc<JobRt>> {
         self.slots.get(slot as usize).and_then(|s| s.job.as_ref())
     }
+
+    /// A raw slot for recovery to restore, growing the table with vacant
+    /// (free) slots up to it: recovery places slots by journaled index,
+    /// not in deploy order.
+    fn slot_mut(&mut self, slot: u32) -> &mut JobSlot {
+        while self.slots.len() <= slot as usize {
+            self.free.push(self.slots.len() as u32);
+            self.slots.push(JobSlot { gen: 0, job: None });
+        }
+        &mut self.slots[slot as usize]
+    }
 }
 
 struct Shared {
@@ -495,8 +491,6 @@ struct Shared {
     stale_exec_drops: AtomicU64,
     /// Workers whose `sched_setaffinity` call succeeded.
     pinned: AtomicUsize,
-    /// Deploy-time converter smoothing override (see `RuntimeConfig`).
-    profile_alpha: Option<f64>,
     /// Multi-frame ingest calls that submitted at least one frame
     /// (each is one `submit_batch` — one mailbox publication for the
     /// whole socket read).
@@ -598,13 +592,11 @@ impl Shared {
 
     /// Route one or more source batches through a job's ingest
     /// instance, appending the priced outbound messages (with their
-    /// scheduler keys) to `outbound`. Shared by the single-batch and
-    /// the multi-frame ingest entry points, so both build identical
-    /// messages and differ only in how many frames feed one
-    /// `submit_batch`. The instance mutex is taken **once** for the
-    /// whole batch slice — a coalesced burst pays the routing lock per
-    /// `(job, source)` group, not per frame. Each batch stays its own
-    /// message set (frame boundaries are preserved downstream).
+    /// scheduler keys) to `outbound`. The instance mutex is taken
+    /// **once** for the whole batch slice — a coalesced burst pays the
+    /// routing lock per `(job, source)` group, not per frame. Each batch
+    /// stays its own message set (frame boundaries are preserved
+    /// downstream).
     fn route_ingest(
         &self,
         jrt: &JobRt,
@@ -692,7 +684,6 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             stale_exec_drops: AtomicU64::new(0),
             pinned: AtomicUsize::new(0),
-            profile_alpha: config.profile_alpha,
             net_batches: AtomicU64::new(0),
             frames_coalesced: AtomicU64::new(0),
             gen_rejected: AtomicU64::new(0),
@@ -783,34 +774,9 @@ impl Runtime {
             slot,
             armed: true,
         };
-        let mut exp = ExpandedJob::expand(spec, id, opts).map_err(DeployError::Graph)?;
-        // Runtime-level smoothing override; a job-level choice in the
-        // ExpandOptions wins over the runtime default.
-        if let Some(alpha) = self.shared.profile_alpha {
-            if opts.profile_alpha.is_none() {
-                for inst in exp.instances.iter_mut() {
-                    inst.converter.set_profile_alpha(alpha);
-                }
-            }
-        }
-        // Slot reuse: lift the scheduler-side retirement mark left by
-        // the previous occupant's undeploy, so the new job's messages
-        // are accepted again.
-        self.shared.sched.reinstate_job(id);
-        let name = exp.name.clone();
-        let job = JobRt {
-            ingests: exp.ingests.clone(),
-            name: name.clone(),
-            latency_constraint: exp.latency_constraint,
-            gen,
-            draining: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
-            drain_lock: Mutex::new(()),
-            drain_cv: Condvar::new(),
-            stats: Arc::new(JobStats::new(exp.latency_constraint)),
-            subscribers: Mutex::new(Vec::new()),
-            instances: exp.instances.into_iter().map(Mutex::new).collect(),
-        };
+        let exp = ExpandedJob::expand(spec, id, opts).map_err(DeployError::Graph)?;
+        let job = self.job_rt(exp, gen);
+        let name = job.name.clone();
         // The slot is about to be occupied, not returned.
         reservation.armed = false;
         self.shared
@@ -828,6 +794,26 @@ impl Runtime {
         self.shared
             .dur_append(&JournalRecord::Deploy { slot, gen, name });
         Ok(JobHandle { slot, gen })
+    }
+
+    /// The runtime side of a job about to occupy its slot at `gen`, for
+    /// `deploy` and recovery alike. Lifts the retirement mark a previous
+    /// occupant's undeploy left in the scheduler.
+    fn job_rt(&self, exp: ExpandedJob, gen: u32) -> JobRt {
+        self.shared.sched.reinstate_job(exp.id);
+        JobRt {
+            ingests: exp.ingests,
+            name: exp.name,
+            latency_constraint: exp.latency_constraint,
+            gen,
+            draining: AtomicBool::new(false),
+            inflight: AtomicU64::new(0),
+            drain_lock: Mutex::new(()),
+            drain_cv: Condvar::new(),
+            stats: Arc::new(JobStats::new(exp.latency_constraint)),
+            subscribers: Mutex::new(Vec::new()),
+            instances: exp.instances.into_iter().map(Mutex::new).collect(),
+        }
     }
 
     /// Undeploy a job: gracefully drain its in-flight work (bounded by
@@ -932,63 +918,14 @@ impl Runtime {
     /// Ingest a batch of tuples at one of the job's sources. Tuples
     /// without meaningful event times may use `LogicalTime::ZERO`; the
     /// runtime stamps ingestion time in that case.
-    pub fn ingest(
-        &self,
-        job: JobHandle,
-        source: u32,
-        mut tuples: Vec<Tuple>,
-    ) -> Result<(), JobError> {
-        let now = self.shared.now();
-        // Ingestion-time stamping for tuples without event time.
-        for t in tuples.iter_mut() {
-            if t.time.0 == 0 {
-                t.time = cameo_core::time::LogicalTime(now.0);
-            }
+    pub fn ingest(&self, job: JobHandle, source: u32, tuples: Vec<Tuple>) -> Result<(), JobError> {
+        let batch = IngestFrame::addressed(job, source, tuples).into_batch(self.shared.now());
+        if self.admit([(job.slot, job.gen, source, batch)]).frames == 1 {
+            return Ok(());
         }
-        let batch = Batch::new(tuples, now);
-        self.ingest_batch(job, source, batch)
-    }
-
-    /// Ingest a pre-stamped batch (arrival time is set to "now").
-    pub fn ingest_batch(
-        &self,
-        job: JobHandle,
-        source: u32,
-        mut batch: Batch,
-    ) -> Result<(), JobError> {
-        let now = self.shared.now();
-        batch.time = now;
-        let jrt = self.lookup(job)?;
-        // Guard before the draining check — see [`IngressGuard`].
-        let _ingress = IngressGuard::new(&jrt);
-        if jrt.draining.load(Ordering::SeqCst) {
-            return Err(JobError::Draining);
-        }
-        // Capture the write-ahead record post-stamping, pre-routing:
-        // replayed tuples must carry the logical times the operators
-        // actually saw.
-        let dur_rec = if self.shared.dur_active() {
-            Some(FrameRecord::from_batch(job.slot, jrt.gen, source, &batch))
-        } else {
-            None
-        };
-        let ingest_idx = jrt.ingests[source as usize % jrt.ingests.len()];
-        let mut outbound = Vec::new();
-        self.shared
-            .route_ingest(&jrt, job.slot, ingest_idx, vec![batch], &mut outbound);
-        jrt.inflight
-            .fetch_add(outbound.len() as u64, Ordering::AcqRel);
-        // Write-ahead: the journal append lands before publication, and
-        // the `IngressGuard` keeps `inflight` nonzero across the append,
-        // so a concurrent snapshot cannot capture an offset past this
-        // record while its effects are unprocessed.
-        if let Some(rec) = dur_rec {
-            self.shared.dur_append(&JournalRecord::Frames(vec![rec]));
-        }
-        // One mailbox publication + one hint update + one wake for the
-        // whole batch, instead of per-message traffic.
-        self.shared.submit_batch(outbound);
-        Ok(())
+        // Refused: a handle the jobs table rejects is `NotFound` or
+        // `Stale`; one it still accepts belongs to a draining job.
+        self.lookup(job).and(Err(JobError::Draining))
     }
 
     /// Ingest a whole read's worth of decoded network frames as **one**
@@ -996,9 +933,8 @@ impl Runtime {
     /// instance, and the outbound messages of *all* frames are published
     /// to the mailbox together — one publication, one hint update and
     /// one wake for the entire call, however many frames (and jobs) it
-    /// spans. This is the multi-frame twin of
-    /// [`ingest_batch`](Self::ingest_batch) and the entry point the TCP
-    /// serve loop uses for frame coalescing.
+    /// spans. It admits frames exactly as [`ingest`](Self::ingest) does
+    /// and is the entry point the TCP serve loop uses for coalescing.
     ///
     /// Frames addressed to vacant slots (jobs never deployed, or
     /// already retired) and to draining jobs are dropped and counted in
@@ -1015,33 +951,55 @@ impl Runtime {
     ///
     /// `SchedulerStats::net_batches` / `frames_coalesced` record each
     /// call and its frame count, so the achieved coalescing ratio is
-    /// observable.
+    /// observable; `gen_rejected_frames` counts its generation
+    /// rejections (`ingest` returns [`JobError::Stale`] instead).
     pub fn ingest_frames<I: IntoIterator<Item = IngestFrame>>(&self, frames: I) -> IngestOutcome {
         let now = self.shared.now();
+        let out = self.admit(
+            frames
+                .into_iter()
+                .map(|f| (f.job, f.gen, f.source, f.into_batch(now))),
+        );
+        if out.frames > 0 {
+            self.shared.net_batches.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .frames_coalesced
+                .fetch_add(out.frames as u64, Ordering::Relaxed);
+        }
+        if out.gen_rejected > 0 {
+            self.shared
+                .gen_rejected
+                .fetch_add(out.gen_rejected as u64, Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// The one admission routine behind [`ingest`](Self::ingest),
+    /// [`ingest_frames`](Self::ingest_frames) and journal replay. A
+    /// stamped `(slot, generation, source, batch)` frame is admitted when
+    /// its slot's occupant is not draining and carries its generation.
+    /// Admitted frames are routed, counted in flight, journaled as one
+    /// `Frames` record (unless replaying) and published as one batch.
+    fn admit(&self, frames: impl IntoIterator<Item = (u32, u32, u32, Batch)>) -> IngestOutcome {
         let mut out = IngestOutcome::default();
-        // Resolve only the slots this read actually references (a
-        // typical read is one job), cloning each referenced `Arc` under
-        // a brief jobs-table read lock — never the whole table — and
-        // dropping the lock before any routing: routing takes
-        // per-instance mutexes, and holding the jobs RwLock across
-        // those would let a slow UDF plus a waiting `deploy` (writer)
-        // stall every worker's own `jobs.read()`. First-occurrence
-        // cache, so each distinct slot pays one lock acquisition per
-        // read regardless of frame count.
+        // Resolve each slot the call references once (first-occurrence
+        // cache), cloning its `Arc` under a brief jobs-table read lock
+        // dropped before any routing: routing takes instance mutexes,
+        // and holding the jobs RwLock across those would let a slow UDF
+        // plus a waiting `deploy` (writer) stall every worker's own
+        // `jobs.read()`.
         let mut seen: Vec<(u32, Option<Arc<JobRt>>)> = Vec::new();
-        // One ingress guard per live job this read touches, held until
+        // One ingress guard per live job this call touches, held until
         // the call's messages are submitted — see [`IngressGuard`].
         let mut ingress: Vec<IngressGuard> = Vec::new();
-        // Group the read's frames by (job, ingest instance), keeping
+        // Group the call's frames by (job, ingest instance), keeping
         // first-seen group order and per-group frame order, so each
         // group pays its instance lock once — not once per frame.
         let mut groups: Vec<(u32, Arc<JobRt>, usize, Vec<Batch>)> = Vec::new();
-        // Write-ahead capture of every admitted frame, group-committed
-        // as ONE journal record for the whole call (post-stamping, so
-        // replay reproduces the logical times the operators saw).
+        // Write-ahead capture of every admitted frame, post-stamping,
+        // so replay reproduces the logical times the operators saw.
         let mut dur_recs: Vec<FrameRecord> = Vec::new();
-        for (index, frame) in frames.into_iter().enumerate() {
-            let slot = frame.job;
+        for (index, (slot, gen, source, batch)) in frames.into_iter().enumerate() {
             let jrt = match seen.iter().find(|(s, _)| *s == slot) {
                 Some((_, cached)) => cached.clone(),
                 None => {
@@ -1071,25 +1029,23 @@ impl Runtime {
                 out.dropped += 1;
                 continue;
             };
-            // The v2 generation check, per frame (one read can carry
+            // The generation check, per frame (one read can carry
             // frames from producers holding handles of different
             // generations): only the occupant the sender actually
             // addressed may receive its tuples.
-            if frame.gen != jrt.gen {
+            if gen != jrt.gen {
                 out.gen_rejected += 1;
                 out.rejected.push(RejectedFrame {
                     index,
                     job: slot,
-                    gen: frame.gen,
+                    gen,
                     expected_gen: jrt.gen,
                 });
                 continue;
             }
-            let ingest_idx = jrt.ingests[frame.source as usize % jrt.ingests.len()];
-            let src = frame.source;
-            let batch = frame.into_batch(now);
+            let ingest_idx = jrt.ingests[source as usize % jrt.ingests.len()];
             if self.shared.dur_active() {
-                dur_recs.push(FrameRecord::from_batch(slot, jrt.gen, src, &batch));
+                dur_recs.push(FrameRecord::from_batch(slot, gen, source, &batch));
             }
             match groups
                 .iter_mut()
@@ -1109,19 +1065,8 @@ impl Runtime {
                 .fetch_add((outbound.len() - before) as u64, Ordering::AcqRel);
         }
         out.messages = outbound.len();
-        if out.frames > 0 {
-            self.shared.net_batches.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .frames_coalesced
-                .fetch_add(out.frames as u64, Ordering::Relaxed);
-        }
-        if out.gen_rejected > 0 {
-            self.shared
-                .gen_rejected
-                .fetch_add(out.gen_rejected as u64, Ordering::Relaxed);
-        }
         // Group commit: one journal append (and at most one fsync) for
-        // the entire read, before publication; the per-job
+        // the entire call, before publication; the per-job
         // `IngressGuard`s in `ingress` keep the admitted jobs
         // non-quiescent across the append.
         if !dur_recs.is_empty() {
@@ -1295,7 +1240,10 @@ impl Runtime {
                 match &slot.job {
                     // Vacant slots carry state too: their generation
                     // keeps pre-crash stale handles invalid.
-                    None => rt.set_slot_gen(idx as u32, slot.gen),
+                    None => {
+                        let mut jobs = rt.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
+                        jobs.slot_mut(idx as u32).gen = slot.gen;
+                    }
                     Some(job) => {
                         let jrt = rt.deploy_into_slot(idx as u32, slot.gen, &job.name, registry)?;
                         if job.instances.len() != jrt.instances.len() {
@@ -1347,9 +1295,17 @@ impl Runtime {
                     let _ = rt.undeploy_within(JobHandle { slot, gen }, Duration::from_secs(5));
                 }
                 JournalRecord::Frames(frames) => {
-                    let (replayed, stale) = rt.replay_frames(frames);
-                    report.frames_replayed += replayed;
-                    report.stale_frames += stale;
+                    // One admission per record, as the live call that
+                    // wrote it; a refused frame's slot has since advanced.
+                    let len = frames.len();
+                    let now = rt.shared.now();
+                    let out = rt.admit(
+                        frames
+                            .into_iter()
+                            .map(|f| (f.slot, f.gen, f.source, f.into_batch(now))),
+                    );
+                    report.frames_replayed += out.frames;
+                    report.stale_frames += len - out.frames;
                 }
             }
         }
@@ -1357,22 +1313,10 @@ impl Runtime {
         Ok((rt, report))
     }
 
-    /// Recovery helper: force a slot's generation (growing the table if
-    /// needed) without occupying it.
-    fn set_slot_gen(&self, slot: u32, gen: u32) {
-        let mut jobs = self.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
-        while jobs.slots.len() <= slot as usize {
-            let idx = jobs.slots.len() as u32;
-            jobs.free.push(idx);
-            jobs.slots.push(JobSlot { gen: 0, job: None });
-        }
-        jobs.slots[slot as usize].gen = gen;
-    }
-
     /// Recovery twin of [`deploy`](Self::deploy): re-expand `name` from
     /// the registry into a *specific* slot and generation, exactly as
-    /// journaled. Shares deploy's expansion, smoothing override and
-    /// scheduler reinstatement; differs only in slot placement.
+    /// journaled. Shares deploy's expansion and [`job_rt`](Self::job_rt);
+    /// differs only in slot placement.
     fn deploy_into_slot(
         &self,
         slot: u32,
@@ -1383,81 +1327,18 @@ impl Runtime {
         let (spec, opts) = registry
             .get(name)
             .ok_or_else(|| RecoverError::UnknownSpec(name.to_string()))?;
-        let id = JobId(slot);
-        let mut exp = ExpandedJob::expand(spec, id, opts).map_err(RecoverError::Expand)?;
-        if let Some(alpha) = self.shared.profile_alpha {
-            if opts.profile_alpha.is_none() {
-                for inst in exp.instances.iter_mut() {
-                    inst.converter.set_profile_alpha(alpha);
-                }
-            }
-        }
-        self.shared.sched.reinstate_job(id);
-        let jrt = Arc::new(JobRt {
-            ingests: exp.ingests.clone(),
-            name: exp.name.clone(),
-            latency_constraint: exp.latency_constraint,
-            gen,
-            draining: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
-            drain_lock: Mutex::new(()),
-            drain_cv: Condvar::new(),
-            stats: Arc::new(JobStats::new(exp.latency_constraint)),
-            subscribers: Mutex::new(Vec::new()),
-            instances: exp.instances.into_iter().map(Mutex::new).collect(),
-        });
+        let exp = ExpandedJob::expand(spec, JobId(slot), opts).map_err(RecoverError::Expand)?;
+        let jrt = Arc::new(self.job_rt(exp, gen));
         let mut jobs = self.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
-        while jobs.slots.len() <= slot as usize {
-            let idx = jobs.slots.len() as u32;
-            jobs.free.push(idx);
-            jobs.slots.push(JobSlot { gen: 0, job: None });
-        }
+        // Grow before unlisting: growing pushes `slot` itself onto the
+        // free list.
+        jobs.slot_mut(slot);
         jobs.free.retain(|&s| s != slot);
-        let entry = &mut jobs.slots[slot as usize];
-        entry.gen = gen;
-        entry.job = Some(jrt.clone());
+        jobs.slots[slot as usize] = JobSlot {
+            gen,
+            job: Some(jrt.clone()),
+        };
         Ok(jrt)
-    }
-
-    /// Replay journaled frames through the normal ingest path. Returns
-    /// `(replayed, stale)` — stale frames belonged to a job whose slot
-    /// generation has since advanced (an undeploy later in the journal),
-    /// the replay-time twin of the wire generation check.
-    fn replay_frames(&self, frames: Vec<FrameRecord>) -> (usize, usize) {
-        let (mut replayed, mut stale) = (0, 0);
-        for f in frames {
-            let occupant = self
-                .shared
-                .jobs
-                .read()
-                .unwrap_or_else(|p| p.into_inner())
-                .occupant(f.slot)
-                .cloned();
-            let Some(jrt) = occupant else {
-                stale += 1;
-                continue;
-            };
-            if f.gen != jrt.gen {
-                stale += 1;
-                continue;
-            }
-            let _ingress = IngressGuard::new(&jrt);
-            if jrt.draining.load(Ordering::SeqCst) {
-                stale += 1;
-                continue;
-            }
-            let slot = f.slot;
-            let ingest_idx = jrt.ingests[f.source as usize % jrt.ingests.len()];
-            let batch = f.into_batch(self.shared.now());
-            let mut outbound = Vec::new();
-            self.shared
-                .route_ingest(&jrt, slot, ingest_idx, vec![batch], &mut outbound);
-            jrt.inflight
-                .fetch_add(outbound.len() as u64, Ordering::AcqRel);
-            self.shared.submit_batch(outbound);
-            replayed += 1;
-        }
-        (replayed, stale)
     }
 
     /// Stop all workers and join them. Pending messages are dropped.
@@ -2213,47 +2094,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_alpha_flows_to_deployed_converters() {
-        let rt = Runtime::start(
-            RuntimeConfig::default()
-                .with_workers(1)
-                .with_profile_alpha(0.9),
-        );
-        let job = rt
-            .deploy(&tiny_query("al", 5_000), &ExpandOptions::default())
-            .unwrap();
-        {
-            let jobs = rt.shared.jobs.read().unwrap();
-            for inst in jobs.get(job).unwrap().instances.iter() {
-                assert_eq!(relock(inst).converter.profile.alpha(), 0.9);
-            }
-        }
-        // A job-level choice beats the runtime default.
-        let opts = ExpandOptions {
-            profile_alpha: Some(0.3),
-            ..Default::default()
-        };
-        let job2 = rt.deploy(&tiny_query("al2", 5_000), &opts).unwrap();
-        {
-            let jobs = rt.shared.jobs.read().unwrap();
-            assert_eq!(
-                relock(&jobs.get(job2).unwrap().instances[0])
-                    .converter
-                    .profile
-                    .alpha(),
-                0.3
-            );
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    #[should_panic(expected = "profile_alpha")]
-    fn zero_profile_alpha_rejected() {
-        let _ = RuntimeConfig::default().with_profile_alpha(0.0);
-    }
-
-    #[test]
     fn arena_segments_gauges_mailbox_capacity() {
         // No workers, so nothing drains: the gauge reads the inbox that
         // one ingest call's batch landed in.
@@ -2358,6 +2198,19 @@ mod tests {
         assert_ne!(old, new);
         // The old handle must hit Stale — never the new job's data.
         assert_eq!(rt.job_stats(old).err(), Some(JobError::Stale));
+        let rx = rt.subscribe(new).unwrap();
+        // An in-process ingest through the stale handle is refused as
+        // Stale. It shares admission with `ingest_frames`, but only the
+        // wire entry point counts wire rejections and coalescing.
+        let poison = 1_000_000_000;
+        assert_eq!(
+            rt.ingest(old, 0, vec![Tuple::new(1, poison, LogicalTime(1_000))])
+                .err(),
+            Some(JobError::Stale)
+        );
+        let s = rt.scheduler_stats();
+        let wire_counts = s.gen_rejected_frames + s.net_batches + s.frames_coalesced;
+        assert_eq!(wire_counts, 0);
         // The new handle works.
         rt.ingest(new, 0, vec![Tuple::new(1, 1, LogicalTime(1_000))])
             .unwrap();
@@ -2365,6 +2218,14 @@ mod tests {
             .unwrap();
         assert!(rt.drain(std::time::Duration::from_secs(5)));
         assert_eq!(rt.job_stats(new).unwrap().outputs, 0); // window still open
+        feed_until_output(&rt, new);
+        // Its windows fire with none of the stale call's tuples.
+        let outputs: Vec<OutputEvent> = rx.try_iter().collect();
+        assert!(!outputs.is_empty());
+        assert!(outputs
+            .iter()
+            .flat_map(|ev| &ev.batch.tuples)
+            .all(|t| t.value < poison));
         rt.shutdown();
     }
 

@@ -108,16 +108,6 @@ pub struct EngineConfig {
     /// Ablation: suppress Reply Contexts entirely (no acknowledgement
     /// path, so converters never refresh cost/critical-path profiles).
     pub disable_replies: bool,
-    /// Cost-profiling EWMA smoothing factor applied to every operator's
-    /// [`ConverterState`](cameo_core::policy::ConverterState) at engine
-    /// construction (`None` keeps whatever the jobs were expanded
-    /// with). This is an *unconditional* engine-wide override for
-    /// direct `Engine` users; the [`Scenario`](crate::scenario::Scenario)
-    /// layer instead merges its `with_profile_alpha` into each job's
-    /// `ExpandOptions` so a job-level choice wins — the same precedence
-    /// as the runtime's deploy path. Deterministic: the override
-    /// happens before the first event fires.
-    pub profile_alpha: Option<f64>,
     /// Crash the run (stop dead, in-flight events lost) immediately
     /// after this many arrivals have been ingested across all jobs.
     /// While set, every ingested arrival is also recorded in the
@@ -144,7 +134,6 @@ impl EngineConfig {
             record_processing: false,
             placement: Placement::Spread,
             disable_replies: false,
-            profile_alpha: None,
             stop_at_arrival: None,
             arrival_floor: PhysicalTime::ZERO,
         }
@@ -292,19 +281,12 @@ pub struct Engine {
 impl Engine {
     /// Build an engine over expanded jobs and their workloads. Job `i`
     /// must have been expanded with `JobId(i)`.
-    pub fn new(cfg: EngineConfig, mut jobs: Vec<(ExpandedJob, Option<WorkloadGen>)>) -> Self {
+    pub fn new(cfg: EngineConfig, jobs: Vec<(ExpandedJob, Option<WorkloadGen>)>) -> Self {
         for (i, (exp, _)) in jobs.iter().enumerate() {
             assert_eq!(
                 exp.id.0 as usize, i,
                 "job {i} must be expanded with JobId({i})"
             );
-        }
-        if let Some(alpha) = cfg.profile_alpha {
-            for (exp, _) in jobs.iter_mut() {
-                for inst in exp.instances.iter_mut() {
-                    inst.converter.set_profile_alpha(alpha);
-                }
-            }
         }
         let exps: Vec<&ExpandedJob> = jobs.iter().map(|(e, _)| e).collect();
         let placement = place_jobs_ref(&exps, &cfg.cluster, cfg.placement);

@@ -29,19 +29,11 @@ pub struct JobSetup {
 
 /// A full experiment configuration.
 pub struct Scenario {
-    pub cluster: ClusterSpec,
-    pub sched: SchedulerKind,
-    pub quantum: Micros,
-    pub cost: CostConfig,
-    pub seed: u64,
-    pub capture_outputs: bool,
-    pub record_schedule: bool,
-    pub record_processing: bool,
-    pub placement: Placement,
-    pub disable_replies: bool,
-    /// Cost-profiling smoothing override (see
-    /// [`EngineConfig::profile_alpha`]).
-    pub profile_alpha: Option<f64>,
+    /// The engine's settings — cluster, scheduler, quantum, cost model,
+    /// seed, recording switches, placement, reply ablation — copied into
+    /// every engine the scenario builds, which sets only the per-phase
+    /// `stop_at_arrival` / `arrival_floor` itself.
+    pub engine: EngineConfig,
     /// Crash/recovery drill: crash the run after this many ingested
     /// arrivals, then recover and continue (see
     /// [`with_crash_at`](Self::with_crash_at)).
@@ -55,17 +47,7 @@ pub struct Scenario {
 impl Scenario {
     pub fn new(cluster: ClusterSpec, sched: SchedulerKind) -> Self {
         Scenario {
-            cluster,
-            sched,
-            quantum: Micros::from_millis(1),
-            cost: CostConfig::default(),
-            seed: 1,
-            capture_outputs: false,
-            record_schedule: false,
-            record_processing: false,
-            placement: Placement::default(),
-            disable_replies: false,
-            profile_alpha: None,
+            engine: EngineConfig::new(cluster, sched),
             crash_at: None,
             crash_torn_tail: false,
             jobs: Vec::new(),
@@ -97,54 +79,43 @@ impl Scenario {
     }
 
     pub fn with_quantum(mut self, q: Micros) -> Self {
-        self.quantum = q;
+        self.engine.quantum = q;
         self
     }
 
     pub fn with_cost(mut self, c: CostConfig) -> Self {
-        self.cost = c;
+        self.engine.cost = c;
         self
     }
 
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.engine.seed = seed;
         self
     }
 
     pub fn capture_outputs(mut self, on: bool) -> Self {
-        self.capture_outputs = on;
+        self.engine.capture_outputs = on;
         self
     }
 
     pub fn record_schedule(mut self, on: bool) -> Self {
-        self.record_schedule = on;
+        self.engine.record_schedule = on;
         self
     }
 
     pub fn record_processing(mut self, on: bool) -> Self {
-        self.record_processing = on;
+        self.engine.record_processing = on;
         self
     }
 
     pub fn with_placement(mut self, p: Placement) -> Self {
-        self.placement = p;
+        self.engine.placement = p;
         self
     }
 
     /// Ablation: turn off the Reply Context feedback path.
     pub fn disable_replies(mut self, off: bool) -> Self {
-        self.disable_replies = off;
-        self
-    }
-
-    /// Override the cost-profiling EWMA smoothing factor for every
-    /// operator in the scenario (must be in `(0, 1]`).
-    pub fn with_profile_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "profile_alpha must be in (0, 1]"
-        );
-        self.profile_alpha = Some(alpha);
+        self.engine.disable_replies = off;
         self
     }
 
@@ -237,7 +208,7 @@ impl Scenario {
             let depart = setup.departure.map(|d| d.0).unwrap_or(u64::MAX);
             let mut gen = WorkloadGen::new(
                 setup.workload.clone(),
-                self.seed.wrapping_add(i as u64 * 7919),
+                self.engine.seed.wrapping_add(i as u64 * 7919),
             );
             while let Some((t, source, batch)) = gen.next_arrival() {
                 // The engine stops a departed job's arrivals at its
@@ -269,15 +240,7 @@ impl Scenario {
         arrival_floor: cameo_core::time::PhysicalTime,
         skip: Option<&[u64]>,
     ) -> Engine {
-        let mut cfg = EngineConfig::new(self.cluster, self.sched);
-        cfg.quantum = self.quantum;
-        cfg.cost = self.cost;
-        cfg.seed = self.seed;
-        cfg.capture_outputs = self.capture_outputs;
-        cfg.record_schedule = self.record_schedule;
-        cfg.record_processing = self.record_processing;
-        cfg.placement = self.placement;
-        cfg.disable_replies = self.disable_replies;
+        let mut cfg = self.engine.clone();
         cfg.stop_at_arrival = stop_at_arrival;
         cfg.arrival_floor = arrival_floor;
         let mut engine_jobs = Vec::with_capacity(self.jobs.len());
@@ -290,7 +253,7 @@ impl Scenario {
                 .unwrap_or_else(|e| panic!("scenario job {i} has an invalid spec: {e}"));
             let mut gen = WorkloadGen::new(
                 setup.workload.clone(),
-                self.seed.wrapping_add(i as u64 * 7919),
+                self.engine.seed.wrapping_add(i as u64 * 7919),
             );
             if let Some(skip) = skip {
                 for _ in 0..skip[i] {
@@ -309,17 +272,9 @@ impl Scenario {
     }
 
     /// Run the scenario to completion.
-    pub fn run(mut self) -> SimReport {
-        let label = self.sched.label();
-        let workers = self.cluster.workers_per_node;
-        // Scenario-level smoothing default; a job-level choice in its
-        // ExpandOptions wins (same precedence as the runtime's deploy
-        // path).
-        for setup in self.jobs.iter_mut() {
-            if setup.opts.profile_alpha.is_none() {
-                setup.opts.profile_alpha = self.profile_alpha;
-            }
-        }
+    pub fn run(self) -> SimReport {
+        let label = self.engine.sched.label();
+        let workers = self.engine.cluster.workers_per_node;
         let Some(crash_at) = self.crash_at else {
             let metrics = self
                 .build_engine(None, cameo_core::time::PhysicalTime::ZERO, None)

@@ -55,8 +55,7 @@ fn feed_window0(rt: &Runtime, job: JobHandle) {
         let tuples = (0..40)
             .map(|i| Tuple::new(i % 8, 1, LogicalTime(1 + i * (WINDOW / 50))))
             .collect();
-        rt.ingest_batch(job, source, Batch::new(tuples, PhysicalTime::ZERO))
-            .expect("ingest");
+        rt.ingest(job, source, tuples).expect("ingest");
     }
 }
 
@@ -66,8 +65,7 @@ fn close_window0(rt: &Runtime, job: JobHandle) {
         let tuples = (0..8)
             .map(|k| Tuple::new(k, 1, LogicalTime(WINDOW + 1 + k)))
             .collect();
-        rt.ingest_batch(job, source, Batch::new(tuples, PhysicalTime::ZERO))
-            .expect("ingest");
+        rt.ingest(job, source, tuples).expect("ingest");
     }
 }
 
@@ -139,8 +137,7 @@ fn snapshot_plus_journal_suffix_recovers_both() {
             let tuples = (0..8)
                 .map(|k| Tuple::new(k, 1, LogicalTime(2 + k)))
                 .collect();
-            rt.ingest_batch(job, source, Batch::new(tuples, PhysicalTime::ZERO))
-                .expect("ingest");
+            rt.ingest(job, source, tuples).expect("ingest");
         }
         assert!(rt.drain(Duration::from_secs(5)));
         rt.shutdown();
@@ -223,8 +220,7 @@ fn corrupt_newest_manifest_falls_back_to_previous_snapshot() {
             let tuples = (0..8)
                 .map(|k| Tuple::new(k, 1, LogicalTime(2 + k)))
                 .collect();
-            rt.ingest_batch(job, source, Batch::new(tuples, PhysicalTime::ZERO))
-                .expect("ingest");
+            rt.ingest(job, source, tuples).expect("ingest");
         }
         assert!(rt.drain(Duration::from_secs(5)));
         assert_eq!(rt.snapshot().expect("snapshot 2"), 2);

@@ -21,16 +21,14 @@ fn feed_two_windows(rt: &Runtime, job: JobHandle, window: u64) {
         let tuples = (0..40)
             .map(|i| Tuple::new(i % 8, 1, LogicalTime(1 + i * (window / 50))))
             .collect();
-        rt.ingest_batch(job, source, Batch::new(tuples, PhysicalTime::ZERO))
-            .expect("ingest");
+        rt.ingest(job, source, tuples).expect("ingest");
     }
     std::thread::sleep(Duration::from_millis(10));
     for source in 0..2u32 {
         let tuples = (0..40)
             .map(|i| Tuple::new(i % 8, 1, LogicalTime(window + 1 + i)))
             .collect();
-        rt.ingest_batch(job, source, Batch::new(tuples, PhysicalTime::ZERO))
-            .expect("ingest");
+        rt.ingest(job, source, tuples).expect("ingest");
     }
 }
 
