@@ -93,18 +93,18 @@ pub struct SchedulerStats {
     /// counted separately from `retired_drops` because the frame never
     /// entered the scheduler. Filled by the runtime layer.
     pub gen_rejected_frames: u64,
-    /// Jobs retired via
+    /// Calls to
     /// [`ShardedScheduler::retire_job`](crate::shard::ShardedScheduler::retire_job).
     pub jobs_retired: u64,
-    /// Messages removed from the queues and mailboxes by job
+    /// Messages removed from the mailbox and the queue by job
     /// retirement: the backlog a retiring job left behind after its
     /// graceful drain window.
     pub messages_purged: u64,
-    /// Messages dropped because they addressed a retired job: straggler
-    /// submissions refused at ingress or at mailbox drain, plus (when
-    /// filled by the runtime layer) in-flight executions abandoned at a
-    /// generation check. Flat-at-zero in steady state; nonzero only
-    /// around job churn.
+    /// Messages of a retired job dropped at the runtime's generation
+    /// check instead of executing: queued, or fanned out, after their
+    /// job's slot was vacated. Filled by the runtime layer; the
+    /// scheduler itself never drops a message. Flat-at-zero in steady
+    /// state; nonzero only around job churn.
     pub retired_drops: u64,
     /// Sink outputs that met their job's latency constraint. Filled by
     /// the runtime/sim layers (the core scheduler never sees

@@ -64,7 +64,6 @@ use crate::mailbox::{Mail, Mailbox};
 use crate::priority::Priority;
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::PhysicalTime;
-use std::collections::HashSet;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -115,24 +114,7 @@ pub struct ShardedScheduler<M> {
     /// one-publication amortization. Counted only on the batch path —
     /// per-message `submit` stays free of extra RMWs.
     batch_pubs: AtomicU64,
-    /// Jobs currently retired: their messages are refused at ingress
-    /// and dropped at mailbox drain, and their operators are never
-    /// leased. Set by [`retire_job`](Self::retire_job), cleared by
-    /// [`reinstate_job`](Self::reinstate_job). This mutex may be taken
-    /// while the core lock is held, never the other way around.
-    retired_set: Mutex<HashSet<JobId>>,
-    /// Membership fingerprint over `retired_set` (bit `slot % 64`), so
-    /// ingress for live jobs stays lock-free while other slots sit
-    /// retired. A collision just pays the set lock.
-    retired_fp: AtomicU64,
     jobs_retired: AtomicU64,
-    retired_drops: AtomicU64,
-}
-
-/// The fingerprint bit for a job slot.
-#[inline]
-fn fp_bit(job: JobId) -> u64 {
-    1u64 << (job.0 % 64)
 }
 
 impl<M> ShardedScheduler<M> {
@@ -152,28 +134,8 @@ impl<M> ShardedScheduler<M> {
             yield_preemptions: AtomicU64::new(0),
             mailbox_drained: AtomicU64::new(0),
             batch_pubs: AtomicU64::new(0),
-            retired_set: Mutex::new(HashSet::new()),
-            retired_fp: AtomicU64::new(0),
             jobs_retired: AtomicU64::new(0),
-            retired_drops: AtomicU64::new(0),
         }
-    }
-
-    /// True when `job` is retired. The fingerprint answers "no" — the
-    /// overwhelmingly common case on ingress — with one load, and the
-    /// set lock is taken only on a bit hit. The fingerprint is stored
-    /// before the retirement fence, so any submitter ordered after the
-    /// mark sees the bit.
-    fn retired(&self, job: JobId) -> bool {
-        self.retired_fp.load(Ordering::SeqCst) & fp_bit(job) != 0 && self.is_retired(job)
-    }
-
-    /// The set lookup behind [`retired`](Self::retired).
-    fn is_retired(&self, job: JobId) -> bool {
-        self.retired_set
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .contains(&job)
     }
 
     fn lock(&self) -> MutexGuard<'_, Core<M>> {
@@ -189,51 +151,17 @@ impl<M> ShardedScheduler<M> {
     /// submission order: swap the inbox for the spare buffer, then
     /// replay the spare. Must be called with the lock held (the `core`
     /// borrow proves it).
-    ///
-    /// Retired jobs' mail is dropped instead of admitted (zero happens
-    /// outside churn windows). The return value counts those drops —
-    /// all of them when `count_job` is `None`, or only the named job's
-    /// when `Some` (so `retire_job` can attribute its purge total to
-    /// the job actually being retired, not to other concurrently
-    /// retiring jobs' stragglers swept up in the same drain).
-    fn drain_locked(&self, core: &mut Core<M>, count_job: Option<JobId>) -> usize {
+    fn drain_locked(&self, core: &mut Core<M>) {
         if self.mailbox.is_empty() {
-            return 0;
+            return;
         }
         let Core { sched, spare } = core;
         self.mailbox.swap(spare);
-        let drained = spare.len();
-        // Straggler mail for retired jobs (a producer's push that raced
-        // the retirement mark) is discarded here, so a retired job's
-        // messages can never re-enter the queue. The fingerprint is
-        // tested per mail; the set mutex is taken only on a bit hit.
-        let fp = self.retired_fp.load(Ordering::SeqCst);
-        let mut retired: Option<MutexGuard<'_, HashSet<JobId>>> = None;
-        let (mut dropped, mut counted) = (0usize, 0usize);
+        self.mailbox_drained
+            .fetch_add(spare.len() as u64, Ordering::Relaxed);
         for mail in spare.drain(..) {
-            let job = mail.key.job;
-            if fp & fp_bit(job) != 0
-                && retired
-                    .get_or_insert_with(|| {
-                        self.retired_set.lock().unwrap_or_else(|p| p.into_inner())
-                    })
-                    .contains(&job)
-            {
-                dropped += 1;
-                counted += usize::from(count_job.is_none_or(|j| j == job));
-                continue;
-            }
             sched.submit(mail.key, mail.msg, mail.pri);
         }
-        drop(retired);
-        if dropped > 0 {
-            self.retired_drops
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-            self.msgs.fetch_sub(dropped, Ordering::Relaxed);
-        }
-        self.mailbox_drained
-            .fetch_add((drained - dropped) as u64, Ordering::Relaxed);
-        counted
     }
 
     /// Recompute the tier hint exactly (the run index answers it
@@ -263,10 +191,6 @@ impl<M> ShardedScheduler<M> {
     /// tier, and a wake check. A bursty submitter therefore cannot block
     /// a dispatching worker.
     pub fn submit(&self, key: OperatorKey, msg: M, pri: Priority) {
-        if self.retired(key.job) {
-            self.retired_drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         // Count, then publish: a drain that takes this message out
         // subtracts strictly after the add, so `msgs` never wraps and
         // never reads zero while the mail is in flight.
@@ -290,44 +214,7 @@ impl<M> ShardedScheduler<M> {
     where
         I: IntoIterator<Item = (OperatorKey, M, Priority)>,
     {
-        let fp = self.retired_fp.load(Ordering::SeqCst);
-        if fp == 0 {
-            return self.submit_batch_inner(items.into_iter());
-        }
-        // Retirements exist: filter each item through the fingerprint,
-        // consulting the set only on a bit hit, once per distinct job.
-        // Each lookup takes the set mutex briefly and on its own, never
-        // across the submission loop the filter runs in.
-        let mut verdicts: Vec<(JobId, bool)> = Vec::new();
-        let mut dropped = 0usize;
-        let n = self.submit_batch_inner(items.into_iter().filter(|(key, _, _)| {
-            if fp & fp_bit(key.job) == 0 {
-                return true;
-            }
-            let retired = match verdicts.iter().find(|(j, _)| *j == key.job) {
-                Some(&(_, r)) => r,
-                None => {
-                    let r = self.is_retired(key.job);
-                    verdicts.push((key.job, r));
-                    r
-                }
-            };
-            if retired {
-                dropped += 1;
-            }
-            !retired
-        }));
-        if dropped > 0 {
-            self.retired_drops
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        n
-    }
-
-    fn submit_batch_inner<I>(&self, items: I) -> usize
-    where
-        I: Iterator<Item = (OperatorKey, M, Priority)>,
-    {
+        let items = items.into_iter();
         let mut chain = self.mailbox.chain(items.size_hint().0);
         let mut tier = NO_TIER;
         for (key, msg, pri) in items {
@@ -350,31 +237,16 @@ impl<M> ShardedScheduler<M> {
 
     /// Check out the most urgent operator: in deadline order while every
     /// runnable head can still start at `now`, in tier order once one
-    /// cannot (see [`Priority::rank`]). Drains the mailbox first, and
-    /// refuses — purging its messages — any operator of a retired job.
-    /// When it leaves another operator available, one parked worker is
-    /// woken for it.
+    /// cannot (see [`Priority::rank`]). Drains the mailbox first. When
+    /// it leaves another operator available, one parked worker is woken
+    /// for it.
     ///
     /// The leading worker index is ignored; it is kept so that callers
     /// written against the sharded scheduler still compile.
     pub fn acquire(&self, _worker: usize, now: PhysicalTime) -> Option<Execution> {
         let mut core = self.lock();
-        self.drain_locked(&mut core, None);
-        let exec = loop {
-            let Some(exec) = core.sched.acquire(now) else {
-                break None;
-            };
-            // A retired job's operator: purge what the retirement has not
-            // reached yet (counted as `messages_purged` only) and try the
-            // next one.
-            if self.retired(exec.key().job) {
-                let purged = core.sched.retire(exec.key().job);
-                self.msgs.fetch_sub(purged, Ordering::Relaxed);
-                core.sched.release(exec);
-                continue;
-            }
-            break Some(exec);
-        };
+        self.drain_locked(&mut core);
+        let exec = core.sched.acquire(now);
         // Refresh even on failure: a failed acquire must settle the
         // hint to empty so park's fast path stops spinning.
         let more = self.refresh_hint(&core.sched);
@@ -393,7 +265,7 @@ impl<M> ShardedScheduler<M> {
     /// are visible to the holder.
     pub fn take_message(&self, exec: &Execution) -> Option<(M, Priority)> {
         let mut core = self.lock();
-        self.drain_locked(&mut core, None);
+        self.drain_locked(&mut core);
         let out = core.sched.take_message(exec);
         if out.is_some() {
             self.msgs.fetch_sub(1, Ordering::Relaxed);
@@ -406,7 +278,7 @@ impl<M> ShardedScheduler<M> {
     /// [`CameoScheduler::decide`], after a mailbox drain.
     pub fn decide(&self, exec: &Execution, now: PhysicalTime) -> Decision {
         let mut core = self.lock();
-        self.drain_locked(&mut core, None);
+        self.drain_locked(&mut core);
         core.sched.decide(exec, now)
     }
 
@@ -432,8 +304,7 @@ impl<M> ShardedScheduler<M> {
     /// `None` — the worker finishes its message — when nothing qualifies,
     /// or when the operator that would belongs to `job`: the caller holds
     /// one of that job's instances, which a nested one could need (a
-    /// reply upstream). A retired job's operator is purged and skipped,
-    /// as in `acquire`. Each lease counts in
+    /// reply upstream). Each lease counts in
     /// [`SchedulerStats::yield_preemptions`].
     pub fn acquire_preempting(
         &self,
@@ -445,23 +316,15 @@ impl<M> ShardedScheduler<M> {
             return None;
         }
         let mut core = self.lock();
-        self.drain_locked(&mut core, None);
-        let exec = loop {
-            let Some(pick) = core.sched.outranking(mine, now, false) else {
-                break None;
-            };
-            if self.retired(pick.key.job) {
-                let purged = core.sched.retire(pick.key.job);
-                self.msgs.fetch_sub(purged, Ordering::Relaxed);
-                continue;
+        self.drain_locked(&mut core);
+        let exec = match core.sched.outranking(mine, now, false) {
+            Some(pick) if pick.key.job != job => {
+                // The same order `outranking` peeked in: the pick itself.
+                let exec = core.sched.acquire_in(now, mine.overdue(now));
+                debug_assert_eq!(exec.as_ref().map(Execution::key), Some(pick.key));
+                exec
             }
-            if pick.key.job == job {
-                break None;
-            }
-            // The same order `outranking` peeked in: the pick itself.
-            let exec = core.sched.acquire_in(now, mine.overdue(now));
-            debug_assert_eq!(exec.as_ref().map(Execution::key), Some(pick.key));
-            break exec;
+            _ => None,
         };
         self.refresh_hint(&core.sched);
         drop(core);
@@ -475,7 +338,7 @@ impl<M> ShardedScheduler<M> {
     /// behind).
     pub fn release(&self, exec: Execution) -> bool {
         let mut core = self.lock();
-        self.drain_locked(&mut core, None);
+        self.drain_locked(&mut core);
         core.sched.release(exec);
         let more = self.refresh_hint(&core.sched);
         drop(core);
@@ -486,56 +349,26 @@ impl<M> ShardedScheduler<M> {
         more
     }
 
-    /// Retire `job` (the runtime's `undeploy`): mark it retired, then
-    /// purge its messages from the mailbox and the two-level queue.
-    /// Returns the number of messages purged.
+    /// Retire `job` (the runtime's `undeploy`): purge its messages from
+    /// the mailbox and the two-level queue. Returns the number of
+    /// messages purged.
     ///
-    /// The mark lands *before* the purge, so the job's messages can only
-    /// shrink: [`submit`](Self::submit) / [`submit_batch`](Self::submit_batch)
-    /// refuse new ones, straggler mail that raced the mark is discarded
-    /// at the next drain, and [`acquire`](Self::acquire) refuses the
-    /// job's operators. A lease already held runs dry: its holder's next
-    /// `take_message` returns `None` (the message it is executing is the
-    /// runtime's to abandon). The mark stays until
-    /// [`reinstate_job`](Self::reinstate_job) clears it for a reused id.
+    /// A purge, not a ban: the scheduler keeps no per-job state, so a
+    /// message submitted for `job` afterwards is queued like any other.
+    /// Keeping a retired job's messages from running is the caller's
+    /// business — the runtime vacates the slot and bumps its generation
+    /// first, so every later message of the job fails the generation
+    /// check before it executes. A lease already held runs dry: its
+    /// holder's next `take_message` returns `None` (the message it is
+    /// executing is the runtime's to abandon).
     pub fn retire_job(&self, job: JobId) -> usize {
-        {
-            let mut set = self.retired_set.lock().unwrap_or_else(|p| p.into_inner());
-            if set.insert(job) {
-                self.retired_fp.fetch_or(fp_bit(job), Ordering::SeqCst);
-                self.jobs_retired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // SeqCst fence pairs with the submit paths' SeqCst RMWs: any
-        // producer that passed its retirement check before the mark has
-        // either published already (its mail is seen and purged or
-        // dropped below / at the next drain) or will re-check and drop.
-        fence(Ordering::SeqCst);
+        self.jobs_retired.fetch_add(1, Ordering::Relaxed);
         let mut core = self.lock();
-        // Drain first: with the mark set, the job's mailbox entries are
-        // dropped (and counted) right here; `count_job` keeps other
-        // concurrently-retiring jobs' stragglers out of this job's
-        // purge total.
-        let mut purged = self.drain_locked(&mut core, Some(job));
-        let from_queue = core.sched.retire(job);
-        if from_queue > 0 {
-            purged += from_queue;
-            self.msgs.fetch_sub(from_queue, Ordering::Relaxed);
-        }
+        self.drain_locked(&mut core);
+        let purged = core.sched.retire(job);
+        self.msgs.fetch_sub(purged, Ordering::Relaxed);
         self.refresh_hint(&core.sched);
         purged
-    }
-
-    /// Clear `job`'s retirement mark so the id can be deployed again
-    /// (slot reuse). A no-op when the job is not retired.
-    pub fn reinstate_job(&self, job: JobId) {
-        let mut set = self.retired_set.lock().unwrap_or_else(|p| p.into_inner());
-        if set.remove(&job) {
-            // Rebuild the fingerprint from the survivors: the removed
-            // slot's bit may be shared with another retired slot.
-            let fp = set.iter().fold(0u64, |fp, &j| fp | fp_bit(j));
-            self.retired_fp.store(fp, Ordering::SeqCst);
-        }
     }
 
     /// Messages the mailbox buffers — the inbox and the spare its
@@ -567,7 +400,6 @@ impl<M> ShardedScheduler<M> {
         total.mailbox_drained = self.mailbox_drained.load(Ordering::Relaxed);
         total.batch_publications = self.batch_pubs.load(Ordering::Relaxed);
         total.jobs_retired = self.jobs_retired.load(Ordering::Relaxed);
-        total.retired_drops += self.retired_drops.load(Ordering::Relaxed);
         total.node_alloc_fallback = self.mailbox.growths();
         total
     }
@@ -793,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn retire_job_purges_across_shards_and_refuses_new_submits() {
+    fn retire_job_purges_the_job_and_spares_the_rest() {
         let sh = sched(0);
         let keep = OperatorKey::new(JobId(1), 0);
         // The doomed job's operators, plus one survivor.
@@ -805,42 +637,12 @@ mod tests {
         let purged = sh.retire_job(JobId(0));
         assert_eq!(purged, 16, "every queued message of the job purged");
         assert_eq!(sh.len(), 1, "survivor job untouched");
-        // New submissions for the retired id are refused on both paths.
-        sh.submit(key(0), 7, Priority::uniform(1));
-        assert_eq!(
-            sh.submit_batch((0..8u64).map(|i| (key(1), i, Priority::uniform(1)))),
-            0,
-            "batch for a retired job is dropped"
-        );
-        assert_eq!(sh.len(), 1);
         assert_eq!(drain(&sh), vec![999]);
         let st = sh.stats();
         assert_eq!(st.jobs_retired, 1);
-        // The 16 purged messages split between `messages_purged` (those
-        // already folded into the queue) and `retired_drops` (those
-        // still in the mailbox, discarded at the retirement drain); the
-        // 9 post-retirement submissions are always `retired_drops`.
-        assert_eq!(st.messages_purged + st.retired_drops, 16 + 9);
-        // Reinstating the id makes it schedulable again (slot reuse).
-        sh.reinstate_job(JobId(0));
-        sh.submit(key(0), 42, Priority::uniform(1));
-        assert_eq!(drain(&sh), vec![42]);
-    }
-
-    #[test]
-    fn retire_job_discards_straggler_mail_at_drain() {
-        // Mail that lands *after* the retirement mark (simulating a
-        // producer whose push raced the mark) must be discarded at the
-        // next drain, not admitted to the queue.
-        let sh = sched(0);
-        sh.retire_job(JobId(0));
-        // Bypass submit's ingress check: push straight into the mailbox
-        // like a racing producer whose check passed pre-mark.
-        sh.mailbox.push(key(3), 1u64, Priority::uniform(1));
-        sh.msgs.fetch_add(1, Ordering::Relaxed);
-        assert!(drain(&sh).is_empty(), "straggler mail never drains out");
-        assert!(sh.is_empty());
-        assert!(sh.stats().retired_drops >= 1);
+        // Mail still in the mailbox is drained into the queue and purged
+        // there, so the whole purge is one counter.
+        assert_eq!((st.messages_purged, st.retired_drops), (16, 0));
     }
 
     #[test]
@@ -857,39 +659,6 @@ mod tests {
         sh.release(exec);
         assert!(sh.is_empty());
         assert!(sh.acquire(0, PhysicalTime::ZERO).is_none());
-    }
-
-    #[test]
-    fn fingerprint_collisions_do_not_misroute_live_jobs() {
-        // JobId 64 shares JobId 0's fingerprint bit (64 % 64 == 0): a
-        // retired job 0 must not cause job 64's (false-positive path)
-        // or job 1's (clean-bit path) submissions to be refused.
-        let sh = sched(0);
-        sh.retire_job(JobId(0));
-        sh.submit(OperatorKey::new(JobId(64), 0), 7, Priority::uniform(1));
-        sh.submit(OperatorKey::new(JobId(1), 0), 8, Priority::uniform(2));
-        let mut got = drain(&sh);
-        got.sort_unstable();
-        assert_eq!(got, vec![7, 8]);
-        // And the retired id itself stays refused.
-        sh.submit(key(0), 9, Priority::uniform(0));
-        assert!(drain(&sh).is_empty());
-    }
-
-    #[test]
-    fn small_batch_with_retired_item_does_not_deadlock() {
-        // The batch filter looks a retired job up under the set mutex;
-        // it must not be holding it across the submission loop
-        // (regression: a cached guard across the loop self-deadlocked).
-        let sh = sched(0);
-        sh.retire_job(JobId(0));
-        let live = OperatorKey::new(JobId(1), 0);
-        let n = sh.submit_batch(vec![
-            (key(0), 1u64, Priority::uniform(1)),
-            (live, 2u64, Priority::uniform(1)),
-        ]);
-        assert_eq!(n, 1, "retired item dropped, live item submitted");
-        assert_eq!(drain(&sh), vec![2]);
     }
 
     #[test]
@@ -1011,29 +780,6 @@ mod tests {
                 sh.release(nested);
             }
         }
-    }
-
-    #[test]
-    fn acquire_preempting_refuses_and_purges_a_retired_job() {
-        let lax = Priority::uniform(5_000).with_tier(17);
-        let strict = |g| Priority::uniform(g).with_tier(13);
-        let (gone, live) = (OperatorKey::new(JobId(1), 0), OperatorKey::new(JobId(2), 0));
-        let (sh, _exec) = executing(lax, &[(gone, strict(1_000)), (live, strict(1_500))]);
-        // Admitted, then marked retired before any sweep reaches it:
-        // the window `retire_job` leaves between its mark and its purge.
-        {
-            let mut core = sh.lock();
-            sh.drain_locked(&mut core, None);
-        }
-        sh.retired_set.lock().unwrap().insert(JobId(1));
-        sh.retired_fp.fetch_or(fp_bit(JobId(1)), Ordering::SeqCst);
-        let nested = sh
-            .acquire_preempting(lax, JobId(0), PhysicalTime(100))
-            .expect("the live strict operator");
-        assert_eq!(nested.key(), live);
-        let st = sh.stats();
-        assert_eq!((st.messages_purged, st.yield_preemptions), (1, 1));
-        assert_eq!(sh.len(), 1, "only the live strict message is left");
     }
 
     #[test]

@@ -67,13 +67,15 @@
 //! validates the job graph and returns `Result` (no panics on bad
 //! specs), every per-job entry point checks the handle against a
 //! **generational slot-map** jobs table, and [`Runtime::undeploy`]
-//! drains a job's in-flight work, retires it inside the scheduler
-//! ([`ShardedScheduler::retire_job`]) and frees its slot for reuse. A
-//! [`JobHandle`] is `(slot, generation)`: after undeploy the slot's
-//! generation advances, so a stale handle gets
+//! drains a job's in-flight work, vacates its slot and bumps the slot's
+//! generation, purges what is left of the job from the scheduler
+//! ([`ShardedScheduler::retire_job`]), and only then frees the slot for
+//! reuse. A [`JobHandle`] is `(slot, generation)`, and every scheduler
+//! message carries the generation too: a stale handle gets
 //! [`JobError::Stale`] — never another job's data — and a stale
-//! in-flight message is dropped at a generation check before it can
-//! touch the slot's new occupant.
+//! message, queued or fanned out after the purge, is dropped at the
+//! generation check before it can touch the slot's new occupant. That
+//! check is the one defence: the scheduler keeps no per-job state.
 
 use crate::durability::{
     self, DurState, DurabilityConfig, FrameRecord, JobSnapshot, JournalRecord, RecoverError,
@@ -797,10 +799,8 @@ impl Runtime {
     }
 
     /// The runtime side of a job about to occupy its slot at `gen`, for
-    /// `deploy` and recovery alike. Lifts the retirement mark a previous
-    /// occupant's undeploy left in the scheduler.
+    /// `deploy` and recovery alike.
     fn job_rt(&self, exp: ExpandedJob, gen: u32) -> JobRt {
-        self.shared.sched.reinstate_job(exp.id);
         JobRt {
             ingests: exp.ingests,
             name: exp.name,
@@ -834,13 +834,18 @@ impl Runtime {
     /// expires — the decrement that hits zero wakes this thread
     /// directly, so drain completion is observed at the moment it
     /// happens, not at the next poll tick (the wait is skipped when the
-    /// runtime has no workers — nothing would ever drain) — then retire
-    /// the job in the scheduler — [`ShardedScheduler::retire_job`] purges whatever the
-    /// drain left in the mailbox and the two-level queue and
-    /// keeps refusing the job id until the slot is redeployed — and
-    /// finally free the slot, bumping its generation so outstanding
-    /// handles and in-flight messages of the retired job are rejected
-    /// everywhere.
+    /// runtime has no workers — nothing would ever drain) — then:
+    ///
+    /// 1. **vacate** the slot and bump its generation, under the jobs
+    ///    write lock: from here on outstanding handles get
+    ///    [`JobError::Stale`], and every message of the job — queued, or
+    ///    still to be fanned out by a worker that outlived the drain
+    ///    budget — fails the generation check before it executes;
+    /// 2. **purge**: [`ShardedScheduler::retire_job`] drops whatever the
+    ///    drain left in the mailbox and the two-level queue;
+    /// 3. **free** the slot for reuse. Only now, so no `deploy` can
+    ///    place a new occupant whose messages a purge keyed by the same
+    ///    slot could still delete.
     pub fn undeploy_within(&self, job: JobHandle, drain: Duration) -> Result<u64, JobError> {
         let jrt = self.lookup(job)?;
         if jrt.draining.swap(true, Ordering::SeqCst) {
@@ -870,14 +875,19 @@ impl Runtime {
             }
             drop(held);
         }
-        let purged = self.shared.sched.retire_job(JobId(job.slot)) as u64;
         {
             let mut jobs = self.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
             let slot = &mut jobs.slots[job.slot as usize];
             slot.job = None;
             slot.gen = slot.gen.wrapping_add(1);
-            jobs.free.push(job.slot);
         }
+        let purged = self.shared.sched.retire_job(JobId(job.slot)) as u64;
+        self.shared
+            .jobs
+            .write()
+            .unwrap_or_else(|p| p.into_inner())
+            .free
+            .push(job.slot);
         // Journal after the write lock is released (jobs → journal
         // order). Replay is idempotent: an `Undeploy` whose slot
         // generation already advanced past `gen` is skipped.
@@ -2252,8 +2262,8 @@ mod tests {
         let stats = rt.scheduler_stats();
         assert_eq!(stats.jobs_retired, 1);
         assert_eq!(
-            stats.messages_purged + stats.retired_drops,
-            purged,
+            (stats.messages_purged, stats.retired_drops),
+            (purged, 0),
             "purge is visible in scheduler stats"
         );
         rt.shutdown();

@@ -47,8 +47,10 @@ pub trait Dispatcher: Send {
     /// Return the lease (worker needed so local re-queues land right).
     fn release(&mut self, lease: DispatchLease, worker: u16);
     /// Retire a departing job: drop every queued message of its
-    /// operators and refuse it from the run queue. Returns the number
-    /// of messages purged. Mirrors the production scheduler's
+    /// operators. Returns the number of messages purged. A purge, not a
+    /// ban: no dispatcher refuses the job's later messages — the
+    /// engine's `departed` flag does, before it submits one or runs one
+    /// a worker already holds. Mirrors the production scheduler's
     /// [`ShardedScheduler::retire_job`] so churn scenarios exercise the
     /// same lifecycle deterministically.
     fn retire_job(&mut self, job: cameo_core::ids::JobId) -> usize;

@@ -8,7 +8,11 @@
 //!   its slot is reused — it never observes another job's data;
 //! * a deploy→ingest→undeploy→redeploy loop leaves `queue_len() == 0`
 //!   and no retired-job messages in the scheduler, whether or not the
-//!   backlog drained before the undeploy.
+//!   backlog drained before the undeploy;
+//! * a retired job's message that reaches the scheduler after the
+//!   undeploy's purge — fanned out by a worker that outlived the drain
+//!   budget — is dropped at the slot-generation check, the one defence
+//!   against stale messages, and never runs on the slot's next occupant.
 
 use cameo::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,6 +74,60 @@ fn drain_waits_for_the_message_in_flight() {
         .expect("ingest");
     assert!(rt.drain(Duration::from_secs(5)), "drains");
     assert_eq!(outputs(&rt, job), 1, "the spin's output is counted");
+    rt.shutdown();
+}
+
+/// The purge in `undeploy` cannot catch a message the job fans out
+/// *after* it: a worker still executing the job's spin when the drain
+/// budget (zero here) runs out submits the spin's output once the slot
+/// already holds a new occupant of the same spec. The generation check
+/// must drop it before it reaches the new `out` operator, whose
+/// in-flight count it never incremented.
+#[test]
+fn a_straggler_after_a_timed_out_undeploy_never_reaches_the_next_occupant() {
+    let rt = Runtime::start(RuntimeConfig::default().with_workers(1));
+    let mut b = JobBuilder::new("fan", Micros::from_millis(500), TimeDomain::IngestionTime);
+    let src = b.ingest("src", 1);
+    let spin = b.stage(
+        "spin",
+        1,
+        OperatorKind::Regular,
+        Micros::from_millis(50),
+        |_| Box::new(SpinMap::new(Micros::from_millis(50))),
+    );
+    let out = b.stage("out", 1, OperatorKind::Regular, Micros(1), |_| {
+        Box::new(SpinMap::new(Micros(0)))
+    });
+    b.connect(src, spin, Routing::Forward);
+    b.connect(spin, out, Routing::Forward);
+    let spec = b.build().unwrap();
+    let old = rt.deploy(&spec, &ExpandOptions::default()).expect("deploy");
+    let poison = 1_000_000_000;
+    rt.ingest(old, 0, vec![Tuple::new(1, poison, LogicalTime::ZERO)])
+        .expect("ingest");
+    // The worker has taken the spin message once the queue is empty.
+    let t0 = std::time::Instant::now();
+    while rt.queue_len() > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "spin never taken");
+        std::thread::yield_now();
+    }
+    assert_eq!(rt.undeploy_within(old, Duration::ZERO), Ok(0));
+    let new = rt
+        .deploy(&spec, &ExpandOptions::default())
+        .expect("redeploy");
+    assert_eq!(new.slot(), old.slot(), "the slot is reused");
+    let sub = rt.subscribe(new).expect("subscribe");
+    rt.ingest(new, 0, vec![Tuple::new(1, 1, LogicalTime::ZERO)])
+        .expect("ingest new");
+    assert!(rt.drain(Duration::from_secs(5)), "drains");
+    let got: Vec<OutputEvent> = sub.try_iter().collect();
+    assert_eq!(got.len(), 1, "only the new occupant's output");
+    assert!(got
+        .iter()
+        .flat_map(|ev| &ev.batch.tuples)
+        .all(|t| t.value != poison));
+    assert!(rt.scheduler_stats().retired_drops >= 1, "the straggler");
+    assert_eq!(rt.queue_len(), 0);
     rt.shutdown();
 }
 
