@@ -36,6 +36,13 @@ use crate::time::PhysicalTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+/// Capacity, in messages, an operator's message heap keeps once it has
+/// drained. A backlog grows the heap far beyond its steady-state depth,
+/// and a heap never gives memory back by itself: without the shrink,
+/// one overload spike would pin its high-water allocation until the
+/// job is retired.
+const KEPT_CAPACITY: usize = 64;
+
 /// One pending message plus its scheduling priority.
 #[derive(Debug)]
 struct MsgEntry<M> {
@@ -451,11 +458,16 @@ impl<M> TwoLevelQueue<M> {
         self.pop_with(|head| head.overdue(now))
     }
 
-    /// Take the most urgent pending message of a leased operator.
+    /// Take the most urgent pending message of a leased operator. The
+    /// message that empties the operator's heap shrinks it back to
+    /// `KEPT_CAPACITY`.
     pub fn next_message(&mut self, lease: &OperatorLease) -> Option<(M, Priority)> {
         let op = self.ops.get_mut(&lease.key)?;
         debug_assert!(op.leased, "next_message on unleased operator");
         let Reverse(entry) = op.msgs.pop()?;
+        if op.msgs.is_empty() && op.msgs.capacity() > KEPT_CAPACITY {
+            op.msgs.shrink_to(KEPT_CAPACITY);
+        }
         self.msg_count -= 1;
         Some((entry.msg, entry.pri))
     }
@@ -547,6 +559,24 @@ mod tests {
         q.check_in(lease);
         let lease = q.pop_operator().unwrap();
         assert_eq!(lease.key, key(1));
+    }
+
+    #[test]
+    fn a_drained_backlog_gives_its_heap_back() {
+        let mut q = TwoLevelQueue::new();
+        for i in 0..10_000 {
+            q.push(key(1), i, pri(i));
+        }
+        assert!(q.ops[&key(1)].msgs.capacity() >= 10_000);
+        let lease = q.pop_operator().unwrap();
+        let mut drained = 0;
+        while q.next_message(&lease).is_some() {
+            drained += 1;
+        }
+        assert_eq!(drained, 10_000);
+        let capacity = q.ops[&key(1)].msgs.capacity();
+        assert!(capacity <= KEPT_CAPACITY, "kept {capacity} slots");
+        q.check_in(lease);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Tuple {
 /// * `time` is the physical time at which the last event contributing
 ///   to this batch was observed at a source (`t_M`) — the baseline for
 ///   the paper's latency definition (§4.1).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Batch {
     /// The tuples travelling together.
     pub tuples: Vec<Tuple>,

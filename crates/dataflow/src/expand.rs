@@ -3,16 +3,22 @@
 //! per-operator converter state.
 //!
 //! Both execution engines (the real-time runtime and the discrete-event
-//! simulator) consume this exact structure, which is what guarantees
-//! they schedule the same dataflow with the same contexts.
+//! simulator) consume this exact structure, and both take every hop of
+//! Algorithm 1 through the same three instance steps:
+//! [`OperatorInstance::fan_out_source`] (`BUILDCXTATSOURCE` and
+//! routing), [`OperatorInstance::execute`] (the operator and watermark
+//! propagation) and [`OperatorInstance::fan_out`] (`PREPAREREPLY`, then
+//! `BUILDCXTATOPERATOR` and routing). That is what guarantees they
+//! schedule the same dataflow with the same contexts; each engine keeps
+//! only its clock, its cost source, sink handling and delivery.
 
 use crate::event::Batch;
 use crate::graph::{GraphError, JobSpec, Routing, StageId};
 use crate::operator::{InstanceCtx, Operator, OperatorKind, WatermarkTracker};
-use cameo_core::context::ReplyContext;
+use cameo_core::context::{PriorityContext, ReplyContext};
 use cameo_core::ids::{JobId, OperatorKey};
-use cameo_core::policy::{ConverterState, HopInfo, TokenBucket};
-use cameo_core::time::Micros;
+use cameo_core::policy::{ConverterState, HopInfo, MessageStamp, Policy, TokenBucket};
+use cameo_core::time::{LogicalTime, Micros, PhysicalTime};
 use std::collections::HashMap;
 
 /// Deployment options applied uniformly to a job's converters.
@@ -54,6 +60,30 @@ pub struct OutRoute {
     pub targets: Vec<(usize, u32)>,
 }
 
+/// One scheduled message, as both engines queue it. It carries no
+/// reply address: whoever sent a message on input channel `ch` of
+/// instance `t` is `instances[t].channel_senders[ch]`.
+#[derive(Clone, Debug)]
+pub struct Message {
+    /// Input channel at the target instance.
+    pub channel: u32,
+    /// The tuple batch being delivered.
+    pub batch: Batch,
+    /// The Priority Context the batch travels with.
+    pub pc: PriorityContext,
+}
+
+/// A Reply Context on its way upstream, with its address.
+#[derive(Clone, Copy, Debug)]
+pub struct Reply {
+    /// Instance index (within the job) of the upstream sender.
+    pub to: usize,
+    /// The sender's out-edge ordinal: the profile the reply updates.
+    pub edge: u32,
+    /// What `PREPAREREPLY` reported.
+    pub rc: ReplyContext,
+}
+
 /// One operator instance of an expanded job.
 pub struct OperatorInstance {
     /// The instance's scheduler key (job id + global instance index).
@@ -71,7 +101,10 @@ pub struct OperatorInstance {
     /// Pre-resolved outgoing routes.
     pub outs: Vec<OutRoute>,
     /// For each input channel: `(sender instance index, sender's
-    /// out-edge ordinal)` — the reply path.
+    /// out-edge ordinal)` — the reply path. Channel `ch` of instance
+    /// `t` is wired to exactly one `(sender, out-route)`, and that
+    /// route's targets hold `(t, ch)`, so a message's channel names its
+    /// sender.
     pub channel_senders: Vec<(usize, u32)>,
     /// True for instances of the job's sink stage.
     pub is_sink: bool,
@@ -98,20 +131,94 @@ impl OperatorInstance {
         self.channel_senders.len()
     }
 
-    /// Watermark bookkeeping around one execution of a *regular*
-    /// operator: observe the arriving progress, then clamp every output
-    /// batch's progress to the input watermark. Windowed operators are
-    /// untouched — they already emit watermark-correct window triggers.
-    pub fn propagate_watermark(&mut self, channel: u32, in_progress: u64, outs: &mut [Batch]) {
-        let Some(wm) = self.input_wm.as_mut() else {
-            return;
+    /// Source fan-out of a batch entering the dataflow at this ingest
+    /// instance: per out-route, one `BUILDCXTATSOURCE`, then the batch
+    /// routed across the route's targets, each `(target, message)`
+    /// handed to `emit`. The final route moves the batch
+    /// ([`route_batch_owned`]).
+    pub fn fan_out_source(
+        &mut self,
+        policy: &dyn Policy,
+        latency_constraint: Micros,
+        mut batch: Batch,
+        mut emit: impl FnMut(usize, Message),
+    ) {
+        let stamp = MessageStamp {
+            progress: batch.progress,
+            time: batch.time,
         };
-        let w = wm.observe(channel, in_progress);
-        for b in outs.iter_mut() {
-            if b.progress.0 > w {
-                b.progress = cameo_core::time::LogicalTime(w);
+        let routes = self.outs.len();
+        for (ri, route) in self.outs.iter().enumerate() {
+            let pc = policy.build_at_source(
+                self.key.job,
+                stamp,
+                latency_constraint,
+                &route.hop,
+                &mut self.converter,
+            );
+            send(route, pc, &mut batch, ri + 1 == routes, &mut emit);
+        }
+    }
+
+    /// Execution: run the operator on `msg` at `now`, then clamp a
+    /// *regular* operator's output progress to its input watermark (see
+    /// `input_wm`). Windowed operators already emit watermark-correct
+    /// window triggers.
+    pub fn execute(&mut self, msg: &Message, now: PhysicalTime) -> Vec<Batch> {
+        let mut outs = Vec::new();
+        self.op
+            .as_mut()
+            .expect("scheduled instance has an operator")
+            .on_batch(msg.channel, &msg.batch, now, &mut outs);
+        if let Some(wm) = self.input_wm.as_mut() {
+            let w = wm.observe(msg.channel, msg.batch.progress.0);
+            for b in outs.iter_mut() {
+                if b.progress.0 > w {
+                    b.progress = LogicalTime(w);
+                }
             }
         }
+        outs
+    }
+
+    /// Operator fan-out after [`execute`](Self::execute) ran `msg`:
+    /// record `cost` as this instance's own cost, `PREPAREREPLY`, then,
+    /// route by route and output by output, one `BUILDCXTATOPERATOR`
+    /// and the output routed across the route's targets, each
+    /// `(target, message)` handed to `emit`. The final route moves the
+    /// outputs out of `outputs`; a sink has no routes, so its outputs
+    /// stay there for the engine to deliver. Returns the reply,
+    /// addressed to the sender of the channel `msg` arrived on.
+    pub fn fan_out(
+        &mut self,
+        policy: &dyn Policy,
+        msg: &Message,
+        cost: Micros,
+        outputs: &mut Vec<Batch>,
+        mut emit: impl FnMut(usize, Message),
+    ) -> Reply {
+        self.converter.profile.record_own_cost(cost);
+        let (to, edge) = self.channel_senders[msg.channel as usize];
+        let reply = Reply {
+            to,
+            edge,
+            rc: policy.prepare_reply(&self.converter, self.is_sink),
+        };
+        let routes = self.outs.len();
+        for (ri, route) in self.outs.iter().enumerate() {
+            for out in outputs.iter_mut() {
+                let stamp = MessageStamp {
+                    progress: out.progress,
+                    time: out.time,
+                };
+                let pc = policy.build_at_operator(&msg.pc, stamp, &route.hop, &mut self.converter);
+                send(route, pc, out, ri + 1 == routes, &mut emit);
+            }
+        }
+        if routes > 0 {
+            outputs.clear();
+        }
+        reply
     }
 
     /// Serializes this instance's durable state: the input-side
@@ -196,6 +303,26 @@ pub fn partition_hash(key: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Route `batch` across `route`'s targets, handing each `(target,
+/// message)` under `pc` to `emit`. The final route of a fan-out
+/// (`last`) moves the batch out, leaving an empty one behind.
+fn send(
+    route: &OutRoute,
+    pc: PriorityContext,
+    batch: &mut Batch,
+    last: bool,
+    emit: &mut impl FnMut(usize, Message),
+) {
+    let routed = if last {
+        route_batch_owned(route, std::mem::take(batch))
+    } else {
+        route_batch(route, batch)
+    };
+    for (target, channel, batch) in routed {
+        emit(target, Message { channel, batch, pc });
+    }
+}
+
 /// Split a batch across `route.targets` according to the routing mode.
 /// Under `Partition`, *every* target receives a sub-batch (possibly
 /// empty) carrying the full progress, so watermarks advance everywhere.
@@ -206,9 +333,9 @@ pub fn route_batch(route: &OutRoute, batch: &Batch) -> Vec<(usize, u32, Batch)> 
 /// Like [`route_batch`], but consumes the batch. With exactly one
 /// target every routing mode delivers the whole batch there — `Forward`
 /// by definition, `Broadcast` and `Partition` degenerately — so the
-/// single-target case (a parallelism-1 stage, the common shape on the
-/// ingest hot path) *moves* the batch instead of hashing and copying it
-/// tuple by tuple.
+/// single-target case (a parallelism-1 stage or any `Forward` edge, the
+/// common shapes on both fan-outs) *moves* the batch instead of hashing
+/// and copying it tuple by tuple.
 pub fn route_batch_owned(route: &OutRoute, batch: Batch) -> Vec<(usize, u32, Batch)> {
     if route.targets.len() == 1 {
         let (t, c) = route.targets[0];
@@ -624,6 +751,64 @@ mod tests {
         ));
         // A valid spec still expands.
         assert!(ExpandedJob::expand(&spec(), JobId(0), &ExpandOptions::default()).is_ok());
+    }
+
+    #[test]
+    fn every_channel_names_the_one_route_that_feeds_it() {
+        use crate::queries::{ipq1, ipq2, ipq3, ipq4};
+        // Forward, Partition and Broadcast at unequal parallelism, with
+        // a two-edge source and a two-edge sink.
+        let mut b = JobBuilder::new("mixed", Micros(1_000), TimeDomain::IngestionTime);
+        let src = b.ingest("src", 3);
+        let a = b.stage("a", 4, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        let c = b.stage("c", 3, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        let sink = b.stage("sink", 2, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        b.connect(src, a, Routing::Partition);
+        b.connect(src, c, Routing::Broadcast);
+        b.connect(a, sink, Routing::Forward);
+        b.connect(c, sink, Routing::Partition);
+        let latency = Micros(800_000);
+        for spec in [
+            ipq1(1_000_000, latency),
+            ipq2(1_000_000, latency),
+            ipq3(1_000_000, latency),
+            ipq4(1_000_000, latency),
+            b.build().unwrap(),
+        ] {
+            let j = ExpandedJob::expand(&spec, JobId(0), &ExpandOptions::default()).unwrap();
+            let mut feeds: Vec<Vec<u32>> = j
+                .instances
+                .iter()
+                .map(|i| vec![0; i.num_channels()])
+                .collect();
+            for (s, inst) in j.instances.iter().enumerate() {
+                for r in &inst.outs {
+                    for &(t, ch) in &r.targets {
+                        assert_eq!(
+                            j.instances[t].channel_senders[ch as usize],
+                            (s, r.edge),
+                            "{}: route {} of {s} reaches ({t}, {ch})",
+                            spec.name,
+                            r.edge
+                        );
+                        feeds[t][ch as usize] += 1;
+                    }
+                }
+            }
+            for (t, per_channel) in feeds.iter().enumerate() {
+                assert!(
+                    per_channel.iter().all(|&n| n == 1),
+                    "{}: channels of {t} are fed {per_channel:?} times",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

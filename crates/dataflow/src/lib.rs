@@ -27,7 +27,9 @@ pub mod window;
 /// Everything most dataflow users need.
 pub mod prelude {
     pub use crate::event::{Batch, Tuple};
-    pub use crate::expand::{route_batch, ExpandOptions, ExpandedJob, OperatorInstance, OutRoute};
+    pub use crate::expand::{
+        route_batch, ExpandOptions, ExpandedJob, Message, OperatorInstance, OutRoute, Reply,
+    };
     pub use crate::graph::{
         EdgeSpec, GraphError, JobBuilder, JobSpec, Routing, StageId, StageSpec,
     };

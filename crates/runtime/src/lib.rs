@@ -41,7 +41,7 @@ pub mod prelude {
     pub use crate::durability::{
         DurabilityConfig, FsyncPolicy, RecoverError, RecoveryReport, SnapshotError, SpecRegistry,
     };
-    pub use crate::msg::{FrameDecoder, RtMsg};
+    pub use crate::msg::FrameDecoder;
     pub use crate::net::{
         decode_payload, encode_frame, read_frame, IngestClient, IngestFrame, IngestServer,
         NackFrame,

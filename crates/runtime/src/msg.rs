@@ -1,8 +1,7 @@
-//! Runtime message envelope (the real-time twin of the simulator's
-//! `SimMsg`) plus the TCP wire format: frame encoding, one-shot payload
-//! decoding, and the streaming [`FrameDecoder`] that the coalescing
-//! ingest path ([`crate::net`]) runs over a reusable per-connection
-//! buffer. Every decoder is owned by the one serve loop
+//! The TCP wire format: frame encoding, one-shot payload decoding, and
+//! the streaming [`FrameDecoder`] that the coalescing ingest path
+//! ([`crate::net`]) runs over a reusable per-connection buffer. Every
+//! decoder is owned by the one serve loop
 //! ([`IngestServer`](crate::net::IngestServer)) that reads its
 //! connection, so nothing here needs synchronization.
 //!
@@ -37,41 +36,9 @@
 //! nack := len:u32be magic:u32le job:u32le gen:u32le expected_gen:u32le
 //! ```
 
-use cameo_core::context::PriorityContext;
 use cameo_core::time::LogicalTime;
 use cameo_dataflow::event::{Batch, Tuple};
 use std::io::{self, Read};
-
-/// Reply address: `(job index, instance index, sender out-edge)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SenderRef {
-    /// Jobs-table slot of the sending job.
-    pub job: u32,
-    /// Instance index of the sending operator within the job.
-    pub op: u32,
-    /// The sender's out-edge ordinal (the profile the reply updates).
-    pub edge: u32,
-}
-
-/// One scheduled message.
-#[derive(Clone, Debug)]
-pub struct RtMsg {
-    /// Input channel at the target operator.
-    pub channel: u32,
-    /// The tuple batch being delivered.
-    pub batch: Batch,
-    /// The Cameo priority context the batch travels with.
-    pub pc: PriorityContext,
-    /// Reply address for the acknowledgement (Reply Context) path.
-    pub sender: Option<SenderRef>,
-    /// Generation of the jobs-table slot this message belongs to,
-    /// stamped at submission. Workers compare it against the slot's
-    /// current occupant before executing: a mismatch means the job was
-    /// undeployed (and the slot possibly reused) while this message was
-    /// in flight, and the message is dropped — a stale message must
-    /// never run against another job's operators.
-    pub gen: u32,
-}
 
 /// Maximum accepted frame, matching a generous batch of ~43k tuples.
 pub const MAX_FRAME: u32 = 1 << 20;

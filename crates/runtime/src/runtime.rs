@@ -81,19 +81,17 @@ use crate::durability::{
     self, DurState, DurabilityConfig, FrameRecord, JobSnapshot, JournalRecord, RecoverError,
     RecoveryReport, SlotSnapshot, SnapshotError, SpecRegistry,
 };
-use crate::msg::{IngestFrame, RtMsg, SenderRef};
+use crate::msg::IngestFrame;
 use crate::stats::{JobStats, JobStatsSnapshot};
 use cameo_core::config::SchedulerConfig;
-use cameo_core::ids::JobId;
-use cameo_core::policy::{LlfPolicy, MessageStamp, Policy};
+use cameo_core::ids::{JobId, OperatorKey};
+use cameo_core::policy::{LlfPolicy, Policy};
 use cameo_core::priority::Priority;
 use cameo_core::scheduler::{Decision, Execution, SchedulerStats};
 use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Clock, Micros, PhysicalTime, SystemClock};
 use cameo_dataflow::event::{Batch, Tuple};
-use cameo_dataflow::expand::{
-    route_batch, route_batch_owned, ExpandOptions, ExpandedJob, OperatorInstance,
-};
+use cameo_dataflow::expand::{ExpandOptions, ExpandedJob, Message, OperatorInstance};
 use cameo_dataflow::graph::{GraphError, JobSpec};
 use cameo_dataflow::preempt;
 use std::cell::Cell;
@@ -377,6 +375,17 @@ impl Subscriber {
     }
 }
 
+/// One scheduled message plus the generation of the jobs-table slot
+/// it belongs to, stamped at submission. A worker compares it against
+/// the slot's current occupant before executing: a mismatch means the
+/// job was undeployed (and the slot possibly reused) while the message
+/// was in flight, and the message is dropped, so it never runs against
+/// another job's operators.
+struct RtMsg {
+    msg: Message,
+    gen: u32,
+}
+
 struct JobRt {
     instances: Vec<Mutex<OperatorInstance>>,
     ingests: Vec<usize>,
@@ -582,75 +591,11 @@ impl Shared {
 
     /// Batched submit: one mailbox publication, one hint update and one
     /// wake for the whole batch.
-    fn submit_batch<I: IntoIterator<Item = (cameo_core::ids::OperatorKey, RtMsg)>>(
-        &self,
-        items: I,
-    ) {
-        let _ = self.sched.submit_batch(items.into_iter().map(|(key, msg)| {
-            let pri = msg.pc.priority;
-            (key, msg, pri)
+    fn submit_batch<I: IntoIterator<Item = (OperatorKey, RtMsg)>>(&self, items: I) {
+        let _ = self.sched.submit_batch(items.into_iter().map(|(key, m)| {
+            let pri = m.msg.pc.priority;
+            (key, m, pri)
         }));
-    }
-
-    /// Route one or more source batches through a job's ingest
-    /// instance, appending the priced outbound messages (with their
-    /// scheduler keys) to `outbound`. The instance mutex is taken
-    /// **once** for the whole batch slice — a coalesced burst pays the
-    /// routing lock per `(job, source)` group, not per frame. Each batch
-    /// stays its own message set (frame boundaries are preserved
-    /// downstream).
-    fn route_ingest(
-        &self,
-        jrt: &JobRt,
-        job: u32,
-        ingest_idx: usize,
-        batches: Vec<Batch>,
-        outbound: &mut Vec<(cameo_core::ids::OperatorKey, RtMsg)>,
-    ) {
-        let jid = JobId(job);
-        let constraint = jrt.latency_constraint;
-        let gen = jrt.gen;
-        let mut inst = relock(&jrt.instances[ingest_idx]);
-        let inst = &mut *inst;
-        let converter = &mut inst.converter;
-        let last = inst.outs.len().saturating_sub(1);
-        for batch in batches {
-            let stamp = MessageStamp {
-                progress: batch.progress,
-                time: batch.time,
-            };
-            // The batch is borrowed by every route but the last, which
-            // consumes it: a single-target final route (the common,
-            // parallelism-1 shape) then moves the tuples straight into
-            // its message instead of cloning them.
-            let mut batch = Some(batch);
-            for (ri, route) in inst.outs.iter().enumerate() {
-                let pc = self
-                    .policy
-                    .build_at_source(jid, stamp, constraint, &route.hop, converter);
-                let routed = if ri == last {
-                    route_batch_owned(route, batch.take().expect("last route consumes"))
-                } else {
-                    route_batch(route, batch.as_ref().expect("consumed only by last route"))
-                };
-                for (target, channel, sub) in routed {
-                    outbound.push((
-                        cameo_core::ids::OperatorKey::new(jid, target as u32),
-                        RtMsg {
-                            channel,
-                            batch: sub,
-                            pc,
-                            sender: Some(SenderRef {
-                                job,
-                                op: ingest_idx as u32,
-                                edge: route.edge,
-                            }),
-                            gen,
-                        },
-                    ));
-                }
-            }
-        }
     }
 }
 
@@ -1066,11 +1011,28 @@ impl Runtime {
             }
             out.frames += 1;
         }
+        // Each group takes its ingest instance's mutex once for all of
+        // its frames; each frame stays its own message set, so frame
+        // boundaries are preserved downstream.
         let mut outbound = Vec::new();
         for (slot, jrt, ingest_idx, batches) in groups {
             let before = outbound.len();
-            self.shared
-                .route_ingest(&jrt, slot, ingest_idx, batches, &mut outbound);
+            let gen = jrt.gen;
+            let mut inst = relock(&jrt.instances[ingest_idx]);
+            for batch in batches {
+                inst.fan_out_source(
+                    &*self.shared.policy,
+                    jrt.latency_constraint,
+                    batch,
+                    |target, msg| {
+                        outbound.push((
+                            OperatorKey::new(JobId(slot), target as u32),
+                            RtMsg { msg, gen },
+                        ))
+                    },
+                );
+            }
+            drop(inst);
             jrt.inflight
                 .fetch_add((outbound.len() - before) as u64, Ordering::AcqRel);
         }
@@ -1543,13 +1505,13 @@ fn try_snapshot(sh: &Arc<Shared>, wait: Duration) -> Result<u64, SnapshotError> 
 /// job was undeployed while it was in flight, and it is dropped — a
 /// stale message must never execute against, or fan out into, the
 /// slot's new occupant.
-fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtMsg) {
+fn process_message(sh: &Arc<Shared>, key: OperatorKey, RtMsg { msg, gen }: RtMsg) {
     let jrt = {
         let jobs = sh.jobs.read().unwrap_or_else(|p| p.into_inner());
         jobs.occupant(key.job.0).cloned()
     };
     let jrt = match jrt {
-        Some(jrt) if jrt.gen == msg.gen => jrt,
+        Some(jrt) if jrt.gen == gen => jrt,
         _ => {
             sh.stale_exec_drops.fetch_add(1, Ordering::Relaxed);
             return;
@@ -1569,68 +1531,25 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
         }
     }
     let _inflight = InflightMsg(&jrt);
-    let op_idx = key.op as usize;
-
-    let mut outbound: Vec<(usize, RtMsg)> = Vec::new();
-    let mut reply: Option<(SenderRef, cameo_core::context::ReplyContext)> = None;
-    let mut outputs: Vec<Batch> = Vec::new();
-    let is_sink;
+    let mut outbound = Vec::new();
+    let mut outputs;
+    let reply;
     {
-        let mut guard = relock(&jrt.instances[op_idx]);
-        let inst = &mut *guard;
-        is_sink = inst.is_sink;
+        let mut inst = relock(&jrt.instances[key.op as usize]);
         let started = sh.now();
         let nested_before = preempt::nested_time();
-        inst.op
-            .as_mut()
-            .expect("scheduled instance has an operator")
-            .on_batch(msg.channel, &msg.batch, started, &mut outputs);
-        inst.propagate_watermark(msg.channel, msg.batch.progress.0, &mut outputs);
+        outputs = inst.execute(&msg, started);
         // Leases a yield point ran on this stack are other operators'
         // cost, not this one's.
         let nested = preempt::nested_time() - nested_before;
         let cost = (sh.now() - started).saturating_sub(Micros(nested.as_micros() as u64));
-        inst.converter.profile.record_own_cost(cost);
-        if let Some(sender) = msg.sender {
-            reply = Some((
-                sender,
-                sh.policy.prepare_reply(&inst.converter, inst.is_sink),
-            ));
-        }
-        if !inst.is_sink {
-            let sender_op = op_idx as u32;
-            let converter = &mut inst.converter;
-            for route in &inst.outs {
-                for b in &outputs {
-                    let stamp = MessageStamp {
-                        progress: b.progress,
-                        time: b.time,
-                    };
-                    let pc = sh
-                        .policy
-                        .build_at_operator(&msg.pc, stamp, &route.hop, converter);
-                    for (target, channel, sub) in route_batch(route, b) {
-                        outbound.push((
-                            target,
-                            RtMsg {
-                                channel,
-                                batch: sub,
-                                pc,
-                                sender: Some(SenderRef {
-                                    job: key.job.0,
-                                    op: sender_op,
-                                    edge: route.edge,
-                                }),
-                                gen: msg.gen,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
+        reply = inst.fan_out(&*sh.policy, &msg, cost, &mut outputs, |target, msg| {
+            outbound.push((OperatorKey::new(key.job, target as u32), RtMsg { msg, gen }))
+        });
     } // instance guard dropped before touching any other instance
 
-    if is_sink {
+    // What a sink emitted (fan-out leaves other instances' outputs empty).
+    if !outputs.is_empty() {
         let now = sh.now();
         let handle = JobHandle {
             slot: key.job.0,
@@ -1680,20 +1599,12 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
             }
         }
     }
-    if let Some((sender, rc)) = reply {
-        // Replies are intra-job (the sender is an upstream instance of
-        // the same dataflow), so the generation-checked `jrt` already
-        // is the right table entry — no second lookup, no stale risk.
-        // Enforced, not just assumed: a cross-job SenderRef (impossible
-        // today, but nothing in the type forbids it) must not index
-        // another job's instance vector, so it drops the reply instead.
-        debug_assert_eq!(sender.job, key.job.0, "replies never cross jobs");
-        if sender.job == key.job.0 {
-            let mut inst = relock(&jrt.instances[sender.op as usize]);
-            sh.policy
-                .process_reply(&mut inst.converter, sender.edge, &rc);
-        }
-    }
+    // The reply's address is an instance of this same job, so the
+    // generation-checked `jrt` is already the right table entry.
+    let mut upstream = relock(&jrt.instances[reply.to]);
+    sh.policy
+        .process_reply(&mut upstream.converter, reply.edge, &reply.rc);
+    drop(upstream);
     // Operator fan-out goes out as one batch (one publication + hint +
     // wake). The fan-out is counted in-flight *before* this message's
     // own decrement (the `InflightMsg` guard, dropped at scope end), so
@@ -1701,18 +1612,14 @@ fn process_message(sh: &Arc<Shared>, key: cameo_core::ids::OperatorKey, msg: RtM
     // is still alive.
     jrt.inflight
         .fetch_add(outbound.len() as u64, Ordering::AcqRel);
-    sh.submit_batch(
-        outbound
-            .into_iter()
-            .map(|(target, m)| (cameo_core::ids::OperatorKey::new(key.job, target as u32), m)),
-    );
+    sh.submit_batch(outbound);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cameo_core::context::PriorityContext;
-    use cameo_core::ids::{MessageId, OperatorKey};
+    use cameo_core::ids::MessageId;
     use cameo_core::priority::Priority;
     use cameo_core::time::LogicalTime;
     use cameo_dataflow::queries::AggQueryParams;
@@ -1724,6 +1631,65 @@ mod tests {
                 .with_parallelism(2)
                 .with_domain(cameo_core::progress::TimeDomain::IngestionTime),
         )
+    }
+
+    #[test]
+    fn replies_reach_the_sending_instance_and_edge_on_a_fan_in() {
+        use cameo_dataflow::graph::{JobBuilder, Routing};
+        use cameo_dataflow::operator::OperatorKind;
+        use cameo_dataflow::ops::Passthrough;
+        // Instances: src 0-1, mid 2-3, left 4, right 5. Each of `left`
+        // and `right` has one channel from each `mid` instance; `mid`'s
+        // out-edge 0 goes to `left`, edge 1 to `right`.
+        let mut b = JobBuilder::new(
+            "fan-in",
+            Micros::from_millis(500),
+            cameo_core::progress::TimeDomain::IngestionTime,
+        );
+        let src = b.ingest("src", 2);
+        let mid = b.stage("mid", 2, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        let left = b.stage("left", 1, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        let right = b.stage("right", 1, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        b.connect(src, mid, Routing::Forward);
+        b.connect(mid, left, Routing::Forward);
+        b.connect(mid, right, Routing::Forward);
+        let spec = b.build().unwrap();
+        let rt = Runtime::start(RuntimeConfig::default().with_workers(1));
+        let opts = ExpandOptions {
+            seed_profiles: false,
+            ..ExpandOptions::default()
+        };
+        let job = rt.deploy(&spec, &opts).unwrap();
+        // Source 1 feeds mid 3 only, which reaches channel 1 of both
+        // `left` and `right`.
+        rt.ingest(job, 1, vec![Tuple::new(7, 1, LogicalTime(0))])
+            .unwrap();
+        assert!(rt.drain(Duration::from_secs(10)));
+        let jrt = rt.lookup(job).unwrap();
+        let reported = |op: usize, edge: u32| {
+            relock(&jrt.instances[op])
+                .converter
+                .profile
+                .edge_report(edge)
+                .is_some()
+        };
+        let sent_on: [(usize, &[u32]); 4] = [(0, &[]), (1, &[0]), (2, &[]), (3, &[0, 1])];
+        for (op, edges) in sent_on {
+            for edge in 0..2 {
+                assert_eq!(
+                    reported(op, edge),
+                    edges.contains(&edge),
+                    "instance {op}, edge {edge}"
+                );
+            }
+        }
+        rt.shutdown();
     }
 
     #[test]
@@ -1851,10 +1817,11 @@ mod tests {
             ];
             for (op, pri) in pris.into_iter().enumerate() {
                 let msg = RtMsg {
-                    channel: op as u32,
-                    batch: Batch::new(Vec::new(), PhysicalTime::ZERO),
-                    pc: PriorityContext::initialize(MessageId(op as u64), JobId(0), Micros(1)),
-                    sender: None,
+                    msg: Message {
+                        channel: op as u32,
+                        batch: Batch::new(Vec::new(), PhysicalTime::ZERO),
+                        pc: PriorityContext::initialize(MessageId(op as u64), JobId(0), Micros(1)),
+                    },
                     gen: 0,
                 };
                 sched.submit(OperatorKey::new(JobId(0), op as u32), msg, pri);
@@ -1862,7 +1829,7 @@ mod tests {
             let mut order = Vec::new();
             while let Some(exec) = sched.acquire(0, PhysicalTime::ZERO) {
                 while let Some((m, _)) = sched.take_message(&exec) {
-                    order.push(m.channel);
+                    order.push(m.msg.channel);
                 }
                 sched.release(exec);
             }

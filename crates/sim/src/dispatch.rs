@@ -16,13 +16,13 @@
 //! All dispatchers enforce actor semantics: an operator is *leased* to
 //! at most one worker at a time.
 
-use crate::message::SimMsg;
 use cameo_core::config::SchedulerConfig;
 use cameo_core::ids::OperatorKey;
 use cameo_core::priority::Priority;
 use cameo_core::scheduler::{Decision, Execution, SchedulerStats};
 use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Micros, PhysicalTime};
+use cameo_dataflow::expand::Message;
 use std::collections::{HashMap, VecDeque};
 
 /// An operator checked out by a worker.
@@ -37,11 +37,11 @@ pub struct DispatchLease {
 pub trait Dispatcher: Send {
     /// Enqueue a message. `hint` is the worker that produced the
     /// message locally (thread-affinity for the Orleans model).
-    fn submit(&mut self, key: OperatorKey, msg: SimMsg, pri: Priority, hint: Option<u16>);
+    fn submit(&mut self, key: OperatorKey, msg: Message, pri: Priority, hint: Option<u16>);
     /// Check out an operator for `worker`.
     fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<DispatchLease>;
     /// Next message of the leased operator.
-    fn take(&mut self, lease: &DispatchLease) -> Option<SimMsg>;
+    fn take(&mut self, lease: &DispatchLease) -> Option<Message>;
     /// After finishing a message: keep draining, swap away, or idle.
     fn decide(&mut self, lease: &DispatchLease, now: PhysicalTime) -> Decision;
     /// Return the lease (worker needed so local re-queues land right).
@@ -72,7 +72,7 @@ pub trait Dispatcher: Send {
 /// bare `CameoScheduler` submitted to directly. Every worker of a node
 /// shares it, as every worker of a runtime does.
 pub struct CameoDispatcher {
-    inner: ShardedScheduler<SimMsg>,
+    inner: ShardedScheduler<Message>,
 }
 
 impl CameoDispatcher {
@@ -84,7 +84,7 @@ impl CameoDispatcher {
 }
 
 impl Dispatcher for CameoDispatcher {
-    fn submit(&mut self, key: OperatorKey, msg: SimMsg, pri: Priority, _hint: Option<u16>) {
+    fn submit(&mut self, key: OperatorKey, msg: Message, pri: Priority, _hint: Option<u16>) {
         self.inner.submit(key, msg, pri);
     }
 
@@ -97,7 +97,7 @@ impl Dispatcher for CameoDispatcher {
         })
     }
 
-    fn take(&mut self, lease: &DispatchLease) -> Option<SimMsg> {
+    fn take(&mut self, lease: &DispatchLease) -> Option<Message> {
         let exec = lease.exec.as_ref().expect("cameo lease");
         self.inner.take_message(exec).map(|(m, _)| m)
     }
@@ -127,7 +127,7 @@ impl Dispatcher for CameoDispatcher {
 /// a message queue plus the queued/leased flags their run queues key on.
 #[derive(Default)]
 struct QueuedOp {
-    msgs: VecDeque<SimMsg>,
+    msgs: VecDeque<Message>,
     queued: bool,
     leased: bool,
 }
@@ -183,7 +183,7 @@ impl OrleansDispatcher {
 }
 
 impl Dispatcher for OrleansDispatcher {
-    fn submit(&mut self, key: OperatorKey, msg: SimMsg, _pri: Priority, hint: Option<u16>) {
+    fn submit(&mut self, key: OperatorKey, msg: Message, _pri: Priority, hint: Option<u16>) {
         let op = self.ops.entry(key).or_default();
         op.msgs.push_back(msg);
         if !op.queued && !op.leased {
@@ -220,7 +220,7 @@ impl Dispatcher for OrleansDispatcher {
         })
     }
 
-    fn take(&mut self, lease: &DispatchLease) -> Option<SimMsg> {
+    fn take(&mut self, lease: &DispatchLease) -> Option<Message> {
         let op = self.ops.get_mut(&lease.key)?;
         let m = op.msgs.pop_front();
         if m.is_some() {
@@ -305,7 +305,7 @@ impl SlotDispatcher {
 }
 
 impl Dispatcher for SlotDispatcher {
-    fn submit(&mut self, key: OperatorKey, msg: SimMsg, _pri: Priority, _hint: Option<u16>) {
+    fn submit(&mut self, key: OperatorKey, msg: Message, _pri: Priority, _hint: Option<u16>) {
         let w = self.pin_of(key);
         let op = self.ops.entry(key).or_default();
         op.msgs.push_back(msg);
@@ -328,7 +328,7 @@ impl Dispatcher for SlotDispatcher {
         })
     }
 
-    fn take(&mut self, lease: &DispatchLease) -> Option<SimMsg> {
+    fn take(&mut self, lease: &DispatchLease) -> Option<Message> {
         let op = self.ops.get_mut(&lease.key)?;
         let m = op.msgs.pop_front();
         if m.is_some() {
@@ -377,7 +377,6 @@ impl Dispatcher for SlotDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::SimMsg;
     use cameo_core::context::PriorityContext;
     use cameo_core::ids::{JobId, MessageId};
     use cameo_dataflow::event::Batch;
@@ -386,12 +385,11 @@ mod tests {
         OperatorKey::new(JobId(0), op)
     }
 
-    fn msg(tag: u64) -> SimMsg {
-        SimMsg {
+    fn msg(tag: u64) -> Message {
+        Message {
             channel: 0,
             batch: Batch::new(vec![], PhysicalTime(tag)),
             pc: PriorityContext::initialize(MessageId(tag), JobId(0), Micros(0)),
-            sender: None,
         }
     }
 

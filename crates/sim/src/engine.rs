@@ -17,18 +17,14 @@ use crate::costmodel::{CostConfig, CostModel};
 use crate::dispatch::{
     CameoDispatcher, DispatchLease, Dispatcher, OrleansDispatcher, SlotDispatcher,
 };
-use crate::message::{SenderRef, SimMsg};
 use crate::metrics::{SchedEvent, SimMetrics};
 use crate::workload::WorkloadGen;
 use cameo_core::config::SchedulerConfig;
-use cameo_core::context::ReplyContext;
-use cameo_core::policy::{
-    EdfPolicy, FifoPolicy, LlfPolicy, MessageStamp, Policy, SjfPolicy, TokenFairPolicy,
-};
+use cameo_core::policy::{EdfPolicy, FifoPolicy, LlfPolicy, Policy, SjfPolicy, TokenFairPolicy};
 use cameo_core::scheduler::{Decision, SchedulerStats};
 use cameo_core::time::{Micros, PhysicalTime};
 use cameo_dataflow::event::Batch;
-use cameo_dataflow::expand::{route_batch, ExpandedJob};
+use cameo_dataflow::expand::{ExpandedJob, Message, Reply};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
@@ -179,14 +175,9 @@ enum Ev {
     /// External batch lands at an ingest instance.
     Arrival { job: u16, source: u32, batch: Batch },
     /// Message arrives at a target operator's node.
-    Deliver { job: u16, op: u32, msg: SimMsg },
+    Deliver { job: u16, op: u32, msg: Message },
     /// Acknowledgement (RC) arrives back at the sending operator.
-    Reply {
-        job: u16,
-        op: u32,
-        edge: u32,
-        rc: ReplyContext,
-    },
+    Reply { job: u16, reply: Reply },
     /// Worker finishes its current message.
     Complete { node: u16, worker: u16 },
     /// A job departs the cluster (Fig 8-style churn): its workload
@@ -226,7 +217,7 @@ impl Ord for Scheduled {
 
 struct Running {
     lease: DispatchLease,
-    msg: SimMsg,
+    msg: Message,
     cost: Micros,
 }
 
@@ -459,12 +450,13 @@ impl Engine {
                     }
                     self.deliver_at_node(job, op, msg);
                 }
-                Ev::Reply { job, op, edge, rc } => {
+                Ev::Reply { job, reply } => {
                     if self.jobs[job as usize].departed {
                         continue;
                     }
-                    let inst = &mut self.jobs[job as usize].exp.instances[op as usize];
-                    self.policy.process_reply(&mut inst.converter, edge, &rc);
+                    let inst = &mut self.jobs[job as usize].exp.instances[reply.to];
+                    self.policy
+                        .process_reply(&mut inst.converter, reply.edge, &reply.rc);
                 }
                 Ev::Complete { node, worker } => {
                     self.complete(node, worker);
@@ -519,42 +511,17 @@ impl Engine {
     }
 
     /// An external batch lands at ingest instance `source` of `job`:
-    /// build the priority context (`BUILDCXTATSOURCE`) and send the
-    /// routed sub-batches into the cluster.
+    /// its source fan-out sends the routed sub-batches into the cluster.
     fn ingest(&mut self, job: u16, source: u32, batch: Batch) {
-        let policy = self.policy.clone();
-        let mut outbound: Vec<(u32, SimMsg)> = Vec::new();
-        {
-            let js = &mut self.jobs[job as usize];
-            let jid = js.exp.id;
-            let constraint = js.exp.latency_constraint;
-            let ingest_idx = js.exp.ingests[source as usize];
-            let inst = &mut js.exp.instances[ingest_idx];
-            let stamp = MessageStamp {
-                progress: batch.progress,
-                time: batch.time,
-            };
-            let sender_op = ingest_idx as u32;
-            let converter = &mut inst.converter;
-            for route in &inst.outs {
-                let pc = policy.build_at_source(jid, stamp, constraint, &route.hop, converter);
-                for (target, channel, sub) in route_batch(route, &batch) {
-                    outbound.push((
-                        target as u32,
-                        SimMsg {
-                            channel,
-                            batch: sub,
-                            pc,
-                            sender: Some(SenderRef {
-                                job,
-                                op: sender_op,
-                                edge: route.edge,
-                            }),
-                        },
-                    ));
-                }
-            }
-        }
+        let mut outbound = Vec::new();
+        let exp = &mut self.jobs[job as usize].exp;
+        let ingest_idx = exp.ingests[source as usize];
+        exp.instances[ingest_idx].fan_out_source(
+            &*self.policy,
+            exp.latency_constraint,
+            batch,
+            |target, msg| outbound.push((target as u32, msg)),
+        );
         for (target, msg) in outbound {
             self.send(None, job, target, msg);
         }
@@ -563,7 +530,7 @@ impl Engine {
     /// Route a message toward `target`; local messages are submitted
     /// immediately (with a worker-affinity hint), remote ones pay the
     /// network delay.
-    fn send(&mut self, from: Option<(u16, u16)>, job: u16, target: u32, msg: SimMsg) {
+    fn send(&mut self, from: Option<(u16, u16)>, job: u16, target: u32, msg: Message) {
         let tnode = self.placement[job as usize][target as usize];
         debug_assert_ne!(tnode, OFF_CLUSTER, "cannot send to an ingest instance");
         match from {
@@ -596,12 +563,12 @@ impl Engine {
         }
     }
 
-    fn deliver_at_node(&mut self, job: u16, op: u32, msg: SimMsg) {
+    fn deliver_at_node(&mut self, job: u16, op: u32, msg: Message) {
         let node = self.placement[job as usize][op as usize];
         self.submit_local(node, job, op, msg, None);
     }
 
-    fn submit_local(&mut self, node: u16, job: u16, op: u32, msg: SimMsg, hint: Option<u16>) {
+    fn submit_local(&mut self, node: u16, job: u16, op: u32, msg: Message, hint: Option<u16>) {
         self.metrics.delivered += 1;
         let key = self.jobs[job as usize].exp.instances[op as usize].key;
         let pri = msg.pc.priority;
@@ -640,7 +607,7 @@ impl Engine {
     }
 
     /// Charge the message's cost and schedule its completion.
-    fn begin_execution(&mut self, node: u16, worker: u16, lease: DispatchLease, msg: SimMsg) {
+    fn begin_execution(&mut self, node: u16, worker: u16, lease: DispatchLease, msg: Message) {
         let key = lease.key;
         let job = key.job.0 as usize;
         let op = key.op as usize;
@@ -674,7 +641,6 @@ impl Engine {
     /// acknowledge upstream, then pick the next message per the
     /// scheduling decision.
     fn complete(&mut self, node: u16, worker: u16) {
-        let policy = self.policy.clone();
         let w = &mut self.nodes[node as usize].workers[worker as usize];
         let Running { lease, msg, cost } =
             w.running.take().expect("complete fired for idle worker");
@@ -698,68 +664,23 @@ impl Engine {
             return;
         }
 
-        let mut outbound: Vec<(u32, SimMsg)> = Vec::new();
-        let mut reply: Option<(SenderRef, ReplyContext)> = None;
-        let mut sink_outputs: Vec<Batch> = Vec::new();
-        {
-            let recorded = self.cost.perturb_measurement(cost, &mut self.rng);
-            let js = &mut self.jobs[job];
-            let inst = &mut js.exp.instances[op];
-            let mut outs = Vec::new();
-            inst.op
-                .as_mut()
-                .expect("scheduled instance has an operator")
-                .on_batch(msg.channel, &msg.batch, self.now, &mut outs);
-            inst.propagate_watermark(msg.channel, msg.batch.progress.0, &mut outs);
-            inst.converter.profile.record_own_cost(recorded);
-            self.metrics.jobs[job].record_processed(self.now, msg.batch.len());
-            if !self.cfg.disable_replies {
-                if let Some(sender) = msg.sender {
-                    let rc = policy.prepare_reply(&inst.converter, inst.is_sink);
-                    reply = Some((sender, rc));
-                }
-            }
-            if inst.is_sink {
-                sink_outputs = outs;
-            } else {
-                let sender_op = op as u32;
-                let converter = &mut inst.converter;
-                for route in &inst.outs {
-                    for b in &outs {
-                        let stamp = MessageStamp {
-                            progress: b.progress,
-                            time: b.time,
-                        };
-                        let pc = policy.build_at_operator(&msg.pc, stamp, &route.hop, converter);
-                        for (target, channel, sub) in route_batch(route, b) {
-                            outbound.push((
-                                target as u32,
-                                SimMsg {
-                                    channel,
-                                    batch: sub,
-                                    pc,
-                                    sender: Some(SenderRef {
-                                        job: job as u16,
-                                        op: sender_op,
-                                        edge: route.edge,
-                                    }),
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
-        for b in sink_outputs {
+        // The cost model's perturbed draw is what the profile records.
+        let recorded = self.cost.perturb_measurement(cost, &mut self.rng);
+        let inst = &mut self.jobs[job].exp.instances[op];
+        let mut outputs = inst.execute(&msg, self.now);
+        let mut outbound = Vec::new();
+        let reply = inst.fan_out(&*self.policy, &msg, recorded, &mut outputs, |target, m| {
+            outbound.push((target as u32, m))
+        });
+        self.metrics.jobs[job].record_processed(self.now, msg.batch.len());
+        for b in outputs {
             self.metrics.jobs[job].record_output(&b, self.now);
         }
         for (target, m) in outbound {
             self.send(Some((node, worker)), job as u16, target, m);
         }
-        if let Some((sender, rc)) = reply {
-            let snode = self.placement[sender.job as usize][sender.op as usize];
-            let delay = if snode == node {
+        if !self.cfg.disable_replies {
+            let delay = if self.placement[job][reply.to] == node {
                 Micros::ZERO
             } else {
                 self.cfg.cluster.net_delay
@@ -768,10 +689,8 @@ impl Engine {
             self.push_event(
                 t,
                 Ev::Reply {
-                    job: sender.job,
-                    op: sender.op,
-                    edge: sender.edge,
-                    rc,
+                    job: job as u16,
+                    reply,
                 },
             );
         }

@@ -37,7 +37,6 @@ pub mod cluster;
 pub mod costmodel;
 pub mod dispatch;
 pub mod engine;
-pub mod message;
 pub mod metrics;
 pub mod report;
 pub mod scenario;
