@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::priority::Priority;
     pub use crate::profile::{CostEstimator, ProfileState};
     pub use crate::progress::{FrontierEstimate, ProgressMap, TimeDomain};
-    pub use crate::queue::{OperatorLease, PushOutcome, TwoLevelQueue};
+    pub use crate::queue::{OperatorLease, TwoLevelQueue};
     pub use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
     pub use crate::shard::ShardedScheduler;
     pub use crate::stats::{exact_percentile, Histogram, OnlineStats};

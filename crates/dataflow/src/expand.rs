@@ -553,11 +553,6 @@ impl ExpandedJob {
     pub fn instance(&self, op: u32) -> &OperatorInstance {
         &self.instances[op as usize]
     }
-
-    /// Mutable instance lookup by `OperatorKey::op`.
-    pub fn instance_mut(&mut self, op: u32) -> &mut OperatorInstance {
-        &mut self.instances[op as usize]
-    }
 }
 
 #[cfg(test)]

@@ -105,10 +105,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Upper bound on how long an idle worker sleeps before it looks for
-/// work again. Only a backstop: every publish wakes a parked worker
-/// through the scheduler's one condvar, and the park/wake handshake
-/// does not lose wakeups.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+/// work again. Only a backstop: every publish and the shutdown's
+/// `close` wake a parked worker through the scheduler's one condvar,
+/// and the park/wake handshake does not lose wakeups.
+const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// An output emitted by a job's sink operator.
 #[derive(Clone, Debug)]
@@ -496,7 +496,6 @@ struct Shared {
     sched: ShardedScheduler<RtMsg>,
     jobs: RwLock<JobsTable>,
     policy: Arc<dyn Policy>,
-    shutdown: AtomicBool,
     /// In-flight messages abandoned at the pre-execution generation
     /// check (their job was undeployed while they sat in the queue).
     stale_exec_drops: AtomicU64,
@@ -628,7 +627,6 @@ impl Runtime {
             sched: ShardedScheduler::new(config.scheduler),
             jobs: RwLock::new(JobsTable::default()),
             policy: config.policy.clone(),
-            shutdown: AtomicBool::new(false),
             stale_exec_drops: AtomicU64::new(0),
             pinned: AtomicUsize::new(0),
             net_batches: AtomicU64::new(0),
@@ -1319,8 +1317,7 @@ impl Runtime {
     }
 
     fn stop_workers(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.sched.notify_all();
+        self.shared.sched.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -1370,7 +1367,7 @@ fn worker_loop(sh: Arc<Shared>) {
         move || preempt_in_flight(&sh, &in_flight)
     });
     loop {
-        if sh.shutdown.load(Ordering::Acquire) {
+        if sh.sched.is_closed() {
             return;
         }
         // Acquire the most urgent operator, parking when there is none.

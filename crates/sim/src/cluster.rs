@@ -49,11 +49,6 @@ impl ClusterSpec {
         }
     }
 
-    pub fn with_net_delay(mut self, d: Micros) -> Self {
-        self.net_delay = d;
-        self
-    }
-
     pub fn with_net_jitter(mut self, j: Micros) -> Self {
         self.net_jitter = j;
         self

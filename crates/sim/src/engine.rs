@@ -104,17 +104,6 @@ pub struct EngineConfig {
     /// Ablation: suppress Reply Contexts entirely (no acknowledgement
     /// path, so converters never refresh cost/critical-path profiles).
     pub disable_replies: bool,
-    /// Crash the run (stop dead, in-flight events lost) immediately
-    /// after this many arrivals have been ingested across all jobs.
-    /// While set, every ingested arrival is also recorded in the
-    /// engine's arrival journal — the simulator's write-ahead log — so
-    /// [`Engine::run_crash`] can hand the journal to a recovery run.
-    pub stop_at_arrival: Option<u64>,
-    /// Recovery runs only: arrivals never fire before this instant.
-    /// Regenerated (post-crash) workload arrivals whose generation time
-    /// precedes the crash are clamped up to it — a producer cannot
-    /// deliver into the past of a recovered runtime.
-    pub arrival_floor: PhysicalTime,
 }
 
 impl EngineConfig {
@@ -130,43 +119,6 @@ impl EngineConfig {
             record_processing: false,
             placement: Placement::Spread,
             disable_replies: false,
-            stop_at_arrival: None,
-            arrival_floor: PhysicalTime::ZERO,
-        }
-    }
-}
-
-/// What a crashed run leaves behind for recovery: the simulator's
-/// analogue of the runtime's on-disk journal. Produced by
-/// [`Engine::run_crash`], consumed by [`Engine::prime_replay`] (via
-/// `Scenario::with_crash_at`).
-#[derive(Clone, Debug)]
-pub struct CrashCut {
-    /// Virtual time of the crash.
-    pub at: PhysicalTime,
-    /// Every ingested arrival in admission order: `(job, source,
-    /// batch)`, post-stamping — replay reproduces the exact logical
-    /// times the operators saw, the same guarantee the runtime journal
-    /// gives via `FrameRecord`.
-    pub journal: Vec<(u16, u32, Batch)>,
-    /// Arrivals ingested per job: recovery fast-forwards each job's
-    /// workload generator past these (they come back via the journal).
-    pub ingested_per_job: Vec<u64>,
-}
-
-impl CrashCut {
-    /// Model a torn final journal record: the last ingested arrival's
-    /// record did not fully reach the log, so recovery discards it —
-    /// and the producer, never having been acknowledged, re-sends it
-    /// (the generator fast-forward shrinks by one, regenerating the
-    /// same arrival). Returns false on an empty journal.
-    pub fn tear_last(&mut self) -> bool {
-        match self.journal.pop() {
-            Some((job, _, _)) => {
-                self.ingested_per_job[job as usize] -= 1;
-                true
-            }
-            None => false,
         }
     }
 }
@@ -185,11 +137,6 @@ enum Ev {
     /// messages are dropped at delivery/completion guards — mirroring
     /// the runtime's `undeploy`.
     Depart { job: u16 },
-    /// A journaled arrival re-ingested during recovery. Identical to
-    /// `Arrival` except it does not pull the workload generator — the
-    /// generator was fast-forwarded past journaled arrivals, and the
-    /// regenerated stream is primed separately.
-    Replay { job: u16, source: u32, batch: Batch },
 }
 
 struct Scheduled {
@@ -260,13 +207,6 @@ pub struct Engine {
     /// Latest scheduled delivery per (job, op, channel): keeps jittered
     /// deliveries FIFO per channel.
     channel_clock: std::collections::HashMap<(u16, u32, u32), u64>,
-    /// Arrivals ingested so far (the crash countdown).
-    ingested_total: u64,
-    /// Per-job ingested-arrival counts (recovery fast-forward offsets).
-    ingested_per_job: Vec<u64>,
-    /// The write-ahead arrival journal, recorded while
-    /// `cfg.stop_at_arrival` is set.
-    arrival_journal: Vec<(u16, u32, Batch)>,
 }
 
 impl Engine {
@@ -320,7 +260,6 @@ impl Engine {
             // latency-accounting fields.
             SchedulerKind::OrleansLike | SchedulerKind::Slot => Arc::new(LlfPolicy),
         };
-        let njobs = jobs.len();
         Engine {
             now: PhysicalTime::ZERO,
             events: BinaryHeap::new(),
@@ -340,9 +279,6 @@ impl Engine {
             cost: CostModel::new(cfg.cost),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xC0FF_EE00),
             metrics,
-            ingested_total: 0,
-            ingested_per_job: vec![0; njobs],
-            arrival_journal: Vec::new(),
             cfg,
             channel_clock: std::collections::HashMap::new(),
         }
@@ -366,43 +302,8 @@ impl Engine {
         self.jobs[job].departure = Some(at);
     }
 
-    /// Prime journaled arrivals for a recovery run: every batch is
-    /// re-ingested at `cfg.arrival_floor` (the crash instant), in
-    /// journal order, ahead of any regenerated workload arrival at the
-    /// same instant. Call before [`run`](Self::run).
-    pub fn prime_replay(&mut self, journal: Vec<(u16, u32, Batch)>) {
-        let at = self.cfg.arrival_floor;
-        for (job, source, batch) in journal {
-            self.push_event(at, Ev::Replay { job, source, batch });
-        }
-    }
-
     /// Run to completion (all workloads drained, all messages settled).
     pub fn run(mut self) -> SimMetrics {
-        self.run_inner();
-        self.metrics
-    }
-
-    /// Run until the configured crash point (`cfg.stop_at_arrival`),
-    /// abandoning everything still in flight — queued deliveries,
-    /// running executions, pending replies all vanish, exactly like a
-    /// process crash. Returns the pre-crash metrics plus the
-    /// [`CrashCut`] a recovery run replays from.
-    pub fn run_crash(mut self) -> (SimMetrics, CrashCut) {
-        assert!(
-            self.cfg.stop_at_arrival.is_some(),
-            "run_crash requires cfg.stop_at_arrival"
-        );
-        self.run_inner();
-        let cut = CrashCut {
-            at: self.now,
-            journal: std::mem::take(&mut self.arrival_journal),
-            ingested_per_job: std::mem::take(&mut self.ingested_per_job),
-        };
-        (self.metrics, cut)
-    }
-
-    fn run_inner(&mut self) {
         // Prime one arrival per job.
         for j in 0..self.jobs.len() {
             self.pull_arrival(j as u16);
@@ -423,25 +324,8 @@ impl Engine {
                     if self.jobs[job as usize].departed {
                         continue;
                     }
-                    // Journal before ingesting (the write-ahead order
-                    // of the runtime's `ingest_frames`).
-                    if self.cfg.stop_at_arrival.is_some() {
-                        self.arrival_journal.push((job, source, batch.clone()));
-                    }
-                    self.ingested_total += 1;
-                    self.ingested_per_job[job as usize] += 1;
                     self.ingest(job, source, batch);
                     self.pull_arrival(job);
-                    // Crash: drop every in-flight event on the floor.
-                    if Some(self.ingested_total) == self.cfg.stop_at_arrival {
-                        break;
-                    }
-                }
-                Ev::Replay { job, source, batch } => {
-                    if self.jobs[job as usize].departed {
-                        continue;
-                    }
-                    self.ingest(job, source, batch);
                 }
                 Ev::Deliver { job, op, msg } => {
                     if self.jobs[job as usize].departed {
@@ -468,6 +352,7 @@ impl Engine {
         }
         self.metrics.end_time = self.now;
         self.metrics.sched = self.sched_stats();
+        self.metrics
     }
 
     /// Tear a job down mid-run: stop its workload, purge its messages
@@ -502,10 +387,6 @@ impl Engine {
             return;
         };
         if let Some((t, source, batch)) = gen.next_arrival() {
-            // Recovery: a regenerated arrival whose generation time
-            // precedes the crash cannot land in the recovered run's
-            // past — clamp it to the floor (logical stamps untouched).
-            let t = t.max(self.cfg.arrival_floor);
             self.push_event(t, Ev::Arrival { job, source, batch });
         }
     }

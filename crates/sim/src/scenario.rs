@@ -31,16 +31,8 @@ pub struct JobSetup {
 pub struct Scenario {
     /// The engine's settings — cluster, scheduler, quantum, cost model,
     /// seed, recording switches, placement, reply ablation — copied into
-    /// every engine the scenario builds, which sets only the per-phase
-    /// `stop_at_arrival` / `arrival_floor` itself.
+    /// the engine the scenario builds.
     pub engine: EngineConfig,
-    /// Crash/recovery drill: crash the run after this many ingested
-    /// arrivals, then recover and continue (see
-    /// [`with_crash_at`](Self::with_crash_at)).
-    pub crash_at: Option<u64>,
-    /// With a crash scheduled: discard the final journal record at
-    /// recovery, as if its write was torn mid-crash.
-    pub crash_torn_tail: bool,
     jobs: Vec<JobSetup>,
 }
 
@@ -48,34 +40,8 @@ impl Scenario {
     pub fn new(cluster: ClusterSpec, sched: SchedulerKind) -> Self {
         Scenario {
             engine: EngineConfig::new(cluster, sched),
-            crash_at: None,
-            crash_torn_tail: false,
             jobs: Vec::new(),
         }
-    }
-
-    /// Crash the run dead after `arrival_index` arrivals have been
-    /// ingested (1-based count across all jobs), then recover and run
-    /// to completion. The crashed phase's in-flight work is lost; the
-    /// recovery phase replays the arrival journal (every ingested
-    /// arrival, the simulator's write-ahead log) into fresh operator
-    /// state at the crash instant and resumes each job's remaining
-    /// workload — the deterministic mirror of `Runtime::recover`.
-    /// The report's [`SimReport::pre_crash`] carries the crashed
-    /// phase's metrics.
-    pub fn with_crash_at(mut self, arrival_index: u64) -> Self {
-        assert!(arrival_index > 0, "crash point is a 1-based arrival count");
-        self.crash_at = Some(arrival_index);
-        self
-    }
-
-    /// With [`with_crash_at`](Self::with_crash_at): model a torn final
-    /// journal record. Recovery discards the last journaled arrival
-    /// (its write never completed) and the producer — never
-    /// acknowledged — re-sends it via the regenerated workload.
-    pub fn with_torn_tail(mut self, torn: bool) -> Self {
-        self.crash_torn_tail = torn;
-        self
     }
 
     pub fn with_quantum(mut self, q: Micros) -> Self {
@@ -231,18 +197,8 @@ impl Scenario {
         events
     }
 
-    /// Build an engine over this scenario's jobs. `skip[i]` arrivals of
-    /// job `i`'s workload are fast-forwarded past (recovery: they come
-    /// back via the replayed journal instead).
-    fn build_engine(
-        &self,
-        stop_at_arrival: Option<u64>,
-        arrival_floor: cameo_core::time::PhysicalTime,
-        skip: Option<&[u64]>,
-    ) -> Engine {
-        let mut cfg = self.engine.clone();
-        cfg.stop_at_arrival = stop_at_arrival;
-        cfg.arrival_floor = arrival_floor;
+    /// Build an engine over this scenario's jobs.
+    fn build_engine(&self) -> Engine {
         let mut engine_jobs = Vec::with_capacity(self.jobs.len());
         for (i, setup) in self.jobs.iter().enumerate() {
             // Scenario specs come from builders/query constructors, so
@@ -251,18 +207,13 @@ impl Scenario {
             // somewhere inside the engine.
             let exp = ExpandedJob::expand(&setup.spec, JobId(i as u32), &setup.opts)
                 .unwrap_or_else(|e| panic!("scenario job {i} has an invalid spec: {e}"));
-            let mut gen = WorkloadGen::new(
+            let gen = WorkloadGen::new(
                 setup.workload.clone(),
                 self.engine.seed.wrapping_add(i as u64 * 7919),
             );
-            if let Some(skip) = skip {
-                for _ in 0..skip[i] {
-                    let _ = gen.next_arrival();
-                }
-            }
             engine_jobs.push((exp, Some(gen)));
         }
-        let mut engine = Engine::new(cfg, engine_jobs);
+        let mut engine = Engine::new(self.engine.clone(), engine_jobs);
         for (i, setup) in self.jobs.iter().enumerate() {
             if let Some(d) = setup.departure {
                 engine.depart_job_at(i, cameo_core::time::PhysicalTime(d.0));
@@ -273,38 +224,10 @@ impl Scenario {
 
     /// Run the scenario to completion.
     pub fn run(self) -> SimReport {
-        let label = self.engine.sched.label();
-        let workers = self.engine.cluster.workers_per_node;
-        let Some(crash_at) = self.crash_at else {
-            let metrics = self
-                .build_engine(None, cameo_core::time::PhysicalTime::ZERO, None)
-                .run();
-            return SimReport {
-                label,
-                workers_per_node: workers,
-                metrics,
-                pre_crash: None,
-            };
-        };
-        // Phase 1: run journaling every arrival, crash dead at the
-        // configured index.
-        let (pre, mut cut) = self
-            .build_engine(Some(crash_at), cameo_core::time::PhysicalTime::ZERO, None)
-            .run_crash();
-        if self.crash_torn_tail {
-            cut.tear_last();
-        }
-        // Phase 2: fresh engine (blank operator state, like a restarted
-        // process), journal replayed at the crash instant, workload
-        // generators fast-forwarded past what the journal covers.
-        let mut engine = self.build_engine(None, cut.at, Some(&cut.ingested_per_job));
-        engine.prime_replay(cut.journal);
-        let metrics = engine.run();
         SimReport {
-            label,
-            workers_per_node: workers,
-            metrics,
-            pre_crash: Some(pre),
+            label: self.engine.sched.label(),
+            workers_per_node: self.engine.cluster.workers_per_node,
+            metrics: self.build_engine().run(),
         }
     }
 }
@@ -345,10 +268,6 @@ pub struct SimReport {
     pub label: String,
     pub workers_per_node: u16,
     pub metrics: SimMetrics,
-    /// With [`Scenario::with_crash_at`]: the crashed phase's metrics
-    /// (outputs up to the crash instant). `metrics` then describes the
-    /// recovered run. `None` for ordinary uncrashed runs.
-    pub pre_crash: Option<SimMetrics>,
 }
 
 impl SimReport {
@@ -383,30 +302,6 @@ impl SimReport {
             0.0
         } else {
             on as f64 / total as f64
-        }
-    }
-
-    /// One-line summary per job.
-    pub fn print_summary(&self) {
-        println!(
-            "[{}] util={:.1}% executions={} delivered={} swaps={}",
-            self.label,
-            self.utilization() * 100.0,
-            self.metrics.executions,
-            self.metrics.delivered,
-            self.metrics.sched.quantum_swaps,
-        );
-        for j in &self.metrics.jobs {
-            println!(
-                "  {:<12} outputs={:<6} p50={:<10} p99={:<10} max={:<10} success={:.1}% tuples={}",
-                j.name,
-                j.outputs,
-                format!("{}", j.median()),
-                format!("{}", j.percentile(99.0)),
-                format!("{}", Micros(j.samples.iter().copied().max().unwrap_or(0))),
-                j.success_rate() * 100.0,
-                j.output_tuples,
-            );
         }
     }
 }

@@ -5,10 +5,17 @@
 //!
 //! "Crash" here is a runtime shutdown that, like a real crash, never
 //! truncates or finalizes the durability directory: recovery sees
-//! exactly the bytes a dead process would have left behind.
+//! exactly the bytes a dead process would have left behind. Without a
+//! drain first, the crash also loses whatever was still in flight.
+//!
+//! The crash-equivalence drill at the end of the file runs one script
+//! of deploys, frames and an undeploy on a crash-free durable runtime
+//! and on runtimes crashed at many points of it, then holds every
+//! recovered job's windows to the crash-free run's.
 
 use cameo::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 const WINDOW: u64 = 100_000;
@@ -23,6 +30,22 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// The newest journal segment and its length.
+fn newest_segment(dir: &Path) -> (PathBuf, u64) {
+    let path = std::fs::read_dir(dir)
+        .expect("read durability dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("seg-"))
+        })
+        .max()
+        .expect("a journal segment exists");
+    let len = std::fs::metadata(&path).expect("segment metadata").len();
+    (path, len)
+}
+
 fn durable_cfg(dir: &Path) -> RuntimeConfig {
     RuntimeConfig::default()
         .with_workers(2)
@@ -30,13 +53,15 @@ fn durable_cfg(dir: &Path) -> RuntimeConfig {
 }
 
 /// Event-time aggregation: 2 sources, 8 keys, 100 ms tumbling window.
+fn params(name: &str) -> AggQueryParams {
+    AggQueryParams::new(name, WINDOW, Micros::from_millis(200))
+        .with_sources(2)
+        .with_parallelism(2)
+        .with_keys(8)
+}
+
 fn query(name: &str) -> cameo::dataflow::graph::JobSpec {
-    agg_query(
-        &AggQueryParams::new(name, WINDOW, Micros::from_millis(200))
-            .with_sources(2)
-            .with_parallelism(2)
-            .with_keys(8),
-    )
+    agg_query(&params(name))
 }
 
 fn registry(names: &[&str]) -> SpecRegistry {
@@ -175,16 +200,7 @@ fn torn_journal_tail_is_truncated_and_counted() {
         job
     };
     // A crash mid-append: garbage bytes on the newest segment's tail.
-    let newest_seg = std::fs::read_dir(&dir)
-        .expect("read durability dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("seg-"))
-        })
-        .max()
-        .expect("a journal segment exists");
+    let (newest_seg, _) = newest_segment(&dir);
     {
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
@@ -406,4 +422,437 @@ fn manual_snapshot_errors_are_typed() {
     assert_eq!(window0_outputs(&rx), expected_counts(10));
     rt.shutdown();
     let _ = std::fs::remove_file(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Crash equivalence: one script, crashed at many points, recovered, and
+// finished, must close the same windows as the crash-free run.
+//
+// Every job's source 1 is held back until the script's finale. A
+// window closes only when the watermark, the minimum over a stage's
+// input channels, passes it, so no window can close before the
+// recovered runtime has subscribers. In every run the finale's frames
+// then close every window, and `drain` returns once the last output is
+// sent, so the outputs can be collected without waiting on a clock.
+// ---------------------------------------------------------------------
+
+/// `(progress, key, value)` of one output tuple.
+type Out = (u64, u64, i64);
+
+/// Logical time one script frame covers.
+const ROUND: u64 = 40_000;
+
+/// The drill's jobs: a tumbling and a sliding two-source aggregation,
+/// a job that is undeployed mid-script, and the job deployed into its
+/// freed slot.
+const DRILL_JOBS: [&str; 4] = ["tumbling", "sliding", "leaver", "heir"];
+const LEAVER: usize = 2;
+const HEIR: usize = 3;
+
+fn drill_spec(job: usize) -> cameo::dataflow::graph::JobSpec {
+    let p = params(DRILL_JOBS[job]);
+    agg_query(&if job == 1 { p.sliding(WINDOW / 2) } else { p })
+}
+
+fn drill_registry() -> SpecRegistry {
+    let mut reg = SpecRegistry::new();
+    for job in 0..DRILL_JOBS.len() {
+        reg.register(drill_spec(job), ExpandOptions::default());
+    }
+    reg
+}
+
+/// Frame `round` of `job`'s `source`: 12 tuples with logical times
+/// inside the round, so every source's times only grow.
+fn drill_frame(job: usize, source: u32, round: u64) -> Vec<Tuple> {
+    (0..12u64)
+        .map(|i| {
+            let value = ((round * 7 + i * 3 + job as u64 + source as u64) % 9 + 1) as i64;
+            let at = 1 + round * ROUND + i * (ROUND / 12);
+            Tuple::new((i * 5 + round + job as u64) % 8, value, LogicalTime(at))
+        })
+        .collect()
+}
+
+#[derive(Clone, Debug)]
+enum Step {
+    Deploy(usize),
+    Undeploy(usize),
+    /// One `ingest` call on source 0 of a job.
+    Frame(usize, Vec<Tuple>),
+}
+
+/// Rounds a job's source 0 receives in the script (source 1 receives
+/// the same rounds in the finale).
+fn drill_rounds(job: usize) -> std::ops::Range<u64> {
+    match job {
+        LEAVER | HEIR => 0..4,
+        _ => 0..8,
+    }
+}
+
+/// Three deploys, four rounds of frames, the leaver's undeploy and the
+/// heir's deploy into its slot, four more rounds: 29 steps.
+fn drill_script() -> Vec<Step> {
+    let mut script: Vec<Step> = (0..3).map(Step::Deploy).collect();
+    for round in 0..4 {
+        for job in 0..3 {
+            script.push(Step::Frame(job, drill_frame(job, 0, round)));
+        }
+    }
+    script.push(Step::Undeploy(LEAVER));
+    script.push(Step::Deploy(HEIR));
+    for round in 4..8 {
+        for job in [0, 1, HEIR] {
+            let round = if job == HEIR { round - 4 } else { round };
+            script.push(Step::Frame(job, drill_frame(job, 0, round)));
+        }
+    }
+    script
+}
+
+/// A runtime running the script, with every job's handle and
+/// subscription.
+struct ScriptRun<'a> {
+    rt: &'a Runtime,
+    handles: [Option<JobHandle>; 4],
+    subs: [Option<OutputSubscription>; 4],
+    gone: [bool; 4],
+}
+
+impl<'a> ScriptRun<'a> {
+    fn new(rt: &'a Runtime) -> Self {
+        ScriptRun {
+            rt,
+            handles: [None; 4],
+            subs: Default::default(),
+            gone: [false; 4],
+        }
+    }
+
+    fn step(&mut self, step: &Step) {
+        match step {
+            Step::Deploy(job) => {
+                let h = self
+                    .rt
+                    .deploy(&drill_spec(*job), &ExpandOptions::default())
+                    .expect("deploy");
+                self.subs[*job] = Some(self.rt.subscribe(h).expect("subscribe"));
+                self.handles[*job] = Some(h);
+            }
+            Step::Undeploy(job) => {
+                self.rt.undeploy(self.handle(*job)).expect("undeploy");
+                self.gone[*job] = true;
+            }
+            Step::Frame(job, tuples) => self
+                .rt
+                .ingest(self.handle(*job), 0, tuples.clone())
+                .expect("ingest"),
+        }
+    }
+
+    fn handle(&self, job: usize) -> JobHandle {
+        self.handles[job].expect("job deployed")
+    }
+
+    /// Send every live job's held-back source, close every window on
+    /// both sources, drain, and return each job's sorted outputs. The
+    /// undeployed job's stale handle must be refused.
+    fn finish(self) -> Vec<Vec<Out>> {
+        let close = 1 + 8 * ROUND + 4 * WINDOW;
+        for job in 0..DRILL_JOBS.len() {
+            if self.gone[job] {
+                continue;
+            }
+            let h = self.handle(job);
+            for round in drill_rounds(job) {
+                self.rt
+                    .ingest(h, 1, drill_frame(job, 1, round))
+                    .expect("ingest");
+            }
+            for source in 0..2 {
+                let tuples = vec![Tuple::new(0, 1, LogicalTime(close))];
+                self.rt.ingest(h, source, tuples).expect("ingest");
+            }
+        }
+        assert!(self.rt.drain(Duration::from_secs(30)), "the finale drains");
+        assert_eq!(
+            self.rt
+                .ingest(self.handle(LEAVER), 0, drill_frame(LEAVER, 0, 0)),
+            Err(JobError::Stale),
+            "the leaver's handle is stale"
+        );
+        assert_eq!(
+            self.handle(HEIR).slot(),
+            self.handle(LEAVER).slot(),
+            "the heir reuses the slot"
+        );
+        self.subs
+            .iter()
+            .map(|sub| {
+                let mut out: Vec<Out> = sub
+                    .iter()
+                    .flat_map(|rx| rx.try_iter())
+                    .flat_map(|ev| {
+                        let progress = ev.batch.progress.0;
+                        ev.batch
+                            .tuples
+                            .iter()
+                            .map(|t| (progress, t.key, t.value))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                out.sort_unstable();
+                out
+            })
+            .collect()
+    }
+}
+
+/// The crash-free run's outputs, computed once.
+fn reference() -> &'static [Vec<Out>] {
+    static REFERENCE: OnceLock<Vec<Vec<Out>>> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let dir = tmp_dir("drill-ref");
+        let rt = Runtime::start(durable_cfg(&dir));
+        let mut run = ScriptRun::new(&rt);
+        for step in &drill_script() {
+            run.step(step);
+        }
+        let out = run.finish();
+        rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        for (job, windows) in out.iter().enumerate() {
+            assert_eq!(windows.is_empty(), job == LEAVER, "{}", DRILL_JOBS[job]);
+        }
+        out
+    })
+}
+
+/// How a crashed run dies.
+#[derive(Clone, Copy, Debug, Default)]
+struct Crash {
+    /// Script steps run before the crash.
+    at: usize,
+    /// Drain before the crash, so nothing is in flight.
+    drained: bool,
+    /// Cut the newest journal segment inside its last record, the frame
+    /// of step `at - 1`, and re-send that frame after recovery.
+    torn: bool,
+    /// Drain and snapshot after this many steps.
+    snapshot_at: Option<usize>,
+}
+
+/// Run the script with `crash`, recover, finish the script, and hold
+/// every job's outputs to the crash-free run's.
+fn check_crash(crash: Crash) {
+    let script = drill_script();
+    let Crash {
+        at,
+        drained,
+        torn,
+        snapshot_at,
+    } = crash;
+    assert!(
+        !torn || matches!(script[at - 1], Step::Frame(..)),
+        "{crash:?}"
+    );
+    let dir = tmp_dir(&format!(
+        "drill-{at}-{}-{}-{}",
+        drained as u8,
+        torn as u8,
+        snapshot_at.map_or(0, |s| s + 1)
+    ));
+    // Phase 1: run to the crash point, then die.
+    let rt = Runtime::start(durable_cfg(&dir));
+    let mut run = ScriptRun::new(&rt);
+    let snapshot = |rt: &Runtime| {
+        assert!(rt.drain(Duration::from_secs(30)));
+        assert_eq!(rt.snapshot().expect("snapshot"), 1);
+    };
+    // The newest segment's extent of the last record, when it is torn.
+    let mut last_record = None;
+    for (i, step) in script[..at].iter().enumerate() {
+        if snapshot_at == Some(i) {
+            snapshot(&rt);
+        }
+        let before = (torn && i + 1 == at).then(|| newest_segment(&dir));
+        run.step(step);
+        if let Some((path, len)) = before {
+            let (newest, end) = newest_segment(&dir);
+            let start = if newest == path { len } else { 0 };
+            last_record = Some((newest, start, end));
+        }
+    }
+    if snapshot_at == Some(at) {
+        snapshot(&rt);
+    }
+    if drained {
+        assert!(rt.drain(Duration::from_secs(30)));
+    }
+    let ScriptRun {
+        handles,
+        subs,
+        gone,
+        ..
+    } = run;
+    rt.shutdown();
+    for sub in subs.iter().flatten() {
+        assert!(
+            sub.try_recv().is_err(),
+            "{crash:?}: a window closed before the crash"
+        );
+    }
+    // A crash mid-append: the last record is cut inside its bytes, and
+    // the half left on disk is what recovery must discard.
+    let torn_half = last_record.map(|(path, start, end)| {
+        let half = (end - start) / 2;
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open segment");
+        f.set_len(start + half).expect("cut the segment");
+        half
+    });
+
+    // Phase 2: recover, subscribe, re-send what the torn record lost,
+    // and run the rest of the script.
+    let (rt, report) = Runtime::recover(durable_cfg(&dir), &drill_registry()).expect("recover");
+    assert_eq!(report.torn_bytes, torn_half.unwrap_or(0), "{crash:?}");
+    assert_eq!(report.snapshot_seq, snapshot_at.map(|_| 1), "{crash:?}");
+    let journaled = script[snapshot_at.unwrap_or(0)..at]
+        .iter()
+        .filter(|s| matches!(s, Step::Frame(..)))
+        .count();
+    assert_eq!(
+        report.frames_replayed,
+        journaled - torn as usize,
+        "{crash:?}"
+    );
+    assert_eq!(report.stale_frames, 0, "{crash:?}");
+    let mut run = ScriptRun {
+        handles,
+        gone,
+        ..ScriptRun::new(&rt)
+    };
+    for job in 0..DRILL_JOBS.len() {
+        if let Some(h) = handles[job].filter(|_| !gone[job]) {
+            run.subs[job] = Some(rt.subscribe(h).expect("pre-crash handles stay valid"));
+        }
+    }
+    if torn {
+        run.step(&script[at - 1]);
+    }
+    for step in &script[at..] {
+        run.step(step);
+    }
+    let out = run.finish();
+    rt.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    for (job, want) in reference().iter().enumerate() {
+        assert_eq!(&out[job], want, "{crash:?}: {} differs", DRILL_JOBS[job]);
+    }
+}
+
+#[test]
+fn crash_on_the_first_frame_recovers_every_window() {
+    // Step 3 is the first frame; a crash at 0 leaves an empty journal.
+    for crash in [
+        Crash::default(),
+        Crash {
+            at: 4,
+            ..Crash::default()
+        },
+        Crash {
+            at: 4,
+            torn: true,
+            ..Crash::default()
+        },
+    ] {
+        check_crash(crash);
+    }
+}
+
+#[test]
+fn crashes_mid_run_recover_every_window() {
+    for at in [10, 22] {
+        check_crash(Crash {
+            at,
+            ..Crash::default()
+        });
+    }
+}
+
+#[test]
+fn torn_tail_crashes_recover_every_window() {
+    for at in [10, 22] {
+        check_crash(Crash {
+            at,
+            torn: true,
+            ..Crash::default()
+        });
+    }
+}
+
+#[test]
+fn crash_past_the_last_frame_is_a_clean_restart() {
+    // The last frame is step 28: crash with it in flight, torn, and
+    // after everything drained.
+    for (drained, torn) in [(false, false), (false, true), (true, false)] {
+        check_crash(Crash {
+            at: 29,
+            drained,
+            torn,
+            ..Crash::default()
+        });
+    }
+}
+
+#[test]
+fn crashes_across_a_slot_churn_recover_the_new_occupant() {
+    // Step 15 undeploys the leaver and step 16 deploys the heir into
+    // its slot: crash between them, right after, and mid-way through
+    // the heir's frames with the churn in the snapshot.
+    for crash in [
+        Crash {
+            at: 16,
+            ..Crash::default()
+        },
+        Crash {
+            at: 17,
+            ..Crash::default()
+        },
+        Crash {
+            at: 17,
+            snapshot_at: Some(12),
+            ..Crash::default()
+        },
+        Crash {
+            at: 23,
+            torn: true,
+            snapshot_at: Some(17),
+            ..Crash::default()
+        },
+    ] {
+        check_crash(crash);
+    }
+}
+
+#[test]
+fn snapshot_plus_suffix_crashes_recover_every_window() {
+    for crash in [
+        Crash {
+            at: 10,
+            snapshot_at: Some(7),
+            ..Crash::default()
+        },
+        Crash {
+            at: 29,
+            drained: true,
+            snapshot_at: Some(29),
+            ..Crash::default()
+        },
+    ] {
+        check_crash(crash);
+    }
 }
