@@ -4,63 +4,8 @@
 //! (a) per-query median/tail latency, (b) latency CDF for IPQ1,
 //! (c) operator schedule timeline (which stage ran when).
 
-use cameo_bench::{header, ms, BenchArgs, BASELINES};
-use cameo_core::time::Micros;
-use cameo_dataflow::graph::JobSpec;
-use cameo_dataflow::queries::{self, AggQueryParams, JoinQueryParams, StageCosts};
+use cameo_bench::{header, ms, single_tenant, BenchArgs, BASELINES};
 use cameo_sim::prelude::*;
-
-fn query(name: &str, full: bool) -> JobSpec {
-    let window = 1_000_000; // 1 s windows
-    let latency = Micros::from_millis(800);
-    let sources = if full { 16 } else { 8 };
-    let par = 4;
-    let costs = StageCosts::default().scaled(4.0);
-    match name {
-        "IPQ1" => queries::agg_query(
-            &AggQueryParams::new(name, window, latency)
-                .with_sources(sources)
-                .with_parallelism(par)
-                .with_costs(costs),
-        ),
-        "IPQ2" => queries::agg_query(
-            &AggQueryParams::new(name, window, latency)
-                .sliding(window / 2)
-                .with_sources(sources)
-                .with_parallelism(par)
-                .with_costs(costs),
-        ),
-        "IPQ3" => queries::agg_query(
-            &AggQueryParams::new(name, window, latency)
-                .with_aggregation(cameo_dataflow::ops::Aggregation::Count)
-                .with_keys(256)
-                .with_sources(sources)
-                .with_parallelism(par)
-                .with_costs(costs),
-        ),
-        // IPQ4: windowed join, heavier cost and memory-bound (the paper
-        // notes Orleans does comparatively well here thanks to locality).
-        "IPQ4" => queries::join_query(&JoinQueryParams {
-            sources: sources / 2,
-            parallelism: par,
-            keys: 32,
-            costs,
-            join_cost: Micros(1_600),
-            ..JoinQueryParams::new(name, window, latency)
-        }),
-        _ => unreachable!(),
-    }
-}
-
-fn workload(q: &str, full: bool) -> WorkloadSpec {
-    let sources = if full { 16 } else { 8 };
-    let dur = Micros::from_secs(if full { 60 } else { 25 });
-    // Enough volume to contend on a 4-worker node (~75-85% utilization).
-    match q {
-        "IPQ4" => WorkloadSpec::constant(sources, 12.0, 100, dur),
-        _ => WorkloadSpec::constant(sources, 85.0, 100, dur),
-    }
-}
 
 fn main() {
     let args = BenchArgs::parse();
@@ -72,19 +17,14 @@ fn main() {
     );
 
     // (a) per-query latency table.
+    let sources = if args.full { 16 } else { 8 };
     let mut rows = Vec::new();
     let mut ipq1_samples: Vec<(String, Vec<u64>)> = Vec::new();
     for q in ["IPQ1", "IPQ2", "IPQ3", "IPQ4"] {
         for sched in BASELINES {
-            let mut sc = Scenario::new(ClusterSpec::single_node(4), sched)
-                .with_seed(args.seed)
-                .with_cost(CostConfig {
-                    per_tuple_ns: 400,
-                    ..Default::default()
-                })
-                .record_schedule(q == "IPQ1" && sched == SchedulerKind::Cameo(PolicyKind::Llf));
-            sc.add_job(query(q, args.full), workload(q, args.full));
-            let report = sc.run();
+            let report = single_tenant(q, sources, args.full, sched, args.seed)
+                .record_schedule(q == "IPQ1" && sched == SchedulerKind::Cameo(PolicyKind::Llf))
+                .run();
             let j = report.job(0);
             rows.push(vec![
                 q.to_string(),

@@ -6,9 +6,7 @@
 //! load); EDF and LLF nearly identical because per-stage operator costs
 //! are uniform.
 
-use cameo_bench::{header, ms, BenchArgs, MixScale};
-use cameo_core::time::Micros;
-use cameo_dataflow::queries::{self, AggQueryParams, JoinQueryParams, StageCosts};
+use cameo_bench::{header, ms, single_tenant, BenchArgs, MixScale};
 use cameo_sim::prelude::*;
 
 const POLICIES: [PolicyKind; 3] = [PolicyKind::Llf, PolicyKind::Edf, PolicyKind::Sjf];
@@ -26,53 +24,11 @@ fn main() {
 }
 
 fn single_query(args: &BenchArgs) {
-    let window = 1_000_000;
-    let latency = Micros::from_millis(800);
-    let costs = StageCosts::default().scaled(4.0);
     let mut rows = Vec::new();
     for q in ["IPQ1", "IPQ2", "IPQ3", "IPQ4"] {
         for policy in POLICIES {
-            let spec = match q {
-                "IPQ1" => queries::agg_query(
-                    &AggQueryParams::new(q, window, latency)
-                        .with_sources(8)
-                        .with_parallelism(4)
-                        .with_costs(costs),
-                ),
-                "IPQ2" => queries::agg_query(
-                    &AggQueryParams::new(q, window, latency)
-                        .sliding(window / 2)
-                        .with_sources(8)
-                        .with_parallelism(4)
-                        .with_costs(costs),
-                ),
-                "IPQ3" => queries::agg_query(
-                    &AggQueryParams::new(q, window, latency)
-                        .with_aggregation(cameo_dataflow::ops::Aggregation::Count)
-                        .with_keys(256)
-                        .with_sources(8)
-                        .with_parallelism(4)
-                        .with_costs(costs),
-                ),
-                _ => queries::join_query(&JoinQueryParams {
-                    sources: 4,
-                    parallelism: 4,
-                    keys: 32,
-                    costs,
-                    join_cost: Micros(1_600),
-                    ..JoinQueryParams::new(q, window, latency)
-                }),
-            };
-            let rate = if q == "IPQ4" { 12.0 } else { 85.0 };
-            let dur = Micros::from_secs(if args.full { 60 } else { 25 });
-            let mut sc = Scenario::new(ClusterSpec::single_node(4), SchedulerKind::Cameo(policy))
-                .with_seed(args.seed)
-                .with_cost(CostConfig {
-                    per_tuple_ns: 400,
-                    ..Default::default()
-                });
-            sc.add_job(spec, WorkloadSpec::constant(8, rate, 100, dur));
-            let report = sc.run();
+            let report =
+                single_tenant(q, 8, args.full, SchedulerKind::Cameo(policy), args.seed).run();
             let j = report.job(0);
             rows.push(vec![
                 q.to_string(),

@@ -11,7 +11,8 @@ pub mod slo;
 
 use cameo_core::time::Micros;
 use cameo_dataflow::graph::JobSpec;
-use cameo_dataflow::queries::{agg_query, AggQueryParams, StageCosts};
+use cameo_dataflow::ops::Aggregation;
+use cameo_dataflow::queries::{agg_query, join_query, AggQueryParams, JoinQueryParams, StageCosts};
 use cameo_sim::prelude::*;
 
 /// Command-line arguments shared by every experiment binary.
@@ -201,6 +202,68 @@ impl MixScale {
             (self.ls_jobs..self.ls_jobs + ba_jobs).collect(),
         )
     }
+}
+
+/// The single-tenant setup of Fig 7 and Fig 11 (left): query `q`
+/// (`"IPQ1"`–`"IPQ4"`) fed by `sources` sources on one 4-worker node,
+/// with 1 s windows and an 800 ms target. The volume contends for the
+/// node (~75–85% utilization): 85 msgs/s per source, 12 for IPQ4's
+/// heavier join (whose sides get half the sources each), for 25 s, or
+/// 60 s under `full`.
+pub fn single_tenant(
+    q: &str,
+    sources: u32,
+    full: bool,
+    sched: SchedulerKind,
+    seed: u64,
+) -> Scenario {
+    let window = 1_000_000;
+    let latency = Micros::from_millis(800);
+    let par = 4;
+    let costs = StageCosts::default().scaled(4.0);
+    let agg = |p: AggQueryParams| {
+        agg_query(
+            &p.with_sources(sources)
+                .with_parallelism(par)
+                .with_costs(costs),
+        )
+    };
+    let (spec, rate) = match q {
+        "IPQ1" => (agg(AggQueryParams::new(q, window, latency)), 85.0),
+        "IPQ2" => (
+            agg(AggQueryParams::new(q, window, latency).sliding(window / 2)),
+            85.0,
+        ),
+        "IPQ3" => (
+            agg(AggQueryParams::new(q, window, latency)
+                .with_aggregation(Aggregation::Count)
+                .with_keys(256)),
+            85.0,
+        ),
+        // IPQ4: windowed join, heavier cost and memory-bound (the paper
+        // notes Orleans does comparatively well here thanks to locality).
+        "IPQ4" => (
+            join_query(&JoinQueryParams {
+                sources: sources / 2,
+                parallelism: par,
+                keys: 32,
+                costs,
+                join_cost: Micros(1_600),
+                ..JoinQueryParams::new(q, window, latency)
+            }),
+            12.0,
+        ),
+        _ => panic!("unknown single-tenant query {q}"),
+    };
+    let dur = Micros::from_secs(if full { 60 } else { 25 });
+    let mut sc = Scenario::new(ClusterSpec::single_node(4), sched)
+        .with_seed(seed)
+        .with_cost(CostConfig {
+            per_tuple_ns: 400,
+            ..Default::default()
+        });
+    sc.add_job(spec, WorkloadSpec::constant(sources, rate, 100, dur));
+    sc
 }
 
 /// The three schedulers every comparison runs (Fig 7–10, 13–15).

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::queue::{OperatorLease, TwoLevelQueue};
     pub use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
     pub use crate::shard::ShardedScheduler;
-    pub use crate::stats::{exact_percentile, Histogram, OnlineStats};
+    pub use crate::stats::{exact_percentile, Histogram};
     pub use crate::time::{Clock, LogicalTime, ManualClock, Micros, PhysicalTime, SystemClock};
     pub use crate::transform::{transform, window_index, Slide};
 }

@@ -164,48 +164,6 @@ pub fn exact_percentile(samples: &[u64], q: f64) -> u64 {
     v[rank.min(v.len()) - 1]
 }
 
-/// Running mean/std-dev accumulator (Welford).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Fold one sample into the running mean/variance.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (zero before the first sample).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (zero below two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,15 +244,5 @@ mod tests {
         assert_eq!(exact_percentile(&samples, 99.0), 99);
         assert_eq!(exact_percentile(&samples, 100.0), 100);
         assert_eq!(exact_percentile(&[], 50.0), 0);
-    }
-
-    #[test]
-    fn online_stats() {
-        let mut s = OnlineStats::default();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.std_dev() - 2.138).abs() < 0.01);
     }
 }

@@ -24,7 +24,9 @@ pub mod preempt;
 pub mod queries;
 pub mod window;
 
-/// Everything most dataflow users need.
+/// Everything the paper's query set (IPQ1–4) and the examples build
+/// with: tuples and batches, the graph builder, its expansion into
+/// operator instances, and the built-in operators.
 pub mod prelude {
     pub use crate::event::{Batch, Tuple};
     pub use crate::expand::{
@@ -37,8 +39,8 @@ pub mod prelude {
         InstanceCtx, Operator, OperatorKind, StateSnapshot, WatermarkTracker,
     };
     pub use crate::ops::{
-        Aggregation, DistinctCount, FilterOp, FlatMapOp, MapOp, Passthrough, SessionWindow,
-        SpinMap, TopK, WindowAggregate, WindowJoin,
+        Aggregation, FilterOp, MapOp, Passthrough, SessionWindow, SpinMap, WindowAggregate,
+        WindowJoin,
     };
     pub use crate::queries::{
         agg_query, ipq1, ipq2, ipq3, ipq4, join_query, AggQueryParams, JoinQueryParams, StageCosts,

@@ -177,7 +177,10 @@ impl StateSnapshot for WindowAggregate {
             let (Some(wid), Some(latest), Some(ngroups)) = (r.u64(), r.u64(), r.u32()) else {
                 return false;
             };
-            let mut groups = HashMap::with_capacity(ngroups as usize);
+            // Reserve no more groups than the body's bytes can hold (24
+            // each), so a hostile count is refused, not allocated.
+            let mut groups =
+                HashMap::with_capacity((ngroups as usize).min(r.remaining().len() / 24));
             for _ in 0..ngroups {
                 let (Some(k), Some(acc), Some(count)) = (r.u64(), r.i64(), r.i64()) else {
                     return false;
@@ -418,10 +421,31 @@ mod tests {
         let mut bytes = Vec::new();
         op.snapshot_state(&mut bytes);
         assert!(!two_ch.restore_state(&bytes));
-        // Trailing junk after a valid snapshot is rejected.
-        bytes.push(0);
+        // A snapshot with open windows, cut short or with a trailing byte.
+        let _ = run(&mut op, 0, vec![tuple(1, 5, 3), tuple(2, 7, 14)], 100);
+        let mut ok = Vec::new();
+        op.snapshot_state(&mut ok);
         let mut op2 = WindowAggregate::new(WindowSpec::tumbling(10), Aggregation::Sum, 1);
-        assert!(!op2.restore_state(&bytes));
+        assert!(!op2.restore_state(&ok[..ok.len() - 1]), "cut short");
+        let mut trailing = ok.clone();
+        trailing.push(0);
+        assert!(!op2.restore_state(&trailing), "trailing byte");
+        assert!(op2.restore_state(&ok));
+    }
+
+    #[test]
+    fn restore_refuses_a_group_count_the_body_cannot_hold() {
+        let op = WindowAggregate::new(WindowSpec::tumbling(10), Aggregation::Sum, 1);
+        let mut bytes = Vec::new();
+        op.snapshot_state(&mut bytes);
+        // One window (id, latest) claiming u32::MAX groups, then a few bytes.
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 16]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 24]);
+        let mut restored = WindowAggregate::new(WindowSpec::tumbling(10), Aggregation::Sum, 1);
+        assert!(!restored.restore_state(&bytes));
     }
 
     #[test]

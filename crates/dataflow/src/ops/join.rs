@@ -109,13 +109,16 @@ fn put_side(out: &mut Vec<u8>, side: &SideState) {
     }
 }
 
+/// Reads one side. Counts come off the bytes, so each reservation is
+/// capped by what the rest of the body can hold (a key takes at least
+/// 12 bytes, a value 8): a hostile count is refused, not allocated.
 fn read_side(r: &mut Reader<'_>) -> Option<SideState> {
     let nkeys = r.u32()?;
-    let mut by_key = HashMap::with_capacity(nkeys as usize);
+    let mut by_key = HashMap::with_capacity((nkeys as usize).min(r.remaining().len() / 12));
     for _ in 0..nkeys {
         let k = r.u64()?;
         let nvals = r.u32()?;
-        let mut vals = Vec::with_capacity(nvals as usize);
+        let mut vals = Vec::with_capacity((nvals as usize).min(r.remaining().len() / 8));
         for _ in 0..nvals {
             vals.push(r.i64()?);
         }
@@ -332,10 +335,40 @@ mod tests {
     fn snapshot_restore_rejects_malformed() {
         let mut op = WindowJoin::new(WindowSpec::tumbling(10), &ctx(vec![0, 1]), |l, r| l + r);
         assert!(!op.restore_state(&[9, 9, 9]));
-        let mut bytes = Vec::new();
-        op.snapshot_state(&mut bytes);
-        bytes.truncate(bytes.len() - 1);
-        assert!(!op.restore_state(&bytes));
+        let _ = feed(&mut op, 0, vec![tuple(1, 100, 3), tuple(2, 5, 4)], 4, 10);
+        let _ = feed(&mut op, 1, vec![tuple(1, 7, 5)], 5, 20);
+        let mut ok = Vec::new();
+        op.snapshot_state(&mut ok);
+        let mut fresh = WindowJoin::new(WindowSpec::tumbling(10), &ctx(vec![0, 1]), |l, r| l + r);
+        assert!(!fresh.restore_state(&ok[..ok.len() - 1]), "cut short");
+        let mut trailing = ok.clone();
+        trailing.push(0);
+        assert!(!fresh.restore_state(&trailing), "trailing byte");
+        assert!(fresh.restore_state(&ok));
+    }
+
+    #[test]
+    fn restore_refuses_key_and_value_counts_the_body_cannot_hold() {
+        let op = WindowJoin::new(WindowSpec::tumbling(10), &ctx(vec![0, 1]), |l, r| l + r);
+        let mut empty = Vec::new();
+        op.snapshot_state(&mut empty);
+        // One window (id, latest) whose left side claims u32::MAX keys.
+        let mut keys = empty.clone();
+        let n = keys.len();
+        keys[n - 4..].copy_from_slice(&1u32.to_le_bytes());
+        keys.extend_from_slice(&[0; 16]);
+        let mut values = keys.clone();
+        keys.extend_from_slice(&u32::MAX.to_le_bytes());
+        keys.extend_from_slice(&[0; 24]);
+        // The same window with one left key claiming u32::MAX values.
+        values.extend_from_slice(&1u32.to_le_bytes());
+        values.extend_from_slice(&[0; 8]);
+        values.extend_from_slice(&u32::MAX.to_le_bytes());
+        values.extend_from_slice(&[0; 24]);
+        let mut restored =
+            WindowJoin::new(WindowSpec::tumbling(10), &ctx(vec![0, 1]), |l, r| l + r);
+        assert!(!restored.restore_state(&keys));
+        assert!(!restored.restore_state(&values));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Built-in operators: stateless transforms (map / filter / flat-map /
-//! pass-through), keyed windowed aggregation, and windowed stream join.
+//! Built-in operators: stateless transforms (map / filter /
+//! pass-through / spin), keyed windowed aggregation, windowed stream
+//! join, and gap-based session windows.
 
 mod aggregate;
 mod join;
@@ -8,5 +9,5 @@ mod transform;
 
 pub use aggregate::{Aggregation, WindowAggregate};
 pub use join::WindowJoin;
-pub use session::{DistinctCount, SessionWindow, TopK};
-pub use transform::{FilterOp, FlatMapOp, MapOp, Passthrough, SpinMap};
+pub use session::SessionWindow;
+pub use transform::{FilterOp, MapOp, Passthrough, SpinMap};

@@ -1,4 +1,4 @@
-//! Session windows and two more aggregating operators.
+//! Session windows.
 //!
 //! [`SessionWindow`] groups a key's tuples into activity sessions
 //! closed by a gap of inactivity. Sessions have *data-dependent*
@@ -8,16 +8,12 @@
 //! treat windowed operators as regular operators"). Session stages are
 //! therefore declared `OperatorKind::Regular`: no deadline extension,
 //! correct scheduling.
-//!
-//! [`TopK`] and [`DistinctCount`] are tumbling-window aggregates with
-//! non-decomposable state, common in the paper's dashboard workloads.
 
 use crate::codec::{self, Reader};
 use crate::event::{Batch, Tuple};
 use crate::operator::{Operator, StateSnapshot, WatermarkTracker};
-use crate::window::WindowSpec;
 use cameo_core::time::{LogicalTime, PhysicalTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-key session state.
 #[derive(Debug)]
@@ -56,8 +52,8 @@ impl SessionWindow {
     }
 }
 
-/// Snapshot prologue shared by the operators here: version byte plus the
-/// watermark tracker's per-channel progress.
+/// Snapshot prologue: version byte plus the watermark tracker's
+/// per-channel progress.
 fn put_wm(out: &mut Vec<u8>, wm: &WatermarkTracker) {
     codec::put_u8(out, 1);
     codec::put_u32(out, wm.progress().len() as u32);
@@ -106,7 +102,9 @@ impl StateSnapshot for SessionWindow {
             return false;
         };
         let Some(nopen) = r.u32() else { return false };
-        let mut open = HashMap::with_capacity(nopen as usize);
+        // Reserve no more sessions than the body's bytes can hold (48
+        // each), so a hostile count is refused, not allocated.
+        let mut open = HashMap::with_capacity((nopen as usize).min(r.remaining().len() / 48));
         for _ in 0..nopen {
             let (Some(k), Some(start), Some(last)) = (r.u64(), r.u64(), r.u64()) else {
                 return false;
@@ -203,228 +201,6 @@ impl Operator for SessionWindow {
     }
 }
 
-/// Top-K by per-key value sum within tumbling windows. Emits at most
-/// `k` tuples per window, highest sums first (key ascending on ties),
-/// each stamped `window_end - 1` like the other window operators.
-pub struct TopK {
-    window: WindowSpec,
-    k: usize,
-    watermark: WatermarkTracker,
-    state: BTreeMap<u64, (HashMap<u64, i64>, PhysicalTime)>,
-}
-
-impl TopK {
-    /// Top-`k` keys by value sum per tumbling window.
-    pub fn new(window_size: u64, k: usize, num_channels: u32) -> Self {
-        assert!(k > 0);
-        TopK {
-            window: WindowSpec::tumbling(window_size),
-            k,
-            watermark: WatermarkTracker::new(num_channels.max(1) as usize),
-            state: BTreeMap::new(),
-        }
-    }
-}
-
-impl StateSnapshot for TopK {
-    fn snapshot_state(&self, out: &mut Vec<u8>) {
-        put_wm(out, &self.watermark);
-        codec::put_u32(out, self.state.len() as u32);
-        for (&wid, (groups, latest)) in &self.state {
-            codec::put_u64(out, wid);
-            codec::put_u64(out, latest.0);
-            codec::put_u32(out, groups.len() as u32);
-            let mut keys: Vec<u64> = groups.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                codec::put_u64(out, k);
-                codec::put_i64(out, groups[&k]);
-            }
-        }
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = Reader::new(bytes);
-        let Some(wm) = read_wm(&mut r, self.watermark.num_channels()) else {
-            return false;
-        };
-        let Some(nwin) = r.u32() else { return false };
-        let mut state = BTreeMap::new();
-        for _ in 0..nwin {
-            let (Some(wid), Some(latest), Some(ngroups)) = (r.u64(), r.u64(), r.u32()) else {
-                return false;
-            };
-            let mut groups = HashMap::with_capacity(ngroups as usize);
-            for _ in 0..ngroups {
-                let (Some(k), Some(sum)) = (r.u64(), r.i64()) else {
-                    return false;
-                };
-                groups.insert(k, sum);
-            }
-            state.insert(wid, (groups, PhysicalTime(latest)));
-        }
-        if !r.is_empty() {
-            return false;
-        }
-        self.watermark = wm;
-        self.state = state;
-        true
-    }
-}
-
-impl Operator for TopK {
-    fn on_batch(&mut self, channel: u32, batch: &Batch, _now: PhysicalTime, out: &mut Vec<Batch>) {
-        for t in &batch.tuples {
-            for wid in self.window.windows_for(t.time) {
-                let (groups, latest) = self.state.entry(wid).or_default();
-                *groups.entry(t.key).or_insert(0) += t.value;
-                if batch.time > *latest {
-                    *latest = batch.time;
-                }
-            }
-        }
-        let wm = self.watermark.observe(channel, batch.progress.0);
-        while let Some((&wid, _)) = self.state.iter().next() {
-            let end = self.window.window_end(wid);
-            if end.0 > wm {
-                break;
-            }
-            let (groups, latest) = self.state.remove(&wid).expect("peeked");
-            let mut ranked: Vec<(u64, i64)> = groups.into_iter().collect();
-            // Highest sum first; stable on key for determinism.
-            ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            ranked.truncate(self.k);
-            let t = LogicalTime(end.0 - 1);
-            let tuples = ranked
-                .into_iter()
-                .map(|(k, v)| Tuple::new(k, v, t))
-                .collect();
-            out.push(Batch::with_progress(tuples, end, latest));
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.state.values().map(|(g, _)| g.len()).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "top_k"
-    }
-}
-
-/// Exact distinct-value count per key within tumbling windows (the
-/// "unique users per dashboard tile" shape).
-pub struct DistinctCount {
-    window: WindowSpec,
-    watermark: WatermarkTracker,
-    state: BTreeMap<u64, (HashMap<u64, HashSet<i64>>, PhysicalTime)>,
-}
-
-impl DistinctCount {
-    /// Distinct values per key per tumbling window.
-    pub fn new(window_size: u64, num_channels: u32) -> Self {
-        DistinctCount {
-            window: WindowSpec::tumbling(window_size),
-            watermark: WatermarkTracker::new(num_channels.max(1) as usize),
-            state: BTreeMap::new(),
-        }
-    }
-}
-
-impl StateSnapshot for DistinctCount {
-    fn snapshot_state(&self, out: &mut Vec<u8>) {
-        put_wm(out, &self.watermark);
-        codec::put_u32(out, self.state.len() as u32);
-        for (&wid, (groups, latest)) in &self.state {
-            codec::put_u64(out, wid);
-            codec::put_u64(out, latest.0);
-            codec::put_u32(out, groups.len() as u32);
-            let mut keys: Vec<u64> = groups.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                let set = &groups[&k];
-                codec::put_u64(out, k);
-                codec::put_u32(out, set.len() as u32);
-                let mut vals: Vec<i64> = set.iter().copied().collect();
-                vals.sort_unstable();
-                for v in vals {
-                    codec::put_i64(out, v);
-                }
-            }
-        }
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = Reader::new(bytes);
-        let Some(wm) = read_wm(&mut r, self.watermark.num_channels()) else {
-            return false;
-        };
-        let Some(nwin) = r.u32() else { return false };
-        let mut state = BTreeMap::new();
-        for _ in 0..nwin {
-            let (Some(wid), Some(latest), Some(ngroups)) = (r.u64(), r.u64(), r.u32()) else {
-                return false;
-            };
-            let mut groups = HashMap::with_capacity(ngroups as usize);
-            for _ in 0..ngroups {
-                let (Some(k), Some(nvals)) = (r.u64(), r.u32()) else {
-                    return false;
-                };
-                let mut set = HashSet::with_capacity(nvals as usize);
-                for _ in 0..nvals {
-                    let Some(v) = r.i64() else { return false };
-                    set.insert(v);
-                }
-                groups.insert(k, set);
-            }
-            state.insert(wid, (groups, PhysicalTime(latest)));
-        }
-        if !r.is_empty() {
-            return false;
-        }
-        self.watermark = wm;
-        self.state = state;
-        true
-    }
-}
-
-impl Operator for DistinctCount {
-    fn on_batch(&mut self, channel: u32, batch: &Batch, _now: PhysicalTime, out: &mut Vec<Batch>) {
-        for t in &batch.tuples {
-            for wid in self.window.windows_for(t.time) {
-                let (groups, latest) = self.state.entry(wid).or_default();
-                groups.entry(t.key).or_default().insert(t.value);
-                if batch.time > *latest {
-                    *latest = batch.time;
-                }
-            }
-        }
-        let wm = self.watermark.observe(channel, batch.progress.0);
-        while let Some((&wid, _)) = self.state.iter().next() {
-            let end = self.window.window_end(wid);
-            if end.0 > wm {
-                break;
-            }
-            let (groups, latest) = self.state.remove(&wid).expect("peeked");
-            let t = LogicalTime(end.0 - 1);
-            let mut tuples: Vec<Tuple> = groups
-                .into_iter()
-                .map(|(k, set)| Tuple::new(k, set.len() as i64, t))
-                .collect();
-            tuples.sort_unstable_by_key(|t| t.key);
-            out.push(Batch::with_progress(tuples, end, latest));
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.state.values().map(|(g, _)| g.len()).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "distinct_count"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,67 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_ranks_and_truncates() {
-        let mut op = TopK::new(10, 2, 1);
-        let out = feed(
-            &mut op,
-            vec![
-                tuple(1, 5, 1),
-                tuple(2, 9, 2),
-                tuple(3, 1, 3),
-                tuple(1, 2, 4), // key 1 total 7
-                tuple(9, 0, 12),
-            ],
-            12,
-            50,
-        );
-        assert_eq!(out.len(), 1);
-        // Ranked: key 2 (9), key 1 (7); key 3 truncated.
-        assert_eq!(out[0].tuples, vec![tuple(2, 9, 9), tuple(1, 7, 9)]);
-        assert_eq!(out[0].progress, LogicalTime(10));
-    }
-
-    #[test]
-    fn top_k_tie_breaks_by_key() {
-        let mut op = TopK::new(10, 2, 1);
-        let out = feed(
-            &mut op,
-            vec![
-                tuple(5, 4, 1),
-                tuple(3, 4, 2),
-                tuple(8, 4, 3),
-                tuple(0, 0, 12),
-            ],
-            12,
-            50,
-        );
-        assert_eq!(out[0].tuples, vec![tuple(3, 4, 9), tuple(5, 4, 9)]);
-    }
-
-    #[test]
-    fn distinct_count_dedups_values() {
-        let mut op = DistinctCount::new(10, 1);
-        let out = feed(
-            &mut op,
-            vec![
-                tuple(1, 100, 1),
-                tuple(1, 100, 2), // duplicate value
-                tuple(1, 200, 3),
-                tuple(2, 7, 4),
-                tuple(0, 0, 12),
-            ],
-            12,
-            50,
-        );
-        let t = &out[0].tuples;
-        // Key 0 saw value 0 in window 1 (not fired); window 0: key 1 has
-        // 2 distinct values, key 2 has 1.
-        assert_eq!(t.len(), 2);
-        assert_eq!((t[0].key, t[0].value), (1, 2));
-        assert_eq!((t[1].key, t[1].value), (2, 1));
-    }
-
-    #[test]
     fn session_snapshot_roundtrip_preserves_open_sessions() {
         let mut op = SessionWindow::new(10, 1);
         let _ = feed(&mut op, vec![tuple(1, 3, 5), tuple(2, 4, 8)], 8, 100);
@@ -562,69 +277,35 @@ mod tests {
     }
 
     #[test]
-    fn top_k_snapshot_roundtrip_preserves_partial_window() {
-        let mut op = TopK::new(10, 2, 1);
-        let _ = feed(&mut op, vec![tuple(1, 5, 1), tuple(2, 9, 2)], 2, 50);
-        let mut bytes = Vec::new();
-        op.snapshot_state(&mut bytes);
-        let mut restored = TopK::new(10, 2, 1);
-        assert!(restored.restore_state(&bytes));
-        let closer = vec![tuple(3, 1, 3), tuple(0, 0, 12)];
-        let a = feed(&mut op, closer.clone(), 12, 60);
-        let b = feed(&mut restored, closer, 12, 60);
-        assert_eq!(a, b);
-        assert_eq!(a[0].tuples, vec![tuple(2, 9, 9), tuple(1, 5, 9)]);
-        // Re-snapshot of the restored copy must be byte-identical.
-        let (mut ra, mut rb) = (Vec::new(), Vec::new());
-        op.snapshot_state(&mut ra);
-        restored.snapshot_state(&mut rb);
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn distinct_count_snapshot_roundtrip() {
-        let mut op = DistinctCount::new(10, 1);
-        let _ = feed(&mut op, vec![tuple(1, 100, 1), tuple(1, 200, 2)], 2, 50);
-        let mut bytes = Vec::new();
-        op.snapshot_state(&mut bytes);
-        let mut restored = DistinctCount::new(10, 1);
-        assert!(restored.restore_state(&bytes));
-        let closer = vec![tuple(1, 100, 3), tuple(0, 0, 12)];
-        let a = feed(&mut op, closer.clone(), 12, 60);
-        let b = feed(&mut restored, closer, 12, 60);
-        assert_eq!(a, b);
-        // Value 100 was already seen pre-snapshot: still 2 distinct.
-        assert_eq!(a[0].tuples[0].value, 2);
-    }
-
-    #[test]
     fn snapshot_restore_rejects_malformed_bytes() {
         let mut op = SessionWindow::new(10, 1);
         assert!(!op.restore_state(b"garbage"));
+        assert!(!op.restore_state(&[2]), "unknown version byte");
         let two_ch = SessionWindow::new(10, 2);
         let mut bytes = Vec::new();
         two_ch.snapshot_state(&mut bytes);
         assert!(!op.restore_state(&bytes), "channel-count mismatch");
-        let mut topk = TopK::new(10, 2, 1);
+        let _ = feed(&mut op, vec![tuple(1, 3, 5), tuple(2, 4, 8)], 8, 100);
         let mut ok = Vec::new();
-        topk.snapshot_state(&mut ok);
-        let truncated = &ok[..ok.len() - 1];
-        assert!(!topk.restore_state(truncated));
+        op.snapshot_state(&mut ok);
+        let mut fresh = SessionWindow::new(10, 1);
+        assert!(!fresh.restore_state(&ok[..ok.len() - 1]), "cut short");
         let mut trailing = ok.clone();
         trailing.push(0xff);
-        assert!(!topk.restore_state(&trailing));
-        let mut dc = DistinctCount::new(10, 1);
-        assert!(!dc.restore_state(&[2]), "unknown version byte");
+        assert!(!fresh.restore_state(&trailing), "trailing byte");
+        assert!(fresh.restore_state(&ok));
     }
 
     #[test]
-    fn distinct_count_windows_are_independent() {
-        let mut op = DistinctCount::new(10, 1);
-        let _ = feed(&mut op, vec![tuple(1, 5, 1)], 1, 1);
-        let out = feed(&mut op, vec![tuple(1, 5, 11), tuple(0, 0, 22)], 22, 2);
-        // Window 0: {5} -> 1. Window 1: {5} again -> 1 (fresh set).
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].tuples[0].value, 1);
-        assert_eq!(out[1].tuples[0].value, 1);
+    fn restore_refuses_a_session_count_the_body_cannot_hold() {
+        let op = SessionWindow::new(10, 1);
+        let mut bytes = Vec::new();
+        op.snapshot_state(&mut bytes);
+        // The empty operator's body ends with its session count.
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 40]);
+        let mut restored = SessionWindow::new(10, 1);
+        assert!(!restored.restore_state(&bytes));
     }
 }

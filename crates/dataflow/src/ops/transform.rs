@@ -65,34 +65,6 @@ impl<F: FnMut(&Tuple) -> bool + Send> Operator for FilterOp<F> {
     }
 }
 
-/// Expands each tuple into zero or more tuples.
-pub struct FlatMapOp<F: FnMut(Tuple, &mut Vec<Tuple>) + Send> {
-    f: F,
-}
-
-impl<F: FnMut(Tuple, &mut Vec<Tuple>) + Send> FlatMapOp<F> {
-    /// Expand each tuple via `f`, which appends outputs to its `Vec`.
-    pub fn new(f: F) -> Self {
-        FlatMapOp { f }
-    }
-}
-
-impl<F: FnMut(Tuple, &mut Vec<Tuple>) + Send> StateSnapshot for FlatMapOp<F> {}
-
-impl<F: FnMut(Tuple, &mut Vec<Tuple>) + Send> Operator for FlatMapOp<F> {
-    fn on_batch(&mut self, _channel: u32, batch: &Batch, _now: PhysicalTime, out: &mut Vec<Batch>) {
-        let mut tuples = Vec::with_capacity(batch.len());
-        for &t in &batch.tuples {
-            (self.f)(t, &mut tuples);
-        }
-        out.push(Batch::with_progress(tuples, batch.progress, batch.time));
-    }
-
-    fn name(&self) -> &'static str {
-        "flat_map"
-    }
-}
-
 /// Forwards batches untouched (useful as a parse/shuffle stage whose
 /// cost is modeled rather than computed).
 #[derive(Default)]
@@ -199,18 +171,6 @@ mod tests {
         op.on_batch(0, &b, PhysicalTime(9), &mut out);
         assert!(out[0].is_empty());
         assert_eq!(out[0].progress, b.progress, "watermark must still advance");
-    }
-
-    #[test]
-    fn flat_map_expands() {
-        let mut op = FlatMapOp::new(|t: Tuple, out: &mut Vec<Tuple>| {
-            for _ in 0..t.value {
-                out.push(t);
-            }
-        });
-        let mut out = Vec::new();
-        op.on_batch(0, &batch(&[(1, 3)]), PhysicalTime(9), &mut out);
-        assert_eq!(out[0].len(), 3);
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub mod prelude {
     };
     pub use crate::msg::FrameDecoder;
     pub use crate::net::{
-        decode_payload, encode_frame, read_frame, IngestClient, IngestFrame, IngestServer,
-        NackFrame,
+        decode_payload, encode_frame, IngestClient, IngestFrame, IngestServer, NackFrame,
     };
     pub use crate::runtime::{
         DeployError, IngestOutcome, JobError, JobHandle, OutputEvent, OutputSubscription,

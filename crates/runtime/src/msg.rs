@@ -243,30 +243,36 @@ pub fn decode_payload(payload: &[u8]) -> io::Result<IngestFrame> {
     })
 }
 
-/// Default buffer size of a [`FrameDecoder`]: big enough that a burst
-/// of typical frames (a few hundred bytes each) arrives in one read.
+/// Bound on a [`FrameDecoder`]'s read-driven growth: big enough that a
+/// burst of typical frames (a few hundred bytes each) arrives in one
+/// read.
 pub const DECODER_BUF: usize = 64 * 1024;
 
-/// Initial buffer of an *adaptive* [`FrameDecoder`]
-/// ([`FrameDecoder::adaptive`]): small enough that 10k mostly-idle
-/// connections cost tens of megabytes, not gigabytes. A connection
-/// whose reads saturate this doubles its way up to [`DECODER_BUF`], so
-/// active connections still pull whole bursts per read.
+/// Initial buffer of a [`FrameDecoder`]: small enough that 10k
+/// mostly-idle connections cost tens of megabytes, not gigabytes. A
+/// connection whose reads saturate this doubles its way up to
+/// [`DECODER_BUF`], so active connections still pull whole bursts per
+/// read.
 pub const ADAPTIVE_BUF_INIT: usize = 2 * 1024;
 
-/// Streaming frame decoder over a reusable per-connection buffer.
+/// Streaming frame decoder over a reusable per-connection buffer: the
+/// only reader of ingest frames, used by the serve loop and by tests
+/// alike.
 ///
-/// The pre-coalescing ingest loop called `read_exact` twice per frame
-/// (length, then payload) and allocated a fresh payload `Vec` each
-/// time, so every frame paid its own syscalls and its own allocation —
-/// and, more importantly, its own trip into the scheduler. This
-/// decoder instead issues **one `read` per loop iteration**, pulling
-/// *everything the socket currently has* into a single buffer that
-/// lives as long as the connection, then slices every complete frame
-/// out of it. A frame split across reads is carried in the buffer
-/// (compacted to the front, no reallocation) until the rest arrives; a
-/// frame larger than the buffer grows it once to exactly that frame's
-/// size, and the high-water mark is reused from then on.
+/// It issues **one `read` per loop iteration**, pulling *everything the
+/// socket currently has* into a single buffer that lives as long as the
+/// connection, then slices every complete frame out of it — no
+/// per-frame syscalls, no per-frame payload allocation. A frame split
+/// across reads is carried in the buffer (compacted to the front, no
+/// reallocation) until the rest arrives; a frame larger than the buffer
+/// grows it once to exactly that frame's size, and the high-water mark
+/// is reused from then on.
+///
+/// The buffer starts at [`ADAPTIVE_BUF_INIT`] and **doubles after every
+/// saturated read** (a read that filled all spare buffer — the socket
+/// clearly had more) up to [`DECODER_BUF`]. Ten thousand idle
+/// connections stay at the small footprint; the busy ones quickly
+/// regain the whole-burst-per-read coalescing of a full-size buffer.
 ///
 /// The caller hands all frames decoded from one read to
 /// [`Runtime::ingest_frames`](crate::runtime::Runtime::ingest_frames)
@@ -276,15 +282,10 @@ pub const ADAPTIVE_BUF_INIT: usize = 2 * 1024;
 pub struct FrameDecoder {
     /// The connection buffer. Valid bytes live in `start..end`; the
     /// vector's length is its capacity (it is grown, never shrunk, and
-    /// only when a single frame exceeds it — or, for
-    /// [`adaptive`](Self::adaptive) decoders, when a read saturates
-    /// it).
+    /// only when a single frame exceeds it or a read saturates it).
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Saturated reads double the buffer up to this bound; `0` for the
-    /// fixed-size decoders (`new` / `with_capacity`).
-    grow_to: usize,
 }
 
 impl Default for FrameDecoder {
@@ -294,35 +295,12 @@ impl Default for FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder with the default [`DECODER_BUF`] buffer.
+    /// A decoder with an [`ADAPTIVE_BUF_INIT`] buffer.
     pub fn new() -> Self {
-        Self::with_capacity(DECODER_BUF)
-    }
-
-    /// A decoder with a caller-chosen initial buffer size (it still
-    /// grows on demand when one frame exceeds it; tests use tiny
-    /// capacities to exercise that path).
-    pub fn with_capacity(cap: usize) -> Self {
-        FrameDecoder {
-            buf: vec![0u8; cap.max(8)],
-            start: 0,
-            end: 0,
-            grow_to: 0,
-        }
-    }
-
-    /// A decoder for event-loop connections: starts at
-    /// [`ADAPTIVE_BUF_INIT`] and **doubles after every saturated read**
-    /// (a read that filled all spare buffer — the socket clearly had
-    /// more) up to [`DECODER_BUF`]. Ten thousand idle connections stay
-    /// at the small footprint; the busy ones quickly regain the
-    /// whole-burst-per-read coalescing of a full-size buffer.
-    pub fn adaptive() -> Self {
         FrameDecoder {
             buf: vec![0u8; ADAPTIVE_BUF_INIT],
             start: 0,
             end: 0,
-            grow_to: DECODER_BUF,
         }
     }
 
@@ -332,7 +310,8 @@ impl FrameDecoder {
         self.end - self.start
     }
 
-    /// Current buffer size (grows only when one frame needs more).
+    /// Current buffer size (grows when one frame needs more, or a read
+    /// saturates it below [`DECODER_BUF`]).
     pub fn capacity(&self) -> usize {
         self.buf.len()
     }
@@ -385,10 +364,9 @@ impl FrameDecoder {
         self.end += n;
         // Adaptive sizing: a saturated read means the socket had more
         // than fit — double the buffer (bounded) so the next read pulls
-        // a bigger slice of the burst. Fixed-size decoders (grow_to ==
-        // 0) never take this path.
-        if n == spare && self.buf.len() < self.grow_to {
-            let grown = (self.buf.len() * 2).min(self.grow_to);
+        // a bigger slice of the burst.
+        if n == spare && self.buf.len() < DECODER_BUF {
+            let grown = (self.buf.len() * 2).min(DECODER_BUF);
             self.buf.resize(grown, 0);
         }
         Ok(n)
@@ -481,13 +459,13 @@ mod tests {
         }
     }
 
-    fn decode_all(bytes: Vec<u8>, chunk: usize, cap: usize) -> io::Result<Vec<IngestFrame>> {
+    fn decode_all(bytes: Vec<u8>, chunk: usize) -> io::Result<Vec<IngestFrame>> {
         let mut r = Chunked {
             bytes,
             pos: 0,
             chunk,
         };
-        let mut dec = FrameDecoder::with_capacity(cap);
+        let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
         while dec.read_frames(&mut r, &mut out)?.is_some() {}
         Ok(out)
@@ -511,7 +489,7 @@ mod tests {
         let mut stream = encode_frame(&frame(2));
         stream.extend_from_slice(&bytes);
         stream.extend_from_slice(&encode_frame(&frame(3)));
-        let got = decode_all(stream, usize::MAX, DECODER_BUF).unwrap();
+        let got = decode_all(stream, usize::MAX).unwrap();
         assert_eq!(got, vec![frame(2), frame(0), frame(3)]);
     }
 
@@ -575,16 +553,19 @@ mod tests {
         }
         // 7-byte reads: every frame arrives in many pieces, split at
         // every possible offset (headers included).
-        let got = decode_all(bytes.clone(), 7, DECODER_BUF).unwrap();
+        let got = decode_all(bytes.clone(), 7).unwrap();
         assert_eq!(got, frames);
         // Split exactly inside a length prefix.
-        let got = decode_all(bytes, 2, DECODER_BUF).unwrap();
+        let got = decode_all(bytes, 2).unwrap();
         assert_eq!(got, frames);
     }
 
     #[test]
     fn frame_larger_than_buffer_grows_it_once() {
-        let big = frame(100); // 2416 wire bytes
+        // Bigger than the doubling bound, so only the frame itself can
+        // size the buffer; 9-byte reads also split every header.
+        let big = frame(3_000); // 72 020 wire bytes
+        assert!(big.wire_len() > DECODER_BUF);
         let small = frame(1);
         let mut bytes = encode_frame(&big);
         small.encode_into(&mut bytes);
@@ -593,7 +574,7 @@ mod tests {
             pos: 0,
             chunk: 9,
         };
-        let mut dec = FrameDecoder::with_capacity(16);
+        let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
         while dec.read_frames(&mut r, &mut out).unwrap().is_some() {}
         assert_eq!(out, vec![big.clone(), small]);
@@ -608,8 +589,24 @@ mod tests {
     fn oversized_length_prefix_rejected_before_allocating() {
         let mut bytes = (MAX_FRAME + 1).to_be_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 16]);
-        let err = decode_all(bytes, usize::MAX, 64).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        for chunk in [usize::MAX, 4, 1] {
+            let mut r = Chunked {
+                bytes: bytes.clone(),
+                pos: 0,
+                chunk,
+            };
+            let mut dec = FrameDecoder::new();
+            let mut out = Vec::new();
+            let err = loop {
+                match dec.read_frames(&mut r, &mut out) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("clean EOF after an oversized prefix"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(dec.capacity(), ADAPTIVE_BUF_INIT, "nothing allocated");
+        }
     }
 
     #[test]
@@ -619,26 +616,26 @@ mod tests {
         // way into the (valid) frame behind the garbage.
         let mut bytes = vec![0xFFu8; 32]; // reads as len 0xFFFFFFFF
         bytes.extend_from_slice(&encode_frame(&frame(2)));
-        assert!(decode_all(bytes, usize::MAX, DECODER_BUF).is_err());
+        assert!(decode_all(bytes, usize::MAX).is_err());
         // Garbage that passes the length check but corrupts the payload
         // (tuple count inconsistent with the frame length) also errors.
         let mut plausible = 20u32.to_be_bytes().to_vec(); // 20-byte payload
         plausible.extend_from_slice(&[0xAB; 20]); // count field is huge
         plausible.extend_from_slice(&encode_frame(&frame(2)));
-        assert!(decode_all(plausible, usize::MAX, DECODER_BUF).is_err());
+        assert!(decode_all(plausible, usize::MAX).is_err());
     }
 
     #[test]
     fn eof_inside_a_frame_is_an_error() {
         let mut bytes = encode_frame(&frame(3));
         bytes.truncate(bytes.len() - 5);
-        let err = decode_all(bytes, usize::MAX, DECODER_BUF).unwrap_err();
+        let err = decode_all(bytes, usize::MAX).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn buffer_state_resets_between_bursts() {
-        let mut dec = FrameDecoder::with_capacity(128);
+        let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
         for round in 0..5 {
             let f = frame(round % 3);
@@ -647,11 +644,6 @@ mod tests {
             assert_eq!(dec.buffered(), 0, "no leftover bytes between bursts");
         }
         assert_eq!(out.len(), 5);
-        assert_eq!(
-            dec.capacity(),
-            128,
-            "sub-128-byte frames never grow a fixed 128-byte buffer"
-        );
     }
 
     #[test]
@@ -670,7 +662,7 @@ mod tests {
             pos: 0,
             chunk: usize::MAX,
         };
-        let mut dec = FrameDecoder::adaptive();
+        let mut dec = FrameDecoder::new();
         assert_eq!(dec.capacity(), ADAPTIVE_BUF_INIT);
         let mut out = Vec::new();
         while dec.read_frames(&mut r, &mut out).unwrap().is_some() {}
@@ -695,7 +687,7 @@ mod tests {
     #[test]
     fn adaptive_decoder_stays_small_when_idle() {
         // One small frame per read — the 10k-idle-connections case.
-        let mut dec = FrameDecoder::adaptive();
+        let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
         for _ in 0..50 {
             let mut cursor = io::Cursor::new(encode_frame(&frame(2)));

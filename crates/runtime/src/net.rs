@@ -57,7 +57,7 @@
 
 use crate::runtime::Runtime;
 use cameo_core::epoll::Epoll;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,32 +68,6 @@ pub use crate::msg::{
     decode_payload, encode_frame, read_nack, FrameDecoder, IngestFrame, NackFrame, HEADER_WIRE,
     MAX_FRAME, NACK_WIRE, TUPLE_WIRE,
 };
-
-/// Read one frame from a stream. `Ok(None)` signals a clean EOF at a
-/// frame boundary.
-///
-/// This is the one-frame-at-a-time convenience (two `read_exact` calls,
-/// a payload allocation per frame); the serve loop does **not** use it —
-/// it runs a [`FrameDecoder`] so that every frame available in one
-/// readiness burst is decoded and submitted as one batch.
-pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<IngestFrame>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap {MAX_FRAME}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    decode_payload(&payload).map(Some)
-}
 
 /// The serve loop's counters, written by the loop and read by the
 /// [`IngestServer`] accessors.
@@ -481,7 +455,7 @@ fn accept_burst(
                 }
                 conns[idx] = Some(Conn {
                     stream,
-                    decoder: FrameDecoder::adaptive(),
+                    decoder: FrameDecoder::new(),
                 });
                 c.conn_opened();
             }
@@ -652,26 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_streams_multiple() {
-        let a = frame(2);
-        let b = frame(4);
-        let mut bytes = encode_frame(&a);
-        bytes.extend_from_slice(&encode_frame(&b));
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), a);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b);
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut bytes = (MAX_FRAME + 1).to_be_bytes().to_vec();
-        bytes.extend_from_slice(&[0u8; 16]);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
     fn client_rejects_oversized_frames_before_writing() {
         // The server would refuse the frame and drop the connection;
         // the client must error at the offending call instead of
@@ -728,10 +682,9 @@ mod tests {
         let expect = frames.clone();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
+            let mut dec = FrameDecoder::new();
             let mut got = Vec::new();
-            while let Some(f) = read_frame(&mut conn).unwrap() {
-                got.push(f);
-            }
+            while dec.read_frames(&mut conn, &mut got).unwrap().is_some() {}
             got
         });
         let mut client = IngestClient::connect(addr).unwrap();

@@ -61,21 +61,32 @@ impl ClusterSpec {
     }
 }
 
-/// Round-robin placement of every job's computing instances across
-/// nodes; ingest instances are marked off-cluster. A shared counter
-/// across jobs collocates different jobs' operators on the same nodes,
-/// matching the paper's multi-tenant deployments.
-pub fn place_jobs(jobs: &[ExpandedJob], cluster: &ClusterSpec) -> Vec<Vec<u16>> {
+/// Placement of every job's computing instances on nodes; ingest
+/// instances are marked off-cluster. `Spread` deals instances
+/// round-robin from one counter shared across jobs, collocating
+/// different jobs' operators on the same nodes as in the paper's
+/// multi-tenant deployments; `Pack` puts job `j` on node `j % nodes`.
+pub fn place_jobs(
+    jobs: &[&ExpandedJob],
+    cluster: &ClusterSpec,
+    policy: Placement,
+) -> Vec<Vec<u16>> {
     let mut next = 0u16;
     let mut placement = Vec::with_capacity(jobs.len());
-    for job in jobs {
+    for (j, job) in jobs.iter().enumerate() {
+        let home = (j as u16) % cluster.nodes;
         let mut per_op = Vec::with_capacity(job.instances.len());
         for inst in &job.instances {
             if inst.is_ingest() {
                 per_op.push(OFF_CLUSTER);
             } else {
-                per_op.push(next % cluster.nodes);
-                next = next.wrapping_add(1);
+                match policy {
+                    Placement::Spread => {
+                        per_op.push(next % cluster.nodes);
+                        next = next.wrapping_add(1);
+                    }
+                    Placement::Pack => per_op.push(home),
+                }
             }
         }
         placement.push(per_op);
@@ -95,7 +106,7 @@ mod tests {
     fn ingests_are_off_cluster() {
         let spec = ipq1(1_000_000, Micros(800_000));
         let job = ExpandedJob::expand(&spec, JobId(0), &ExpandOptions::default()).unwrap();
-        let placement = place_jobs(&[job], &ClusterSpec::new(4, 4));
+        let placement = place_jobs(&[&job], &ClusterSpec::new(4, 4), Placement::Spread);
         let job_p = &placement[0];
         // First 8 instances are sources.
         for &p in &job_p[..8] {
@@ -113,7 +124,7 @@ mod tests {
         );
         let a = ExpandedJob::expand(&spec, JobId(0), &ExpandOptions::default()).unwrap();
         let b = ExpandedJob::expand(&spec, JobId(1), &ExpandOptions::default()).unwrap();
-        let placement = place_jobs(&[a, b], &ClusterSpec::new(3, 2));
+        let placement = place_jobs(&[&a, &b], &ClusterSpec::new(3, 2), Placement::Spread);
         let mut counts = [0u32; 3];
         for job_p in &placement {
             for &p in job_p.iter().filter(|&&p| p != OFF_CLUSTER) {
@@ -122,5 +133,10 @@ mod tests {
         }
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(max - min <= 1, "round robin balances: {counts:?}");
+        // Pack puts each job's computing instances on its own node.
+        let packed = place_jobs(&[&a, &b], &ClusterSpec::new(3, 2), Placement::Pack);
+        for (j, job_p) in packed.iter().enumerate() {
+            assert!(job_p.iter().all(|&p| p == OFF_CLUSTER || p == j as u16));
+        }
     }
 }

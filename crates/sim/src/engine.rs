@@ -12,7 +12,7 @@
 //! (the scheduler under test), and a constant one-way network delay
 //! between machines.
 
-use crate::cluster::{ClusterSpec, Placement, OFF_CLUSTER};
+use crate::cluster::{place_jobs, ClusterSpec, Placement, OFF_CLUSTER};
 use crate::costmodel::{CostConfig, CostModel};
 use crate::dispatch::{
     CameoDispatcher, DispatchLease, Dispatcher, OrleansDispatcher, SlotDispatcher,
@@ -220,7 +220,7 @@ impl Engine {
             );
         }
         let exps: Vec<&ExpandedJob> = jobs.iter().map(|(e, _)| e).collect();
-        let placement = place_jobs_ref(&exps, &cfg.cluster, cfg.placement);
+        let placement = place_jobs(&exps, &cfg.cluster, cfg.placement);
         let metrics = SimMetrics::new(
             jobs.iter()
                 .map(|(e, _)| (e.name.clone(), e.latency_constraint))
@@ -594,34 +594,4 @@ impl Engine {
             }
         }
     }
-}
-
-/// Placement over borrowed jobs. `Spread` is the same round-robin as
-/// [`crate::cluster::place_jobs`]; `Pack` collocates whole jobs.
-fn place_jobs_ref(
-    jobs: &[&ExpandedJob],
-    cluster: &ClusterSpec,
-    policy: Placement,
-) -> Vec<Vec<u16>> {
-    let mut next = 0u16;
-    let mut placement = Vec::with_capacity(jobs.len());
-    for (j, job) in jobs.iter().enumerate() {
-        let home = (j as u16) % cluster.nodes;
-        let mut per_op = Vec::with_capacity(job.instances.len());
-        for inst in &job.instances {
-            if inst.is_ingest() {
-                per_op.push(OFF_CLUSTER);
-            } else {
-                match policy {
-                    Placement::Spread => {
-                        per_op.push(next % cluster.nodes);
-                        next = next.wrapping_add(1);
-                    }
-                    Placement::Pack => per_op.push(home),
-                }
-            }
-        }
-        placement.push(per_op);
-    }
-    placement
 }

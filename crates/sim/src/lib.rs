@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::costmodel::{CostConfig, CostModel};
     pub use crate::engine::{Engine, EngineConfig, PolicyKind, SchedulerKind};
     pub use crate::metrics::{JobMetrics, SchedEvent, SimMetrics};
-    pub use crate::report::{cdf_points, fmt_ratio, fmt_us, print_table, render_table};
+    pub use crate::report::{print_table, render_table};
     pub use crate::scenario::{JobSetup, Scenario, SimReport, TraceEvent, TraceKind};
     pub use crate::workload::{RatePattern, WorkloadGen, WorkloadSpec};
 }

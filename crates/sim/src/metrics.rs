@@ -2,11 +2,11 @@
 //! rates, throughput, timelines (Fig 7c/9), and cluster utilization
 //! (Fig 1).
 
-use cameo_core::stats::{exact_percentile, Histogram};
+use cameo_core::stats::exact_percentile;
 use cameo_core::time::{Micros, PhysicalTime};
 use cameo_dataflow::event::Batch;
 
-/// Cap on exact-latency samples kept per job (histograms are unbounded).
+/// Cap on exact-latency samples kept per job.
 const MAX_SAMPLES: usize = 1 << 20;
 /// Cap on schedule-log entries.
 const MAX_SCHED_EVENTS: usize = 1 << 20;
@@ -19,7 +19,6 @@ pub type OutputRecord = (u64, u64, i64);
 pub struct JobMetrics {
     pub name: String,
     pub constraint: Micros,
-    pub latency: Histogram,
     /// Exact latency samples (us), capped.
     pub samples: Vec<u64>,
     /// (output time, latency) series for timeline plots.
@@ -39,7 +38,6 @@ impl JobMetrics {
         JobMetrics {
             name,
             constraint,
-            latency: Histogram::new(),
             samples: Vec::new(),
             timeline: Vec::new(),
             outputs: 0,
@@ -76,7 +74,6 @@ impl JobMetrics {
 
     pub fn record_output(&mut self, batch: &Batch, now: PhysicalTime) {
         let latency = now - batch.time;
-        self.latency.record(latency);
         if self.samples.len() < MAX_SAMPLES {
             self.samples.push(latency.0);
         }

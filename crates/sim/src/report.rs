@@ -2,8 +2,6 @@
 //! binaries print the same rows/series the paper's figures plot; this
 //! keeps the formatting consistent and dependency-free.
 
-use cameo_core::time::Micros;
-
 /// Render a table with a header row. Columns are sized to content.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -40,36 +38,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     print!("{}", render_table(title, headers, rows));
 }
 
-/// Format microseconds as adaptive ms/s string.
-pub fn fmt_us(us: u64) -> String {
-    format!("{}", Micros(us))
-}
-
-/// Format a ratio as `N.NNx`.
-pub fn fmt_ratio(a: f64, b: f64) -> String {
-    if b == 0.0 {
-        "inf".into()
-    } else {
-        format!("{:.2}x", a / b)
-    }
-}
-
-/// A simple ASCII CDF from samples: returns (value, percentile) points.
-pub fn cdf_points(samples: &[u64], points: usize) -> Vec<(u64, f64)> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    (1..=points)
-        .map(|i| {
-            let q = i as f64 / points as f64;
-            let idx = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1;
-            (v[idx], q * 100.0)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,23 +55,5 @@ mod tests {
         assert!(s.contains("== T =="));
         assert!(s.contains("col     value"));
         assert!(s.contains("longer  22"));
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let samples: Vec<u64> = (0..1000).rev().collect();
-        let cdf = cdf_points(&samples, 10);
-        assert_eq!(cdf.len(), 10);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(cdf.last().unwrap().0, 999);
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(fmt_ratio(4.0, 2.0), "2.00x");
-        assert_eq!(fmt_ratio(1.0, 0.0), "inf");
     }
 }

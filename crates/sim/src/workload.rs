@@ -219,79 +219,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Spatially skewed *and* temporally bursty sources: per-source mean
-    /// rates follow a geometric `spread` (Fig 10's production skew),
-    /// and each second's volume is an independent Pareto multiple of
-    /// the source mean (the transient hotspots of Fig 2(c)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn skewed_bursty(
-        sources: u32,
-        total_msgs_per_sec: f64,
-        spread: f64,
-        alpha: f64,
-        cap_factor: f64,
-        tuples_per_msg: u32,
-        duration: Micros,
-        seed: u64,
-    ) -> Self {
-        assert!(alpha > 1.0 && sources > 0 && spread >= 1.0);
-        let base = Self::skewed(
-            sources,
-            total_msgs_per_sec,
-            spread,
-            tuples_per_msg,
-            duration,
-        );
-        let seconds = (duration.0 / 1_000_000).max(1);
-        // One burst sequence for the whole stream: spikes are correlated
-        // across its sources, concentrating on the hot ones.
-        let multipliers = burst_multipliers(seconds, alpha, cap_factor, 3, seed);
-        let patterns = base
-            .sources
-            .iter()
-            .map(|p| {
-                let mean = p.rate_at(0);
-                RatePattern::PerSecond(multipliers.iter().map(|m| mean * m).collect())
-            })
-            .collect();
-        WorkloadSpec {
-            sources: patterns,
-            ..base
-        }
-    }
-
-    /// Constant base rate with multiplicative bursts during the given
-    /// second intervals (transient spikes, §6.2).
-    pub fn bursty(
-        sources: u32,
-        base_msgs_per_sec: f64,
-        burst_factor: f64,
-        burst_seconds: &[(u64, u64)],
-        tuples_per_msg: u32,
-        duration: Micros,
-    ) -> Self {
-        let seconds = (duration.0 / 1_000_000).max(1);
-        let rates: Vec<f64> = (0..seconds)
-            .map(|s| {
-                let burst = burst_seconds.iter().any(|&(a, b)| s >= a && s < b);
-                if burst {
-                    base_msgs_per_sec * burst_factor
-                } else {
-                    base_msgs_per_sec
-                }
-            })
-            .collect();
-        WorkloadSpec {
-            sources: vec![RatePattern::PerSecond(rates); sources as usize],
-            tuples_per_msg,
-            keys: 1 << 16,
-            value_range: (1, 100),
-            start: PhysicalTime::ZERO,
-            end: PhysicalTime::ZERO + duration,
-            event_time_lag: Micros::ZERO,
-        }
-    }
-
     /// Total messages this workload will emit (approximate, for sizing).
     pub fn approx_messages(&self) -> u64 {
         let secs = (self.duration().0 as f64) / 1e6;
@@ -502,16 +429,6 @@ mod tests {
         assert!((max / min - 200.0).abs() < 1.0, "spread = {}", max / min);
         let total: f64 = rates.iter().sum();
         assert!((total - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bursty_rates() {
-        let spec = WorkloadSpec::bursty(1, 10.0, 5.0, &[(2, 4)], 10, Micros::from_secs(6));
-        let p = &spec.sources[0];
-        assert_eq!(p.rate_at(0), 10.0);
-        assert_eq!(p.rate_at(2), 50.0);
-        assert_eq!(p.rate_at(3), 50.0);
-        assert_eq!(p.rate_at(4), 10.0);
     }
 
     #[test]

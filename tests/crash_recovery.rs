@@ -94,10 +94,12 @@ fn close_window0(rt: &Runtime, job: JobHandle) {
     }
 }
 
-/// Drain the subscription and return window 0's output, sorted.
+/// Window 0's output, sorted. Call after a `drain` that returned
+/// true: a sink sends its outputs before its message leaves the
+/// in-flight count, so every output is already in the channel.
 fn window0_outputs(rx: &OutputSubscription) -> Vec<(u64, u64, i64)> {
     let mut out = Vec::new();
-    while let Ok(ev) = rx.recv_timeout(Duration::from_millis(200)) {
+    for ev in rx.try_iter() {
         if ev.batch.progress.0 == WINDOW {
             for t in &ev.batch.tuples {
                 out.push((ev.batch.progress.0, t.key, t.value));

@@ -2,6 +2,7 @@
 //! simple reference models.
 
 use cameo::prelude::*;
+use cameo::runtime::msg::{DECODER_BUF, MAX_FRAME};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -361,15 +362,26 @@ proptest! {
     /// arbitrary frames, cut at *arbitrary byte boundaries* into
     /// successive reads, reassembles into exactly the frames that were
     /// encoded — regardless of how the cuts land relative to length
-    /// prefixes, headers or tuple bodies.
+    /// prefixes, headers or tuple bodies. Frames of 86+ tuples and cuts
+    /// of up to 4 KiB go past the decoder's initial 2 KiB buffer, so
+    /// saturated reads double it and a frame bigger than the buffer
+    /// grows it; a length prefix past `MAX_FRAME` behind the frames is
+    /// refused without growing it.
     #[test]
     fn frame_decoder_reassembles_arbitrarily_sliced_streams(
         frames in prop::collection::vec(
             (any::<u32>(), any::<u32>(), any::<u32>(),
-             prop::collection::vec((any::<u64>(), any::<i64>(), any::<u64>()), 0..8)),
+             prop_oneof![
+                 prop::collection::vec((any::<u64>(), any::<i64>(), any::<u64>()), 0..8),
+                 prop::collection::vec((any::<u64>(), any::<i64>(), any::<u64>()), 86..120),
+             ]),
             1..12,
         ),
-        cuts in prop::collection::vec(1usize..64, 1..80),
+        cuts in prop_oneof![
+            prop::collection::vec(1usize..64, 1..80),
+            prop::collection::vec(1usize..4096, 1..8),
+        ],
+        oversized_tail in any::<bool>(),
     ) {
         let frames: Vec<IngestFrame> = frames
             .into_iter()
@@ -387,21 +399,36 @@ proptest! {
         for f in &frames {
             f.encode_into(&mut wire);
         }
+        if oversized_tail {
+            wire.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+            wire.extend_from_slice(&[0; 16]);
+        }
         // Feed the stream slice by slice (cut sizes cycle through the
-        // random list), collecting whatever each burst completes.
+        // random list), collecting whatever each burst completes. One
+        // cut can take several reads: a read fills at most the spare
+        // buffer.
         let mut dec = FrameDecoder::new();
         let mut decoded: Vec<IngestFrame> = Vec::new();
+        let mut refused = None;
         let mut off = 0;
         let mut i = 0;
-        while off < wire.len() {
+        'feed: while off < wire.len() {
             let n = cuts[i % cuts.len()].min(wire.len() - off);
             i += 1;
             let mut slice = &wire[off..off + n];
             off += n;
-            prop_assert!(dec.fill(&mut slice).expect("fill") > 0);
-            dec.decode_available(&mut decoded).expect("well-formed stream");
+            while !slice.is_empty() {
+                prop_assert!(dec.fill(&mut slice).expect("fill") > 0);
+                if let Err(e) = dec.decode_available(&mut decoded) {
+                    refused = Some(e.kind());
+                    break 'feed;
+                }
+            }
         }
-        prop_assert_eq!(decoded, frames);
+        prop_assert_eq!(decoded, frames.clone());
+        prop_assert_eq!(refused, oversized_tail.then_some(std::io::ErrorKind::InvalidData));
+        let biggest = frames.iter().map(IngestFrame::wire_len).max().unwrap_or(0);
+        prop_assert!(dec.capacity() <= DECODER_BUF.max(biggest));
     }
 
     /// `decide` is the boundary rule: for random tiers, deadlines, clock
