@@ -63,8 +63,8 @@ fn bench_pop_cycle(c: &mut Criterion) {
 
 fn bench_peek_best(c: &mut Criterion) {
     c.bench_function("queue_peek_best_1000ops", |b| {
-        // `peek_best` is now a `&self` O(1) read (the heap top is kept
-        // eagerly valid by push/pop).
+        // `peek_best` is a `&self` read of the first entry of each
+        // occupied tier: the run index holds no stale entries.
         let q = loaded_queue(1_000, 8);
         b.iter(|| std::hint::black_box(q.peek_best()));
     });

@@ -13,8 +13,8 @@
 //! each*: when an operator's head priority changes, its entry is
 //! removed and re-inserted, so the index never holds more entries than
 //! there are runnable operators, however long the queue runs. The index
-//! is one binary heap per latency tier under a bitmask of the occupied
-//! tiers; every operator owns a slot that records where its entry sits,
+//! is one ordered set per latency tier under a bitmask of the occupied
+//! tiers; every runnable operator keeps a copy of its posted entry,
 //! which is what makes removal exact and `O(log n)` without a search.
 //! Bucketing by tier gives the two orders the scheduler needs from one
 //! structure (see [`Priority::rank`]):
@@ -34,7 +34,7 @@ use crate::ids::{JobId, OperatorKey};
 use crate::priority::Priority;
 use crate::time::PhysicalTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// Capacity, in messages, an operator's message heap keeps once it has
 /// drained. A backlog grows the heap far beyond its steady-state depth,
@@ -88,20 +88,17 @@ struct OpState<M> {
     msgs: BinaryHeap<Reverse<MsgEntry<M>>>,
     /// Checked out by a worker.
     leased: bool,
-    /// Head priority of this operator's entry in the run index, if it
-    /// has one (it is runnable).
-    posted: Option<Priority>,
-    /// This operator's slot in the run index.
-    slot: u32,
+    /// This operator's entry in the run index, if it has one (it is
+    /// runnable).
+    posted: Option<Entry>,
 }
 
 impl<M> OpState<M> {
-    fn new(slot: u32) -> Self {
+    fn new() -> Self {
         OpState {
             msgs: BinaryHeap::new(),
             leased: false,
             posted: None,
-            slot,
         }
     }
 
@@ -110,118 +107,51 @@ impl<M> OpState<M> {
     }
 }
 
-/// An operator's run-index entry.
-#[derive(Debug, Clone, Copy)]
+/// An operator's run-index entry, ordered by head priority (global
+/// priority first), then by posting sequence number: `seq` is unique
+/// per entry, so the order is total and ties go FIFO.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
-    /// Head priority: global priority orders operators.
     pri: Priority,
-    /// Posting sequence number: breaks ties FIFO. Unique per entry, so
-    /// `(pri, seq)` is a total order.
     seq: u64,
     key: OperatorKey,
-    slot: u32,
 }
 
-impl Entry {
-    fn rank(&self) -> (Priority, u64) {
-        (self.pri, self.seq)
-    }
-}
-
-/// The runnable (unleased, non-empty) operators, one entry each: a
-/// binary min-heap per latency tier under a bitmask of the occupied
-/// tiers. `pos[slot]` is where the entry of the operator owning `slot`
-/// sits in its tier's heap, kept current by every move, so an entry is
-/// removed in place instead of being invalidated and skipped later.
+/// The runnable (unleased, non-empty) operators, one entry each: an
+/// ordered set per latency tier under a bitmask of the occupied tiers.
 #[derive(Debug)]
 struct RunIndex {
-    tiers: Vec<Vec<Entry>>,
+    tiers: Vec<BTreeSet<Entry>>,
     occupied: u64,
-    pos: Vec<u32>,
-    free_slots: Vec<u32>,
 }
 
 impl RunIndex {
     fn new() -> Self {
         RunIndex {
-            tiers: (0..=Priority::MAX_TIER).map(|_| Vec::new()).collect(),
+            tiers: (0..=Priority::MAX_TIER).map(|_| BTreeSet::new()).collect(),
             occupied: 0,
-            pos: Vec::new(),
-            free_slots: Vec::new(),
         }
     }
 
-    /// A slot for a new operator.
-    fn alloc_slot(&mut self) -> u32 {
-        self.free_slots.pop().unwrap_or_else(|| {
-            self.pos.push(0);
-            (self.pos.len() - 1) as u32
-        })
-    }
-
-    /// Give back the slot of a removed operator (which has no entry).
-    fn free_slot(&mut self, slot: u32) {
-        self.free_slots.push(slot);
-    }
-
-    fn insert(&mut self, entry: Entry) {
-        let tier = entry.pri.tier() as usize;
-        self.tiers[tier].push(entry);
-        self.occupied |= 1 << tier;
-        self.sift_up(tier, self.tiers[tier].len() - 1);
-    }
-
-    /// Remove the entry of the operator owning `slot`, posted in the
-    /// tier of `pri`.
-    fn remove(&mut self, slot: u32, pri: Priority) {
-        let tier = pri.tier() as usize;
-        let at = self.pos[slot as usize] as usize;
-        let heap = &mut self.tiers[tier];
-        debug_assert_eq!(heap[at].slot, slot, "slot position out of date");
-        heap.swap_remove(at);
-        if heap.is_empty() {
-            self.occupied &= !(1 << tier);
-        }
-        if at < self.tiers[tier].len() {
-            // The former last entry now sits at `at`: it may belong
-            // further down or further up.
-            self.sift_down(tier, at);
-            self.sift_up(tier, at);
-        }
-    }
-
-    /// Move the entry at `at` up to its place, recording every move.
-    fn sift_up(&mut self, tier: usize, mut at: usize) {
-        let heap = &mut self.tiers[tier];
-        while at > 0 {
-            let parent = (at - 1) / 2;
-            if heap[parent].rank() <= heap[at].rank() {
-                break;
+    /// Replace an operator's entry: take `posted` out of the index, if
+    /// set, then put `entry` in, if any, and record it in `posted`. The
+    /// only way in or out, so `posted` always names the operator's one
+    /// entry.
+    fn repost(&mut self, posted: &mut Option<Entry>, entry: Option<Entry>) {
+        if let Some(old) = posted.take() {
+            let tier = old.pri.tier() as usize;
+            let removed = self.tiers[tier].remove(&old);
+            debug_assert!(removed, "posted entry missing from the run index");
+            if self.tiers[tier].is_empty() {
+                self.occupied &= !(1 << tier);
             }
-            heap.swap(parent, at);
-            self.pos[heap[at].slot as usize] = at as u32;
-            at = parent;
         }
-        self.pos[heap[at].slot as usize] = at as u32;
-    }
-
-    /// Move the entry at `at` down to its place, recording every move.
-    fn sift_down(&mut self, tier: usize, mut at: usize) {
-        let heap = &mut self.tiers[tier];
-        loop {
-            let left = 2 * at + 1;
-            let Some(first) = (left..heap.len().min(left + 2)).min_by_key(|&c| heap[c].rank())
-            else {
-                break;
-            };
-            if heap[at].rank() <= heap[first].rank() {
-                break;
-            }
-            heap.swap(first, at);
-            self.pos[heap[at].slot as usize] = at as u32;
-            at = first;
+        if let Some(new) = entry {
+            let tier = new.pri.tier() as usize;
+            self.tiers[tier].insert(new);
+            self.occupied |= 1 << tier;
+            *posted = Some(new);
         }
-        self.pos[heap[at].slot as usize] = at as u32;
     }
 
     /// The most urgent entry of every occupied tier, strictest first.
@@ -239,7 +169,7 @@ impl RunIndex {
 
     /// First in deadline order.
     fn by_deadline(&self) -> Option<&Entry> {
-        self.heads().min_by_key(|e| e.rank())
+        self.heads().min()
     }
 
     /// First in tier order.
@@ -253,7 +183,7 @@ impl RunIndex {
     }
 
     fn len(&self) -> usize {
-        self.tiers.iter().map(Vec::len).sum()
+        self.tiers.iter().map(BTreeSet::len).sum()
     }
 }
 
@@ -328,11 +258,7 @@ impl<M> TwoLevelQueue<M> {
     pub fn push(&mut self, key: OperatorKey, msg: M, pri: Priority) {
         self.seq += 1;
         let seq = self.seq;
-        let index = &mut self.index;
-        let op = self
-            .ops
-            .entry(key)
-            .or_insert_with(|| OpState::new(index.alloc_slot()));
+        let op = self.ops.entry(key).or_insert_with(OpState::new);
         op.msgs.push(Reverse(MsgEntry { pri, seq, msg }));
         self.msg_count += 1;
         if !op.leased {
@@ -343,17 +269,13 @@ impl<M> TwoLevelQueue<M> {
             // message and must demote the operator (Fig 5b: operators
             // rank by the global priority of their next message, where
             // next is chosen by local priority).
-            if op.posted != Some(head) {
-                if let Some(old) = op.posted {
-                    index.remove(op.slot, old);
-                }
-                op.posted = Some(head);
-                index.insert(Entry {
+            if op.posted.map(|e| e.pri) != Some(head) {
+                let entry = Entry {
                     pri: head,
                     seq,
                     key,
-                    slot: op.slot,
-                });
+                };
+                self.index.repost(&mut op.posted, Some(entry));
             }
         }
     }
@@ -373,7 +295,7 @@ impl<M> TwoLevelQueue<M> {
             key: chosen.key,
             pri: chosen.pri,
             overloaded,
-            overtook: chosen.slot != by_deadline.slot,
+            overtook: chosen.key != by_deadline.key,
         })
     }
 
@@ -388,8 +310,7 @@ impl<M> TwoLevelQueue<M> {
             .ops
             .get_mut(&pick.key)
             .expect("indexed operators exist");
-        let posted = op.posted.take().expect("indexed operators are posted");
-        self.index.remove(op.slot, posted);
+        self.index.repost(&mut op.posted, None);
         op.leased = true;
         Some((OperatorLease { key: pick.key }, pick))
     }
@@ -466,12 +387,7 @@ impl<M> TwoLevelQueue<M> {
             }
             purged += op.msgs.len();
             op.msgs.clear();
-            if let Some(posted) = op.posted.take() {
-                index.remove(op.slot, posted);
-            }
-            if !op.leased {
-                index.free_slot(op.slot);
-            }
+            index.repost(&mut op.posted, None);
             op.leased
         });
         self.msg_count -= purged;
@@ -488,18 +404,12 @@ impl<M> TwoLevelQueue<M> {
         };
         op.leased = false;
         // A lease is `Copy`; a second check-in must not post twice.
-        if let Some(posted) = op.posted.take() {
-            self.index.remove(op.slot, posted);
-        }
-        if let Some(head) = op.head_priority() {
-            op.posted = Some(head);
-            self.index.insert(Entry {
-                pri: head,
-                seq,
-                key: lease.key,
-                slot: op.slot,
-            });
-        }
+        let entry = op.head_priority().map(|pri| Entry {
+            pri,
+            seq,
+            key: lease.key,
+        });
+        self.index.repost(&mut op.posted, entry);
     }
 }
 
@@ -678,7 +588,7 @@ mod tests {
     fn peek_best_skips_stale_entries() {
         let mut q = TwoLevelQueue::new();
         q.push(key(1), 1, pri(10));
-        q.push(key(1), 2, pri(5)); // posts a second heap entry; first is stale
+        q.push(key(1), 2, pri(5)); // re-posts the operator's one entry
         let lease = q.pop_operator().unwrap();
         let _ = q.next_message(&lease);
         let _ = q.next_message(&lease);
@@ -721,7 +631,7 @@ mod tests {
         q.check_in(lease);
         assert!(q.is_empty());
         assert!(q.pop_operator().is_none());
-        // The key is reusable afterwards (slot reuse).
+        // The key is reusable afterwards.
         q.push(key(1), 9, pri(1));
         let lease = q.pop_operator().unwrap();
         assert_eq!(q.next_message(&lease).unwrap().0, 9);
@@ -732,7 +642,7 @@ mod tests {
     fn purge_job_keeps_heap_top_valid() {
         let mut q = TwoLevelQueue::new();
         let other = OperatorKey::new(JobId(7), 0);
-        // The purged job holds the heap top; the survivor must surface.
+        // The purged job holds the first entry; the survivor must surface.
         q.push(key(1), 1, pri(1));
         q.push(other, 2, pri(50));
         assert_eq!(q.purge_job(JobId(0)), 1);
@@ -829,7 +739,7 @@ mod tests {
             assert_eq!(taken, MSGS, "every message comes out once");
             assert!(q.is_empty());
             assert_eq!(q.runnable_operators(), 0, "phase {phase} left entries");
-            assert!(q.index.occupied == 0 && q.index.pos.len() <= OPS as usize);
+            assert_eq!(q.index.occupied, 0, "phase {phase} left a tier marked");
         }
     }
 

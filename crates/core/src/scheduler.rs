@@ -101,13 +101,6 @@ pub struct SchedulerStats {
     /// scheduler itself never drops a message. Flat-at-zero in steady
     /// state; nonzero only around job churn.
     pub retired_drops: u64,
-    /// Sink outputs that met their job's latency constraint. Filled by
-    /// the runtime/sim layers (the core scheduler never sees
-    /// completions); `deadline_misses / (deadline_hits +
-    /// deadline_misses)` is the run's deadline-miss rate.
-    pub deadline_hits: u64,
-    /// Sink outputs that missed their job's latency constraint.
-    pub deadline_misses: u64,
     /// Operator leases granted while some runnable operator's start
     /// deadline had already passed — the scheduler was overloaded and
     /// ranked operators by `(tier, global)`
@@ -139,8 +132,6 @@ impl SchedulerStats {
         self.jobs_retired += other.jobs_retired;
         self.messages_purged += other.messages_purged;
         self.retired_drops += other.retired_drops;
-        self.deadline_hits += other.deadline_hits;
-        self.deadline_misses += other.deadline_misses;
         self.overload_acquisitions += other.overload_acquisitions;
         self.tier_overtakes += other.tier_overtakes;
     }

@@ -338,6 +338,7 @@ impl FrameDecoder {
         }
         // If the pending frame's size is already known, make sure the
         // whole frame can fit; grow to exactly its wire size if not.
+        let mut pending = None;
         if self.end >= 4 {
             let len = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
             if len > MAX_FRAME {
@@ -350,6 +351,7 @@ impl FrameDecoder {
             if need > self.buf.len() {
                 self.buf.resize(need, 0);
             }
+            pending = Some(need);
         }
         // In the fill→decode loop the spare is always nonzero (decoded
         // frames leave, partial frames get room above), but a direct
@@ -359,13 +361,17 @@ impl FrameDecoder {
             let grown = (self.buf.len() * 2).min(4 + MAX_FRAME as usize);
             self.buf.resize(grown.max(self.buf.len() + 8), 0);
         }
+        // A buffer sized to exactly the pending frame is saturated by
+        // the read that completes that frame, whether or not the socket
+        // holds more: such a read is no sign of a burst.
+        let frame_sized = pending == Some(self.buf.len());
         let spare = self.buf.len() - self.end;
         let n = r.read(&mut self.buf[self.end..])?;
         self.end += n;
         // Adaptive sizing: a saturated read means the socket had more
         // than fit — double the buffer (bounded) so the next read pulls
         // a bigger slice of the burst.
-        if n == spare && self.buf.len() < DECODER_BUF {
+        if n == spare && !frame_sized && self.buf.len() < DECODER_BUF {
             let grown = (self.buf.len() * 2).min(DECODER_BUF);
             self.buf.resize(grown, 0);
         }
@@ -562,27 +568,30 @@ mod tests {
 
     #[test]
     fn frame_larger_than_buffer_grows_it_once() {
-        // Bigger than the doubling bound, so only the frame itself can
-        // size the buffer; 9-byte reads also split every header.
-        let big = frame(3_000); // 72 020 wire bytes
-        assert!(big.wire_len() > DECODER_BUF);
-        let small = frame(1);
-        let mut bytes = encode_frame(&big);
-        small.encode_into(&mut bytes);
-        let mut r = Chunked {
-            bytes,
-            pos: 0,
-            chunk: 9,
-        };
-        let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        while dec.read_frames(&mut r, &mut out).unwrap().is_some() {}
-        assert_eq!(out, vec![big.clone(), small]);
-        assert_eq!(
-            dec.capacity(),
-            big.wire_len(),
-            "buffer grew to exactly the oversized frame"
-        );
+        // 9-byte reads split every header. Above the doubling bound
+        // only the frame itself can size the buffer; below it, the read
+        // that completes the frame fills the buffer exactly, which is
+        // no sign of a burst and must not double it.
+        for (big, wire) in [(frame(3_000), 72_020), (frame(100), 2_420)] {
+            assert_eq!(big.wire_len(), wire);
+            let small = frame(1);
+            let mut bytes = encode_frame(&big);
+            small.encode_into(&mut bytes);
+            let mut r = Chunked {
+                bytes,
+                pos: 0,
+                chunk: 9,
+            };
+            let mut dec = FrameDecoder::new();
+            let mut out = Vec::new();
+            while dec.read_frames(&mut r, &mut out).unwrap().is_some() {}
+            assert_eq!(out, vec![big.clone(), small]);
+            assert_eq!(
+                dec.capacity(),
+                wire,
+                "buffer grew to exactly the oversized frame"
+            );
+        }
     }
 
     #[test]

@@ -1068,23 +1068,15 @@ impl Runtime {
 
     /// Scheduler counters, plus the runtime-level network-coalescing
     /// counters (`net_batches`, `frames_coalesced`,
-    /// `gen_rejected_frames`), the runtime's own stale-execution drops
-    /// (folded into `retired_drops`), and the deadline hit/miss totals
-    /// folded from every deployed job's sink statistics.
+    /// `gen_rejected_frames`) and the runtime's own stale-execution
+    /// drops (folded into `retired_drops`). Deadline hits and misses are
+    /// per job, in [`JobStatsSnapshot`].
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let mut stats = self.shared.sched.stats();
         stats.net_batches += self.shared.net_batches.load(Ordering::Relaxed);
         stats.frames_coalesced += self.shared.frames_coalesced.load(Ordering::Relaxed);
         stats.gen_rejected_frames += self.shared.gen_rejected.load(Ordering::Relaxed);
         stats.retired_drops += self.shared.stale_exec_drops.load(Ordering::Relaxed);
-        let jobs = self.shared.jobs.read().unwrap_or_else(|p| p.into_inner());
-        for slot in &jobs.slots {
-            if let Some(jrt) = &slot.job {
-                let snap = jrt.stats.snapshot();
-                stats.deadline_hits += snap.on_time;
-                stats.deadline_misses += snap.outputs - snap.on_time;
-            }
-        }
         stats
     }
 

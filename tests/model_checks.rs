@@ -11,39 +11,67 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 enum QueueOp {
     Push {
+        job: u32,
         op: u32,
         local: i8,
         global: u8,
         tier: u8,
     },
     /// Pop the best operator at time `now` and drain up to `take`
-    /// messages.
-    PopDrain { take: u8, now: u16 },
+    /// messages. When `purge_at < take`, the popped operator's own job
+    /// is purged before the `purge_at`-th `next_message`: the lease
+    /// runs dry and is checked in with nothing to re-post.
+    PopDrain { take: u8, now: u16, purge_at: u8 },
+    /// Retire `job`: drop its messages and operators.
+    Purge { job: u32 },
 }
 
 /// `tiers` is how many distinct latency tiers pushes draw from.
+/// Operators come from two jobs.
 fn queue_ops(tiers: u8) -> impl Strategy<Value = Vec<QueueOp>> {
+    let push = move || {
+        (0u32..2, 0u32..6, any::<i8>(), any::<u8>(), 0..tiers).prop_map(
+            |(job, op, local, global, tier)| QueueOp::Push {
+                job,
+                op,
+                local,
+                global,
+                // Spread over the 64 buckets, strictest first.
+                tier: tier * 7,
+            },
+        )
+    };
     prop::collection::vec(
         prop_oneof![
-            (0u32..6, any::<i8>(), any::<u8>(), 0..tiers).prop_map(|(op, local, global, tier)| {
-                QueueOp::Push {
-                    op,
-                    local,
-                    global,
-                    // Spread over the 64 buckets, strictest first.
-                    tier: tier * 7,
-                }
-            }),
+            push(),
             // `now` ranges past every start deadline (globals are
             // 0..=255) and half the time sits at 0, where nothing is
             // overdue.
-            (0u8..4, 0u16..600).prop_map(|(take, now)| QueueOp::PopDrain {
+            (0u8..4, 0u16..600, 0u8..12).prop_map(|(take, now, purge_at)| QueueOp::PopDrain {
                 take,
-                now: now.saturating_sub(300)
+                now: now.saturating_sub(300),
+                purge_at,
+            }),
+            // Retirement is rare next to the traffic it ends.
+            (0u32..2, 0u8..4, push()).prop_map(|(job, r, push)| if r == 0 {
+                QueueOp::Purge { job }
+            } else {
+                push
             }),
         ],
         1..120,
     )
+}
+
+/// The reference model of the two-level queue: id → (operator, priority).
+type QueueModel = BTreeMap<u64, (OperatorKey, Priority)>;
+
+/// Purge `job` from the queue and from the model; true when the queue
+/// dropped exactly the model's messages of that job.
+fn purge(q: &mut TwoLevelQueue<u64>, model: &mut QueueModel, job: JobId) -> bool {
+    let before = model.len();
+    model.retain(|_, (key, _)| key.job != job);
+    q.purge_job(job) == before - model.len()
 }
 
 /// The parent commit's operator order, without its heap: every runnable
@@ -153,26 +181,32 @@ enum FlatStep {
 }
 
 proptest! {
-    /// Under any interleaving of pushes and partial drains, the queue
-    /// (a) never loses or duplicates messages, and (b) whenever it pops
-    /// an operator at some `now`, that operator's next message ranks
-    /// first: by global priority while no operator's next message is
-    /// overdue at `now`, by `(tier, global)` once one is.
+    /// Under any interleaving of pushes, partial drains and job purges
+    /// (some while the purged job holds a lease), the queue (a) never
+    /// loses or duplicates messages, drops exactly the purged job's, and
+    /// keeps one run-index entry per operator with pending messages,
+    /// and (b) whenever it pops an operator at some `now`, that
+    /// operator's next message ranks first: by global priority while no
+    /// operator's next message is overdue at `now`, by `(tier, global)`
+    /// once one is.
     #[test]
     fn two_level_queue_matches_model(ops in queue_ops(4)) {
         let mut q: TwoLevelQueue<u64> = TwoLevelQueue::new();
-        // model: id -> (operator, priority)
-        let mut model: BTreeMap<u64, (u32, Priority)> = BTreeMap::new();
+        let mut model = QueueModel::new();
         let mut next_id = 0u64;
         for step in ops {
             match step {
-                QueueOp::Push { op, local, global, tier } => {
+                QueueOp::Push { job, op, local, global, tier } => {
                     let pri = Priority::new(local as i64, global as i64).with_tier(tier);
-                    q.push(OperatorKey::new(JobId(0), op), next_id, pri);
-                    model.insert(next_id, (op, pri));
+                    let key = OperatorKey::new(JobId(job), op);
+                    q.push(key, next_id, pri);
+                    model.insert(next_id, (key, pri));
                     next_id += 1;
                 }
-                QueueOp::PopDrain { take, now } => {
+                QueueOp::Purge { job } => {
+                    prop_assert!(purge(&mut q, &mut model, JobId(job)), "purge count");
+                }
+                QueueOp::PopDrain { take, now, purge_at } => {
                     let now = PhysicalTime(now as u64);
                     let Some((lease, pick)) = q.pop_operator_at(now) else {
                         prop_assert!(model.is_empty(), "queue idle but model has messages");
@@ -186,24 +220,24 @@ proptest! {
                     // the most urgent next message is overdue, and the
                     // popped operator's next message must rank first
                     // among all operators' next messages.
-                    let next_of = |target: u32| {
+                    let next_of = |target: OperatorKey| {
                         model
                             .iter()
-                            .filter(|(_, (op, _))| *op == target)
+                            .filter(|(_, (key, _))| *key == target)
                             .map(|(&id, (_, p))| (p.local, id, *p))
                             .min()
                             .map(|(_, _, p)| p)
                     };
                     let nexts: Vec<Priority> = model
                         .values()
-                        .map(|(op, _)| *op)
-                        .collect::<std::collections::BTreeSet<u32>>()
+                        .map(|(key, _)| *key)
+                        .collect::<std::collections::BTreeSet<OperatorKey>>()
                         .into_iter()
                         .filter_map(next_of)
                         .collect();
                     let overloaded = nexts.iter().any(|p| p.overdue(now));
                     prop_assert_eq!(pick.overloaded, overloaded);
-                    let popped_next = next_of(lease.key.op)
+                    let popped_next = next_of(lease.key)
                         .expect("popped operator must have pending messages");
                     prop_assert_eq!(pick.pri, popped_next);
                     let best = nexts.iter().map(|p| p.rank(overloaded)).min().unwrap();
@@ -218,15 +252,22 @@ proptest! {
                         let earliest = nexts.iter().map(|p| p.global).min().unwrap();
                         prop_assert_eq!(popped_next.global, earliest);
                     }
-                    for _ in 0..take {
+                    for i in 0..take {
+                        if i == purge_at {
+                            prop_assert!(purge(&mut q, &mut model, lease.key.job), "purge count");
+                        }
                         let Some((id, pri)) = q.next_message(&lease) else { break };
-                        let (mop, mpri) = model.remove(&id).expect("message exists once");
-                        prop_assert_eq!(OperatorKey::new(JobId(0), mop), lease.key);
+                        let (mkey, mpri) = model.remove(&id).expect("message exists once");
+                        prop_assert_eq!(mkey, lease.key);
                         prop_assert_eq!(mpri, pri);
                     }
                     q.check_in(lease);
                 }
             }
+            let pending: std::collections::BTreeSet<OperatorKey> =
+                model.values().map(|(key, _)| *key).collect();
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.runnable_operators(), pending.len());
         }
         // Drain the rest; everything in the model must come out.
         while let Some(lease) = q.pop_operator() {
@@ -249,13 +290,16 @@ proptest! {
         let mut next_id = 0u64;
         for step in ops {
             match step {
+                // The parent order is one job's: jobs fold together and
+                // purges are left out.
+                QueueOp::Purge { .. } => {}
                 QueueOp::Push { op, local, global, .. } => {
                     let pri = Priority::new(local as i64, global as i64).with_tier(tier);
                     q.push(OperatorKey::new(JobId(0), op), next_id, pri);
                     parent.push(op, pri, next_id);
                     next_id += 1;
                 }
-                QueueOp::PopDrain { take, now } => {
+                QueueOp::PopDrain { take, now, .. } => {
                     let popped = q.pop_operator_at(PhysicalTime(now as u64));
                     prop_assert_eq!(popped.map(|(l, _)| l.key.op), parent.pop());
                     let Some((lease, pick)) = popped else { continue };
