@@ -34,6 +34,8 @@
 //! * [`shard`] — the scheduler a worker pool shares: one scheduler
 //!   behind one lock, fed through a submission mailbox kept off that
 //!   lock.
+//! * [`worker`] — the worker step: the one acquire → take → decide →
+//!   release loop that the runtime's workers and the simulator turn.
 //! * [`affinity`] — worker→core pinning (`sched_setaffinity`), so a
 //!   worker stays on one core. Linux only.
 //! * [`epoll`] — the readiness wrapper under the runtime's single
@@ -55,12 +57,13 @@
 //! let stamp = MessageStamp { progress: LogicalTime(1_000), time: PhysicalTime(1_000) };
 //! let pc = LlfPolicy.build_at_source(JobId(1), stamp, Micros(500), &hop, &mut state);
 //!
-//! // The scheduler orders operators by that priority.
-//! let mut sched: CameoScheduler<&str> = CameoScheduler::default();
+//! // The scheduler orders operators by that priority; a worker's step
+//! // leases the most urgent one and hands out its message.
+//! let sched: ShardedScheduler<&str> = ShardedScheduler::new(SchedulerConfig::default());
 //! sched.submit(key, "window-input", pc.priority);
-//! let exec = sched.acquire(PhysicalTime(1_000)).unwrap();
-//! assert_eq!(sched.take_message(&exec).unwrap().0, "window-input");
-//! sched.release(exec);
+//! let mut worker = WorkerStep::new(0);
+//! let next = worker.next(&mut &sched, PhysicalTime(1_000));
+//! assert!(matches!(next, StepOutcome::Run(k, "window-input", _) if k == key));
 //! ```
 
 // The scheduling framework is the workspace's public contract: every
@@ -86,6 +89,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod transform;
+pub mod worker;
 
 /// One-stop imports for downstream crates.
 pub mod prelude {
@@ -106,4 +110,5 @@ pub mod prelude {
     pub use crate::stats::{exact_percentile, Histogram};
     pub use crate::time::{Clock, LogicalTime, ManualClock, Micros, PhysicalTime, SystemClock};
     pub use crate::transform::{transform, window_index, Slide};
+    pub use crate::worker::{StepOutcome, WorkerStep};
 }

@@ -157,6 +157,15 @@ pub struct Execution {
 }
 
 impl Execution {
+    /// A lease on `key` checked out at `acquired_at`, for a run queue
+    /// that leases operators its own way (the simulator's baselines).
+    pub fn new(key: OperatorKey, acquired_at: PhysicalTime) -> Self {
+        Execution {
+            lease: OperatorLease { key },
+            acquired_at,
+        }
+    }
+
     /// The leased operator.
     pub fn key(&self) -> OperatorKey {
         self.lease.key

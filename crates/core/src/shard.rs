@@ -69,6 +69,8 @@ use crate::mailbox::{Mail, Mailbox};
 use crate::priority::Priority;
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::PhysicalTime;
+use crate::worker::RunQueue;
+use std::borrow::Borrow;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -470,6 +472,28 @@ impl<M> ShardedScheduler<M> {
     /// True once [`close`](Self::close) was called.
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
+    }
+}
+
+/// The scheduler is a run queue whether borrowed (a runtime worker's)
+/// or owned (the simulator's); the worker index is ignored. An `Arc` of
+/// it is one too, so where `RunQueue` is in scope, call an `Arc`'s
+/// inherent methods through `&*`.
+impl<M, S: Borrow<ShardedScheduler<M>>> RunQueue<M> for S {
+    fn acquire(&mut self, _worker: u16, now: PhysicalTime) -> Option<Execution> {
+        (*self).borrow().acquire(0, now)
+    }
+
+    fn take(&mut self, lease: &Execution) -> Option<(M, Priority)> {
+        (*self).borrow().take_message(lease)
+    }
+
+    fn decide(&mut self, lease: &Execution, now: PhysicalTime) -> Decision {
+        (*self).borrow().decide(lease, now)
+    }
+
+    fn release(&mut self, lease: Execution) {
+        (*self).borrow().release(lease);
     }
 }
 

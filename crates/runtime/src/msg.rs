@@ -37,6 +37,7 @@
 //! ```
 
 use cameo_core::time::LogicalTime;
+use cameo_dataflow::codec::Reader;
 use cameo_dataflow::event::{Batch, Tuple};
 use std::io::{self, Read};
 
@@ -162,7 +163,10 @@ impl NackFrame {
 
     /// Decode a control payload (after the length prefix).
     pub fn decode_payload(payload: &[u8]) -> io::Result<NackFrame> {
-        if payload.len() != NACK_WIRE {
+        let mut r = Reader::new(payload);
+        let (Some(magic), Some(job), Some(gen), Some(expected_gen), true) =
+            (r.u32(), r.u32(), r.u32(), r.u32(), r.is_empty())
+        else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -170,8 +174,7 @@ impl NackFrame {
                     payload.len()
                 ),
             ));
-        }
-        let magic = u32::from_le_bytes(payload[0..4].try_into().unwrap());
+        };
         if magic != NACK_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -179,9 +182,9 @@ impl NackFrame {
             ));
         }
         Ok(NackFrame {
-            job: u32::from_le_bytes(payload[4..8].try_into().unwrap()),
-            gen: u32::from_le_bytes(payload[8..12].try_into().unwrap()),
-            expected_gen: u32::from_le_bytes(payload[12..16].try_into().unwrap()),
+            job,
+            gen,
+            expected_gen,
         })
     }
 }
@@ -209,31 +212,27 @@ pub fn read_nack(stream: &mut impl Read) -> io::Result<Option<NackFrame>> {
 
 /// Decode a payload (after the length prefix has been stripped).
 pub fn decode_payload(payload: &[u8]) -> io::Result<IngestFrame> {
-    if payload.len() < HEADER_WIRE {
+    let mut r = Reader::new(payload);
+    let (Some(job), Some(gen), Some(source), Some(count)) = (r.u32(), r.u32(), r.u32(), r.u32())
+    else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "payload shorter than header",
         ));
-    }
-    let job = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-    let gen = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-    let source = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-    let count = u32::from_le_bytes(payload[12..16].try_into().unwrap()) as usize;
-    let expect = HEADER_WIRE + count * TUPLE_WIRE;
-    if payload.len() != expect {
+    };
+    // The exact length is checked before `count`, which the sender
+    // chose, sizes an allocation.
+    let count = count as usize;
+    if payload.len() != HEADER_WIRE + count * TUPLE_WIRE {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("bad frame: {} bytes for {count} tuples", payload.len()),
         ));
     }
     let mut tuples = Vec::with_capacity(count);
-    let mut off = HEADER_WIRE;
-    for _ in 0..count {
-        let key = u64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-        let value = i64::from_le_bytes(payload[off + 8..off + 16].try_into().unwrap());
-        let time = u64::from_le_bytes(payload[off + 16..off + 24].try_into().unwrap());
+    // What is left is whole tuples, so the reads stop together at the end.
+    while let (Some(key), Some(value), Some(time)) = (r.u64(), r.i64(), r.u64()) {
         tuples.push(Tuple::new(key, value, LogicalTime(time)));
-        off += TUPLE_WIRE;
     }
     Ok(IngestFrame {
         job,

@@ -14,7 +14,10 @@
 //! Every worker drives one [`ShardedScheduler`]: a single
 //! `CameoScheduler` behind one lock, which every worker takes for its
 //! `acquire`/`take`/`decide`/`release` calls (`cameo_core::shard` says
-//! why one lock and not per-worker shards).
+//! why one lock and not per-worker shards). A worker makes those calls
+//! through its [`WorkerStep`], the one lease loop the simulator turns
+//! too: it runs each message the step hands out, checks for shutdown at
+//! each lease boundary, and parks when the step has nothing to run.
 //!
 //! Ingress stays *off the scheduler lock*: `submit` pushes into the
 //! scheduler's mailbox under the mailbox's own inbox lock, lowers the
@@ -45,15 +48,15 @@
 //! calls `yield_point()` inside `on_batch`, the hook asks
 //! [`ShardedScheduler::acquire_preempting`] whether an operator in a
 //! stricter latency tier outranks the message in flight; if so the
-//! worker runs that lease — and any further one that still qualifies —
-//! on its own stack, then returns to the interrupted message. The
-//! nested lease holds a second instance lock, of another job (the
-//! scheduler never nests an operator of the in-flight job) and in a
-//! strictly stricter tier: policies stamp one tier per job, so every
-//! worker takes nested instance locks in tier order and no two workers
-//! can wait on each other's outer instance. Nesting is one level deep,
-//! and the time spent nested is left out of the interrupted operator's
-//! profiled cost.
+//! worker drains that lease through a nested [`WorkerStep`] — and any
+//! further one that still qualifies — on its own stack, then returns to
+//! the interrupted message. The nested lease holds a second instance
+//! lock, of another job (the scheduler never nests an operator of the
+//! in-flight job) and in a strictly stricter tier: policies stamp one
+//! tier per job, so every worker takes nested instance locks in tier
+//! order and no two workers can wait on each other's outer instance.
+//! Nesting is one level deep, and the time spent nested is left out of
+//! the interrupted operator's profiled cost.
 //!
 //! ## Fixed pool
 //!
@@ -87,9 +90,10 @@ use cameo_core::config::SchedulerConfig;
 use cameo_core::ids::{JobId, OperatorKey};
 use cameo_core::policy::{LlfPolicy, Policy};
 use cameo_core::priority::Priority;
-use cameo_core::scheduler::{Decision, Execution, SchedulerStats};
+use cameo_core::scheduler::SchedulerStats;
 use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Clock, Micros, PhysicalTime, SystemClock};
+use cameo_core::worker::{StepOutcome, WorkerStep};
 use cameo_dataflow::event::{Batch, Tuple};
 use cameo_dataflow::expand::{ExpandOptions, ExpandedJob, Message, OperatorInstance};
 use cameo_dataflow::graph::{GraphError, JobSpec};
@@ -1358,50 +1362,33 @@ fn worker_loop(sh: Arc<Shared>) {
         let (sh, in_flight) = (sh.clone(), in_flight.clone());
         move || preempt_in_flight(&sh, &in_flight)
     });
+    // The shared scheduler ignores the worker index.
+    let mut step = WorkerStep::new(0);
     loop {
-        if sh.sched.is_closed() {
+        // Shutdown is seen between leases.
+        if !step.holds() && sh.sched.is_closed() {
             return;
         }
-        // Acquire the most urgent operator, parking when there is none.
-        let Some(exec) = sh.sched.acquire(0, sh.now()) else {
-            sh.sched.park(PARK_TIMEOUT);
-            continue;
-        };
-        run_lease(&sh, exec, &in_flight);
+        match step.next(&mut &sh.sched, sh.now()) {
+            StepOutcome::Run(key, msg, pri) => {
+                in_flight.set(Some((pri, key.job)));
+                process_message(&sh, key, msg);
+            }
+            StepOutcome::Released => {}
+            StepOutcome::Empty => sh.sched.park(PARK_TIMEOUT),
+        }
     }
 }
 
 /// The priority and job of the message a worker is executing.
 type InFlight = (Priority, JobId);
 
-/// Drain one leased operator until the scheduler says stop, recording
-/// each message in `in_flight` while it executes.
-fn run_lease(sh: &Arc<Shared>, exec: Execution, in_flight: &Cell<Option<InFlight>>) {
-    loop {
-        let Some((msg, pri)) = sh.sched.take_message(&exec) else {
-            sh.sched.release(exec);
-            return;
-        };
-        in_flight.set(Some((pri, exec.key().job)));
-        process_message(sh, exec.key(), msg);
-        match sh.sched.decide(&exec, sh.now()) {
-            Decision::Continue => continue,
-            Decision::Swap | Decision::Idle => {
-                // `release` wakes a parked sibling for what a swap
-                // leaves behind.
-                sh.sched.release(exec);
-                return;
-            }
-        }
-    }
-}
-
 /// A worker's yield-point hook: while an operator in a stricter tier
-/// outranks the message in flight, run its lease here — through the
-/// same take → execute → decide → release loop as any lease — then let
-/// the interrupted message resume. Returns the wall time it spent. The
-/// nested leases' own yield points find no hook (it is out while this
-/// runs), so nesting stops at one level.
+/// outranks the message in flight, drain its lease here — through a
+/// nested worker step, the same loop as any lease, minus the acquire —
+/// then let the interrupted message resume. Returns the wall time it
+/// spent. The nested leases' own yield points find no hook (it is out
+/// while this runs), so nesting stops at one level.
 fn preempt_in_flight(sh: &Arc<Shared>, in_flight: &Cell<Option<InFlight>>) -> Duration {
     let Some((pri, job)) = in_flight.get() else {
         return Duration::ZERO;
@@ -1412,7 +1399,11 @@ fn preempt_in_flight(sh: &Arc<Shared>, in_flight: &Cell<Option<InFlight>>) -> Du
     }
     let started = Instant::now();
     while let Some(exec) = sh.sched.acquire_preempting(pri, job, sh.now()) {
-        run_lease(sh, exec, in_flight);
+        let mut nested = WorkerStep::nested(exec);
+        while let StepOutcome::Run(key, msg, npri) = nested.next(&mut &sh.sched, sh.now()) {
+            in_flight.set(Some((npri, key.job)));
+            process_message(sh, key, msg);
+        }
     }
     in_flight.set(Some((pri, job)));
     started.elapsed()
@@ -1816,11 +1807,13 @@ mod tests {
                 sched.submit(OperatorKey::new(JobId(0), op as u32), msg, pri);
             }
             let mut order = Vec::new();
-            while let Some(exec) = sched.acquire(0, PhysicalTime::ZERO) {
-                while let Some((m, _)) = sched.take_message(&exec) {
-                    order.push(m.msg.channel);
+            let mut step = WorkerStep::new(0);
+            loop {
+                match step.next(&mut &*sched, PhysicalTime::ZERO) {
+                    StepOutcome::Run(_, m, _) => order.push(m.msg.channel),
+                    StepOutcome::Released => {}
+                    StepOutcome::Empty => break,
                 }
-                sched.release(exec);
             }
             rt.shutdown();
             order

@@ -1,10 +1,11 @@
 //! Per-node run queues ("dispatchers") — the schedulers under test.
 //!
-//! Four dispatchers reproduce the four systems the paper compares:
+//! Three run queues reproduce the four systems the paper compares:
 //!
-//! * [`CameoDispatcher`] — the two-level priority scheduler of §5
-//!   (also used for the FIFO baseline, by building priority contexts
-//!   with the FIFO policy: arrival order becomes the priority).
+//! * [`ShardedScheduler`] — the runtime's own scheduler, the two-level
+//!   priority scheduler of §5 (also used for the FIFO baseline, by
+//!   building priority contexts with the FIFO policy: arrival order
+//!   becomes the priority).
 //! * [`OrleansDispatcher`] — models the default Orleans scheduler: a
 //!   .NET `ConcurrentBag` work pool where workers prefer thread-local
 //!   work (LIFO) over the shared global queue, stealing when idle
@@ -13,39 +14,26 @@
 //! * [`SlotDispatcher`] — the slot-based strawman of Fig 1: every
 //!   operator is pinned to one worker; no work sharing at all.
 //!
-//! All dispatchers enforce actor semantics: an operator is *leased* to
-//! at most one worker at a time.
+//! Every one is a [`RunQueue`] that simulated workers lease operators
+//! from through the runtime's own worker step. All dispatchers enforce
+//! actor semantics: an operator is *leased* to at most one worker at a
+//! time.
 
-use cameo_core::config::SchedulerConfig;
 use cameo_core::ids::OperatorKey;
 use cameo_core::priority::Priority;
 use cameo_core::scheduler::{Decision, Execution, SchedulerStats};
 use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Micros, PhysicalTime};
+use cameo_core::worker::RunQueue;
 use cameo_dataflow::expand::Message;
 use std::collections::{HashMap, VecDeque};
 
-/// An operator checked out by a worker.
-pub struct DispatchLease {
-    pub key: OperatorKey,
-    /// Backing lease for the Cameo dispatcher.
-    exec: Option<Execution>,
-    acquired_at: PhysicalTime,
-}
-
-/// The run-queue interface every scheduler-under-test implements.
-pub trait Dispatcher: Send {
+/// A node's run queue: the lease calls of [`RunQueue`], plus what the
+/// engine does to it outside a worker's step.
+pub trait Dispatcher: RunQueue<Message> + Send {
     /// Enqueue a message. `hint` is the worker that produced the
     /// message locally (thread-affinity for the Orleans model).
     fn submit(&mut self, key: OperatorKey, msg: Message, pri: Priority, hint: Option<u16>);
-    /// Check out an operator for `worker`.
-    fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<DispatchLease>;
-    /// Next message of the leased operator.
-    fn take(&mut self, lease: &DispatchLease) -> Option<Message>;
-    /// After finishing a message: keep draining, swap away, or idle.
-    fn decide(&mut self, lease: &DispatchLease, now: PhysicalTime) -> Decision;
-    /// Return the lease (worker needed so local re-queues land right).
-    fn release(&mut self, lease: DispatchLease, worker: u16);
     /// Retire a departing job: drop every queued message of its
     /// operators. Returns the number of messages purged. A purge, not a
     /// ban: no dispatcher refuses the job's later messages — the
@@ -54,80 +42,39 @@ pub trait Dispatcher: Send {
     /// [`ShardedScheduler::retire_job`] so churn scenarios exercise the
     /// same lifecycle deterministically.
     fn retire_job(&mut self, job: cameo_core::ids::JobId) -> usize;
-    /// Scheduling counters, if the dispatcher keeps them.
-    fn stats(&self) -> SchedulerStats {
-        SchedulerStats::default()
-    }
+    /// Scheduling counters.
+    fn stats(&self) -> SchedulerStats;
 }
 
 // ---------------------------------------------------------------- Cameo
 
-/// The paper's scheduler: wraps the runtime's [`ShardedScheduler`] (the
-/// two-level priority queue of §5.2 with its quantum logic, fed through
-/// a submission mailbox). The simulator's event loop stays bit-for-bit
-/// deterministic: `submit` parks messages in the mailbox, and the
-/// scheduler folds the mailbox into the two-level queue *in submission
-/// order* before every simulated acquire/take/decide/release it
-/// performs, so the queue state at every observation point is that of a
-/// bare `CameoScheduler` submitted to directly. Every worker of a node
-/// shares it, as every worker of a runtime does.
-pub struct CameoDispatcher {
-    inner: ShardedScheduler<Message>,
-}
-
-impl CameoDispatcher {
-    pub fn new(config: SchedulerConfig) -> Self {
-        CameoDispatcher {
-            inner: ShardedScheduler::new(config),
-        }
-    }
-}
-
-impl Dispatcher for CameoDispatcher {
+/// The paper's scheduler is the runtime's own, shared by every worker
+/// of a node. It folds its mailbox into the two-level queue in
+/// submission order before every lease call, so the simulator stays
+/// bit-for-bit deterministic.
+impl Dispatcher for ShardedScheduler<Message> {
     fn submit(&mut self, key: OperatorKey, msg: Message, pri: Priority, _hint: Option<u16>) {
-        self.inner.submit(key, msg, pri);
-    }
-
-    fn acquire(&mut self, _worker: u16, now: PhysicalTime) -> Option<DispatchLease> {
-        let exec = self.inner.acquire(0, now)?;
-        Some(DispatchLease {
-            key: exec.key(),
-            acquired_at: now,
-            exec: Some(exec),
-        })
-    }
-
-    fn take(&mut self, lease: &DispatchLease) -> Option<Message> {
-        let exec = lease.exec.as_ref().expect("cameo lease");
-        self.inner.take_message(exec).map(|(m, _)| m)
-    }
-
-    fn decide(&mut self, lease: &DispatchLease, now: PhysicalTime) -> Decision {
-        let exec = lease.exec.as_ref().expect("cameo lease");
-        self.inner.decide(exec, now)
-    }
-
-    fn release(&mut self, lease: DispatchLease, _worker: u16) {
-        let exec = lease.exec.expect("cameo lease");
-        self.inner.release(exec);
+        ShardedScheduler::submit(self, key, msg, pri);
     }
 
     fn retire_job(&mut self, job: cameo_core::ids::JobId) -> usize {
-        self.inner.retire_job(job)
+        ShardedScheduler::retire_job(self, job)
     }
 
     fn stats(&self) -> SchedulerStats {
-        self.inner.stats()
+        ShardedScheduler::stats(self)
     }
 }
 
 // -------------------------------------------------------------- Orleans
 
 /// Per-operator FIFO state shared by the Orleans and Slot baselines:
-/// a message queue plus the queued/leased flags their run queues key on.
+/// a message queue (each message with the priority it was submitted
+/// at, which a worker's step reports) plus the queued/leased flags
+/// their run queues key on.
 #[derive(Default)]
 struct QueuedOp {
-    msgs: VecDeque<Message>,
+    msgs: VecDeque<(Message, Priority)>,
     queued: bool,
     leased: bool,
 }
@@ -182,21 +129,8 @@ impl OrleansDispatcher {
     }
 }
 
-impl Dispatcher for OrleansDispatcher {
-    fn submit(&mut self, key: OperatorKey, msg: Message, _pri: Priority, hint: Option<u16>) {
-        let op = self.ops.entry(key).or_default();
-        op.msgs.push_back(msg);
-        if !op.queued && !op.leased {
-            op.queued = true;
-            match hint {
-                // Thread-local work: the producing worker sees it first.
-                Some(w) => self.locals[w as usize].push(key),
-                None => self.global.push_back(key),
-            }
-        }
-    }
-
-    fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<DispatchLease> {
+impl RunQueue<Message> for OrleansDispatcher {
+    fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<Execution> {
         let w = worker as usize;
         // Local LIFO first, then the global queue, then steal the
         // oldest entry from the busiest sibling.
@@ -213,15 +147,11 @@ impl Dispatcher for OrleansDispatcher {
         op.queued = false;
         op.leased = true;
         self.stats.operator_acquisitions += 1;
-        Some(DispatchLease {
-            key,
-            exec: None,
-            acquired_at: now,
-        })
+        Some(Execution::new(key, now))
     }
 
-    fn take(&mut self, lease: &DispatchLease) -> Option<Message> {
-        let op = self.ops.get_mut(&lease.key)?;
+    fn take(&mut self, lease: &Execution) -> Option<(Message, Priority)> {
+        let op = self.ops.get_mut(&lease.key())?;
         let m = op.msgs.pop_front();
         if m.is_some() {
             self.stats.messages_scheduled += 1;
@@ -229,12 +159,12 @@ impl Dispatcher for OrleansDispatcher {
         m
     }
 
-    fn decide(&mut self, lease: &DispatchLease, now: PhysicalTime) -> Decision {
-        let op = self.ops.get(&lease.key).expect("leased op exists");
+    fn decide(&mut self, lease: &Execution, now: PhysicalTime) -> Decision {
+        let op = self.ops.get(&lease.key()).expect("leased op exists");
         if op.msgs.is_empty() {
             return Decision::Idle;
         }
-        if now.since(lease.acquired_at) >= self.quantum && self.any_other_work() {
+        if now.since(lease.acquired_at()) >= self.quantum && self.any_other_work() {
             self.stats.quantum_swaps += 1;
             Decision::Swap
         } else {
@@ -242,13 +172,28 @@ impl Dispatcher for OrleansDispatcher {
         }
     }
 
-    fn release(&mut self, lease: DispatchLease, _worker: u16) {
-        let op = self.ops.get_mut(&lease.key).expect("leased op exists");
+    fn release(&mut self, lease: Execution) {
+        let op = self.ops.get_mut(&lease.key()).expect("leased op exists");
         op.leased = false;
         if !op.msgs.is_empty() && !op.queued {
             op.queued = true;
             // A preempted activation rejoins the shared queue.
-            self.global.push_back(lease.key);
+            self.global.push_back(lease.key());
+        }
+    }
+}
+
+impl Dispatcher for OrleansDispatcher {
+    fn submit(&mut self, key: OperatorKey, msg: Message, pri: Priority, hint: Option<u16>) {
+        let op = self.ops.entry(key).or_default();
+        op.msgs.push_back((msg, pri));
+        if !op.queued && !op.leased {
+            op.queued = true;
+            match hint {
+                // Thread-local work: the producing worker sees it first.
+                Some(w) => self.locals[w as usize].push(key),
+                None => self.global.push_back(key),
+            }
         }
     }
 
@@ -304,32 +249,18 @@ impl SlotDispatcher {
     }
 }
 
-impl Dispatcher for SlotDispatcher {
-    fn submit(&mut self, key: OperatorKey, msg: Message, _pri: Priority, _hint: Option<u16>) {
-        let w = self.pin_of(key);
-        let op = self.ops.entry(key).or_default();
-        op.msgs.push_back(msg);
-        if !op.queued && !op.leased {
-            op.queued = true;
-            self.runnable[w as usize].push_back(key);
-        }
-    }
-
-    fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<DispatchLease> {
+impl RunQueue<Message> for SlotDispatcher {
+    fn acquire(&mut self, worker: u16, now: PhysicalTime) -> Option<Execution> {
         let key = self.runnable[worker as usize].pop_front()?;
         let op = self.ops.get_mut(&key).expect("queued op exists");
         op.queued = false;
         op.leased = true;
         self.stats.operator_acquisitions += 1;
-        Some(DispatchLease {
-            key,
-            exec: None,
-            acquired_at: now,
-        })
+        Some(Execution::new(key, now))
     }
 
-    fn take(&mut self, lease: &DispatchLease) -> Option<Message> {
-        let op = self.ops.get_mut(&lease.key)?;
+    fn take(&mut self, lease: &Execution) -> Option<(Message, Priority)> {
+        let op = self.ops.get_mut(&lease.key())?;
         let m = op.msgs.pop_front();
         if m.is_some() {
             self.stats.messages_scheduled += 1;
@@ -337,8 +268,8 @@ impl Dispatcher for SlotDispatcher {
         m
     }
 
-    fn decide(&mut self, lease: &DispatchLease, _now: PhysicalTime) -> Decision {
-        let op = self.ops.get(&lease.key).expect("leased op exists");
+    fn decide(&mut self, lease: &Execution, _now: PhysicalTime) -> Decision {
+        let op = self.ops.get(&lease.key()).expect("leased op exists");
         if op.msgs.is_empty() {
             Decision::Idle
         } else {
@@ -346,13 +277,26 @@ impl Dispatcher for SlotDispatcher {
         }
     }
 
-    fn release(&mut self, lease: DispatchLease, _worker: u16) {
-        let w = self.pins[&lease.key];
-        let op = self.ops.get_mut(&lease.key).expect("leased op exists");
+    fn release(&mut self, lease: Execution) {
+        let key = lease.key();
+        let w = self.pins[&key];
+        let op = self.ops.get_mut(&key).expect("leased op exists");
         op.leased = false;
         if !op.msgs.is_empty() && !op.queued {
             op.queued = true;
-            self.runnable[w as usize].push_back(lease.key);
+            self.runnable[w as usize].push_back(key);
+        }
+    }
+}
+
+impl Dispatcher for SlotDispatcher {
+    fn submit(&mut self, key: OperatorKey, msg: Message, pri: Priority, _hint: Option<u16>) {
+        let w = self.pin_of(key);
+        let op = self.ops.entry(key).or_default();
+        op.msgs.push_back((msg, pri));
+        if !op.queued && !op.leased {
+            op.queued = true;
+            self.runnable[w as usize].push_back(key);
         }
     }
 
@@ -377,6 +321,7 @@ impl Dispatcher for SlotDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cameo_core::config::SchedulerConfig;
     use cameo_core::context::PriorityContext;
     use cameo_core::ids::{JobId, MessageId};
     use cameo_dataflow::event::Batch;
@@ -399,15 +344,16 @@ mod tests {
 
     #[test]
     fn cameo_dispatcher_orders_by_priority() {
-        let mut d = CameoDispatcher::new(SchedulerConfig::default());
+        let mut d: Box<dyn Dispatcher> =
+            Box::new(ShardedScheduler::new(SchedulerConfig::default()));
         d.submit(key(1), msg(1), pri(100), None);
         d.submit(key(2), msg(2), pri(5), None);
         let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(lease.key, key(2));
+        assert_eq!(lease.key(), key(2));
         assert!(d.take(&lease).is_some());
-        d.release(lease, 0);
+        d.release(lease);
         let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(lease.key, key(1), "the other message is still queued");
+        assert_eq!(lease.key(), key(1), "the other message is still queued");
     }
 
     #[test]
@@ -417,14 +363,14 @@ mod tests {
         d.submit(key(2), msg(2), pri(0), Some(0)); // local to worker 0
         d.submit(key(3), msg(3), pri(0), Some(0)); // local to worker 0 (on top)
         let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(lease.key, key(3), "LIFO: most recent local first");
-        d.release(lease, 0);
+        assert_eq!(lease.key(), key(3), "LIFO: most recent local first");
+        d.release(lease);
         let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(lease.key, key(2));
-        d.release(lease, 0);
+        assert_eq!(lease.key(), key(2));
+        d.release(lease);
         let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(lease.key, key(1), "global last");
-        d.release(lease, 0);
+        assert_eq!(lease.key(), key(1), "global last");
+        d.release(lease);
     }
 
     #[test]
@@ -432,8 +378,8 @@ mod tests {
         let mut d = OrleansDispatcher::new(2, Micros(1_000));
         d.submit(key(1), msg(1), pri(0), Some(0));
         let lease = d.acquire(1, PhysicalTime::ZERO).unwrap();
-        assert_eq!(lease.key, key(1), "worker 1 steals worker 0's local work");
-        d.release(lease, 1);
+        assert_eq!(lease.key(), key(1), "worker 1 steals worker 0's local work");
+        d.release(lease);
     }
 
     #[test]
@@ -447,7 +393,7 @@ mod tests {
         assert_eq!(d.decide(&lease, PhysicalTime(500)), Decision::Continue);
         d.submit(key(2), msg(3), pri(0), None);
         assert_eq!(d.decide(&lease, PhysicalTime(500)), Decision::Swap);
-        d.release(lease, 0);
+        d.release(lease);
     }
 
     #[test]
@@ -458,7 +404,7 @@ mod tests {
         // New message while leased must not re-queue the operator.
         d.submit(key(1), msg(2), pri(0), None);
         assert!(d.acquire(1, PhysicalTime::ZERO).is_none());
-        d.release(lease, 0);
+        d.release(lease);
         assert!(d.acquire(1, PhysicalTime::ZERO).is_some());
     }
 
@@ -469,15 +415,15 @@ mod tests {
         d.submit(key(2), msg(2), pri(0), None); // pinned to worker 1
         d.submit(key(3), msg(3), pri(0), None); // pinned to worker 0
         let l = d.acquire(1, PhysicalTime::ZERO).unwrap();
-        assert_eq!(l.key, key(2));
+        assert_eq!(l.key(), key(2));
         let _ = d.take(&l).unwrap();
-        d.release(l, 1);
+        d.release(l);
         // Worker 1 has nothing else even though worker 0 has two ops.
         assert!(d.acquire(1, PhysicalTime::ZERO).is_none());
         let l = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(l.key, key(1));
+        assert_eq!(l.key(), key(1));
         let _ = d.take(&l).unwrap();
-        d.release(l, 0);
+        d.release(l);
     }
 
     #[test]
@@ -486,10 +432,10 @@ mod tests {
         d.submit(key(1), msg(1), pri(0), None);
         d.submit(key(1), msg(2), pri(0), None);
         let lease = d.acquire(0, PhysicalTime::ZERO).unwrap();
-        assert_eq!(d.take(&lease).unwrap().batch.time, PhysicalTime(1));
+        assert_eq!(d.take(&lease).unwrap().0.batch.time, PhysicalTime(1));
         assert_eq!(d.decide(&lease, PhysicalTime(9999)), Decision::Continue);
-        assert_eq!(d.take(&lease).unwrap().batch.time, PhysicalTime(2));
+        assert_eq!(d.take(&lease).unwrap().0.batch.time, PhysicalTime(2));
         assert_eq!(d.decide(&lease, PhysicalTime(9999)), Decision::Idle);
-        d.release(lease, 0);
+        d.release(lease);
     }
 }

@@ -10,19 +10,22 @@
 //! The engine models the paper's testbed: client sources off-cluster,
 //! server nodes with a fixed worker pool each, per-node run queues
 //! (the scheduler under test), and a constant one-way network delay
-//! between machines.
+//! between machines. Each simulated worker turns the same
+//! [`WorkerStep`] a runtime worker turns, at the virtual time its
+//! message completes.
 
 use crate::cluster::{place_jobs, ClusterSpec, Placement, OFF_CLUSTER};
 use crate::costmodel::{CostConfig, CostModel};
-use crate::dispatch::{
-    CameoDispatcher, DispatchLease, Dispatcher, OrleansDispatcher, SlotDispatcher,
-};
+use crate::dispatch::{Dispatcher, OrleansDispatcher, SlotDispatcher};
 use crate::metrics::{SchedEvent, SimMetrics};
 use crate::workload::WorkloadGen;
 use cameo_core::config::SchedulerConfig;
+use cameo_core::ids::OperatorKey;
 use cameo_core::policy::{EdfPolicy, FifoPolicy, LlfPolicy, Policy, SjfPolicy, TokenFairPolicy};
-use cameo_core::scheduler::{Decision, SchedulerStats};
+use cameo_core::scheduler::SchedulerStats;
+use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Micros, PhysicalTime};
+use cameo_core::worker::{StepOutcome, WorkerStep};
 use cameo_dataflow::event::Batch;
 use cameo_dataflow::expand::{ExpandedJob, Message, Reply};
 use rand::SeedableRng;
@@ -130,8 +133,12 @@ enum Ev {
     Deliver { job: u16, op: u32, msg: Message },
     /// Acknowledgement (RC) arrives back at the sending operator.
     Reply { job: u16, reply: Reply },
-    /// Worker finishes its current message.
-    Complete { node: u16, worker: u16 },
+    /// Worker finishes the message it runs.
+    Complete {
+        node: u16,
+        worker: u16,
+        run: Running,
+    },
     /// A job departs the cluster (Fig 8-style churn): its workload
     /// stops, every node's dispatcher retires it, and in-flight
     /// messages are dropped at delivery/completion guards — mirroring
@@ -162,18 +169,19 @@ impl Ord for Scheduled {
     }
 }
 
+/// A message on a worker, with the virtual time it costs.
 struct Running {
-    lease: DispatchLease,
+    key: OperatorKey,
     msg: Message,
     cost: Micros,
 }
 
 struct Worker {
-    running: Option<Running>,
-    last_op: Option<cameo_core::ids::OperatorKey>,
-    /// Guards against double-booking: set while `complete()` is
-    /// mid-flight (its local sends may wake this very worker).
-    completing: bool,
+    /// Holds the worker's lease while it runs a message and while its
+    /// `complete()` is mid-flight (whose local sends may wake this very
+    /// node), so the worker is never handed a second operator.
+    step: WorkerStep,
+    last_op: Option<OperatorKey>,
 }
 
 struct Node {
@@ -232,9 +240,11 @@ impl Engine {
         );
         let make_dispatcher = |workers: u16| -> Box<dyn Dispatcher> {
             match cfg.sched {
-                SchedulerKind::Cameo(_) | SchedulerKind::Fifo => Box::new(CameoDispatcher::new(
-                    SchedulerConfig::default().with_quantum(cfg.quantum),
-                )),
+                SchedulerKind::Cameo(_) | SchedulerKind::Fifo => {
+                    Box::new(ShardedScheduler::<Message>::new(
+                        SchedulerConfig::default().with_quantum(cfg.quantum),
+                    ))
+                }
                 SchedulerKind::OrleansLike => {
                     Box::new(OrleansDispatcher::new(workers, cfg.quantum))
                 }
@@ -245,10 +255,9 @@ impl Engine {
             .map(|_| Node {
                 disp: make_dispatcher(cfg.cluster.workers_per_node),
                 workers: (0..cfg.cluster.workers_per_node)
-                    .map(|_| Worker {
-                        running: None,
+                    .map(|w| Worker {
+                        step: WorkerStep::new(w),
                         last_op: None,
-                        completing: false,
                     })
                     .collect(),
             })
@@ -342,8 +351,8 @@ impl Engine {
                     self.policy
                         .process_reply(&mut inst.converter, reply.edge, &reply.rc);
                 }
-                Ev::Complete { node, worker } => {
-                    self.complete(node, worker);
+                Ev::Complete { node, worker, run } => {
+                    self.complete(node, worker, run);
                 }
                 Ev::Depart { job } => {
                     self.depart(job);
@@ -464,32 +473,30 @@ impl Engine {
         // dispatch only one specific worker may be able to take the new
         // work, so an early break on first failure would strand it.
         for w in 0..self.nodes[node as usize].workers.len() {
-            let worker = &self.nodes[node as usize].workers[w];
-            if worker.running.is_some() || worker.completing {
-                continue;
+            if !self.nodes[node as usize].workers[w].step.holds() {
+                self.turn(node, w as u16);
             }
-            self.try_start(node, w as u16);
         }
     }
 
-    /// Attempt to start an idle worker. Returns false when no work was
-    /// available.
-    fn try_start(&mut self, node: u16, worker: u16) -> bool {
-        let n = &mut self.nodes[node as usize];
-        let Some(lease) = n.disp.acquire(worker, self.now) else {
-            return false;
-        };
-        let Some(msg) = n.disp.take(&lease) else {
-            n.disp.release(lease, worker);
-            return false;
-        };
-        self.begin_execution(node, worker, lease, msg);
-        true
+    /// Turn `worker`'s step past lease boundaries until it hands out a
+    /// message, which starts executing, or has nothing to run.
+    fn turn(&mut self, node: u16, worker: u16) {
+        let Node { disp, workers } = &mut self.nodes[node as usize];
+        let step = &mut workers[worker as usize].step;
+        loop {
+            match step.next(&mut **disp, self.now) {
+                StepOutcome::Run(key, msg, _) => {
+                    return self.begin_execution(node, worker, key, msg);
+                }
+                StepOutcome::Released => {}
+                StepOutcome::Empty => return,
+            }
+        }
     }
 
     /// Charge the message's cost and schedule its completion.
-    fn begin_execution(&mut self, node: u16, worker: u16, lease: DispatchLease, msg: Message) {
-        let key = lease.key;
+    fn begin_execution(&mut self, node: u16, worker: u16, key: OperatorKey, msg: Message) {
         let job = key.job.0 as usize;
         let op = key.op as usize;
         let inst = &self.jobs[job].exp.instances[op];
@@ -502,7 +509,6 @@ impl Engine {
             cost += self.cost.config.ctx_switch;
         }
         w.last_op = Some(key);
-        w.running = Some(Running { lease, msg, cost });
         self.metrics.busy_us[node as usize] += cost.0;
         self.metrics.executions += 1;
         self.metrics.record_sched(SchedEvent {
@@ -515,33 +521,27 @@ impl Engine {
             progress,
         });
         let t = self.now + cost;
-        self.push_event(t, Ev::Complete { node, worker });
+        let run = Running { key, msg, cost };
+        self.push_event(t, Ev::Complete { node, worker, run });
     }
 
     /// A worker finished a message: run the operator, emit outputs,
-    /// acknowledge upstream, then pick the next message per the
-    /// scheduling decision.
-    fn complete(&mut self, node: u16, worker: u16) {
-        let w = &mut self.nodes[node as usize].workers[worker as usize];
-        let Running { lease, msg, cost } =
-            w.running.take().expect("complete fired for idle worker");
-        w.completing = true;
-        let key = lease.key;
+    /// acknowledge upstream, then turn the worker's step for its next
+    /// message.
+    fn complete(&mut self, node: u16, worker: u16, Running { key, msg, cost }: Running) {
         let job = key.job.0 as usize;
         let op = key.op as usize;
 
         // A message of a departed job that was already on a worker when
         // the departure fired: abandon it (no operator execution, no
-        // outputs, no fan-out) and return the lease — the runtime's
-        // generation check does the same for stale in-flight messages.
+        // outputs, no fan-out) and return the lease undecided — the
+        // runtime's generation check does the same for stale in-flight
+        // messages.
         if self.jobs[job].departed {
             self.metrics.departure_drops += 1;
-            let n = &mut self.nodes[node as usize];
-            n.workers[worker as usize].completing = false;
-            let _ = cost;
-            let _ = msg;
-            n.disp.release(lease, worker);
-            self.try_start(node, worker);
+            let Node { disp, workers } = &mut self.nodes[node as usize];
+            workers[worker as usize].step.release(&mut **disp);
+            self.turn(node, worker);
             return;
         }
 
@@ -575,23 +575,6 @@ impl Engine {
                 },
             );
         }
-
-        // Next message for this worker.
-        let n = &mut self.nodes[node as usize];
-        n.workers[worker as usize].completing = false;
-        match n.disp.decide(&lease, self.now) {
-            Decision::Continue => {
-                if let Some(next) = n.disp.take(&lease) {
-                    self.begin_execution(node, worker, lease, next);
-                } else {
-                    n.disp.release(lease, worker);
-                    self.try_start(node, worker);
-                }
-            }
-            Decision::Swap | Decision::Idle => {
-                n.disp.release(lease, worker);
-                self.try_start(node, worker);
-            }
-        }
+        self.turn(node, worker);
     }
 }

@@ -22,7 +22,9 @@
 //!
 //! * [`engine`] — the event loop (arrivals, deliveries, executions,
 //!   replies) over virtual time.
-//! * [`dispatch`] — the four run-queue implementations under test.
+//! * [`dispatch`] — the run queues under test: the runtime's scheduler
+//!   and the Orleans and Slot baselines, each a `RunQueue` the workers'
+//!   steps turn.
 //! * [`workload`] — synthetic workload generators matching the
 //!   production-trace statistics described in the paper (Pareto
 //!   volumes, 200× source skew, bursts).

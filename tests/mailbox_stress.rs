@@ -60,23 +60,21 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
             let delivered = delivered.clone();
             std::thread::spawn(move || {
                 let mut now = 0u64;
-                while consumed.load(Ordering::Acquire) < TOTAL as usize {
-                    let Some(exec) = sched.acquire(w, PhysicalTime(now)) else {
-                        sched.park(Duration::from_millis(1));
-                        continue;
-                    };
-                    while let Some(((op, id), _)) = sched.take_message(&exec) {
-                        // Holding the lease serializes this append with
-                        // every other delivery of the same operator.
-                        delivered.lock().unwrap().entry(op).or_default().push(id);
-                        consumed.fetch_add(1, Ordering::AcqRel);
-                        now += 5;
-                        match sched.decide(&exec, PhysicalTime(now)) {
-                            Decision::Continue => continue,
-                            Decision::Swap | Decision::Idle => break,
+                // The runtime's worker loop: the step, parking when it
+                // has nothing to run.
+                let mut step = WorkerStep::new(w as u16);
+                while step.holds() || consumed.load(Ordering::Acquire) < TOTAL as usize {
+                    match step.next(&mut &*sched, PhysicalTime(now)) {
+                        StepOutcome::Run(_, (op, id), _) => {
+                            // Holding the lease serializes this append with
+                            // every other delivery of the same operator.
+                            delivered.lock().unwrap().entry(op).or_default().push(id);
+                            consumed.fetch_add(1, Ordering::AcqRel);
+                            now += 5;
                         }
+                        StepOutcome::Released => {}
+                        StepOutcome::Empty => sched.park(Duration::from_millis(1)),
                     }
-                    sched.release(exec);
                 }
                 sched.notify_all();
             })

@@ -289,21 +289,19 @@ fn concurrent_submit_drain_loses_nothing() {
             std::thread::spawn(move || {
                 let mut local = Vec::new();
                 let mut now = 0u64;
-                while consumed.load(Ordering::Acquire) < TOTAL as usize {
-                    let Some(exec) = sched.acquire(w, PhysicalTime(now)) else {
-                        sched.park(std::time::Duration::from_millis(1));
-                        continue;
-                    };
-                    while let Some((id, _)) = sched.take_message(&exec) {
-                        local.push(id);
-                        consumed.fetch_add(1, Ordering::AcqRel);
-                        now += 10;
-                        match sched.decide(&exec, PhysicalTime(now)) {
-                            Decision::Continue => continue,
-                            Decision::Swap | Decision::Idle => break,
+                // The runtime's worker loop: the step, parking when it
+                // has nothing to run.
+                let mut step = WorkerStep::new(w as u16);
+                while step.holds() || consumed.load(Ordering::Acquire) < TOTAL as usize {
+                    match step.next(&mut &*sched, PhysicalTime(now)) {
+                        StepOutcome::Run(_, id, _) => {
+                            local.push(id);
+                            consumed.fetch_add(1, Ordering::AcqRel);
+                            now += 10;
                         }
+                        StepOutcome::Released => {}
+                        StepOutcome::Empty => sched.park(std::time::Duration::from_millis(1)),
                     }
-                    sched.release(exec);
                 }
                 sched.notify_all(); // release any parked sibling
                 seen.lock().unwrap().extend(local);
