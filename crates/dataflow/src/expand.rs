@@ -293,6 +293,14 @@ pub struct ExpandedJob {
     pub stage_offsets: Vec<usize>,
 }
 
+/// The ingest instance that a frame addressed to `source` enters
+/// through, out of a job's [`ExpandedJob::ingests`]: sources past the
+/// ingest count wrap around. The runtime's admission (and so its
+/// journal replay) and the simulator both route by this rule.
+pub fn ingest_instance(ingests: &[usize], source: u32) -> usize {
+    ingests[source as usize % ingests.len()]
+}
+
 /// Deterministic key spreader for partition routing.
 #[inline]
 pub fn partition_hash(key: u64) -> u64 {

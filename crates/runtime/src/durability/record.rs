@@ -74,7 +74,7 @@ pub struct FrameRecord {
     /// Slot generation at admission (replay re-checks it).
     pub gen: u32,
     /// Source index as passed by the producer (replay applies the same
-    /// `% ingests.len()` the live path does).
+    /// ingest rule the live path does, `cameo_dataflow::expand::ingest_instance`).
     pub source: u32,
     /// The batch's stream progress. Journaled explicitly because a
     /// punctuation batch carries progress with no tuples at all.

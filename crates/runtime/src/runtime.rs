@@ -9,110 +9,43 @@
 //! contended in steady state, because the scheduler leases an operator
 //! to one worker at a time).
 //!
-//! ## Scheduling path
-//!
-//! Every worker drives one [`ShardedScheduler`]: a single
-//! `CameoScheduler` behind one lock, which every worker takes for its
-//! `acquire`/`take`/`decide`/`release` calls (`cameo_core::shard` says
-//! why one lock and not per-worker shards). A worker makes those calls
-//! through its [`WorkerStep`], the one lease loop the simulator turns
-//! too: it runs each message the step hands out, checks for shutdown at
-//! each lease boundary, and parks when the step has nothing to run.
-//!
-//! Ingress stays *off the scheduler lock*: `submit` pushes into the
-//! scheduler's mailbox under the mailbox's own inbox lock, lowers the
-//! tier hint, and wakes a parked worker — it never takes the scheduler
-//! mutex, so ingest threads (TCP sources, operator fan-out) cannot
-//! block a dispatching worker. Ingress is also *batched end to end*:
-//! source batches ([`Runtime::ingest`]), whole socket reads
-//! ([`Runtime::ingest_frames`] — every frame one TCP read completed,
-//! see `crate::net`), journal replay and operator fan-out all travel
-//! through `ShardedScheduler::submit_batch`, paying one mailbox
-//! publication, one hint update and one wake per call instead of per
-//! message. The first three share one admission routine, so a replayed
-//! record takes exactly the path its live call took.
-//! Workers fold the mailbox into the two-level queue under the lock
-//! they already hold at acquire/take/decide/release boundaries. Idle
-//! workers park on one condvar; the park/wake handshake is
-//! lost-wakeup-free (see `cameo_core::shard`).
-//!
-//! Lock ordering: outside a yield point a worker holds at most one
-//! instance lock at a time; reply application locks the *sender*
-//! instance only after the executing instance's guard is dropped. The
-//! scheduler lock is never held while an instance lock is held (the
-//! scheduler takes and releases its internal locks within each call).
-//!
-//! ## Preemption points
-//!
-//! A worker installs a `cameo_dataflow::preempt` hook. When an operator
-//! calls `yield_point()` inside `on_batch`, the hook asks
-//! [`ShardedScheduler::acquire_preempting`] whether an operator in a
-//! stricter latency tier outranks the message in flight; if so the
-//! worker drains that lease through a nested [`WorkerStep`] — and any
-//! further one that still qualifies — on its own stack, then returns to
-//! the interrupted message. The nested lease holds a second instance
-//! lock, of another job (the scheduler never nests an operator of the
-//! in-flight job) and in a strictly stricter tier: policies stamp one
-//! tier per job, so every worker takes nested instance locks in tier
-//! order and no two workers can wait on each other's outer instance.
-//! Nesting is one level deep, and the time spent nested is left out of
-//! the interrupted operator's profiled cost.
+//! This module holds the public surface and admission; `jobs` holds the
+//! job lifecycle, `worker` the scheduling path, `recovery` durability.
 //!
 //! ## Fixed pool
 //!
 //! Every setting is fixed at start. `Runtime::start` spawns `workers`
 //! threads and they run until shutdown, and a durability snapshot is
 //! taken only when the caller asks for one ([`Runtime::snapshot`]).
-//!
-//! ## Job lifecycle
-//!
-//! The control plane is fallible and full-lifecycle: [`Runtime::deploy`]
-//! validates the job graph and returns `Result` (no panics on bad
-//! specs), every per-job entry point checks the handle against a
-//! **generational slot-map** jobs table, and [`Runtime::undeploy`]
-//! drains a job's in-flight work, vacates its slot and bumps the slot's
-//! generation, purges what is left of the job from the scheduler
-//! ([`ShardedScheduler::retire_job`]), and only then frees the slot for
-//! reuse. A [`JobHandle`] is `(slot, generation)`, and every scheduler
-//! message carries the generation too: a stale handle gets
-//! [`JobError::Stale`] — never another job's data — and a stale
-//! message, queued or fanned out after the purge, is dropped at the
-//! generation check before it can touch the slot's new occupant. That
-//! check is the one defence: the scheduler keeps no per-job state.
 
-use crate::durability::{
-    self, DurState, DurabilityConfig, FrameRecord, JobSnapshot, JournalRecord, RecoverError,
-    RecoveryReport, SlotSnapshot, SnapshotError, SpecRegistry,
-};
+mod jobs;
+mod recovery;
+mod worker;
+
+use crate::durability::{DurState, DurabilityConfig, FrameRecord, JournalRecord, SnapshotError};
 use crate::msg::IngestFrame;
-use crate::stats::{JobStats, JobStatsSnapshot};
+use crate::stats::JobStatsSnapshot;
 use cameo_core::config::SchedulerConfig;
 use cameo_core::ids::{JobId, OperatorKey};
 use cameo_core::policy::{LlfPolicy, Policy};
-use cameo_core::priority::Priority;
 use cameo_core::scheduler::SchedulerStats;
 use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Clock, Micros, PhysicalTime, SystemClock};
-use cameo_core::worker::{StepOutcome, WorkerStep};
 use cameo_dataflow::event::{Batch, Tuple};
-use cameo_dataflow::expand::{ExpandOptions, ExpandedJob, Message, OperatorInstance};
+use cameo_dataflow::expand::{ingest_instance, ExpandOptions};
 use cameo_dataflow::graph::{GraphError, JobSpec};
-use cameo_dataflow::preempt;
-use std::cell::Cell;
+use jobs::{IngressGuard, JobRt, Jobs, JobsTable};
 use std::fmt;
 use std::ops::Deref;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use worker::{spawn_worker, RtMsg};
 
-/// Upper bound on how long an idle worker sleeps before it looks for
-/// work again. Only a backstop: every publish and the shutdown's
-/// `close` wake a parked worker through the scheduler's one condvar,
-/// and the park/wake handshake does not lose wakeups.
-const PARK_TIMEOUT: Duration = Duration::from_millis(100);
+/// How often `drain` and a snapshot look for a quiescent point.
+const QUIESCENCE_POLL: Duration = Duration::from_micros(500);
 
 /// An output emitted by a job's sink operator.
 #[derive(Clone, Debug)]
@@ -379,126 +312,10 @@ impl Subscriber {
     }
 }
 
-/// One scheduled message plus the generation of the jobs-table slot
-/// it belongs to, stamped at submission. A worker compares it against
-/// the slot's current occupant before executing: a mismatch means the
-/// job was undeployed (and the slot possibly reused) while the message
-/// was in flight, and the message is dropped, so it never runs against
-/// another job's operators.
-struct RtMsg {
-    msg: Message,
-    gen: u32,
-}
-
-struct JobRt {
-    instances: Vec<Mutex<OperatorInstance>>,
-    ingests: Vec<usize>,
-    /// Spec name — what the journal's `Deploy` records and snapshot
-    /// manifests key the [`SpecRegistry`] with at recovery.
-    name: String,
-    latency_constraint: Micros,
-    /// Generation of the jobs-table slot this job occupies; stamped
-    /// into every scheduler message and checked before execution.
-    gen: u32,
-    /// Set by `undeploy`: new ingest is refused while in-flight work
-    /// drains.
-    draining: AtomicBool,
-    /// Scheduler messages submitted for this job and not yet executed.
-    /// Batched increments at every submission point, one decrement per
-    /// executed message (program order on the same atomic guarantees a
-    /// worker's fan-out increment lands before its own decrement, so
-    /// the count never dips to zero while a causal chain is alive).
-    /// `undeploy`'s graceful-drain phase sleeps on [`Self::drain_cv`]
-    /// until this reaches zero.
-    inflight: AtomicU64,
-    /// Pairs with `drain_cv`: `undeploy` re-checks `inflight` under
-    /// this lock before each wait, and [`Self::dec_inflight`] bumps the
-    /// lock before notifying, so the last decrement can never slip into
-    /// the check→wait window unseen (same shape as the scheduler's
-    /// park/wake handshake).
-    drain_lock: Mutex<()>,
-    /// Signalled by the decrement that takes `inflight` to zero while
-    /// the job is draining.
-    drain_cv: Condvar,
-    stats: Arc<JobStats>,
-    subscribers: Mutex<Vec<Subscriber>>,
-}
-
-impl JobRt {
-    /// Decrement the in-flight count; the decrement that reaches zero
-    /// on a draining job wakes the waiting `undeploy`.
-    ///
-    /// Ordering (mirrors the scheduler's park/wake protocol): the `SeqCst`
-    /// decrement and the `SeqCst` load of `draining` here, against
-    /// `undeploy`'s `SeqCst` swap of `draining` and `SeqCst` load of
-    /// `inflight`, give a single total order — either this decrement
-    /// sees `draining` and notifies, or `undeploy`'s count load sees
-    /// the decrement and never sleeps on it. The lock bump before the
-    /// notify closes the remaining race against a waiter between its
-    /// predicate check and its wait.
-    fn dec_inflight(&self) {
-        let was = self.inflight.fetch_sub(1, Ordering::SeqCst);
-        if was == 1 && self.draining.load(Ordering::SeqCst) {
-            drop(self.drain_lock.lock().unwrap_or_else(|p| p.into_inner()));
-            self.drain_cv.notify_all();
-        }
-    }
-}
-
-/// One slot of the generational jobs table.
-struct JobSlot {
-    /// Current generation. Bumped when the occupant is retired, which
-    /// is what invalidates outstanding handles and in-flight messages.
-    gen: u32,
-    /// The occupant, if any.
-    job: Option<Arc<JobRt>>,
-}
-
-/// The generational slot map behind every `JobHandle`.
-#[derive(Default)]
-struct JobsTable {
-    slots: Vec<JobSlot>,
-    /// Vacant slot indices, reused LIFO by `deploy`.
-    free: Vec<u32>,
-}
-
-impl JobsTable {
-    /// The slot's occupant, when the handle's generation is current.
-    fn get(&self, handle: JobHandle) -> Result<&Arc<JobRt>, JobError> {
-        let slot = self
-            .slots
-            .get(handle.slot as usize)
-            .ok_or(JobError::NotFound)?;
-        if slot.gen != handle.gen {
-            return Err(JobError::Stale);
-        }
-        // Generation bumps and occupancy change together under the
-        // write lock, so a matching generation implies an occupant;
-        // stay defensive anyway.
-        slot.job.as_ref().ok_or(JobError::Stale)
-    }
-
-    /// The current occupant of a raw slot index (wire-level lookup).
-    fn occupant(&self, slot: u32) -> Option<&Arc<JobRt>> {
-        self.slots.get(slot as usize).and_then(|s| s.job.as_ref())
-    }
-
-    /// A raw slot for recovery to restore, growing the table with vacant
-    /// (free) slots up to it: recovery places slots by journaled index,
-    /// not in deploy order.
-    fn slot_mut(&mut self, slot: u32) -> &mut JobSlot {
-        while self.slots.len() <= slot as usize {
-            self.free.push(self.slots.len() as u32);
-            self.slots.push(JobSlot { gen: 0, job: None });
-        }
-        &mut self.slots[slot as usize]
-    }
-}
-
 struct Shared {
     clock: SystemClock,
     sched: ShardedScheduler<RtMsg>,
-    jobs: RwLock<JobsTable>,
+    jobs: Jobs,
     policy: Arc<dyn Policy>,
     /// In-flight messages abandoned at the pre-execution generation
     /// check (their job was undeployed while they sat in the queue).
@@ -531,45 +348,37 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// RAII +1 on a job's in-flight count for the duration of one ingress
-/// call. Taken *before* the draining check (SeqCst on both sides, so
-/// either the ingress sees the draining flag and refuses, or
-/// `undeploy`'s drain wait sees the count and waits): without it, an
-/// ingress preempted between its draining check and its message-count
-/// increment could slip past a concurrent undeploy's drain, and tuples
-/// accepted with `Ok(())` would be silently discarded by the
-/// retirement purge.
-struct IngressGuard(Arc<JobRt>);
-
-impl IngressGuard {
-    fn new(jrt: &Arc<JobRt>) -> Self {
-        jrt.inflight.fetch_add(1, Ordering::SeqCst);
-        IngressGuard(jrt.clone())
-    }
-}
-
-impl Drop for IngressGuard {
-    fn drop(&mut self) {
-        self.0.dec_inflight();
-    }
-}
-
 impl Shared {
     fn now(&self) -> PhysicalTime {
         self.clock.now()
     }
 
-    /// Scheduler empty *and* every live job's in-flight count at zero:
-    /// no admitted message is queued or executing. A worker takes a
-    /// message out of the scheduler before it runs it, so the first
-    /// half alone would miss the one it is executing.
-    fn quiescent(&self, jobs: &JobsTable) -> bool {
-        self.sched.is_empty()
-            && jobs.slots.iter().all(|s| {
-                s.job
-                    .as_ref()
-                    .is_none_or(|j| j.inflight.load(Ordering::SeqCst) == 0)
-            })
+    /// Poll until the runtime is quiescent — scheduler empty *and* every
+    /// live job's in-flight count at zero (a worker takes a message out
+    /// of the scheduler before it runs it, so the first half alone would
+    /// miss the one it is executing) — or `wait` passes (`None`). Each
+    /// poll takes the jobs read lock, then `hold`, and checks with both
+    /// held; `at_rest` runs under them on success.
+    fn at_quiescence<G, T>(
+        &self,
+        wait: Duration,
+        mut hold: impl FnMut() -> G,
+        at_rest: impl FnOnce(&JobsTable, G) -> T,
+    ) -> Option<T> {
+        let deadline = Instant::now() + wait;
+        loop {
+            {
+                let jobs = self.jobs.read();
+                let held = hold();
+                if self.sched.is_empty() && jobs.idle() {
+                    return Some(at_rest(&jobs, held));
+                }
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(QUIESCENCE_POLL);
+        }
     }
 
     /// True when ingress/lifecycle events should be journaled (durable
@@ -629,7 +438,7 @@ impl Runtime {
         let shared = Arc::new(Shared {
             clock: SystemClock::new(),
             sched: ShardedScheduler::new(config.scheduler),
-            jobs: RwLock::new(JobsTable::default()),
+            jobs: Jobs::default(),
             policy: config.policy.clone(),
             stale_exec_drops: AtomicU64::new(0),
             pinned: AtomicUsize::new(0),
@@ -677,90 +486,22 @@ impl Runtime {
     /// Slots freed by [`undeploy`](Self::undeploy) are reused; the new
     /// handle carries the slot's bumped generation, so handles to the
     /// previous occupant stay invalid.
+    ///
+    /// [`ExpandedJob::expand`]: cameo_dataflow::expand::ExpandedJob::expand
     pub fn deploy(&self, spec: &JobSpec, opts: &ExpandOptions) -> Result<JobHandle, DeployError> {
-        // Reserve a slot under the write lock, but run the expansion
-        // *unlocked*: expanding builds every operator instance of the
-        // job and can be arbitrarily large, and holding the jobs write
-        // lock across it would stall every worker's per-message
-        // `jobs.read()`. A reserved-but-uninstalled slot is harmless —
-        // no handle for it exists yet, and wire frames addressing it
-        // are dropped as vacant.
-        let (slot, gen) = {
-            let mut jobs = self.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
-            let slot = match jobs.free.pop() {
-                Some(s) => s,
-                None => {
-                    jobs.slots.push(JobSlot { gen: 0, job: None });
-                    (jobs.slots.len() - 1) as u32
-                }
-            };
-            (slot, jobs.slots[slot as usize].gen)
-        };
-        let id = JobId(slot);
-        // Hand the reserved slot back on *any* early exit — including a
-        // panic inside expansion, which runs user-supplied operator
-        // factories. Without this, a panicking factory would leak one
-        // permanently-vacant slot per failed deploy.
-        struct SlotReservation<'a> {
-            shared: &'a Shared,
-            slot: u32,
-            armed: bool,
-        }
-        impl Drop for SlotReservation<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    self.shared
-                        .jobs
-                        .write()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .free
-                        .push(self.slot);
-                }
-            }
-        }
-        let mut reservation = SlotReservation {
-            shared: &self.shared,
-            slot,
-            armed: true,
-        };
-        let exp = ExpandedJob::expand(spec, id, opts).map_err(DeployError::Graph)?;
-        let job = self.job_rt(exp, gen);
-        let name = job.name.clone();
-        // The slot is about to be occupied, not returned.
-        reservation.armed = false;
-        self.shared
-            .jobs
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .slots[slot as usize]
-            .job = Some(Arc::new(job));
+        let (handle, job) = self.shared.jobs.reserve().install(spec, opts)?;
         // Journal the deployment *after* releasing the jobs write lock
         // (global lock order: jobs lock → journal lock; a writer must
         // never wait on the journal). A crash in the window between the
         // install and this append loses a deployment whose caller never
         // saw `Ok` — and no frame can have been admitted for it, since
         // admission requires the handle this call has not returned yet.
-        self.shared
-            .dur_append(&JournalRecord::Deploy { slot, gen, name });
-        Ok(JobHandle { slot, gen })
-    }
-
-    /// The runtime side of a job about to occupy its slot at `gen`, for
-    /// `deploy` and recovery alike.
-    fn job_rt(&self, exp: ExpandedJob, gen: u32) -> JobRt {
-        JobRt {
-            ingests: exp.ingests,
-            name: exp.name,
-            latency_constraint: exp.latency_constraint,
-            gen,
-            draining: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
-            drain_lock: Mutex::new(()),
-            drain_cv: Condvar::new(),
-            stats: Arc::new(JobStats::new(exp.latency_constraint)),
-            subscribers: Mutex::new(Vec::new()),
-            instances: exp.instances.into_iter().map(Mutex::new).collect(),
-        }
+        self.shared.dur_append(&JournalRecord::Deploy {
+            slot: handle.slot,
+            gen: handle.gen,
+            name: job.name.clone(),
+        });
+        Ok(handle)
     }
 
     /// Undeploy a job: gracefully drain its in-flight work (bounded by
@@ -783,58 +524,27 @@ impl Runtime {
     /// happens, not at the next poll tick (the wait is skipped when the
     /// runtime has no workers — nothing would ever drain) — then:
     ///
-    /// 1. **vacate** the slot and bump its generation, under the jobs
-    ///    write lock: from here on outstanding handles get
-    ///    [`JobError::Stale`], and every message of the job — queued, or
-    ///    still to be fanned out by a worker that outlived the drain
-    ///    budget — fails the generation check before it executes;
+    /// 1. **vacate** the slot and bump its generation: from here on
+    ///    outstanding handles get [`JobError::Stale`], and every
+    ///    message of the job fails the generation check before it
+    ///    executes;
     /// 2. **purge**: [`ShardedScheduler::retire_job`] drops whatever the
     ///    drain left in the mailbox and the two-level queue;
     /// 3. **free** the slot for reuse. Only now, so no `deploy` can
     ///    place a new occupant whose messages a purge keyed by the same
     ///    slot could still delete.
     pub fn undeploy_within(&self, job: JobHandle, drain: Duration) -> Result<u64, JobError> {
-        let jrt = self.lookup(job)?;
+        let jrt = self.shared.jobs.get(job)?;
         if jrt.draining.swap(true, Ordering::SeqCst) {
             return Err(JobError::Draining);
         }
         if !self.workers.is_empty() {
-            // SeqCst pairs with the ingress guards' SeqCst increment:
-            // an ingress that passed its draining check is visible
-            // here, so its messages are waited for, not purged. The
-            // count is re-checked under the drain lock before every
-            // wait and `dec_inflight` bumps that lock before notifying,
-            // so the zero-crossing cannot fall unseen between a check
-            // and its wait — the same no-lost-wakeup shape as the
-            // scheduler's park/wake handshake.
-            let deadline = Instant::now() + drain;
-            let mut held = jrt.drain_lock.lock().unwrap_or_else(|p| p.into_inner());
-            while jrt.inflight.load(Ordering::SeqCst) > 0 {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                held = jrt
-                    .drain_cv
-                    .wait_timeout(held, deadline - now)
-                    .unwrap_or_else(|p| p.into_inner())
-                    .0;
-            }
-            drop(held);
+            jrt.wait_drained(drain);
         }
-        {
-            let mut jobs = self.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
-            let slot = &mut jobs.slots[job.slot as usize];
-            slot.job = None;
-            slot.gen = slot.gen.wrapping_add(1);
-        }
-        let purged = self.shared.sched.retire_job(JobId(job.slot)) as u64;
-        self.shared
+        let purged = self
+            .shared
             .jobs
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .free
-            .push(job.slot);
+            .retire(job, || self.shared.sched.retire_job(JobId(job.slot)) as u64);
         // Journal after the write lock is released (jobs → journal
         // order). Replay is idempotent: an `Undeploy` whose slot
         // generation already advanced past `gen` is skipped.
@@ -845,22 +555,12 @@ impl Runtime {
         Ok(purged)
     }
 
-    /// Resolve a handle against the jobs table.
-    fn lookup(&self, job: JobHandle) -> Result<Arc<JobRt>, JobError> {
-        self.shared
-            .jobs
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(job)
-            .cloned()
-    }
-
     /// Subscribe to a job's sink outputs. Dropping the returned
     /// [`OutputSubscription`] unsubscribes: dead subscribers are pruned
     /// on every later `subscribe` and on every output delivery, so the
     /// subscriber list never grows with abandoned receivers.
     pub fn subscribe(&self, job: JobHandle) -> Result<OutputSubscription, JobError> {
-        let jrt = self.lookup(job)?;
+        let jrt = self.shared.jobs.get(job)?;
         let (tx, rx) = channel();
         let alive = Arc::new(());
         let mut subs = relock(&jrt.subscribers);
@@ -882,7 +582,7 @@ impl Runtime {
         }
         // Refused: a handle the jobs table rejects is `NotFound` or
         // `Stale`; one it still accepts belongs to a draining job.
-        self.lookup(job).and(Err(JobError::Draining))
+        self.shared.jobs.get(job).and(Err(JobError::Draining))
     }
 
     /// Ingest a whole read's worth of decoded network frames as **one**
@@ -944,11 +644,9 @@ impl Runtime {
         // dropped before any routing: routing takes instance mutexes,
         // and holding the jobs RwLock across those would let a slow UDF
         // plus a waiting `deploy` (writer) stall every worker's own
-        // `jobs.read()`.
-        let mut seen: Vec<(u32, Option<Arc<JobRt>>)> = Vec::new();
-        // One ingress guard per live job this call touches, held until
-        // the call's messages are submitted — see [`IngressGuard`].
-        let mut ingress: Vec<IngressGuard> = Vec::new();
+        // `jobs.read()`. A live job's entry holds its ingress guard
+        // until the call's messages are submitted — see `IngressGuard`.
+        let mut seen: Vec<(u32, Option<IngressGuard>)> = Vec::new();
         // Group the call's frames by (job, ingest instance), keeping
         // first-seen group order and per-group frame order, so each
         // group pays its instance lock once — not once per frame.
@@ -958,28 +656,16 @@ impl Runtime {
         let mut dur_recs: Vec<FrameRecord> = Vec::new();
         for (index, (slot, gen, source, batch)) in frames.into_iter().enumerate() {
             let jrt = match seen.iter().find(|(s, _)| *s == slot) {
-                Some((_, cached)) => cached.clone(),
+                Some((_, guard)) => guard.as_ref().map(IngressGuard::job),
                 None => {
-                    let occupant = self
+                    let guard = self
                         .shared
                         .jobs
-                        .read()
-                        .unwrap_or_else(|p| p.into_inner())
                         .occupant(slot)
-                        .cloned();
-                    // Guard before the draining check (a rejected
-                    // guard drops immediately).
-                    let resolved = occupant.and_then(|j| {
-                        let guard = IngressGuard::new(&j);
-                        if j.draining.load(Ordering::SeqCst) {
-                            None
-                        } else {
-                            ingress.push(guard);
-                            Some(j)
-                        }
-                    });
-                    seen.push((slot, resolved.clone()));
-                    resolved
+                        .and_then(IngressGuard::admit);
+                    let jrt = guard.as_ref().map(IngressGuard::job);
+                    seen.push((slot, guard));
+                    jrt
                 }
             };
             let Some(jrt) = jrt else {
@@ -1000,7 +686,7 @@ impl Runtime {
                 });
                 continue;
             }
-            let ingest_idx = jrt.ingests[source as usize % jrt.ingests.len()];
+            let ingest_idx = ingest_instance(&jrt.ingests, source);
             if self.shared.dur_active() {
                 dur_recs.push(FrameRecord::from_batch(slot, gen, source, &batch));
             }
@@ -1041,7 +727,7 @@ impl Runtime {
         out.messages = outbound.len();
         // Group commit: one journal append (and at most one fsync) for
         // the entire call, before publication; the per-job
-        // `IngressGuard`s in `ingress` keep the admitted jobs
+        // `IngressGuard`s in `seen` keep the admitted jobs
         // non-quiescent across the append.
         if !dur_recs.is_empty() {
             self.shared.dur_append(&JournalRecord::Frames(dur_recs));
@@ -1054,7 +740,7 @@ impl Runtime {
     /// job is draining (the last snapshot before retirement is often
     /// the interesting one); stale once the job is gone.
     pub fn job_stats(&self, job: JobHandle) -> Result<JobStatsSnapshot, JobError> {
-        Ok(self.lookup(job)?.stats.snapshot())
+        Ok(self.shared.jobs.get(job)?.stats.snapshot())
     }
 
     /// The profiled own cost (`C_oM`, the smoothed measured execution
@@ -1062,8 +748,10 @@ impl Runtime {
     /// `op`, indexed as in [`ExpandedJob::instances`]; `None` past the
     /// last instance. Time a yield point spent running other operators
     /// is not part of it. Waits while the instance is executing.
+    ///
+    /// [`ExpandedJob::instances`]: cameo_dataflow::expand::ExpandedJob::instances
     pub fn operator_cost(&self, job: JobHandle, op: usize) -> Result<Option<Micros>, JobError> {
-        let jrt = self.lookup(job)?;
+        let jrt = self.shared.jobs.get(job)?;
         Ok(jrt
             .instances
             .get(op)
@@ -1109,18 +797,9 @@ impl Runtime {
     /// message admitted before the call has finished executing and its
     /// outputs are counted. Returns `false` if `timeout` passes first.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let jobs = self.shared.jobs.read().unwrap_or_else(|p| p.into_inner());
-            if self.shared.quiescent(&jobs) {
-                return true;
-            }
-            drop(jobs);
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.shared
+            .at_quiescence(timeout, || (), |_, ()| ())
+            .is_some()
     }
 
     /// Take an operator-state snapshot now, waiting up to five seconds
@@ -1144,167 +823,7 @@ impl Runtime {
     /// This and [`snapshot`](Self::snapshot) are the only snapshot
     /// triggers: the runtime never snapshots on its own.
     pub fn snapshot_within(&self, wait: Duration) -> Result<u64, SnapshotError> {
-        try_snapshot(&self.shared, wait)
-    }
-
-    /// Recover a crashed durable runtime from its journal and snapshots.
-    ///
-    /// `config` must carry the same [`DurabilityConfig`] directory the
-    /// crashed runtime used; `registry` must register every spec that
-    /// was deployed (operator factories are code — the journal records
-    /// *which* job, the registry supplies *how* to rebuild it).
-    ///
-    /// The sequence: repair the journal's torn tail (checksum scan,
-    /// truncate), load the newest valid snapshot (corrupt ones are
-    /// rejected by checksum and counted), restore every slot's
-    /// generation and every operator instance's state, then replay the
-    /// journal suffix — deploys and undeploys through the slot map
-    /// (idempotently: records already reflected in the snapshot are
-    /// skipped), ingested frames through the normal ingest path with
-    /// their **original** logical times and progress. The result is an
-    /// at-least-once floor, and effectively-once outputs for
-    /// deterministic operators.
-    pub fn recover(
-        config: RuntimeConfig,
-        registry: &SpecRegistry,
-    ) -> Result<(Runtime, RecoveryReport), RecoverError> {
-        let dcfg = config
-            .durability
-            .clone()
-            .ok_or(RecoverError::NotConfigured)?;
-        let mut report = RecoveryReport::default();
-        // Repair the torn tail first (open scans the newest segment and
-        // truncates past the last valid record), then drop this handle:
-        // `Runtime::start` below opens the journal for appending.
-        {
-            let (_repair, torn) =
-                durability::Journal::open(&dcfg.dir, dcfg.fsync, dcfg.segment_bytes)?;
-            report.torn_bytes += torn;
-        }
-        let (snaps, rejected) = durability::snapshot::load_all(&dcfg.dir)?;
-        report.manifests_rejected = rejected;
-        let latest = snaps.last().cloned();
-        let from = latest.as_ref().map_or(0, |s| s.journal_offset);
-        let (records, stats) = durability::journal::read_records(&dcfg.dir, from)?;
-        report.torn_bytes += stats.torn_bytes;
-
-        let rt = Runtime::start(config);
-        let dur = rt.shared.dur.as_ref().expect("durability configured");
-        // Replayed work must not be re-journaled: it is already in the
-        // journal, at the offsets being replayed.
-        dur.active.store(false, Ordering::Release);
-        {
-            let mut retained = relock(&dur.retained);
-            for s in snaps.iter().rev().take(2).rev() {
-                retained.push((s.seq, s.journal_offset));
-            }
-        }
-        if let Some(snap) = &latest {
-            dur.snapshot_seq.store(snap.seq, Ordering::Release);
-            report.snapshot_seq = Some(snap.seq);
-            for (idx, slot) in snap.slots.iter().enumerate() {
-                match &slot.job {
-                    // Vacant slots carry state too: their generation
-                    // keeps pre-crash stale handles invalid.
-                    None => {
-                        let mut jobs = rt.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
-                        jobs.slot_mut(idx as u32).gen = slot.gen;
-                    }
-                    Some(job) => {
-                        let jrt = rt.deploy_into_slot(idx as u32, slot.gen, &job.name, registry)?;
-                        if job.instances.len() != jrt.instances.len() {
-                            return Err(RecoverError::StateMismatch {
-                                job: job.name.clone(),
-                                instance: job.instances.len().min(jrt.instances.len()),
-                            });
-                        }
-                        for (i, bytes) in job.instances.iter().enumerate() {
-                            if !relock(&jrt.instances[i]).state_restore(bytes) {
-                                return Err(RecoverError::StateMismatch {
-                                    job: job.name.clone(),
-                                    instance: i,
-                                });
-                            }
-                        }
-                        report.snapshot_jobs += 1;
-                    }
-                }
-            }
-        }
-        for (_end, rec) in records {
-            report.records_replayed += 1;
-            match rec {
-                JournalRecord::Deploy { slot, gen, name } => {
-                    // Idempotent against the snapshot: skip if the slot
-                    // already holds this generation (restored above) or
-                    // has advanced past it (a later undeploy was also
-                    // snapshotted).
-                    let state = {
-                        let jobs = rt.shared.jobs.read().unwrap_or_else(|p| p.into_inner());
-                        jobs.slots
-                            .get(slot as usize)
-                            .map(|s| (s.gen, s.job.is_some()))
-                    };
-                    let skip = match state {
-                        Some((g, true)) if g == gen => true,
-                        Some((g, _)) if g > gen => true,
-                        _ => false,
-                    };
-                    if !skip {
-                        rt.deploy_into_slot(slot, gen, &name, registry)?;
-                    }
-                }
-                JournalRecord::Undeploy { slot, gen } => {
-                    // A stale handle (slot already advanced — the
-                    // undeploy was snapshotted) errors; that is the
-                    // idempotent skip.
-                    let _ = rt.undeploy_within(JobHandle { slot, gen }, Duration::from_secs(5));
-                }
-                JournalRecord::Frames(frames) => {
-                    // One admission per record, as the live call that
-                    // wrote it; a refused frame's slot has since advanced.
-                    let len = frames.len();
-                    let now = rt.shared.now();
-                    let out = rt.admit(
-                        frames
-                            .into_iter()
-                            .map(|f| (f.slot, f.gen, f.source, f.into_batch(now))),
-                    );
-                    report.frames_replayed += out.frames;
-                    report.stale_frames += len - out.frames;
-                }
-            }
-        }
-        dur.active.store(true, Ordering::Release);
-        Ok((rt, report))
-    }
-
-    /// Recovery twin of [`deploy`](Self::deploy): re-expand `name` from
-    /// the registry into a *specific* slot and generation, exactly as
-    /// journaled. Shares deploy's expansion and [`job_rt`](Self::job_rt);
-    /// differs only in slot placement.
-    fn deploy_into_slot(
-        &self,
-        slot: u32,
-        gen: u32,
-        name: &str,
-        registry: &SpecRegistry,
-    ) -> Result<Arc<JobRt>, RecoverError> {
-        let (spec, opts) = registry
-            .get(name)
-            .ok_or_else(|| RecoverError::UnknownSpec(name.to_string()))?;
-        let exp = ExpandedJob::expand(spec, JobId(slot), opts).map_err(RecoverError::Expand)?;
-        let jrt = Arc::new(self.job_rt(exp, gen));
-        let mut jobs = self.shared.jobs.write().unwrap_or_else(|p| p.into_inner());
-        // Grow before unlisting: growing pushes `slot` itself onto the
-        // free list.
-        jobs.slot_mut(slot);
-        jobs.free.retain(|&s| s != slot);
-        jobs.slots[slot as usize] = JobSlot {
-            gen,
-            job: Some(jrt.clone()),
-        };
-        Ok(jrt)
+        recovery::try_snapshot(&self.shared, wait)
     }
 
     /// Stop all workers and join them. Pending messages are dropped.
@@ -1326,275 +845,6 @@ impl Drop for Runtime {
     }
 }
 
-/// Spawn worker `id`: pin it to `core` (when given) and run
-/// [`worker_loop`].
-fn spawn_worker(shared: &Arc<Shared>, id: usize, core: Option<usize>) -> JoinHandle<()> {
-    let sh = shared.clone();
-    std::thread::Builder::new()
-        .name(format!("cameo-worker-{id}"))
-        .spawn(move || {
-            // Pin before the first acquire. Failure is benign: the
-            // worker just keeps the default affinity.
-            if core.is_some_and(cameo_core::affinity::pin_to_core) {
-                sh.pinned.fetch_add(1, Ordering::Relaxed);
-            }
-            worker_loop(sh)
-        })
-        .expect("spawn worker thread")
-}
-
-fn worker_loop(sh: Arc<Shared>) {
-    sh.live_workers.fetch_add(1, Ordering::SeqCst);
-    // Decrement on *every* exit — including an operator UDF panic
-    // unwinding through the worker — so `worker_count` never sticks
-    // above the number of threads actually running.
-    struct LiveWorker(Arc<Shared>);
-    impl Drop for LiveWorker {
-        fn drop(&mut self) {
-            self.0.live_workers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    let _live = LiveWorker(sh.clone());
-    // The message this worker is executing, for the yield points inside
-    // it: the hook asks the scheduler whether a stricter tier outranks it.
-    let in_flight: Rc<Cell<Option<InFlight>>> = Rc::default();
-    let _hook = preempt::install({
-        let (sh, in_flight) = (sh.clone(), in_flight.clone());
-        move || preempt_in_flight(&sh, &in_flight)
-    });
-    // The shared scheduler ignores the worker index.
-    let mut step = WorkerStep::new(0);
-    loop {
-        // Shutdown is seen between leases.
-        if !step.holds() && sh.sched.is_closed() {
-            return;
-        }
-        match step.next(&mut &sh.sched, sh.now()) {
-            StepOutcome::Run(key, msg, pri) => {
-                in_flight.set(Some((pri, key.job)));
-                process_message(&sh, key, msg);
-            }
-            StepOutcome::Released => {}
-            StepOutcome::Empty => sh.sched.park(PARK_TIMEOUT),
-        }
-    }
-}
-
-/// The priority and job of the message a worker is executing.
-type InFlight = (Priority, JobId);
-
-/// A worker's yield-point hook: while an operator in a stricter tier
-/// outranks the message in flight, drain its lease here — through a
-/// nested worker step, the same loop as any lease, minus the acquire —
-/// then let the interrupted message resume. Returns the wall time it
-/// spent. The nested leases' own yield points find no hook (it is out
-/// while this runs), so nesting stops at one level.
-fn preempt_in_flight(sh: &Arc<Shared>, in_flight: &Cell<Option<InFlight>>) -> Duration {
-    let Some((pri, job)) = in_flight.get() else {
-        return Duration::ZERO;
-    };
-    // Nothing stricter waiting (the common case): one load, no clock.
-    if !sh.sched.stricter_tier_waiting(pri.tier()) {
-        return Duration::ZERO;
-    }
-    let started = Instant::now();
-    while let Some(exec) = sh.sched.acquire_preempting(pri, job, sh.now()) {
-        let mut nested = WorkerStep::nested(exec);
-        while let StepOutcome::Run(key, msg, npri) = nested.next(&mut &sh.sched, sh.now()) {
-            in_flight.set(Some((npri, key.job)));
-            process_message(sh, key, msg);
-        }
-    }
-    in_flight.set(Some((pri, job)));
-    started.elapsed()
-}
-
-/// Attempt a snapshot, polling for a quiescent point for up to `wait`.
-///
-/// The consistent-cut protocol: take the jobs read lock, then the
-/// journal lock (the global jobs → journal order), and verify
-/// quiescence — scheduler empty *and* every job's in-flight count zero
-/// — while holding both. Ingress appends the journal record while its
-/// `IngressGuard` holds the count above zero, so under this check no
-/// record at or below the captured offset can have unprocessed effects,
-/// and any concurrent ingress past its admission check blocks on the
-/// journal lock until after the offset is captured — its record lands
-/// strictly above the cut. The state scan runs under the same two
-/// locks; the (slow) blob write happens after both are released.
-fn try_snapshot(sh: &Arc<Shared>, wait: Duration) -> Result<u64, SnapshotError> {
-    let Some(dur) = &sh.dur else {
-        return Err(SnapshotError::Inactive);
-    };
-    let deadline = Instant::now() + wait;
-    loop {
-        {
-            let jobs = sh.jobs.read().unwrap_or_else(|p| p.into_inner());
-            let guard = dur.journal.begin();
-            if sh.quiescent(&jobs) {
-                let offset = guard.offset();
-                let seq = dur.snapshot_seq.fetch_add(1, Ordering::AcqRel) + 1;
-                let mut slots = Vec::with_capacity(jobs.slots.len());
-                for s in &jobs.slots {
-                    let job = s.job.as_ref().map(|jrt| JobSnapshot {
-                        name: jrt.name.clone(),
-                        instances: jrt
-                            .instances
-                            .iter()
-                            .map(|m| relock(m).state_snapshot())
-                            .collect(),
-                    });
-                    slots.push(SlotSnapshot { gen: s.gen, job });
-                }
-                drop(guard);
-                drop(jobs);
-                durability::snapshot::write_snapshot(dur.journal.dir(), seq, offset, &slots)?;
-                // Retain the latest two snapshots; truncate the journal
-                // only below the *older* retained offset, so a torn
-                // newest snapshot still recovers from the previous one
-                // plus a longer journal suffix.
-                let (keep, trunc_below) = {
-                    let mut retained = relock(&dur.retained);
-                    retained.push((seq, offset));
-                    while retained.len() > 2 {
-                        retained.remove(0);
-                    }
-                    (
-                        retained.iter().map(|&(s, _)| s).collect::<Vec<u64>>(),
-                        retained[0].1,
-                    )
-                };
-                durability::snapshot::prune(dur.journal.dir(), &keep)?;
-                dur.journal.begin().truncate_before(trunc_below)?;
-                return Ok(seq);
-            }
-            drop(guard);
-            drop(jobs);
-        }
-        if Instant::now() >= deadline {
-            return Err(SnapshotError::Busy);
-        }
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
-/// Execute one message on its operator: run the UDF, record the cost,
-/// acknowledge upstream, route outputs downstream.
-///
-/// The message's slot generation is checked against the slot's current
-/// occupant first: a mismatch (or a vacant slot) means the message's
-/// job was undeployed while it was in flight, and it is dropped — a
-/// stale message must never execute against, or fan out into, the
-/// slot's new occupant.
-fn process_message(sh: &Arc<Shared>, key: OperatorKey, RtMsg { msg, gen }: RtMsg) {
-    let jrt = {
-        let jobs = sh.jobs.read().unwrap_or_else(|p| p.into_inner());
-        jobs.occupant(key.job.0).cloned()
-    };
-    let jrt = match jrt {
-        Some(jrt) if jrt.gen == gen => jrt,
-        _ => {
-            sh.stale_exec_drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    // This message's inflight decrement, released on *every* exit —
-    // including a panicking operator UDF unwinding through here.
-    // Without the guard, one UDF panic would strand the job's inflight
-    // count above zero forever and every later `undeploy` of the job
-    // would stall for its full drain budget. The fan-out increment
-    // below still precedes this drop on the normal path (guards drop
-    // at scope end), preserving the never-dips-to-zero ordering.
-    struct InflightMsg<'a>(&'a JobRt);
-    impl Drop for InflightMsg<'_> {
-        fn drop(&mut self) {
-            self.0.dec_inflight();
-        }
-    }
-    let _inflight = InflightMsg(&jrt);
-    let mut outbound = Vec::new();
-    let mut outputs;
-    let reply;
-    {
-        let mut inst = relock(&jrt.instances[key.op as usize]);
-        let started = sh.now();
-        let nested_before = preempt::nested_time();
-        outputs = inst.execute(&msg, started);
-        // Leases a yield point ran on this stack are other operators'
-        // cost, not this one's.
-        let nested = preempt::nested_time() - nested_before;
-        let cost = (sh.now() - started).saturating_sub(Micros(nested.as_micros() as u64));
-        reply = inst.fan_out(&*sh.policy, &msg, cost, &mut outputs, |target, msg| {
-            outbound.push((OperatorKey::new(key.job, target as u32), RtMsg { msg, gen }))
-        });
-    } // instance guard dropped before touching any other instance
-
-    // What a sink emitted (fan-out leaves other instances' outputs empty).
-    if !outputs.is_empty() {
-        let now = sh.now();
-        let handle = JobHandle {
-            slot: key.job.0,
-            gen: jrt.gen,
-        };
-        for b in outputs {
-            jrt.stats.record(now, b.time, b.len());
-            // Snapshot the live senders under the lock, then deliver
-            // with it released: a slow subscriber (or a channel
-            // internals hiccup) can never extend the critical section
-            // another sink execution or `subscribe` call is waiting on.
-            // Prune-on-delivery survives in two halves — dead liveness
-            // tokens are dropped while snapshotting, and any send that
-            // fails (receiver gone) triggers a re-lock prune below.
-            let senders: Vec<Sender<OutputEvent>> = {
-                let mut subs = relock(&jrt.subscribers);
-                subs.retain(Subscriber::live);
-                subs.iter().map(|s| s.tx.clone()).collect()
-            };
-            if senders.is_empty() {
-                continue;
-            }
-            // One allocation per output batch, shared across every
-            // subscriber — the fan-out clones an Arc, never the tuples.
-            let batch = Arc::new(b);
-            let latency = now - batch.time;
-            let mut any_dead = false;
-            for tx in senders {
-                let ok = tx
-                    .send(OutputEvent {
-                        job: handle,
-                        batch: batch.clone(),
-                        latency,
-                        at: now,
-                    })
-                    .is_ok();
-                if ok {
-                    jrt.stats.record_delivery();
-                } else {
-                    any_dead = true;
-                }
-            }
-            if any_dead {
-                // A closed channel means its OutputSubscription (and
-                // liveness token) is gone; `live()` sees that.
-                relock(&jrt.subscribers).retain(Subscriber::live);
-            }
-        }
-    }
-    // The reply's address is an instance of this same job, so the
-    // generation-checked `jrt` is already the right table entry.
-    let mut upstream = relock(&jrt.instances[reply.to]);
-    sh.policy
-        .process_reply(&mut upstream.converter, reply.edge, &reply.rc);
-    drop(upstream);
-    // Operator fan-out goes out as one batch (one publication + hint +
-    // wake). The fan-out is counted in-flight *before* this message's
-    // own decrement (the `InflightMsg` guard, dropped at scope end), so
-    // the job's inflight count cannot dip to zero while a causal chain
-    // is still alive.
-    jrt.inflight
-        .fetch_add(outbound.len() as u64, Ordering::AcqRel);
-    sh.submit_batch(outbound);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1602,6 +852,8 @@ mod tests {
     use cameo_core::ids::MessageId;
     use cameo_core::priority::Priority;
     use cameo_core::time::LogicalTime;
+    use cameo_core::worker::{StepOutcome, WorkerStep};
+    use cameo_dataflow::expand::Message;
     use cameo_dataflow::queries::AggQueryParams;
 
     fn tiny_query(name: &str, window: u64) -> JobSpec {
@@ -1651,7 +903,7 @@ mod tests {
         rt.ingest(job, 1, vec![Tuple::new(7, 1, LogicalTime(0))])
             .unwrap();
         assert!(rt.drain(Duration::from_secs(10)));
-        let jrt = rt.lookup(job).unwrap();
+        let jrt = rt.shared.jobs.get(job).unwrap();
         let reported = |op: usize, edge: u32| {
             relock(&jrt.instances[op])
                 .converter
@@ -2229,7 +1481,9 @@ mod tests {
             .unwrap();
         // Flip the draining flag directly (undeploy would retire the
         // job before we could observe the window).
-        rt.lookup(job)
+        rt.shared
+            .jobs
+            .get(job)
             .unwrap()
             .draining
             .store(true, Ordering::SeqCst);
@@ -2264,11 +1518,8 @@ mod tests {
             drop(sub);
         }
         let live = rt.subscribe(job).unwrap();
-        {
-            let jobs = rt.shared.jobs.read().unwrap();
-            let n = relock(&jobs.get(job).unwrap().subscribers).len();
-            assert!(n <= 2, "dead subscribers accumulate: {n} entries");
-        }
+        let n = relock(&rt.shared.jobs.get(job).unwrap().subscribers).len();
+        assert!(n <= 2, "dead subscribers accumulate: {n} entries");
         // The surviving subscription still receives outputs (same feed
         // shape as `deploy_ingest_and_collect_outputs`).
         for source in [0u32, 1] {

@@ -27,7 +27,7 @@ use cameo_core::shard::ShardedScheduler;
 use cameo_core::time::{Micros, PhysicalTime};
 use cameo_core::worker::{StepOutcome, WorkerStep};
 use cameo_dataflow::event::Batch;
-use cameo_dataflow::expand::{ExpandedJob, Message, Reply};
+use cameo_dataflow::expand::{ingest_instance, ExpandedJob, Message, Reply};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
@@ -405,7 +405,7 @@ impl Engine {
     fn ingest(&mut self, job: u16, source: u32, batch: Batch) {
         let mut outbound = Vec::new();
         let exp = &mut self.jobs[job as usize].exp;
-        let ingest_idx = exp.ingests[source as usize];
+        let ingest_idx = ingest_instance(&exp.ingests, source);
         exp.instances[ingest_idx].fan_out_source(
             &*self.policy,
             exp.latency_constraint,

@@ -813,11 +813,18 @@ fn crash_past_the_last_frame_is_a_clean_restart() {
 #[test]
 fn crashes_across_a_slot_churn_recover_the_new_occupant() {
     // Step 15 undeploys the leaver and step 16 deploys the heir into
-    // its slot: crash between them, right after, and mid-way through
-    // the heir's frames with the churn in the snapshot.
+    // its slot: crash between them (once with a snapshot taken there,
+    // which holds the slot vacant at its bumped generation), right
+    // after, and mid-way through the heir's frames with the churn in
+    // the snapshot.
     for crash in [
         Crash {
             at: 16,
+            ..Crash::default()
+        },
+        Crash {
+            at: 16,
+            snapshot_at: Some(16),
             ..Crash::default()
         },
         Crash {
