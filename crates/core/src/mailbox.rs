@@ -22,9 +22,9 @@
 //!
 //! **Batched submission**: [`Mailbox::chain`] collects a batch in a
 //! private `Vec` (no mailbox traffic) and [`MailChain::publish`]
-//! appends it under one lock acquisition — the scheduler's
-//! `submit_batch` uses this to pay one publication + one hint update +
-//! one wake per batch instead of per message.
+//! appends it under one lock acquisition — the scheduler's batches
+//! (`ShardedScheduler::batch`) use this to pay one publication + one
+//! hint update + one wake per batch instead of per message.
 //!
 //! Memory ordering: [`Mailbox::is_empty`] reads a `SeqCst` flag that
 //! is written under the inbox lock on every publish and every swap, so

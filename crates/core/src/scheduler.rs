@@ -66,8 +66,8 @@ pub struct SchedulerStats {
     /// under single pushes this stops rising once both have grown to
     /// the burst size.
     pub node_alloc_fallback: u64,
-    /// Mailbox chain publications performed by `submit_batch`: one per
-    /// batch (the whole chain lands under one inbox lock). Together with
+    /// Mailbox chain publications by `ShardedScheduler`'s batches: one
+    /// per non-empty batch (the whole chain lands under one inbox lock). Together with
     /// `mailbox_drained` this audits the amortization claim — a batch of
     /// N messages shows one publication here, not N. Per-message
     /// `submit` calls are not counted.
@@ -77,7 +77,7 @@ pub struct SchedulerStats {
     /// runtime layer, zero for the core scheduler itself.
     pub frames_coalesced: u64,
     /// Multi-frame ingest calls that submitted at least one frame —
-    /// each is one `submit_batch` spanning everything one socket read
+    /// each is one batched submission spanning everything one socket read
     /// produced. `frames_coalesced / net_batches` is the achieved
     /// frames-per-read coalescing ratio. Filled by the runtime layer.
     pub net_batches: u64,

@@ -65,7 +65,7 @@
 
 use crate::config::SchedulerConfig;
 use crate::ids::{JobId, OperatorKey};
-use crate::mailbox::{Mail, Mailbox};
+use crate::mailbox::{Mail, MailChain, Mailbox};
 use crate::priority::Priority;
 use crate::scheduler::{CameoScheduler, Decision, Execution, SchedulerStats};
 use crate::time::PhysicalTime;
@@ -119,9 +119,9 @@ pub struct ShardedScheduler<M> {
     /// Leases handed out by [`acquire_preempting`](Self::acquire_preempting).
     yield_preemptions: AtomicU64,
     mailbox_drained: AtomicU64,
-    /// Chain publications by `submit_batch` (one per batch); audits the
-    /// one-publication amortization. Counted only on the batch path —
-    /// per-message `submit` stays free of extra RMWs.
+    /// Publications of a [`SubmitBatch`] (one per non-empty batch);
+    /// audits the one-publication amortization. Counted only on the
+    /// batch path — per-message `submit` stays free of extra RMWs.
     batch_pubs: AtomicU64,
     jobs_retired: AtomicU64,
 }
@@ -213,6 +213,18 @@ impl<M> ShardedScheduler<M> {
         self.wake_one();
     }
 
+    /// Start a batch: what is [`add`](SubmitBatch::add)ed stays private
+    /// until [`submit`](SubmitBatch::submit) publishes it as one. Its
+    /// chain opens at the first add, so an empty batch costs nothing.
+    pub fn batch(&self) -> SubmitBatch<'_, M> {
+        SubmitBatch {
+            sched: self,
+            chain: None,
+            reserve: 0,
+            tier: NO_TIER,
+        }
+    }
+
     /// Submit a whole batch of messages as **one** mailbox publication
     /// (the chain is appended atomically, in iteration order), one
     /// tier-hint update and one wake — instead of per-message traffic.
@@ -225,24 +237,12 @@ impl<M> ShardedScheduler<M> {
         I: IntoIterator<Item = (OperatorKey, M, Priority)>,
     {
         let items = items.into_iter();
-        let mut chain = self.mailbox.chain(items.size_hint().0);
-        let mut tier = NO_TIER;
+        let mut batch = self.batch();
+        batch.reserve = items.size_hint().0;
         for (key, msg, pri) in items {
-            tier = tier.min(pri.tier());
-            chain.add(key, msg, pri);
+            batch.add(key, msg, pri);
         }
-        let n = chain.len();
-        if n > 0 {
-            self.msgs.fetch_add(n, Ordering::Relaxed);
-            chain.publish();
-            self.batch_pubs.fetch_add(1, Ordering::Relaxed);
-            self.lower_hint(tier);
-            // The publish stored the queued flag with SeqCst, ordering it
-            // before wake_one's parked read — same handshake as the
-            // single-submit path.
-            self.wake_one();
-        }
-        n
+        batch.submit()
     }
 
     /// Check out the most urgent operator: in deadline order while every
@@ -475,6 +475,55 @@ impl<M> ShardedScheduler<M> {
     }
 }
 
+/// Messages bound for one publication; see [`ShardedScheduler::batch`].
+/// Dropping a batch unsubmitted drops its messages.
+pub struct SubmitBatch<'a, M> {
+    sched: &'a ShardedScheduler<M>,
+    /// Opened at the first add.
+    chain: Option<MailChain<'a, M>>,
+    /// Messages the chain reserves room for when it opens.
+    reserve: usize,
+    /// The strictest tier added so far ([`NO_TIER`] when empty).
+    tier: u8,
+}
+
+impl<M> SubmitBatch<'_, M> {
+    /// Append one message to the (still private) batch.
+    pub fn add(&mut self, key: OperatorKey, msg: M, pri: Priority) {
+        self.tier = self.tier.min(pri.tier());
+        let (mailbox, reserve) = (&self.sched.mailbox, self.reserve);
+        self.chain
+            .get_or_insert_with(|| mailbox.chain(reserve))
+            .add(key, msg, pri);
+    }
+
+    /// Messages added so far.
+    pub fn len(&self) -> usize {
+        self.chain.as_ref().map_or(0, MailChain::len)
+    }
+
+    /// True when nothing has been added yet.
+    pub fn is_empty(&self) -> bool {
+        self.chain.is_none()
+    }
+
+    /// Count, publish, lower the tier hint and wake one parked worker.
+    /// Returns the number of messages submitted.
+    pub fn submit(self) -> usize {
+        let Some(chain) = self.chain else { return 0 };
+        let sched = self.sched;
+        let n = chain.len();
+        sched.msgs.fetch_add(n, Ordering::Relaxed);
+        chain.publish();
+        sched.batch_pubs.fetch_add(1, Ordering::Relaxed);
+        sched.lower_hint(self.tier);
+        // The publish stored the queued flag with SeqCst, ordering it
+        // before wake_one's parked read, as on the single-submit path.
+        sched.wake_one();
+        n
+    }
+}
+
 /// The scheduler is a run queue whether borrowed (a runtime worker's)
 /// or owned (the simulator's); the worker index is ignored. An `Arc` of
 /// it is one too, so where `RunQueue` is in scope, call an `Arc`'s
@@ -628,6 +677,37 @@ mod tests {
             "drains swap the two buffers, later submits never grow them"
         );
         assert!(sh.mailbox_capacity() >= 32);
+    }
+
+    #[test]
+    fn an_empty_batch_leaves_the_idle_mailbox_buffer_alone() {
+        let sh = sched(0);
+        for round in 0..3u64 {
+            sh.submit_batch((0..8u64).map(|i| (key(0), round * 8 + i, Priority::uniform(0))));
+            assert_eq!(drain(&sh).len(), 8);
+        }
+        let warm = sh.mailbox_capacity();
+        assert_eq!(warm, 16, "the inbox and the spare hold 8 each");
+        // A fan-out that produced nothing: no chain opens, so the
+        // inbox's idle buffer is neither lent out nor dropped.
+        assert_eq!(sh.submit_batch(std::iter::empty()), 0);
+        assert_eq!(sh.mailbox_capacity(), warm);
+        assert_eq!(sh.stats().batch_publications, 3);
+    }
+
+    #[test]
+    fn a_batch_is_invisible_until_submitted() {
+        let sh = sched(0);
+        let mut batch = sh.batch();
+        assert!(batch.is_empty());
+        batch.add(key(1), 1, Priority::uniform(2));
+        batch.add(key(0), 2, Priority::uniform(1));
+        assert_eq!(batch.len(), 2);
+        assert!(sh.is_empty(), "added mail is not pending yet");
+        assert!(sh.acquire(0, PhysicalTime::ZERO).is_none());
+        assert_eq!(batch.submit(), 2);
+        assert_eq!(sh.len(), 2);
+        assert_eq!(drain(&sh), vec![2, 1]);
     }
 
     #[test]

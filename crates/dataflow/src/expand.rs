@@ -118,6 +118,9 @@ pub struct OperatorInstance {
     /// a fast source would advance downstream watermarks past a slow
     /// source's in-flight data (classic watermark propagation).
     input_wm: Option<WatermarkTracker>,
+    /// What `execute` emitted, until `fan_out` routes or delivers it;
+    /// kept across messages, so its capacity is reused.
+    outputs: Vec<Batch>,
 }
 
 impl OperatorInstance {
@@ -134,8 +137,8 @@ impl OperatorInstance {
     /// Source fan-out of a batch entering the dataflow at this ingest
     /// instance: per out-route, one `BUILDCXTATSOURCE`, then the batch
     /// routed across the route's targets, each `(target, message)`
-    /// handed to `emit`. The final route moves the batch
-    /// ([`route_batch_owned`]).
+    /// handed to `emit`. The final route's single target, if it has
+    /// one, receives the batch itself.
     pub fn fan_out_source(
         &mut self,
         policy: &dyn Policy,
@@ -160,42 +163,41 @@ impl OperatorInstance {
         }
     }
 
-    /// Execution: run the operator on `msg` at `now`, then clamp a
-    /// *regular* operator's output progress to its input watermark (see
-    /// `input_wm`). Windowed operators already emit watermark-correct
-    /// window triggers.
-    pub fn execute(&mut self, msg: &Message, now: PhysicalTime) -> Vec<Batch> {
-        let mut outs = Vec::new();
+    /// Execution: run the operator on `msg` at `now` into this
+    /// instance's outputs, then clamp a *regular* operator's output
+    /// progress to its input watermark (see `input_wm`). Windowed
+    /// operators already emit watermark-correct window triggers.
+    pub fn execute(&mut self, msg: &Message, now: PhysicalTime) {
+        self.outputs.clear(); // not empty only after an operator panic
         self.op
             .as_mut()
             .expect("scheduled instance has an operator")
-            .on_batch(msg.channel, &msg.batch, now, &mut outs);
+            .on_batch(msg.channel, &msg.batch, now, &mut self.outputs);
         if let Some(wm) = self.input_wm.as_mut() {
             let w = wm.observe(msg.channel, msg.batch.progress.0);
-            for b in outs.iter_mut() {
+            for b in self.outputs.iter_mut() {
                 if b.progress.0 > w {
                     b.progress = LogicalTime(w);
                 }
             }
         }
-        outs
     }
 
     /// Operator fan-out after [`execute`](Self::execute) ran `msg`:
     /// record `cost` as this instance's own cost, `PREPAREREPLY`, then,
     /// route by route and output by output, one `BUILDCXTATOPERATOR`
     /// and the output routed across the route's targets, each
-    /// `(target, message)` handed to `emit`. The final route moves the
-    /// outputs out of `outputs`; a sink has no routes, so its outputs
-    /// stay there for the engine to deliver. Returns the reply,
+    /// `(target, message)` handed to `emit`; a single target on the
+    /// final route receives the output itself. A sink has no routes, so
+    /// its outputs go to `deliver` in emission order. Returns the reply,
     /// addressed to the sender of the channel `msg` arrived on.
     pub fn fan_out(
         &mut self,
         policy: &dyn Policy,
         msg: &Message,
         cost: Micros,
-        outputs: &mut Vec<Batch>,
         mut emit: impl FnMut(usize, Message),
+        deliver: impl FnMut(Batch),
     ) -> Reply {
         self.converter.profile.record_own_cost(cost);
         let (to, edge) = self.channel_senders[msg.channel as usize];
@@ -206,7 +208,7 @@ impl OperatorInstance {
         };
         let routes = self.outs.len();
         for (ri, route) in self.outs.iter().enumerate() {
-            for out in outputs.iter_mut() {
+            for out in self.outputs.iter_mut() {
                 let stamp = MessageStamp {
                     progress: out.progress,
                     time: out.time,
@@ -215,8 +217,10 @@ impl OperatorInstance {
                 send(route, pc, out, ri + 1 == routes, &mut emit);
             }
         }
-        if routes > 0 {
-            outputs.clear();
+        if routes == 0 {
+            self.outputs.drain(..).for_each(deliver);
+        } else {
+            self.outputs.clear();
         }
         reply
     }
@@ -312,8 +316,9 @@ pub fn partition_hash(key: u64) -> u64 {
 }
 
 /// Route `batch` across `route`'s targets, handing each `(target,
-/// message)` under `pc` to `emit`. The final route of a fan-out
-/// (`last`) moves the batch out, leaving an empty one behind.
+/// message)` under `pc` to `emit`. A single target on the final route of
+/// a fan-out (`last`) takes the batch itself, neither hashed nor copied
+/// (every routing mode sends one target the whole batch).
 fn send(
     route: &OutRoute,
     pc: PriorityContext,
@@ -321,68 +326,45 @@ fn send(
     last: bool,
     emit: &mut impl FnMut(usize, Message),
 ) {
-    let routed = if last {
-        route_batch_owned(route, std::mem::take(batch))
-    } else {
-        route_batch(route, batch)
-    };
-    for (target, channel, batch) in routed {
-        emit(target, Message { channel, batch, pc });
+    let mut emit = |target, channel, batch| emit(target, Message { channel, batch, pc });
+    match route.targets[..] {
+        [(target, channel)] if last => emit(target, channel, std::mem::take(batch)),
+        _ => route_each(route, batch, emit),
     }
 }
 
-/// Split a batch across `route.targets` according to the routing mode.
-/// Under `Partition`, *every* target receives a sub-batch (possibly
-/// empty) carrying the full progress, so watermarks advance everywhere.
-pub fn route_batch(route: &OutRoute, batch: &Batch) -> Vec<(usize, u32, Batch)> {
-    route_batch_inner(route, batch)
-}
-
-/// Like [`route_batch`], but consumes the batch. With exactly one
-/// target every routing mode delivers the whole batch there — `Forward`
-/// by definition, `Broadcast` and `Partition` degenerately — so the
-/// single-target case (a parallelism-1 stage or any `Forward` edge, the
-/// common shapes on both fan-outs) *moves* the batch instead of hashing
-/// and copying it tuple by tuple.
-pub fn route_batch_owned(route: &OutRoute, batch: Batch) -> Vec<(usize, u32, Batch)> {
-    if route.targets.len() == 1 {
-        let (t, c) = route.targets[0];
-        return vec![(t, c, batch)];
-    }
-    route_batch_inner(route, &batch)
-}
-
-fn route_batch_inner(route: &OutRoute, batch: &Batch) -> Vec<(usize, u32, Batch)> {
+/// Split a batch across `route.targets` according to the routing mode,
+/// handing each `(target, channel, sub-batch)` to `f`. Under
+/// `Partition`, *every* target receives a sub-batch (possibly empty)
+/// carrying the full progress, so watermarks advance everywhere.
+fn route_each(route: &OutRoute, batch: &Batch, mut f: impl FnMut(usize, u32, Batch)) {
     match route.routing {
-        Routing::Forward => {
-            let (t, c) = route.targets[0];
-            vec![(t, c, batch.clone())]
+        // A `Forward` route has exactly one target.
+        Routing::Forward | Routing::Broadcast => {
+            for &(t, c) in &route.targets {
+                f(t, c, batch.clone())
+            }
         }
-        Routing::Broadcast => route
-            .targets
-            .iter()
-            .map(|&(t, c)| (t, c, batch.clone()))
-            .collect(),
         Routing::Partition => {
             let n = route.targets.len();
             let mut parts: Vec<Vec<crate::event::Tuple>> = vec![Vec::new(); n];
             for &t in &batch.tuples {
                 parts[(partition_hash(t.key) % n as u64) as usize].push(t);
             }
-            route
-                .targets
-                .iter()
-                .zip(parts)
-                .map(|(&(t, c), tuples)| {
-                    (
-                        t,
-                        c,
-                        Batch::with_progress(tuples, batch.progress, batch.time),
-                    )
-                })
-                .collect()
+            let (progress, time) = (batch.progress, batch.time);
+            for (&(t, c), tuples) in route.targets.iter().zip(parts) {
+                f(t, c, Batch::with_progress(tuples, progress, time))
+            }
         }
     }
+}
+
+/// Split a batch across `route.targets` as a fan-out does, collected:
+/// every `(target, channel, sub-batch)`.
+pub fn route_batch(route: &OutRoute, batch: &Batch) -> Vec<(usize, u32, Batch)> {
+    let mut routed = Vec::with_capacity(route.targets.len());
+    route_each(route, batch, |t, c, b| routed.push((t, c, b)));
+    routed
 }
 
 impl ExpandedJob {
@@ -543,6 +525,7 @@ impl ExpandedJob {
                     cost_hint: stage.cost_hint,
                     kind: stage.kind,
                     input_wm,
+                    outputs: Vec::new(),
                 });
             }
         }
@@ -708,6 +691,96 @@ mod tests {
         let routed = route_batch(&j.instances[0].outs[0], &batch);
         assert_eq!(routed.len(), 3);
         assert!(routed.iter().all(|(_, _, b)| b.len() == 1));
+    }
+
+    /// Emits each input tuple as a batch of its own.
+    struct Split;
+
+    impl crate::operator::StateSnapshot for Split {}
+
+    impl Operator for Split {
+        fn on_batch(&mut self, _: u32, batch: &Batch, _: PhysicalTime, out: &mut Vec<Batch>) {
+            out.extend(
+                batch
+                    .tuples
+                    .iter()
+                    .map(|&t| Batch::new(vec![t], batch.time)),
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_copies_onto_early_routes_and_moves_onto_the_last() {
+        use cameo_core::policy::LlfPolicy;
+        // mid has two out-edges: Broadcast to a's two instances, then
+        // Forward to the sink.
+        let mut b = JobBuilder::new("two-routes", Micros(1_000), TimeDomain::IngestionTime);
+        let src = b.ingest("src", 1);
+        let mid = b.stage("mid", 1, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        let a = b.stage("a", 2, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Passthrough)
+        });
+        let sink = b.stage("sink", 1, OperatorKind::Regular, Micros(1), |_| {
+            Box::new(Split)
+        });
+        b.connect(src, mid, Routing::Forward);
+        b.connect(mid, a, Routing::Broadcast);
+        b.connect(mid, sink, Routing::Forward);
+        b.connect(a, sink, Routing::Partition);
+        let spec = b.build().unwrap();
+        let mut j = ExpandedJob::expand(&spec, JobId(0), &ExpandOptions::default()).unwrap();
+        let tuples = (0..3).map(|k| Tuple::new(k, 1, LogicalTime(k))).collect();
+        let mut sent = Vec::new();
+        j.instances[0].fan_out_source(
+            &LlfPolicy,
+            Micros(1_000),
+            Batch::new(tuples, PhysicalTime(0)),
+            |t, m| sent.push((t, m)),
+        );
+        let [(1, msg)] = &sent[..] else {
+            panic!("one message, to mid: {sent:?}")
+        };
+
+        let mid = &mut j.instances[1];
+        mid.execute(msg, PhysicalTime(1));
+        let emitted = mid.outputs[0].tuples.as_ptr();
+        let mut routed = Vec::new();
+        mid.fan_out(
+            &LlfPolicy,
+            msg,
+            Micros(1),
+            |t, m| routed.push((t, m)),
+            |_| panic!("mid is no sink"),
+        );
+        assert!(mid.outputs.is_empty(), "fan-out empties the outputs");
+        let targets: Vec<usize> = routed.iter().map(|(t, _)| *t).collect();
+        assert_eq!(targets, vec![2, 3, 4]);
+        for (_, m) in &routed[..2] {
+            assert_eq!(m.batch, msg.batch);
+            assert_ne!(m.batch.tuples.as_ptr(), emitted, "early routes get copies");
+        }
+        assert_eq!(
+            routed[2].1.batch.tuples.as_ptr(),
+            emitted,
+            "the last route's one target gets the output itself"
+        );
+
+        let (_, msg) = &routed[2];
+        let sink = &mut j.instances[4];
+        sink.execute(msg, PhysicalTime(2));
+        let mut delivered = Vec::new();
+        sink.fan_out(
+            &LlfPolicy,
+            msg,
+            Micros(1),
+            |_, _| panic!("a sink routes nothing"),
+            |b| delivered.push(b),
+        );
+        assert!(sink.outputs.is_empty());
+        let keys: Vec<u64> = delivered.iter().map(|b| b.tuples[0].key).collect();
+        assert_eq!(keys, vec![0, 1, 2], "outputs delivered in emission order");
     }
 
     #[test]

@@ -34,7 +34,7 @@ use cameo_core::time::{Clock, Micros, PhysicalTime, SystemClock};
 use cameo_dataflow::event::{Batch, Tuple};
 use cameo_dataflow::expand::{ingest_instance, ExpandOptions};
 use cameo_dataflow::graph::{GraphError, JobSpec};
-use jobs::{IngressGuard, JobRt, Jobs, JobsTable};
+use jobs::{IngressGuard, Jobs, JobsTable};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -217,7 +217,7 @@ pub struct IngestOutcome {
     /// [`JobError::Stale`].
     pub gen_rejected: usize,
     /// Scheduler messages the submitted frames expanded into (what one
-    /// `submit_batch` published).
+    /// batch published).
     pub messages: usize,
     /// One entry per generation-rejected frame (so
     /// `rejected.len() == gen_rejected`), carrying the details a
@@ -323,7 +323,7 @@ struct Shared {
     /// Workers whose `sched_setaffinity` call succeeded.
     pinned: AtomicUsize,
     /// Multi-frame ingest calls that submitted at least one frame
-    /// (each is one `submit_batch` — one mailbox publication for the
+    /// (each is one scheduler batch — one mailbox publication for the
     /// whole socket read).
     net_batches: AtomicU64,
     /// Frames submitted through those calls; `frames_coalesced /
@@ -399,15 +399,6 @@ impl Shared {
                 }
             }
         }
-    }
-
-    /// Batched submit: one mailbox publication, one hint update and one
-    /// wake for the whole batch.
-    fn submit_batch<I: IntoIterator<Item = (OperatorKey, RtMsg)>>(&self, items: I) {
-        let _ = self.sched.submit_batch(items.into_iter().map(|(key, m)| {
-            let pri = m.msg.pc.priority;
-            (key, m, pri)
-        }));
     }
 }
 
@@ -635,8 +626,10 @@ impl Runtime {
     /// [`ingest_frames`](Self::ingest_frames) and journal replay. A
     /// stamped `(slot, generation, source, batch)` frame is admitted when
     /// its slot's occupant is not draining and carries its generation.
-    /// Admitted frames are routed, counted in flight, journaled as one
-    /// `Frames` record (unless replaying) and published as one batch.
+    /// Each admitted frame is routed through its ingest instance straight
+    /// into one scheduler batch and counted in flight; the call's frames
+    /// are journaled as one `Frames` record (unless replaying), and the
+    /// batch is published after that.
     fn admit(&self, frames: impl IntoIterator<Item = (u32, u32, u32, Batch)>) -> IngestOutcome {
         let mut out = IngestOutcome::default();
         // Resolve each slot the call references once (first-occurrence
@@ -647,10 +640,7 @@ impl Runtime {
         // `jobs.read()`. A live job's entry holds its ingress guard
         // until the call's messages are submitted — see `IngressGuard`.
         let mut seen: Vec<(u32, Option<IngressGuard>)> = Vec::new();
-        // Group the call's frames by (job, ingest instance), keeping
-        // first-seen group order and per-group frame order, so each
-        // group pays its instance lock once — not once per frame.
-        let mut groups: Vec<(u32, Arc<JobRt>, usize, Vec<Batch>)> = Vec::new();
+        let mut outbound = self.shared.sched.batch();
         // Write-ahead capture of every admitted frame, post-stamping,
         // so replay reproduces the logical times the operators saw.
         let mut dur_recs: Vec<FrameRecord> = Vec::new();
@@ -686,43 +676,25 @@ impl Runtime {
                 });
                 continue;
             }
-            let ingest_idx = ingest_instance(&jrt.ingests, source);
             if self.shared.dur_active() {
                 dur_recs.push(FrameRecord::from_batch(slot, gen, source, &batch));
             }
-            match groups
-                .iter_mut()
-                .find(|(j, _, idx, _)| *j == slot && *idx == ingest_idx)
-            {
-                Some((_, _, _, batches)) => batches.push(batch),
-                None => groups.push((slot, jrt, ingest_idx, vec![batch])),
-            }
-            out.frames += 1;
-        }
-        // Each group takes its ingest instance's mutex once for all of
-        // its frames; each frame stays its own message set, so frame
-        // boundaries are preserved downstream.
-        let mut outbound = Vec::new();
-        for (slot, jrt, ingest_idx, batches) in groups {
+            // Each frame stays its own message set, so frame boundaries
+            // are preserved downstream.
             let before = outbound.len();
-            let gen = jrt.gen;
-            let mut inst = relock(&jrt.instances[ingest_idx]);
-            for batch in batches {
-                inst.fan_out_source(
-                    &*self.shared.policy,
-                    jrt.latency_constraint,
-                    batch,
-                    |target, msg| {
-                        outbound.push((
-                            OperatorKey::new(JobId(slot), target as u32),
-                            RtMsg { msg, gen },
-                        ))
-                    },
-                );
-            }
-            drop(inst);
+            relock(&jrt.instances[ingest_instance(&jrt.ingests, source)]).fan_out_source(
+                &*self.shared.policy,
+                jrt.latency_constraint,
+                batch,
+                |target, msg| {
+                    let pri = msg.pc.priority;
+                    let key = OperatorKey::new(JobId(slot), target as u32);
+                    outbound.add(key, RtMsg { msg, gen }, pri)
+                },
+            );
             jrt.inflight
                 .fetch_add((outbound.len() - before) as u64, Ordering::AcqRel);
+            out.frames += 1;
         }
         out.messages = outbound.len();
         // Group commit: one journal append (and at most one fsync) for
@@ -732,7 +704,7 @@ impl Runtime {
         if !dur_recs.is_empty() {
             self.shared.dur_append(&JournalRecord::Frames(dur_recs));
         }
-        self.shared.submit_batch(outbound);
+        outbound.submit();
         out
     }
 
@@ -1602,8 +1574,8 @@ mod tests {
             .deploy(&tiny_query("slow", 5_000), &ExpandOptions::default())
             .unwrap();
         // `slow` never calls recv: its channel queue only grows. The
-        // sink path must still deliver to `live` promptly — sends
-        // happen outside the subscribers mutex, so one subscriber's
+        // sink path must still deliver to `live` promptly — sends are
+        // unbounded channel sends that never block, so one subscriber's
         // backlog cannot serialize (or block) another's delivery.
         let slow = rt.subscribe(job).unwrap();
         let live = rt.subscribe(job).unwrap();

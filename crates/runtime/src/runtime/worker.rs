@@ -18,8 +18,8 @@
 //! block a dispatching worker. Ingress is also *batched end to end*:
 //! source batches (`Runtime::ingest`), whole socket reads
 //! (`Runtime::ingest_frames` — every frame one TCP read completed,
-//! see `crate::net`), journal replay and operator fan-out all travel
-//! through `ShardedScheduler::submit_batch`, paying one mailbox
+//! see `crate::net`), journal replay and operator fan-out route straight
+//! into one `ShardedScheduler::batch` each, paying one mailbox
 //! publication, one hint update and one wake per call instead of per
 //! message. The first three share one admission routine, so a replayed
 //! record takes exactly the path its live call took.
@@ -30,9 +30,10 @@
 //!
 //! Lock ordering: outside a yield point a worker holds at most one
 //! instance lock at a time; reply application locks the *sender*
-//! instance only after the executing instance's guard is dropped. The
-//! scheduler lock is never held while an instance lock is held (the
-//! scheduler takes and releases its internal locks within each call).
+//! instance only after the executing instance's guard is dropped; a
+//! sink takes its subscribers lock under it. The scheduler lock is
+//! never held while an instance lock is held (the scheduler and the
+//! mailbox take and release their internal locks within each call).
 //!
 //! ## Preemption points
 //!
@@ -54,14 +55,14 @@ use super::jobs::JobRt;
 use super::{relock, JobHandle, OutputEvent, Shared, Subscriber};
 use cameo_core::ids::{JobId, OperatorKey};
 use cameo_core::priority::Priority;
-use cameo_core::time::Micros;
+use cameo_core::time::{Micros, PhysicalTime};
 use cameo_core::worker::{StepOutcome, WorkerStep};
+use cameo_dataflow::event::Batch;
 use cameo_dataflow::expand::Message;
 use cameo_dataflow::preempt;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -167,7 +168,7 @@ fn preempt_in_flight(sh: &Arc<Shared>, in_flight: &Cell<Option<InFlight>>) -> Du
 }
 
 /// Execute one message on its operator: run the UDF, record the cost,
-/// acknowledge upstream, route outputs downstream.
+/// route outputs downstream (or deliver a sink's), acknowledge upstream.
 ///
 /// The message's slot generation is checked against the slot's current
 /// occupant first: a mismatch (or a vacant slot) means the message's
@@ -196,74 +197,30 @@ fn process_message(sh: &Arc<Shared>, key: OperatorKey, RtMsg { msg, gen }: RtMsg
         }
     }
     let _inflight = InflightMsg(&jrt);
-    let mut outbound = Vec::new();
-    let mut outputs;
-    let reply;
-    {
+    let mut outbound = sh.sched.batch();
+    let reply = {
         let mut inst = relock(&jrt.instances[key.op as usize]);
         let started = sh.now();
         let nested_before = preempt::nested_time();
-        outputs = inst.execute(&msg, started);
+        inst.execute(&msg, started);
+        let finished = sh.now();
         // Leases a yield point ran on this stack are other operators'
         // cost, not this one's.
         let nested = preempt::nested_time() - nested_before;
-        let cost = (sh.now() - started).saturating_sub(Micros(nested.as_micros() as u64));
-        reply = inst.fan_out(&*sh.policy, &msg, cost, &mut outputs, |target, msg| {
-            outbound.push((OperatorKey::new(key.job, target as u32), RtMsg { msg, gen }))
-        });
-    } // instance guard dropped before touching any other instance
+        let cost = (finished - started).saturating_sub(Micros(nested.as_micros() as u64));
+        inst.fan_out(
+            &*sh.policy,
+            &msg,
+            cost,
+            |target, msg| {
+                let pri = msg.pc.priority;
+                let key = OperatorKey::new(key.job, target as u32);
+                outbound.add(key, RtMsg { msg, gen }, pri)
+            },
+            |batch| deliver(&jrt, key.job, finished, batch),
+        )
+    }; // instance guard dropped before touching any other instance
 
-    // What a sink emitted (fan-out leaves other instances' outputs empty).
-    if !outputs.is_empty() {
-        let now = sh.now();
-        let handle = JobHandle {
-            slot: key.job.0,
-            gen: jrt.gen,
-        };
-        for b in outputs {
-            jrt.stats.record(now, b.time, b.len());
-            // Snapshot the live senders under the lock, then deliver
-            // with it released: a slow subscriber (or a channel
-            // internals hiccup) can never extend the critical section
-            // another sink execution or `subscribe` call is waiting on.
-            // Prune-on-delivery survives in two halves — dead liveness
-            // tokens are dropped while snapshotting, and any send that
-            // fails (receiver gone) triggers a re-lock prune below.
-            let senders: Vec<Sender<OutputEvent>> = {
-                let mut subs = relock(&jrt.subscribers);
-                subs.retain(Subscriber::live);
-                subs.iter().map(|s| s.tx.clone()).collect()
-            };
-            if senders.is_empty() {
-                continue;
-            }
-            // One allocation per output batch, shared across every
-            // subscriber — the fan-out clones an Arc, never the tuples.
-            let batch = Arc::new(b);
-            let latency = now - batch.time;
-            let mut any_dead = false;
-            for tx in senders {
-                let ok = tx
-                    .send(OutputEvent {
-                        job: handle,
-                        batch: batch.clone(),
-                        latency,
-                        at: now,
-                    })
-                    .is_ok();
-                if ok {
-                    jrt.stats.record_delivery();
-                } else {
-                    any_dead = true;
-                }
-            }
-            if any_dead {
-                // A closed channel means its OutputSubscription (and
-                // liveness token) is gone; `live()` sees that.
-                relock(&jrt.subscribers).retain(Subscriber::live);
-            }
-        }
-    }
     // The reply's address is an instance of this same job, so the
     // generation-checked `jrt` is already the right table entry.
     let mut upstream = relock(&jrt.instances[reply.to]);
@@ -277,5 +234,39 @@ fn process_message(sh: &Arc<Shared>, key: OperatorKey, RtMsg { msg, gen }: RtMsg
     // is still alive.
     jrt.inflight
         .fetch_add(outbound.len() as u64, Ordering::AcqRel);
-    sh.submit_batch(outbound);
+    outbound.submit();
+}
+
+/// Record one sink output and send it to every live subscriber under
+/// the subscribers lock, pruning the dead ones in the same pass (the
+/// sends are unbounded, so they never block). Every subscriber shares
+/// one `Arc`, built only when one is live.
+fn deliver(jrt: &JobRt, job: JobId, now: PhysicalTime, batch: Batch) {
+    jrt.stats.record(now, batch.time, batch.len());
+    let mut subs = relock(&jrt.subscribers);
+    if !subs.iter().any(Subscriber::live) {
+        subs.clear();
+        return;
+    }
+    let batch = Arc::new(batch);
+    let latency = now - batch.time;
+    subs.retain(|s| {
+        // A dead token or a closed channel: its OutputSubscription is gone.
+        let sent = s.live()
+            && s.tx
+                .send(OutputEvent {
+                    job: JobHandle {
+                        slot: job.0,
+                        gen: jrt.gen,
+                    },
+                    batch: batch.clone(),
+                    latency,
+                    at: now,
+                })
+                .is_ok();
+        if sent {
+            jrt.stats.record_delivery();
+        }
+        sent
+    });
 }

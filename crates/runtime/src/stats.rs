@@ -46,9 +46,9 @@ impl JobStatsSnapshot {
 /// Accumulates output latencies for one job.
 pub struct JobStats {
     constraint: Micros,
-    /// Outside the mutex: deliveries happen after the sink path has
-    /// released every lock (the send loop runs outside the subscribers
-    /// mutex), so the counter must not force one back on.
+    /// Outside the mutex: deliveries are counted inside the sink's send
+    /// loop, which already holds the subscribers lock, so the counter
+    /// takes no second lock.
     delivered: AtomicU64,
     inner: Mutex<Inner>,
 }
@@ -89,8 +89,8 @@ impl JobStats {
     }
 
     /// Count one successful subscriber delivery (an `OutputEvent` send
-    /// that landed). Lock-free: the egress send loop runs outside the
-    /// subscribers mutex and stays that way.
+    /// that landed). Lock-free, because the egress send loop calls it
+    /// once per subscriber.
     pub fn record_delivery(&self) {
         self.delivered.fetch_add(1, Ordering::Relaxed);
     }

@@ -547,16 +547,17 @@ impl Engine {
 
         // The cost model's perturbed draw is what the profile records.
         let recorded = self.cost.perturb_measurement(cost, &mut self.rng);
-        let inst = &mut self.jobs[job].exp.instances[op];
-        let mut outputs = inst.execute(&msg, self.now);
-        let mut outbound = Vec::new();
-        let reply = inst.fan_out(&*self.policy, &msg, recorded, &mut outputs, |target, m| {
-            outbound.push((target as u32, m))
-        });
         self.metrics.jobs[job].record_processed(self.now, msg.batch.len());
-        for b in outputs {
-            self.metrics.jobs[job].record_output(&b, self.now);
-        }
+        let inst = &mut self.jobs[job].exp.instances[op];
+        inst.execute(&msg, self.now);
+        let mut outbound = Vec::new();
+        let reply = inst.fan_out(
+            &*self.policy,
+            &msg,
+            recorded,
+            |target, m| outbound.push((target as u32, m)),
+            |b| self.metrics.jobs[job].record_output(&b, self.now),
+        );
         for (target, m) in outbound {
             self.send(Some((node, worker)), job as u16, target, m);
         }
